@@ -17,7 +17,6 @@ import (
 	"redpatch/internal/admission"
 	"redpatch/internal/attacktree"
 	"redpatch/internal/availability"
-	"redpatch/internal/cluster"
 	"redpatch/internal/engine"
 	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
@@ -948,59 +947,6 @@ func BenchmarkSweepCached(b *testing.B) {
 	if s := eng.Stats().Solves; s != solvesBefore {
 		b.Fatalf("cached sweep re-solved %d designs", s-solvesBefore)
 	}
-}
-
-// BenchmarkClusterSweepLocalFallback measures the coordinator's
-// graceful-degradation path: with zero configured workers a cluster
-// sweep collapses to one in-process execution, whose overhead over
-// calling the sweep directly must stay within a few percent. The memo
-// cache is primed first so ns/op isolates coordination cost (sharding,
-// dedup, result plumbing) rather than solver time; the "direct"
-// sub-benchmark is the denominator recorded beside it in the committed
-// baseline.
-func BenchmarkClusterSweepLocalFallback(b *testing.B) {
-	study, err := NewCaseStudy()
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := SpecSweepRequest{Tiers: []TierSweep{
-		{Role: "web", Min: 1, Max: 4},
-		{Role: "app", Min: 1, Max: 4},
-	}}
-	ctx := context.Background()
-	runLocal := func(ctx context.Context, sh cluster.Shard, emit func(cluster.Report) error) (int, error) {
-		r := req
-		if sh.Count > 1 {
-			r.Shard = &SweepShard{Index: sh.Index, Count: sh.Count}
-		}
-		return study.SweepSpecEach(ctx, r, func(rep DesignReport) error {
-			return emit(cluster.Report{Key: rep.Spec.Key()})
-		})
-	}
-	if _, err := runLocal(ctx, cluster.Shard{Count: 1}, func(cluster.Report) error { return nil }); err != nil {
-		b.Fatal(err) // prime the memo cache
-	}
-
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kept := 0
-			total, err := runLocal(ctx, cluster.Shard{Count: 1}, func(cluster.Report) error { kept++; return nil })
-			if err != nil || total != 16 || kept != 16 {
-				b.Fatalf("direct sweep: total %d kept %d err %v", total, kept, err)
-			}
-		}
-	})
-	b.Run("coordinator", func(b *testing.B) {
-		coord := cluster.New(nil, cluster.Options{})
-		job := cluster.Job{Local: runLocal}
-		for i := 0; i < b.N; i++ {
-			n := 0
-			total, kept, err := coord.Sweep(ctx, job, 4, func(cluster.Report) error { n++; return nil }, nil)
-			if err != nil || total != 16 || kept != 16 || n != 16 {
-				b.Fatalf("fallback sweep: total %d kept %d emitted %d err %v", total, kept, n, err)
-			}
-		}
-	})
 }
 
 // BenchmarkRolloutQuotient measures one mixed-version rollout point's

@@ -14,19 +14,13 @@
 //	          [-evaluate-concurrency N] [-evaluate-queue N]
 //	          [-sweep-concurrency N] [-sweep-queue N]
 //	          [-fleet-concurrency N] [-fleet-queue N]
-//	          [-worker] [-cluster-workers a,b,...] [-cluster-shards N]
-//	          [-cluster-shard-timeout D] [-cluster-shard-attempts N]
-//	          [-cluster-hedge-after D] [-cluster-breaker-threshold N]
-//	          [-cluster-breaker-cooldown D] [-cluster-probe-interval D]
 //	          [-chaos-seed N] [-chaos-site NAME,EP,LP,LMS,PP]...
 //
 // Endpoints:
 //
 //	GET  /healthz          liveness plus engine cache counters
-//	GET  /readyz           readiness: 503 until cache restore and
-//	                       scenario registration finish (and, with
-//	                       -worker, until the listener is bound), 503
-//	                       again once shutdown starts draining
+//	GET  /readyz           readiness: 200 once serving, 503 after
+//	                       shutdown starts draining
 //	GET  /metrics          Prometheus text format: per-route request
 //	                       counts and latency histograms, per-scenario
 //	                       engine/solver counters, cache persistence
@@ -85,20 +79,10 @@
 // "budget_exhausted"} NDJSON trailer once a stream has started. Handler
 // panics are recovered into 500s.
 //
-// Cluster mode (see cluster.go): -cluster-workers makes this daemon a
-// coordinator that partitions POST /api/v2/sweep/stream requests into
-// shards by design-key hash and dispatches them to worker redpatchd
-// processes (started with -worker) as the same NDJSON sweep request
-// with a "shard" field — no new wire protocol. Workers are probed via
-// /readyz and guarded by per-worker circuit breakers; failed shards
-// retry with full-jitter backoff, stragglers are hedged onto a second
-// worker, and exhausted or worker-less shards run in-process, so the
-// stream stays byte-identical to a single-process sweep no matter how
-// the fleet fails. -chaos-seed/-chaos-site arm the deterministic fault
-// injector at the daemon's chaos sites (evaluate, persist,
-// cluster.dispatch, cluster.probe, ...) for resilience testing; the
-// flag takes a site name plus error/latency/panic probabilities and a
-// latency in ms, and may repeat.
+// -chaos-seed/-chaos-site arm the deterministic fault injector at the
+// daemon's chaos sites (evaluate, persist, ...) for resilience testing;
+// the flag takes a site name plus error/latency/panic probabilities and
+// a latency in ms, and may repeat.
 //
 // With -pprof the daemon additionally mounts net/http/pprof under
 // /debug/pprof/ and the recent-trace dump under GET /debug/traces so
@@ -113,18 +97,19 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"redpatch"
 
 	"redpatch/internal/admission"
-	"redpatch/internal/cluster"
 	"redpatch/internal/faultinject"
 	"redpatch/internal/fleet"
 	"redpatch/internal/paperdata"
@@ -154,17 +139,7 @@ func main() {
 		sweepQueue   = flag.Int("sweep-queue", 0, "queued sweep-class requests; 0 selects 16, negative disables queueing")
 		fleetConc    = flag.Int("fleet-concurrency", 0, "concurrent fleet-class requests; 0 selects 4, negative disables the limiter")
 		fleetQueue   = flag.Int("fleet-queue", 0, "queued fleet-class requests; 0 selects 16, negative disables queueing")
-
-		workerFlag  = flag.Bool("worker", false, "run as a cluster worker: the API surface is unchanged, but /readyz additionally gates on the listener being bound")
-		clusterList = flag.String("cluster-workers", "", "comma-separated worker base URLs (host:port or http://host:port); non-empty runs this daemon as a sweep coordinator")
-		clShards    = flag.Int("cluster-shards", 0, "shards per distributed sweep; 0 selects 4 per worker")
-		clTimeout   = flag.Duration("cluster-shard-timeout", 0, "per-shard remote attempt timeout; 0 selects 2m")
-		clAttempts  = flag.Int("cluster-shard-attempts", 0, "remote attempts per shard before local fallback; 0 selects 3")
-		clHedge     = flag.Duration("cluster-hedge-after", 0, "straggler delay before a shard is hedged onto a second worker; 0 selects 15s, negative disables hedging")
-		clBrkThresh = flag.Int("cluster-breaker-threshold", 0, "consecutive failures that open a worker's circuit; 0 selects 3")
-		clBrkCool   = flag.Duration("cluster-breaker-cooldown", 0, "open-circuit cooldown before a half-open trial; 0 selects 10s")
-		clProbe     = flag.Duration("cluster-probe-interval", 0, "worker /readyz probe interval; 0 selects 5s")
-		chaosSeed   = flag.Int64("chaos-seed", 0, "deterministic seed for -chaos-site fault injection")
+		chaosSeed    = flag.Int64("chaos-seed", 0, "deterministic seed for -chaos-site fault injection")
 	)
 	var chaosSites []chaosSiteSpec
 	flag.Func("chaos-site",
@@ -189,10 +164,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	clusterWorkers := splitWorkers(*clusterList)
-	if *workerFlag && len(clusterWorkers) > 0 {
-		fail(errors.New("-worker and -cluster-workers are mutually exclusive: a process coordinates shards or executes them, not both"))
-	}
 	var inj *faultinject.Injector
 	if len(chaosSites) > 0 {
 		inj = faultinject.New(*chaosSeed)
@@ -224,17 +195,6 @@ func main() {
 		logger:         logger,
 		requestTimeout: *reqTimeout,
 		chaos:          inj,
-		workerMode:     *workerFlag,
-		cluster: clusterConfig{
-			workers:          clusterWorkers,
-			shards:           *clShards,
-			shardTimeout:     *clTimeout,
-			shardAttempts:    *clAttempts,
-			hedgeAfter:       *clHedge,
-			breakerThreshold: *clBrkThresh,
-			breakerCooldown:  *clBrkCool,
-			probeInterval:    *clProbe,
-		},
 		admission: admissionConfig{
 			evaluate: classLimits{concurrency: *evalConc, queue: *evalQueue},
 			sweep:    classLimits{concurrency: *sweepConc, queue: *sweepQueue},
@@ -261,23 +221,9 @@ func main() {
 	if hs.store != nil && *cacheFlush > 0 {
 		go hs.flushLoop(ctx, *cacheFlush)
 	}
-	if hs.coord != nil {
-		// Health probes feed the circuit breaker, so dead workers are
-		// excluded before any sweep pays for the discovery.
-		go hs.coord.Start(ctx)
-	}
-	// Listen and Serve are split so worker readiness can be gated on the
-	// listener actually being bound: a coordinator probing /readyz never
-	// sees 200 from a worker that cannot accept a shard yet.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fail(err)
-	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	hs.ready.ready(gateWorker) // no-op outside -worker mode
-	logger.Info("redpatchd listening", "addr", ln.Addr().String(), "logFormat", *logFormat,
-		"pprof", *pprofOn, "worker", *workerFlag, "clusterWorkers", len(clusterWorkers))
+	go func() { errc <- srv.ListenAndServe() }()
+	logger.Info("redpatchd listening", "addr", *addr, "logFormat", *logFormat, "pprof", *pprofOn)
 
 	select {
 	case err := <-errc:
@@ -286,9 +232,9 @@ func main() {
 	case <-ctx.Done():
 	}
 	logger.Info("redpatchd shutting down")
-	// Fail readiness first: coordinators stop dispatching new shards to
+	// Fail readiness first: load balancers stop routing new requests to
 	// this process while the in-flight ones finish under Shutdown.
-	hs.ready.drain()
+	hs.drain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
@@ -300,6 +246,37 @@ func main() {
 	// In-flight evaluations have finished (or were abandoned); dump the
 	// warmed caches so the next boot starts where this one left off.
 	hs.dumpCaches()
+}
+
+// chaosSiteSpec is one parsed -chaos-site flag value.
+type chaosSiteSpec struct {
+	name string
+	site faultinject.Site
+}
+
+// parseChaosSite parses NAME,ERRPROB,LATENCYPROB,LATENCYMS,PANICPROB.
+func parseChaosSite(v string) (chaosSiteSpec, error) {
+	parts := strings.Split(v, ",")
+	if len(parts) != 5 || strings.TrimSpace(parts[0]) == "" {
+		return chaosSiteSpec{}, fmt.Errorf("-chaos-site %q: want NAME,ERRPROB,LATENCYPROB,LATENCYMS,PANICPROB", v)
+	}
+	nums := make([]float64, 4)
+	for i, p := range parts[1:] {
+		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil || f < 0 {
+			return chaosSiteSpec{}, fmt.Errorf("-chaos-site %q: field %d: want a non-negative number", v, i+2)
+		}
+		nums[i] = f
+	}
+	return chaosSiteSpec{
+		name: strings.TrimSpace(parts[0]),
+		site: faultinject.Site{
+			ErrProb:     nums[0],
+			LatencyProb: nums[1],
+			Latency:     time.Duration(nums[2] * float64(time.Millisecond)),
+			PanicProb:   nums[3],
+		},
+	}, nil
 }
 
 // newLogger builds the daemon's structured logger: slog to stderr in
@@ -344,13 +321,6 @@ type serverConfig struct {
 	// chaos injects deterministic faults at the daemon's chaos sites for
 	// resilience testing; nil (production) makes every site a no-op.
 	chaos *faultinject.Injector
-	// workerMode marks this process as a cluster worker: /readyz gains a
-	// gate that main marks only once the listener is bound, so
-	// coordinators never dispatch to a process that cannot answer yet.
-	workerMode bool
-	// cluster configures coordinator mode; an empty worker list keeps
-	// the daemon single-process (see cluster.go).
-	cluster clusterConfig
 }
 
 // server carries the scenario registry and request caps behind the HTTP
@@ -366,9 +336,7 @@ type server struct {
 	store          *cacheStore // nil without -cache-dir
 	adm            admissionLimiters
 	chaos          *faultinject.Injector // nil in production
-	coord          *cluster.Coordinator  // nil outside coordinator mode
-	clusterShards  int                   // shards per distributed sweep
-	ready          *readiness
+	draining       atomic.Bool           // set once shutdown begins; fails /readyz
 	requestTimeout time.Duration
 	maxDesigns     int
 	maxReplicas    int
@@ -404,10 +372,6 @@ func newServer(study *redpatch.CaseStudy, cfg serverConfig) (*server, error) {
 		}
 		store.chaos = cfg.chaos
 	}
-	gates := []string{gateCache, gateScenarios}
-	if cfg.workerMode {
-		gates = append(gates, gateWorker)
-	}
 	s := &server{
 		study:    study,
 		reg:      newRegistry(study, cfg.defaultConfig, cfg.workers, cfg.maxScenarios, store),
@@ -422,7 +386,6 @@ func newServer(study *redpatch.CaseStudy, cfg serverConfig) (*server, error) {
 		store:          store,
 		adm:            newAdmissionLimiters(cfg.admission),
 		chaos:          cfg.chaos,
-		ready:          newReadiness(gates...),
 		requestTimeout: cfg.requestTimeout,
 		maxDesigns:     cfg.maxDesigns,
 		maxReplicas:    cfg.maxReplicas,
@@ -434,9 +397,7 @@ func newServer(study *redpatch.CaseStudy, cfg serverConfig) (*server, error) {
 		progressEvery: cfg.progressEvery,
 		started:       time.Now(),
 	}
-	s.coord, s.clusterShards = newCoordinator(cfg)
 	m.registerCollectors(s)
-	s.ready.ready(gateScenarios)
 	if store != nil {
 		// The default scenario exists before any request; warm it now.
 		if sc, err := s.reg.get(defaultScenario); err == nil {
@@ -444,7 +405,6 @@ func newServer(study *redpatch.CaseStudy, cfg serverConfig) (*server, error) {
 		}
 		store.loadFleet(s.fleetReg)
 	}
-	s.ready.ready(gateCache)
 	return s, nil
 }
 
@@ -494,14 +454,7 @@ func (s *server) handler() http.Handler {
 	route("POST /api/v2/evaluate", nil, s.handleEvaluateV2)
 	route("POST /api/v2/sweep", s.adm.sweep, s.handleSweepV2)
 	route("POST /api/v2/pareto", s.adm.sweep, s.handleParetoV2)
-	// In coordinator mode the sweep stream admits in-handler (see
-	// handleSweepStream): distributed sweeps spend worker capacity, and
-	// only locally executed ones should occupy a local sweep slot.
-	streamClass := s.adm.sweep
-	if s.coord != nil {
-		streamClass = nil
-	}
-	route("POST /api/v2/sweep/stream", streamClass, s.handleSweepStream)
+	route("POST /api/v2/sweep/stream", s.adm.sweep, s.handleSweepStream)
 	route("POST /api/v2/rollout/sweep", s.adm.sweep, s.handleRolloutSweep)
 	route("POST /api/v2/rank-patches", s.adm.evaluate, s.handleRankPatches)
 	route("POST /api/v2/plan-campaign", s.adm.evaluate, s.handlePlanCampaign)

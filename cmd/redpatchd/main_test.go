@@ -9,8 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"redpatch"
+
+	"redpatch/internal/faultinject"
 )
 
 var (
@@ -71,6 +74,58 @@ func TestHealthz(t *testing.T) {
 	}
 	if body.Status != "ok" {
 		t.Fatalf("status = %q", body.Status)
+	}
+}
+
+// TestReadyzGates: /readyz is 200 the moment construction returns —
+// scenario registration and cache restore are synchronous — and 503
+// draining once shutdown begins, while /healthz stays pure liveness
+// throughout.
+func TestReadyzGates(t *testing.T) {
+	s := mustServer(t, newStudy(t), serverConfig{})
+	h := s.handler()
+	readyz := func(wantCode int, wantStatus string) {
+		t.Helper()
+		w := do(t, h, http.MethodGet, "/readyz", "")
+		var body map[string]any
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("readyz body %q: %v", w.Body, err)
+		}
+		if w.Code != wantCode || len(body) != 1 || body["status"] != wantStatus {
+			t.Fatalf("readyz = %d %s, want %d {\"status\":%q}", w.Code, w.Body, wantCode, wantStatus)
+		}
+		if w := do(t, h, http.MethodGet, "/healthz", ""); w.Code != http.StatusOK {
+			t.Fatalf("healthz status = %d, want 200 (pure liveness)", w.Code)
+		}
+	}
+	readyz(http.StatusOK, "ready")
+	s.drain()
+	readyz(http.StatusServiceUnavailable, "draining")
+}
+
+func TestParseChaosSite(t *testing.T) {
+	for name, tc := range map[string]struct {
+		in   string
+		want chaosSiteSpec
+		ok   bool
+	}{
+		"five fields": {in: " evaluate , 0.25,1, 50 ,0", ok: true, want: chaosSiteSpec{
+			name: "evaluate",
+			site: faultinject.Site{ErrProb: 0.25, LatencyProb: 1, Latency: 50 * time.Millisecond},
+		}},
+		"four fields":          {in: "evaluate,0,1,50"},
+		"empty name":           {in: " ,0,1,50,0"},
+		"negative probability": {in: "evaluate,-0.1,1,50,0"},
+		"not a number":         {in: "evaluate,0,often,50,0"},
+	} {
+		got, err := parseChaosSite(tc.in)
+		if tc.ok != (err == nil) {
+			t.Errorf("%s: parseChaosSite(%q) error = %v, want ok=%v", name, tc.in, err, tc.ok)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("%s: parseChaosSite(%q) = %+v, want %+v", name, tc.in, got, tc.want)
+		}
 	}
 }
 

@@ -188,9 +188,6 @@ func (m *serverMetrics) registerCollectors(s *server) {
 	m.reg.NewGaugeFunc("redpatchd_uptime_seconds",
 		"Seconds since the daemon started.",
 		func() float64 { return time.Since(s.started).Seconds() })
-	if s.coord != nil {
-		m.registerClusterCollectors(s)
-	}
 }
 
 // instrument wraps a handler with the request-count and latency

@@ -2,79 +2,22 @@ package main
 
 // GET /readyz is the readiness probe, deliberately distinct from the
 // GET /healthz liveness check: healthz answers 200 whenever the
-// process is up, while readyz answers 503 until every startup gate has
-// completed — the scenario registry is built, persisted caches are
-// restored, and (in -worker mode) the listener is bound — and again
-// once shutdown begins. Cluster coordinators use readyz as the circuit
-// breaker's health probe, so a worker that is alive but still warming
-// its cache, or already draining, takes no shards.
+// process is up, while readyz answers 503 once shutdown begins, so a
+// load balancer stops routing new requests to a draining daemon while
+// its in-flight ones finish. Every startup step (scenario registry,
+// cache restore) completes inside newServer, before any listener
+// exists, so a daemon that answers at all is ready until it drains.
 
-import (
-	"net/http"
-	"sort"
-	"sync"
-)
+import "net/http"
 
-// Startup gates readyz waits on.
-const (
-	gateCache     = "cache"     // persisted caches restored (trivially done without -cache-dir)
-	gateScenarios = "scenarios" // scenario registry built
-	gateWorker    = "worker"    // worker listener bound; -worker mode only
-)
-
-// readiness tracks which startup gates are still pending and whether
-// the daemon has begun draining. Gates only ever complete; draining
-// only ever begins — neither transition reverses.
-type readiness struct {
-	mu       sync.Mutex
-	pending  map[string]bool
-	draining bool
-}
-
-func newReadiness(gates ...string) *readiness {
-	p := make(map[string]bool, len(gates))
-	for _, g := range gates {
-		p[g] = true
-	}
-	return &readiness{pending: p}
-}
-
-// ready marks one gate complete; gates not configured are no-ops, so
-// main may unconditionally mark gateWorker.
-func (r *readiness) ready(gate string) {
-	r.mu.Lock()
-	delete(r.pending, gate)
-	r.mu.Unlock()
-}
-
-// drain marks the daemon as shutting down: readyz fails from here on,
-// so coordinators stop dispatching new shards while in-flight requests
-// finish under the server's graceful shutdown.
-func (r *readiness) drain() {
-	r.mu.Lock()
-	r.draining = true
-	r.mu.Unlock()
-}
-
-// status snapshots the pending gates (sorted) and the drain flag.
-func (r *readiness) status() (pending []string, draining bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for g := range r.pending {
-		pending = append(pending, g)
-	}
-	sort.Strings(pending)
-	return pending, r.draining
-}
+// drain marks the daemon as shutting down: readyz fails from here on.
+// Draining only ever begins; it never reverses.
+func (s *server) drain() { s.draining.Store(true) }
 
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	pending, draining := s.ready.status()
-	switch {
-	case draining:
+	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-	case len(pending) > 0:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "starting", "pending": pending})
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+		return
 	}
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }

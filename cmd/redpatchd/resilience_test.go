@@ -481,3 +481,22 @@ func TestPersistRetryBackoff(t *testing.T) {
 		t.Fatalf("recovered outage logged %d Error records, want exactly 1", n)
 	}
 }
+
+// TestPersistBackoffBounds: the persistence retry delay is full jitter
+// — strictly positive, never above min(1s<<(n-1), interval) — rather
+// than a deterministic ladder that retries a shared disk in lockstep.
+func TestPersistBackoffBounds(t *testing.T) {
+	const interval = 10 * time.Second
+	for retries := 1; retries <= 12; retries++ {
+		upper := time.Second << min(retries-1, 20)
+		if upper > interval {
+			upper = interval
+		}
+		for i := 0; i < 200; i++ {
+			d := persistBackoff(retries, interval)
+			if d <= 0 || d > upper {
+				t.Fatalf("retry %d: delay %v outside (0, %v]", retries, d, upper)
+			}
+		}
+	}
+}

@@ -458,21 +458,6 @@ func (s *server) handleParetoV2(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sweepTrailer is the NDJSON done trailer both sweep-stream paths —
-// local and cluster — build, so a distributed sweep's final line is
-// byte-identical to a single process's: total designs enumerated, kept
-// reports, and the Pareto front over them (whose order is a pure
-// function of its members, so merge order cannot show through).
-func sweepTrailer(scenario string, total, kept int, reports []redpatch.DesignReport) map[string]any {
-	return map[string]any{
-		"done":     true,
-		"scenario": scenario,
-		"total":    total,
-		"kept":     kept,
-		"pareto":   redpatch.Pareto(reports),
-	}
-}
-
 // handleSweepStream streams sweep results as NDJSON: one report object
 // per line in completion order, flushed as each design finishes,
 // periodic {"progress":true,...} events with done/total counts, the
@@ -484,42 +469,12 @@ func sweepTrailer(scenario string, total, kept int, reports []redpatch.DesignRep
 // "budget_exhausted" for an expired request deadline, "canceled", or
 // "internal"). Every stream therefore ends in exactly one explicit
 // done or error line.
-//
-// In coordinator mode the sweep is sharded across the worker fleet
-// (see streamClusterSweep) and the route registers without the sweep
-// limiter: a distributed run spends worker capacity, not local solver
-// slots. Admission applies in-handler exactly when the sweep will run
-// locally — an explicit shard request aimed at this process, or a
-// fleet with every worker circuit open, where a full limiter answers
-// 429 with the same Retry-After estimate a plain overloaded daemon
-// gives instead of a bare failure.
 func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	sc, req, err := s.scenarioSweep(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.coord != nil {
-		if req.Shard == nil && s.coord.WorkersAvailable() {
-			s.streamClusterSweep(w, r, sc, req)
-			return
-		}
-		if l := s.adm.sweep; l != nil {
-			release, err := l.Acquire(r.Context())
-			if err != nil {
-				s.shed(w, r, l, "POST /api/v2/sweep/stream", err)
-				return
-			}
-			defer release()
-		}
-	}
-	s.streamLocalSweep(w, r, sc, req)
-}
-
-// streamLocalSweep runs the sweep on this process's own engine — the
-// only path in a plain single-process daemon, and the worker/fallback
-// path in a cluster.
-func (s *server) streamLocalSweep(w http.ResponseWriter, r *http.Request, sc *scenario, req redpatch.SpecSweepRequest) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // proxies must not batch the stream
 	flusher, _ := w.(http.Flusher)
@@ -570,5 +525,11 @@ func (s *server) streamLocalSweep(w http.ResponseWriter, r *http.Request, sc *sc
 		_ = enc.Encode(streamErrorTrailer(err))
 		return
 	}
-	_ = enc.Encode(sweepTrailer(sc.name, total, len(reports), reports))
+	_ = enc.Encode(map[string]any{
+		"done":     true,
+		"scenario": sc.name,
+		"total":    total,
+		"kept":     len(reports),
+		"pareto":   redpatch.Pareto(reports),
+	})
 }

@@ -294,6 +294,8 @@ func TestV2RejectsBadRequests(t *testing.T) {
 		"unknown variant":    {"/api/v2/sweep", `{"tiers":[{"role":"web","min":1,"max":1,"variants":["iis"]}]}`},
 		"sweep size cap":     {"/api/v2/sweep", `{"tiers":[{"role":"dns","min":1,"max":9},{"role":"web","min":1,"max":9},{"role":"app","min":1,"max":9},{"role":"db","min":1,"max":9}]}`},
 		"stream bad json":    {"/api/v2/sweep/stream", `nope`},
+		"stream shard":       {"/api/v2/sweep/stream", `{"tiers":[{"role":"web","min":1,"max":2}],"shard":{"index":0,"count":2}}`},
+		"sweep shard":        {"/api/v2/sweep", `{"tiers":[{"role":"web","min":1,"max":2}],"shard":{"index":0,"count":2}}`},
 		"campaign no window": {"/api/v2/plan-campaign", `{"role":"web"}`},
 		"campaign bad role":  {"/api/v2/plan-campaign", `{"role":"mainframe","windowMinutes":30}`},
 	} {

@@ -58,17 +58,6 @@ func (t TierSweep) options() []string {
 	return out
 }
 
-// SweepShard restricts a sweep to one hash partition of its design
-// space: the designs whose paperdata.ShardIndex(Key(), Count) equals
-// Index. Shards are disjoint and cover the space, so a coordinator
-// that runs every shard exactly once evaluates exactly the unsharded
-// sweep — partitioning is by canonical spec key, independent of
-// enumeration order or worker count.
-type SweepShard struct {
-	Index int
-	Count int
-}
-
 // SweepSpec describes a design-space sweep: an ordered list of tier
 // sweeps plus optional administrator bounds. When a bound is set,
 // results failing it are dropped as they arrive and never accumulate.
@@ -78,11 +67,6 @@ type SweepSpec struct {
 	Scatter *redundancy.ScatterBounds
 	// Multi, when non-nil, applies the paper's Eq. 4 bounds.
 	Multi *redundancy.MultiBounds
-	// Shard, when non-nil, enumerates only the designs of one hash
-	// partition of the space. Size() still reports the full space — the
-	// request-cap guard — while Designs() and the sweep total reflect
-	// the shard.
-	Shard *SweepShard
 }
 
 // FullSpace is the sweep of every classic design with 1..maxPerTier
@@ -143,14 +127,6 @@ func (s SweepSpec) Validate() error {
 			}
 		}
 	}
-	if s.Shard != nil {
-		if s.Shard.Count < 1 {
-			return fmt.Errorf("engine: sweep shard count %d, need at least 1", s.Shard.Count)
-		}
-		if s.Shard.Index < 0 || s.Shard.Index >= s.Shard.Count {
-			return fmt.Errorf("engine: sweep shard index %d outside [0,%d)", s.Shard.Index, s.Shard.Count)
-		}
-	}
 	return nil
 }
 
@@ -176,8 +152,7 @@ func (s SweepSpec) Size() int {
 // vary slowest, and within a tier replica counts vary before variant
 // choices. Classic homogeneous sweeps keep the "1d2w2a1b" naming of
 // redundancy.EnumerateDesigns; heterogeneous designs get role-keyed
-// canonical names. A Shard keeps only its hash partition, preserving
-// the enumeration order of the survivors.
+// canonical names.
 func (s SweepSpec) Designs() []paperdata.DesignSpec {
 	out := make([]paperdata.DesignSpec, 0, min(s.Size(), 1<<20))
 	tiers := make([]paperdata.TierSpec, len(s.Tiers))
@@ -186,9 +161,6 @@ func (s SweepSpec) Designs() []paperdata.DesignSpec {
 		if i == len(s.Tiers) {
 			spec := paperdata.DesignSpec{Tiers: append([]paperdata.TierSpec(nil), tiers...)}
 			spec.Name = spec.CanonicalName()
-			if s.Shard != nil && paperdata.ShardIndex(spec.Key(), s.Shard.Count) != s.Shard.Index {
-				return
-			}
 			out = append(out, spec)
 			return
 		}

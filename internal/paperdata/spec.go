@@ -2,7 +2,6 @@ package paperdata
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"redpatch/internal/topology"
@@ -110,22 +109,6 @@ func (s DesignSpec) Key() string {
 		parts[i] = fmt.Sprintf("%s:%d", t.label(), t.Replicas)
 	}
 	return strings.Join(parts, ";")
-}
-
-// ShardIndex maps a spec cache key (DesignSpec.Key) onto one of count
-// hash partitions. Sharded sweeps partition the design space with it:
-// because the hash is over the canonical key — not the name, not the
-// enumeration order — every participant (coordinator, workers, local
-// fallback) assigns a design to the same shard regardless of how the
-// sweep was enumerated. count < 2 means "unsharded": everything lands
-// in shard 0.
-func ShardIndex(key string, count int) int {
-	if count < 2 {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return int(h.Sum64() % uint64(count))
 }
 
 // String renders the spec in the paper's notation, e.g.

@@ -118,9 +118,9 @@ func (s DesignSpec) Validate() error { return s.pd().Validate() }
 
 // Key is the canonical cache identity of the spec: tier order, roles,
 // variants and replica counts — everything that changes the models —
-// and deliberately not the name. Sharded sweeps (internal/cluster)
-// partition design spaces by a hash of this key, so two processes
-// always agree on which shard owns a design.
+// and deliberately not the name. Two specs with equal keys evaluate to
+// the same report, so the key identifies a design's result across
+// requests, renames and processes.
 func (s DesignSpec) Key() string { return s.pd().Key() }
 
 // DesignReport is the combined evaluation of one redundancy design.
@@ -478,8 +478,8 @@ func less(a, b DesignReport) bool {
 		return a.COA > b.COA
 	}
 	// Name is the final tiebreak so the front's order is a pure function
-	// of its members — a sharded sweep that merges shard results in
-	// arrival order serializes the same front bytes as a local sweep.
+	// of its members: a streamed sweep collects reports in completion
+	// order, which must not show through in the front it serializes.
 	return a.Name < b.Name
 }
 
@@ -670,17 +670,6 @@ type TierSweep struct {
 	Variants []string `json:"variants,omitempty"`
 }
 
-// SweepShard restricts a sweep to one hash partition of its design
-// space: the designs whose paperdata.ShardIndex(spec.Key(), Count)
-// equals Index. Shards are disjoint and cover the space — a
-// coordinator that runs every shard exactly once evaluates exactly
-// the unsharded sweep. The JSON tags are the redpatchd v2 wire shape
-// (the cluster worker RPC).
-type SweepShard struct {
-	Index int `json:"index"`
-	Count int `json:"count"`
-}
-
 // SpecSweepRequest describes a role-keyed design-space sweep: an ordered
 // list of tier sweeps plus optional administrator bounds. Designs
 // failing a configured bound are dropped as they are evaluated, never
@@ -691,10 +680,6 @@ type SpecSweepRequest struct {
 	Scatter *ScatterBounds `json:"scatter,omitempty"`
 	// Multi, when non-nil, applies the Eq. 4 bounds.
 	Multi *MultiBounds `json:"multi,omitempty"`
-	// Shard, when non-nil, restricts the sweep to one hash partition of
-	// the design space. SweepSize still reports the full space — the
-	// request-cap guard — while the sweep's total reflects the shard.
-	Shard *SweepShard `json:"shard,omitempty"`
 }
 
 func (r SpecSweepRequest) spec() engine.SweepSpec {
@@ -714,9 +699,6 @@ func (r SpecSweepRequest) spec() engine.SweepSpec {
 			MaxASP: r.Multi.MaxASP, MaxNoEV: r.Multi.MaxNoEV,
 			MaxNoAP: r.Multi.MaxNoAP, MaxNoEP: r.Multi.MaxNoEP, MinCOA: r.Multi.MinCOA,
 		}
-	}
-	if r.Shard != nil {
-		spec.Shard = &engine.SweepShard{Index: r.Shard.Index, Count: r.Shard.Count}
 	}
 	return spec
 }
