@@ -1,11 +1,12 @@
 package redpatch
 
 // Benchmark harness: one benchmark per table and figure of the paper
-// (DESIGN.md §4 maps them to experiments E1–E11), plus ablation benches
-// for the design choices DESIGN.md calls out (recovery semantics, ASP
-// aggregation strategy, closed-form vs SRN availability). Each benchmark
-// regenerates its artefact per iteration, so ns/op measures the cost of a
-// full reproduction of that table or figure.
+// (experiments_test.go pins the same artefacts as tests E1–E11), plus
+// ablation benches for the modelling choices that have alternatives
+// (recovery semantics, ASP aggregation strategy, closed-form vs SRN
+// availability). Each benchmark regenerates its artefact per iteration,
+// so ns/op measures the cost of a full reproduction of that table or
+// figure.
 
 import (
 	"context"
@@ -21,7 +22,6 @@ import (
 	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
-	"redpatch/internal/queueing"
 	"redpatch/internal/redundancy"
 	"redpatch/internal/sim"
 	"redpatch/internal/srn"
@@ -348,18 +348,6 @@ func BenchmarkExtensionPatchSchedules(b *testing.B) {
 				b.Fatal("COA must grow with the interval")
 			}
 			prev = coa
-		}
-	}
-}
-
-// BenchmarkExtensionQueueing evaluates user-oriented performance of the
-// web tier under patch (§V extension).
-func BenchmarkExtensionQueueing(b *testing.B) {
-	capacity := queueing.BinomialCapacity(2, 0.99919)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := queueing.ResponseUnderPatch(1000, 900, capacity); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -17,7 +17,9 @@ import (
 
 	"redpatch"
 
+	"redpatch/internal/attacktree"
 	"redpatch/internal/availability"
+	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
 	"redpatch/internal/report"
@@ -80,17 +82,20 @@ func run(w io.Writer, csv bool) error {
 	t2 := report.NewTable("Table II — security metrics of the example network",
 		"metric", "before patch (paper)", "before (measured)", "after patch (paper)", "after (measured)")
 	t2.AddRow("AIM", "52.2", report.F(base.Before.AIM, 1), "42.2", report.F(base.After.AIM, 1))
-	t2.AddRow("ASP", "1.0", report.F(base.Before.ASP, 3), "0.265", report.F(base.After.ASP, 3))
+	t2.AddRow("ASP", "1.0", report.F(base.Before.ASP, 3), "0.265**", report.F(base.After.ASP, 3))
 	t2.AddRow("NoEV", "25*", report.I(base.Before.NoEV), "11", report.I(base.After.NoEV))
 	t2.AddRow("NoAP", "8", report.I(base.Before.NoAP), "4", report.I(base.After.NoAP))
 	t2.AddRow("NoEP", "3", report.I(base.Before.NoEP), "2", report.I(base.After.NoEP))
 	emit(t2)
 	if !csv {
-		fmt.Fprintln(w, "  * the paper's own counting rule gives 26; see DESIGN.md §7.")
+		fmt.Fprintln(w, "  * the paper prints 25, but its own counting rule (Table I exploitable")
+		fmt.Fprintln(w, "    vulnerabilities summed over instances: 1 + 2*5 + 2*5 + 5) gives 26.")
+		fmt.Fprintln(w, " ** no published aggregation rule reproduces 0.265; the exact compromise")
+		fmt.Fprintf(w, "    probability over noisy-OR attack trees, the closest, gives %s.\n", report.F(base.After.ASP, 3))
 		fmt.Fprintln(w)
 	}
 
-	// Tables IV and V.
+	// Table V.
 	t5 := report.NewTable("Table V — aggregated values for the servers (paper values in parentheses)",
 		"service", "MTTP (h)", "patch rate", "MTTR (h)", "recovery rate", "patch window (min)")
 	paperMTTR := map[string]string{"dns": "0.6667", "web": "0.5834", "app": "1.0001", "db": "0.9167"}
@@ -169,7 +174,7 @@ func run(w io.Writer, csv bool) error {
 			designs[1].After == designs[0].After, designs[1].COA, designs[0].COA))
 	emit(obs)
 
-	// Fig. 3 DOT exports for completeness.
+	// Fig. 2 topology and Fig. 3 HARM DOT exports for completeness.
 	if !csv {
 		top, err := paperdata.Topology(paperdata.BaseDesign())
 		if err != nil {
@@ -177,6 +182,22 @@ func run(w io.Writer, csv bool) error {
 		}
 		fmt.Fprintln(w, "Figure 2 topology (Graphviz):")
 		fmt.Fprintln(w, top.DOT())
+		h, err := harm.Build(harm.BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})
+		if err != nil {
+			return err
+		}
+		pol := patch.CriticalPolicy()
+		patched, err := h.Patched(func(_ string, l *attacktree.Leaf) bool {
+			v, ok := db.ByID(l.Ref)
+			return !ok || !pol.Selects(v)
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "Figure 3 two-layered HARM before patch (Graphviz):")
+		fmt.Fprintln(w, h.DOT())
+		fmt.Fprintln(w, "Figure 3 two-layered HARM after patch (Graphviz):")
+		fmt.Fprintln(w, patched.DOT())
 		params, _, err := paperdata.ServerParams(db, paperdata.RoleDNS, patch.CriticalPolicy(), patch.MonthlySchedule())
 		if err != nil {
 			return err

@@ -21,10 +21,14 @@ func TestRunProducesAllArtefacts(t *testing.T) {
 		"D4, D5",        // Eq. 3 region 1
 		"observations",  // §IV-C checks
 		"digraph",       // Fig. 2 DOT export
+		"digraph harm",  // Fig. 3 HARM DOT export
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+	if strings.Contains(out, "DESIGN.md") {
+		t.Error("output points at DESIGN.md, which does not exist")
 	}
 }
 

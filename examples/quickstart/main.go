@@ -37,7 +37,7 @@ func run() error {
 	fmt.Printf("  capacity oriented availability: %.5f\n\n", base.COA)
 
 	// Try a variant: add a second database server.
-	variant, err := study.EvaluateDesign("extra-db", 1, 2, 2, 2)
+	variant, err := study.EvaluateSpec(redpatch.ClassicSpec("extra-db", 1, 2, 2, 2))
 	if err != nil {
 		return err
 	}

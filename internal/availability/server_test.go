@@ -11,7 +11,7 @@ import (
 
 // paperServerParams returns the Table IV parameters of the four server
 // types; the patch windows derive from the per-type critical counts
-// (DESIGN.md §6).
+// (paperdata's TestServerParams pins the derivation).
 func paperServerParams(name string) ServerParams {
 	p := DefaultRates(name)
 	switch name {

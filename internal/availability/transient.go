@@ -102,18 +102,3 @@ func TransientCOA(nm NetworkModel, t float64) (float64, error) {
 	}
 	return ss.TransientReward(COAReward(nm, ups), t)
 }
-
-// IntervalCOA returns the time-averaged COA over [0, t] starting from the
-// all-up state — the expected capacity delivered during the first t hours
-// of operation.
-func IntervalCOA(nm NetworkModel, t float64) (float64, error) {
-	net, ups, err := BuildNetworkSRN(nm)
-	if err != nil {
-		return 0, err
-	}
-	ss, err := net.Generate(srn.GenerateOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return ss.IntervalReward(COAReward(nm, ups), t)
-}

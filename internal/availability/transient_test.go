@@ -82,27 +82,3 @@ func TestTransientCOA(t *testing.T) {
 		t.Errorf("COA(720h) = %v, want between steady %v and 1", mid, steady)
 	}
 }
-
-func TestIntervalCOA(t *testing.T) {
-	nm := paperTiers(t, baseCounts)
-	steady, err := ClosedFormCOA(nm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, err := IntervalCOA(nm, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := IntervalCOA(nm, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Starting all-up, early intervals deliver more capacity than the
-	// steady state; long intervals converge to it from above.
-	if short <= long {
-		t.Errorf("interval COA should decrease with horizon: %v vs %v", short, long)
-	}
-	if !mathx.AlmostEqual(long, steady, 1e-4) {
-		t.Errorf("interval COA over long horizon = %v, want ≈ %v", long, steady)
-	}
-}

@@ -214,7 +214,9 @@ func (h *HARM) Tree(host string) *attacktree.Tree { return h.lower[host] }
 func (h *HARM) Upper() *attackgraph.Graph { return h.upper.Clone() }
 
 // ASPStrategy selects how per-path success probabilities aggregate to the
-// network-level ASP. See DESIGN.md §3 for why more than one is provided.
+// network-level ASP. More than one is provided because the paper does not
+// state its rule and none of them reproduces its after-patch ASP of 0.265
+// exactly; the constants below say what each one gets right and wrong.
 type ASPStrategy int
 
 // ASP aggregation strategies.
@@ -393,54 +395,6 @@ func (h *HARM) Evaluate(opts EvalOptions) (Metrics, error) {
 		return Metrics{}, fmt.Errorf("harm: unknown ASP strategy %d", opts.Strategy)
 	}
 	return m, nil
-}
-
-// HostSummary is the per-host view of the security model: the host's own
-// attack-tree metrics plus its centrality (how many attack paths cross
-// it). High-centrality hosts are the chokepoints where hardening or
-// monitoring buys the most.
-type HostSummary struct {
-	Host string
-	// Vulns is the number of exploitable vulnerabilities on the host.
-	Vulns int
-	// Impact and Prob are the host's attack-tree metrics.
-	Impact, Prob float64
-	// Centrality is the number of attack paths through the host.
-	Centrality int
-}
-
-// HostSummaries evaluates the per-host detail, sorted by descending
-// centrality and then by host name.
-func (h *HARM) HostSummaries(opts EvalOptions) ([]HostSummary, error) {
-	opts = opts.withDefaults()
-	var paths []attackgraph.Path
-	if len(h.targets) > 0 {
-		var err error
-		paths, err = h.upper.AllPaths(h.attacker, h.targets, attackgraph.AllPathsOptions{MaxPaths: opts.MaxPaths})
-		if err != nil {
-			return nil, fmt.Errorf("harm: %w", err)
-		}
-	}
-	centrality := attackgraph.Centrality(paths)
-	byTree := metricsByTree(h.lower, opts.ORRule)
-	out := make([]HostSummary, 0, len(h.lower))
-	for _, host := range h.hosts {
-		tm := byTree[h.lower[host]]
-		out = append(out, HostSummary{
-			Host:       host,
-			Vulns:      tm.leaves,
-			Impact:     tm.impact,
-			Prob:       tm.prob,
-			Centrality: centrality[host],
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Centrality != out[j].Centrality {
-			return out[i].Centrality > out[j].Centrality
-		}
-		return out[i].Host < out[j].Host
-	})
-	return out, nil
 }
 
 // compromiseProbability computes P(at least one path fully compromised)

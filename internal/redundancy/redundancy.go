@@ -111,8 +111,9 @@ type Options struct {
 	// Schedule defaults to the monthly schedule.
 	Schedule *patch.Schedule
 	// Eval defaults to ASPCompromise with noisy-OR tree combination, the
-	// configuration closest to the paper's published ASP values (see
-	// DESIGN.md §3).
+	// configuration closest to the paper's published ASP values (0.234
+	// against Table II's 0.265; harm's TestASPStrategiesAfterPatch pins
+	// every rule).
 	Eval *harm.EvalOptions
 	// Workers bounds the goroutines EvaluateAll fans out across; the
 	// default of 1 keeps it a deterministic serial loop (the engine in

@@ -34,9 +34,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render returns the table as aligned text.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.headers))
@@ -95,34 +92,6 @@ func (t *Table) CSV() string {
 		b.WriteString("\n")
 	}
 	writeRow(t.headers)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// Markdown returns the table as a GitHub-flavored Markdown table (title
-// as a bold caption line when present).
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.title)
-	}
-	writeRow := func(cells []string) {
-		b.WriteString("|")
-		for _, c := range cells {
-			b.WriteString(" ")
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.headers)
-	sep := make([]string, len(t.headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	writeRow(sep)
 	for _, row := range t.rows {
 		writeRow(row)
 	}
