@@ -777,8 +777,9 @@ func BenchmarkSecurityQuotientMemo(b *testing.B) {
 // BenchmarkSweepSecurityFactored is the sweep-scale security headline:
 // the 81-design 3^4 replica space evaluated fully cold — fresh evaluator
 // and engine per iteration — where the security memo holds the whole
-// space to a single factored HARM build (all 81 designs share one
-// variant structure).
+// space to two factored HARM builds (all 81 designs share one variant
+// structure, whose unpatched and fully patched endpoints are the two
+// models).
 func BenchmarkSweepSecurityFactored(b *testing.B) {
 	spec := engine.FullSpace(3)
 	ctx := context.Background()
@@ -800,8 +801,8 @@ func BenchmarkSweepSecurityFactored(b *testing.B) {
 			b.Fatalf("total = %d, want 81", res.Total)
 		}
 		st := ev.SolverStats()
-		if st.SecuritySolves != 1 || st.SecurityFactored != 81 {
-			b.Fatalf("security solves/factored = %d/%d, want 1/81",
+		if st.SecuritySolves != 2 || st.SecurityFactored != 81 {
+			b.Fatalf("security solves/factored = %d/%d, want 2/81",
 				st.SecuritySolves, st.SecurityFactored)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 	"redpatch"
 )
 
-const baseEvalBody = `{"dns":1,"web":2,"app":2,"db":1}`
+const baseEvalBody = `{"spec":{"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]}}`
 
 // TestCachePersistsAcrossRestart is the acceptance path: a daemon with
 // -cache-dir evaluates a design, dumps on shutdown, and its successor
@@ -21,7 +21,7 @@ func TestCachePersistsAcrossRestart(t *testing.T) {
 
 	first := mustServer(t, newStudy(t), serverConfig{cacheDir: dir})
 	h := first.handler()
-	if w := do(t, h, http.MethodPost, "/api/v1/evaluate", baseEvalBody); w.Code != http.StatusOK {
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate", baseEvalBody); w.Code != http.StatusOK {
 		t.Fatalf("evaluate status = %d: %s", w.Code, w.Body)
 	}
 	first.dumpCaches() // what main does after graceful Shutdown
@@ -39,7 +39,7 @@ func TestCachePersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("restored counter = %s, want 1", got)
 	}
 
-	w := do(t, h2, http.MethodPost, "/api/v1/evaluate", baseEvalBody)
+	w := do(t, h2, http.MethodPost, "/api/v2/evaluate", baseEvalBody)
 	if w.Code != http.StatusOK {
 		t.Fatalf("restart evaluate status = %d: %s", w.Code, w.Body)
 	}
@@ -62,7 +62,7 @@ func TestCacheRejectsForeignDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := foreign.EvaluateDesign("d", 1, 2, 2, 1); err != nil {
+	if _, err := foreign.EvaluateSpec(redpatch.ClassicSpec("d", 1, 2, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Create(filepath.Join(dir, "default.cache.json"))
@@ -188,7 +188,7 @@ func TestDumpSkipsCleanCache(t *testing.T) {
 	dir := t.TempDir()
 	s := mustServer(t, newStudy(t), serverConfig{cacheDir: dir})
 	h := s.handler()
-	if w := do(t, h, http.MethodPost, "/api/v1/evaluate", baseEvalBody); w.Code != http.StatusOK {
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate", baseEvalBody); w.Code != http.StatusOK {
 		t.Fatalf("evaluate status = %d: %s", w.Code, w.Body)
 	}
 	s.dumpCaches()

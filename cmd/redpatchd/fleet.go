@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -271,20 +270,14 @@ func (s *server) handleFleetSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not batch the stream
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // compact: one JSON object per line
-	_ = enc.Encode(map[string]any{
+	st := newNDJSONStream(w)
+	_ = st.line(map[string]any{
 		"plan":           true,
 		"systems":        len(plan.Systems),
 		"windows":        len(plan.Windows),
 		"cycles":         plan.Cycles,
 		"deadlineAtRisk": plan.DeadlineAtRisk,
 	})
-	if flusher != nil {
-		flusher.Flush()
-	}
 	s.metrics.fleetSimulations.Inc()
 	opts := fleet.SimOptions{
 		Seed:          req.Seed,
@@ -301,17 +294,11 @@ func (s *server) handleFleetSimulate(w http.ResponseWriter, r *http.Request) {
 			return err
 		}
 		s.metrics.fleetWindowsExecuted.With(ev.Outcome.String()).Inc()
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return st.line(ev)
 	})
 	if err != nil {
-		_ = enc.Encode(streamErrorTrailer(err))
+		st.fail(err)
 		return
 	}
-	_ = enc.Encode(map[string]any{"done": true, "summary": sum})
+	_ = st.line(map[string]any{"done": true, "summary": sum})
 }

@@ -24,10 +24,6 @@
 //	GET  /metrics          Prometheus text format: per-route request
 //	                       counts and latency histograms, per-scenario
 //	                       engine/solver counters, cache persistence
-//	POST /api/v1/evaluate  one classic design: {"name","dns","web","app","db"}
-//	POST /api/v1/sweep     a classic design space with optional bounds
-//	POST /api/v1/pareto    like sweep, returning only the Pareto front
-//
 //	GET    /api/v2/scenarios        list registered scenarios
 //	POST   /api/v2/scenarios        register a (policy, schedule) scenario
 //	DELETE /api/v2/scenarios/{name} delete a scenario
@@ -112,7 +108,6 @@ import (
 	"redpatch/internal/admission"
 	"redpatch/internal/faultinject"
 	"redpatch/internal/fleet"
-	"redpatch/internal/paperdata"
 	"redpatch/internal/trace"
 )
 
@@ -324,8 +319,8 @@ type serverConfig struct {
 }
 
 // server carries the scenario registry and request caps behind the HTTP
-// handlers. study is the default scenario's case study, which the v1
-// endpoints serve directly.
+// handlers. study is the default scenario's case study, whose engine
+// counters /healthz reports.
 type server struct {
 	study          *redpatch.CaseStudy
 	reg            *registry
@@ -442,9 +437,6 @@ func (s *server) handler() http.Handler {
 	route("GET /healthz", nil, s.handleHealthz)
 	route("GET /readyz", nil, s.handleReadyz)
 	route("GET /metrics", nil, s.handleMetrics)
-	route("POST /api/v1/evaluate", s.adm.evaluate, s.handleEvaluate)
-	route("POST /api/v1/sweep", s.adm.sweep, s.handleSweep)
-	route("POST /api/v1/pareto", s.adm.sweep, s.handlePareto)
 	route("GET /api/v2/scenarios", nil, s.handleScenarioList)
 	route("POST /api/v2/scenarios", nil, s.handleScenarioCreate)
 	route("DELETE /api/v2/scenarios/{name}", nil, s.handleScenarioDelete)
@@ -492,8 +484,6 @@ type statsJSON struct {
 	SecurityFactorHits uint64 `json:"securityFactorHits"`
 	RolloutSolves      uint64 `json:"rolloutSolves"`
 	RolloutHits        uint64 `json:"rolloutHits"`
-	RolloutModels      uint64 `json:"rolloutModels"`
-	RolloutModelHits   uint64 `json:"rolloutModelHits"`
 }
 
 func toStatsJSON(st redpatch.EngineStats) statsJSON {
@@ -509,8 +499,6 @@ func toStatsJSON(st redpatch.EngineStats) statsJSON {
 		SecurityFactorHits: st.SecurityFactorHits,
 		RolloutSolves:      st.RolloutSolves,
 		RolloutHits:        st.RolloutHits,
-		RolloutModels:      st.RolloutModels,
-		RolloutModelHits:   st.RolloutModelHits,
 	}
 }
 
@@ -524,150 +512,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptimeSeconds": time.Since(s.started).Seconds(),
 		"engine":        s.stats(),
 		"scenarios":     len(s.reg.list()),
-	})
-}
-
-// evaluateRequest is the /api/v1/evaluate body.
-type evaluateRequest struct {
-	Name string `json:"name"`
-	DNS  int    `json:"dns"`
-	Web  int    `json:"web"`
-	App  int    `json:"app"`
-	DB   int    `json:"db"`
-}
-
-func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req evaluateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Name == "" {
-		req.Name = paperdata.DefaultName(req.DNS, req.Web, req.App, req.DB)
-	}
-	if req.DNS < 1 || req.Web < 1 || req.App < 1 || req.DB < 1 {
-		writeError(w, http.StatusBadRequest, errors.New("every tier needs at least one server"))
-		return
-	}
-	if err := s.checkReplicas(req.DNS, req.Web, req.App, req.DB); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// The request is validated: anything the evaluation reports now is a
-	// model-solve fault, a server error rather than a client one.
-	report, err := s.study.EvaluateSpecCtx(r.Context(),
-		redpatch.ClassicSpec(req.Name, req.DNS, req.Web, req.App, req.DB))
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, report)
-}
-
-// rangeJSON is one tier's replica range.
-type rangeJSON struct {
-	Min int `json:"min"`
-	Max int `json:"max"`
-}
-
-// sweepRequest is the /api/v1/sweep and /api/v1/pareto body. Either set
-// maxPerTier (all four tiers sweep 1..N) or per-tier ranges; explicit
-// ranges win.
-type sweepRequest struct {
-	MaxPerTier int        `json:"maxPerTier,omitempty"`
-	DNS        *rangeJSON `json:"dns,omitempty"`
-	Web        *rangeJSON `json:"web,omitempty"`
-	App        *rangeJSON `json:"app,omitempty"`
-	DB         *rangeJSON `json:"db,omitempty"`
-	Scatter    *struct {
-		MaxASP float64 `json:"maxAsp"`
-		MinCOA float64 `json:"minCoa"`
-	} `json:"scatter,omitempty"`
-	Multi *struct {
-		MaxASP  float64 `json:"maxAsp"`
-		MaxNoEV int     `json:"maxNoev"`
-		MaxNoAP int     `json:"maxNoap"`
-		MaxNoEP int     `json:"maxNoep"`
-		MinCOA  float64 `json:"minCoa"`
-	} `json:"multi,omitempty"`
-}
-
-func (s *server) sweepRequest(r *http.Request) (redpatch.SweepRequest, error) {
-	var body sweepRequest
-	if err := decodeJSON(r, &body); err != nil {
-		return redpatch.SweepRequest{}, err
-	}
-	var req redpatch.SweepRequest
-	if body.MaxPerTier > 0 {
-		req = redpatch.FullSweep(body.MaxPerTier)
-	}
-	for _, t := range []struct {
-		in  *rangeJSON
-		out *redpatch.SweepRange
-	}{{body.DNS, &req.DNS}, {body.Web, &req.Web}, {body.App, &req.App}, {body.DB, &req.DB}} {
-		if t.in != nil {
-			*t.out = redpatch.SweepRange{Min: t.in.Min, Max: t.in.Max}
-		}
-	}
-	if body.Scatter != nil {
-		req.Scatter = &redpatch.ScatterBounds{MaxASP: body.Scatter.MaxASP, MinCOA: body.Scatter.MinCOA}
-	}
-	if body.Multi != nil {
-		req.Multi = &redpatch.MultiBounds{
-			MaxASP: body.Multi.MaxASP, MaxNoEV: body.Multi.MaxNoEV,
-			MaxNoAP: body.Multi.MaxNoAP, MaxNoEP: body.Multi.MaxNoEP, MinCOA: body.Multi.MinCOA,
-		}
-	}
-	if err := req.Validate(); err != nil {
-		return redpatch.SweepRequest{}, err
-	}
-	// Check both bounds: a range with Max = 0 means "exactly Min", so a
-	// huge Min alone would slip past a Max-only check.
-	if err := s.checkReplicas(req.DNS.Min, req.DNS.Max, req.Web.Min, req.Web.Max,
-		req.App.Min, req.App.Max, req.DB.Min, req.DB.Max); err != nil {
-		return redpatch.SweepRequest{}, err
-	}
-	if n := req.SweepSize(); n > s.maxDesigns {
-		return redpatch.SweepRequest{}, fmt.Errorf("sweep enumerates %d designs, above the %d cap", n, s.maxDesigns)
-	}
-	return req, nil
-}
-
-func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	req, err := s.sweepRequest(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sum, err := s.study.Sweep(r.Context(), req)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"total":   sum.Total,
-		"kept":    len(sum.Reports),
-		"reports": sum.Reports,
-		"pareto":  sum.Pareto,
-		"engine":  s.stats(),
-	})
-}
-
-func (s *server) handlePareto(w http.ResponseWriter, r *http.Request) {
-	req, err := s.sweepRequest(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	total, front, err := s.study.SweepPareto(r.Context(), req)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"total":  total,
-		"pareto": front,
-		"engine": s.stats(),
 	})
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -129,15 +130,38 @@ func TestParseChaosSite(t *testing.T) {
 	}
 }
 
+// d1111Body is the evaluate body of the smallest classic design.
+const d1111Body = `{"spec":{"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":1},{"role":"app","replicas":1},{"role":"db","replicas":1}]}}`
+
+// classicSweepBody is the sweep body over the classic four tiers, each
+// at min..max replicas, with extra appended verbatim (bounds).
+func classicSweepBody(min, max int, extra string) string {
+	var tiers []string
+	for _, role := range []string{"dns", "web", "app", "db"} {
+		tiers = append(tiers, fmt.Sprintf(`{"role":%q,"min":%d,"max":%d}`, role, min, max))
+	}
+	return `{"tiers":[` + strings.Join(tiers, ",") + `]` + extra + `}`
+}
+
+// evaluateResponse is the wire shape of /api/v2/evaluate.
+type evaluateResponse struct {
+	Scenario string                `json:"scenario"`
+	Report   redpatch.DesignReport `json:"report"`
+}
+
 func TestEvaluateEndpoint(t *testing.T) {
 	h := testServer(t).handler()
-	w := do(t, h, http.MethodPost, "/api/v1/evaluate", `{"name":"base","dns":1,"web":2,"app":2,"db":1}`)
+	w := do(t, h, http.MethodPost, "/api/v2/evaluate", `{"spec":`+classicSpecJSON+`}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
-	var rep redpatch.DesignReport
-	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+	var resp evaluateResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
+	}
+	rep := resp.Report
+	if resp.Scenario != defaultScenario {
+		t.Fatalf("scenario = %q", resp.Scenario)
 	}
 	if rep.Servers != 6 || rep.COA < 0.99 || rep.COA > 1 {
 		t.Fatalf("implausible report: %+v", rep)
@@ -147,44 +171,44 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 
 	// A request without a name gets the canonical one.
-	w = do(t, h, http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":2,"app":2,"db":1}`)
+	w = do(t, h, http.MethodPost, "/api/v2/evaluate",
+		`{"spec":{"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]}}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Name != "1d2w2a1b" {
-		t.Fatalf("name = %q", rep.Name)
+	if resp.Report.Name != "1d2w2a1b" {
+		t.Fatalf("name = %q", resp.Report.Name)
 	}
 }
 
+// TestEvaluateRejectsBadRequests covers the decoder and range checks
+// shared by every JSON endpoint; TestV2RejectsBadRequests covers the
+// spec, scenario and cap checks.
 func TestEvaluateRejectsBadRequests(t *testing.T) {
 	h := testServer(t).handler()
 	for name, tc := range map[string]struct {
 		method, path, body string
 		wantStatus         int
 	}{
-		"malformed json":   {http.MethodPost, "/api/v1/evaluate", `{"dns":`, http.StatusBadRequest},
-		"unknown field":    {http.MethodPost, "/api/v1/evaluate", `{"dnss":1}`, http.StatusBadRequest},
-		"trailing garbage": {http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}{}`, http.StatusBadRequest},
-		"zero replicas":    {http.MethodPost, "/api/v1/evaluate", `{"dns":0,"web":1,"app":1,"db":1}`, http.StatusBadRequest},
-		"wrong type":       {http.MethodPost, "/api/v1/evaluate", `{"dns":"one"}`, http.StatusBadRequest},
-		"huge evaluate":    {http.MethodPost, "/api/v1/evaluate", `{"dns":1000000,"web":1,"app":1,"db":1}`, http.StatusBadRequest},
-		"huge sweep tier":  {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":4000,"max":4000}}`, http.StatusBadRequest},
-		"huge min only":    {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":100,"max":0}}`, http.StatusBadRequest},
-		"GET evaluate":     {http.MethodGet, "/api/v1/evaluate", ``, http.StatusMethodNotAllowed},
+		"malformed json":   {http.MethodPost, "/api/v2/evaluate", `{"spec":`, http.StatusBadRequest},
+		"unknown field":    {http.MethodPost, "/api/v2/evaluate", `{"specs":{}}`, http.StatusBadRequest},
+		"trailing garbage": {http.MethodPost, "/api/v2/evaluate", d1111Body + `{}`, http.StatusBadRequest},
+		"wrong type":       {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[{"role":"dns","replicas":"one"}]}}`, http.StatusBadRequest},
+		"huge sweep tier":  {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":4000,"max":4000}]}`, http.StatusBadRequest},
+		"huge min only":    {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":100,"max":0}]}`, http.StatusBadRequest},
+		"GET evaluate":     {http.MethodGet, "/api/v2/evaluate", ``, http.StatusMethodNotAllowed},
 		"POST healthz":     {http.MethodPost, "/healthz", ``, http.StatusMethodNotAllowed},
-		"sweep bad json":   {http.MethodPost, "/api/v1/sweep", `[1,2]`, http.StatusBadRequest},
-		"sweep inverted":   {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":3,"max":1}}`, http.StatusBadRequest},
-		"sweep above cap":  {http.MethodPost, "/api/v1/sweep", `{"maxPerTier":9}`, http.StatusBadRequest},
-		"sweep overflow": {http.MethodPost, "/api/v1/sweep",
-			`{"dns":{"min":1,"max":65536},"web":{"min":1,"max":65536},"app":{"min":1,"max":65536},"db":{"min":1,"max":65536}}`,
-			http.StatusBadRequest},
-		"pareto bad json":   {http.MethodPost, "/api/v1/pareto", `nope`, http.StatusBadRequest},
-		"unknown endpoint":  {http.MethodGet, "/api/v1/nope", ``, http.StatusNotFound},
-		"negative range":    {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":-1,"max":2}}`, http.StatusBadRequest},
-		"sweep wrong shape": {http.MethodPost, "/api/v1/sweep", `{"scatter":{"maxAsp":"high"}}`, http.StatusBadRequest},
+		"sweep bad json":   {http.MethodPost, "/api/v2/sweep", `[1,2]`, http.StatusBadRequest},
+		"sweep inverted":   {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":3,"max":1}]}`, http.StatusBadRequest},
+		"sweep overflow": {http.MethodPost, "/api/v2/sweep",
+			classicSweepBody(1, 65536, ""), http.StatusBadRequest},
+		"pareto bad json":   {http.MethodPost, "/api/v2/pareto", `nope`, http.StatusBadRequest},
+		"unknown endpoint":  {http.MethodGet, "/api/v2/nope", ``, http.StatusNotFound},
+		"negative range":    {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":-1,"max":2}]}`, http.StatusBadRequest},
+		"sweep wrong shape": {http.MethodPost, "/api/v2/sweep", classicSweepBody(1, 1, `,"scatter":{"maxAsp":"high"}`), http.StatusBadRequest},
 	} {
 		w := do(t, h, tc.method, tc.path, tc.body)
 		if w.Code != tc.wantStatus {
@@ -193,7 +217,7 @@ func TestEvaluateRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// sweepResponse is the wire shape of /api/v1/sweep.
+// sweepResponse is the wire shape of /api/v2/sweep.
 type sweepResponse struct {
 	Total   int                     `json:"total"`
 	Kept    int                     `json:"kept"`
@@ -222,7 +246,7 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			req := httptest.NewRequest(http.MethodPost, "/api/v1/sweep", strings.NewReader(`{"maxPerTier":4}`))
+			req := httptest.NewRequest(http.MethodPost, "/api/v2/sweep", strings.NewReader(classicSweepBody(1, 4, "")))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {
@@ -251,7 +275,7 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 
 	// A repeat sweep is all cache: zero new solves.
 	before := s.study.EngineStats()
-	w := do(t, h, http.MethodPost, "/api/v1/sweep", `{"maxPerTier":4}`)
+	w := do(t, h, http.MethodPost, "/api/v2/sweep", classicSweepBody(1, 4, ""))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
@@ -266,8 +290,8 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 
 func TestSweepWithBounds(t *testing.T) {
 	h := testServer(t).handler()
-	w := do(t, h, http.MethodPost, "/api/v1/sweep",
-		`{"maxPerTier":2,"scatter":{"maxAsp":0.2,"minCoa":0.9962}}`)
+	w := do(t, h, http.MethodPost, "/api/v2/sweep",
+		classicSweepBody(1, 2, `,"scatter":{"maxAsp":0.2,"minCoa":0.9962}`))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
@@ -290,8 +314,8 @@ func TestSweepWithBounds(t *testing.T) {
 
 func TestSweepPerTierRanges(t *testing.T) {
 	h := testServer(t).handler()
-	w := do(t, h, http.MethodPost, "/api/v1/sweep",
-		`{"dns":{"min":1,"max":1},"web":{"min":1,"max":3},"app":{"min":2,"max":2},"db":{"min":1,"max":1}}`)
+	w := do(t, h, http.MethodPost, "/api/v2/sweep",
+		`{"tiers":[{"role":"dns","min":1,"max":1},{"role":"web","min":1,"max":3},{"role":"app","min":2,"max":2},{"role":"db","min":1,"max":1}]}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
@@ -312,7 +336,7 @@ func TestSweepPerTierRanges(t *testing.T) {
 func TestParetoEndpoint(t *testing.T) {
 	s := testServer(t)
 	h := s.handler()
-	w := do(t, h, http.MethodPost, "/api/v1/pareto", `{"maxPerTier":2}`)
+	w := do(t, h, http.MethodPost, "/api/v2/pareto", classicSweepBody(1, 2, ""))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
@@ -377,7 +401,8 @@ func TestPprofOptIn(t *testing.T) {
 // block must report the factored-solver dispatch counters.
 func TestHealthzSolverCounters(t *testing.T) {
 	h := testServer(t).handler()
-	if w := do(t, h, http.MethodPost, "/api/v1/evaluate", `{"name":"c1","dns":1,"web":1,"app":2,"db":1}`); w.Code != http.StatusOK {
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate",
+		`{"spec":{"name":"c1","tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":1},{"role":"app","replicas":2},{"role":"db","replicas":1}]}}`); w.Code != http.StatusOK {
 		t.Fatalf("evaluate status = %d: %s", w.Code, w.Body)
 	}
 	w := do(t, h, http.MethodGet, "/healthz", "")

@@ -141,10 +141,10 @@ func (m *serverMetrics) registerCollectors(s *server) {
 		"Security evaluations served by the factored (quotient) HARM path.",
 		func(st redpatch.EngineStats) uint64 { return st.SecurityFactored })
 	engineCounter("redpatchd_engine_security_solves_total",
-		"Factored security models built (one per variant structure).",
+		"Factored security models built (one per rollout structure; an atomic design's structure needs two).",
 		func(st redpatch.EngineStats) uint64 { return st.SecuritySolves })
 	engineCounter("redpatchd_engine_security_factor_hits_total",
-		"Security evaluations served from the security memo.",
+		"Security-model lookups served from the security memo.",
 		func(st redpatch.EngineStats) uint64 { return st.SecurityFactorHits })
 	engineCounter("redpatchd_engine_rollout_solves_total",
 		"Rollout-point evaluations performed (rollout-memo misses).",
@@ -152,9 +152,6 @@ func (m *serverMetrics) registerCollectors(s *server) {
 	engineCounter("redpatchd_engine_rollout_cache_hits_total",
 		"Rollout-point evaluations served from the rollout memo, including joins on in-flight solves.",
 		func(st redpatch.EngineStats) uint64 { return st.RolloutHits })
-	engineCounter("redpatchd_engine_rollout_models_total",
-		"Mixed-version security models built (one per rollout quotient structure).",
-		func(st redpatch.EngineStats) uint64 { return st.RolloutModels })
 	m.reg.NewGaugeVecFunc("redpatchd_engine_cache_entries",
 		"Completed designs in the memo cache.", []string{"scenario"},
 		perScenario(func(sc *scenario) float64 { return float64(sc.study.CacheEntries()) }))

@@ -53,13 +53,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	study := newStudy(t)
 	h := mustServer(t, study, serverConfig{}).handler()
 
-	if w := do(t, h, http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}`); w.Code != http.StatusOK {
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate", d1111Body); w.Code != http.StatusOK {
 		t.Fatalf("evaluate status = %d: %s", w.Code, w.Body)
 	}
-	if w := do(t, h, http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}`); w.Code != http.StatusOK {
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate", d1111Body); w.Code != http.StatusOK {
 		t.Fatalf("repeat evaluate status = %d: %s", w.Code, w.Body)
 	}
-	if w := do(t, h, http.MethodPost, "/api/v1/evaluate", `{"dns":0}`); w.Code != http.StatusBadRequest {
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[{"role":"dns","replicas":0}]}}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad evaluate status = %d", w.Code)
 	}
 	if w := do(t, h, http.MethodGet, "/healthz", ""); w.Code != http.StatusOK {
@@ -68,10 +68,10 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	body := scrape(t, h)
 	for series, want := range map[string]string{
-		`redpatchd_http_requests_total{route="POST /api/v1/evaluate",code="200"}`:      "2",
-		`redpatchd_http_requests_total{route="POST /api/v1/evaluate",code="400"}`:      "1",
+		`redpatchd_http_requests_total{route="POST /api/v2/evaluate",code="200"}`:      "2",
+		`redpatchd_http_requests_total{route="POST /api/v2/evaluate",code="400"}`:      "1",
 		`redpatchd_http_requests_total{route="GET /healthz",code="200"}`:               "1",
-		`redpatchd_http_request_duration_seconds_count{route="POST /api/v1/evaluate"}`: "3",
+		`redpatchd_http_request_duration_seconds_count{route="POST /api/v2/evaluate"}`: "3",
 		`redpatchd_engine_solves_total{scenario="default"}`:                            "1",
 		`redpatchd_engine_cache_hits_total{scenario="default"}`:                        "1",
 		`redpatchd_engine_cache_entries{scenario="default"}`:                           "1",
@@ -84,7 +84,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// The solver counters ride along: one factored solve, no SRN solve,
-	// and the security axis served by one factored (quotient) model.
+	// and the security axis served by the two factored (quotient) models
+	// of the design's unpatched and fully patched endpoints.
 	if got := metricValue(t, body, `redpatchd_engine_factored_solves_total{scenario="default"}`); got != "1" {
 		t.Errorf("factored solves = %s, want 1", got)
 	}
@@ -94,8 +95,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := metricValue(t, body, `redpatchd_engine_security_factored_total{scenario="default"}`); got != "1" {
 		t.Errorf("security factored = %s, want 1", got)
 	}
-	if got := metricValue(t, body, `redpatchd_engine_security_solves_total{scenario="default"}`); got != "1" {
-		t.Errorf("security solves = %s, want 1", got)
+	if got := metricValue(t, body, `redpatchd_engine_security_solves_total{scenario="default"}`); got != "2" {
+		t.Errorf("security solves = %s, want 2", got)
 	}
 	if got := metricValue(t, body, `redpatchd_engine_security_factor_hits_total{scenario="default"}`); got != "0" {
 		t.Errorf("security factor hits = %s, want 0", got)

@@ -443,7 +443,7 @@ func TestPersistRetryBackoff(t *testing.T) {
 	h := s.handler()
 
 	// Dirty the cache so dumps actually attempt a write.
-	if w := do(t, h, http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}`); w.Code != http.StatusOK {
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate", d1111Body); w.Code != http.StatusOK {
 		t.Fatalf("evaluate status = %d: %s", w.Code, w.Body)
 	}
 	if s.dumpCaches() {

@@ -7,10 +7,8 @@ package main
 // carrying the Pareto frontier of the whole rollout.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"redpatch"
 )
@@ -68,56 +66,22 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not batch the stream
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // compact: one JSON object per line
-	// Progress and the per-point callback share one collector goroutine,
-	// so both share the encoder without locking. The hit ratio is the
-	// rollout-memo delta since the sweep began — points whose fractions
-	// ceil to already-solved patched counts are hits.
-	st0 := sc.study.EngineStats()
-	start := time.Now()
-	lastProgress := start
-	progress := func(done, total int) {
-		if done >= total || time.Since(lastProgress) < s.progressEvery {
-			return
-		}
-		lastProgress = time.Now()
-		st := sc.study.EngineStats()
-		hits := st.RolloutHits - st0.RolloutHits
-		ratio := 0.0
-		if looked := hits + st.RolloutSolves - st0.RolloutSolves; looked > 0 {
-			ratio = float64(hits) / float64(looked)
-		}
-		elapsed := time.Since(start)
-		eta := elapsed.Seconds() / float64(done) * float64(total-done)
-		_ = enc.Encode(map[string]any{
-			"progress":      true,
-			"done":          done,
-			"total":         total,
-			"cacheHitRatio": ratio,
-			"etaSeconds":    eta,
-		})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	st := newNDJSONStream(w)
+	// Points whose fractions ceil to already-solved patched counts are
+	// rollout-memo hits.
+	progress := st.progress(s.progressEvery, func() (uint64, uint64) {
+		es := sc.study.EngineStats()
+		return es.RolloutHits, es.RolloutSolves
+	})
 	// The frontier needs every point, so reports accumulate for the
 	// trailer; the expansion is capped at maxDesigns points above.
 	reports := make([]redpatch.RolloutReport, 0, len(points))
 	total, err := sc.study.RolloutSweepEach(r.Context(), req.Spec, req.Schedule, func(rep redpatch.RolloutReport) error {
 		reports = append(reports, rep)
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return st.line(rep)
 	}, progress)
 	if err != nil {
-		_ = enc.Encode(streamErrorTrailer(err))
+		st.fail(err)
 		return
 	}
 	trailer := map[string]any{
@@ -131,5 +95,5 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 		// the whole sweep.
 		trailer["explain"] = s.explain(r.Context())
 	}
-	_ = enc.Encode(trailer)
+	_ = st.line(trailer)
 }

@@ -134,7 +134,7 @@ func TestDebugTracesOptIn(t *testing.T) {
 	}
 
 	on := mustServer(t, freshStudy(t), serverConfig{pprof: true}).handler()
-	if w := do(t, on, http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}`); w.Code != http.StatusOK {
+	if w := do(t, on, http.MethodPost, "/api/v2/evaluate", d1111Body); w.Code != http.StatusOK {
 		t.Fatalf("evaluate status = %d: %s", w.Code, w.Body)
 	}
 	w := do(t, on, http.MethodGet, "/debug/traces", "")

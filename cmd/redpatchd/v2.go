@@ -6,7 +6,6 @@ package main
 // tenants or what-if studies — each behind its own memoizing engine.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -475,57 +474,21 @@ func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not batch the stream
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // compact: one JSON object per line
+	st := newNDJSONStream(w)
 	var reports []redpatch.DesignReport
-	// Progress runs on the same collector goroutine as the per-report
-	// callback, so both share the encoder without locking. The cache-hit
-	// ratio is computed from the engine-stats delta since the sweep
-	// began, not the lifetime totals, so it describes this sweep.
-	st0 := sc.study.EngineStats()
-	start := time.Now()
-	lastProgress := start
-	progress := func(done, total int) {
-		if done >= total || time.Since(lastProgress) < s.progressEvery {
-			return
-		}
-		lastProgress = time.Now()
-		st := sc.study.EngineStats()
-		hits := st.Hits - st0.Hits
-		ratio := 0.0
-		if looked := hits + st.Solves - st0.Solves; looked > 0 {
-			ratio = float64(hits) / float64(looked)
-		}
-		elapsed := time.Since(start)
-		eta := elapsed.Seconds() / float64(done) * float64(total-done)
-		_ = enc.Encode(map[string]any{
-			"progress":      true,
-			"done":          done,
-			"total":         total,
-			"cacheHitRatio": ratio,
-			"etaSeconds":    eta,
-		})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	progress := st.progress(s.progressEvery, func() (uint64, uint64) {
+		es := sc.study.EngineStats()
+		return es.Hits, es.Solves
+	})
 	total, err := sc.study.SweepSpecEachProgress(r.Context(), req, func(rep redpatch.DesignReport) error {
 		reports = append(reports, rep)
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return st.line(rep)
 	}, progress)
 	if err != nil {
-		_ = enc.Encode(streamErrorTrailer(err))
+		st.fail(err)
 		return
 	}
-	_ = enc.Encode(map[string]any{
+	_ = st.line(map[string]any{
 		"done":     true,
 		"scenario": sc.name,
 		"total":    total,

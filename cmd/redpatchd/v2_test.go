@@ -71,41 +71,6 @@ func TestScenarioCRUD(t *testing.T) {
 	}
 }
 
-// TestEvaluateV2MatchesV1 pins v1/v2 equivalence at the HTTP layer: the
-// v2 report for the classic spec must be identical to the v1 response
-// for the 4-int tuple.
-func TestEvaluateV2MatchesV1(t *testing.T) {
-	h := testServer(t).handler()
-
-	w1 := do(t, h, http.MethodPost, "/api/v1/evaluate", `{"name":"base","dns":1,"web":2,"app":2,"db":1}`)
-	if w1.Code != http.StatusOK {
-		t.Fatalf("v1 status = %d: %s", w1.Code, w1.Body)
-	}
-	w2 := do(t, h, http.MethodPost, "/api/v2/evaluate", `{"spec":`+classicSpecJSON+`}`)
-	if w2.Code != http.StatusOK {
-		t.Fatalf("v2 status = %d: %s", w2.Code, w2.Body)
-	}
-	var v1 redpatch.DesignReport
-	var v2 struct {
-		Scenario string                `json:"scenario"`
-		Report   redpatch.DesignReport `json:"report"`
-	}
-	if err := json.Unmarshal(w1.Body.Bytes(), &v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(w2.Body.Bytes(), &v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Scenario != defaultScenario {
-		t.Fatalf("scenario = %q", v2.Scenario)
-	}
-	b1, _ := json.Marshal(v1)
-	b2, _ := json.Marshal(v2.Report)
-	if string(b1) != string(b2) {
-		t.Fatalf("v1 and v2 reports differ:\n%s\n%s", b1, b2)
-	}
-}
-
 // TestHeterogeneousSweepV2 is the acceptance sweep: a web tier with two
 // stack variants returns a non-empty Pareto front over four designs.
 func TestHeterogeneousSweepV2(t *testing.T) {

@@ -238,19 +238,6 @@ func EntryPoints(paths []Path) []string {
 	return out
 }
 
-// Centrality counts, for every non-source node, how many of the given
-// paths pass through it. Hosts appearing on many attack paths are the
-// chokepoints whose hardening (or monitoring) pays off most.
-func Centrality(paths []Path) map[string]int {
-	out := make(map[string]int)
-	for _, p := range paths {
-		for _, n := range p[1:] {
-			out[n]++
-		}
-	}
-	return out
-}
-
 // NodesOnPaths returns the union of non-source nodes visited by the paths,
 // sorted.
 func NodesOnPaths(paths []Path) []string {

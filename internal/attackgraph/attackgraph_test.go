@@ -242,32 +242,6 @@ func TestNodesOnPaths(t *testing.T) {
 	}
 }
 
-func TestCentrality(t *testing.T) {
-	g := paperGraph(t)
-	paths, err := g.AllPaths("attacker", []string{"db1"}, AllPathsOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Centrality(paths)
-	// Every one of the 8 paths crosses db1; each web/app server carries
-	// half of them; dns1 carries the 4 paths that stage through it.
-	if c["db1"] != 8 {
-		t.Errorf("centrality(db1) = %d, want 8", c["db1"])
-	}
-	if c["web1"] != 4 || c["app2"] != 4 {
-		t.Errorf("centrality(web1, app2) = %d, %d, want 4, 4", c["web1"], c["app2"])
-	}
-	if c["dns1"] != 4 {
-		t.Errorf("centrality(dns1) = %d, want 4", c["dns1"])
-	}
-	if _, ok := c["attacker"]; ok {
-		t.Error("the source must not be counted")
-	}
-	if len(Centrality(nil)) != 0 {
-		t.Error("no paths, no centrality")
-	}
-}
-
 func TestPathHelpers(t *testing.T) {
 	p := Path{"a", "b", "c"}
 	if p.String() != "a -> b -> c" {

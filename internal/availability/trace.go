@@ -26,20 +26,10 @@ func SolveNetworkSRNCtx(ctx context.Context, nm NetworkModel) (NetworkSolution, 
 	return sol, err
 }
 
-// SolveTierFactorCtx is SolveTierFactor under an
-// "availability.tierfactor" span. Callers memoizing factors only reach
-// it on a miss, so each span marks a genuinely new (stack, n) solve.
-func SolveTierFactorCtx(ctx context.Context, t Tier) (TierFactor, error) {
-	_, sp := trace.Start(ctx, "availability.tierfactor",
-		trace.Attr{Key: "n", Value: t.N})
-	f, err := SolveTierFactor(t)
-	sp.EndErr(err)
-	return f, err
-}
-
 // SolveTierFactorRolloutCtx is SolveTierFactorRollout under an
-// "availability.tierfactor" span additionally recording the patched
-// sub-population size.
+// "availability.tierfactor" span recording the tier size and the
+// patched sub-population. Callers memoizing factors only reach it on a
+// miss, so each span marks a genuinely new (stack, n, patched) solve.
 func SolveTierFactorRolloutCtx(ctx context.Context, t Tier, patched int) (TierFactor, error) {
 	_, sp := trace.Start(ctx, "availability.tierfactor",
 		trace.Attr{Key: "n", Value: t.N},

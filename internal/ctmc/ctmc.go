@@ -419,105 +419,6 @@ func (c *Chain) TransientWith(ws *Workspace, p0 []float64, t float64) ([]float64
 	return out, nil
 }
 
-// AccumulatedProbability returns L(t) with L_i(t) = E[time spent in state
-// i during [0, t]] starting from distribution p0, computed by
-// uniformization: the integral of the transient distribution. Dividing by
-// t yields the interval (time-average) distribution, from which interval
-// availability and accumulated-reward measures derive.
-func (c *Chain) AccumulatedProbability(p0 []float64, t float64) ([]float64, error) {
-	return c.AccumulatedProbabilityWith(nil, p0, t)
-}
-
-// AccumulatedProbabilityWith is AccumulatedProbability drawing its
-// uniformization buffers from ws. A nil ws allocates per call; the
-// returned occupancies never alias workspace memory.
-func (c *Chain) AccumulatedProbabilityWith(ws *Workspace, p0 []float64, t float64) ([]float64, error) {
-	c.freeze()
-	if len(p0) != c.n {
-		return nil, fmt.Errorf("ctmc: initial distribution has %d entries, want %d", len(p0), c.n)
-	}
-	if t < 0 || math.IsNaN(t) {
-		return nil, fmt.Errorf("ctmc: invalid time %v", t)
-	}
-	out := make([]float64, c.n)
-	if t == 0 {
-		return out, nil
-	}
-	lambda := c.uniformizationRate()
-	lt := lambda * t
-
-	cur := ws.vec(0, c.n)
-	next := ws.vec(1, c.n)
-	copy(cur, p0)
-
-	// L(t) = (1/Lambda) * sum_k P(N(lt) > k) * p0 P^k, where
-	// P(N(lt) > k) = 1 - PoissonCDF(k; lt). Accumulate the CDF as we go.
-	logW := -lt // log Poisson(0; lt)
-	cdf := 0.0
-	const tail = 1e-12
-	kMax := int(lt + 10*math.Sqrt(lt) + 50)
-	for k := 0; ; k++ {
-		cdf += math.Exp(logW)
-		tailProb := 1 - cdf
-		if tailProb < 0 {
-			tailProb = 0
-		}
-		if tailProb > 0 {
-			w := tailProb / lambda
-			for i := range out {
-				out[i] += w * cur[i]
-			}
-		}
-		if k >= kMax || (k > int(lt) && tailProb < tail) {
-			break
-		}
-		// next = cur * P.
-		for j := range next {
-			next[j] = cur[j] * (1 + c.diag[j]/lambda)
-		}
-		for i := 0; i < c.n; i++ {
-			wi := cur[i] / lambda
-			if wi == 0 {
-				continue
-			}
-			c.gen.Row(i, func(j int, q float64) { next[j] += wi * q })
-		}
-		cur, next = next, cur
-		logW += math.Log(lt / float64(k+1))
-	}
-	return out, nil
-}
-
-// IntervalReward returns (1/t) * E[integral of reward over [0, t]]
-// starting from p0 — e.g. the interval availability when reward is the
-// indicator of up states.
-func (c *Chain) IntervalReward(p0, reward []float64, t float64) (float64, error) {
-	if t <= 0 {
-		return 0, fmt.Errorf("ctmc: interval reward requires positive t, have %v", t)
-	}
-	l, err := c.AccumulatedProbability(p0, t)
-	if err != nil {
-		return 0, err
-	}
-	acc, err := ExpectedReward(l, reward)
-	if err != nil {
-		return 0, err
-	}
-	return acc / t, nil
-}
-
-// ExpectedReward returns sum_i pi_i * reward_i.
-func ExpectedReward(pi, reward []float64) (float64, error) {
-	if len(pi) != len(reward) {
-		return 0, fmt.Errorf("ctmc: reward vector has %d entries, want %d", len(reward), len(pi))
-	}
-	terms := make([]float64, len(pi))
-	for i := range pi {
-		terms[i] = pi[i] * reward[i]
-	}
-	return mathx.KahanSum(terms), nil
-}
-
 // MeanTimeToAbsorption returns, for each transient state, the expected time
 // until the chain first enters any of the given absorbing states, starting
 // from that state. The absorbing set must be non-empty and every state must

@@ -286,84 +286,6 @@ func TestTransientPreservesProbability(t *testing.T) {
 	}
 }
 
-func TestAccumulatedProbabilityMatchesClosedForm(t *testing.T) {
-	// Two-state chain: L_up(t) = pi_up*t + (1-pi_up)(1-e^{-(l+m)t})/(l+m)
-	// starting from up.
-	const lambda, mu = 0.4, 1.1
-	c := twoState(t, lambda, mu)
-	piUp := mu / (lambda + mu)
-	rate := lambda + mu
-	for _, tm := range []float64{0.1, 0.5, 1, 3, 10} {
-		l, err := c.AccumulatedProbability([]float64{1, 0}, tm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := piUp*tm + (1-piUp)*(1-math.Exp(-rate*tm))/rate
-		if !mathx.AlmostEqual(l[0], want, 1e-8) {
-			t.Errorf("L_up(%v) = %v, want %v", tm, l[0], want)
-		}
-		// Occupancies over [0, t] must sum to t.
-		if !mathx.AlmostEqual(l[0]+l[1], tm, 1e-8) {
-			t.Errorf("sum L(%v) = %v, want %v", tm, l[0]+l[1], tm)
-		}
-	}
-}
-
-func TestAccumulatedProbabilityEdgeCases(t *testing.T) {
-	c := twoState(t, 1, 1)
-	l, err := c.AccumulatedProbability([]float64{1, 0}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l[0] != 0 || l[1] != 0 {
-		t.Error("L(0) must be zero")
-	}
-	if _, err := c.AccumulatedProbability([]float64{1}, 1); err == nil {
-		t.Error("wrong-length p0 should fail")
-	}
-	if _, err := c.AccumulatedProbability([]float64{1, 0}, -1); err == nil {
-		t.Error("negative t should fail")
-	}
-}
-
-func TestIntervalRewardConvergesToSteadyState(t *testing.T) {
-	const lambda, mu = 0.5, 1.5
-	c := twoState(t, lambda, mu)
-	reward := []float64{1, 0}
-	got, err := c.IntervalReward([]float64{1, 0}, reward, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mu / (lambda + mu)
-	if !mathx.AlmostEqual(got, want, 1e-3) {
-		t.Errorf("interval reward over long horizon = %v, want ≈ %v", got, want)
-	}
-	// Short horizon from the up state: availability near 1.
-	short, err := c.IntervalReward([]float64{1, 0}, reward, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if short < 0.99 {
-		t.Errorf("interval reward over short horizon = %v, want ≈ 1", short)
-	}
-	if _, err := c.IntervalReward([]float64{1, 0}, reward, 0); err == nil {
-		t.Error("zero horizon should fail")
-	}
-}
-
-func TestExpectedReward(t *testing.T) {
-	got, err := ExpectedReward([]float64{0.25, 0.75}, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.25 {
-		t.Errorf("ExpectedReward = %v, want 0.25", got)
-	}
-	if _, err := ExpectedReward([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
 func TestMeanTimeToAbsorption(t *testing.T) {
 	// Pure death chain 2 -> 1 -> 0 with rate mu: MTTA from state i is i/mu.
 	const mu = 4.0
@@ -490,19 +412,6 @@ func TestWorkspaceReuseMatchesFreshSolves(t *testing.T) {
 		for i := range wantT {
 			if gotT[i] != wantT[i] {
 				t.Fatalf("trial %d: ws transient diverged at state %d", trial, i)
-			}
-		}
-		gotL, err := withWS.AccumulatedProbabilityWith(ws, p0, 2.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantL, err := without.AccumulatedProbability(p0, 2.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantL {
-			if gotL[i] != wantL[i] {
-				t.Fatalf("trial %d: ws accumulated probability diverged at state %d", trial, i)
 			}
 		}
 	}

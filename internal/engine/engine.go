@@ -27,19 +27,15 @@ import (
 )
 
 // DesignEvaluator is the evaluation dependency: anything that can score
-// one role-keyed design spec on both paper axes. *redundancy.Evaluator
-// is the production implementation; tests substitute counting or
-// blocking fakes. Implementations must be safe for concurrent use.
+// one role-keyed design spec on both paper axes, atomically (the whole
+// patch round) and at a rollout point (per-tier patched fractions
+// aligned with spec.Tiers). The context carries tracing, so solver-layer
+// spans join the request trace. *redundancy.Evaluator is the production
+// implementation; tests substitute counting or blocking fakes.
+// Implementations must be safe for concurrent use.
 type DesignEvaluator interface {
-	EvaluateSpec(paperdata.DesignSpec) (redundancy.Result, error)
-}
-
-// ContextEvaluator is the optional DesignEvaluator extension that
-// accepts the caller's context, so solver-layer spans join the request
-// trace. *redundancy.Evaluator implements it; evaluators that do not are
-// called through plain EvaluateSpec and simply record no solver spans.
-type ContextEvaluator interface {
 	EvaluateSpecContext(context.Context, paperdata.DesignSpec) (redundancy.Result, error)
+	EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (redundancy.RolloutResult, error)
 }
 
 // Options configures an Engine.
@@ -82,13 +78,9 @@ type Stats struct {
 	SecurityFactorHits uint64
 	// RolloutSolves is the number of rollout-point evaluations the
 	// engine ran; RolloutHits the number served from (or deduplicated
-	// onto) the rollout memo. The remaining rollout counters mirror the
-	// evaluator's SolverStats: RolloutModels mixed-version security
-	// models built, RolloutModelHits evaluations served from that memo.
-	RolloutSolves    uint64
-	RolloutHits      uint64
-	RolloutModels    uint64
-	RolloutModelHits uint64
+	// onto) the rollout memo.
+	RolloutSolves uint64
+	RolloutHits   uint64
 }
 
 // SolverStatsProvider is the optional evaluator extension surfacing
@@ -106,12 +98,12 @@ type key struct {
 	fp, spec string
 }
 
-// entry is one singleflight cache slot. ready is closed once res/err are
+// entry is one singleflight memo slot. ready is closed once res/err are
 // final; concurrent callers for the same key block on it instead of
 // re-solving.
-type entry struct {
+type entry[R any] struct {
 	ready chan struct{}
-	res   redundancy.Result
+	res   R
 	err   error
 }
 
@@ -122,9 +114,11 @@ type Engine struct {
 	workers int
 	fp      string
 
-	mu      sync.Mutex
-	cache   map[key]*entry
-	rollout map[key]*rolloutEntry
+	mu    sync.Mutex
+	cache map[key]*entry[redundancy.Result]
+	// rollout memoizes rollout points. Its entries stay out of
+	// Snapshot/Restore, whose persisted format is atomic results only.
+	rollout map[key]*entry[redundancy.RolloutResult]
 
 	solves        atomic.Uint64
 	hits          atomic.Uint64
@@ -146,8 +140,8 @@ func New(eval DesignEvaluator, opts Options) (*Engine, error) {
 		eval:    eval,
 		workers: opts.Workers,
 		fp:      opts.Fingerprint,
-		cache:   make(map[key]*entry),
-		rollout: make(map[key]*rolloutEntry),
+		cache:   make(map[key]*entry[redundancy.Result]),
+		rollout: make(map[key]*entry[redundancy.RolloutResult]),
 	}, nil
 }
 
@@ -169,8 +163,6 @@ func (g *Engine) Stats() Stats {
 		st.SecurityFactored = ss.SecurityFactored
 		st.SecuritySolves = ss.SecuritySolves
 		st.SecurityFactorHits = ss.SecurityFactorHits
-		st.RolloutModels = ss.RolloutModels
-		st.RolloutModelHits = ss.RolloutModelHits
 	}
 	return st
 }
@@ -221,15 +213,34 @@ func (g *Engine) evaluateSpec(ctx context.Context, sp *trace.Span, spec paperdat
 		return redundancy.Result{}, err
 	}
 	k := key{fp: g.fp, spec: spec.Key()}
+	r, err := singleflight(ctx, g, sp, g.cache, k, &g.solves, &g.hits, &g.done,
+		func() (redundancy.Result, error) { return g.eval.EvaluateSpecContext(ctx, spec) })
+	if err != nil {
+		return redundancy.Result{}, err
+	}
+	r.Spec = spec
+	return r, nil
+}
 
+// singleflight serves key k from memo m, solving it at most once across
+// concurrent callers: the first caller runs solve ("cache" attribute
+// miss), a caller finding a completed entry reads it (hit), and a caller
+// finding a solve in progress waits for it (inflight). solves and hits
+// count misses and hits-or-joins; done, when non-nil, counts entries
+// that completed successfully. The context does not cancel an in-flight
+// solve — a result being computed belongs to every caller deduplicated
+// onto it, so the first caller's cancellation must not poison the shared
+// entry — but a caller joining an in-flight solve abandons its wait when
+// its context ends: the solve finishes and memoizes without it.
+func singleflight[R any](ctx context.Context, g *Engine, sp *trace.Span, m map[key]*entry[R], k key, solves, hits, done *atomic.Uint64, solve func() (R, error)) (R, error) {
 	g.mu.Lock()
-	e, ok := g.cache[k]
+	e, ok := m[k]
 	if !ok {
-		e = &entry{ready: make(chan struct{})}
-		g.cache[k] = e
+		e = &entry[R]{ready: make(chan struct{})}
+		m[k] = e
 		g.mu.Unlock()
 		sp.SetAttr("cache", "miss")
-		g.solves.Add(1)
+		solves.Add(1)
 		func() {
 			// The entry must reach a final state no matter how the
 			// evaluator exits: a panic that skipped close(ready) would
@@ -237,52 +248,39 @@ func (g *Engine) evaluateSpec(ctx context.Context, sp *trace.Span, spec paperdat
 			// channel. Surface it as the entry's error instead.
 			defer func() {
 				if p := recover(); p != nil {
-					e.err = fmt.Errorf("engine: evaluator panic for design %s: %v", spec, p)
+					e.err = fmt.Errorf("engine: evaluator panic for %s: %v", k.spec, p)
 				}
 				if e.err != nil {
 					// Errors are not memoized: waiters already holding
 					// this entry see it, but later callers retry rather
 					// than read a possibly transient failure forever.
 					g.mu.Lock()
-					delete(g.cache, k)
+					delete(m, k)
 					g.mu.Unlock()
-				} else {
-					g.done.Add(1)
+				} else if done != nil {
+					done.Add(1)
 				}
 				close(e.ready)
 			}()
-			if ce, ok := g.eval.(ContextEvaluator); ok {
-				e.res, e.err = ce.EvaluateSpecContext(ctx, spec)
-			} else {
-				e.res, e.err = g.eval.EvaluateSpec(spec)
-			}
+			e.res, e.err = solve()
 		}()
 	} else {
 		g.mu.Unlock()
-		g.hits.Add(1)
+		hits.Add(1)
 		select {
 		case <-e.ready:
 			sp.SetAttr("cache", "hit")
 		default:
 			sp.SetAttr("cache", "inflight")
-			// A join abandons its wait when the caller's deadline fires:
-			// the in-flight solve continues (its result belongs to every
-			// deduplicated caller and is memoized for the next request),
-			// but this caller stops occupying a connection for it.
 			select {
 			case <-e.ready:
 			case <-ctx.Done():
-				return redundancy.Result{}, ctx.Err()
+				var zero R
+				return zero, ctx.Err()
 			}
 		}
 	}
-
-	if e.err != nil {
-		return redundancy.Result{}, e.err
-	}
-	r := e.res
-	r.Spec = spec
-	return r, nil
+	return e.res, e.err
 }
 
 // Peek reports whether spec's result is already completed in the memo

@@ -32,7 +32,7 @@ func paperEvaluator(t testing.TB) *redundancy.Evaluator {
 	return evalRef
 }
 
-// countingEvaluator wraps a DesignEvaluator and counts Evaluate calls;
+// countingEvaluator wraps a DesignEvaluator and counts EvaluateSpecContext calls;
 // optionally it blocks every call until released, to force overlap.
 type countingEvaluator struct {
 	inner DesignEvaluator
@@ -40,12 +40,16 @@ type countingEvaluator struct {
 	gate  chan struct{}
 }
 
-func (c *countingEvaluator) EvaluateSpec(spec paperdata.DesignSpec) (redundancy.Result, error) {
+func (c *countingEvaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
 	c.calls.Add(1)
 	if c.gate != nil {
 		<-c.gate
 	}
-	return c.inner.EvaluateSpec(spec)
+	return c.inner.EvaluateSpecContext(ctx, spec)
+}
+
+func (c *countingEvaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (redundancy.RolloutResult, error) {
+	return c.inner.EvaluateRollout(ctx, spec, fractions)
 }
 
 func TestParallelSweepMatchesSerialEvaluateAll(t *testing.T) {
@@ -346,7 +350,13 @@ func TestSweepSurfacesEvaluationError(t *testing.T) {
 
 type evaluatorFunc func(paperdata.DesignSpec) (redundancy.Result, error)
 
-func (f evaluatorFunc) EvaluateSpec(s paperdata.DesignSpec) (redundancy.Result, error) { return f(s) }
+func (f evaluatorFunc) EvaluateSpecContext(_ context.Context, s paperdata.DesignSpec) (redundancy.Result, error) {
+	return f(s)
+}
+
+func (f evaluatorFunc) EvaluateRollout(context.Context, paperdata.DesignSpec, []float64) (redundancy.RolloutResult, error) {
+	return redundancy.RolloutResult{}, errors.New("evaluatorFunc scores atomic designs only")
+}
 
 // TestEvaluatorPanicDoesNotWedgeCacheKey pins the singleflight panic
 // path: a panicking solve must surface as an error and later calls for

@@ -5,31 +5,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
 	"redpatch/internal/trace"
-	"redpatch/internal/workpool"
 )
-
-// RolloutEvaluator is the optional DesignEvaluator extension scoring a
-// design mid-rollout at per-tier patched fractions.
-// *redundancy.Evaluator implements it; engines over evaluators that do
-// not reject rollout requests.
-type RolloutEvaluator interface {
-	EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (redundancy.RolloutResult, error)
-}
-
-// rolloutEntry is one singleflight slot of the rollout memo, the
-// RolloutResult counterpart of entry. Rollout entries are kept in their
-// own map — and deliberately out of Snapshot/Restore, whose persisted
-// format stays atomic-results-only.
-type rolloutEntry struct {
-	ready chan struct{}
-	res   redundancy.RolloutResult
-	err   error
-}
 
 // rolloutKey renders the memo identity of a rollout point: the spec's
 // canonical key joined with the per-tier patched counts. Fractions that
@@ -61,10 +41,6 @@ func (g *Engine) evaluateRolloutTraced(ctx context.Context, spec paperdata.Desig
 	defer func() { sp.EndErr(err) }()
 	sp.SetAttr("rollout", true)
 
-	re, ok := g.eval.(RolloutEvaluator)
-	if !ok {
-		return redundancy.RolloutResult{}, fmt.Errorf("engine: evaluator does not support rollout evaluation")
-	}
 	if err := spec.Validate(); err != nil {
 		return redundancy.RolloutResult{}, err
 	}
@@ -73,52 +49,11 @@ func (g *Engine) evaluateRolloutTraced(ctx context.Context, spec paperdata.Desig
 		return redundancy.RolloutResult{}, err
 	}
 	k := key{fp: g.fp, spec: rolloutKey(spec, patched)}
-
-	g.mu.Lock()
-	e, ok := g.rollout[k]
-	if !ok {
-		e = &rolloutEntry{ready: make(chan struct{})}
-		g.rollout[k] = e
-		g.mu.Unlock()
-		sp.SetAttr("cache", "miss")
-		g.rolloutSolves.Add(1)
-		func() {
-			// Mirror evaluateSpec: the entry must reach a final state no
-			// matter how the evaluator exits, and errors are never
-			// memoized.
-			defer func() {
-				if p := recover(); p != nil {
-					e.err = fmt.Errorf("engine: evaluator panic for rollout of %s: %v", spec, p)
-				}
-				if e.err != nil {
-					g.mu.Lock()
-					delete(g.rollout, k)
-					g.mu.Unlock()
-				}
-				close(e.ready)
-			}()
-			e.res, e.err = re.EvaluateRollout(ctx, spec, fractions)
-		}()
-	} else {
-		g.mu.Unlock()
-		g.rolloutHits.Add(1)
-		select {
-		case <-e.ready:
-			sp.SetAttr("cache", "hit")
-		default:
-			sp.SetAttr("cache", "inflight")
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return redundancy.RolloutResult{}, ctx.Err()
-			}
-		}
+	r, err := singleflight(ctx, g, sp, g.rollout, k, &g.rolloutSolves, &g.rolloutHits, nil,
+		func() (redundancy.RolloutResult, error) { return g.eval.EvaluateRollout(ctx, spec, fractions) })
+	if err != nil {
+		return redundancy.RolloutResult{}, err
 	}
-
-	if e.err != nil {
-		return redundancy.RolloutResult{}, e.err
-	}
-	r := e.res
 	r.Spec = spec
 	r.Fractions = append([]float64(nil), fractions...)
 	return r, nil
@@ -142,40 +77,13 @@ func (g *Engine) RolloutSweep(ctx context.Context, spec paperdata.DesignSpec, po
 		trace.Attr{Key: "design", Value: spec.Name},
 		trace.Attr{Key: "points", Value: len(points)})
 	defer func() { sp.EndErr(err) }()
-	start := time.Now()
-	done := 0
-	var firstErr error
-	workpool.StreamCtx(ctx, g.workers, points,
-		func(_ int, fr []float64) (redundancy.RolloutResult, error) {
-			if err := ctx.Err(); err != nil {
-				return redundancy.RolloutResult{}, err
-			}
-			wait := time.Since(start)
-			r, err := g.evaluateRolloutTraced(ctx, spec, fr,
-				trace.Attr{Key: "design", Value: spec.Name},
-				trace.Attr{Key: "queue_wait_ns", Value: wait.Nanoseconds()})
+	return stream(ctx, g, points, progress,
+		func(fr []float64, wait trace.Attr) (redundancy.RolloutResult, error) {
+			r, err := g.evaluateRolloutTraced(ctx, spec, fr, trace.Attr{Key: "design", Value: spec.Name}, wait)
 			if err != nil {
 				err = fmt.Errorf("engine: rollout point %v: %w", fr, err)
 			}
 			return r, err
 		},
-		func(idx int, r redundancy.RolloutResult, err error) bool {
-			if err != nil {
-				firstErr = err
-				return false
-			}
-			done++
-			if progress != nil {
-				progress(done, len(points))
-			}
-			if err := fn(idx, r); err != nil {
-				firstErr = err
-				return false
-			}
-			return true
-		})
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+		fn)
 }

@@ -12,7 +12,7 @@ import (
 	"redpatch/internal/redundancy"
 )
 
-// rolloutFake is a deterministic RolloutEvaluator: the result encodes
+// rolloutFake is a deterministic rollout evaluator: the result encodes
 // the patched counts so tests can tell solves apart, and calls count so
 // memo behaviour is observable. fail makes every solve error.
 type rolloutFake struct {
@@ -21,7 +21,7 @@ type rolloutFake struct {
 	fail  bool
 }
 
-func (f *rolloutFake) EvaluateSpec(spec paperdata.DesignSpec) (redundancy.Result, error) {
+func (f *rolloutFake) EvaluateSpecContext(_ context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
 	return redundancy.Result{Spec: spec}, nil
 }
 
@@ -111,24 +111,6 @@ func TestEvaluateRolloutErrorsNotMemoized(t *testing.T) {
 	}
 	if n := f.calls.Load(); n != 2 {
 		t.Errorf("calls = %d, want 2 (error must not be memoized)", n)
-	}
-}
-
-func TestEvaluateRolloutUnsupportedEvaluator(t *testing.T) {
-	// countingEvaluator does not implement RolloutEvaluator.
-	g, err := New(&countingEvaluator{inner: paperEvaluator(t)}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := paperdata.BaseDesign().Spec()
-	if _, err := g.EvaluateRollout(context.Background(), spec, []float64{0, 0, 0, 0}); err == nil {
-		t.Fatal("want error from non-rollout evaluator")
-	}
-	if err := func() error {
-		return g.RolloutSweep(context.Background(), spec, [][]float64{{0, 0, 0, 0}},
-			func(int, redundancy.RolloutResult) error { return nil }, nil)
-	}(); err == nil {
-		t.Fatal("want sweep error from non-rollout evaluator")
 	}
 }
 

@@ -130,7 +130,7 @@ func (g *Engine) Restore(r io.Reader) (int, error) {
 		if _, exists := g.cache[k]; exists {
 			continue
 		}
-		e := &entry{ready: make(chan struct{}), res: se.Result}
+		e := &entry[redundancy.Result]{ready: make(chan struct{}), res: se.Result}
 		close(e.ready)
 		g.cache[k] = e
 		restored++

@@ -82,7 +82,7 @@ func FullSpace(maxPerTier int) SweepSpec {
 }
 
 // ClassicSpace builds the paper's fixed four-tier sweep from per-tier
-// replica ranges — the shape the deprecated 4-int API sweeps.
+// replica ranges.
 func ClassicSpace(dns, web, app, db Range) SweepSpec {
 	return SweepSpec{Tiers: []TierSweep{
 		{Role: paperdata.RoleDNS, Replicas: dns},
@@ -264,13 +264,10 @@ func (g *Engine) SweepFuncProgress(ctx context.Context, spec SweepSpec, fn func(
 	return g.sweep(ctx, spec, func(_ int, r redundancy.Result) error { return fn(r) }, progress)
 }
 
-// sweep is the shared fan-out/collect loop: pool workers evaluate
-// designs through the cache (workpool.Stream), the collector applies
-// bound filtering and hands passing results (with their enumeration
-// index) to emit. The whole sweep runs under an "engine.sweep" span;
-// each design's evaluate span carries its queue wait — the time from
-// sweep start until a pool worker picked the design up, the backlog
-// signal admission control will shed against.
+// sweep fans a design-space sweep out over the pool: every design
+// evaluates through the cache, the collector applies bound filtering and
+// hands passing results (with their enumeration index) to emit. The
+// whole sweep runs under an "engine.sweep" span.
 func (g *Engine) sweep(ctx context.Context, spec SweepSpec, emit func(int, redundancy.Result) error, progress func(done, total int)) (total int, err error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
@@ -279,52 +276,69 @@ func (g *Engine) sweep(ctx context.Context, spec SweepSpec, emit func(int, redun
 	ctx, sp := trace.Start(ctx, "engine.sweep",
 		trace.Attr{Key: "designs", Value: len(designs)})
 	defer func() { sp.EndErr(err) }()
-	start := time.Now()
-	done := 0
-	var firstErr error
-	// StreamCtx drops still-queued designs the moment ctx ends — workers
-	// exit before picking the next item — so a cancelled sweep releases
-	// the pool immediately instead of cycling every queued spec through
-	// fn. The in-fn check below handles the pickup race (a worker that
-	// grabbed its item just before the cancellation landed).
-	workpool.StreamCtx(ctx, g.workers, designs,
-		func(_ int, d paperdata.DesignSpec) (redundancy.Result, error) {
-			if err := ctx.Err(); err != nil {
-				return redundancy.Result{}, err
-			}
-			wait := time.Since(start)
-			r, err := g.evaluateSpecTraced(ctx, d,
-				trace.Attr{Key: "design", Value: d.Name},
-				trace.Attr{Key: "queue_wait_ns", Value: wait.Nanoseconds()})
+	err = stream(ctx, g, designs, progress,
+		func(d paperdata.DesignSpec, wait trace.Attr) (redundancy.Result, error) {
+			r, err := g.evaluateSpecTraced(ctx, d, trace.Attr{Key: "design", Value: d.Name}, wait)
 			if err != nil {
 				err = fmt.Errorf("engine: design %s: %w", d, err)
 			}
 			return r, err
 		},
-		func(idx int, r redundancy.Result, err error) bool {
+		func(idx int, r redundancy.Result) error {
+			if spec.keeps(r) {
+				return emit(idx, r)
+			}
+			return nil
+		})
+	if err != nil {
+		return 0, err
+	}
+	return len(designs), nil
+}
+
+// stream is the fan-out/collect loop every sweep shares: pool workers
+// run eval on the items, and one collector goroutine calls progress
+// (optional) after every completed item and then collect with the
+// item's index. eval receives the item's queue wait — the time from
+// sweep start until a pool worker picked it up, the backlog signal
+// admission control sheds against — as a span attribute for its
+// evaluate span. The first error from eval or collect stops the sweep
+// and is returned; otherwise the context's error is.
+func stream[T, R any](ctx context.Context, g *Engine, items []T, progress func(done, total int), eval func(item T, wait trace.Attr) (R, error), collect func(idx int, r R) error) error {
+	start := time.Now()
+	done := 0
+	var firstErr error
+	// StreamCtx drops still-queued items the moment ctx ends — workers
+	// exit before picking the next item — so a cancelled sweep releases
+	// the pool immediately instead of cycling every queued item through
+	// eval. The in-fn check below handles the pickup race (a worker that
+	// grabbed its item just before the cancellation landed).
+	workpool.StreamCtx(ctx, g.workers, items,
+		func(_ int, it T) (R, error) {
+			if err := ctx.Err(); err != nil {
+				var zero R
+				return zero, err
+			}
+			return eval(it, trace.Attr{Key: "queue_wait_ns", Value: time.Since(start).Nanoseconds()})
+		},
+		func(idx int, r R, err error) bool {
+			if err == nil {
+				done++
+				if progress != nil {
+					progress(done, len(items))
+				}
+				err = collect(idx, r)
+			}
 			if err != nil {
 				firstErr = err
 				return false
 			}
-			done++
-			if progress != nil {
-				progress(done, len(designs))
-			}
-			if spec.keeps(r) {
-				if err := emit(idx, r); err != nil {
-					firstErr = err
-					return false
-				}
-			}
 			return true
 		})
 	if firstErr != nil {
-		return 0, firstErr
+		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return len(designs), nil
+	return ctx.Err()
 }
 
 // paretoFront maintains a (minimize ASP, maximize COA) front under

@@ -156,11 +156,13 @@ func TestSecurityMemoSweepReuse(t *testing.T) {
 		}
 	}
 	st := ev.SolverStats()
-	if st.SecuritySolves != 1 {
-		t.Errorf("SecuritySolves = %d, want 1 (one homogeneous structure)", st.SecuritySolves)
+	// One homogeneous structure: its unpatched and fully patched models,
+	// each looked up once per design.
+	if st.SecuritySolves != 2 {
+		t.Errorf("SecuritySolves = %d, want 2 (one homogeneous structure, two endpoints)", st.SecuritySolves)
 	}
-	if st.SecurityFactorHits != uint64(n-1) {
-		t.Errorf("SecurityFactorHits = %d, want %d", st.SecurityFactorHits, n-1)
+	if st.SecurityFactorHits != uint64(2*(n-1)) {
+		t.Errorf("SecurityFactorHits = %d, want %d", st.SecurityFactorHits, 2*(n-1))
 	}
 	if st.SecurityFactored != uint64(n) {
 		t.Errorf("SecurityFactored = %d, want %d", st.SecurityFactored, n)
@@ -202,8 +204,8 @@ func TestSecurityMemoKeyVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ev.SolverStats()
-	if st.SecuritySolves != 2 {
-		t.Errorf("SecuritySolves = %d, want 2 (distinct variant structures)", st.SecuritySolves)
+	if st.SecuritySolves != 4 {
+		t.Errorf("SecuritySolves = %d, want 4 (two endpoints of two variant structures)", st.SecuritySolves)
 	}
 	if st.SecurityFactorHits != 0 {
 		t.Errorf("SecurityFactorHits = %d, want 0", st.SecurityFactorHits)
@@ -217,14 +219,14 @@ func TestSecurityMemoKeyVariants(t *testing.T) {
 	if _, err := ev.EvaluateSpec(plain); err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.SolverStats().SecuritySolves; got != 2 {
-		t.Errorf("SecuritySolves after repeat = %d, want 2", got)
+	if got := ev.SolverStats().SecuritySolves; got != 4 {
+		t.Errorf("SecuritySolves after repeat = %d, want 4", got)
 	}
 }
 
 // TestSecurityMemoDistinctPolicies: evaluators under different patch
-// policies must key their factors apart — the after-patch metrics of the
-// same spec differ.
+// policies keep separate memos — the after-patch metrics of the same
+// spec differ.
 func TestSecurityMemoDistinctPolicies(t *testing.T) {
 	critical, err := NewEvaluator(Options{})
 	if err != nil {

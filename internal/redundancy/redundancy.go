@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,12 +49,21 @@ type Evaluator struct {
 	evalOpts harm.EvalOptions
 	workers  int
 
-	mu       sync.Mutex // guards agg, plans, factors, security and rollout (lazy solves)
-	agg      map[string]availability.AggregatedRates
-	plans    map[string]patch.Plan
-	factors  map[factorKey]availability.TierFactor
-	security map[securityKey]*securityFactor
-	rollout  map[securityKey]*harm.FactoredHARM
+	mu      sync.Mutex // guards agg, plans, factors and security (lazy solves)
+	agg     map[string]availability.AggregatedRates
+	plans   map[string]patch.Plan
+	factors map[factorKey]availability.TierFactor
+	// security maps a rollout structure key
+	// (paperdata.RolloutQuotient.Structure: the replica-independent
+	// quotient structure plus one 'u'/'p' patch-state marker per class)
+	// to its factored security model. Replica counts deliberately do not
+	// appear: they enter the factored metrics in closed form at
+	// evaluation time, which is what turns an R^k sweep into
+	// O(#variant-combos) HARM builds. An atomic design is the rollout at
+	// its two endpoints — Before is the all-'u' model, After the all-'p'
+	// one — so atomic evaluations and rollout sweeps share this memo.
+	// One evaluator has one policy, so the policy is not part of the key.
+	security map[string]*harm.FactoredHARM
 
 	// Solver dispatch counters (see SolverStats).
 	factoredSolves   atomic.Uint64
@@ -64,8 +74,6 @@ type Evaluator struct {
 	securitySolves   atomic.Uint64
 	securityHits     atomic.Uint64
 	rolloutEvals     atomic.Uint64
-	rolloutModels    atomic.Uint64
-	rolloutModelHits atomic.Uint64
 }
 
 // factorKey identifies one memoized tier factor: a software stack (whose
@@ -78,25 +86,6 @@ type factorKey struct {
 	stack   string
 	n       int
 	patched int
-}
-
-// securityKey identifies one memoized security factor: the
-// replica-independent quotient structure of a spec (logical tier order,
-// roles and per-tier variant multisets — paperdata.SpecQuotient's
-// structure key) under the evaluator's patch-policy fingerprint. Replica
-// counts deliberately do not appear: they enter the factored metrics in
-// closed form at evaluation time, which is what turns an R^k sweep into
-// O(#variant-combos) HARM evaluations.
-type securityKey struct {
-	structure string
-	policy    string
-}
-
-// securityFactor is one memoized factored security model: the quotient
-// HARM before and after the patch transformation. Both are immutable and
-// safe for concurrent Evaluate calls.
-type securityFactor struct {
-	before, after *harm.FactoredHARM
 }
 
 // Options configures an Evaluator. Zero-value fields select the paper's
@@ -133,8 +122,7 @@ func NewEvaluator(opts Options) (*Evaluator, error) {
 		agg:      make(map[string]availability.AggregatedRates),
 		plans:    make(map[string]patch.Plan),
 		factors:  make(map[factorKey]availability.TierFactor),
-		security: make(map[securityKey]*securityFactor),
-		rollout:  make(map[securityKey]*harm.FactoredHARM),
+		security: make(map[string]*harm.FactoredHARM),
 	}
 	if e.db == nil {
 		e.db = paperdata.VulnDB()
@@ -296,21 +284,24 @@ func (e *Evaluator) networkModelFor(spec paperdata.DesignSpec) (availability.Net
 }
 
 // tierFactorFor returns the birth–death solution of one (stack, replica
-// count) tier, memoized: a sweep over an R^k replica space performs one
-// tier solve per distinct (stack, n) pair — O(R*k) — rather than one
-// network solve per point. The solve is O(n) and runs under the mutex,
+// count, patched count) tier, memoized: a sweep over an R^k replica
+// space performs one tier solve per distinct (stack, n) pair — O(R*k) —
+// rather than one network solve per point. Atomic evaluations ask for
+// patched == n, which SolveTierFactorRollout answers with the plain
+// SolveTierFactor, so the fully-patched rollout endpoint and the atomic
+// design share one entry. The solve is O(n) and runs under the mutex,
 // so concurrent misses for one key never duplicate it and the TierSolves
-// counter is an exact distinct-pair count. The hit return reports
-// whether the memo served the factor; the context carries tracing only.
-func (e *Evaluator) tierFactorFor(ctx context.Context, stack string, tier availability.Tier) (availability.TierFactor, bool, error) {
-	k := factorKey{stack: stack, n: tier.N, patched: tier.N}
+// counter is an exact distinct-key count. The hit return reports whether
+// the memo served the factor; the context carries tracing only.
+func (e *Evaluator) tierFactorFor(ctx context.Context, stack string, tier availability.Tier, patched int) (availability.TierFactor, bool, error) {
+	k := factorKey{stack: stack, n: tier.N, patched: patched}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if f, ok := e.factors[k]; ok {
 		e.tierFactorHits.Add(1)
 		return f, true, nil
 	}
-	f, err := availability.SolveTierFactorCtx(ctx, tier)
+	f, err := availability.SolveTierFactorRolloutCtx(ctx, tier, patched)
 	if err != nil {
 		return availability.TierFactor{}, false, err
 	}
@@ -319,18 +310,29 @@ func (e *Evaluator) tierFactorFor(ctx context.Context, stack string, tier availa
 	return f, false, nil
 }
 
-// solveNetwork dispatches one spec's availability solve: PerServer
-// models (every model this evaluator builds) go through the memoized
-// factored path, anything else falls back to the generated SRN. When
-// every tier factor is already memoized the solve is closed-form
-// arithmetic, so it is recorded as attributes on the caller's span
-// rather than a span of its own — a memo-warm sweep stays nearly
-// span-free. Any real solve work gets an "availability.solve" span
-// recording which solver answered and how many tier factors came from
-// the memo versus fresh solves.
-func (e *Evaluator) solveNetwork(ctx context.Context, nm availability.NetworkModel, stacks []string) (availability.NetworkSolution, error) {
+// patchedAt is the patched count of tier i of a network model: patched
+// is aligned with nm.Tiers, and nil means every server patches (the
+// atomic design).
+func patchedAt(patched []int, i int, t availability.Tier) int {
+	if patched == nil {
+		return t.N
+	}
+	return patched[i]
+}
+
+// solveNetwork dispatches one spec's availability solve at per-tier
+// patched counts (aligned with nm.Tiers; nil for the atomic design):
+// PerServer models (every model this evaluator builds) go through the
+// memoized factored path, anything else falls back to the generated
+// SRN. When every tier factor is already memoized the solve is
+// closed-form arithmetic, so it is recorded as attributes on the
+// caller's span rather than a span of its own — a memo-warm sweep stays
+// nearly span-free. Any real solve work gets an "availability.solve"
+// span recording which solver answered and how many tier factors came
+// from the memo versus fresh solves.
+func (e *Evaluator) solveNetwork(ctx context.Context, nm availability.NetworkModel, stacks []string, patched []int) (availability.NetworkSolution, error) {
 	if nm.Recovery == 0 || nm.Recovery == availability.PerServer {
-		if factors, ok := e.memoizedFactors(nm, stacks); ok {
+		if factors, ok := e.memoizedFactors(nm, stacks, patched); ok {
 			// One attribute suffices: on this path every tier factor was
 			// a memo hit by definition.
 			trace.FromContext(ctx).SetAttr("availability_solver", "factored")
@@ -340,21 +342,22 @@ func (e *Evaluator) solveNetwork(ctx context.Context, nm availability.NetworkMod
 	}
 	ctx, sp := trace.Start(ctx, "availability.solve",
 		trace.Attr{Key: "tiers", Value: len(nm.Tiers)})
-	sol, err := e.solveNetworkSpanned(ctx, sp, nm, stacks)
+	sol, err := e.solveNetworkSpanned(ctx, sp, nm, stacks, patched)
 	sp.EndErr(err)
 	return sol, err
 }
 
-// memoizedFactors returns the spec's tier factors when every (stack, n)
-// pair is already memoized, counting the hits; one miss returns false
-// with nothing counted, and the caller takes the spanned solve path
-// (where tierFactorFor counts hits and misses individually).
-func (e *Evaluator) memoizedFactors(nm availability.NetworkModel, stacks []string) ([]availability.TierFactor, bool) {
+// memoizedFactors returns the spec's tier factors when every
+// (stack, n, patched) key is already memoized, counting the hits; one
+// miss returns false with nothing counted, and the caller takes the
+// spanned solve path (where tierFactorFor counts hits and misses
+// individually).
+func (e *Evaluator) memoizedFactors(nm availability.NetworkModel, stacks []string, patched []int) ([]availability.TierFactor, bool) {
 	factors := make([]availability.TierFactor, len(nm.Tiers))
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i, t := range nm.Tiers {
-		f, ok := e.factors[factorKey{stack: stacks[i], n: t.N, patched: t.N}]
+		f, ok := e.factors[factorKey{stack: stacks[i], n: t.N, patched: patchedAt(patched, i, t)}]
 		if !ok {
 			return nil, false
 		}
@@ -364,7 +367,7 @@ func (e *Evaluator) memoizedFactors(nm availability.NetworkModel, stacks []strin
 	return factors, true
 }
 
-func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, nm availability.NetworkModel, stacks []string) (availability.NetworkSolution, error) {
+func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, nm availability.NetworkModel, stacks []string, patched []int) (availability.NetworkSolution, error) {
 	if nm.Recovery != 0 && nm.Recovery != availability.PerServer {
 		sp.SetAttr("solver", "srn")
 		e.srnSolves.Add(1)
@@ -374,7 +377,7 @@ func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, nm 
 	factors := make([]availability.TierFactor, len(nm.Tiers))
 	hits := 0
 	for i, t := range nm.Tiers {
-		f, hit, err := e.tierFactorFor(ctx, stacks[i], t)
+		f, hit, err := e.tierFactorFor(ctx, stacks[i], t, patchedAt(patched, i, t))
 		if err != nil {
 			return availability.NetworkSolution{}, err
 		}
@@ -389,14 +392,6 @@ func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, nm 
 	return availability.ComposeNetwork(nm, factors)
 }
 
-// policyFingerprint renders the evaluator's patch-policy configuration
-// for the security-memo key. Within one evaluator the policy never
-// changes, but keeping it in the key makes a factor self-describing and
-// keeps any future cross-evaluator sharing honest.
-func (e *Evaluator) policyFingerprint() string {
-	return fmt.Sprintf("pol=%+v|sch=%+v|eval=%+v", e.policy, e.schedule, e.evalOpts)
-}
-
 // keepLeaf is the patch transformation's keep predicate: a leaf survives
 // the patch round unless its vulnerability is known and selected by the
 // evaluator's policy. One definition serves both the factored path and
@@ -409,78 +404,96 @@ func (e *Evaluator) keepLeaf(_ string, l *attacktree.Leaf) bool {
 	return !e.policy.Selects(v)
 }
 
-// securityFactorFor returns the memoized factored security model of a
-// spec's quotient structure, building it on first use: the quotient
-// topology, its HARM, and the patched transformation — everything about
-// security that does not depend on replica counts. The build runs under
-// the mutex (it is microseconds of work on a replica-independent graph),
-// so concurrent misses for one structure never duplicate it and
-// SecuritySolves counts distinct structures exactly.
-// The hit return reports whether the memo served the factor; a miss —
-// the one place real security model-building happens — runs under a
-// "security.evaluate" span, while hits stay span-free (the caller
-// records provenance attributes instead).
-func (e *Evaluator) securityFactorFor(ctx context.Context, quotient paperdata.DesignSpec, structure string) (*securityFactor, bool, error) {
-	k := securityKey{structure: structure, policy: e.policyFingerprint()}
+// securityModel returns the memoized factored security model stored
+// under a rollout structure key, building it on first use from the
+// rollout quotient that build returns: the quotient topology, its HARM,
+// and the post-patch attack trees of the patched classes — everything
+// about security that does not depend on replica counts. The build runs
+// under the mutex (it is microseconds of work on a replica-independent
+// graph), so concurrent misses for one key never duplicate it and
+// SecuritySolves counts distinct models exactly. The hit return reports
+// whether the memo served the model; a miss — the one place real
+// security model-building happens — runs under a "security.evaluate"
+// span, while hits stay span-free (the caller records provenance
+// attributes instead).
+func (e *Evaluator) securityModel(ctx context.Context, key string, build func() (paperdata.RolloutQuotient, error)) (*harm.FactoredHARM, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if f, ok := e.security[k]; ok {
+	if m, ok := e.security[key]; ok {
 		e.securityHits.Add(1)
-		return f, true, nil
+		return m, true, nil
 	}
 	_, sp := trace.Start(ctx, "security.evaluate",
 		trace.Attr{Key: "solver", Value: "quotient"},
 		trace.Attr{Key: "memo", Value: "miss"})
-	f, err := e.buildSecurityFactor(quotient)
+	m, err := e.buildSecurityModel(build)
 	sp.EndErr(err)
 	if err != nil {
 		return nil, false, err
 	}
 	e.securitySolves.Add(1)
-	e.security[k] = f
-	return f, false, nil
+	e.security[key] = m
+	return m, false, nil
 }
 
-// buildSecurityFactor builds the replica-independent factored security
-// model of one quotient structure: the quotient topology, its HARM, and
-// the patched transformation.
-func (e *Evaluator) buildSecurityFactor(quotient paperdata.DesignSpec) (*securityFactor, error) {
-	top, err := paperdata.SpecTopology(quotient)
+// buildSecurityModel builds the factored security model of one rollout
+// quotient: patched classes carry the policy-pruned attack trees.
+func (e *Evaluator) buildSecurityModel(build func() (paperdata.RolloutQuotient, error)) (*harm.FactoredHARM, error) {
+	rq, err := build()
 	if err != nil {
 		return nil, err
 	}
-	before, err := harm.BuildFactored(harm.BuildInput{
+	top, err := paperdata.SpecTopology(rq.Quotient)
+	if err != nil {
+		return nil, err
+	}
+	return harm.BuildFactoredRollout(harm.BuildInput{
 		Topology:    top,
 		Trees:       e.trees,
-		TargetRoles: quotient.TargetStacks(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	after, err := before.Patched(e.keepLeaf)
-	if err != nil {
-		return nil, err
-	}
-	return &securityFactor{before: before, after: after}, nil
+		TargetRoles: rq.Quotient.TargetStacks(),
+	}, rq.PatchedHosts, e.keepLeaf)
 }
 
-// securityFor evaluates both sides of the patch round for one spec via
-// the factored path: the quotient model is fetched (or built) once per
-// variant structure, and the spec's replica counts enter the metrics in
-// closed form. A memo hit is pure closed-form arithmetic, so it records
-// provenance attributes on the caller's span instead of opening one of
-// its own; only a miss — a genuine model build inside securityFactorFor
-// — gets a "security.evaluate" span. The expanded-topology evaluation
-// (securityExpanded) remains as the cross-validation oracle.
-func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
-	quotient, mult, structure, err := paperdata.SpecQuotient(spec)
-	if err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
+// endpointKey renders the security-memo key of an atomic endpoint:
+// SpecQuotient's structure key plus the marker string
+// SpecRolloutQuotient appends when every one of the quotient's classes
+// is unpatched ('u', the Before side) or fully patched ('p', the After
+// side). TestEndpointKeysMatchRolloutStructure pins the two builders
+// together.
+func endpointKey(structure string, classes int, marker byte) string {
+	var b strings.Builder
+	b.Grow(len(structure) + 1 + classes)
+	b.WriteString(structure)
+	b.WriteByte('|')
+	for range classes {
+		b.WriteByte(marker)
 	}
-	f, hit, err := e.securityFactorFor(ctx, quotient, structure)
-	if err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
+	return b.String()
+}
+
+// endpointModel returns the security model of one side of a spec's
+// patch round: the all-unpatched rollout point (Before) or the
+// all-patched one (After).
+func (e *Evaluator) endpointModel(ctx context.Context, spec paperdata.DesignSpec, structure string, classes int, patched bool) (*harm.FactoredHARM, bool, error) {
+	marker := byte('u')
+	if patched {
+		marker = 'p'
 	}
+	return e.securityModel(ctx, endpointKey(structure, classes, marker), func() (paperdata.RolloutQuotient, error) {
+		counts := make([]int, len(spec.Tiers))
+		if patched {
+			for i, t := range spec.Tiers {
+				counts[i] = t.Replicas
+			}
+		}
+		return paperdata.SpecRolloutQuotient(spec, counts)
+	})
+}
+
+// recordSecurity sets the security provenance attributes on the
+// caller's span: memo-served evaluations are closed-form arithmetic and
+// open no span of their own.
+func recordSecurity(ctx context.Context, hit bool) {
 	parent := trace.FromContext(ctx)
 	parent.SetAttr("security_solver", "quotient")
 	if hit {
@@ -488,11 +501,34 @@ func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) 
 	} else {
 		parent.SetAttr("security_memo", "miss")
 	}
-	e.securityFactored.Add(1)
-	if before, err = f.before.Evaluate(mult, e.evalOpts); err != nil {
+}
+
+// securityFor evaluates both sides of the patch round for one spec via
+// the factored path: the rollout models at the spec's two endpoints are
+// fetched (or built) once per variant structure, and the spec's replica
+// counts — SpecQuotient's multiplicities, which equal the rollout
+// quotient's at both endpoints — enter the metrics in closed form. The
+// expanded-topology evaluation (securityExpanded) remains as the
+// cross-validation oracle.
+func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
+	_, mult, structure, err := paperdata.SpecQuotient(spec)
+	if err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
-	if after, err = f.after.Evaluate(mult, e.evalOpts); err != nil {
+	bm, bhit, err := e.endpointModel(ctx, spec, structure, len(mult), false)
+	if err != nil {
+		return harm.Metrics{}, harm.Metrics{}, err
+	}
+	am, ahit, err := e.endpointModel(ctx, spec, structure, len(mult), true)
+	if err != nil {
+		return harm.Metrics{}, harm.Metrics{}, err
+	}
+	recordSecurity(ctx, bhit && ahit)
+	e.securityFactored.Add(1)
+	if before, err = bm.Evaluate(mult, e.evalOpts); err != nil {
+		return harm.Metrics{}, harm.Metrics{}, err
+	}
+	if after, err = am.Evaluate(mult, e.evalOpts); err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
 	return before, after, nil
@@ -540,22 +576,16 @@ type SolverStats struct {
 	// by the factored (quotient) path.
 	SecurityFactored uint64
 	// SecuritySolves is the number of factored security models built —
-	// one per distinct (variant structure, policy) pair, the security
-	// memo's miss count.
+	// one per distinct rollout structure key, the security memo's miss
+	// count. An atomic design needs two models (its unpatched and fully
+	// patched endpoints); a rollout point needs one.
 	SecuritySolves uint64
-	// SecurityFactorHits is the number of security evaluations served
-	// from the memo.
+	// SecurityFactorHits is the number of security-model lookups served
+	// from the memo: two per atomic evaluation, one per rollout point.
 	SecurityFactorHits uint64
 	// RolloutEvals is the number of mixed-version rollout-point
 	// evaluations.
 	RolloutEvals uint64
-	// RolloutModels is the number of mixed-version security models built
-	// — one per distinct (rollout structure, policy) pair, the rollout
-	// memo's miss count.
-	RolloutModels uint64
-	// RolloutModelHits is the number of rollout evaluations whose
-	// security model came from the memo.
-	RolloutModelHits uint64
 }
 
 // SolverStats returns a snapshot of the dispatch counters.
@@ -569,8 +599,6 @@ func (e *Evaluator) SolverStats() SolverStats {
 		SecuritySolves:     e.securitySolves.Load(),
 		SecurityFactorHits: e.securityHits.Load(),
 		RolloutEvals:       e.rolloutEvals.Load(),
-		RolloutModels:      e.rolloutModels.Load(),
-		RolloutModelHits:   e.rolloutModelHits.Load(),
 	}
 }
 
@@ -604,7 +632,7 @@ func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.Desi
 	if err != nil {
 		return Result{}, err
 	}
-	sol, err := e.solveNetwork(ctx, nm, stacks)
+	sol, err := e.solveNetwork(ctx, nm, stacks, nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -6,10 +6,8 @@ import (
 	"math"
 	"sort"
 
-	"redpatch/internal/availability"
 	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
-	"redpatch/internal/trace"
 )
 
 // This file evaluates designs mid-rollout: a rollout point assigns each
@@ -153,7 +151,9 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 // PatchedCounts converts per-tier rollout fractions into per-tier
 // patched replica counts, one per spec.Tiers entry: ceil(f*n), so any
 // non-zero fraction patches at least one replica and fraction 1 patches
-// all of them.
+// all of them. Float noise is rounded away before the ceiling: a
+// schedule step computed as 0.6000000000000001 patches 3 of 5
+// replicas, not 4.
 func PatchedCounts(spec paperdata.DesignSpec, fractions []float64) ([]int, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -166,14 +166,23 @@ func PatchedCounts(spec paperdata.DesignSpec, fractions []float64) ([]int, error
 		if math.IsNaN(f) || f < 0 || f > 1 {
 			return nil, fmt.Errorf("redundancy: tier %d rollout fraction %v outside [0,1]", i, f)
 		}
-		p := int(math.Ceil(f * float64(spec.Tiers[i].Replicas)))
-		if p > spec.Tiers[i].Replicas {
-			p = spec.Tiers[i].Replicas
+		n := spec.Tiers[i].Replicas
+		x := f * float64(n)
+		if r := math.Round(x); math.Abs(x-r) < fractionNoise {
+			x = r
+		}
+		p := min(int(math.Ceil(x)), n)
+		if f > 0 && p == 0 {
+			p = 1
 		}
 		out[i] = p
 	}
 	return out, nil
 }
+
+// fractionNoise is the distance from an integer below which a patched
+// replica count f*n is float error, not a fraction of a replica.
+const fractionNoise = 1e-9
 
 // RolloutResult is the evaluation of one design at one rollout point.
 type RolloutResult struct {
@@ -194,68 +203,13 @@ type RolloutResult struct {
 	ServiceAvailability float64
 }
 
-// rolloutModelFor returns the memoized mixed-version security model of
-// a rollout quotient structure, building it on first use. Like the
-// atomic security memo, the build runs under the mutex and only a miss
-// opens a "security.evaluate" span.
-func (e *Evaluator) rolloutModelFor(ctx context.Context, rq paperdata.RolloutQuotient) (*harm.FactoredHARM, bool, error) {
-	k := securityKey{structure: rq.Structure, policy: e.policyFingerprint()}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if m, ok := e.rollout[k]; ok {
-		e.rolloutModelHits.Add(1)
-		return m, true, nil
-	}
-	_, sp := trace.Start(ctx, "security.evaluate",
-		trace.Attr{Key: "solver", Value: "rollout-quotient"},
-		trace.Attr{Key: "memo", Value: "miss"})
-	top, err := paperdata.SpecTopology(rq.Quotient)
-	var m *harm.FactoredHARM
-	if err == nil {
-		m, err = harm.BuildFactoredRollout(harm.BuildInput{
-			Topology:    top,
-			Trees:       e.trees,
-			TargetRoles: rq.Quotient.TargetStacks(),
-		}, rq.PatchedHosts, e.keepLeaf)
-	}
-	sp.EndErr(err)
-	if err != nil {
-		return nil, false, err
-	}
-	e.rolloutModels.Add(1)
-	e.rollout[k] = m
-	return m, false, nil
-}
-
-// tierFactorRollout returns the mixed-version tier factor, memoized
-// under the same map as the atomic factors: the fully-patched case is
-// literally the atomic entry, partial patches get their own
-// (stack, n, patched) entries.
-func (e *Evaluator) tierFactorRollout(ctx context.Context, stack string, tier availability.Tier, patched int) (availability.TierFactor, bool, error) {
-	if patched == tier.N {
-		return e.tierFactorFor(ctx, stack, tier)
-	}
-	k := factorKey{stack: stack, n: tier.N, patched: patched}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if f, ok := e.factors[k]; ok {
-		e.tierFactorHits.Add(1)
-		return f, true, nil
-	}
-	f, err := availability.SolveTierFactorRolloutCtx(ctx, tier, patched)
-	if err != nil {
-		return availability.TierFactor{}, false, err
-	}
-	e.tierSolves.Add(1)
-	e.factors[k] = f
-	return f, false, nil
-}
-
 // EvaluateRollout evaluates one design at one rollout point given by
 // per-tier patched fractions (aligned with spec.Tiers). Both axes run
-// factored: security on the sub-classed rollout quotient with the
-// mixed-version model memoized per rollout structure, availability by
-// composing mixed-version tier factors memoized per (stack, n, patched).
+// factored through the same memos as atomic evaluations: security on
+// the sub-classed rollout quotient with the model memoized per rollout
+// structure key, availability by composing mixed-version tier factors
+// memoized per (stack, n, patched). The all-zero and all-one points
+// therefore reuse the models an atomic evaluation of the design built.
 // The context carries tracing only; provenance lands as attributes on
 // the caller's span exactly like the atomic path.
 func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (RolloutResult, error) {
@@ -267,17 +221,11 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 	if err != nil {
 		return RolloutResult{}, err
 	}
-	model, hit, err := e.rolloutModelFor(ctx, rq)
+	model, hit, err := e.securityModel(ctx, rq.Structure, func() (paperdata.RolloutQuotient, error) { return rq, nil })
 	if err != nil {
 		return RolloutResult{}, err
 	}
-	parent := trace.FromContext(ctx)
-	parent.SetAttr("security_solver", "rollout-quotient")
-	if hit {
-		parent.SetAttr("security_memo", "hit")
-	} else {
-		parent.SetAttr("security_memo", "miss")
-	}
+	recordSecurity(ctx, hit)
 	e.rolloutEvals.Add(1)
 	res := RolloutResult{
 		Spec:      spec,
@@ -294,21 +242,13 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 	}
 	// nm.Tiers follows spec.Logical() order; patched follows spec.Tiers
 	// order. LogicalIndices maps between them.
-	order := make([]int, 0, len(nm.Tiers))
+	logical := make([]int, 0, len(nm.Tiers))
 	for _, idxs := range spec.LogicalIndices() {
-		order = append(order, idxs...)
-	}
-	factors := make([]availability.TierFactor, len(nm.Tiers))
-	for i, t := range nm.Tiers {
-		f, _, err := e.tierFactorRollout(ctx, stacks[i], t, patched[order[i]])
-		if err != nil {
-			return RolloutResult{}, err
+		for _, i := range idxs {
+			logical = append(logical, patched[i])
 		}
-		factors[i] = f
 	}
-	parent.SetAttr("availability_solver", "factored")
-	e.factoredSolves.Add(1)
-	sol, err := availability.ComposeNetwork(nm, factors)
+	sol, err := e.solveNetwork(ctx, nm, stacks, logical)
 	if err != nil {
 		return RolloutResult{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"redpatch/internal/attacktree"
@@ -11,6 +12,7 @@ import (
 	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
+	"redpatch/internal/trace"
 )
 
 // TestRolloutDegenerateEndpoints is the byte-identity gate the rollout
@@ -269,9 +271,9 @@ func TestRolloutMemoReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ev.SolverStats()
-	if st.RolloutEvals != 1 || st.RolloutModels != 1 || st.RolloutModelHits != 0 {
+	if st.RolloutEvals != 1 || st.SecuritySolves != 1 || st.SecurityFactorHits != 0 {
 		t.Fatalf("after first eval: evals/models/hits = %d/%d/%d, want 1/1/0",
-			st.RolloutEvals, st.RolloutModels, st.RolloutModelHits)
+			st.RolloutEvals, st.SecuritySolves, st.SecurityFactorHits)
 	}
 	// The same point again, and a different fraction vector with the same
 	// ceil()ed patched counts: both are pure model-memo hits.
@@ -282,8 +284,8 @@ func TestRolloutMemoReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = ev.SolverStats()
-	if st.RolloutModels != 1 || st.RolloutModelHits != 2 {
-		t.Errorf("after repeats: models/hits = %d/%d, want 1/2", st.RolloutModels, st.RolloutModelHits)
+	if st.SecuritySolves != 1 || st.SecurityFactorHits != 2 {
+		t.Errorf("after repeats: models/hits = %d/%d, want 1/2", st.SecuritySolves, st.SecurityFactorHits)
 	}
 
 	// Scaling a replica count keeps the rollout structure (same class
@@ -292,8 +294,77 @@ func TestRolloutMemoReuse(t *testing.T) {
 	if _, err := ev.EvaluateRollout(ctx, scaled, fr); err != nil {
 		t.Fatal(err)
 	}
-	if st = ev.SolverStats(); st.RolloutModels != 1 {
-		t.Errorf("scaled spec built a new model: RolloutModels = %d, want 1", st.RolloutModels)
+	if st = ev.SolverStats(); st.SecuritySolves != 1 {
+		t.Errorf("scaled spec built a new model: SecuritySolves = %d, want 1", st.SecuritySolves)
+	}
+}
+
+// TestAtomicAndRolloutShareSecurityMemo: an atomic evaluation builds the
+// unpatched and fully patched models, and the rollout endpoints of the
+// same design are then pure memo hits — one memo, not two.
+func TestAtomicAndRolloutShareSecurityMemo(t *testing.T) {
+	ev, err := NewEvaluator(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := make(map[string]any)
+	var mu sync.Mutex
+	tr := trace.New(trace.Options{OnEnd: func(d trace.SpanData) {
+		if v, ok := d.Attr("security_memo"); ok {
+			mu.Lock()
+			memo[d.Name] = v
+			mu.Unlock()
+		}
+	}})
+	ctx := trace.WithTracer(context.Background(), tr)
+	d := paperdata.BaseDesign().Spec()
+	if _, err := ev.EvaluateSpec(d); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]float64{"zeros": 0, "ones": 1} {
+		fractions := []float64{f, f, f, f}
+		pctx, sp := trace.Start(ctx, name)
+		if _, err := ev.EvaluateRollout(pctx, d, fractions); err != nil {
+			t.Fatal(err)
+		}
+		sp.End()
+	}
+	if st := ev.SolverStats(); st.SecuritySolves != 2 {
+		t.Errorf("SecuritySolves = %d, want 2 (the atomic endpoints only)", st.SecuritySolves)
+	}
+	for _, name := range []string{"zeros", "ones"} {
+		if memo[name] != "hit" {
+			t.Errorf("rollout %s: security_memo = %v, want hit", name, memo[name])
+		}
+	}
+}
+
+// TestEndpointKeysMatchRolloutStructure pins the atomic security-memo
+// keys to the rollout quotient's structure key at both endpoints, so the
+// two key builders cannot drift apart.
+func TestEndpointKeysMatchRolloutStructure(t *testing.T) {
+	for _, spec := range equivalenceSpecs() {
+		_, mult, structure, err := paperdata.SpecQuotient(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeros := make([]int, len(spec.Tiers))
+		full := make([]int, len(spec.Tiers))
+		for i, g := range spec.Tiers {
+			full[i] = g.Replicas
+		}
+		for _, side := range []struct {
+			patched []int
+			marker  byte
+		}{{zeros, 'u'}, {full, 'p'}} {
+			rq, err := paperdata.SpecRolloutQuotient(spec, side.patched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := endpointKey(structure, len(mult), side.marker); got != rq.Structure {
+				t.Errorf("%s %c: endpoint key %q != rollout structure %q", spec.Name, side.marker, got, rq.Structure)
+			}
+		}
 	}
 }
 
@@ -396,6 +467,34 @@ func TestPatchedCounts(t *testing.T) {
 	}
 	if _, err := PatchedCounts(spec, []float64{0, 0, 0, 1.5}); err == nil {
 		t.Error("fraction above 1 should fail")
+	}
+}
+
+// TestPatchedCountsCanaryRounding: a canary schedule's computed
+// fractions carry float noise (0.2 + 0.8/2 = 0.6000000000000001), which
+// must not round a whole extra replica into the wave.
+func TestPatchedCountsCanaryRounding(t *testing.T) {
+	points, err := RolloutSchedule{Strategy: RolloutCanary, CanaryFraction: 0.2, Steps: 2}.Points(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, want := range map[int][]int{
+		5:  {0, 1, 3, 5},
+		10: {0, 2, 6, 10},
+		15: {0, 3, 9, 15},
+	} {
+		spec := paperdata.DesignSpec{Name: "c", Tiers: []paperdata.TierSpec{{Role: paperdata.RoleWeb, Replicas: n}}}
+		got := make([]int, len(points))
+		for i, p := range points {
+			counts, err := PatchedCounts(spec, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = counts[0]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d replicas: canary patched counts = %v, want %v", n, got, want)
+		}
 	}
 }
 

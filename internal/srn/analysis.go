@@ -257,24 +257,6 @@ func (s *StateSpace) TransientReward(reward RewardFunc, t float64) (float64, err
 	return s.ExpectedReward(pt, reward)
 }
 
-// IntervalReward returns the time-averaged expected reward over [0, t]
-// starting from the initial marking — e.g. interval availability over a
-// maintenance window.
-func (s *StateSpace) IntervalReward(reward RewardFunc, t float64) (float64, error) {
-	if t <= 0 {
-		return 0, fmt.Errorf("srn: interval reward requires positive t, have %v", t)
-	}
-	l, err := s.chain.AccumulatedProbability(s.InitialDistribution(), t)
-	if err != nil {
-		return 0, err
-	}
-	acc, err := s.ExpectedReward(l, reward)
-	if err != nil {
-		return 0, err
-	}
-	return acc / t, nil
-}
-
 // ExpectedReward computes the expected steady-state reward rate of the
 // given reward function under the distribution pi — the SPNP operation the
 // paper uses for capacity oriented availability.

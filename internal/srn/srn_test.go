@@ -390,16 +390,6 @@ func TestTransientRewardConverges(t *testing.T) {
 	if !mathx.AlmostEqual(atInf, steady, 1e-9) {
 		t.Errorf("reward at large t = %v, want steady %v", atInf, steady)
 	}
-	interval, err := ss.IntervalReward(reward, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if interval <= steady || interval >= 1 {
-		t.Errorf("interval reward %v must lie between steady %v and initial 1", interval, steady)
-	}
-	if _, err := ss.IntervalReward(reward, 0); err == nil {
-		t.Error("zero-length interval should fail")
-	}
 }
 
 func TestValidateErrors(t *testing.T) {

@@ -121,7 +121,7 @@ func TestCachePersistenceRejectsOtherPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.EvaluateDesign("d", 1, 1, 1, 1); err != nil {
+	if _, err := base.EvaluateSpec(ClassicSpec("d", 1, 1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -14,9 +14,7 @@
 //
 // Designs are described by role-keyed DesignSpecs — ordered tier groups
 // with replica counts and optional stack variants — evaluated through
-// EvaluateSpec and swept through SweepSpec. The fixed 4-int methods
-// (EvaluateDesign, Sweep, ...) remain as thin deprecated wrappers over
-// the spec path.
+// EvaluateSpec and swept through SweepSpec.
 //
 //	study, err := redpatch.NewCaseStudy()
 //	r, err := study.EvaluateSpec(redpatch.DesignSpec{Name: "mine", Tiers: []redpatch.TierSpec{
@@ -107,8 +105,7 @@ func specFromPD(s paperdata.DesignSpec) DesignSpec {
 }
 
 // ClassicSpec builds the paper's four-tier homogeneous spec from the
-// classic replica tuple — the shape every deprecated 4-int method
-// evaluates.
+// classic (DNS, Web, App, DB) replica tuple.
 func ClassicSpec(name string, dns, web, app, db int) DesignSpec {
 	return specFromPD(paperdata.Design{Name: name, DNS: dns, Web: web, App: app, DB: db}.Spec())
 }
@@ -208,10 +205,6 @@ const ChaosSiteEvaluate = "evaluate"
 type chaosEvaluator struct {
 	inj  *faultinject.Injector
 	next *redundancy.Evaluator
-}
-
-func (c chaosEvaluator) EvaluateSpec(spec paperdata.DesignSpec) (redundancy.Result, error) {
-	return c.EvaluateSpecContext(context.Background(), spec)
 }
 
 func (c chaosEvaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
@@ -317,16 +310,6 @@ func (s *CaseStudy) EvaluateSpecCtx(ctx context.Context, spec DesignSpec) (Desig
 		return DesignReport{}, err
 	}
 	return convert(r), nil
-}
-
-// EvaluateDesign evaluates a classic design given per-tier replica
-// counts (each at least 1).
-//
-// Deprecated: use EvaluateSpec, which also expresses arbitrary tier
-// chains and heterogeneous variants. This wrapper evaluates the
-// equivalent four-tier spec and produces an identical report.
-func (s *CaseStudy) EvaluateDesign(name string, dns, web, app, db int) (DesignReport, error) {
-	return s.EvaluateSpec(ClassicSpec(name, dns, web, app, db))
 }
 
 // PaperDesigns evaluates the five design choices of the paper's §IV in
@@ -540,14 +523,6 @@ func (s *CaseStudy) RankPatchesSpec(spec DesignSpec) ([]PatchPriority, error) {
 	return out, nil
 }
 
-// RankPatches ranks the policy-selected vulnerabilities of a classic
-// design.
-//
-// Deprecated: use RankPatchesSpec.
-func (s *CaseStudy) RankPatches(name string, dns, web, app, db int) ([]PatchPriority, error) {
-	return s.RankPatchesSpec(ClassicSpec(name, dns, web, app, db))
-}
-
 // CampaignRound is one maintenance round of a patch campaign.
 type CampaignRound struct {
 	// CVEs are the vulnerabilities patched in the round.
@@ -628,13 +603,6 @@ func (s *CaseStudy) MeanTimeToServiceOutageSpec(spec DesignSpec) (float64, error
 	return availability.MeanTimeToServiceDown(nm)
 }
 
-// MeanTimeToServiceOutage is the classic-tuple MeanTimeToServiceOutageSpec.
-//
-// Deprecated: use MeanTimeToServiceOutageSpec.
-func (s *CaseStudy) MeanTimeToServiceOutage(name string, dns, web, app, db int) (float64, error) {
-	return s.MeanTimeToServiceOutageSpec(ClassicSpec(name, dns, web, app, db))
-}
-
 // EnumerateDesigns evaluates every design with 1..maxPerTier replicas per
 // tier (the larger design spaces of §V), concurrently and cached.
 func (s *CaseStudy) EnumerateDesigns(maxPerTier int) ([]DesignReport, error) {
@@ -650,12 +618,6 @@ func (s *CaseStudy) EnumerateDesigns(maxPerTier int) ([]DesignReport, error) {
 		out[i] = convert(r)
 	}
 	return out, nil
-}
-
-// SweepRange is an inclusive per-tier replica range; the zero value means
-// "exactly one replica".
-type SweepRange struct {
-	Min, Max int
 }
 
 // TierSweep is one tier of a role-keyed sweep: an inclusive replica
@@ -710,52 +672,6 @@ func (r SpecSweepRequest) SweepSize() int { return r.spec().Size() }
 // Validate rejects requests with no tiers, unknown roles or variants,
 // and nonsensical replica ranges.
 func (r SpecSweepRequest) Validate() error { return r.spec().Validate() }
-
-// SweepRequest describes a classic design-space sweep: a replica range
-// per fixed tier plus optional administrator bounds.
-//
-// Deprecated: use SpecSweepRequest, which also sweeps arbitrary tier
-// chains and variant sets. A SweepRequest sweeps the equivalent
-// four-tier spec with identical results.
-type SweepRequest struct {
-	DNS, Web, App, DB SweepRange
-	// Scatter, when non-nil, applies the Eq. 3 bounds.
-	Scatter *ScatterBounds
-	// Multi, when non-nil, applies the Eq. 4 bounds.
-	Multi *MultiBounds
-}
-
-// FullSweep requests every design with 1..maxPerTier replicas per tier.
-// maxPerTier < 1 yields a request that fails Validate (and therefore
-// Sweep) instead of silently sweeping a single design.
-func FullSweep(maxPerTier int) SweepRequest {
-	r := SweepRange{Min: 1, Max: maxPerTier}
-	if maxPerTier < 1 {
-		r = SweepRange{Min: 1, Max: -1}
-	}
-	return SweepRequest{DNS: r, Web: r, App: r, DB: r}
-}
-
-// Spec converts the classic request into its role-keyed equivalent.
-func (r SweepRequest) Spec() SpecSweepRequest {
-	return SpecSweepRequest{
-		Tiers: []TierSweep{
-			{Role: paperdata.RoleDNS, Min: r.DNS.Min, Max: r.DNS.Max},
-			{Role: paperdata.RoleWeb, Min: r.Web.Min, Max: r.Web.Max},
-			{Role: paperdata.RoleApp, Min: r.App.Min, Max: r.App.Max},
-			{Role: paperdata.RoleDB, Min: r.DB.Min, Max: r.DB.Max},
-		},
-		Scatter: r.Scatter,
-		Multi:   r.Multi,
-	}
-}
-
-// SweepSize returns the number of designs a request enumerates, without
-// evaluating any.
-func (r SweepRequest) SweepSize() int { return r.Spec().SweepSize() }
-
-// Validate rejects nonsensical replica ranges (negative or inverted).
-func (r SweepRequest) Validate() error { return r.Spec().Validate() }
 
 // SweepSummary is a completed sweep.
 type SweepSummary struct {
@@ -828,28 +744,6 @@ func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequ
 	}, progress)
 }
 
-// Sweep evaluates a classic design space.
-//
-// Deprecated: use SweepSpec.
-func (s *CaseStudy) Sweep(ctx context.Context, req SweepRequest) (SweepSummary, error) {
-	return s.SweepSpec(ctx, req.Spec())
-}
-
-// SweepPareto evaluates a classic design space, returning only the
-// Pareto front.
-//
-// Deprecated: use SweepSpecPareto.
-func (s *CaseStudy) SweepPareto(ctx context.Context, req SweepRequest) (int, []DesignReport, error) {
-	return s.SweepSpecPareto(ctx, req.Spec())
-}
-
-// SweepEach streams a classic design space.
-//
-// Deprecated: use SweepSpecEach.
-func (s *CaseStudy) SweepEach(ctx context.Context, req SweepRequest, fn func(DesignReport) error) (int, error) {
-	return s.SweepSpecEach(ctx, req.Spec(), fn)
-}
-
 // EngineStats reports the evaluation engine's cache behaviour: Solves is
 // the number of full model evaluations performed, Hits the number of
 // requests served from the memo cache (including requests that joined an
@@ -861,13 +755,13 @@ func (s *CaseStudy) SweepEach(ctx context.Context, req SweepRequest, fn func(Des
 // misses and hits behind the factored path. On the security axis,
 // SecurityFactored counts spec evaluations served by the quotient
 // (replica-symmetric) HARM evaluator, SecuritySolves the factored
-// security models built (one per variant structure), and
-// SecurityFactorHits the evaluations served from the security memo.
+// security models built — one per rollout structure, so an atomic
+// design's variant structure costs two (its unpatched and fully patched
+// endpoints), which every rollout of it then reuses — and
+// SecurityFactorHits the model lookups served from the security memo.
 // The rollout counters cover mixed-version evaluation: RolloutSolves
 // rollout points evaluated by the engine, RolloutHits points served
-// from (or deduplicated onto) the rollout memo, RolloutModels
-// mixed-version security models built (one per rollout structure), and
-// RolloutModelHits evaluations served from that memo.
+// from (or deduplicated onto) the rollout memo.
 type EngineStats struct {
 	Solves             uint64
 	Hits               uint64
@@ -880,8 +774,6 @@ type EngineStats struct {
 	SecurityFactorHits uint64
 	RolloutSolves      uint64
 	RolloutHits        uint64
-	RolloutModels      uint64
-	RolloutModelHits   uint64
 }
 
 // EngineStats returns a snapshot of the case study's cache counters.
@@ -899,8 +791,6 @@ func (s *CaseStudy) EngineStats() EngineStats {
 		SecurityFactorHits: st.SecurityFactorHits,
 		RolloutSolves:      st.RolloutSolves,
 		RolloutHits:        st.RolloutHits,
-		RolloutModels:      st.RolloutModels,
-		RolloutModelHits:   st.RolloutModelHits,
 	}
 }
 

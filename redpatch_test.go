@@ -161,7 +161,7 @@ func TestCostModel(t *testing.T) {
 
 func TestEvaluateDesignValidation(t *testing.T) {
 	s, _ := caseStudy(t)
-	if _, err := s.EvaluateDesign("bad", 0, 1, 1, 1); err == nil {
+	if _, err := s.EvaluateSpec(ClassicSpec("bad", 0, 1, 1, 1)); err == nil {
 		t.Error("zero-replica tier should fail")
 	}
 }
@@ -182,7 +182,7 @@ func TestEnumerateDesigns(t *testing.T) {
 
 func TestRankPatches(t *testing.T) {
 	s, _ := caseStudy(t)
-	ranked, err := s.RankPatches("base", 1, 2, 2, 1)
+	ranked, err := s.RankPatchesSpec(ClassicSpec("base", 1, 2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRankPatches(t *testing.T) {
 			t.Error("ranking must be sorted by descending risk reduction")
 		}
 	}
-	if _, err := s.RankPatches("bad", 0, 1, 1, 1); err == nil {
+	if _, err := s.RankPatchesSpec(ClassicSpec("bad", 0, 1, 1, 1)); err == nil {
 		t.Error("invalid design should fail")
 	}
 
@@ -210,7 +210,7 @@ func TestRankPatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rankedAll, err := all.RankPatches("base", 1, 2, 2, 1)
+	rankedAll, err := all.RankPatchesSpec(ClassicSpec("base", 1, 2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,21 +226,21 @@ func TestRankPatches(t *testing.T) {
 
 func TestMeanTimeToServiceOutage(t *testing.T) {
 	s, _ := caseStudy(t)
-	base, err := s.MeanTimeToServiceOutage("base", 1, 2, 2, 1)
+	base, err := s.MeanTimeToServiceOutageSpec(ClassicSpec("base", 1, 2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base < 300 || base > 360 {
 		t.Errorf("base MTTF = %v h, want just under 360 (two singleton tiers patch monthly)", base)
 	}
-	hardened, err := s.MeanTimeToServiceOutage("hard", 2, 2, 2, 2)
+	hardened, err := s.MeanTimeToServiceOutageSpec(ClassicSpec("hard", 2, 2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hardened <= 10*base {
 		t.Errorf("full redundancy MTTF = %v, expected far above %v", hardened, base)
 	}
-	if _, err := s.MeanTimeToServiceOutage("bad", 0, 1, 1, 1); err == nil {
+	if _, err := s.MeanTimeToServiceOutageSpec(ClassicSpec("bad", 0, 1, 1, 1)); err == nil {
 		t.Error("invalid design should fail")
 	}
 }
@@ -259,14 +259,14 @@ func TestReplicaMonotonicity(t *testing.T) {
 		{2, 1, 2, 2},
 	}
 	for _, counts := range baseCases {
-		base, err := s.EvaluateDesign("base", counts[0], counts[1], counts[2], counts[3])
+		base, err := s.EvaluateSpec(ClassicSpec("base", counts[0], counts[1], counts[2], counts[3]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for tier := 0; tier < 4; tier++ {
 			grown := counts
 			grown[tier]++
-			next, err := s.EvaluateDesign("grown", grown[0], grown[1], grown[2], grown[3])
+			next, err := s.EvaluateSpec(ClassicSpec("grown", grown[0], grown[1], grown[2], grown[3]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +291,7 @@ func TestCustomConfigPatchAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.EvaluateDesign("d1", 1, 1, 1, 1)
+	r, err := s.EvaluateSpec(ClassicSpec("d1", 1, 1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,6 +323,13 @@ func TestCustomConfigInterval(t *testing.T) {
 	}
 }
 
+// fullSweep requests every classic design with 1..maxPerTier replicas
+// per tier.
+func fullSweep(maxPerTier int) SpecSweepRequest {
+	tier := func(role string) TierSweep { return TierSweep{Role: role, Min: 1, Max: maxPerTier} }
+	return SpecSweepRequest{Tiers: []TierSweep{tier("dns"), tier("web"), tier("app"), tier("db")}}
+}
+
 // TestSweepMatchesEnumerate pins the engine-backed sweep surface to the
 // batch enumeration it supersedes.
 func TestSweepMatchesEnumerate(t *testing.T) {
@@ -331,7 +338,7 @@ func TestSweepMatchesEnumerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := s.Sweep(context.Background(), FullSweep(2))
+	sum, err := s.SweepSpec(context.Background(), fullSweep(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,9 +357,9 @@ func TestSweepMatchesEnumerate(t *testing.T) {
 // cache counters behind it.
 func TestSweepBoundsAndStats(t *testing.T) {
 	s, _ := caseStudy(t)
-	req := FullSweep(2)
+	req := fullSweep(2)
 	req.Scatter = &ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}
-	sum, err := s.Sweep(context.Background(), req)
+	sum, err := s.SweepSpec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +372,7 @@ func TestSweepBoundsAndStats(t *testing.T) {
 	}
 
 	before := s.EngineStats()
-	if _, err := s.Sweep(context.Background(), req); err != nil {
+	if _, err := s.SweepSpec(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	after := s.EngineStats()
@@ -381,7 +388,7 @@ func TestSweepBoundsAndStats(t *testing.T) {
 func TestSweepEachStreams(t *testing.T) {
 	s, _ := caseStudy(t)
 	seen := make(map[string]bool)
-	total, err := s.SweepEach(context.Background(), FullSweep(2), func(r DesignReport) error {
+	total, err := s.SweepSpecEach(context.Background(), fullSweep(2), func(r DesignReport) error {
 		seen[r.Name] = true
 		return nil
 	})
@@ -396,8 +403,97 @@ func TestSweepEachStreams(t *testing.T) {
 // TestSweepRejectsInvalidRange checks request validation.
 func TestSweepRejectsInvalidRange(t *testing.T) {
 	s, _ := caseStudy(t)
-	req := SweepRequest{DNS: SweepRange{Min: 3, Max: 1}}
-	if _, err := s.Sweep(context.Background(), req); err == nil {
+	req := fullSweep(2)
+	req.Tiers[0].Min, req.Tiers[0].Max = 3, 1
+	if _, err := s.SweepSpec(context.Background(), req); err == nil {
 		t.Fatal("inverted range accepted")
+	}
+}
+
+// TestHeterogeneousFacadeSweep drives the §V variant deployment through
+// the public facade: sweeping the web tier across both stacks yields a
+// non-empty Pareto front, and the variant designs carry distinct names,
+// descriptions and metrics.
+func TestHeterogeneousFacadeSweep(t *testing.T) {
+	s, _ := caseStudy(t)
+	sum, err := s.SweepSpec(context.Background(), SpecSweepRequest{Tiers: []TierSweep{
+		{Role: "dns", Min: 1, Max: 1},
+		{Role: "web", Min: 2, Max: 2, Variants: []string{"", "webalt"}},
+		{Role: "app", Min: 1, Max: 1},
+		{Role: "db", Min: 1, Max: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Total != 2 || len(sum.Reports) != 2 {
+		t.Fatalf("total = %d, reports = %d, want 2", sum.Total, len(sum.Reports))
+	}
+	if len(sum.Pareto) == 0 {
+		t.Fatal("empty Pareto front")
+	}
+	apache, nginx := sum.Reports[0], sum.Reports[1]
+	if apache.Name != "1d2w1a1b" {
+		t.Errorf("homogeneous name = %q", apache.Name)
+	}
+	if nginx.Name != "1dns-2web/webalt-1app-1db" {
+		t.Errorf("variant name = %q", nginx.Name)
+	}
+	if nginx.Description != "1 DNS + 2 WEB/WEBALT + 1 APP + 1 DB" {
+		t.Errorf("variant description = %q", nginx.Description)
+	}
+	if apache.After.ASP == nginx.After.ASP && apache.After.NoEV == nginx.After.NoEV {
+		t.Error("variant stack evaluated identically to the base stack")
+	}
+}
+
+// TestMixedTierSpec evaluates one heterogeneous logical tier (Apache +
+// Nginx replicas side by side) through the facade — the deployment shape
+// the example program builds by hand.
+func TestMixedTierSpec(t *testing.T) {
+	s, _ := caseStudy(t)
+	hetero, err := s.EvaluateSpec(DesignSpec{Tiers: []TierSpec{
+		{Role: "dns", Replicas: 1},
+		{Role: "web", Replicas: 1},
+		{Role: "web", Replicas: 1, Variant: "webalt"},
+		{Role: "app", Replicas: 1},
+		{Role: "db", Replicas: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	homog, err := s.EvaluateSpec(ClassicSpec("", 1, 2, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hetero.Servers != 5 {
+		t.Errorf("servers = %d, want 5", hetero.Servers)
+	}
+	// Mixed stacks share no vulnerability, so the surviving exploit
+	// chain is strictly harder than the homogeneous pair's.
+	if hetero.After.ASP >= homog.After.ASP {
+		t.Errorf("mixed-tier after-patch ASP = %v, want below homogeneous %v",
+			hetero.After.ASP, homog.After.ASP)
+	}
+	if hetero.COA <= 0 || hetero.COA > 1 {
+		t.Errorf("implausible COA %v", hetero.COA)
+	}
+	if hetero.Name != "1dns-1web-1web/webalt-1app-1db" {
+		t.Errorf("canonical name = %q", hetero.Name)
+	}
+}
+
+// TestSpecValidationAtFacade pins facade-level validation failures.
+func TestSpecValidationAtFacade(t *testing.T) {
+	s, _ := caseStudy(t)
+	for name, spec := range map[string]DesignSpec{
+		"no tiers":      {},
+		"zero replicas": {Tiers: []TierSpec{{Role: "web", Replicas: 0}}},
+		"unknown stack": {Tiers: []TierSpec{{Role: "mainframe", Replicas: 1}}},
+		"unknown variant": {Tiers: []TierSpec{
+			{Role: "web", Replicas: 1, Variant: "iis"}}},
+	} {
+		if _, err := s.EvaluateSpec(spec); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -16,7 +16,7 @@ BIN=${BIN:-/tmp/redpatchd}
 
 go build -o "$BIN" ./cmd/redpatchd
 CACHE=$(mktemp -d)
-BODY='{"dns":1,"web":2,"app":2,"db":1}'
+BODY='{"spec":{"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]}}'
 
 wait_healthz() {
   for _ in $(seq 1 50); do
@@ -30,7 +30,7 @@ wait_healthz() {
 "$BIN" -addr "$ADDR" -cache-dir "$CACHE" &
 PID=$!
 wait_healthz
-curl -sf -X POST "$ADDR/api/v1/evaluate" -d "$BODY" >/dev/null
+curl -sf -X POST "$ADDR/api/v2/evaluate" -d "$BODY" >/dev/null
 curl -s "$ADDR/metrics" | grep -F 'redpatchd_engine_solves_total{scenario="default"} 1'
 curl -sf -X POST "$ADDR/api/v2/fleet/register" -d '{"systems":[{
   "id":"smoke-1","role":"app","windowMinutes":60,
@@ -43,7 +43,7 @@ test -s "$CACHE/fleet.json"
 "$BIN" -addr "$ADDR" -cache-dir "$CACHE" -pprof -log-format json &
 PID=$!
 wait_healthz
-curl -sf -X POST "$ADDR/api/v1/evaluate" -d "$BODY" >/dev/null
+curl -sf -X POST "$ADDR/api/v2/evaluate" -d "$BODY" >/dev/null
 METRICS=$(curl -s "$ADDR/metrics")
 echo "$METRICS" | grep -F 'redpatchd_engine_solves_total{scenario="default"} 0'
 echo "$METRICS" | grep -F 'redpatchd_engine_cache_hits_total{scenario="default"} 1'
