@@ -1,12 +1,12 @@
 package main
 
-// Resilience middleware: per-endpoint-class admission control (FIFO
-// concurrency limiting with bounded queues and 429 + Retry-After load
-// shedding), request-deadline propagation (-request-timeout and the
-// per-request ?timeout_ms= override flow as context deadlines into the
-// engine and fleet layers), and panic recovery (a panicking solver or
-// handler becomes a 500 with a span error attribute, never a dead
-// process).
+// Resilience: per-endpoint-class admission control (FIFO concurrency
+// limiting with bounded queues and 429 + Retry-After load shedding) and
+// the request budget (-request-timeout and the per-request ?timeout_ms=
+// override). The route wrapper (server.route, main.go) applies the
+// deadline and the class limiter, and recovers panics: a panicking
+// solver or handler becomes a 500 with a span panic attribute, never a
+// dead process.
 //
 // Three endpoint classes share the model workers: evaluate (single
 // design evaluations, rank-patches, plan-campaign), sweep (design-space
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -102,32 +101,13 @@ func (a admissionLimiters) all() []*admission.Limiter {
 	return out
 }
 
-// admit wraps a handler with a class limiter: acquire (queueing FIFO
-// up to the class bound, respecting the request deadline), serve,
-// release. Shed requests answer 429 with a Retry-After estimate
-// without ever reaching the handler.
-func (s *server) admit(l *admission.Limiter, route string, h http.HandlerFunc) http.HandlerFunc {
-	if l == nil {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		release, err := l.Acquire(r.Context())
-		if err != nil {
-			s.shed(w, r, l, route, err)
-			return
-		}
-		defer release()
-		h(w, r)
-	}
-}
-
 // admitEvaluate is the evaluate class's in-handler admission, called
 // after the request decoded: warm specs (already in the scenario's
 // memo cache) take a free slot when one is available but are never
 // queued or shed — the whole point of the bypass is that a saturated
 // daemon still answers them. Returns ok=false with the shed response
 // written.
-func (s *server) admitEvaluate(w http.ResponseWriter, r *http.Request, route string, warm bool) (release func(), ok bool) {
+func (s *server) admitEvaluate(w http.ResponseWriter, r *http.Request, warm bool) (release func(), ok bool) {
 	l := s.adm.evaluate
 	if l == nil {
 		return func() {}, true
@@ -140,7 +120,7 @@ func (s *server) admitEvaluate(w http.ResponseWriter, r *http.Request, route str
 	}
 	rel, err := l.Acquire(r.Context())
 	if err != nil {
-		s.shed(w, r, l, route, err)
+		s.shed(w, r, l, r.Pattern, err)
 		return nil, false
 	}
 	return rel, true
@@ -201,69 +181,32 @@ func (s *server) retryAfter(route string, l *admission.Limiter) int {
 	return secs
 }
 
-// deadlineMiddleware applies the request deadline: -request-timeout is
-// the server-wide ceiling, ?timeout_ms= lets a request tighten (never
-// extend) it. The deadline flows through the request context into the
-// engine and fleet layers — queued sweep designs are dropped, joins on
-// in-flight solves abandoned, simulations stopped between windows —
-// and requests that exhaust it answer 504 (or a budget_exhausted
-// NDJSON trailer once a stream has started).
-func (s *server) deadlineMiddleware(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		d := s.requestTimeout
-		if q := r.URL.Query().Get("timeout_ms"); q != "" {
-			ms, err := strconv.Atoi(q)
-			if err != nil || ms <= 0 {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("timeout_ms=%q: want a positive integer", q))
-				return
-			}
-			if qd := time.Duration(ms) * time.Millisecond; d <= 0 || qd < d {
-				d = qd
-			}
-		}
-		if d <= 0 {
-			h(w, r)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		h(w, r.WithContext(ctx))
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.metrics.timeouts.Inc()
-		}
+// deadline returns the request's time budget, 0 for unbounded:
+// -request-timeout is the ceiling and ?timeout_ms= may only tighten it.
+// The deadline flows through the request context into the engine and
+// fleet layers — queued sweep designs are dropped, joins on in-flight
+// solves abandoned, simulations stopped between windows — and requests
+// that exhaust it answer 504 (or a budget_exhausted NDJSON trailer once
+// a stream has started). A timeout_ms too large to be a Duration
+// tightens nothing: multiplied out, it would wrap into a negative or
+// tiny budget.
+func (s *server) deadline(r *http.Request) (time.Duration, error) {
+	d := max(s.requestTimeout, 0)
+	q := r.URL.Query().Get("timeout_ms")
+	if q == "" {
+		return d, nil
 	}
-}
-
-// recoverMiddleware turns a panicking handler (a solver bug, an
-// injected chaos panic) into a 500 with the panic recorded on the root
-// span and in the log — the daemon must outlive any single request.
-// When the response has already started (a streaming handler panicked
-// mid-body) no status can be written; the connection is left to die,
-// which a streaming client sees as a truncated, trailer-less body.
-func (s *server) recoverMiddleware(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			p := recover()
-			if p == nil {
-				return
-			}
-			if p == http.ErrAbortHandler { // deliberate abort, not a fault
-				panic(p)
-			}
-			s.metrics.panics.Inc()
-			if sp := trace.FromContext(r.Context()); sp != nil {
-				sp.SetAttr("panic", fmt.Sprint(p))
-			}
-			s.log.ErrorContext(r.Context(), "handler panic",
-				"route", route, "panic", p, "stack", string(debug.Stack()))
-			if sw, ok := w.(*statusWriter); !ok || !sw.wrote {
-				writeError(w, http.StatusInternalServerError,
-					fmt.Errorf("internal error: %v", p))
-			}
-		}()
-		h(w, r)
+	ms, err := strconv.ParseInt(q, 10, 64)
+	if err != nil || ms <= 0 {
+		return 0, fmt.Errorf("timeout_ms=%q: want a positive integer", q)
 	}
+	if ms > math.MaxInt64/int64(time.Millisecond) {
+		return d, nil
+	}
+	if qd := time.Duration(ms) * time.Millisecond; d == 0 || qd < d {
+		d = qd
+	}
+	return d, nil
 }
 
 // streamErrorTrailer classifies an error that ended an NDJSON stream

@@ -63,17 +63,20 @@
 // the cache-hit ratio and an ETA. Logs are structured (log/slog) and
 // carry trace_id/span_id; -log-format selects json or text.
 //
-// The daemon defends itself under load (see admission.go): model-solving
-// endpoints are split into three admission classes — evaluate, sweep,
-// fleet — each with a bounded concurrency limit and FIFO wait queue;
-// requests beyond both are shed with 429 and a Retry-After estimate
-// derived from the route's observed latency. Evaluate requests whose
-// design is already memoized bypass the limiter. -request-timeout (and
-// the per-request ?timeout_ms= override, which can only tighten it)
-// flows as a context deadline through the engine and fleet layers;
-// exhausted budgets answer 504, or a {"error":...,"reason":
-// "budget_exhausted"} NDJSON trailer once a stream has started. Handler
-// panics are recovered into 500s.
+// Every route registers through one request wrapper (server.route):
+// it applies the request deadline, opens the root span on it, admits
+// the request, recovers panics into 500s, and records the request
+// metrics from the same status it writes onto the span. The daemon
+// defends itself under load (see admission.go): model-solving endpoints
+// are split into three admission classes — evaluate, sweep, fleet —
+// each with a bounded concurrency limit and FIFO wait queue; requests
+// beyond both are shed with 429 and a Retry-After estimate derived from
+// the route's observed latency. Evaluate requests whose design is
+// already memoized bypass the limiter. -request-timeout (and the
+// per-request ?timeout_ms= override, which can only tighten it) flows
+// as a context deadline through the engine and fleet layers; exhausted
+// budgets answer 504, or a {"error":...,"reason":"budget_exhausted"}
+// NDJSON trailer once a stream has started.
 //
 // -chaos-seed/-chaos-site arm the deterministic fault injector at the
 // daemon's chaos sites (evaluate, persist, ...) for resilience testing;
@@ -97,6 +100,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -417,22 +421,8 @@ func (s *server) checkReplicas(counts ...int) error {
 
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	// Every route registers through the metrics, tracing, deadline and
-	// panic-recovery middleware with its mux pattern as the route label
-	// and span attribute, so /metrics reports per-endpoint request counts
-	// and latency histograms and every request runs under a root span
-	// with its deadline applied. Model-solving routes additionally pass
-	// through their admission-class limiter; the limiter sits inside the
-	// deadline middleware (queued waiters respect the request deadline)
-	// and outside recovery (a panicking handler still releases its slot
-	// on the way out).
 	route := func(pattern string, class *admission.Limiter, h http.HandlerFunc) {
-		h = s.recoverMiddleware(pattern, h)
-		if class != nil {
-			h = s.admit(class, pattern, h)
-		}
-		h = s.deadlineMiddleware(h)
-		mux.HandleFunc(pattern, s.metrics.instrument(pattern, s.traceMiddleware(pattern, h)))
+		mux.HandleFunc(pattern, s.route(pattern, class, h))
 	}
 	route("GET /healthz", nil, s.handleHealthz)
 	route("GET /readyz", nil, s.handleReadyz)
@@ -471,46 +461,92 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// statsJSON mirrors redpatch.EngineStats in the wire format.
-type statsJSON struct {
-	Solves             uint64 `json:"solves"`
-	Hits               uint64 `json:"hits"`
-	FactoredSolves     uint64 `json:"factoredSolves"`
-	SRNSolves          uint64 `json:"srnSolves"`
-	TierSolves         uint64 `json:"tierSolves"`
-	TierFactorHits     uint64 `json:"tierFactorHits"`
-	SecurityFactored   uint64 `json:"securityFactored"`
-	SecuritySolves     uint64 `json:"securitySolves"`
-	SecurityFactorHits uint64 `json:"securityFactorHits"`
-	RolloutSolves      uint64 `json:"rolloutSolves"`
-	RolloutHits        uint64 `json:"rolloutHits"`
-}
-
-func toStatsJSON(st redpatch.EngineStats) statsJSON {
-	return statsJSON{
-		Solves:             st.Solves,
-		Hits:               st.Hits,
-		FactoredSolves:     st.FactoredSolves,
-		SRNSolves:          st.SRNSolves,
-		TierSolves:         st.TierSolves,
-		TierFactorHits:     st.TierFactorHits,
-		SecurityFactored:   st.SecurityFactored,
-		SecuritySolves:     st.SecuritySolves,
-		SecurityFactorHits: st.SecurityFactorHits,
-		RolloutSolves:      st.RolloutSolves,
-		RolloutHits:        st.RolloutHits,
+// route is the one request wrapper every route registers through, with
+// its mux pattern as the metrics route label and span attribute (a
+// bounded label set, whatever URLs clients send). In order, it applies
+// the request deadline, opens the root span on the deadline context,
+// admits the request through its class limiter (nil for unlimited
+// routes; queued waiters respect the deadline) and serves it. One
+// deferred block recovers a panic into a 500, releases the admission
+// slot, ends the span and records the request metrics from the same
+// status, so the span and /metrics cannot disagree.
+func (s *server) route(pattern string, class *admission.Limiter, h http.HandlerFunc) http.HandlerFunc {
+	hist := s.metrics.latency.With(pattern)
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		s.metrics.inFlight.Inc()
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		d, derr := s.deadline(r)
+		ctx := r.Context()
+		if d > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, d)
+			// Deferred before the end block, so it runs after it: the
+			// span and the timeout counter read the deadline's verdict,
+			// not this cancellation.
+			defer cancel()
+		}
+		ctx, sp := trace.Start(trace.Extract(trace.WithTracer(ctx, s.tracer), r), "http.request",
+			trace.Attr{Key: "route", Value: pattern},
+			trace.Attr{Key: "method", Value: r.Method})
+		r = r.WithContext(ctx)
+		var release func()
+		defer func() {
+			p := recover()
+			if p != nil && p != http.ErrAbortHandler {
+				// The daemon must outlive any single request. Once the
+				// response has started (a stream panicked mid-body) no
+				// status can be written; the client sees a truncated,
+				// trailer-less body.
+				s.metrics.panics.Inc()
+				sp.SetAttr("panic", fmt.Sprint(p))
+				s.log.ErrorContext(ctx, "handler panic",
+					"route", pattern, "panic", p, "stack", string(debug.Stack()))
+				if !sw.wrote {
+					writeError(sw, http.StatusInternalServerError, fmt.Errorf("internal error: %v", p))
+				}
+			}
+			if release != nil {
+				release()
+			}
+			err := ctx.Err()
+			sp.SetAttr("status", sw.status)
+			if sw.status >= http.StatusInternalServerError {
+				// Logged with the request context so the record carries
+				// trace_id/span_id and can be joined with /debug/traces.
+				s.log.ErrorContext(ctx, "request failed", "route", pattern, "status", sw.status)
+			}
+			sp.EndErr(err) // an expired deadline or a gone client: cancelled
+			s.metrics.inFlight.Dec()
+			hist.Observe(time.Since(start).Seconds())
+			s.metrics.requests.With(pattern, strconv.Itoa(sw.status)).Inc()
+			if errors.Is(err, context.DeadlineExceeded) {
+				s.metrics.timeouts.Inc()
+			}
+			if p == http.ErrAbortHandler { // deliberate abort, not a fault
+				panic(p)
+			}
+		}()
+		if derr != nil {
+			writeError(sw, http.StatusBadRequest, derr)
+			return
+		}
+		if class != nil {
+			var err error
+			if release, err = class.Acquire(ctx); err != nil {
+				s.shed(sw, r, class, pattern, err)
+				return
+			}
+		}
+		h(sw, r)
 	}
-}
-
-func (s *server) stats() statsJSON {
-	return toStatsJSON(s.study.EngineStats())
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":        "ok",
 		"uptimeSeconds": time.Since(s.started).Seconds(),
-		"engine":        s.stats(),
+		"engine":        s.study.EngineStats(),
 		"scenarios":     len(s.reg.list()),
 	})
 }

@@ -67,8 +67,8 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("status = %d", w.Code)
 	}
 	var body struct {
-		Status string    `json:"status"`
-		Engine statsJSON `json:"engine"`
+		Status string               `json:"status"`
+		Engine redpatch.EngineStats `json:"engine"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ type sweepResponse struct {
 	Kept    int                     `json:"kept"`
 	Reports []redpatch.DesignReport `json:"reports"`
 	Pareto  []redpatch.DesignReport `json:"pareto"`
-	Engine  statsJSON               `json:"engine"`
+	Engine  redpatch.EngineStats    `json:"engine"`
 }
 
 // TestSweepFullRangeConcurrently serves the full 1..4 per-tier space (256
@@ -410,7 +410,7 @@ func TestHealthzSolverCounters(t *testing.T) {
 		t.Fatalf("status = %d", w.Code)
 	}
 	var body struct {
-		Engine statsJSON `json:"engine"`
+		Engine redpatch.EngineStats `json:"engine"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,15 @@
 package main
 
-// Observability: every route is wrapped in middleware recording request
-// counts (by route pattern and status code) and latency histograms, and
-// GET /metrics exposes them — alongside the per-scenario engine and
+// Observability: the route wrapper (server.route, main.go) records each
+// request's count (by route pattern and status code), latency and
+// in-flight gauge from the same status it writes onto the root span,
+// and GET /metrics exposes them — alongside the per-scenario engine and
 // solver counters and the cache-persistence counters — in the
 // Prometheus text format via the dependency-free internal/metrics
 // registry.
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
 	"redpatch"
@@ -187,29 +187,11 @@ func (m *serverMetrics) registerCollectors(s *server) {
 		func() float64 { return time.Since(s.started).Seconds() })
 }
 
-// instrument wraps a handler with the request-count and latency
-// middleware. The route label is the mux pattern, not the raw URL, so
-// cardinality stays bounded no matter what clients request.
-func (m *serverMetrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := m.latency.With(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		m.inFlight.Inc()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		defer func() {
-			m.inFlight.Dec()
-			hist.Observe(time.Since(start).Seconds())
-			m.requests.With(route, strconv.Itoa(sw.status)).Inc()
-		}()
-		h(sw, r)
-	}
-}
-
-// statusWriter records the status code while passing Flush through, so
-// the NDJSON streaming endpoint keeps flushing per result under the
-// middleware. wrote tracks whether the response has started, which the
-// panic-recovery middleware needs: once the first byte is out, no error
-// status can be written.
+// statusWriter records the status code for the route wrapper's span and
+// metrics while passing Flush through, so the NDJSON streaming
+// endpoints keep flushing per result. wrote tracks whether the response
+// has started, which panic recovery needs: once the first byte is out,
+// no error status can be written.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

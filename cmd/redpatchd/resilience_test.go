@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -175,6 +176,48 @@ func TestRequestTimeout(t *testing.T) {
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("bad timeout_ms status = %d: %s", w.Code, w.Body)
 	}
+
+	// Values whose millisecond count overflows a Duration must never
+	// lift the ceiling: one used to wrap negative (clearing the deadline
+	// entirely), the other to a 448µs budget.
+	const ceiling = 50 * time.Millisecond
+	capped := mustServer(t, chaosStudy(t, inj), serverConfig{chaos: inj, requestTimeout: ceiling}).handler()
+	for _, q := range []string{"9223372036855", "18446744073710"} {
+		start := time.Now()
+		w := do(t, capped, http.MethodPost, "/api/v2/evaluate?timeout_ms="+q,
+			`{"spec":{"tiers":[{"role":"web","replicas":1}]}}`)
+		if w.Code != http.StatusGatewayTimeout {
+			t.Errorf("timeout_ms=%s: status = %d, want the ceiling's 504: %s", q, w.Code, w.Body)
+		}
+		if el := time.Since(start); el < ceiling {
+			t.Errorf("timeout_ms=%s: answered after %v, before the %v ceiling", q, el, ceiling)
+		}
+	}
+}
+
+// FuzzDeadline: whatever ?timeout_ms= says, the budget is an error (a
+// 400) or a duration that never exceeds a positive -request-timeout
+// ceiling and is never negative.
+func FuzzDeadline(f *testing.F) {
+	for _, q := range []string{"", "1", "0", "-5", "soon",
+		"9223372036855", "18446744073710",
+		"9223372036854775807", "99999999999999999999"} {
+		for _, ceiling := range []time.Duration{50 * time.Millisecond, 0, -1} {
+			f.Add(q, int64(ceiling))
+		}
+	}
+	f.Fuzz(func(t *testing.T, q string, ceiling int64) {
+		s := &server{requestTimeout: time.Duration(ceiling)}
+		r := httptest.NewRequest(http.MethodGet, "/?"+url.Values{"timeout_ms": {q}}.Encode(), nil)
+		d, err := s.deadline(r)
+		switch {
+		case err != nil:
+		case ceiling > 0 && (d <= 0 || d > time.Duration(ceiling)):
+			t.Fatalf("timeout_ms=%q under a %v ceiling: budget %v", q, time.Duration(ceiling), d)
+		case d < 0:
+			t.Fatalf("timeout_ms=%q with no ceiling: budget %v", q, d)
+		}
+	})
 }
 
 // TestServerRequestTimeout: the -request-timeout ceiling applies without

@@ -169,7 +169,7 @@ func TestRolloutSweepMemoized(t *testing.T) {
 	// The rollout counters surface in /healthz's engine block.
 	w := do(t, h, http.MethodGet, "/healthz", "")
 	var resp struct {
-		Engine statsJSON `json:"engine"`
+		Engine redpatch.EngineStats `json:"engine"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)

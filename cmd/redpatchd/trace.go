@@ -1,9 +1,11 @@
 package main
 
-// Request tracing: every route runs under a root span (joining an
-// inbound W3C traceparent when the caller sends one), the engine and
-// solver layers hang child spans off it through the request context,
-// and the tracer's bounded ring retains recent traces for GET
+// Request tracing: the route wrapper (server.route, main.go) runs every
+// request under a root span on its deadline context (joining an inbound
+// W3C traceparent when the caller sends one; an expired deadline or a
+// client disconnect ends it cancelled), the engine and solver layers
+// hang child spans off it through the request context, and the
+// tracer's bounded ring retains recent traces for GET
 // /debug/traces (gated, like pprof, behind -pprof) and the ?explain=1
 // provenance block on v2 evaluate. Span durations also feed the
 // queue-wait and per-solver latency histograms through the tracer's
@@ -17,33 +19,6 @@ import (
 
 	"redpatch/internal/trace"
 )
-
-// traceMiddleware opens the request's root span: the route pattern and
-// method as attributes, the response status recorded at the end, and
-// client disconnects closed as cancelled rather than errors.
-func (s *server) traceMiddleware(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx := trace.WithTracer(r.Context(), s.tracer)
-		ctx = trace.Extract(ctx, r)
-		ctx, sp := trace.Start(ctx, "http.request",
-			trace.Attr{Key: "route", Value: route},
-			trace.Attr{Key: "method", Value: r.Method})
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(ctx))
-		sp.SetAttr("status", sw.status)
-		if sw.status >= http.StatusInternalServerError {
-			// Logged with the request context so the record carries
-			// trace_id/span_id and can be joined with /debug/traces.
-			s.log.ErrorContext(ctx, "request failed",
-				"route", route, "status", sw.status)
-		}
-		if err := ctx.Err(); err != nil {
-			sp.EndErr(err) // client went away: cancelled, not an error
-			return
-		}
-		sp.End()
-	}
-}
 
 // observeSpan is the tracer's OnEnd hook: it derives the exemplar-free
 // histograms from finished spans — queue wait off the engine's evaluate

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 
 	"redpatch"
 
+	"redpatch/internal/faultinject"
 	"redpatch/internal/trace"
 )
 
@@ -345,7 +349,7 @@ func TestRequestFailureLoggedWithTraceID(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(trace.NewLogHandler(slog.NewJSONHandler(&buf, nil)))
 	s := mustServer(t, freshStudy(t), serverConfig{logger: logger})
-	h := s.traceMiddleware("GET /boom", func(w http.ResponseWriter, r *http.Request) {
+	h := s.route("GET /boom", nil, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 	})
 
@@ -372,9 +376,92 @@ func TestRequestFailureLoggedWithTraceID(t *testing.T) {
 
 	// A 200 must stay quiet: the middleware only logs failures.
 	buf.Reset()
-	ok := s.traceMiddleware("GET /ok", func(w http.ResponseWriter, r *http.Request) {})
+	ok := s.route("GET /ok", nil, func(w http.ResponseWriter, r *http.Request) {})
 	ok(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/ok", nil))
 	if buf.Len() != 0 {
 		t.Errorf("2xx response logged: %q", buf.String())
+	}
+}
+
+// TestRootSpanMatchesMetrics: the root span and the request metrics are
+// written from one status, so for every route and code
+// redpatchd_http_requests_total equals the number of http.request root
+// spans carrying that route and status — across a 200, a 400 for a bad
+// timeout_ms, a 500 from a recovered panic and a 504 from an exhausted
+// deadline. The 504's root span ends cancelled, like the engine span
+// the deadline cut short.
+func TestRootSpanMatchesMetrics(t *testing.T) {
+	inj := faultinject.New(6)
+	s := mustServer(t, chaosStudy(t, inj), serverConfig{chaos: inj})
+	h := s.handler()
+	const body = `{"spec":{"tiers":[{"role":"web","replicas":1}]}}`
+
+	for i, c := range []struct {
+		site  string
+		fault faultinject.Site
+		query string
+		code  int
+	}{
+		{"", faultinject.Site{}, "", http.StatusOK},
+		{"", faultinject.Site{}, "?timeout_ms=soon", http.StatusBadRequest},
+		{"http.evaluate", faultinject.Site{PanicProb: 1}, "", http.StatusInternalServerError},
+		{redpatch.ChaosSiteEvaluate, faultinject.Site{LatencyProb: 1, Latency: 2 * time.Second}, "?timeout_ms=50", http.StatusGatewayTimeout},
+	} {
+		inj.Configure("http.evaluate", faultinject.Site{})
+		inj.Configure(redpatch.ChaosSiteEvaluate, faultinject.Site{})
+		if c.site != "" {
+			inj.Configure(c.site, c.fault)
+		}
+		// A fresh design each time, so the 504 cannot be a memo hit.
+		b := strings.Replace(body, `"replicas":1`, fmt.Sprintf(`"replicas":%d`, i+1), 1)
+		if w := do(t, h, http.MethodPost, "/api/v2/evaluate"+c.query, b); w.Code != c.code {
+			t.Fatalf("%s%s: status = %d, want %d: %s", c.site, c.query, w.Code, c.code, w.Body)
+		}
+	}
+
+	// The timed-out solve may end its engine span after the root span;
+	// the trace reaches the ring once both have.
+	var timedOut *trace.Trace
+	waitCond(t, "the 504 trace", func() bool {
+		for _, tr := range s.tracer.Recent() {
+			for _, sp := range tr.Spans {
+				if st, _ := sp.Attr("status"); sp.Name == "http.request" && st == http.StatusGatewayTimeout {
+					timedOut = &tr
+					return true
+				}
+			}
+		}
+		return false
+	})
+	for _, sp := range timedOut.Spans {
+		if (sp.Name == "http.request" || sp.Name == "engine.evaluate") && sp.Status != trace.StatusCancelled {
+			t.Errorf("504 %s span ended %q, want %q", sp.Name, sp.Status, trace.StatusCancelled)
+		}
+	}
+
+	// Read the ring before the scrape, whose own request is in neither.
+	spans := map[string]int{}
+	for _, tr := range s.tracer.Recent() {
+		for _, sp := range tr.Spans {
+			if sp.Name != "http.request" {
+				continue
+			}
+			route, _ := sp.Attr("route")
+			status, _ := sp.Attr("status")
+			spans[fmt.Sprintf(`redpatchd_http_requests_total{route=%q,code="%d"}`, route, status)]++
+		}
+	}
+	counted := map[string]int{}
+	for _, line := range strings.Split(scrape(t, h), "\n") {
+		if series, v, ok := strings.Cut(line, "} "); ok && strings.HasPrefix(series, "redpatchd_http_requests_total{") {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			counted[series+"}"] = n
+		}
+	}
+	if len(counted) != 4 || !reflect.DeepEqual(spans, counted) {
+		t.Errorf("root spans by route/code = %v\nrequests_total = %v", spans, counted)
 	}
 }

@@ -39,10 +39,10 @@ type scenario struct {
 
 // scenarioJSON is the wire view of a scenario.
 type scenarioJSON struct {
-	Name    string         `json:"name"`
-	Config  scenarioConfig `json:"config"`
-	Created time.Time      `json:"created"`
-	Engine  statsJSON      `json:"engine"`
+	Name    string               `json:"name"`
+	Config  scenarioConfig       `json:"config"`
+	Created time.Time            `json:"created"`
+	Engine  redpatch.EngineStats `json:"engine"`
 }
 
 func (sc *scenario) json() scenarioJSON {
@@ -50,7 +50,7 @@ func (sc *scenario) json() scenarioJSON {
 		Name:    sc.name,
 		Config:  sc.cfg,
 		Created: sc.created,
-		Engine:  toStatsJSON(sc.study.EngineStats()),
+		Engine:  sc.study.EngineStats(),
 	}
 }
 
@@ -320,11 +320,11 @@ func (s *server) handleEvaluateV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Admission happens here rather than in route middleware: the spec
+	// Admission happens here rather than in the route wrapper: the spec
 	// must be decoded before a warm (already-memoized) design can be
 	// recognized and bypass the limiter — a saturated daemon still
 	// answers warm queries with a map lookup.
-	release, ok := s.admitEvaluate(w, r, "POST /api/v2/evaluate", sc.study.CachePeek(spec))
+	release, ok := s.admitEvaluate(w, r, sc.study.CachePeek(spec))
 	if !ok {
 		return
 	}
@@ -435,7 +435,7 @@ func (s *server) handleSweepV2(w http.ResponseWriter, r *http.Request) {
 		"kept":     len(sum.Reports),
 		"reports":  sum.Reports,
 		"pareto":   sum.Pareto,
-		"engine":   toStatsJSON(sc.study.EngineStats()),
+		"engine":   sc.study.EngineStats(),
 	})
 }
 

@@ -763,17 +763,17 @@ func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequ
 // rollout points evaluated by the engine, RolloutHits points served
 // from (or deduplicated onto) the rollout memo.
 type EngineStats struct {
-	Solves             uint64
-	Hits               uint64
-	FactoredSolves     uint64
-	SRNSolves          uint64
-	TierSolves         uint64
-	TierFactorHits     uint64
-	SecurityFactored   uint64
-	SecuritySolves     uint64
-	SecurityFactorHits uint64
-	RolloutSolves      uint64
-	RolloutHits        uint64
+	Solves             uint64 `json:"solves"`
+	Hits               uint64 `json:"hits"`
+	FactoredSolves     uint64 `json:"factoredSolves"`
+	SRNSolves          uint64 `json:"srnSolves"`
+	TierSolves         uint64 `json:"tierSolves"`
+	TierFactorHits     uint64 `json:"tierFactorHits"`
+	SecurityFactored   uint64 `json:"securityFactored"`
+	SecuritySolves     uint64 `json:"securitySolves"`
+	SecurityFactorHits uint64 `json:"securityFactorHits"`
+	RolloutSolves      uint64 `json:"rolloutSolves"`
+	RolloutHits        uint64 `json:"rolloutHits"`
 }
 
 // EngineStats returns a snapshot of the case study's cache counters.
