@@ -13,6 +13,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	randv2 "math/rand/v2"
 	"os"
@@ -74,34 +75,43 @@ func (cs *cacheStore) path(name string) string {
 	return filepath.Join(cs.dir, name+".cache.json")
 }
 
-// load restores a scenario's cache file if one exists. Every failure —
-// missing file aside — is logged and leaves the scenario cold; a
-// mismatched or corrupt dump must never be merged.
-func (cs *cacheStore) load(sc *scenario) {
-	f, err := os.Open(cs.path(sc.name))
+// readFile hands a persisted dump to restore if the file exists. Every
+// failure — missing file aside — bumps the restore-error counter, is
+// logged, and leaves the state cold: a mismatched or corrupt dump must
+// never be merged. Scenario caches and the fleet registry both load
+// through it.
+func (cs *cacheStore) readFile(path string, restore func(io.Reader) error, logArgs ...any) {
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return
 	}
+	if err == nil {
+		err = restore(f)
+		f.Close()
+	}
 	if err != nil {
 		cs.m.cacheRestoreErrors.Inc()
-		cs.log.Error("cache: opening dump failed", "scenario", sc.name, "error", err)
-		return
+		cs.log.Error("cache: rejecting dump", append(logArgs, "path", path, "error", err)...)
 	}
-	defer f.Close()
-	n, err := sc.study.RestoreCache(f)
-	if err != nil {
-		cs.m.cacheRestoreErrors.Inc()
-		cs.log.Error("cache: rejecting dump", "scenario", sc.name, "path", cs.path(sc.name), "error", err)
-		return
-	}
-	// Record the restored count, not the live CacheEntries(): solves
-	// that completed while the restore ran are not on disk yet, and
-	// counting them as dumped would make the clean check skip them.
-	cs.mu.Lock()
-	cs.dumped[sc.name] = n
-	cs.mu.Unlock()
-	cs.m.cacheRestoredEntries.Add(float64(n))
-	cs.log.Info("cache: restored designs", "scenario", sc.name, "designs", n, "path", cs.path(sc.name))
+}
+
+// load restores a scenario's cache file if one exists.
+func (cs *cacheStore) load(sc *scenario) {
+	cs.readFile(cs.path(sc.name), func(r io.Reader) error {
+		n, err := sc.study.RestoreCache(r)
+		if err != nil {
+			return err
+		}
+		// Record the restored count, not the live CacheEntries(): solves
+		// that completed while the restore ran are not on disk yet, and
+		// counting them as dumped would make the clean check skip them.
+		cs.mu.Lock()
+		cs.dumped[sc.name] = n
+		cs.mu.Unlock()
+		cs.m.cacheRestoredEntries.Add(float64(n))
+		cs.log.Info("cache: restored designs", "scenario", sc.name, "designs", n, "path", cs.path(sc.name))
+		return nil
+	}, "scenario", sc.name)
 }
 
 // forget drops a scenario's dirty-tracking state on deletion, so a
@@ -113,37 +123,64 @@ func (cs *cacheStore) forget(name string) {
 	cs.mu.Unlock()
 }
 
-// dumpFailed records a failed persistence write: Error on the first
-// failure of an outage, Debug on repeats, so a dead disk logs once, not
-// once per backoff retry.
-func (cs *cacheStore) dumpFailed(msg string, args ...any) {
-	cs.mu.Lock()
-	first := !cs.inOutage
-	cs.inOutage = true
-	cs.mu.Unlock()
-	if first {
-		cs.log.Error(msg, args...)
-	} else {
-		cs.log.Debug(msg, args...)
+// writeFile persists one dump atomically: the injected-fault hit, a
+// temp file beside path, write, close and rename. A written file bumps
+// redpatchd_cache_flushes_total and ends a persistence outage; any
+// failure bumps redpatchd_cache_flush_errors_total and logs at Error on
+// the first failure of an outage and at Debug on repeats, so a dead
+// disk logs once, not once per backoff retry. Scenario caches and the
+// fleet registry both write through it. Returns false when the write
+// failed, so the flush loop can retry with backoff instead of waiting
+// out a full interval. Callers hold dumpMu.
+func (cs *cacheStore) writeFile(path string, write func(io.Writer) error, logArgs ...any) bool {
+	err := cs.chaos.Hit("persist")
+	if err == nil {
+		err = writeAtomic(path, write)
 	}
-}
-
-// dumpSucceeded clears the outage state after a successful write (a
-// clean skip proves nothing about the disk and does not clear it).
-func (cs *cacheStore) dumpSucceeded() {
 	cs.mu.Lock()
-	recovered := cs.inOutage
-	cs.inOutage = false
+	wasOutage := cs.inOutage
+	cs.inOutage = err != nil
 	cs.mu.Unlock()
-	if recovered {
+	if err != nil {
+		cs.m.cacheFlushErrors.Inc()
+		logArgs = append(logArgs, "path", path, "error", err)
+		if wasOutage {
+			cs.log.Debug("cache: flush failed", logArgs...)
+		} else {
+			cs.log.Error("cache: flush failed", logArgs...)
+		}
+		return false
+	}
+	cs.m.cacheFlushes.Inc()
+	if wasOutage {
 		cs.log.Info("cache: persistence recovered")
 	}
+	return true
 }
 
-// dump writes one scenario's cache atomically (temp file + rename),
-// skipping the write when no design finished since the last dump.
-// Returns false when the write failed, so the flush loop can retry with
-// backoff instead of waiting out a full interval.
+// writeAtomic writes path through a temp file in the same directory and
+// a rename, so a crash mid-write never leaves a torn dump behind (a
+// leftover *.tmp is swept at startup).
+func writeAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
+// dump writes one scenario's cache, skipping the write when no design
+// finished since the last dump. Returns false when the write failed.
 func (cs *cacheStore) dump(sc *scenario) bool {
 	cs.dumpMu.Lock()
 	defer cs.dumpMu.Unlock()
@@ -154,39 +191,18 @@ func (cs *cacheStore) dump(sc *scenario) bool {
 	if clean {
 		return true
 	}
-	if cerr := cs.chaos.Hit("persist"); cerr != nil {
-		cs.m.cacheFlushErrors.Inc()
-		cs.dumpFailed("cache: flush failed writing dump", "scenario", sc.name, "error", cerr)
-		return false
+	var n int
+	ok := cs.writeFile(cs.path(sc.name), func(w io.Writer) (err error) {
+		n, err = sc.study.SnapshotCache(w)
+		return err
+	}, "scenario", sc.name)
+	if ok {
+		cs.mu.Lock()
+		cs.dumped[sc.name] = n
+		cs.mu.Unlock()
+		cs.log.Info("cache: dumped designs", "scenario", sc.name, "designs", n, "path", cs.path(sc.name))
 	}
-	tmp, err := os.CreateTemp(cs.dir, sc.name+".cache.*.tmp")
-	if err != nil {
-		cs.m.cacheFlushErrors.Inc()
-		cs.dumpFailed("cache: flush failed creating temp dump", "scenario", sc.name, "error", err)
-		return false
-	}
-	n, err := sc.study.SnapshotCache(tmp)
-	if err == nil {
-		err = tmp.Close()
-	} else {
-		tmp.Close()
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), cs.path(sc.name))
-	}
-	if err != nil {
-		cs.m.cacheFlushErrors.Inc()
-		os.Remove(tmp.Name())
-		cs.dumpFailed("cache: flush failed writing dump", "scenario", sc.name, "error", err)
-		return false
-	}
-	cs.mu.Lock()
-	cs.dumped[sc.name] = n
-	cs.mu.Unlock()
-	cs.m.cacheFlushes.Inc()
-	cs.dumpSucceeded()
-	cs.log.Info("cache: dumped designs", "scenario", sc.name, "designs", n, "path", cs.path(sc.name))
-	return true
+	return ok
 }
 
 // fleetPath is the fleet registry's dump file. Scenario dumps end in
@@ -195,32 +211,29 @@ func (cs *cacheStore) fleetPath() string {
 	return filepath.Join(cs.dir, "fleet.json")
 }
 
-// loadFleet restores the persisted fleet registry if a dump exists.
-// Failures are logged and leave the fleet empty — re-registering is
-// always safe.
+// loadFleet restores the persisted fleet registry if a dump exists; a
+// rejected dump leaves the fleet empty — re-registering is always safe.
 func (cs *cacheStore) loadFleet(reg *fleet.Registry) {
-	data, err := os.ReadFile(cs.fleetPath())
-	if os.IsNotExist(err) {
-		return
-	}
-	if err != nil {
-		cs.log.Error("cache: reading fleet dump failed", "error", err)
-		return
-	}
-	n, err := reg.Restore(data)
-	if err != nil {
-		cs.log.Error("cache: rejecting fleet dump", "path", cs.fleetPath(), "error", err)
-		return
-	}
-	cs.mu.Lock()
-	cs.fleetRev = reg.Rev()
-	cs.mu.Unlock()
-	cs.log.Info("cache: restored fleet", "systems", n, "path", cs.fleetPath())
+	cs.readFile(cs.fleetPath(), func(r io.Reader) error {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return err
+		}
+		n, err := reg.Restore(data)
+		if err != nil {
+			return err
+		}
+		cs.mu.Lock()
+		cs.fleetRev = reg.Rev()
+		cs.mu.Unlock()
+		cs.log.Info("cache: restored fleet", "systems", n, "path", cs.fleetPath())
+		return nil
+	}, "dump", "fleet")
 }
 
-// dumpFleet writes the fleet registry atomically (temp file + rename),
-// skipping the write when the registry has not changed since the last
-// load or dump. Returns false when the write failed.
+// dumpFleet writes the fleet registry, skipping the write when the
+// registry has not changed since the last load or dump. Returns false
+// when the write failed.
 func (cs *cacheStore) dumpFleet(reg *fleet.Registry) bool {
 	cs.dumpMu.Lock()
 	defer cs.dumpMu.Unlock()
@@ -231,40 +244,20 @@ func (cs *cacheStore) dumpFleet(reg *fleet.Registry) bool {
 	if clean {
 		return true
 	}
-	if cerr := cs.chaos.Hit("persist"); cerr != nil {
-		cs.m.cacheFlushErrors.Inc()
-		cs.dumpFailed("cache: flush failed writing fleet dump", "error", cerr)
-		return false
+	ok := cs.writeFile(cs.fleetPath(), func(w io.Writer) error {
+		data, err := reg.Snapshot()
+		if err == nil {
+			_, err = w.Write(data)
+		}
+		return err
+	}, "dump", "fleet")
+	if ok {
+		cs.mu.Lock()
+		cs.fleetRev = rev
+		cs.mu.Unlock()
+		cs.log.Info("cache: dumped fleet", "path", cs.fleetPath())
 	}
-	data, err := reg.Snapshot()
-	if err != nil {
-		cs.dumpFailed("cache: fleet snapshot failed", "error", err)
-		return false
-	}
-	tmp, err := os.CreateTemp(cs.dir, "fleet.*.tmp")
-	if err != nil {
-		cs.dumpFailed("cache: flush failed creating fleet temp dump", "error", err)
-		return false
-	}
-	if _, err = tmp.Write(data); err == nil {
-		err = tmp.Close()
-	} else {
-		tmp.Close()
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), cs.fleetPath())
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		cs.dumpFailed("cache: flush failed writing fleet dump", "error", err)
-		return false
-	}
-	cs.mu.Lock()
-	cs.fleetRev = rev
-	cs.mu.Unlock()
-	cs.dumpSucceeded()
-	cs.log.Info("cache: dumped fleet", "path", cs.fleetPath())
-	return true
+	return ok
 }
 
 // dumpCaches dumps every registered scenario and the fleet registry;

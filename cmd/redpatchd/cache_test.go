@@ -223,3 +223,60 @@ func TestNewServerRejectsUnusableCacheDir(t *testing.T) {
 		t.Fatal("newServer accepted a file as cache dir")
 	}
 }
+
+// TestFleetDumpCountsFlushes: the fleet dump goes through the same
+// writer as the scenario caches, so a written fleet.json bumps
+// redpatchd_cache_flushes_total and a failed one bumps
+// redpatchd_cache_flush_errors_total — here the cache directory is
+// replaced by a regular file, so creating the temp file fails.
+func TestFleetDumpCountsFlushes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	s := mustServer(t, newStudy(t), serverConfig{cacheDir: dir})
+	h := s.handler()
+	if w := do(t, h, http.MethodPost, "/api/v2/fleet/register", `{"systems":[`+fleetSystemA+`]}`); w.Code != http.StatusOK {
+		t.Fatalf("register status = %d: %s", w.Code, w.Body)
+	}
+	if !s.dumpCaches() {
+		t.Fatal("fleet dump failed on a healthy cache dir")
+	}
+	if got := metricValue(t, scrape(t, h), `redpatchd_cache_flushes_total`); got != "1" {
+		t.Fatalf("flushes after a fleet dump = %s, want 1", got)
+	}
+
+	if w := do(t, h, http.MethodPost, "/api/v2/fleet/register", `{"systems":[`+fleetSystemB+`]}`); w.Code != http.StatusOK {
+		t.Fatalf("register status = %d: %s", w.Code, w.Body)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s.dumpCaches() {
+		t.Fatal("fleet dump succeeded with the cache dir replaced by a file")
+	}
+	body := scrape(t, h)
+	if got := metricValue(t, body, `redpatchd_cache_flush_errors_total`); got != "1" {
+		t.Fatalf("flush errors = %s, want 1", got)
+	}
+	if got := metricValue(t, body, `redpatchd_cache_flushes_total`); got != "1" {
+		t.Fatalf("flushes after a failed dump = %s, want 1", got)
+	}
+}
+
+// TestCorruptFleetDumpCountsRestoreError: a fleet.json that does not
+// parse is rejected like a corrupt scenario dump — the fleet starts
+// empty and redpatchd_cache_restore_errors_total counts the rejection.
+func TestCorruptFleetDumpCountsRestoreError(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fleet.json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustServer(t, newStudy(t), serverConfig{cacheDir: dir})
+	if n := s.fleetReg.Len(); n != 0 {
+		t.Fatalf("corrupt dump restored %d systems", n)
+	}
+	if got := metricValue(t, scrape(t, s.handler()), `redpatchd_cache_restore_errors_total`); got != "1" {
+		t.Fatalf("restore errors = %s, want 1", got)
+	}
+}

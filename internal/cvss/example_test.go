@@ -17,13 +17,3 @@ func ExampleParse() {
 		v.BaseScore(), v.ImpactScoreRounded(), v.AttackSuccessProbability(), v.Severity())
 	// Output: base 10.0 impact 10.0 asp 1.00 HIGH
 }
-
-// ExampleParseV3 scores Log4Shell with the v3.1 engine.
-func ExampleParseV3() {
-	v, err := cvss.ParseV3("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:C/C:H/I:H/A:H")
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("base %.1f (%s)\n", v.BaseScore(), v.Severity())
-	// Output: base 10.0 (CRITICAL)
-}

@@ -34,33 +34,3 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseV3 does the same for the v3.1 parser.
-func FuzzParseV3(f *testing.F) {
-	for _, seed := range []string{
-		"CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H",
-		"CVSS:3.0/AV:L/AC:H/PR:H/UI:R/S:C/C:L/I:L/A:L",
-		"AV:N/AC:L/PR:N/UI:N/S:C/C:H/I:H/A:H",
-		"",
-		"CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H",
-		"CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:X/C:H/I:H/A:H",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		v, err := ParseV3(s)
-		if err != nil {
-			return
-		}
-		back, err := ParseV3(v.String())
-		if err != nil {
-			t.Fatalf("accepted v3 vector %q does not round-trip: %v", s, err)
-		}
-		if back != v {
-			t.Fatalf("round trip changed %q: %+v -> %+v", s, v, back)
-		}
-		if base := v.BaseScore(); base < 0 || base > 10 {
-			t.Fatalf("v3 vector %q has out-of-range base score %v", s, base)
-		}
-	})
-}

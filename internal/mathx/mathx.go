@@ -38,12 +38,6 @@ func Round2(x float64) float64 {
 	return math.Round(x*100) / 100
 }
 
-// RoundN rounds x to n decimal digits, half away from zero.
-func RoundN(x float64, n int) float64 {
-	p := math.Pow(10, float64(n))
-	return math.Round(x*p) / p
-}
-
 // AlmostEqual reports whether a and b differ by at most tol in absolute
 // terms or, for large magnitudes, by at most tol in relative terms.
 func AlmostEqual(a, b, tol float64) bool {
@@ -70,48 +64,6 @@ func Clamp01(x float64) float64 {
 	default:
 		return x
 	}
-}
-
-// MaxFloat returns the maximum of xs, or 0 if xs is empty.
-func MaxFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// MinFloat returns the minimum of xs, or 0 if xs is empty.
-func MinFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Factorial returns n! as a float64. It is used for small closed-form
-// queueing computations (n rarely exceeds a few dozen servers); for n < 0
-// it returns NaN.
-func Factorial(n int) float64 {
-	if n < 0 {
-		return math.NaN()
-	}
-	f := 1.0
-	for i := 2; i <= n; i++ {
-		f *= float64(i)
-	}
-	return f
 }
 
 // Binomial returns the binomial coefficient C(n, k) as a float64, or 0 when

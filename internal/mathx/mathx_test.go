@@ -83,15 +83,6 @@ func TestRound2(t *testing.T) {
 	}
 }
 
-func TestRoundN(t *testing.T) {
-	if got := RoundN(3.14159, 3); got != 3.142 {
-		t.Errorf("RoundN(3.14159, 3) = %v, want 3.142", got)
-	}
-	if got := RoundN(3.14159, 0); got != 3 {
-		t.Errorf("RoundN(3.14159, 0) = %v, want 3", got)
-	}
-}
-
 func TestAlmostEqual(t *testing.T) {
 	tests := []struct {
 		name string
@@ -142,42 +133,6 @@ func TestClamp01AlwaysInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMaxMinFloat(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := MaxFloat(xs); got != 7 {
-		t.Errorf("MaxFloat = %v, want 7", got)
-	}
-	if got := MinFloat(xs); got != -1 {
-		t.Errorf("MinFloat = %v, want -1", got)
-	}
-	if got := MaxFloat(nil); got != 0 {
-		t.Errorf("MaxFloat(nil) = %v, want 0", got)
-	}
-	if got := MinFloat(nil); got != 0 {
-		t.Errorf("MinFloat(nil) = %v, want 0", got)
-	}
-}
-
-func TestFactorial(t *testing.T) {
-	tests := []struct {
-		give int
-		want float64
-	}{
-		{give: 0, want: 1},
-		{give: 1, want: 1},
-		{give: 5, want: 120},
-		{give: 10, want: 3628800},
-	}
-	for _, tt := range tests {
-		if got := Factorial(tt.give); got != tt.want {
-			t.Errorf("Factorial(%d) = %v, want %v", tt.give, got, tt.want)
-		}
-	}
-	if !math.IsNaN(Factorial(-1)) {
-		t.Error("Factorial(-1) should be NaN")
 	}
 }
 

@@ -11,8 +11,8 @@
 // Set) is cheap and safe for concurrent use: counters and gauges are
 // single atomics, histograms take a short mutex.
 //
-// Collector callbacks (NewCounterFunc, NewGaugeFunc and their Vec
-// forms) export state owned elsewhere — engine cache counters, registry
+// Collector callbacks (NewCounterVecFunc, NewGaugeFunc and
+// NewGaugeVecFunc) export state owned elsewhere — engine cache counters, registry
 // sizes — by reading it at scrape time instead of double-counting it
 // through increments.
 package metrics
@@ -171,14 +171,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 		children: make(map[string]observer),
 	})
 	return &CounterVec{fam: f}
-}
-
-// NewCounterFunc registers a counter whose value is read by fn at
-// scrape time. fn must be safe for concurrent use.
-func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
-	r.NewCounterVecFunc(name, help, nil, func() []Sample {
-		return []Sample{{Value: fn()}}
-	})
 }
 
 // NewCounterVecFunc registers a labelled counter collector: fn is

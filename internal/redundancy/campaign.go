@@ -1,9 +1,6 @@
 package redundancy
 
 import (
-	"fmt"
-
-	"redpatch/internal/availability"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
 	"redpatch/internal/vulndb"
@@ -33,48 +30,4 @@ func (e *Evaluator) CampaignResidualASP(role string, camp patch.Campaign) ([]flo
 		out[i] = vulndb.CompositeASP(camp.ResidualAfterRound(i, selected))
 	}
 	return out, nil
-}
-
-// CampaignTimeline builds the availability-layer view of a campaign: one
-// try-revert maintenance window per round, spaced cycleHours apart, each
-// sampled at the given offsets (hours into the window), solved by
-// availability.CampaignTransient — the server's P(service up) trajectory
-// over the whole campaign, rollback branch included.
-func (e *Evaluator) CampaignTimeline(role string, camp patch.Campaign, rb availability.Rollback, cycleHours float64, offsets []float64) ([]availability.PatchWindowPoint, error) {
-	if err := rb.Validate(); err != nil {
-		return nil, err
-	}
-	if cycleHours <= 0 {
-		return nil, fmt.Errorf("redundancy: non-positive cycle %v h", cycleHours)
-	}
-	if len(offsets) == 0 {
-		return nil, fmt.Errorf("redundancy: no sample offsets")
-	}
-	base, _, err := paperdata.ServerParams(e.db, role, e.policy, e.schedule)
-	if err != nil {
-		return nil, err
-	}
-	windows := make([]availability.CampaignWindow, 0, camp.TotalRounds())
-	times := make([]float64, 0, camp.TotalRounds()*len(offsets))
-	for i, r := range camp.Rounds {
-		p := base
-		p.SvcPatchTime = r.ServicePatchTime
-		p.OSPatchTime = r.OSPatchTime
-		start := float64(i) * cycleHours
-		windows = append(windows, availability.CampaignWindow{
-			StartHours: start,
-			Params:     p,
-			Rollback:   rb,
-		})
-		for _, off := range offsets {
-			if off < 0 || off >= cycleHours {
-				return nil, fmt.Errorf("redundancy: offset %v h outside [0, cycle)", off)
-			}
-			times = append(times, start+off)
-		}
-	}
-	if len(windows) == 0 {
-		return nil, fmt.Errorf("redundancy: campaign has no rounds")
-	}
-	return availability.CampaignTransient(windows, times)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"redpatch/internal/availability"
 	"redpatch/internal/vulndb"
 )
 
@@ -51,55 +50,5 @@ func TestCampaignResidualASP(t *testing.T) {
 
 	if _, err := e.CampaignResidualASP("nope", camp); err == nil {
 		t.Error("unknown role should fail")
-	}
-}
-
-func TestCampaignTimeline(t *testing.T) {
-	e, _ := evaluator(t)
-	camp, err := e.PlanCampaign("app", 35*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb := availability.Rollback{SuccessProb: 0.8, Duration: 10 * time.Minute}
-	offsets := []float64{0.1, 2}
-	pts, err := e.CampaignTimeline("app", camp, rb, 720, offsets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != camp.TotalRounds()*len(offsets) {
-		t.Fatalf("points = %d, want %d", len(pts), camp.TotalRounds()*len(offsets))
-	}
-	for i, pt := range pts {
-		round := i / len(offsets)
-		if want := float64(round)*720 + offsets[i%len(offsets)]; pt.Hours != want {
-			t.Errorf("point %d at %v h, want %v", i, pt.Hours, want)
-		}
-		if pt.ServiceUp < 0 || pt.ServiceUp > 1 {
-			t.Errorf("point %d: P(up) = %v", i, pt.ServiceUp)
-		}
-	}
-	// Early in each window the pipeline dominates; by two hours in the
-	// service has recovered.
-	for r := 0; r < camp.TotalRounds(); r++ {
-		early, late := pts[r*2], pts[r*2+1]
-		if early.ServiceUp >= late.ServiceUp {
-			t.Errorf("round %d: no recovery %v -> %v", r, early.ServiceUp, late.ServiceUp)
-		}
-		if late.ServiceUp < 0.99 {
-			t.Errorf("round %d: P(up) at +2h = %v, want ≈ 1", r, late.ServiceUp)
-		}
-	}
-
-	if _, err := e.CampaignTimeline("app", camp, availability.Rollback{}, 720, offsets); err == nil {
-		t.Error("invalid rollback should fail")
-	}
-	if _, err := e.CampaignTimeline("app", camp, rb, 0, offsets); err == nil {
-		t.Error("non-positive cycle should fail")
-	}
-	if _, err := e.CampaignTimeline("app", camp, rb, 720, nil); err == nil {
-		t.Error("no offsets should fail")
-	}
-	if _, err := e.CampaignTimeline("app", camp, rb, 720, []float64{721}); err == nil {
-		t.Error("offset beyond the cycle should fail")
 	}
 }

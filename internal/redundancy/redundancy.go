@@ -2,14 +2,14 @@
 // axes of the paper — security (HARM metrics before and after patch) and
 // capacity oriented availability (aggregated SRN model) — and implements
 // the administrator decision functions of Eq. 3 (two-metric bounds) and
-// Eq. 4 (multi-metric bounds), a Pareto-front analysis, and the
-// operational-cost extension sketched in the paper's §V.
+// Eq. 4 (multi-metric bounds) plus a Pareto-front analysis.
 package redundancy
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -743,24 +743,36 @@ func Filter(results []Result, b Bound) []Result {
 	return out
 }
 
-// Dominates reports whether a dominates b on the (minimize after-patch
-// ASP, maximize COA) plane: a.ASP <= b.ASP and a.COA >= b.COA with at
-// least one strict. ParetoFront and the engine's incremental front both
-// apply this one predicate.
-func Dominates(a, b Result) bool {
-	return a.After.ASP <= b.After.ASP && a.COA >= b.COA &&
-		(a.After.ASP < b.After.ASP || a.COA > b.COA)
+// dominates is the one dominance rule of every frontier in this
+// repository, on the (minimize ASP, maximize COA) plane: a is no worse
+// than b on both axes and strictly better on at least one.
+func dominates(aASP, aCOA, bASP, bCOA float64) bool {
+	return aASP <= bASP && aCOA >= bCOA && (aASP < bASP || aCOA > bCOA)
 }
 
-// ParetoFront returns the designs not dominated on the
-// (minimize after-patch ASP, maximize COA) plane, sorted by ascending
-// ASP.
-func ParetoFront(results []Result) []Result {
-	var front []Result
-	for i, r := range results {
+// Dominates reports whether design a dominates design b on the
+// (minimize after-patch ASP, maximize COA) plane. ParetoFront and the
+// engine's incremental front both apply it.
+func Dominates(a, b Result) bool {
+	return dominates(a.After.ASP, a.COA, b.After.ASP, b.COA)
+}
+
+// Front returns the items not dominated on the (minimize ASP, maximize
+// COA) plane, where point gives an item's coordinates. The front is in
+// a total order: ASP ascending, then COA descending, then tiebreak, so
+// it depends only on its members and never on the input order (a
+// streamed sweep collects its items in completion order). The design
+// front, the facade's Pareto and the rollout frontier all run on it.
+func Front[T any](items []T, point func(T) (asp, coa float64), tiebreak func(a, b T) int) []T {
+	var front []T
+	for i, r := range items {
+		rASP, rCOA := point(r)
 		dominated := false
-		for j, s := range results {
-			if i != j && Dominates(s, r) {
+		for j, s := range items {
+			if i == j {
+				continue
+			}
+			if sASP, sCOA := point(s); dominates(sASP, sCOA, rASP, rCOA) {
 				dominated = true
 				break
 			}
@@ -769,55 +781,27 @@ func ParetoFront(results []Result) []Result {
 			front = append(front, r)
 		}
 	}
-	sort.Slice(front, func(i, j int) bool {
-		if front[i].After.ASP != front[j].After.ASP {
-			return front[i].After.ASP < front[j].After.ASP
+	slices.SortFunc(front, func(a, b T) int {
+		aASP, aCOA := point(a)
+		bASP, bCOA := point(b)
+		if c := cmp.Compare(aASP, bASP); c != 0 {
+			return c
 		}
-		return front[i].COA > front[j].COA
+		if c := cmp.Compare(bCOA, aCOA); c != 0 {
+			return c
+		}
+		return tiebreak(a, b)
 	})
 	return front
 }
 
-// CostModel monetizes a design per month, the economic extension the
-// paper lists in §V: fixed server cost, capacity-loss cost scaled by
-// (1 - COA), and expected breach loss scaled by the after-patch ASP.
-type CostModel struct {
-	// ServerPerMonth is the cost of operating one server for a month.
-	ServerPerMonth float64
-	// DowntimePerHour is the cost of one full-capacity-hour lost.
-	DowntimePerHour float64
-	// BreachLoss is the loss of a successful compromise, weighted by the
-	// after-patch attack success probability.
-	BreachLoss float64
-	// HoursPerMonth defaults to 720 when zero.
-	HoursPerMonth float64
-}
-
-// MonthlyCost evaluates the model for one design result.
-func (c CostModel) MonthlyCost(r Result) float64 {
-	hours := c.HoursPerMonth
-	if hours == 0 {
-		hours = 720
-	}
-	return c.ServerPerMonth*float64(r.Spec.Total()) +
-		c.DowntimePerHour*(1-r.COA)*hours +
-		c.BreachLoss*r.After.ASP
-}
-
-// Cheapest returns the result with the lowest monthly cost (ties keep the
-// earlier result). It errors on an empty slice.
-func (c CostModel) Cheapest(results []Result) (Result, error) {
-	if len(results) == 0 {
-		return Result{}, fmt.Errorf("redundancy: no results to cost")
-	}
-	best := results[0]
-	bestCost := c.MonthlyCost(best)
-	for _, r := range results[1:] {
-		if cost := c.MonthlyCost(r); cost < bestCost {
-			best, bestCost = r, cost
-		}
-	}
-	return best, nil
+// ParetoFront returns the designs not dominated on the
+// (minimize after-patch ASP, maximize COA) plane in Front's order, with
+// the design name as the tiebreak.
+func ParetoFront(results []Result) []Result {
+	return Front(results,
+		func(r Result) (float64, float64) { return r.After.ASP, r.COA },
+		func(a, b Result) int { return strings.Compare(a.Spec.Name, b.Spec.Name) })
 }
 
 // EnumerateDesigns yields every design with 1..maxPerTier servers per

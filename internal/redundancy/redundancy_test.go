@@ -198,29 +198,6 @@ func TestParetoFront(t *testing.T) {
 	}
 }
 
-func TestCostModel(t *testing.T) {
-	_, results := evaluator(t)
-	c := CostModel{ServerPerMonth: 100, DowntimePerHour: 1000, BreachLoss: 10000}
-	d1 := byName(t, results, "D1")
-	cost := c.MonthlyCost(d1)
-	want := 100*4 + 1000*(1-d1.COA)*720 + 10000*d1.After.ASP
-	if !mathx.AlmostEqual(cost, want, 1e-9) {
-		t.Errorf("cost = %v, want %v", cost, want)
-	}
-	cheapest, err := c.Cheapest(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if c.MonthlyCost(r) < c.MonthlyCost(cheapest) {
-			t.Errorf("Cheapest missed %s", r.Spec.Name)
-		}
-	}
-	if _, err := c.Cheapest(nil); err == nil {
-		t.Error("Cheapest of empty slice should fail")
-	}
-}
-
 func TestEnumerateDesigns(t *testing.T) {
 	ds := EnumerateDesigns(2)
 	if len(ds) != 16 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
@@ -255,39 +254,4 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 	res.COA = sol.COA
 	res.ServiceAvailability = sol.ServiceAvailability
 	return res, nil
-}
-
-// RolloutDominates reports whether a dominates b on the rollout
-// frontier plane (minimize mixed-version ASP, maximize COA): during a
-// rollout the exposure is the still-running unpatched sub-populations,
-// so the Security metrics themselves are the "after" side of the point.
-func RolloutDominates(a, b RolloutResult) bool {
-	return a.Security.ASP <= b.Security.ASP && a.COA >= b.COA &&
-		(a.Security.ASP < b.Security.ASP || a.COA > b.COA)
-}
-
-// RolloutFront returns the rollout points not dominated on the
-// (minimize ASP, maximize COA) plane, sorted by ascending ASP — the
-// security-availability frontier of the rollout itself.
-func RolloutFront(points []RolloutResult) []RolloutResult {
-	var front []RolloutResult
-	for i, r := range points {
-		dominated := false
-		for j, s := range points {
-			if i != j && RolloutDominates(s, r) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, r)
-		}
-	}
-	sort.Slice(front, func(i, j int) bool {
-		if front[i].Security.ASP != front[j].Security.ASP {
-			return front[i].Security.ASP < front[j].Security.ASP
-		}
-		return front[i].COA > front[j].COA
-	})
-	return front
 }

@@ -498,6 +498,8 @@ func TestPatchedCountsCanaryRounding(t *testing.T) {
 	}
 }
 
+// TestRolloutFront runs Front on the rollout plane, where the
+// mixed-version Security metrics are the ASP axis.
 func TestRolloutFront(t *testing.T) {
 	mk := func(asp, coa float64) RolloutResult {
 		return RolloutResult{Security: harm.Metrics{ASP: asp}, COA: coa}
@@ -508,7 +510,9 @@ func TestRolloutFront(t *testing.T) {
 		mk(0.5, 0.99),  // dominated by the point above
 		mk(0.2, 0.995), // patched end
 	}
-	front := RolloutFront(points)
+	front := Front(points,
+		func(r RolloutResult) (float64, float64) { return r.Security.ASP, r.COA },
+		func(a, b RolloutResult) int { return 0 })
 	if len(front) != 3 {
 		t.Fatalf("front has %d points, want 3: %+v", len(front), front)
 	}

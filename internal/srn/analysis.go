@@ -286,29 +286,6 @@ func (s *StateSpace) Probability(pi []float64, pred func(m Marking) bool) (float
 	return mathx.KahanSum(terms), nil
 }
 
-// Throughput returns the steady-state throughput of the named timed
-// transition: sum over tangible markings of pi(m) * rate(m) where the
-// transition is enabled.
-func (s *StateSpace) Throughput(pi []float64, name string) (float64, error) {
-	t := s.net.TransitionByName(name)
-	if t == nil {
-		return 0, fmt.Errorf("srn: unknown transition %q", name)
-	}
-	if t.kind != Timed {
-		return 0, fmt.Errorf("srn: transition %q is immediate; throughput is defined for timed transitions", name)
-	}
-	if len(pi) != len(s.markings) {
-		return 0, fmt.Errorf("srn: distribution has %d entries, want %d", len(pi), len(s.markings))
-	}
-	var terms []float64
-	for i, m := range s.markings {
-		if s.net.enabled(t, m) {
-			terms = append(terms, pi[i]*t.rateOf(m))
-		}
-	}
-	return mathx.KahanSum(terms), nil
-}
-
 // MeanTokens returns the expected steady-state token count of place p.
 func (s *StateSpace) MeanTokens(pi []float64, p *Place) (float64, error) {
 	return s.ExpectedReward(pi, func(m Marking) float64 { return float64(m.Tokens(p)) })

@@ -244,24 +244,6 @@ func TestExpectedRewardAndMeanTokens(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	const lambda, mu = 0.5, 1.5
-	n, _, _ := upDownNet(t, lambda, mu)
-	ss, pi := solve(t, n)
-	thr, err := ss.Throughput(pi, "Tfail")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In steady state, failure throughput = P(up) * lambda.
-	want := mu / (lambda + mu) * lambda
-	if !mathx.AlmostEqual(thr, want, 1e-10) {
-		t.Errorf("Throughput(Tfail) = %v, want %v", thr, want)
-	}
-	if _, err := ss.Throughput(pi, "nosuch"); err == nil {
-		t.Error("Throughput of unknown transition should fail")
-	}
-}
-
 func TestStateOf(t *testing.T) {
 	n, up, down := upDownNet(t, 1, 1)
 	ss, _ := solve(t, n)

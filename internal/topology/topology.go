@@ -38,17 +38,6 @@ type Node struct {
 	Role string
 }
 
-// Rule is a firewall decision between two subnets. Rules are directional
-// and processed in order: an allow rule adds every edge between the
-// subnets, a deny rule removes them again, so later rules override
-// earlier ones (the usual first-match-last-write firewall composition).
-type Rule struct {
-	FromSubnet string
-	ToSubnet   string
-	// Deny removes the edges instead of adding them.
-	Deny bool
-}
-
 // Topology is a set of nodes plus directed reachability edges.
 type Topology struct {
 	nodes map[string]Node
@@ -108,38 +97,6 @@ func (t *Topology) MustConnect(from, to string) {
 	}
 }
 
-// ApplyRules applies a firewall rule set in order: every allow rule
-// connects each node in the source subnet to each node in the destination
-// subnet, every deny rule disconnects them again. Self edges are skipped.
-// Explicitly Connect-ed edges survive unless a deny rule covers them.
-func (t *Topology) ApplyRules(rules []Rule) {
-	for _, r := range rules {
-		for _, from := range t.nodesInSubnet(r.FromSubnet) {
-			for _, to := range t.nodesInSubnet(r.ToSubnet) {
-				if from == to {
-					continue
-				}
-				if r.Deny {
-					delete(t.adj[from], to)
-				} else {
-					t.adj[from][to] = true
-				}
-			}
-		}
-	}
-}
-
-func (t *Topology) nodesInSubnet(subnet string) []string {
-	var out []string
-	for name, n := range t.nodes {
-		if n.Subnet == subnet {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Node returns the named node.
 func (t *Topology) Node(name string) (Node, bool) {
 	n, ok := t.nodes[name]
@@ -193,29 +150,6 @@ func (t *Topology) Successors(name string) []string {
 
 // HasEdge reports whether a directed edge exists.
 func (t *Topology) HasEdge(from, to string) bool { return t.adj[from][to] }
-
-// Reachable reports whether to is reachable from from over directed edges.
-func (t *Topology) Reachable(from, to string) bool {
-	if _, ok := t.nodes[from]; !ok {
-		return false
-	}
-	seen := map[string]bool{from: true}
-	queue := []string{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == to {
-			return true
-		}
-		for _, next := range t.Successors(cur) {
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
-			}
-		}
-	}
-	return false
-}
 
 // Validate checks that the topology has at least one attacker and one host
 // and that every host carries a role (the HARM generator requires one).

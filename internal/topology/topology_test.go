@@ -60,83 +60,6 @@ func TestConnect(t *testing.T) {
 	}
 }
 
-func TestApplyRules(t *testing.T) {
-	top := threeTier(t)
-	top.ApplyRules([]Rule{
-		{FromSubnet: "internet", ToSubnet: "dmz1"},
-		{FromSubnet: "dmz1", ToSubnet: "intranet"},
-	})
-	for _, want := range [][2]string{
-		{"attacker", "web1"}, {"attacker", "web2"},
-		{"web1", "app1"}, {"web1", "db1"}, {"web2", "app1"},
-	} {
-		if !top.HasEdge(want[0], want[1]) {
-			t.Errorf("rule-derived edge %s -> %s missing", want[0], want[1])
-		}
-	}
-	if top.HasEdge("attacker", "app1") {
-		t.Error("no rule allows internet -> intranet")
-	}
-	// Intra-subnet rule must not create self edges.
-	top.ApplyRules([]Rule{{FromSubnet: "dmz1", ToSubnet: "dmz1"}})
-	if top.HasEdge("web1", "web1") {
-		t.Error("self edge created by intra-subnet rule")
-	}
-	if !top.HasEdge("web1", "web2") {
-		t.Error("intra-subnet rule should connect distinct nodes")
-	}
-}
-
-func TestApplyRulesDeny(t *testing.T) {
-	top := threeTier(t)
-	top.ApplyRules([]Rule{
-		{FromSubnet: "internet", ToSubnet: "dmz1"},
-		{FromSubnet: "internet", ToSubnet: "dmz1", Deny: true},
-	})
-	if top.HasEdge("attacker", "web1") {
-		t.Error("later deny rule must remove the allowed edges")
-	}
-	// Deny also covers explicitly connected edges.
-	top.MustConnect("attacker", "web2")
-	top.ApplyRules([]Rule{{FromSubnet: "internet", ToSubnet: "dmz1", Deny: true}})
-	if top.HasEdge("attacker", "web2") {
-		t.Error("deny rule must remove explicit edges too")
-	}
-	// Order matters: allow after deny wins.
-	top.ApplyRules([]Rule{
-		{FromSubnet: "internet", ToSubnet: "dmz1", Deny: true},
-		{FromSubnet: "internet", ToSubnet: "dmz1"},
-	})
-	if !top.HasEdge("attacker", "web1") {
-		t.Error("allow after deny should restore the edges")
-	}
-	// Denying a non-existent edge is a no-op.
-	fresh := threeTier(t)
-	fresh.ApplyRules([]Rule{{FromSubnet: "internet", ToSubnet: "intranet", Deny: true}})
-	if len(fresh.Successors("attacker")) != 0 {
-		t.Error("deny on absent edges must not create anything")
-	}
-}
-
-func TestReachable(t *testing.T) {
-	top := threeTier(t)
-	top.MustConnect("attacker", "web1")
-	top.MustConnect("web1", "app1")
-	top.MustConnect("app1", "db1")
-	if !top.Reachable("attacker", "db1") {
-		t.Error("db1 should be reachable transitively")
-	}
-	if top.Reachable("db1", "attacker") {
-		t.Error("reverse direction should not be reachable")
-	}
-	if top.Reachable("nosuch", "db1") {
-		t.Error("unknown source should not be reachable")
-	}
-	if !top.Reachable("web1", "web1") {
-		t.Error("a node reaches itself")
-	}
-}
-
 func TestNodeQueries(t *testing.T) {
 	top := threeTier(t)
 	if len(top.Nodes()) != 6 {

@@ -11,7 +11,6 @@ package vulndb
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"redpatch/internal/cvss"
@@ -249,45 +248,4 @@ func (db *DB) UnmarshalJSON(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// SaveFile writes the database as indented JSON to the given path.
-func (db *DB) SaveFile(path string) error {
-	data, err := json.MarshalIndent(db, "", "  ")
-	if err != nil {
-		return fmt.Errorf("vulndb: marshal: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("vulndb: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// LoadFile reads a database previously written by SaveFile (or any JSON
-// array of records in the documented schema).
-func LoadFile(path string) (*DB, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("vulndb: read %s: %w", path, err)
-	}
-	db := New()
-	if err := json.Unmarshal(data, db); err != nil {
-		return nil, fmt.Errorf("vulndb: parse %s: %w", path, err)
-	}
-	return db, nil
-}
-
-// CountByComponent returns how many of the given vulnerabilities live in
-// each layer; the availability model derives patch durations from these
-// counts.
-func CountByComponent(vulns []Vulnerability) (osCount, serviceCount int) {
-	for _, v := range vulns {
-		switch v.Component {
-		case ComponentOS:
-			osCount++
-		case ComponentService:
-			serviceCount++
-		}
-	}
-	return osCount, serviceCount
 }

@@ -2,7 +2,6 @@ package vulndb
 
 import (
 	"encoding/json"
-	"os"
 	"testing"
 
 	"redpatch/internal/cvss"
@@ -220,56 +219,5 @@ func TestComponentJSON(t *testing.T) {
 func TestComponentString(t *testing.T) {
 	if ComponentOS.String() != "os" || ComponentService.String() != "service" {
 		t.Error("component labels wrong")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	db := buildTestDB(t)
-	path := t.TempDir() + "/vulns.json"
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != db.Len() {
-		t.Fatalf("file round trip lost records: %d != %d", back.Len(), db.Len())
-	}
-	for _, v := range db.All() {
-		got, ok := back.ByID(v.ID)
-		if !ok || got != v {
-			t.Errorf("record %s changed in file round trip", v.ID)
-		}
-	}
-}
-
-func TestLoadFileErrors(t *testing.T) {
-	if _, err := LoadFile(t.TempDir() + "/missing.json"); err == nil {
-		t.Error("missing file should fail")
-	}
-	path := t.TempDir() + "/bad.json"
-	if err := writeFile(t, path, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil {
-		t.Error("malformed file should fail")
-	}
-}
-
-func writeFile(t *testing.T, path, content string) error {
-	t.Helper()
-	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-func TestCountByComponent(t *testing.T) {
-	db := buildTestDB(t)
-	osC, svcC := CountByComponent(db.All())
-	if osC != 2 || svcC != 2 {
-		t.Errorf("CountByComponent = (%d, %d), want (2, 2)", osC, svcC)
-	}
-	osC, svcC = CountByComponent(nil)
-	if osC != 0 || svcC != 0 {
-		t.Error("CountByComponent(nil) should be zero")
 	}
 }

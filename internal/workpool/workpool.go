@@ -1,9 +1,9 @@
 // Package workpool is the bounded fan-out primitive under the design
 // evaluation engine: a fixed number of worker goroutines draining a
 // slice, either collecting results in input order (Map) or handing them
-// to a collector as they complete (Stream).
+// to a collector as they complete (StreamCtx).
 // redundancy.(*Evaluator).EvaluateAll delegates to Map and the engine's
-// sweeps to Stream, so serial and concurrent evaluation share one pool
+// sweeps to StreamCtx, so serial and concurrent evaluation share one pool
 // and differ only in worker count.
 package workpool
 
@@ -83,20 +83,16 @@ func Map[T, R any](workers int, items []T, fn func(int, T) (R, error)) ([]R, err
 	return out, nil
 }
 
-// Stream applies fn to every item with at most workers goroutines and
+// StreamCtx applies fn to every item with at most workers goroutines and
 // hands each outcome to emit in completion order. emit runs on the
 // calling goroutine only, so it needs no locking; returning false stops
 // the stream — no new items are handed out, in-flight calls finish and
-// their outcomes are discarded. Stream returns once every worker has
+// their outcomes are discarded. StreamCtx returns once every worker has
 // exited. workers <= 0 selects GOMAXPROCS.
-func Stream[T, R any](workers int, items []T, fn func(int, T) (R, error), emit func(idx int, r R, err error) bool) {
-	StreamCtx(context.Background(), workers, items, fn, emit)
-}
-
-// StreamCtx is Stream with a cancellation context: once ctx is done,
-// workers exit before picking up their next item, so a cancelled
-// caller's queued items are dropped instead of burning worker slots on
-// fn calls whose outcomes nobody wants. Items already in flight finish
+//
+// Once ctx is done, workers exit before picking up their next item, so
+// a cancelled caller's queued items are dropped instead of burning
+// worker slots on fn calls whose outcomes nobody wants. Items already in flight finish
 // normally (fn is not interrupted); their outcomes still reach emit.
 // The engine's sweeps run on this so a disconnected sweep releases the
 // pool at once rather than draining its whole backlog through fn.

@@ -106,7 +106,7 @@ func TestClamp(t *testing.T) {
 func TestStreamDeliversEveryOutcome(t *testing.T) {
 	items := []int{10, 20, 30, 40, 50}
 	got := make(map[int]int)
-	Stream(3, items, func(_ int, v int) (int, error) { return v * 2, nil },
+	StreamCtx(context.Background(), 3, items, func(_ int, v int) (int, error) { return v * 2, nil },
 		func(idx int, r int, err error) bool {
 			if err != nil {
 				t.Fatal(err)
@@ -128,7 +128,7 @@ func TestStreamStopsOnFalse(t *testing.T) {
 	var calls atomic.Int64
 	items := make([]int, 1000)
 	delivered := 0
-	Stream(2, items, func(i int, _ int) (int, error) {
+	StreamCtx(context.Background(), 2, items, func(i int, _ int) (int, error) {
 		calls.Add(1)
 		return i, nil
 	}, func(int, int, error) bool {
@@ -146,7 +146,7 @@ func TestStreamStopsOnFalse(t *testing.T) {
 func TestStreamPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	var sawErr error
-	Stream(2, []int{0, 1, 2, 3}, func(i int, _ int) (int, error) {
+	StreamCtx(context.Background(), 2, []int{0, 1, 2, 3}, func(i int, _ int) (int, error) {
 		if i == 2 {
 			return 0, boom
 		}
@@ -209,8 +209,8 @@ func TestStreamCtxDeliversInFlightOutcome(t *testing.T) {
 	}
 }
 
-// TestStreamCtxNilSafeBackground: Stream remains StreamCtx under a
-// background context — full delivery, no behaviour change.
+// TestStreamCtxBackgroundDeliversAll: a background context never
+// cancels, so every outcome is delivered.
 func TestStreamCtxBackgroundDeliversAll(t *testing.T) {
 	n := 0
 	StreamCtx(context.Background(), 4, []int{1, 2, 3, 4, 5},

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -426,44 +427,12 @@ func FilterMulti(reports []DesignReport, b MultiBounds) []DesignReport {
 }
 
 // Pareto returns the reports not dominated on (minimize after-patch ASP,
-// maximize COA), sorted by ascending ASP.
+// maximize COA), sorted by ascending ASP, then descending COA, then
+// name, so the front's order is a pure function of its members.
 func Pareto(reports []DesignReport) []DesignReport {
-	var front []DesignReport
-	for i, r := range reports {
-		dominated := false
-		for j, s := range reports {
-			if i == j {
-				continue
-			}
-			if s.After.ASP <= r.After.ASP && s.COA >= r.COA &&
-				(s.After.ASP < r.After.ASP || s.COA > r.COA) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, r)
-		}
-	}
-	for i := 1; i < len(front); i++ {
-		for j := i; j > 0 && less(front[j], front[j-1]); j-- {
-			front[j], front[j-1] = front[j-1], front[j]
-		}
-	}
-	return front
-}
-
-func less(a, b DesignReport) bool {
-	if a.After.ASP != b.After.ASP {
-		return a.After.ASP < b.After.ASP
-	}
-	if a.COA != b.COA {
-		return a.COA > b.COA
-	}
-	// Name is the final tiebreak so the front's order is a pure function
-	// of its members: a streamed sweep collects reports in completion
-	// order, which must not show through in the front it serializes.
-	return a.Name < b.Name
+	return redundancy.Front(reports,
+		func(r DesignReport) (float64, float64) { return r.After.ASP, r.COA },
+		func(a, b DesignReport) int { return strings.Compare(a.Name, b.Name) })
 }
 
 // CostModel monetizes a design per month (the paper's §V economics

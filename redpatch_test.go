@@ -3,6 +3,8 @@ package redpatch
 import (
 	"context"
 	"reflect"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -147,6 +149,63 @@ func TestPareto(t *testing.T) {
 			t.Error("front must be sorted by ASP")
 		}
 	}
+}
+
+// TestFrontIgnoresInputOrder: both fronts are a pure function of their
+// members. A streamed sweep hands them reports in completion order, so
+// an input and its reverse must give the same front even when points
+// tie — every rolling fraction that rounds to the same patched count
+// is a tie on both axes.
+func TestFrontIgnoresInputOrder(t *testing.T) {
+	s, ds := caseStudy(t)
+	tied := append([]DesignReport(nil), ds...)
+	for _, d := range ds {
+		d.Name += "-twin"
+		tied = append(tied, d)
+	}
+	var points []RolloutReport
+	if _, err := s.RolloutSweepEach(context.Background(), ClassicSpec("", 1, 1, 1, 1),
+		RolloutSchedule{Strategy: "rolling", Steps: 8},
+		func(r RolloutReport) error { points = append(points, r); return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		front func(reverse bool) []string
+	}{
+		{"designs", func(reverse bool) []string {
+			var names []string
+			for _, d := range Pareto(reversed(tied, reverse)) {
+				names = append(names, d.Name)
+			}
+			return names
+		}},
+		{"rollout", func(reverse bool) []string {
+			var steps []string
+			for _, p := range RolloutPareto(reversed(points, reverse)) {
+				steps = append(steps, strconv.Itoa(p.Step))
+			}
+			return steps
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fwd, rev := tc.front(false), tc.front(true)
+			if len(fwd) == 0 {
+				t.Fatal("empty front")
+			}
+			if !reflect.DeepEqual(fwd, rev) {
+				t.Errorf("front depends on input order: %v vs reversed %v", fwd, rev)
+			}
+		})
+	}
+}
+
+func reversed[T any](xs []T, reverse bool) []T {
+	out := slices.Clone(xs)
+	if reverse {
+		slices.Reverse(out)
+	}
+	return out
 }
 
 func TestCostModel(t *testing.T) {

@@ -1,6 +1,7 @@
 package redpatch
 
 import (
+	"cmp"
 	"context"
 
 	"redpatch/internal/paperdata"
@@ -132,37 +133,12 @@ func (s *CaseStudy) RolloutSweepEach(ctx context.Context, spec DesignSpec, sched
 }
 
 // RolloutPareto returns the rollout points not dominated on the
-// (minimize mixed-version ASP, maximize COA) plane, sorted by ascending
-// ASP — the security-availability frontier of the rollout itself.
+// (minimize mixed-version ASP, maximize COA) plane — the
+// security-availability frontier of the rollout itself — sorted by
+// ascending ASP, then descending COA, then step, so a sweep's
+// completion order never shows through.
 func RolloutPareto(points []RolloutReport) []RolloutReport {
-	var front []RolloutReport
-	for i, r := range points {
-		dominated := false
-		for j, s := range points {
-			if i == j {
-				continue
-			}
-			if s.Security.ASP <= r.Security.ASP && s.COA >= r.COA &&
-				(s.Security.ASP < r.Security.ASP || s.COA > r.COA) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, r)
-		}
-	}
-	for i := 1; i < len(front); i++ {
-		for j := i; j > 0 && rolloutLess(front[j], front[j-1]); j-- {
-			front[j], front[j-1] = front[j-1], front[j]
-		}
-	}
-	return front
-}
-
-func rolloutLess(a, b RolloutReport) bool {
-	if a.Security.ASP != b.Security.ASP {
-		return a.Security.ASP < b.Security.ASP
-	}
-	return a.COA > b.COA
+	return redundancy.Front(points,
+		func(r RolloutReport) (float64, float64) { return r.Security.ASP, r.COA },
+		func(a, b RolloutReport) int { return cmp.Compare(a.Step, b.Step) })
 }
