@@ -682,10 +682,10 @@ func BenchmarkSecurityExpanded(b *testing.B) {
 
 // BenchmarkSecurityQuotient measures the same per-spec security
 // evaluation on the factored (quotient) model, built cold per iteration:
-// quotient topology, factored HARM, patch transformation and both
-// closed-form metric evaluations. The memoized path the sweeps take
-// (BenchmarkSweepSecurityFactored) amortizes everything but the two
-// Evaluate calls.
+// quotient, topology, factored HARM, patch transformation, both
+// compilations and both closed-form metric evaluations. The memoized
+// path the sweeps take (BenchmarkSweepSecurityFactored) amortizes
+// everything but the two Evaluate calls.
 func BenchmarkSecurityQuotient(b *testing.B) {
 	trees := paperdata.Trees(paperdata.VulnDB())
 	keep := securityKeep(b)
@@ -696,19 +696,23 @@ func BenchmarkSecurityQuotient(b *testing.B) {
 			wantPaths := tc.n * tc.n * tc.n * (tc.n + 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				quotient, mult, _, err := paperdata.SpecQuotient(spec)
+				rq, err := paperdata.SpecRolloutQuotient(spec, make([]int, len(spec.Tiers)))
 				if err != nil {
 					b.Fatal(err)
 				}
-				top, err := paperdata.SpecTopology(quotient)
+				top, err := paperdata.SpecTopology(rq.Quotient)
 				if err != nil {
 					b.Fatal(err)
 				}
-				f, err := harm.BuildFactored(harm.BuildInput{Topology: top, Trees: trees, TargetRoles: quotient.TargetStacks()})
+				f, err := harm.BuildFactored(harm.BuildInput{Topology: top, Trees: trees, TargetRoles: rq.Quotient.TargetStacks()})
 				if err != nil {
 					b.Fatal(err)
 				}
-				before, err := f.Evaluate(mult, tc.opts)
+				c, err := f.Compile(rq.Hosts, tc.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				before, err := c.Evaluate(rq.Counts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -716,7 +720,11 @@ func BenchmarkSecurityQuotient(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := patched.Evaluate(mult, tc.opts); err != nil {
+				pc, err := patched.Compile(rq.Hosts, tc.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := pc.Evaluate(rq.Counts); err != nil {
 					b.Fatal(err)
 				}
 				if before.NoAP != wantPaths {
@@ -728,11 +736,11 @@ func BenchmarkSecurityQuotient(b *testing.B) {
 }
 
 // BenchmarkSecurityQuotientMemo measures the steady-state per-spec
-// security evaluation — the factored model already memoized (as in every
-// sweep past the first spec of a variant structure), leaving only the
-// two closed-form Evaluate calls. This is the security cost EvaluateSpec
-// actually pays per design; compare BenchmarkSecurityExpanded for what
-// it paid before the factored path.
+// security evaluation — both compiled models already memoized (as in
+// every sweep past the first spec of a variant structure), leaving only
+// the two closed-form Evaluate calls. This is the security arithmetic
+// EvaluateSpec pays per design; compare BenchmarkSecurityExpanded for
+// what it paid before the factored path.
 func BenchmarkSecurityQuotientMemo(b *testing.B) {
 	trees := paperdata.Trees(paperdata.VulnDB())
 	keep := securityKeep(b)
@@ -740,15 +748,19 @@ func BenchmarkSecurityQuotientMemo(b *testing.B) {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			spec := paperdata.Design{Name: "sec", DNS: tc.n, Web: tc.n, App: tc.n, DB: tc.n}.Spec()
-			quotient, mult, _, err := paperdata.SpecQuotient(spec)
+			rq, err := paperdata.SpecRolloutQuotient(spec, make([]int, len(spec.Tiers)))
 			if err != nil {
 				b.Fatal(err)
 			}
-			top, err := paperdata.SpecTopology(quotient)
+			top, err := paperdata.SpecTopology(rq.Quotient)
 			if err != nil {
 				b.Fatal(err)
 			}
-			f, err := harm.BuildFactored(harm.BuildInput{Topology: top, Trees: trees, TargetRoles: quotient.TargetStacks()})
+			f, err := harm.BuildFactored(harm.BuildInput{Topology: top, Trees: trees, TargetRoles: rq.Quotient.TargetStacks()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := f.Compile(rq.Hosts, tc.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -756,14 +768,18 @@ func BenchmarkSecurityQuotientMemo(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			pc, err := patched.Compile(rq.Hosts, tc.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
 			wantPaths := tc.n * tc.n * tc.n * (tc.n + 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				before, err := f.Evaluate(mult, tc.opts)
+				before, err := c.Evaluate(rq.Counts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := patched.Evaluate(mult, tc.opts); err != nil {
+				if _, err := pc.Evaluate(rq.Counts); err != nil {
 					b.Fatal(err)
 				}
 				if before.NoAP != wantPaths {
@@ -941,8 +957,8 @@ func BenchmarkSweepCached(b *testing.B) {
 // BenchmarkRolloutQuotient measures one mixed-version rollout point's
 // security evaluation built fully cold: sub-classed rollout quotient,
 // topology, factored HARM with per-instance pruned trees, and the
-// closed-form metric evaluation. This is the model-build cost the
-// evaluator's rollout memo amortizes across a whole schedule.
+// compiled closed-form metric evaluation. This is the model-build cost
+// the evaluator's security memo amortizes across a whole schedule.
 func BenchmarkRolloutQuotient(b *testing.B) {
 	trees := paperdata.Trees(paperdata.VulnDB())
 	keep := securityKeep(b)
@@ -967,7 +983,11 @@ func BenchmarkRolloutQuotient(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := f.Evaluate(rq.Mult, opts)
+		c, err := f.Compile(rq.Hosts, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := c.Evaluate(rq.Counts)
 		if err != nil {
 			b.Fatal(err)
 		}

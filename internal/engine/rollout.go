@@ -41,9 +41,7 @@ func (g *Engine) evaluateRolloutTraced(ctx context.Context, spec paperdata.Desig
 	defer func() { sp.EndErr(err) }()
 	sp.SetAttr("rollout", true)
 
-	if err := spec.Validate(); err != nil {
-		return redundancy.RolloutResult{}, err
-	}
+	// PatchedCounts validates the spec before converting the fractions.
 	patched, err := redundancy.PatchedCounts(spec, fractions)
 	if err != nil {
 		return redundancy.RolloutResult{}, err

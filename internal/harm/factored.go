@@ -2,6 +2,7 @@ package harm
 
 import (
 	"fmt"
+	"slices"
 
 	"redpatch/internal/attackgraph"
 	"redpatch/internal/attacktree"
@@ -37,10 +38,10 @@ import (
 
 // FactoredHARM is the quotient security model: a HARM whose hosts are
 // replica classes rather than host instances. Build it with
-// BuildFactored over the replica-collapsed topology; evaluate it with
-// per-class multiplicities. A FactoredHARM is immutable after
-// construction and safe for concurrent Evaluate calls, so one model
-// serves every replica vector of a design family.
+// BuildFactored over the replica-collapsed topology, Compile it once,
+// and evaluate the compiled model with per-class multiplicities. A
+// FactoredHARM is immutable after construction, so one model serves
+// every replica vector of a design family.
 type FactoredHARM struct {
 	h *HARM
 }
@@ -74,79 +75,161 @@ func (f *FactoredHARM) Patched(keep func(role string, leaf *attacktree.Leaf) boo
 // Quotient exposes the underlying quotient HARM (classes as hosts).
 func (f *FactoredHARM) Quotient() *HARM { return f.h }
 
-// Evaluate computes the full expanded-topology security metrics from the
-// quotient in closed form. mult maps class host names to their replica
-// counts; classes absent from the map count one replica. Metrics.Paths
-// lists quotient paths with Count carrying each path's expanded
-// multiplicity.
+// Compiled is a factored model lowered, under fixed EvalOptions, into
+// class-indexed arrays. Everything about its metrics that does not
+// depend on replica counts is computed once by Compile: the per-class
+// tree metrics, the quotient paths with their impact and probability,
+// the entry classes, the shortest path and the exact-ASP plan. Evaluate
+// is then arithmetic over the per-class counts. A Compiled model is
+// immutable and safe for concurrent Evaluate calls.
+type Compiled struct {
+	classes  []string  // class host names, in the order of Evaluate's counts
+	leaves   []int     // per class: exploitable vulnerabilities (tree leaves)
+	prob     []float64 // per class: tree compromise probability
+	strategy ASPStrategy
+	// targets is false when no target is attackable; only NoEV is
+	// defined then.
+	targets  bool
+	paths    []compiledPath
+	entries  []int // distinct entry classes, in path order
+	aim      float64
+	shortest int
+	maxProb  float64 // the ASPMaxPath answer: multiplicity-blind
+	// ASPCompromise: the path bitmasks and algorithm, and the class of
+	// each bitmask host.
+	exact        exactASP
+	exactClasses []int
+}
+
+// compiledPath is one quotient path: its class indices (attacker
+// excluded) and its multiplicity-blind impact and probability.
+type compiledPath struct {
+	path         attackgraph.Path
+	classes      []int
+	impact, prob float64
+}
+
+// Compile lowers the factored model under opts. classes lists every
+// class host of the quotient exactly once, in the order Evaluate's
+// counts will follow.
 //
-// The MaxPaths and MaxPathsExact caps apply to the quotient enumeration,
-// so designs whose expanded path counts would blow past the expanded
-// evaluator's limits stay exactly evaluable here — that is the point.
-func (f *FactoredHARM) Evaluate(mult map[string]int, opts EvalOptions) (Metrics, error) {
+// The MaxPaths and MaxPathsExact caps apply to the quotient
+// enumeration, so designs whose expanded path counts would blow past
+// the expanded evaluator's limits stay exactly evaluable here — that
+// is the point.
+func (f *FactoredHARM) Compile(classes []string, opts EvalOptions) (*Compiled, error) {
 	h := f.h
 	opts = opts.withDefaults()
-	for class, n := range mult {
-		if _, ok := h.lower[class]; !ok {
-			return Metrics{}, fmt.Errorf("harm: multiplicity for unknown class %q", class)
-		}
-		if n < 1 {
-			return Metrics{}, fmt.Errorf("harm: class %q multiplicity %d below 1", class, n)
-		}
+	if len(classes) != len(h.lower) {
+		return nil, fmt.Errorf("harm: %d classes listed for a model of %d", len(classes), len(h.lower))
 	}
-	multOf := func(class string) int {
-		if n, ok := mult[class]; ok {
-			return n
+	c := &Compiled{
+		classes:  append([]string(nil), classes...),
+		leaves:   make([]int, len(classes)),
+		prob:     make([]float64, len(classes)),
+		strategy: opts.Strategy,
+		targets:  len(h.targets) > 0,
+	}
+	index := make(map[string]int, len(classes))
+	impact := make([]float64, len(classes))
+	for i, class := range classes {
+		tr, ok := h.lower[class]
+		if !ok {
+			return nil, fmt.Errorf("harm: unknown class %q", class)
 		}
-		return 1
+		if _, dup := index[class]; dup {
+			return nil, fmt.Errorf("harm: class %q listed twice", class)
+		}
+		index[class] = i
+		impact[i], c.prob[i] = tr.Metrics(opts.ORRule)
+		c.leaves[i] = tr.LeafCount()
 	}
-
-	byTree := metricsByTree(h.lower, opts.ORRule)
-	var m Metrics
-	for class, tr := range h.lower {
-		m.NoEV += multOf(class) * byTree[tr].leaves
+	if !c.targets {
+		return c, nil
 	}
-	if len(h.targets) == 0 {
-		return m, nil
+	switch opts.Strategy {
+	case ASPMaxPath, ASPIndependentPaths, ASPCompromise:
+	default:
+		return nil, fmt.Errorf("harm: unknown ASP strategy %d", opts.Strategy)
 	}
 	paths, err := h.upper.AllPaths(h.attacker, h.targets, attackgraph.AllPathsOptions{MaxPaths: opts.MaxPaths})
 	if err != nil {
-		return Metrics{}, fmt.Errorf("harm: %w", err)
+		return nil, fmt.Errorf("harm: %w", err)
 	}
-
-	m.Paths = make([]PathMetric, len(paths))
-	entries := make(map[string]bool)
+	c.paths = make([]compiledPath, len(paths))
 	for i, p := range paths {
-		pm := PathMetric{Path: p, Prob: 1, Count: 1}
-		for _, class := range p[1:] {
-			tm := byTree[h.lower[class]]
-			pm.Impact += tm.impact
-			pm.Prob *= tm.prob
-			pm.Count *= multOf(class)
+		cp := compiledPath{path: p, classes: make([]int, len(p)-1), prob: 1}
+		for j, class := range p[1:] {
+			k := index[class]
+			cp.classes[j] = k
+			cp.impact += impact[k]
+			cp.prob *= c.prob[k]
 		}
-		m.Paths[i] = pm
-		m.NoAP += pm.Count
-		if len(p) >= 2 && !entries[p[1]] {
-			entries[p[1]] = true
-			m.NoEP += multOf(p[1])
+		c.paths[i] = cp
+		if len(cp.classes) > 0 && !slices.Contains(c.entries, cp.classes[0]) {
+			c.entries = append(c.entries, cp.classes[0])
 		}
-		if pm.Impact > m.AIM {
-			m.AIM = pm.Impact
+		if cp.impact > c.aim {
+			c.aim = cp.impact
 		}
-		if hops := len(p) - 1; m.ShortestPath == 0 || hops < m.ShortestPath {
-			m.ShortestPath = hops
+		if hops := len(p) - 1; c.shortest == 0 || hops < c.shortest {
+			c.shortest = hops
 		}
-	}
-
-	switch opts.Strategy {
-	case ASPMaxPath:
 		// Every expanded path along a quotient path shares its
 		// probability, so the maximum is multiplicity-blind.
-		for _, pm := range m.Paths {
-			if pm.Prob > m.ASP {
-				m.ASP = pm.Prob
-			}
+		if cp.prob > c.maxProb {
+			c.maxProb = cp.prob
 		}
+	}
+	if opts.Strategy == ASPCompromise {
+		exact, hosts, err := planExactASP(paths, opts.MaxPathsExact)
+		if err != nil {
+			return nil, err
+		}
+		c.exact = exact
+		c.exactClasses = make([]int, len(hosts))
+		for i, host := range hosts {
+			c.exactClasses[i] = index[host]
+		}
+	}
+	return c, nil
+}
+
+// Evaluate computes the full expanded-topology security metrics in
+// closed form from per-class replica counts, aligned with the classes
+// the model was compiled with. Metrics.Paths lists the quotient paths
+// with Count carrying each path's expanded multiplicity; their Path
+// slices alias the model's.
+func (c *Compiled) Evaluate(counts []int) (Metrics, error) {
+	if len(counts) != len(c.classes) {
+		return Metrics{}, fmt.Errorf("harm: %d multiplicities for %d classes", len(counts), len(c.classes))
+	}
+	var m Metrics
+	for i, n := range counts {
+		if n < 1 {
+			return Metrics{}, fmt.Errorf("harm: class %q multiplicity %d below 1", c.classes[i], n)
+		}
+		m.NoEV += n * c.leaves[i]
+	}
+	if !c.targets {
+		return m, nil
+	}
+	m.AIM, m.ShortestPath = c.aim, c.shortest
+	m.Paths = make([]PathMetric, len(c.paths))
+	for i, p := range c.paths {
+		count := 1
+		for _, k := range p.classes {
+			count *= counts[k]
+		}
+		m.Paths[i] = PathMetric{Path: p.path, Impact: p.impact, Prob: p.prob, Count: count}
+		m.NoAP += count
+	}
+	for _, k := range c.entries {
+		m.NoEP += counts[k]
+	}
+	switch c.strategy {
+	case ASPMaxPath:
+		m.ASP = c.maxProb
 	case ASPIndependentPaths:
 		q := 1.0
 		for _, pm := range m.Paths {
@@ -157,24 +240,16 @@ func (f *FactoredHARM) Evaluate(mult map[string]int, opts EvalOptions) (Metrics,
 		// Per-class effective probability: at least one of the n_c
 		// replicas compromised. The class events are independent, so the
 		// expanded exact computation reduces to the same machinery over
-		// quotient paths.
-		eff := make(map[string]float64, len(h.lower))
-		for class, tr := range h.lower {
-			eff[class] = mathx.Clamp01(1 - intPow(1-byTree[tr].prob, multOf(class)))
+		// quotient paths. planExactASP caps the hosts at 64.
+		var buf [64]float64
+		hostProb := buf[:len(c.exactClasses)]
+		for i, k := range c.exactClasses {
+			hostProb[i] = mathx.Clamp01(1 - intPow(1-c.prob[k], counts[k]))
 		}
-		asp, err := compromiseProbability(paths, eff, opts.MaxPathsExact)
-		if err != nil {
-			return Metrics{}, err
-		}
-		m.ASP = asp
-	default:
-		return Metrics{}, fmt.Errorf("harm: unknown ASP strategy %d", opts.Strategy)
+		m.ASP = c.exact.probability(hostProb)
 	}
 	return m, nil
 }
-
-// Classes returns the quotient's class names, sorted.
-func (f *FactoredHARM) Classes() []string { return f.h.Hosts() }
 
 // intPow raises x to a non-negative integer power by binary
 // exponentiation: exact for the 0/1 endpoints the attack trees produce,

@@ -30,6 +30,24 @@ func quotientPaperTopology(t *testing.T) *topology.Topology {
 	return top
 }
 
+// evalFactored compiles f under opts over its sorted class list and
+// evaluates it at mult; classes absent from mult count one replica.
+func evalFactored(f *FactoredHARM, mult map[string]int, opts EvalOptions) (Metrics, error) {
+	classes := f.Quotient().Hosts()
+	c, err := f.Compile(classes, opts)
+	if err != nil {
+		return Metrics{}, err
+	}
+	counts := make([]int, len(classes))
+	for i, class := range classes {
+		counts[i] = 1
+		if n, ok := mult[class]; ok {
+			counts[i] = n
+		}
+	}
+	return c.Evaluate(counts)
+}
+
 // TestFactoredMatchesPaperTableII: the factored evaluation of the
 // quotient model with multiplicities {web: 2, app: 2} must reproduce the
 // paper's Table II metrics that the expanded base network produces.
@@ -43,7 +61,7 @@ func TestFactoredMatchesPaperTableII(t *testing.T) {
 		t.Fatal(err)
 	}
 	mult := map[string]int{"web": 2, "app": 2}
-	m, err := f.Evaluate(mult, EvalOptions{})
+	m, err := evalFactored(f, mult, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +90,7 @@ func TestFactoredMatchesPaperTableII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := patched.Evaluate(mult, EvalOptions{})
+	after, err := evalFactored(patched, mult, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +222,7 @@ func TestFactoredEquivalenceRandom(t *testing.T) {
 		for _, strat := range []ASPStrategy{ASPMaxPath, ASPIndependentPaths, ASPCompromise} {
 			for _, rule := range []attacktree.ORRule{attacktree.ORMax, attacktree.ORNoisy} {
 				opts := EvalOptions{Strategy: strat, ORRule: rule, MaxPathsExact: 24}
-				fm, err := fh.Evaluate(q.mult, opts)
+				fm, err := evalFactored(fh, q.mult, opts)
 				if err != nil {
 					t.Logf("seed %d strat %d: factored eval: %v", seed, strat, err)
 					return false
@@ -239,7 +257,8 @@ func TestFactoredEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestFactoredEvaluateValidation covers the multiplicity error paths.
+// TestFactoredEvaluateValidation covers the class-list and multiplicity
+// error paths of the compiled model.
 func TestFactoredEvaluateValidation(t *testing.T) {
 	f, err := BuildFactored(BuildInput{
 		Topology:    quotientPaperTopology(t),
@@ -249,22 +268,44 @@ func TestFactoredEvaluateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Evaluate(map[string]int{"nosuch": 2}, EvalOptions{}); err == nil {
-		t.Error("unknown class multiplicity should fail")
+	for name, classes := range map[string][]string{
+		"unknown class":  {"app", "db", "dns", "nosuch"},
+		"missing class":  {"app", "db", "dns"},
+		"repeated class": {"app", "db", "dns", "dns"},
+	} {
+		if _, err := f.Compile(classes, EvalOptions{}); err == nil {
+			t.Errorf("%s should fail to compile", name)
+		}
 	}
-	if _, err := f.Evaluate(map[string]int{"web": 0}, EvalOptions{}); err == nil {
+	if _, err := f.Compile([]string{"app", "db", "dns", "web"}, EvalOptions{Strategy: 99}); err == nil {
+		t.Error("unknown ASP strategy should fail to compile")
+	}
+	c, err := f.Compile([]string{"web", "app", "db", "dns"}, EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Evaluate([]int{0, 1, 1, 1}); err == nil {
 		t.Error("zero multiplicity should fail")
 	}
-	// Missing classes default to one replica: identical to the expanded
-	// single-instance model.
-	m, err := f.Evaluate(nil, EvalOptions{})
+	if _, err := c.Evaluate([]int{1, 1, 1}); err == nil {
+		t.Error("a count per class is required")
+	}
+	// All-1 multiplicities: identical to the expanded single-instance
+	// model.
+	m, err := c.Evaluate([]int{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.NoAP != 2 {
 		t.Errorf("NoAP with all-1 multiplicities = %d, want 2", m.NoAP)
 	}
-	if got := f.Classes(); len(got) != 4 {
-		t.Errorf("Classes = %v, want 4 entries", got)
+	// Counts follow the compiled class order: two web replicas double
+	// both paths, which both cross web.
+	m, err = c.Evaluate([]int{2, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NoAP != 4 || m.NoEP != 3 {
+		t.Errorf("NoAP/NoEP with two web replicas = %d/%d, want 4/3", m.NoAP, m.NoEP)
 	}
 }

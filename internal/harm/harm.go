@@ -302,7 +302,8 @@ type Metrics struct {
 	ShortestPath int
 	// Paths is the per-path detail, in deterministic order. Factored
 	// evaluations list quotient (per-class) paths with Count carrying the
-	// replica multiplicity.
+	// replica multiplicity. Read-only: a factored evaluation's Path
+	// slices alias the compiled model shared by every evaluation.
 	Paths []PathMetric
 }
 
@@ -398,31 +399,53 @@ func (h *HARM) Evaluate(opts EvalOptions) (Metrics, error) {
 }
 
 // compromiseProbability computes P(at least one path fully compromised)
-// with hosts compromised independently with probability prob[host]. Two
-// exact algorithms are available and the cheaper one is chosen: inclusion–
-// exclusion over path subsets (2^paths terms) or direct enumeration of
-// host-compromise combinations (2^hosts terms). maxExact caps the chosen
-// exponent; redundant tiered networks have few distinct hosts even when
-// their path counts multiply, so at least one algorithm usually applies.
+// with hosts compromised independently with probability prob[host].
 func compromiseProbability(paths []attackgraph.Path, prob map[string]float64, maxExact int) (float64, error) {
+	exact, hosts, err := planExactASP(paths, maxExact)
+	if err != nil {
+		return 0, err
+	}
+	hostProb := make([]float64, len(hosts))
+	for i, host := range hosts {
+		hostProb[i] = prob[host]
+	}
+	return exact.probability(hostProb), nil
+}
+
+// exactASP is the replica-count-independent half of the exact
+// compromise probability: each path as a bitmask over the hosts on any
+// path, and which exact algorithm is cheaper.
+type exactASP struct {
+	pathMask  []uint64
+	enumerate bool // host enumeration rather than inclusion–exclusion
+}
+
+// planExactASP indexes the hosts on the paths in first-appearance order
+// (returned as hosts, the bit order of the masks) and picks the cheaper
+// exact algorithm: inclusion–exclusion over path subsets (2^paths
+// terms) or direct enumeration of host-compromise combinations
+// (2^hosts terms). maxExact caps the chosen exponent; redundant tiered
+// networks have few distinct hosts even when their path counts
+// multiply, so at least one algorithm usually applies.
+func planExactASP(paths []attackgraph.Path, maxExact int) (exactASP, []string, error) {
 	k := len(paths)
 	if k == 0 {
-		return 0, nil
+		return exactASP{}, nil, nil
 	}
 	// Index the hosts appearing on any path; 64 suffice for a bitmask.
 	hostIdx := make(map[string]int)
-	var hostProb []float64
+	var hosts []string
 	for _, p := range paths {
 		for _, host := range p[1:] {
 			if _, ok := hostIdx[host]; !ok {
-				hostIdx[host] = len(hostProb)
-				hostProb = append(hostProb, prob[host])
+				hostIdx[host] = len(hosts)
+				hosts = append(hosts, host)
 			}
 		}
 	}
-	h := len(hostProb)
+	h := len(hosts)
 	if h > 64 {
-		return 0, fmt.Errorf("%w: %d distinct hosts exceed 64", ErrExactASPInfeasible, h)
+		return exactASP{}, nil, fmt.Errorf("%w: %d distinct hosts exceed 64", ErrExactASPInfeasible, h)
 	}
 	pathMask := make([]uint64, k)
 	for i, p := range paths {
@@ -434,62 +457,66 @@ func compromiseProbability(paths []attackgraph.Path, prob map[string]float64, ma
 	}
 	switch {
 	case k <= maxExact && (k <= h || h > maxExact):
-		return inclusionExclusion(pathMask, hostProb), nil
+		return exactASP{pathMask: pathMask}, hosts, nil
 	case h <= maxExact:
-		return hostEnumeration(pathMask, hostProb), nil
+		return exactASP{pathMask: pathMask, enumerate: true}, hosts, nil
 	default:
-		return 0, fmt.Errorf("%w: %d paths over %d hosts exceed cap %d", ErrExactASPInfeasible, k, h, maxExact)
+		return exactASP{}, nil, fmt.Errorf("%w: %d paths over %d hosts exceed cap %d", ErrExactASPInfeasible, k, h, maxExact)
+	}
+}
+
+// probability evaluates the plan at per-host compromise probabilities,
+// indexed by mask bit.
+func (e exactASP) probability(hostProb []float64) float64 {
+	switch {
+	case len(e.pathMask) == 0:
+		return 0
+	case e.enumerate:
+		return mathx.Clamp01(hostEnumeration(e.pathMask, hostProb, 0, 0, 1))
+	default:
+		return mathx.Clamp01(inclusionExclusion(e.pathMask, hostProb, 0, 0, 1, -1))
 	}
 }
 
 // inclusionExclusion sums, for every non-empty subset S of paths, the
 // probability that every host on the union of S is compromised, with sign
-// (-1)^(|S|+1). The include/exclude recursion carries the union mask and
-// its probability product down the call tree, multiplying in only the
-// hosts a path newly adds — no 2^k scratch table, no per-subset product
-// from scratch.
-func inclusionExclusion(pathMask []uint64, hostProb []float64) float64 {
-	var rec func(i int, mask uint64, p, sign float64) float64
-	rec = func(i int, mask uint64, p, sign float64) float64 {
-		if i == len(pathMask) {
-			if mask == 0 {
-				return 0 // the empty subset contributes nothing
-			}
-			return sign * p
+// (-1)^(|S|+1). The include/exclude recursion from path i on carries the
+// union mask and its probability product down the call tree, multiplying
+// in only the hosts a path newly adds — no 2^k scratch table, no
+// per-subset product from scratch.
+func inclusionExclusion(pathMask []uint64, hostProb []float64, i int, mask uint64, p, sign float64) float64 {
+	if i == len(pathMask) {
+		if mask == 0 {
+			return 0 // the empty subset contributes nothing
 		}
-		total := rec(i+1, mask, p, sign)
-		pin := p
-		for m := pathMask[i] &^ mask; m != 0; m &= m - 1 {
-			pin *= hostProb[bits.TrailingZeros64(m)]
-		}
-		return total + rec(i+1, mask|pathMask[i], pin, -sign)
+		return sign * p
 	}
-	return mathx.Clamp01(rec(0, 0, 1, -1))
+	total := inclusionExclusion(pathMask, hostProb, i+1, mask, p, sign)
+	pin := p
+	for m := pathMask[i] &^ mask; m != 0; m &= m - 1 {
+		pin *= hostProb[bits.TrailingZeros64(m)]
+	}
+	return total + inclusionExclusion(pathMask, hostProb, i+1, mask|pathMask[i], pin, -sign)
 }
 
 // hostEnumeration sums the probability of every host-compromise
 // combination in which at least one path is fully compromised. The
-// recursion accumulates the combination probability incrementally and
-// abandons subtrees whose probability has already collapsed to zero
-// (hosts with certain compromise contribute no mass to their
-// not-compromised branch).
-func hostEnumeration(pathMask []uint64, hostProb []float64) float64 {
-	h := len(hostProb)
-	var rec func(i int, mask uint64, p float64) float64
-	rec = func(i int, mask uint64, p float64) float64 {
-		if p == 0 {
-			return 0
-		}
-		if i == h {
-			for _, pm := range pathMask {
-				if pm&mask == pm {
-					return p
-				}
-			}
-			return 0
-		}
-		return rec(i+1, mask, p*(1-hostProb[i])) +
-			rec(i+1, mask|1<<uint(i), p*hostProb[i])
+// recursion from host i on accumulates the combination probability
+// incrementally and abandons subtrees whose probability has already
+// collapsed to zero (hosts with certain compromise contribute no mass
+// to their not-compromised branch).
+func hostEnumeration(pathMask []uint64, hostProb []float64, i int, mask uint64, p float64) float64 {
+	if p == 0 {
+		return 0
 	}
-	return mathx.Clamp01(rec(0, 0, 1))
+	if i == len(hostProb) {
+		for _, pm := range pathMask {
+			if pm&mask == pm {
+				return p
+			}
+		}
+		return 0
+	}
+	return hostEnumeration(pathMask, hostProb, i+1, mask, p*(1-hostProb[i])) +
+		hostEnumeration(pathMask, hostProb, i+1, mask|1<<uint(i), p*hostProb[i])
 }

@@ -413,8 +413,8 @@ func TestExactAlgorithmsAgree(t *testing.T) {
 		for i := range pathMask {
 			pathMask[i] = uint64(rng.Intn(1<<uint(h)-1) + 1)
 		}
-		a := inclusionExclusion(pathMask, hostProb)
-		b := hostEnumeration(pathMask, hostProb)
+		a := exactASP{pathMask: pathMask}.probability(hostProb)
+		b := exactASP{pathMask: pathMask, enumerate: true}.probability(hostProb)
 		return mathx.AlmostEqual(a, b, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -15,6 +15,7 @@ package paperdata
 
 import (
 	"fmt"
+	"strconv"
 
 	"redpatch/internal/attacktree"
 	"redpatch/internal/availability"
@@ -265,7 +266,12 @@ func (d Design) Total() int { return d.DNS + d.Web + d.App + d.DB }
 // ("1d2w2a1b") — the one naming scheme shared by design enumeration and
 // the evaluation service.
 func DefaultName(dns, web, app, db int) string {
-	return fmt.Sprintf("%dd%dw%da%db", dns, web, app, db)
+	b := make([]byte, 0, 8)
+	b = append(strconv.AppendInt(b, int64(dns), 10), 'd')
+	b = append(strconv.AppendInt(b, int64(web), 10), 'w')
+	b = append(strconv.AppendInt(b, int64(app), 10), 'a')
+	b = append(strconv.AppendInt(b, int64(db), 10), 'b')
+	return string(b)
 }
 
 // String renders the design in the paper's notation.

@@ -1,7 +1,6 @@
 package paperdata
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -308,71 +307,5 @@ func TestAltWebStack(t *testing.T) {
 	})
 	if got := pruned.Probability(attacktree.ORMax); !mathx.AlmostEqual(got, 0.86*0.39, 1e-12) {
 		t.Errorf("alt web after-patch probability = %v, want %v", got, 0.86*0.39)
-	}
-}
-
-func TestSpecQuotient(t *testing.T) {
-	spec := DesignSpec{
-		Name: "het",
-		Tiers: []TierSpec{
-			{Role: RoleDNS, Replicas: 2},
-			{Role: RoleWeb, Replicas: 3},
-			{Role: RoleWeb, Replicas: 2, Variant: RoleWebAlt},
-			{Role: RoleWeb, Replicas: 1}, // same stack as the first web group: merges
-			{Role: RoleApp, Replicas: 4},
-			{Role: RoleDB, Replicas: 2},
-		},
-	}
-	quotient, mult, structure, err := SpecQuotient(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(quotient.Tiers) != 5 {
-		t.Fatalf("quotient tiers = %d, want 5 (web groups merged)", len(quotient.Tiers))
-	}
-	for _, tier := range quotient.Tiers {
-		if tier.Replicas != 1 {
-			t.Errorf("quotient tier %s has %d replicas, want 1", tier.Role, tier.Replicas)
-		}
-	}
-	want := map[string]int{"dns1": 2, "web1": 4, "webalt1": 2, "app1": 4, "db1": 2}
-	if !reflect.DeepEqual(mult, want) {
-		t.Errorf("mult = %v, want %v", mult, want)
-	}
-
-	// The structure key is replica-independent: scaling any group leaves
-	// it unchanged, while changing the variant set does not.
-	scaled := spec
-	scaled.Tiers = append([]TierSpec(nil), spec.Tiers...)
-	scaled.Tiers[1].Replicas = 1
-	scaled.Tiers[4].Replicas = 2
-	_, _, scaledStructure, err := SpecQuotient(scaled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scaledStructure != structure {
-		t.Errorf("structure changed with replica counts: %q != %q", scaledStructure, structure)
-	}
-	homogeneous := Design{Name: "h", DNS: 2, Web: 3, App: 4, DB: 2}.Spec()
-	_, _, homStructure, err := SpecQuotient(homogeneous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if homStructure == structure {
-		t.Error("variant and homogeneous specs must not share a structure key")
-	}
-
-	// The quotient topology names match the multiplicity keys.
-	top, err := SpecTopology(quotient)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name := range want {
-		if _, ok := top.Node(name); !ok {
-			t.Errorf("quotient topology missing class host %q", name)
-		}
-	}
-	if _, _, _, err := SpecQuotient(DesignSpec{}); err == nil {
-		t.Error("invalid spec should fail")
 	}
 }

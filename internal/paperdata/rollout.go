@@ -1,13 +1,23 @@
 package paperdata
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+)
 
-// Mid-rollout a replica class is mixed-version: some replicas already
-// run the patched stack, the rest still run the unpatched one. The
-// replica-symmetry argument behind SpecQuotient survives the split —
-// within each sub-population the replicas are still identical and
-// identically connected — so a rollout point quotients to at most two
-// classes per (logical tier, stack) pair instead of one.
+// A redundant design repeats identical servers: within one (logical
+// tier, stack) class every replica runs the same attack tree and —
+// because SpecTopology wires tiers all-to-all — is identically
+// connected, which is exactly the premise of harm.FactoredHARM. The
+// quotient collapses each class to one host whose multiplicity is the
+// class's replica count. Mid-rollout a class is mixed-version: some
+// replicas already run the patched stack, the rest still run the
+// unpatched one. Within each sub-population the replicas are still
+// identical and identically connected, so a rollout point quotients to
+// at most two classes per (logical tier, stack) pair. An atomic design
+// is the rollout at its two endpoints: every class unpatched (before
+// the patch round) or every class patched (after it).
 
 // RolloutQuotient is the mixed-version quotient of a design at one
 // rollout point.
@@ -18,9 +28,12 @@ type RolloutQuotient struct {
 	// class contributes two (unpatched first, then patched), wired
 	// identically by SpecTopology since they share role and stack.
 	Quotient DesignSpec
-	// Mult maps the quotient topology's class host names to sub-class
-	// multiplicities (replica counts).
-	Mult map[string]int
+	// Hosts are the quotient topology's class host names, one per
+	// Quotient tier, in the same order.
+	Hosts []string
+	// Counts are the class multiplicities (replica counts), aligned with
+	// Hosts.
+	Counts []int
 	// PatchedHosts maps the host names of patched sub-classes to their
 	// stack, for per-instance tree pruning downstream.
 	PatchedHosts map[string]string
@@ -49,14 +62,34 @@ func (s DesignSpec) LogicalIndices() [][]int {
 	return out
 }
 
+// AppendLogicalOrder appends the spec.Tiers indices in Logical() order
+// to dst — logical tiers in first-appearance order, each tier's groups
+// in spec order. It is LogicalIndices flattened, and allocates nothing
+// when dst has room.
+func (s DesignSpec) AppendLogicalOrder(dst []int) []int {
+	for i, t := range s.Tiers {
+		if slices.ContainsFunc(s.Tiers[:i], func(o TierSpec) bool { return o.Role == t.Role }) {
+			continue // its logical tier was appended at its first group
+		}
+		for j := i; j < len(s.Tiers); j++ {
+			if s.Tiers[j].Role == t.Role {
+				dst = append(dst, j)
+			}
+		}
+	}
+	return dst
+}
+
 // SpecRolloutQuotient collapses a spec's replicas into mixed-version
 // classes at one rollout point: patched[i] of spec.Tiers[i]'s replicas
 // run the patched stack. Per (logical tier, stack) class the patched
 // counts of its groups merge; a class split by the rollout yields two
 // quotient groups (unpatched, then patched). The degenerate points —
-// all-zero and all-full patched counts — reproduce SpecQuotient's
-// quotient spec, host names and multiplicities exactly, so the rollout
-// path collapses to the atomic one at both endpoints.
+// all-zero and all-full patched counts — share one quotient spec, host
+// names and multiplicities and differ only in the structure key's
+// patch-state markers. This is the reference the security memo's
+// builder runs on a miss; FoldRollout computes its Structure and Counts
+// without building it.
 func SpecRolloutQuotient(spec DesignSpec, patched []int) (RolloutQuotient, error) {
 	if err := spec.Validate(); err != nil {
 		return RolloutQuotient{}, err
@@ -128,7 +161,8 @@ func SpecRolloutQuotient(spec DesignSpec, patched []int) (RolloutQuotient, error
 	// order — so the flat index gi walks the tiers exactly as built.
 	rq := RolloutQuotient{
 		Quotient:     quotient,
-		Mult:         make(map[string]int, len(quotient.Tiers)),
+		Hosts:        make([]string, 0, len(quotient.Tiers)),
+		Counts:       counts,
 		PatchedHosts: make(map[string]string),
 		Structure:    quotient.Key() + "|" + string(markers),
 	}
@@ -138,8 +172,8 @@ func SpecRolloutQuotient(spec DesignSpec, patched []int) (RolloutQuotient, error
 		for _, g := range lt.Groups {
 			stack := g.Stack()
 			counter[stack]++
-			name := fmt.Sprintf("%s%d", stack, counter[stack])
-			rq.Mult[name] = counts[gi]
+			name := stack + strconv.Itoa(counter[stack])
+			rq.Hosts = append(rq.Hosts, name)
 			if isPatched[gi] {
 				rq.PatchedHosts[name] = stack
 			}
@@ -147,4 +181,72 @@ func SpecRolloutQuotient(spec DesignSpec, patched []int) (RolloutQuotient, error
 		}
 	}
 	return rq, nil
+}
+
+// FoldRollout appends the rollout structure key of spec at per-tier
+// patched counts (aligned with spec.Tiers; nil patches nothing) to key,
+// and the class multiplicities in quotient order to counts. The results
+// equal SpecRolloutQuotient's Structure and Counts
+// (TestFoldMatchesRolloutQuotient), but no quotient is built: with
+// buffers that have room, a memo probe allocates nothing. The spec
+// must be valid and every patched count in range.
+func FoldRollout(key []byte, counts []int, spec DesignSpec, patched []int) ([]byte, []int) {
+	start := len(key)
+	foldClasses(spec, patched, func(g TierSpec, total, p int) {
+		for _, n := range [2]int{total - p, p} { // unpatched, then patched
+			if n == 0 {
+				continue
+			}
+			if len(key) > start {
+				key = append(key, ';')
+			}
+			key = append(g.appendLabel(key), ":1"...)
+			counts = append(counts, n)
+		}
+	})
+	key = append(key, '|')
+	foldClasses(spec, patched, func(_ TierSpec, total, p int) {
+		if p < total {
+			key = append(key, 'u')
+		}
+		if p > 0 {
+			key = append(key, 'p')
+		}
+	})
+	return key, counts
+}
+
+// foldClasses calls fn once per (logical tier, stack) class of spec, in
+// quotient order, with the class's first group and its replica and
+// patched totals (patched nil counts none). It scans instead of
+// indexing roles and stacks in maps: specs have a handful of tiers.
+func foldClasses(spec DesignSpec, patched []int, fn func(first TierSpec, total, patched int)) {
+	tiers := spec.Tiers
+	for i, t := range tiers {
+		if slices.ContainsFunc(tiers[:i], func(o TierSpec) bool { return o.Role == t.Role }) {
+			continue // not the first group of its logical tier
+		}
+		for j := i; j < len(tiers); j++ {
+			g := tiers[j]
+			if g.Role != t.Role || slices.ContainsFunc(tiers[i:j], g.sameClass) {
+				continue // another logical tier, or a class already folded
+			}
+			total, p := 0, 0
+			for k := j; k < len(tiers); k++ {
+				if g.sameClass(tiers[k]) {
+					total += tiers[k].Replicas
+					if patched != nil {
+						p += patched[k]
+					}
+				}
+			}
+			fn(g, total, p)
+		}
+	}
+}
+
+// sameClass reports whether two groups fall into one quotient class:
+// same logical tier (role) and same stack.
+func (t TierSpec) sameClass(o TierSpec) bool {
+	return t.Role == o.Role && t.Stack() == o.Stack()
 }

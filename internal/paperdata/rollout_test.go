@@ -59,15 +59,16 @@ func TestSpecRolloutQuotient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMult := map[string]int{
-		"dns1": 1, "dns2": 1, // 1 unpatched, then 1 patched
-		"web1": 2, "web2": 2, // 2 unpatched, then 2 patched
-		"webalt1": 2,
-		"app1":    4,
-		"db1":     2,
+	wantHosts := []string{
+		"dns1", "dns2", // 1 unpatched, then 1 patched
+		"web1", "web2", // 2 unpatched, then 2 patched
+		"webalt1", "app1", "db1",
 	}
-	if !reflect.DeepEqual(rq.Mult, wantMult) {
-		t.Errorf("Mult = %v, want %v", rq.Mult, wantMult)
+	if want := []int{1, 1, 2, 2, 2, 4, 2}; !reflect.DeepEqual(rq.Counts, want) {
+		t.Errorf("Counts = %v, want %v", rq.Counts, want)
+	}
+	if !reflect.DeepEqual(rq.Hosts, wantHosts) {
+		t.Errorf("Hosts = %v, want %v", rq.Hosts, wantHosts)
 	}
 	wantPatched := map[string]string{
 		"dns2": "dns", "web2": "web", "webalt1": "webalt", "db1": "db",
@@ -80,12 +81,12 @@ func TestSpecRolloutQuotient(t *testing.T) {
 			t.Errorf("quotient tier %s has %d replicas, want 1", tier.label(), tier.Replicas)
 		}
 	}
-	// Every multiplicity key is a host of the quotient topology.
+	// Every class host is a host of the quotient topology.
 	top, err := SpecTopology(rq.Quotient)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name := range wantMult {
+	for _, name := range wantHosts {
 		if _, ok := top.Node(name); !ok {
 			t.Errorf("quotient topology missing class host %q", name)
 		}
@@ -101,21 +102,21 @@ func TestSpecRolloutQuotient(t *testing.T) {
 		t.Error("different patch patterns must not share a structure key")
 	}
 
-	// The degenerate points reproduce SpecQuotient exactly: same quotient
-	// identity (Key), same host multiplicities.
-	quotient, mult, _, err := SpecQuotient(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The degenerate points share one quotient: the two web groups of
+	// one stack merge into one class, every class stays whole, and only
+	// the patch-state markers differ.
 	zero, err := SpecRolloutQuotient(spec, make([]int, len(spec.Tiers)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zero.Quotient.Key() != quotient.Key() {
-		t.Errorf("all-unpatched quotient key %q != atomic %q", zero.Quotient.Key(), quotient.Key())
+	if len(zero.Quotient.Tiers) != 5 {
+		t.Fatalf("all-unpatched quotient tiers = %d, want 5 (web groups merged)", len(zero.Quotient.Tiers))
 	}
-	if !reflect.DeepEqual(zero.Mult, mult) {
-		t.Errorf("all-unpatched Mult = %v, want %v", zero.Mult, mult)
+	if want := []string{"dns1", "web1", "webalt1", "app1", "db1"}; !reflect.DeepEqual(zero.Hosts, want) {
+		t.Errorf("all-unpatched Hosts = %v, want %v", zero.Hosts, want)
+	}
+	if want := []int{2, 4, 2, 4, 2}; !reflect.DeepEqual(zero.Counts, want) {
+		t.Errorf("all-unpatched Counts = %v, want %v", zero.Counts, want)
 	}
 	if len(zero.PatchedHosts) != 0 {
 		t.Errorf("all-unpatched PatchedHosts = %v, want empty", zero.PatchedHosts)
@@ -125,17 +126,39 @@ func TestSpecRolloutQuotient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Quotient.Key() != quotient.Key() {
-		t.Errorf("all-patched quotient key %q != atomic %q", one.Quotient.Key(), quotient.Key())
+	if one.Quotient.Key() != zero.Quotient.Key() {
+		t.Errorf("all-patched quotient key %q != all-unpatched %q", one.Quotient.Key(), zero.Quotient.Key())
 	}
-	if !reflect.DeepEqual(one.Mult, mult) {
-		t.Errorf("all-patched Mult = %v, want %v", one.Mult, mult)
+	if !reflect.DeepEqual(one.Hosts, zero.Hosts) || !reflect.DeepEqual(one.Counts, zero.Counts) {
+		t.Errorf("all-patched classes %v %v != all-unpatched %v %v", one.Hosts, one.Counts, zero.Hosts, zero.Counts)
 	}
 	if len(one.PatchedHosts) != len(one.Quotient.Tiers) {
 		t.Errorf("all-patched PatchedHosts = %v, want every class", one.PatchedHosts)
 	}
 	if zero.Structure == one.Structure {
 		t.Error("all-unpatched and all-patched must not share a structure key")
+	}
+
+	// The structure key is replica-independent: scaling any group leaves
+	// it unchanged, while changing the variant set does not.
+	scaled := spec
+	scaled.Tiers = append([]TierSpec(nil), spec.Tiers...)
+	scaled.Tiers[1].Replicas = 1
+	scaled.Tiers[4].Replicas = 2
+	scaledZero, err := SpecRolloutQuotient(scaled, make([]int, len(spec.Tiers)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scaledZero.Structure != zero.Structure {
+		t.Errorf("structure changed with replica counts: %q != %q", scaledZero.Structure, zero.Structure)
+	}
+	homogeneous := Design{Name: "h", DNS: 2, Web: 3, App: 4, DB: 2}.Spec()
+	homZero, err := SpecRolloutQuotient(homogeneous, make([]int, len(homogeneous.Tiers)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if homZero.Structure == zero.Structure {
+		t.Error("variant and homogeneous specs must not share a structure key")
 	}
 
 	// Validation: wrong length and out-of-range counts are rejected.
@@ -150,5 +173,63 @@ func TestSpecRolloutQuotient(t *testing.T) {
 	}
 	if _, err := SpecRolloutQuotient(DesignSpec{}, nil); err == nil {
 		t.Error("invalid spec should fail")
+	}
+}
+
+// TestFoldMatchesRolloutQuotient pins the allocation-free fold the
+// security memo is probed with to the quotient its miss path builds:
+// on a heterogeneous seven-group spec — a web class split over two
+// groups around a webalt group, a repeated role, a variant in the last
+// tier — every one of the 2,160 patched vectors folds to exactly
+// SpecRolloutQuotient's structure key and class multiplicities.
+func TestFoldMatchesRolloutQuotient(t *testing.T) {
+	spec := DesignSpec{
+		Name: "fold",
+		Tiers: []TierSpec{
+			{Role: RoleDNS, Replicas: 1},
+			{Role: RoleWeb, Replicas: 2},
+			{Role: RoleWeb, Replicas: 2, Variant: RoleWebAlt},
+			{Role: RoleApp, Replicas: 3},
+			{Role: RoleWeb, Replicas: 1},
+			{Role: RoleDB, Replicas: 4},
+			{Role: RoleDB, Replicas: 2, Variant: RoleWebAlt},
+		},
+	}
+	patched := make([]int, len(spec.Tiers))
+	points := 0
+	for {
+		rq, err := SpecRolloutQuotient(spec, patched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, counts := FoldRollout(nil, nil, spec, patched)
+		if string(key) != rq.Structure {
+			t.Fatalf("patched %v: fold key %q != structure %q", patched, key, rq.Structure)
+		}
+		if !reflect.DeepEqual(counts, rq.Counts) {
+			t.Fatalf("patched %v: fold counts %v != quotient counts %v", patched, counts, rq.Counts)
+		}
+		points++
+		// Odometer over every patched vector, 0..Replicas per group.
+		i := 0
+		for ; i < len(patched); i++ {
+			if patched[i] < spec.Tiers[i].Replicas {
+				patched[i]++
+				break
+			}
+			patched[i] = 0
+		}
+		if i == len(patched) {
+			break
+		}
+	}
+	if points != 2160 {
+		t.Errorf("checked %d patched vectors, want 2160", points)
+	}
+	// nil patches nothing, and the fold appends after a caller's prefix.
+	zero, zeroCounts := FoldRollout(nil, nil, spec, make([]int, len(spec.Tiers)))
+	key, counts := FoldRollout([]byte("x"), []int{7}, spec, nil)
+	if string(key) != "x"+string(zero) || !reflect.DeepEqual(counts, append([]int{7}, zeroCounts...)) {
+		t.Errorf("nil-patched fold after a prefix = %q %v, want %q %v", key, counts, "x"+string(zero), append([]int{7}, zeroCounts...))
 	}
 }

@@ -2,6 +2,7 @@ package paperdata
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"redpatch/internal/topology"
@@ -36,6 +37,15 @@ func (t TierSpec) label() string {
 		return t.Role + "/" + s
 	}
 	return t.Role
+}
+
+// appendLabel appends label's text to b without building the string.
+func (t TierSpec) appendLabel(b []byte) []byte {
+	b = append(b, t.Role...)
+	if s := t.Stack(); s != t.Role {
+		b = append(append(b, '/'), s...)
+	}
+	return b
 }
 
 // DesignSpec is a role-keyed redundancy design: an ordered list of tier
@@ -104,22 +114,47 @@ func (s DesignSpec) Total() int {
 // variants and replica counts — everything that changes the models — and
 // deliberately not the name, so renaming a design never misses the cache.
 func (s DesignSpec) Key() string {
-	parts := make([]string, len(s.Tiers))
+	b := make([]byte, 0, 16*len(s.Tiers))
 	for i, t := range s.Tiers {
-		parts[i] = fmt.Sprintf("%s:%d", t.label(), t.Replicas)
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = strconv.AppendInt(append(t.appendLabel(b), ':'), int64(t.Replicas), 10)
 	}
-	return strings.Join(parts, ";")
+	return string(b)
 }
 
 // String renders the spec in the paper's notation, e.g.
 // "1 DNS + 2 WEB + 2 APP + 1 DB"; variant groups render as
 // "1 WEB/WEBALT".
 func (s DesignSpec) String() string {
-	parts := make([]string, len(s.Tiers))
+	b := make([]byte, 0, 16*len(s.Tiers))
 	for i, t := range s.Tiers {
-		parts[i] = fmt.Sprintf("%d %s", t.Replicas, strings.ToUpper(t.label()))
+		if i > 0 {
+			b = append(b, " + "...)
+		}
+		b = append(strconv.AppendInt(b, int64(t.Replicas), 10), ' ')
+		b = appendUpper(b, t.label())
 	}
-	return strings.Join(parts, " + ")
+	return string(b)
+}
+
+// appendUpper appends strings.ToUpper(s) to b, converting ASCII in place
+// and deferring to strings.ToUpper only for non-ASCII text.
+func appendUpper(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return append(b, strings.ToUpper(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
 }
 
 // classic reports whether the spec is exactly the homogeneous
@@ -150,11 +185,14 @@ func (s DesignSpec) CanonicalName() string {
 	if d, ok := s.classic(); ok {
 		return DefaultName(d.DNS, d.Web, d.App, d.DB)
 	}
-	parts := make([]string, len(s.Tiers))
+	b := make([]byte, 0, 16*len(s.Tiers))
 	for i, t := range s.Tiers {
-		parts[i] = fmt.Sprintf("%d%s", t.Replicas, t.label())
+		if i > 0 {
+			b = append(b, '-')
+		}
+		b = t.appendLabel(strconv.AppendInt(b, int64(t.Replicas), 10))
 	}
-	return strings.Join(parts, "-")
+	return string(b)
 }
 
 // LogicalTier is one logical service tier of a spec: every group sharing
@@ -199,54 +237,6 @@ func (s DesignSpec) TargetStacks() []string {
 		}
 	}
 	return out
-}
-
-// SpecQuotient collapses a spec's replicas into classes: one host per
-// (logical tier, stack) pair. It returns the quotient spec (every class
-// at one replica, groups of one tier sharing a stack merged), the class
-// multiplicities keyed by the quotient topology's host names, and the
-// replica-independent structure key. Two specs that differ only in
-// replica counts share the structure key — and therefore, downstream,
-// one factored security model — while their multiplicity maps differ.
-// Within a class all replicas are identical (same attack tree) and
-// identically connected (SpecTopology wires tiers all-to-all), which is
-// exactly the premise of harm.FactoredHARM.
-func SpecQuotient(spec DesignSpec) (quotient DesignSpec, mult map[string]int, structure string, err error) {
-	if err := spec.Validate(); err != nil {
-		return DesignSpec{}, nil, "", err
-	}
-	quotient = DesignSpec{Name: spec.Name + "/quotient"}
-	replicas := make(map[string]int) // per class, in quotient tier order
-	for _, lt := range spec.Logical() {
-		seen := make(map[string]bool, len(lt.Groups))
-		for _, g := range lt.Groups {
-			stack := g.Stack()
-			key := lt.Role + "\x00" + stack
-			if !seen[stack] {
-				seen[stack] = true
-				variant := ""
-				if stack != lt.Role {
-					variant = stack
-				}
-				quotient.Tiers = append(quotient.Tiers, TierSpec{Role: lt.Role, Replicas: 1, Variant: variant})
-				replicas[key] = 0
-			}
-			replicas[key] += g.Replicas
-		}
-	}
-	// Class host names replay SpecTopology's stack-keyed counter over the
-	// quotient spec, where every class contributes exactly one host.
-	mult = make(map[string]int, len(quotient.Tiers))
-	counter := make(map[string]int)
-	for _, lt := range quotient.Logical() {
-		for _, g := range lt.Groups {
-			stack := g.Stack()
-			counter[stack]++
-			name := fmt.Sprintf("%s%d", stack, counter[stack])
-			mult[name] = replicas[lt.Role+"\x00"+stack]
-		}
-	}
-	return quotient, mult, quotient.Key(), nil
 }
 
 // tierSubnet places a logical tier on the Fig. 2 network: the paper's

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,14 +34,15 @@ import (
 // lazily on first use.
 //
 // An Evaluator is safe for concurrent use after NewEvaluator returns:
-// the configuration fields are read-only from then on, the per-stack
-// rate cache is guarded by its mutex, harm.Build clones the shared
-// attack-tree templates before touching them, vulndb.DB lookups are plain
-// map reads, and each Evaluate call builds its own topology, HARM and
-// network model. The one caveat is the vulnerability database itself —
-// callers must not mutate a DB (Add/UnmarshalJSON) that a live Evaluator
-// reads. The concurrent engine (internal/engine) relies on this
-// guarantee.
+// the configuration fields are read-only from then on, the lazily
+// filled memos (per-stack rates, tier factors and compiled security
+// models) are guarded by its mutex and hold immutable values,
+// harm.Build clones the shared attack-tree templates before touching
+// them, vulndb.DB lookups are plain map reads, and each call builds
+// only its own network model and result. The one caveat is the
+// vulnerability database itself — callers must not mutate a DB
+// (Add/UnmarshalJSON) that a live Evaluator reads. The concurrent
+// engine (internal/engine) relies on this guarantee.
 type Evaluator struct {
 	db       *vulndb.DB
 	trees    map[string]*attacktree.Tree
@@ -56,14 +58,15 @@ type Evaluator struct {
 	// security maps a rollout structure key
 	// (paperdata.RolloutQuotient.Structure: the replica-independent
 	// quotient structure plus one 'u'/'p' patch-state marker per class)
-	// to its factored security model. Replica counts deliberately do not
-	// appear: they enter the factored metrics in closed form at
-	// evaluation time, which is what turns an R^k sweep into
-	// O(#variant-combos) HARM builds. An atomic design is the rollout at
-	// its two endpoints — Before is the all-'u' model, After the all-'p'
-	// one — so atomic evaluations and rollout sweeps share this memo.
-	// One evaluator has one policy, so the policy is not part of the key.
-	security map[string]*harm.FactoredHARM
+	// to its factored security model, compiled under evalOpts. Replica
+	// counts deliberately do not appear: they enter the compiled metrics
+	// in closed form at evaluation time, which is what turns an R^k sweep
+	// into O(#variant-combos) HARM builds. An atomic design is the
+	// rollout at its two endpoints — Before is the all-'u' model, After
+	// the all-'p' one — so atomic evaluations and rollout sweeps share
+	// this memo. One evaluator has one policy, so the policy is not part
+	// of the key.
+	security map[string]*harm.Compiled
 
 	// Solver dispatch counters (see SolverStats).
 	factoredSolves   atomic.Uint64
@@ -122,7 +125,7 @@ func NewEvaluator(opts Options) (*Evaluator, error) {
 		agg:      make(map[string]availability.AggregatedRates),
 		plans:    make(map[string]patch.Plan),
 		factors:  make(map[factorKey]availability.TierFactor),
-		security: make(map[string]*harm.FactoredHARM),
+		security: make(map[string]*harm.Compiled),
 	}
 	if e.db == nil {
 		e.db = paperdata.VulnDB()
@@ -242,45 +245,57 @@ func (e *Evaluator) buildHARM(spec paperdata.DesignSpec) (*harm.HARM, error) {
 // by logical role so heterogeneous groups back each other up (the
 // service is up while any group of the role has a server up).
 func (e *Evaluator) NetworkModelFor(spec paperdata.DesignSpec) (availability.NetworkModel, error) {
+	if err := spec.Validate(); err != nil {
+		return availability.NetworkModel{}, err
+	}
 	nm, _, err := e.networkModelFor(spec)
 	return nm, err
 }
 
-// networkModelFor is NetworkModelFor plus the software stack behind each
-// tier in order — the memo identity the factored solver caches tier
-// factors under (tier names carry ordinal suffixes, stacks do not).
+// networkModelFor is NetworkModelFor on an already validated spec, plus
+// the software stack behind each tier in order — the memo identity the
+// factored solver caches tier factors under (tier names carry ordinal
+// suffixes, stacks do not). Tiers follow the spec's logical order
+// (paperdata.DesignSpec.AppendLogicalOrder).
 func (e *Evaluator) networkModelFor(spec paperdata.DesignSpec) (availability.NetworkModel, []string, error) {
-	if err := spec.Validate(); err != nil {
-		return availability.NetworkModel{}, nil, err
-	}
-	var nm availability.NetworkModel
-	var stacks []string
-	names := make(map[string]int)
-	for _, lt := range spec.Logical() {
-		for _, g := range lt.Groups {
-			stack := g.Stack()
-			agg, err := e.ratesFor(stack)
-			if err != nil {
-				return availability.NetworkModel{}, nil, err
-			}
-			// Tier names must be unique in the SRN; a stack deployed in
-			// several groups gets an ordinal suffix past the first.
-			name := stack
-			names[stack]++
-			if names[stack] > 1 {
-				name = fmt.Sprintf("%s#%d", stack, names[stack])
-			}
-			nm.Tiers = append(nm.Tiers, availability.Tier{
-				Name:     name,
-				Group:    lt.Role,
-				N:        g.Replicas,
-				LambdaEq: agg.LambdaEq,
-				MuEq:     agg.MuEq,
-			})
-			stacks = append(stacks, stack)
+	var buf [8]int
+	order := spec.AppendLogicalOrder(buf[:0])
+	nm := availability.NetworkModel{Tiers: make([]availability.Tier, len(order))}
+	stacks := make([]string, len(order))
+	for i, gi := range order {
+		g := spec.Tiers[gi]
+		stack := g.Stack()
+		agg, err := e.ratesFor(stack)
+		if err != nil {
+			return availability.NetworkModel{}, nil, err
 		}
+		// Tier names must be unique in the SRN; a stack deployed in
+		// several groups gets an ordinal suffix past the first.
+		name := stack
+		if n := 1 + countOf(stacks[:i], stack); n > 1 {
+			name = stack + "#" + strconv.Itoa(n)
+		}
+		nm.Tiers[i] = availability.Tier{
+			Name:     name,
+			Group:    g.Role,
+			N:        g.Replicas,
+			LambdaEq: agg.LambdaEq,
+			MuEq:     agg.MuEq,
+		}
+		stacks[i] = stack
 	}
 	return nm, stacks, nil
+}
+
+// countOf counts the occurrences of s in list.
+func countOf(list []string, s string) int {
+	n := 0
+	for _, x := range list {
+		if x == s {
+			n++
+		}
+	}
+	return n
 }
 
 // tierFactorFor returns the birth–death solution of one (stack, replica
@@ -404,90 +419,65 @@ func (e *Evaluator) keepLeaf(_ string, l *attacktree.Leaf) bool {
 	return !e.policy.Selects(v)
 }
 
-// securityModel returns the memoized factored security model stored
-// under a rollout structure key, building it on first use from the
-// rollout quotient that build returns: the quotient topology, its HARM,
-// and the post-patch attack trees of the patched classes — everything
-// about security that does not depend on replica counts. The build runs
-// under the mutex (it is microseconds of work on a replica-independent
-// graph), so concurrent misses for one key never duplicate it and
-// SecuritySolves counts distinct models exactly. The hit return reports
-// whether the memo served the model; a miss — the one place real
-// security model-building happens — runs under a "security.evaluate"
-// span, while hits stay span-free (the caller records provenance
-// attributes instead).
-func (e *Evaluator) securityModel(ctx context.Context, key string, build func() (paperdata.RolloutQuotient, error)) (*harm.FactoredHARM, bool, error) {
+// securityModel returns the compiled security model stored under a
+// rollout structure key (paperdata.FoldRollout's bytes), building it
+// on a miss from the rollout quotient that build returns: the quotient
+// topology, its HARM, and the post-patch attack trees of the patched
+// classes — everything about security that does not depend on replica
+// counts — compiled under the evaluator's EvalOptions. The probe
+// converts the key without copying it; only a miss stores a string.
+// The build runs under the mutex (it is microseconds of work on a
+// replica-independent graph), so concurrent misses for one key never
+// duplicate it and SecuritySolves counts distinct models exactly. The
+// hit return reports whether the memo served the model; a miss — the
+// one place real security model-building happens — runs under a
+// "security.evaluate" span, while hits stay span-free (the caller
+// records provenance attributes instead).
+func (e *Evaluator) securityModel(ctx context.Context, key []byte, build func() (paperdata.RolloutQuotient, error)) (*harm.Compiled, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if m, ok := e.security[key]; ok {
+	if m, ok := e.security[string(key)]; ok {
 		e.securityHits.Add(1)
 		return m, true, nil
 	}
 	_, sp := trace.Start(ctx, "security.evaluate",
 		trace.Attr{Key: "solver", Value: "quotient"},
 		trace.Attr{Key: "memo", Value: "miss"})
-	m, err := e.buildSecurityModel(build)
+	m, err := e.buildSecurityModel(key, build)
 	sp.EndErr(err)
 	if err != nil {
 		return nil, false, err
 	}
 	e.securitySolves.Add(1)
-	e.security[key] = m
+	e.security[string(key)] = m
 	return m, false, nil
 }
 
-// buildSecurityModel builds the factored security model of one rollout
-// quotient: patched classes carry the policy-pruned attack trees.
-func (e *Evaluator) buildSecurityModel(build func() (paperdata.RolloutQuotient, error)) (*harm.FactoredHARM, error) {
+// buildSecurityModel builds and compiles the factored security model of
+// one rollout quotient: patched classes carry the policy-pruned attack
+// trees. A quotient whose structure is not the probed key would file
+// the model under another design's key, so it is an error.
+func (e *Evaluator) buildSecurityModel(key []byte, build func() (paperdata.RolloutQuotient, error)) (*harm.Compiled, error) {
 	rq, err := build()
 	if err != nil {
 		return nil, err
+	}
+	if rq.Structure != string(key) {
+		return nil, fmt.Errorf("redundancy: security memo key %q does not match rollout structure %q", key, rq.Structure)
 	}
 	top, err := paperdata.SpecTopology(rq.Quotient)
 	if err != nil {
 		return nil, err
 	}
-	return harm.BuildFactoredRollout(harm.BuildInput{
+	f, err := harm.BuildFactoredRollout(harm.BuildInput{
 		Topology:    top,
 		Trees:       e.trees,
 		TargetRoles: rq.Quotient.TargetStacks(),
 	}, rq.PatchedHosts, e.keepLeaf)
-}
-
-// endpointKey renders the security-memo key of an atomic endpoint:
-// SpecQuotient's structure key plus the marker string
-// SpecRolloutQuotient appends when every one of the quotient's classes
-// is unpatched ('u', the Before side) or fully patched ('p', the After
-// side). TestEndpointKeysMatchRolloutStructure pins the two builders
-// together.
-func endpointKey(structure string, classes int, marker byte) string {
-	var b strings.Builder
-	b.Grow(len(structure) + 1 + classes)
-	b.WriteString(structure)
-	b.WriteByte('|')
-	for range classes {
-		b.WriteByte(marker)
+	if err != nil {
+		return nil, err
 	}
-	return b.String()
-}
-
-// endpointModel returns the security model of one side of a spec's
-// patch round: the all-unpatched rollout point (Before) or the
-// all-patched one (After).
-func (e *Evaluator) endpointModel(ctx context.Context, spec paperdata.DesignSpec, structure string, classes int, patched bool) (*harm.FactoredHARM, bool, error) {
-	marker := byte('u')
-	if patched {
-		marker = 'p'
-	}
-	return e.securityModel(ctx, endpointKey(structure, classes, marker), func() (paperdata.RolloutQuotient, error) {
-		counts := make([]int, len(spec.Tiers))
-		if patched {
-			for i, t := range spec.Tiers {
-				counts[i] = t.Replicas
-			}
-		}
-		return paperdata.SpecRolloutQuotient(spec, counts)
-	})
+	return f.Compile(rq.Hosts, e.evalOpts)
 }
 
 // recordSecurity sets the security provenance attributes on the
@@ -503,32 +493,51 @@ func recordSecurity(ctx context.Context, hit bool) {
 	}
 }
 
-// securityFor evaluates both sides of the patch round for one spec via
-// the factored path: the rollout models at the spec's two endpoints are
-// fetched (or built) once per variant structure, and the spec's replica
-// counts — SpecQuotient's multiplicities, which equal the rollout
-// quotient's at both endpoints — enter the metrics in closed form. The
-// expanded-topology evaluation (securityExpanded) remains as the
-// cross-validation oracle.
+// Stack buffer sizes for the security memo probe: room for the fold's
+// key and class counts of designs up to about eight tiers, past which
+// append moves them to the heap.
+const (
+	keyBuf   = 160
+	classBuf = 16
+)
+
+// securityFor evaluates both sides of the patch round for one valid
+// spec via the compiled path. The spec folds to its rollout structure
+// keys at the two endpoints — all classes unpatched (Before) and all
+// patched (After) — and its class counts, which both endpoints share.
+// Both models come from the security memo, built once per variant
+// structure, and the counts enter their metrics in closed form. The
+// rollout quotient is built only on a memo miss. The expanded-topology
+// evaluation (securityExpanded) remains as the cross-validation oracle.
 func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
-	_, mult, structure, err := paperdata.SpecQuotient(spec)
+	var keyb [2][keyBuf]byte
+	var countb [2][classBuf]int
+	var fullb [classBuf]int
+	full := fullb[:0]
+	for _, t := range spec.Tiers {
+		full = append(full, t.Replicas)
+	}
+	beforeKey, counts := paperdata.FoldRollout(keyb[0][:0], countb[0][:0], spec, nil)
+	afterKey, _ := paperdata.FoldRollout(keyb[1][:0], countb[1][:0], spec, full)
+
+	bm, bhit, err := e.securityModel(ctx, beforeKey, func() (paperdata.RolloutQuotient, error) {
+		return paperdata.SpecRolloutQuotient(spec, make([]int, len(spec.Tiers)))
+	})
 	if err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
-	bm, bhit, err := e.endpointModel(ctx, spec, structure, len(mult), false)
-	if err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
-	}
-	am, ahit, err := e.endpointModel(ctx, spec, structure, len(mult), true)
+	am, ahit, err := e.securityModel(ctx, afterKey, func() (paperdata.RolloutQuotient, error) {
+		return paperdata.SpecRolloutQuotient(spec, full)
+	})
 	if err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
 	recordSecurity(ctx, bhit && ahit)
 	e.securityFactored.Add(1)
-	if before, err = bm.Evaluate(mult, e.evalOpts); err != nil {
+	if before, err = bm.Evaluate(counts); err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
-	if after, err = am.Evaluate(mult, e.evalOpts); err != nil {
+	if after, err = am.Evaluate(counts); err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
 	return before, after, nil
@@ -619,6 +628,8 @@ func (e *Evaluator) EvaluateSpec(spec paperdata.DesignSpec) (Result, error) {
 // cancellation, so a result computed for one caller stays valid for
 // every concurrent caller deduplicated onto it.
 func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (Result, error) {
+	// The one validation of the design: the security fold and the
+	// network model below assume a valid spec.
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}

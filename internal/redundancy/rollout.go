@@ -12,8 +12,9 @@ import (
 // This file evaluates designs mid-rollout: a rollout point assigns each
 // tier group a patched fraction, splitting its replica class into a
 // patched and an unpatched sub-class. Security evaluates on the
-// sub-classed quotient (paperdata.SpecRolloutQuotient +
-// harm.BuildFactoredRollout), availability on mixed-version tier
+// sub-classed quotient (paperdata.FoldRollout probes the memo,
+// paperdata.SpecRolloutQuotient + harm.BuildFactoredRollout build a
+// missing model), availability on mixed-version tier
 // factors (availability.SolveTierFactorRollout) — both still factored,
 // so sweeping a whole rollout schedule costs microseconds per point.
 // The f=0 and f=1 endpoints reproduce the atomic Result's Before and
@@ -212,15 +213,17 @@ type RolloutResult struct {
 // The context carries tracing only; provenance lands as attributes on
 // the caller's span exactly like the atomic path.
 func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (RolloutResult, error) {
+	// PatchedCounts validates the spec: the design's one validation.
 	patched, err := PatchedCounts(spec, fractions)
 	if err != nil {
 		return RolloutResult{}, err
 	}
-	rq, err := paperdata.SpecRolloutQuotient(spec, patched)
-	if err != nil {
-		return RolloutResult{}, err
-	}
-	model, hit, err := e.securityModel(ctx, rq.Structure, func() (paperdata.RolloutQuotient, error) { return rq, nil })
+	var keyb [keyBuf]byte
+	var countb [classBuf]int
+	key, counts := paperdata.FoldRollout(keyb[:0], countb[:0], spec, patched)
+	model, hit, err := e.securityModel(ctx, key, func() (paperdata.RolloutQuotient, error) {
+		return paperdata.SpecRolloutQuotient(spec, patched)
+	})
 	if err != nil {
 		return RolloutResult{}, err
 	}
@@ -231,7 +234,7 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 		Fractions: append([]float64(nil), fractions...),
 		Patched:   patched,
 	}
-	if res.Security, err = model.Evaluate(rq.Mult, e.evalOpts); err != nil {
+	if res.Security, err = model.Evaluate(counts); err != nil {
 		return RolloutResult{}, err
 	}
 
@@ -239,13 +242,12 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 	if err != nil {
 		return RolloutResult{}, err
 	}
-	// nm.Tiers follows spec.Logical() order; patched follows spec.Tiers
-	// order. LogicalIndices maps between them.
-	logical := make([]int, 0, len(nm.Tiers))
-	for _, idxs := range spec.LogicalIndices() {
-		for _, i := range idxs {
-			logical = append(logical, patched[i])
-		}
+	// nm.Tiers follows the spec's logical order; patched follows
+	// spec.Tiers order.
+	var orderb, logicalb [classBuf]int
+	logical := logicalb[:0]
+	for _, i := range spec.AppendLogicalOrder(orderb[:0]) {
+		logical = append(logical, patched[i])
 	}
 	sol, err := e.solveNetwork(ctx, nm, stacks, logical)
 	if err != nil {

@@ -339,35 +339,6 @@ func TestAtomicAndRolloutShareSecurityMemo(t *testing.T) {
 	}
 }
 
-// TestEndpointKeysMatchRolloutStructure pins the atomic security-memo
-// keys to the rollout quotient's structure key at both endpoints, so the
-// two key builders cannot drift apart.
-func TestEndpointKeysMatchRolloutStructure(t *testing.T) {
-	for _, spec := range equivalenceSpecs() {
-		_, mult, structure, err := paperdata.SpecQuotient(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zeros := make([]int, len(spec.Tiers))
-		full := make([]int, len(spec.Tiers))
-		for i, g := range spec.Tiers {
-			full[i] = g.Replicas
-		}
-		for _, side := range []struct {
-			patched []int
-			marker  byte
-		}{{zeros, 'u'}, {full, 'p'}} {
-			rq, err := paperdata.SpecRolloutQuotient(spec, side.patched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := endpointKey(structure, len(mult), side.marker); got != rq.Structure {
-				t.Errorf("%s %c: endpoint key %q != rollout structure %q", spec.Name, side.marker, got, rq.Structure)
-			}
-		}
-	}
-}
-
 func TestRolloutSchedulePoints(t *testing.T) {
 	uniform := func(f float64, n int) []float64 {
 		out := make([]float64, n)
