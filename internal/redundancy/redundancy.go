@@ -271,8 +271,13 @@ func (e *Evaluator) networkModelFor(spec paperdata.DesignSpec) (availability.Net
 		}
 		// Tier names must be unique in the SRN; a stack deployed in
 		// several groups gets an ordinal suffix past the first.
-		name := stack
-		if n := 1 + countOf(stacks[:i], stack); n > 1 {
+		name, n := stack, 1
+		for _, s := range stacks[:i] {
+			if s == stack {
+				n++
+			}
+		}
+		if n > 1 {
 			name = stack + "#" + strconv.Itoa(n)
 		}
 		nm.Tiers[i] = availability.Tier{
@@ -285,17 +290,6 @@ func (e *Evaluator) networkModelFor(spec paperdata.DesignSpec) (availability.Net
 		stacks[i] = stack
 	}
 	return nm, stacks, nil
-}
-
-// countOf counts the occurrences of s in list.
-func countOf(list []string, s string) int {
-	n := 0
-	for _, x := range list {
-		if x == s {
-			n++
-		}
-	}
-	return n
 }
 
 // tierFactorFor returns the birth–death solution of one (stack, replica
