@@ -218,30 +218,27 @@ func FoldRollout(key []byte, counts []int, spec DesignSpec, patched []int) ([]by
 
 // foldClasses calls fn once per (logical tier, stack) class of spec, in
 // quotient order, with the class's first group and its replica and
-// patched totals (patched nil counts none). It scans instead of
-// indexing roles and stacks in maps: specs have a handful of tiers.
+// patched totals (patched nil counts none). It scans the logical order
+// instead of indexing roles and stacks in maps: specs have a handful of
+// tiers.
 func foldClasses(spec DesignSpec, patched []int, fn func(first TierSpec, total, patched int)) {
-	tiers := spec.Tiers
-	for i, t := range tiers {
-		if slices.ContainsFunc(tiers[:i], func(o TierSpec) bool { return o.Role == t.Role }) {
-			continue // not the first group of its logical tier
+	var buf [16]int
+	order := spec.AppendLogicalOrder(buf[:0])
+	for x, i := range order {
+		g := spec.Tiers[i]
+		if slices.ContainsFunc(order[:x], func(k int) bool { return spec.Tiers[k].sameClass(g) }) {
+			continue // folded at the class's first group
 		}
-		for j := i; j < len(tiers); j++ {
-			g := tiers[j]
-			if g.Role != t.Role || slices.ContainsFunc(tiers[i:j], g.sameClass) {
-				continue // another logical tier, or a class already folded
-			}
-			total, p := 0, 0
-			for k := j; k < len(tiers); k++ {
-				if g.sameClass(tiers[k]) {
-					total += tiers[k].Replicas
-					if patched != nil {
-						p += patched[k]
-					}
+		total, p := 0, 0
+		for _, k := range order[x:] {
+			if spec.Tiers[k].sameClass(g) {
+				total += spec.Tiers[k].Replicas
+				if patched != nil {
+					p += patched[k]
 				}
 			}
-			fn(g, total, p)
 		}
+		fn(g, total, p)
 	}
 }
 

@@ -134,27 +134,9 @@ func (s DesignSpec) String() string {
 			b = append(b, " + "...)
 		}
 		b = append(strconv.AppendInt(b, int64(t.Replicas), 10), ' ')
-		b = appendUpper(b, t.label())
+		b = append(b, strings.ToUpper(t.label())...)
 	}
 	return string(b)
-}
-
-// appendUpper appends strings.ToUpper(s) to b, converting ASCII in place
-// and deferring to strings.ToUpper only for non-ASCII text.
-func appendUpper(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return append(b, strings.ToUpper(s)...)
-		}
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		b = append(b, c)
-	}
-	return b
 }
 
 // classic reports whether the spec is exactly the homogeneous
