@@ -12,11 +12,11 @@ import (
 // This file evaluates designs mid-rollout: a rollout point assigns each
 // tier group a patched fraction, splitting its replica class into a
 // patched and an unpatched sub-class. Security evaluates on the
-// sub-classed quotient (paperdata.FoldRollout probes the memo,
-// paperdata.SpecRolloutQuotient + harm.BuildFactoredRollout build a
-// missing model), availability on mixed-version tier
-// factors (availability.SolveTierFactorRollout) — both still factored,
-// so sweeping a whole rollout schedule costs microseconds per point.
+// sub-classed quotient (paperdata.FoldRollout probes the memo;
+// paperdata.SpecRolloutQuotient and harm.BuildFactoredRollout build a
+// missing model), availability on mixed-version tier factors
+// (availability.SolveTierFactorRollout) — both still factored, so
+// sweeping a whole rollout schedule costs microseconds per point.
 // The f=0 and f=1 endpoints reproduce the atomic Result's Before and
 // After sides bit for bit (TestRolloutDegenerateEndpoints).
 
