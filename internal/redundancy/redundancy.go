@@ -457,7 +457,8 @@ func (e *Evaluator) buildSecurityModel(key []byte, build func() (paperdata.Rollo
 		return nil, err
 	}
 	if rq.Structure != string(key) {
-		return nil, fmt.Errorf("redundancy: security memo key %q does not match rollout structure %q", key, rq.Structure)
+		// string(key) copies, so the caller's stack buffer stays put.
+		return nil, fmt.Errorf("redundancy: security memo key %q does not match rollout structure %q", string(key), rq.Structure)
 	}
 	top, err := paperdata.SpecTopology(rq.Quotient)
 	if err != nil {
