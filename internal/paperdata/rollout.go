@@ -87,8 +87,8 @@ func (s DesignSpec) AppendLogicalOrder(dst []int) []int {
 // quotient groups (unpatched, then patched). The degenerate points —
 // all-zero and all-full patched counts — share one quotient spec, host
 // names and multiplicities and differ only in the structure key's
-// patch-state markers. This is the reference the security memo's
-// builder runs on a miss; FoldRollout computes its Structure and Counts
+// patch-state markers. The security memo's miss path builds its model
+// from this quotient; FoldRollout computes its Structure and Counts
 // without building it.
 func SpecRolloutQuotient(spec DesignSpec, patched []int) (RolloutQuotient, error) {
 	if err := spec.Validate(); err != nil {
