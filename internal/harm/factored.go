@@ -52,7 +52,7 @@ type FactoredHARM struct {
 // satisfy the quotient premise — within a class all replicas are
 // identical and identically connected — which holds by construction for
 // topologies produced by replica-collapsing a tiered design
-// (paperdata.SpecQuotient).
+// (paperdata.SpecRolloutQuotient).
 func BuildFactored(in BuildInput) (*FactoredHARM, error) {
 	h, err := Build(in)
 	if err != nil {

@@ -102,24 +102,11 @@ func TestSpecRolloutQuotient(t *testing.T) {
 		t.Error("different patch patterns must not share a structure key")
 	}
 
-	// The degenerate points share one quotient: the two web groups of
-	// one stack merge into one class, every class stays whole, and only
-	// the patch-state markers differ.
+	// The degenerate points share one quotient (TestSpecQuotient pins the
+	// all-unpatched one): only the patch-state markers differ.
 	zero, err := SpecRolloutQuotient(spec, make([]int, len(spec.Tiers)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(zero.Quotient.Tiers) != 5 {
-		t.Fatalf("all-unpatched quotient tiers = %d, want 5 (web groups merged)", len(zero.Quotient.Tiers))
-	}
-	if want := []string{"dns1", "web1", "webalt1", "app1", "db1"}; !reflect.DeepEqual(zero.Hosts, want) {
-		t.Errorf("all-unpatched Hosts = %v, want %v", zero.Hosts, want)
-	}
-	if want := []int{2, 4, 2, 4, 2}; !reflect.DeepEqual(zero.Counts, want) {
-		t.Errorf("all-unpatched Counts = %v, want %v", zero.Counts, want)
-	}
-	if len(zero.PatchedHosts) != 0 {
-		t.Errorf("all-unpatched PatchedHosts = %v, want empty", zero.PatchedHosts)
 	}
 	full := []int{2, 3, 2, 1, 4, 2}
 	one, err := SpecRolloutQuotient(spec, full)
@@ -137,6 +124,55 @@ func TestSpecRolloutQuotient(t *testing.T) {
 	}
 	if zero.Structure == one.Structure {
 		t.Error("all-unpatched and all-patched must not share a structure key")
+	}
+
+	// Validation: wrong length and out-of-range counts are rejected.
+	if _, err := SpecRolloutQuotient(spec, []int{1}); err == nil {
+		t.Error("mismatched patched length should fail")
+	}
+	if _, err := SpecRolloutQuotient(spec, []int{3, 0, 0, 0, 0, 0}); err == nil {
+		t.Error("patched above replicas should fail")
+	}
+	if _, err := SpecRolloutQuotient(spec, []int{-1, 0, 0, 0, 0, 0}); err == nil {
+		t.Error("negative patched should fail")
+	}
+}
+
+// TestSpecQuotient pins the all-unpatched point of SpecRolloutQuotient:
+// the replica collapse of a spec into one host per stack class.
+func TestSpecQuotient(t *testing.T) {
+	spec := DesignSpec{
+		Name: "het",
+		Tiers: []TierSpec{
+			{Role: RoleDNS, Replicas: 2},
+			{Role: RoleWeb, Replicas: 3},
+			{Role: RoleWeb, Replicas: 2, Variant: RoleWebAlt},
+			{Role: RoleWeb, Replicas: 1}, // same stack as the first web group: merges
+			{Role: RoleApp, Replicas: 4},
+			{Role: RoleDB, Replicas: 2},
+		},
+	}
+	zero, err := SpecRolloutQuotient(spec, make([]int, len(spec.Tiers)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(zero.Quotient.Tiers) != 5 {
+		t.Fatalf("quotient tiers = %d, want 5 (web groups merged)", len(zero.Quotient.Tiers))
+	}
+	for _, tier := range zero.Quotient.Tiers {
+		if tier.Replicas != 1 {
+			t.Errorf("quotient tier %s has %d replicas, want 1", tier.label(), tier.Replicas)
+		}
+	}
+	wantHosts := []string{"dns1", "web1", "webalt1", "app1", "db1"}
+	if !reflect.DeepEqual(zero.Hosts, wantHosts) {
+		t.Errorf("Hosts = %v, want %v", zero.Hosts, wantHosts)
+	}
+	if want := []int{2, 4, 2, 4, 2}; !reflect.DeepEqual(zero.Counts, want) {
+		t.Errorf("Counts = %v, want %v", zero.Counts, want)
+	}
+	if len(zero.PatchedHosts) != 0 {
+		t.Errorf("PatchedHosts = %v, want empty", zero.PatchedHosts)
 	}
 
 	// The structure key is replica-independent: scaling any group leaves
@@ -161,15 +197,15 @@ func TestSpecRolloutQuotient(t *testing.T) {
 		t.Error("variant and homogeneous specs must not share a structure key")
 	}
 
-	// Validation: wrong length and out-of-range counts are rejected.
-	if _, err := SpecRolloutQuotient(spec, []int{1}); err == nil {
-		t.Error("mismatched patched length should fail")
+	// The quotient topology names match the class hosts.
+	top, err := SpecTopology(zero.Quotient)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := SpecRolloutQuotient(spec, []int{3, 0, 0, 0, 0, 0}); err == nil {
-		t.Error("patched above replicas should fail")
-	}
-	if _, err := SpecRolloutQuotient(spec, []int{-1, 0, 0, 0, 0, 0}); err == nil {
-		t.Error("negative patched should fail")
+	for _, name := range wantHosts {
+		if _, ok := top.Node(name); !ok {
+			t.Errorf("quotient topology missing class host %q", name)
+		}
 	}
 	if _, err := SpecRolloutQuotient(DesignSpec{}, nil); err == nil {
 		t.Error("invalid spec should fail")
