@@ -242,11 +242,12 @@ type fleetSimulateRequest struct {
 // handleFleetSimulate plans the requested fleet campaign, then executes
 // it under the try-revert model and streams the execution as NDJSON:
 // one {"plan":true,...} header, one event object per maintenance window
-// in execution order (flushed as produced, rollbacks and re-queued CVEs
-// included), then a {"done":true,"summary":...} trailer. Client
-// disconnects cancel the simulation through the request context; errors
-// after the first byte surface as an {"error":...,"reason":...} trailer
-// line, so every stream ends in exactly one explicit done or error line.
+// in execution order (batched like a sweep stream's results, rollbacks
+// and re-queued CVEs included), then a {"done":true,"summary":...}
+// trailer. Client disconnects cancel the simulation through the request
+// context; errors after the first byte surface as an
+// {"error":...,"reason":...} trailer line, so every stream ends in
+// exactly one explicit done or error line.
 func (s *server) handleFleetSimulate(w http.ResponseWriter, r *http.Request) {
 	var req fleetSimulateRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -271,7 +272,8 @@ func (s *server) handleFleetSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := newNDJSONStream(w)
-	_ = st.line(map[string]any{
+	defer st.close()
+	_ = st.event(map[string]any{
 		"plan":           true,
 		"systems":        len(plan.Systems),
 		"windows":        len(plan.Windows),
@@ -300,5 +302,5 @@ func (s *server) handleFleetSimulate(w http.ResponseWriter, r *http.Request) {
 		st.fail(err)
 		return
 	}
-	_ = st.line(map[string]any{"done": true, "summary": sum})
+	_ = st.event(map[string]any{"done": true, "summary": sum})
 }

@@ -30,7 +30,7 @@
 //	POST   /api/v2/evaluate         one role-keyed spec, per scenario
 //	POST   /api/v2/sweep            a role-keyed sweep (variant sets allowed)
 //	POST   /api/v2/pareto           like sweep, Pareto front only
-//	POST   /api/v2/sweep/stream     the sweep as flushed NDJSON chunks
+//	POST   /api/v2/sweep/stream     the sweep as batched NDJSON
 //	POST   /api/v2/rollout/sweep    mixed-version rollout frontier, NDJSON
 //	POST   /api/v2/rank-patches     policy-aware single-patch ranking
 //	POST   /api/v2/plan-campaign    maintenance-window campaign planning
@@ -576,12 +576,12 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
+// writeJSON writes v as one compact JSON object and a newline; readers
+// who want it indented pipe it through jq.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

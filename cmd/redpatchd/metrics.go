@@ -189,9 +189,9 @@ func (m *serverMetrics) registerCollectors(s *server) {
 
 // statusWriter records the status code for the route wrapper's span and
 // metrics while passing Flush through, so the NDJSON streaming
-// endpoints keep flushing per result. wrote tracks whether the response
-// has started, which panic recovery needs: once the first byte is out,
-// no error status can be written.
+// endpoints keep flushing their batches. wrote tracks whether the
+// response has started, which panic recovery needs: once the first byte
+// is out, no error status can be written.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

@@ -23,10 +23,11 @@ type rolloutSweepRequest struct {
 
 // handleRolloutSweep streams a rollout sweep as NDJSON with the same
 // contract as handleSweepStream: one point report per line in completion
-// order, flushed as each point finishes, periodic {"progress":true,...}
-// events (rollout cache-hit ratio and ETA, at most one per
-// progressEvery), then a {"done":true,...} trailer that carries the
-// rollout's security-availability frontier (and, with ?explain=1, the
+// order, the first flushed at once and the rest batched under the same
+// size and linger bounds, periodic {"progress":true,...} events (rollout
+// cache-hit ratio and ETA, at most one per progressEvery, flushed with
+// the batch before them), then a {"done":true,...} trailer that carries
+// the rollout's security-availability frontier (and, with ?explain=1, the
 // request's span provenance). Client disconnects cancel the sweep
 // through the request context; errors after the first byte surface as an
 // {"error":...,"reason":...} trailer line.
@@ -67,6 +68,7 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := newNDJSONStream(w)
+	defer st.close()
 	// Points whose fractions ceil to already-solved patched counts are
 	// rollout-memo hits.
 	progress := st.progress(s.progressEvery, func() (uint64, uint64) {
@@ -95,5 +97,5 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 		// the whole sweep.
 		trailer["explain"] = s.explain(r.Context())
 	}
-	_ = st.line(trailer)
+	_ = st.event(trailer)
 }

@@ -458,9 +458,11 @@ func (s *server) handleParetoV2(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweepStream streams sweep results as NDJSON: one report object
-// per line in completion order, flushed as each design finishes,
-// periodic {"progress":true,...} events with done/total counts, the
-// cache-hit ratio and an ETA (at most one per progressEvery), then a
+// per line in completion order, the first flushed at once and the rest
+// in batches written at streamBatchBytes or after streamLinger,
+// whichever comes first; periodic {"progress":true,...} events with
+// done/total counts, the cache-hit ratio and an ETA (at most one per
+// progressEvery, flushed with the batch before them); then a
 // {"done":true,...} trailer carrying the Pareto front. Client
 // disconnects cancel the sweep through the request context. Errors
 // after the first byte cannot change the status code; they surface as
@@ -475,7 +477,10 @@ func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := newNDJSONStream(w)
-	var reports []redpatch.DesignReport
+	defer st.close()
+	// The trailer's front needs every kept report; the sweep is capped
+	// at maxDesigns by scenarioSweep.
+	reports := make([]redpatch.DesignReport, 0, req.SweepSize())
 	progress := st.progress(s.progressEvery, func() (uint64, uint64) {
 		es := sc.study.EngineStats()
 		return es.Hits, es.Solves
@@ -488,7 +493,7 @@ func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		st.fail(err)
 		return
 	}
-	_ = st.line(map[string]any{
+	_ = st.event(map[string]any{
 		"done":     true,
 		"scenario": sc.name,
 		"total":    total,

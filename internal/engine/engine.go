@@ -35,7 +35,7 @@ import (
 // Implementations must be safe for concurrent use.
 type DesignEvaluator interface {
 	EvaluateSpecContext(context.Context, paperdata.DesignSpec) (redundancy.Result, error)
-	EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (redundancy.RolloutResult, error)
+	EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error)
 }
 
 // Options configures an Engine.

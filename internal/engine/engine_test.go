@@ -48,8 +48,8 @@ func (c *countingEvaluator) EvaluateSpecContext(ctx context.Context, spec paperd
 	return c.inner.EvaluateSpecContext(ctx, spec)
 }
 
-func (c *countingEvaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (redundancy.RolloutResult, error) {
-	return c.inner.EvaluateRollout(ctx, spec, fractions)
+func (c *countingEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error) {
+	return c.inner.EvaluatePatched(ctx, spec, patched)
 }
 
 func TestParallelSweepMatchesSerialEvaluateAll(t *testing.T) {
@@ -83,7 +83,7 @@ func TestParallelSweepMatchesSerialEvaluateAll(t *testing.T) {
 		t.Fatal("parallel sweep differs from the serial reference")
 	}
 	if want := redundancy.ParetoFront(serial); !reflect.DeepEqual(sweep.Front, want) {
-		t.Fatalf("incremental Pareto front differs from ParetoFront: got %d, want %d members", len(sweep.Front), len(want))
+		t.Fatalf("sweep Pareto front differs from ParetoFront of the serial results: got %d, want %d members", len(sweep.Front), len(want))
 	}
 }
 
@@ -354,7 +354,7 @@ func (f evaluatorFunc) EvaluateSpecContext(_ context.Context, s paperdata.Design
 	return f(s)
 }
 
-func (f evaluatorFunc) EvaluateRollout(context.Context, paperdata.DesignSpec, []float64) (redundancy.RolloutResult, error) {
+func (f evaluatorFunc) EvaluatePatched(context.Context, paperdata.DesignSpec, []int) (redundancy.RolloutResult, error) {
 	return redundancy.RolloutResult{}, errors.New("evaluatorFunc scores atomic designs only")
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
@@ -16,11 +15,15 @@ import (
 // ceil to the same counts share one entry — the quotient structure, not
 // the raw fraction, is what determines the models.
 func rolloutKey(spec paperdata.DesignSpec, patched []int) string {
-	parts := make([]string, len(patched))
+	var buf [96]byte
+	b := append(spec.AppendKey(buf[:0]), "|rollout="...)
 	for i, p := range patched {
-		parts[i] = strconv.Itoa(p)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(p), 10)
 	}
-	return spec.Key() + "|rollout=" + strings.Join(parts, ",")
+	return string(b)
 }
 
 // EvaluateRollout scores one design at one rollout point (per-tier
@@ -41,14 +44,15 @@ func (g *Engine) evaluateRolloutTraced(ctx context.Context, spec paperdata.Desig
 	defer func() { sp.EndErr(err) }()
 	sp.SetAttr("rollout", true)
 
-	// PatchedCounts validates the spec before converting the fractions.
+	// PatchedCounts validates the spec before converting the fractions:
+	// the point's one validation, since the solve takes the counts.
 	patched, err := redundancy.PatchedCounts(spec, fractions)
 	if err != nil {
 		return redundancy.RolloutResult{}, err
 	}
 	k := key{fp: g.fp, spec: rolloutKey(spec, patched)}
 	r, err := singleflight(ctx, g, sp, g.rollout, k, &g.rolloutSolves, &g.rolloutHits, nil,
-		func() (redundancy.RolloutResult, error) { return g.eval.EvaluateRollout(ctx, spec, fractions) })
+		func() (redundancy.RolloutResult, error) { return g.eval.EvaluatePatched(ctx, spec, patched) })
 	if err != nil {
 		return redundancy.RolloutResult{}, err
 	}

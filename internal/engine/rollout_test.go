@@ -25,17 +25,13 @@ func (f *rolloutFake) EvaluateSpecContext(_ context.Context, spec paperdata.Desi
 	return redundancy.Result{Spec: spec}, nil
 }
 
-func (f *rolloutFake) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (redundancy.RolloutResult, error) {
+func (f *rolloutFake) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error) {
 	f.calls.Add(1)
 	if f.gate != nil {
 		<-f.gate
 	}
 	if f.fail {
 		return redundancy.RolloutResult{}, errors.New("solve failed")
-	}
-	patched, err := redundancy.PatchedCounts(spec, fractions)
-	if err != nil {
-		return redundancy.RolloutResult{}, err
 	}
 	coa := 1.0
 	for _, p := range patched {

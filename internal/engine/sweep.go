@@ -203,18 +203,16 @@ type SweepResult struct {
 
 // Sweep evaluates the whole spec on the worker pool and returns the
 // bound-filtered results plus their Pareto front. Rejected results are
-// discarded as they arrive; the front is maintained incrementally, so
-// peak memory is proportional to the kept set, not the space.
+// discarded as they arrive, so peak memory is proportional to the kept
+// set, not the space; the front is taken from the kept set at the end.
 func (g *Engine) Sweep(ctx context.Context, spec SweepSpec) (SweepResult, error) {
 	type kept struct {
 		idx int
 		res redundancy.Result
 	}
 	var ks []kept
-	var front paretoFront
 	total, err := g.sweep(ctx, spec, func(idx int, r redundancy.Result) error {
 		ks = append(ks, kept{idx, r})
-		front.insert(r)
 		return nil
 	}, nil)
 	if err != nil {
@@ -226,9 +224,7 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec) (SweepResult, error)
 	for i, k := range ks {
 		out.Kept[i] = k.res
 	}
-	// ParetoFront both orders the front canonically and keeps the
-	// dominance semantics in one place.
-	out.Front = redundancy.ParetoFront(front.front)
+	out.Front = redundancy.ParetoFront(out.Kept)
 	return out, nil
 }
 

@@ -114,14 +114,20 @@ func (s DesignSpec) Total() int {
 // variants and replica counts — everything that changes the models — and
 // deliberately not the name, so renaming a design never misses the cache.
 func (s DesignSpec) Key() string {
-	b := make([]byte, 0, 16*len(s.Tiers))
+	var buf [64]byte
+	return string(s.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the spec's Key to b, so callers composing a longer
+// key build it in one buffer.
+func (s DesignSpec) AppendKey(b []byte) []byte {
 	for i, t := range s.Tiers {
 		if i > 0 {
 			b = append(b, ';')
 		}
 		b = strconv.AppendInt(append(t.appendLabel(b), ':'), int64(t.Replicas), 10)
 	}
-	return string(b)
+	return b
 }
 
 // String renders the spec in the paper's notation, e.g.

@@ -769,37 +769,71 @@ func Dominates(a, b Result) bool {
 // it depends only on its members and never on the input order (a
 // streamed sweep collects its items in completion order). The design
 // front, the facade's Pareto and the rollout frontier all run on it.
+//
+// It sorts once and scans: in (ASP ascending, COA descending) order, a
+// group of equal points is on the front exactly when no point before it
+// has COA at least theirs, so the front costs O(n log n) with point
+// called once per item. A NaN coordinate makes every comparison false,
+// so such an item neither dominates nor is dominated: it stays out of
+// the scan and is always a member.
 func Front[T any](items []T, point func(T) (asp, coa float64), tiebreak func(a, b T) int) []T {
-	var front []T
-	for i, r := range items {
-		rASP, rCOA := point(r)
-		dominated := false
-		for j, s := range items {
-			if i == j {
-				continue
-			}
-			if sASP, sCOA := point(s); dominates(sASP, sCOA, rASP, rCOA) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, r)
+	pts := make([]frontPoint, len(items))
+	order := make([]int, 0, len(items))
+	member := make([]bool, len(items))
+	for i, it := range items {
+		asp, coa := point(it)
+		pts[i] = frontPoint{asp, coa}
+		if asp != asp || coa != coa { // NaN
+			member[i] = true
+		} else {
+			order = append(order, i)
 		}
 	}
-	slices.SortFunc(front, func(a, b T) int {
-		aASP, aCOA := point(a)
-		bASP, bCOA := point(b)
-		if c := cmp.Compare(aASP, bASP); c != 0 {
+	byPoint := func(a, b int) int {
+		if c := cmp.Compare(pts[a].asp, pts[b].asp); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(bCOA, aCOA); c != 0 {
+		return cmp.Compare(pts[b].coa, pts[a].coa)
+	}
+	slices.SortFunc(order, byPoint)
+	seen, best := false, 0.0 // best: the highest COA at a lower ASP
+	for g := 0; g < len(order); {
+		head := pts[order[g]] // the group's highest COA at this ASP
+		keep := !seen || head.coa > best
+		for ; g < len(order) && pts[order[g]].asp == head.asp; g++ {
+			member[order[g]] = keep && pts[order[g]].coa == head.coa
+		}
+		if keep {
+			seen, best = true, head.coa
+		}
+	}
+	// Members are collected in input order before the final sort, as in
+	// the quadratic reference the tests keep, so even items the
+	// comparator ties on come out in the same order.
+	idx := make([]int, 0, len(items))
+	for i, m := range member {
+		if m {
+			idx = append(idx, i)
+		}
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := byPoint(a, b); c != 0 {
 			return c
 		}
-		return tiebreak(a, b)
+		return tiebreak(items[a], items[b])
 	})
+	var front []T // nil when empty, as callers encode it
+	if len(idx) > 0 {
+		front = make([]T, len(idx))
+	}
+	for k, i := range idx {
+		front[k] = items[i]
+	}
 	return front
 }
+
+// frontPoint is one item's (ASP, COA) coordinates in Front.
+type frontPoint struct{ asp, coa float64 }
 
 // ParetoFront returns the designs not dominated on the
 // (minimize after-patch ASP, maximize COA) plane in Front's order, with

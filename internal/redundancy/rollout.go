@@ -218,6 +218,20 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 	if err != nil {
 		return RolloutResult{}, err
 	}
+	res, err := e.EvaluatePatched(ctx, spec, patched)
+	if err != nil {
+		return RolloutResult{}, err
+	}
+	res.Fractions = append([]float64(nil), fractions...)
+	return res, nil
+}
+
+// EvaluatePatched is EvaluateRollout at per-tier patched replica counts
+// that PatchedCounts produced for spec: it validates neither, so a
+// caller that already converted the fractions (the engine, for its memo
+// key) validates each point once. The result's Fractions is nil and
+// Patched aliases patched.
+func (e *Evaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (RolloutResult, error) {
 	var keyb [keyBuf]byte
 	var countb [classBuf]int
 	key, counts := paperdata.FoldRollout(keyb[:0], countb[:0], spec, patched)
@@ -229,11 +243,7 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 	}
 	recordSecurity(ctx, hit)
 	e.rolloutEvals.Add(1)
-	res := RolloutResult{
-		Spec:      spec,
-		Fractions: append([]float64(nil), fractions...),
-		Patched:   patched,
-	}
+	res := RolloutResult{Spec: spec, Patched: patched}
 	if res.Security, err = model.Evaluate(counts); err != nil {
 		return RolloutResult{}, err
 	}

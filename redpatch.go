@@ -773,13 +773,10 @@ func (s *CaseStudy) CacheEntries() int { return s.eng.Len() }
 // bypass the limiter: a true peek means the matching EvaluateSpec is a
 // map lookup. Best-effort — a concurrent eviction of an erred entry or
 // a racing solve may change the answer by the time the evaluation
-// runs, which costs at most one un-admitted solve.
+// runs, which costs at most one un-admitted solve. The memo key
+// excludes the design name, so an unnamed spec is peeked as it is.
 func (s *CaseStudy) CachePeek(spec DesignSpec) bool {
-	p := spec.pd()
-	if spec.Name == "" {
-		p.Name = p.CanonicalName()
-	}
-	return s.eng.Peek(p)
+	return s.eng.Peek(spec.pd())
 }
 
 // SnapshotCache writes the engine's memo cache to w as versioned JSON,

@@ -556,3 +556,23 @@ func TestSpecValidationAtFacade(t *testing.T) {
 		}
 	}
 }
+
+// TestCachePeekAllocations pins what a warm CachePeek costs — the
+// admission bypass every warm evaluate request pays: the spec
+// conversion and the memo key, and nothing for the design name, which
+// the key excludes.
+func TestCachePeekAllocations(t *testing.T) {
+	s, _ := caseStudy(t)
+	for _, name := range []string{"", "named"} {
+		spec := ClassicSpec(name, 1, 2, 2, 1)
+		if _, err := s.EvaluateSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+		if !s.CachePeek(spec) {
+			t.Fatalf("CachePeek(%q) = false after EvaluateSpec", name)
+		}
+		if got := testing.AllocsPerRun(100, func() { s.CachePeek(spec) }); got > 2 {
+			t.Errorf("warm CachePeek(%q) = %v allocs, want at most 2", name, got)
+		}
+	}
+}

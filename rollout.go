@@ -83,11 +83,11 @@ func convertRollout(step int, r redundancy.RolloutResult) RolloutReport {
 	}
 }
 
-func (c chaosEvaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (redundancy.RolloutResult, error) {
+func (c chaosEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error) {
 	if err := c.inj.HitCtx(ctx, ChaosSiteEvaluate); err != nil {
 		return redundancy.RolloutResult{}, err
 	}
-	return c.next.EvaluateRollout(ctx, spec, fractions)
+	return c.next.EvaluatePatched(ctx, spec, patched)
 }
 
 // EvaluateRollout evaluates a design at one rollout point given by
