@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -88,6 +91,77 @@ func TestCacheRejectsForeignDump(t *testing.T) {
 	}
 	if got := metricValue(t, body, `redpatchd_cache_restored_entries_total`); got != "0" {
 		t.Fatalf("restored entries = %s, want 0", got)
+	}
+}
+
+// TestCacheRejectsV2Dump: a dump in the retired version-2 format (whole
+// results with path detail, under this scenario's own fingerprint) has
+// no reader. The daemon counts the restore error, starts cold and still
+// serves.
+func TestCacheRejectsV2Dump(t *testing.T) {
+	dir := t.TempDir()
+	study := newStudy(t)
+	var v3 strings.Builder
+	if _, err := study.SnapshotCache(&v3); err != nil {
+		t.Fatal(err)
+	}
+	var head struct{ Fingerprint string }
+	if err := json.Unmarshal([]byte(v3.String()), &head); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile("../../internal/engine/testdata/snapshot-v2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 = bytes.Replace(v2, []byte(`"fingerprint":"fuzz"`), []byte(`"fingerprint":`+strconv.Quote(head.Fingerprint)), 1)
+	if err := os.WriteFile(filepath.Join(dir, "default.cache.json"), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustServer(t, study, serverConfig{cacheDir: dir})
+	h := s.handler()
+	body := scrape(t, h)
+	if got := metricValue(t, body, `redpatchd_cache_restore_errors_total`); got != "1" {
+		t.Fatalf("restore errors = %s, want 1", got)
+	}
+	if got := metricValue(t, body, `redpatchd_engine_cache_entries{scenario="default"}`); got != "0" {
+		t.Fatalf("v2 dump merged: cache entries = %s, want 0", got)
+	}
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate", baseEvalBody); w.Code != http.StatusOK {
+		t.Fatalf("evaluate after a rejected dump: status %d: %s", w.Code, w.Body)
+	}
+	if got := metricValue(t, scrape(t, h), `redpatchd_engine_solves_total{scenario="default"}`); got != "1" {
+		t.Fatalf("solves = %s, want 1 (served cold)", got)
+	}
+}
+
+// TestCachePersistsRolloutPoints: rollout points ride the dump too, so a
+// restarted daemon serves a repeated rollout sweep without solving.
+func TestCachePersistsRolloutPoints(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"spec":{"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]},
+		"schedule":{"strategy":"rolling","steps":2}}`
+	first := mustServer(t, newStudy(t), serverConfig{cacheDir: dir})
+	if w := do(t, first.handler(), http.MethodPost, "/api/v2/rollout/sweep", body); w.Code != http.StatusOK {
+		t.Fatalf("rollout sweep status = %d: %s", w.Code, w.Body)
+	}
+	first.dumpCaches()
+
+	second := mustServer(t, newStudy(t), serverConfig{cacheDir: dir})
+	h := second.handler()
+	if got := metricValue(t, scrape(t, h), `redpatchd_cache_restored_entries_total`); got != "3" {
+		t.Fatalf("restored entries = %s, want 3 rollout points", got)
+	}
+	w := do(t, h, http.MethodPost, "/api/v2/rollout/sweep", body)
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"done":true`) {
+		t.Fatalf("restart rollout sweep status = %d: %s", w.Code, w.Body)
+	}
+	m := scrape(t, h)
+	if got := metricValue(t, m, `redpatchd_engine_rollout_solves_total{scenario="default"}`); got != "0" {
+		t.Fatalf("restarted daemon re-solved rollout points: %s", got)
+	}
+	if got := metricValue(t, m, `redpatchd_engine_rollout_cache_hits_total{scenario="default"}`); got != "3" {
+		t.Fatalf("rollout hits = %s, want 3", got)
 	}
 }
 

@@ -147,13 +147,13 @@ func (m *serverMetrics) registerCollectors(s *server) {
 		"Security-model lookups served from the security memo.",
 		func(st redpatch.EngineStats) uint64 { return st.SecurityFactorHits })
 	engineCounter("redpatchd_engine_rollout_solves_total",
-		"Rollout-point evaluations performed (rollout-memo misses).",
+		"Rollout-point evaluations performed (memo misses at rollout points).",
 		func(st redpatch.EngineStats) uint64 { return st.RolloutSolves })
 	engineCounter("redpatchd_engine_rollout_cache_hits_total",
-		"Rollout-point evaluations served from the rollout memo, including joins on in-flight solves.",
+		"Rollout-point evaluations served from the memo, including joins on in-flight solves.",
 		func(st redpatch.EngineStats) uint64 { return st.RolloutHits })
 	m.reg.NewGaugeVecFunc("redpatchd_engine_cache_entries",
-		"Completed designs in the memo cache.", []string{"scenario"},
+		"Completed designs and rollout points in the memo cache.", []string{"scenario"},
 		perScenario(func(sc *scenario) float64 { return float64(sc.study.CacheEntries()) }))
 	m.reg.NewGaugeFunc("redpatchd_fleet_systems",
 		"Systems registered in the fleet.",

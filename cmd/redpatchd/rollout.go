@@ -70,7 +70,7 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 	st := newNDJSONStream(w)
 	defer st.close()
 	// Points whose fractions ceil to already-solved patched counts are
-	// rollout-memo hits.
+	// memo hits.
 	progress := st.progress(s.progressEvery, func() (uint64, uint64) {
 		es := sc.study.EngineStats()
 		return es.RolloutHits, es.RolloutSolves

@@ -143,7 +143,7 @@ func TestRolloutSweepPointCap(t *testing.T) {
 }
 
 // TestRolloutSweepMemoized: repeating a rollout sweep serves every point
-// from the engine's rollout memo.
+// from the engine's memo.
 func TestRolloutSweepMemoized(t *testing.T) {
 	study, err := redpatch.NewCaseStudyWithConfig(redpatch.Config{Workers: 2})
 	if err != nil {

@@ -323,8 +323,9 @@ func (s *server) handleEvaluateV2(w http.ResponseWriter, r *http.Request) {
 	// Admission happens here rather than in the route wrapper: the spec
 	// must be decoded before a warm (already-memoized) design can be
 	// recognized and bypass the limiter — a saturated daemon still
-	// answers warm queries with a map lookup.
-	release, ok := s.admitEvaluate(w, r, sc.study.CachePeek(spec))
+	// answers warm queries with a map lookup, which also serves them.
+	report, warm := sc.study.CachedReport(r.Context(), spec)
+	release, ok := s.admitEvaluate(w, r, warm)
 	if !ok {
 		return
 	}
@@ -333,10 +334,11 @@ func (s *server) handleEvaluateV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	report, err := sc.study.EvaluateSpecCtx(r.Context(), spec)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
+	if !warm {
+		if report, err = sc.study.EvaluateSpecCtx(r.Context(), spec); err != nil {
+			writeError(w, statusFor(err), err)
+			return
+		}
 	}
 	resp := map[string]any{"scenario": sc.name, "report": report}
 	if wantExplain(r) {

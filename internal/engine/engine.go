@@ -1,17 +1,21 @@
 // Package engine is the concurrent design-space evaluation engine on top
 // of internal/redundancy: a bounded worker pool fans design evaluations
-// out across cores, a keyed memo cache remembers every solved design
-// (design tuple + policy fingerprint → Result), and in-flight deduplication
-// ensures overlapping sweeps never solve the same HARM/CTMC models twice —
-// the first caller computes, every concurrent duplicate waits for that one
-// result. Sweeps (sweep.go) enumerate per-tier redundancy ranges and stream
-// results through administrator-bound and Pareto filters incrementally, so
-// large spaces never accumulate rejected results in memory.
+// out across cores, one memo remembers every solved design and rollout
+// point (spec key → the numbers a report serves: two five-metric
+// security summaries, COA and service availability), and in-flight
+// deduplication ensures overlapping sweeps never solve the same HARM/CTMC
+// models twice — the first caller computes, every concurrent duplicate
+// waits for that one result. Memo values are fixed-size and hold no
+// per-path detail, so a long-lived engine costs a couple of hundred
+// bytes per entry. Sweeps (sweep.go) enumerate per-tier redundancy
+// ranges and stream results through administrator-bound and Pareto
+// filters incrementally, so large spaces never accumulate rejected
+// results in memory.
 //
 // One Engine wraps one evaluator and therefore one patch policy and
 // schedule; construct one engine per policy configuration (the redpatch
-// facade does this per CaseStudy) and set Options.Fingerprint when several
-// engines could ever share keys downstream.
+// facade does this per CaseStudy). An engine never shares its memo, so
+// Options.Fingerprint only stamps snapshots (snapshot.go).
 package engine
 
 import (
@@ -20,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
 	"redpatch/internal/trace"
@@ -42,10 +47,10 @@ type DesignEvaluator interface {
 type Options struct {
 	// Workers bounds the evaluation pool; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Fingerprint distinguishes the wrapped evaluator's policy
-	// configuration in cache keys. An engine never shares its cache, so
-	// this only matters for operators that aggregate stats or persist
-	// results across engines; empty is fine otherwise.
+	// Fingerprint names the wrapped evaluator's policy configuration.
+	// It stamps snapshots, and Restore rejects a snapshot stamped with
+	// another; memo keys do not carry it, since an engine never shares
+	// its memo. Empty is fine when nothing is persisted.
 	Fingerprint string
 }
 
@@ -77,8 +82,8 @@ type Stats struct {
 	SecuritySolves     uint64
 	SecurityFactorHits uint64
 	// RolloutSolves is the number of rollout-point evaluations the
-	// engine ran; RolloutHits the number served from (or deduplicated
-	// onto) the rollout memo.
+	// engine ran; RolloutHits the number of rollout points served from
+	// (or deduplicated onto) the memo.
 	RolloutSolves uint64
 	RolloutHits   uint64
 }
@@ -89,24 +94,6 @@ type SolverStatsProvider interface {
 	SolverStats() redundancy.SolverStats
 }
 
-// key identifies a solved model: the spec's canonical identity (tier
-// order, roles, variants, replica counts) under the engine's policy
-// fingerprint. The design name is deliberately excluded — renaming a
-// design does not change its models — while variants are included, so
-// a web tier and its webalt deployment never share a slot.
-type key struct {
-	fp, spec string
-}
-
-// entry is one singleflight memo slot. ready is closed once res/err are
-// final; concurrent callers for the same key block on it instead of
-// re-solving.
-type entry[R any] struct {
-	ready chan struct{}
-	res   R
-	err   error
-}
-
 // Engine is a concurrent, memoizing design evaluator. It is safe for
 // concurrent use.
 type Engine struct {
@@ -114,20 +101,66 @@ type Engine struct {
 	workers int
 	fp      string
 
-	mu    sync.Mutex
-	cache map[key]*entry[redundancy.Result]
-	// rollout memoizes rollout points. Its entries stay out of
-	// Snapshot/Restore, whose persisted format is atomic results only.
-	rollout map[key]*entry[redundancy.RolloutResult]
+	mu sync.Mutex
+	// memo holds every completed solve, atomic designs and rollout
+	// points alike, keyed by DesignSpec.Key or AppendRolloutKey. A
+	// value is the numbers a report serves and nothing else.
+	memo map[string]entry
+	// inflight holds a solve only while it runs, so concurrent callers
+	// for the same key wait for it instead of solving again.
+	inflight map[string]*call
 
 	solves        atomic.Uint64
 	hits          atomic.Uint64
 	rolloutSolves atomic.Uint64
 	rolloutHits   atomic.Uint64
-	// done counts completed successful cache entries (Len's O(1)
-	// source): bumped per solve that memoizes and per restored entry;
-	// never decremented, since only erred entries leave the cache.
-	done atomic.Uint64
+	// size counts the memo's entries (Len's O(1) source). Only
+	// successful solves and restores insert, and nothing deletes.
+	size atomic.Uint64
+}
+
+// summary is the five security numbers a report serves for one side of
+// the patch round (paper Table II): no per-path detail, no shortest
+// path.
+type summary struct {
+	AIM  float64 `json:"aim"`
+	ASP  float64 `json:"asp"`
+	NoEV int     `json:"noev"`
+	NoAP int     `json:"noap"`
+	NoEP int     `json:"noep"`
+}
+
+func summarize(m harm.Metrics) summary {
+	return summary{AIM: m.AIM, ASP: m.ASP, NoEV: m.NoEV, NoAP: m.NoAP, NoEP: m.NoEP}
+}
+
+func (s summary) metrics() harm.Metrics {
+	return harm.Metrics{AIM: s.AIM, ASP: s.ASP, NoEV: s.NoEV, NoAP: s.NoAP, NoEP: s.NoEP}
+}
+
+// entry is one memo value. An atomic design fills both sides of the
+// patch round; a rollout point keeps its mixed-version security in
+// before and leaves after zero.
+type entry struct {
+	before, after summary
+	coa, sa       float64
+}
+
+func atomicEntry(r redundancy.Result) entry {
+	return entry{before: summarize(r.Before), after: summarize(r.After), coa: r.COA, sa: r.ServiceAvailability}
+}
+
+func (v entry) result(spec paperdata.DesignSpec) redundancy.Result {
+	return redundancy.Result{Spec: spec, Before: v.before.metrics(), After: v.after.metrics(),
+		COA: v.coa, ServiceAvailability: v.sa}
+}
+
+// call is one solve in flight. done is closed once val and err are
+// final.
+type call struct {
+	done chan struct{}
+	val  entry
+	err  error
 }
 
 // New builds an engine over eval. eval must be safe for concurrent use
@@ -137,11 +170,11 @@ func New(eval DesignEvaluator, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("engine: nil evaluator")
 	}
 	return &Engine{
-		eval:    eval,
-		workers: opts.Workers,
-		fp:      opts.Fingerprint,
-		cache:   make(map[key]*entry[redundancy.Result]),
-		rollout: make(map[key]*entry[redundancy.RolloutResult]),
+		eval:     eval,
+		workers:  opts.Workers,
+		fp:       opts.Fingerprint,
+		memo:     make(map[string]entry),
+		inflight: make(map[string]*call),
 	}, nil
 }
 
@@ -178,7 +211,8 @@ func (g *Engine) Evaluate(d paperdata.Design) (redundancy.Result, error) {
 // EvaluateSpec scores one role-keyed design, serving repeats from the
 // cache. Concurrent calls for the same spec identity share a single
 // solve. The returned result carries the requested spec (name included)
-// even on a cache hit.
+// even on a cache hit, and the served numbers only: its metrics have no
+// Paths and no ShortestPath, on a miss as on a hit.
 func (g *Engine) EvaluateSpec(spec paperdata.DesignSpec) (redundancy.Result, error) {
 	return g.EvaluateSpecCtx(context.Background(), spec)
 }
@@ -205,106 +239,121 @@ func (g *Engine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec)
 func (g *Engine) evaluateSpecTraced(ctx context.Context, spec paperdata.DesignSpec, attrs ...trace.Attr) (res redundancy.Result, err error) {
 	ctx, sp := trace.Start(ctx, "engine.evaluate", attrs...)
 	defer func() { sp.EndErr(err) }()
-	return g.evaluateSpec(ctx, sp, spec)
-}
-
-func (g *Engine) evaluateSpec(ctx context.Context, sp *trace.Span, spec paperdata.DesignSpec) (redundancy.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return redundancy.Result{}, err
 	}
-	k := key{fp: g.fp, spec: spec.Key()}
-	r, err := singleflight(ctx, g, sp, g.cache, k, &g.solves, &g.hits, &g.done,
-		func() (redundancy.Result, error) { return g.eval.EvaluateSpecContext(ctx, spec) })
+	var buf [keyBuf]byte
+	v, err := g.do(ctx, sp, spec.AppendKey(buf[:0]), &g.solves, &g.hits, func() (entry, error) {
+		r, err := g.eval.EvaluateSpecContext(ctx, spec)
+		return atomicEntry(r), err
+	})
 	if err != nil {
 		return redundancy.Result{}, err
 	}
-	r.Spec = spec
-	return r, nil
+	return v.result(spec), nil
 }
 
-// singleflight serves key k from memo m, solving it at most once across
-// concurrent callers: the first caller runs solve ("cache" attribute
-// miss), a caller finding a completed entry reads it (hit), and a caller
-// finding a solve in progress waits for it (inflight). solves and hits
-// count misses and hits-or-joins; done, when non-nil, counts entries
-// that completed successfully. The context does not cancel an in-flight
-// solve — a result being computed belongs to every caller deduplicated
-// onto it, so the first caller's cancellation must not poison the shared
-// entry — but a caller joining an in-flight solve abandons its wait when
-// its context ends: the solve finishes and memoizes without it.
-func singleflight[R any](ctx context.Context, g *Engine, sp *trace.Span, m map[key]*entry[R], k key, solves, hits, done *atomic.Uint64, solve func() (R, error)) (R, error) {
+// keyBuf sizes the stack buffers memo keys are built in; a longer key
+// spills to the heap and stays correct.
+const keyBuf = 96
+
+// do serves key k from the memo, solving it at most once across
+// concurrent callers: a caller finding a completed entry reads it
+// ("cache" attribute hit), a caller finding a solve in progress waits
+// for it (inflight), and otherwise the caller runs solve (miss). solves
+// and hits count misses and hits-or-joins. A hit reads one map and
+// allocates nothing; only a miss copies k into a string. The context
+// does not cancel an in-flight solve — a result being computed belongs
+// to every caller deduplicated onto it, so the first caller's
+// cancellation must not poison the shared entry — but a caller joining
+// an in-flight solve abandons its wait when its context ends: the solve
+// finishes and memoizes without it.
+func (g *Engine) do(ctx context.Context, sp *trace.Span, k []byte, solves, hits *atomic.Uint64, solve func() (entry, error)) (entry, error) {
 	g.mu.Lock()
-	e, ok := m[k]
-	if !ok {
-		e = &entry[R]{ready: make(chan struct{})}
-		m[k] = e
-		g.mu.Unlock()
-		sp.SetAttr("cache", "miss")
-		solves.Add(1)
-		func() {
-			// The entry must reach a final state no matter how the
-			// evaluator exits: a panic that skipped close(ready) would
-			// wedge this key forever, hanging every later caller on the
-			// channel. Surface it as the entry's error instead.
-			defer func() {
-				if p := recover(); p != nil {
-					e.err = fmt.Errorf("engine: evaluator panic for %s: %v", k.spec, p)
-				}
-				if e.err != nil {
-					// Errors are not memoized: waiters already holding
-					// this entry see it, but later callers retry rather
-					// than read a possibly transient failure forever.
-					g.mu.Lock()
-					delete(m, k)
-					g.mu.Unlock()
-				} else if done != nil {
-					done.Add(1)
-				}
-				close(e.ready)
-			}()
-			e.res, e.err = solve()
-		}()
-	} else {
+	if v, ok := g.memo[string(k)]; ok {
 		g.mu.Unlock()
 		hits.Add(1)
+		sp.SetAttr("cache", "hit")
+		return v, nil
+	}
+	if c, ok := g.inflight[string(k)]; ok {
+		g.mu.Unlock()
+		hits.Add(1)
+		sp.SetAttr("cache", "inflight")
 		select {
-		case <-e.ready:
-			sp.SetAttr("cache", "hit")
-		default:
-			sp.SetAttr("cache", "inflight")
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				var zero R
-				return zero, ctx.Err()
-			}
+		case <-c.done:
+			return c.val, c.err
+		case <-ctx.Done():
+			return entry{}, ctx.Err()
 		}
 	}
-	return e.res, e.err
+	key := string(k)
+	c := &call{done: make(chan struct{})}
+	g.inflight[key] = c
+	g.mu.Unlock()
+	sp.SetAttr("cache", "miss")
+	solves.Add(1)
+	func() {
+		// The call must reach a final state no matter how the evaluator
+		// exits: a panic that skipped close(done) would hang every
+		// waiter on this key. Surface it as the call's error instead.
+		defer func() {
+			if p := recover(); p != nil {
+				c.err = fmt.Errorf("engine: evaluator panic for %s: %v", key, p)
+			}
+			g.mu.Lock()
+			// Errors are not memoized: waiters already holding this
+			// call see it, but later callers retry rather than read a
+			// possibly transient failure forever.
+			if c.err == nil {
+				g.insert(key, c.val)
+			}
+			delete(g.inflight, key)
+			g.mu.Unlock()
+			close(c.done)
+		}()
+		c.val, c.err = solve()
+	}()
+	return c.val, c.err
 }
 
-// Peek reports whether spec's result is already completed in the memo
-// cache — no solve, no wait, no stats movement. Admission control uses
-// it to let warm requests bypass the limiter: a true Peek means the
-// matching EvaluateSpec call is a map lookup, safe to serve even on a
-// saturated daemon. In-flight solves and erred entries read false.
-func (g *Engine) Peek(spec paperdata.DesignSpec) bool {
-	if spec.Validate() != nil {
-		return false
+// insert stores v under key; g.mu must be held. A key a restore filled
+// while this solve ran is overwritten with the live result.
+func (g *Engine) insert(key string, v entry) {
+	if _, ok := g.memo[key]; !ok {
+		g.size.Add(1)
 	}
-	k := key{fp: g.fp, spec: spec.Key()}
+	g.memo[key] = v
+}
+
+// Lookup serves spec from the memo when a completed entry holds it,
+// without solving and without waiting: it counts a hit and records the
+// "engine.evaluate" span with cache hit, exactly as EvaluateSpecCtx
+// does on a hit, and returns the same result. An invalid spec, a solve
+// still in flight or a design never solved reads false, with no span
+// and no counter moved. Admission control uses it to serve warm
+// requests without taking a limiter slot.
+func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, bool) {
+	if spec.Validate() != nil {
+		return redundancy.Result{}, false
+	}
+	var buf [keyBuf]byte
+	k := spec.AppendKey(buf[:0])
 	g.mu.Lock()
-	e, ok := g.cache[k]
+	v, ok := g.memo[string(k)]
 	g.mu.Unlock()
 	if !ok {
-		return false
+		return redundancy.Result{}, false
 	}
-	select {
-	case <-e.ready:
-		return e.err == nil
-	default:
-		return false
+	g.hits.Add(1)
+	// The span starts without attributes so that an untraced hit does
+	// not box the design name.
+	if _, sp := trace.Start(ctx, "engine.evaluate"); sp != nil {
+		sp.SetAttr("design", spec.Name)
+		sp.SetAttr("cache", "hit")
+		sp.End()
 	}
+	return v.result(spec), true
 }
 
 // EvaluateAll scores every design on the worker pool and returns results

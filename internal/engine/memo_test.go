@@ -1,0 +1,248 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"runtime"
+	"sync"
+	"testing"
+
+	"redpatch/internal/paperdata"
+	"redpatch/internal/redundancy"
+)
+
+// memoEntryBudget is the most live heap one memo entry may hold: its
+// key string, its share of the map and the served numbers.
+const memoEntryBudget = 320
+
+// coldShape maps i onto the evaluate_cold benchmark's design space:
+// dns, web, app and db each 1..16 replicas, web on its own stack or
+// on webalt — 131,072 designs.
+func coldShape(i int) paperdata.DesignSpec {
+	const n = 16
+	web := paperdata.TierSpec{Role: paperdata.RoleWeb, Replicas: i>>1%n + 1}
+	if i&1 == 1 {
+		web.Variant = paperdata.RoleWebAlt
+	}
+	i >>= 1
+	return paperdata.DesignSpec{Tiers: []paperdata.TierSpec{
+		{Role: paperdata.RoleDNS, Replicas: i/n%n + 1},
+		web,
+		{Role: paperdata.RoleApp, Replicas: i/(n*n)%n + 1},
+		{Role: paperdata.RoleDB, Replicas: i/(n*n*n)%n + 1},
+	}}
+}
+
+// liveHeapPerEntry fills a fresh engine over ev with fill and returns
+// the live heap it holds per memo entry afterwards. The caller has run
+// fill once already on another engine over ev, so the evaluator's own
+// memos are warm and only the engine's growth is measured.
+func liveHeapPerEntry(t *testing.T, ev DesignEvaluator, entries int, fill func(*Engine)) float64 {
+	t.Helper()
+	g, err := New(ev, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fill(g)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if g.Len() != entries {
+		t.Fatalf("memo holds %d entries, want %d", g.Len(), entries)
+	}
+	runtime.KeepAlive(g)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(entries)
+}
+
+// TestMemoEntryBytes bounds the live heap each memo entry costs, over
+// 20,000 distinct evaluate_cold-shape designs and 20,000 distinct
+// rolling-8 rollout points: the memo keeps the served numbers, not the
+// evaluator's whole result.
+func TestMemoEntryBytes(t *testing.T) {
+	const entries = 20000
+	ev, err := redundancy.NewEvaluator(redundancy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	specs := make([]paperdata.DesignSpec, entries)
+	for i := range specs {
+		specs[i] = coldShape(i * 7919 % (1 << 17)) // 7919 is odd: a permutation
+	}
+	designs := func(g *Engine) {
+		for _, sp := range specs {
+			if _, err := g.EvaluateSpec(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Rolling-8 points of cold-shape designs, keeping each distinct
+	// patched-count identity once.
+	type point struct {
+		spec      paperdata.DesignSpec
+		fractions []float64
+	}
+	var points []point
+	seen := make(map[string]bool)
+	for i := 0; len(points) < entries; i++ {
+		sp := coldShape(i * 7919 % (1 << 17))
+		for k := range 9 {
+			f := float64(k) / 8
+			fr := []float64{f, f, f, f}
+			patched, err := redundancy.PatchedCounts(sp, fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if key := string(sp.AppendRolloutKey(nil, patched)); !seen[key] && len(points) < entries {
+				seen[key] = true
+				points = append(points, point{sp, fr})
+			}
+		}
+	}
+	rollouts := func(g *Engine) {
+		for _, p := range points {
+			if _, err := g.EvaluateRollout(ctx, p.spec, p.fractions); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		fill func(*Engine)
+	}{{"atomic", designs}, {"rollout", rollouts}} {
+		warm, err := New(ev, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.fill(warm)
+		per := liveHeapPerEntry(t, ev, entries, c.fill)
+		t.Logf("%s: %.0f B of live heap per memo entry", c.name, per)
+		if per > memoEntryBudget {
+			t.Errorf("%s memo entries hold %.0f B of live heap each, budget %d B", c.name, per, memoEntryBudget)
+		}
+	}
+}
+
+// TestMemoSharedAcrossGoroutines drives every memo path at once —
+// solves and hits of designs and rollout points, Lookup, Snapshot and
+// Restore of the same keys — so the race detector sees them overlap.
+// Whatever the interleaving, each key is solved at most once and the
+// memo ends holding every key exactly once.
+func TestMemoSharedAcrossGoroutines(t *testing.T) {
+	c := &countingEvaluator{inner: paperEvaluator(t)}
+	g, err := New(c, Options{Fingerprint: "fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	specs := []paperdata.DesignSpec{specFor(t, 1, 1, 1, 1), specFor(t, 1, 2, 2, 1), specFor(t, 2, 1, 2, 1)}
+	fr := []float64{0.5, 0.5, 0.5, 0.5}
+
+	// A dump of the same keys, taken from another engine, to restore
+	// while the solves run.
+	other, err := New(paperEvaluator(t), Options{Fingerprint: "fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range specs {
+		if _, err := other.EvaluateSpec(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dump bytes.Buffer
+	if _, err := other.Snapshot(&dump); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for w := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				sp := specs[(w+i)%len(specs)]
+				switch w % 3 {
+				case 0:
+					if _, err := g.EvaluateSpec(sp); err != nil {
+						t.Error(err)
+					}
+					g.Lookup(ctx, sp)
+				case 1:
+					if _, err := g.EvaluateRollout(ctx, sp, fr); err != nil {
+						t.Error(err)
+					}
+				case 2:
+					if _, err := g.Restore(bytes.NewReader(dump.Bytes())); err != nil {
+						t.Error(err)
+					}
+					if _, err := g.Snapshot(io.Discard); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := c.calls.Load(); n > int64(len(specs)) {
+		t.Errorf("%d designs took %d solves", len(specs), n)
+	}
+	if n := c.rolloutCalls.Load(); n != int64(len(specs)) {
+		t.Errorf("%d rollout points took %d solves", len(specs), n)
+	}
+	if g.Len() != 2*len(specs) {
+		t.Errorf("Len = %d, want %d designs and %d rollout points", g.Len(), len(specs), len(specs))
+	}
+}
+
+// TestLookupServesOnlyCompletedEntries: Lookup never solves and never
+// waits. A solve in flight, a design never solved and an invalid spec
+// read false and move no counter; a completed entry is served as
+// EvaluateSpec serves it, counted as a hit.
+func TestLookupServesOnlyCompletedEntries(t *testing.T) {
+	gate := make(chan struct{})
+	c := &countingEvaluator{inner: paperEvaluator(t), gate: gate}
+	g, err := New(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sp := specFor(t, 1, 2, 2, 1)
+	done := make(chan error, 1)
+	go func() {
+		_, err := g.EvaluateSpec(sp)
+		done <- err
+	}()
+	for c.calls.Load() == 0 {
+		runtime.Gosched()
+	}
+	invalid := paperdata.DesignSpec{Tiers: []paperdata.TierSpec{{Role: "mainframe", Replicas: 1}}}
+	for _, probe := range []paperdata.DesignSpec{sp, specFor(t, 3, 3, 3, 3), invalid} {
+		if _, ok := g.Lookup(ctx, probe); ok {
+			t.Fatalf("Lookup(%s) served an entry that is not completed", probe)
+		}
+	}
+	if st := g.Stats(); st.Hits != 0 || st.Solves != 1 {
+		t.Fatalf("missed lookups moved the counters: %+v", st)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	want, err := g.EvaluateSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := g.Lookup(ctx, sp)
+	if !ok || servedOf(got) != servedOf(want) {
+		t.Fatalf("Lookup = %+v, %v; EvaluateSpec served %+v", got, ok, want)
+	}
+	if st := g.Stats(); st.Hits != 2 || st.Solves != 1 {
+		t.Fatalf("stats = %+v, want 1 solve and 2 hits", st)
+	}
+}

@@ -3,35 +3,30 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
 	"redpatch/internal/trace"
 )
 
-// rolloutKey renders the memo identity of a rollout point: the spec's
-// canonical key joined with the per-tier patched counts. Fractions that
-// ceil to the same counts share one entry — the quotient structure, not
-// the raw fraction, is what determines the models.
-func rolloutKey(spec paperdata.DesignSpec, patched []int) string {
-	var buf [96]byte
-	b := append(spec.AppendKey(buf[:0]), "|rollout="...)
-	for i, p := range patched {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(p), 10)
-	}
-	return string(b)
+// rolloutEntry keeps a rollout point's served numbers: its
+// mixed-version security summary, COA and service availability.
+func rolloutEntry(r redundancy.RolloutResult) entry {
+	return entry{before: summarize(r.Security), coa: r.COA, sa: r.ServiceAvailability}
+}
+
+func (v entry) rollout(spec paperdata.DesignSpec, fractions []float64, patched []int) redundancy.RolloutResult {
+	return redundancy.RolloutResult{Spec: spec, Fractions: fractions, Patched: patched,
+		Security: v.before.metrics(), COA: v.coa, ServiceAvailability: v.sa}
 }
 
 // EvaluateRollout scores one design at one rollout point (per-tier
 // patched fractions aligned with spec.Tiers), serving repeats from the
-// rollout memo. Concurrent calls for the same (spec, patched-counts)
+// memo. Concurrent calls for the same (spec, patched-counts)
 // identity share a single solve, with the same join-abandon semantics
 // as EvaluateSpecCtx. The returned result carries the requested spec
-// and fractions even on a cache hit.
+// and fractions even on a cache hit, and the served numbers only: its
+// Security has no Paths and no ShortestPath.
 func (g *Engine) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (redundancy.RolloutResult, error) {
 	return g.evaluateRolloutTraced(ctx, spec, fractions,
 		trace.Attr{Key: "design", Value: spec.Name})
@@ -50,15 +45,18 @@ func (g *Engine) evaluateRolloutTraced(ctx context.Context, spec paperdata.Desig
 	if err != nil {
 		return redundancy.RolloutResult{}, err
 	}
-	k := key{fp: g.fp, spec: rolloutKey(spec, patched)}
-	r, err := singleflight(ctx, g, sp, g.rollout, k, &g.rolloutSolves, &g.rolloutHits, nil,
-		func() (redundancy.RolloutResult, error) { return g.eval.EvaluatePatched(ctx, spec, patched) })
+	// Fractions that ceil to the same counts share one entry: the
+	// quotient structure, not the raw fraction, determines the models.
+	var buf [keyBuf]byte
+	v, err := g.do(ctx, sp, spec.AppendRolloutKey(buf[:0], patched), &g.rolloutSolves, &g.rolloutHits,
+		func() (entry, error) {
+			r, err := g.eval.EvaluatePatched(ctx, spec, patched)
+			return rolloutEntry(r), err
+		})
 	if err != nil {
 		return redundancy.RolloutResult{}, err
 	}
-	r.Spec = spec
-	r.Fractions = append([]float64(nil), fractions...)
-	return r, nil
+	return v.rollout(spec, append([]float64(nil), fractions...), patched), nil
 }
 
 // RolloutSweep evaluates every point of a rollout schedule on the

@@ -2,7 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,9 +22,10 @@ func specFor(t *testing.T, dns, web, app, db int) paperdata.DesignSpec {
 	}.Spec()
 }
 
-// TestSnapshotRoundTrip dumps a warmed engine and restores it into a
-// fresh one: the restored engine must answer from cache (zero solves)
-// with byte-identical results.
+// TestSnapshotRoundTrip dumps a warmed engine, designs and rollout
+// points, and restores it into a fresh one: the restored engine must
+// answer from the memo (zero solves) with every served number
+// bit-identical to what the warm engine served.
 func TestSnapshotRoundTrip(t *testing.T) {
 	ev := paperEvaluator(t)
 	counted := &countingEvaluator{inner: ev}
@@ -28,19 +33,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	specs := []paperdata.DesignSpec{
 		specFor(t, 1, 2, 2, 1),
 		specFor(t, 1, 1, 1, 1),
 		specFor(t, 2, 2, 2, 2),
 	}
+	points := [][]float64{{0.5, 0.5, 0.5, 0.5}, {0, 1, 0, 1}}
 	want := make([]redundancy.Result, len(specs))
 	for i, sp := range specs {
 		if want[i], err = g.EvaluateSpec(sp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := g.Len(); n != len(specs) {
-		t.Fatalf("Len = %d, want %d", n, len(specs))
+	wantPoints := make([]redundancy.RolloutResult, len(points))
+	for i, fr := range points {
+		if wantPoints[i], err = g.EvaluateRollout(ctx, specs[2], fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := len(specs) + len(points)
+	if n := g.Len(); n != entries {
+		t.Fatalf("Len = %d, want %d", n, entries)
 	}
 
 	var buf bytes.Buffer
@@ -48,8 +62,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(specs) {
-		t.Fatalf("snapshot wrote %d entries, want %d", n, len(specs))
+	if n != entries {
+		t.Fatalf("snapshot wrote %d entries, want %d", n, entries)
 	}
 
 	fresh := &countingEvaluator{inner: ev}
@@ -61,45 +75,46 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored != len(specs) {
-		t.Fatalf("restored %d entries, want %d", restored, len(specs))
-	}
-	if g2.Len() != len(specs) {
-		t.Fatalf("Len after restore = %d, want %d", g2.Len(), len(specs))
+	if restored != entries || g2.Len() != entries {
+		t.Fatalf("restored %d entries (Len %d), want %d", restored, g2.Len(), entries)
 	}
 	for i, sp := range specs {
 		got, err := g2.EvaluateSpec(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resultsEqual(got, want[i]) {
+		if servedOf(got) != servedOf(want[i]) {
 			t.Fatalf("restored result for %s differs:\ngot  %+v\nwant %+v", sp, got, want[i])
 		}
 	}
-	if calls := fresh.calls.Load(); calls != 0 {
-		t.Fatalf("restored engine re-solved %d designs", calls)
+	for i, fr := range points {
+		got, err := g2.EvaluateRollout(ctx, specs[2], fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameServedPoint(got, wantPoints[i]) {
+			t.Fatalf("restored rollout point %v differs:\ngot  %+v\nwant %+v", fr, got, wantPoints[i])
+		}
+	}
+	if calls := fresh.calls.Load() + fresh.rolloutCalls.Load(); calls != 0 {
+		t.Fatalf("restored engine re-solved %d entries", calls)
 	}
 	st := g2.Stats()
-	if st.Solves != 0 || st.Hits != uint64(len(specs)) {
+	if st.Solves != 0 || st.Hits != uint64(len(specs)) || st.RolloutSolves != 0 || st.RolloutHits != uint64(len(points)) {
 		t.Fatalf("stats after restored serves = %+v", st)
 	}
 }
 
-// resultsEqual compares the fields the facade serves. Full reflect
-// equality would also compare Paths float ordering, which the JSON
-// round trip preserves — compare the whole struct via marshal-free
-// field checks on the summary plus the path count.
-func resultsEqual(a, b redundancy.Result) bool {
-	return a.Spec.Key() == b.Spec.Key() &&
-		a.COA == b.COA &&
-		a.ServiceAvailability == b.ServiceAvailability &&
-		a.Before.ASP == b.Before.ASP && a.After.ASP == b.After.ASP &&
-		a.Before.AIM == b.Before.AIM && a.After.AIM == b.After.AIM &&
-		a.Before.NoEV == b.Before.NoEV && a.After.NoEV == b.After.NoEV &&
-		a.Before.NoAP == b.Before.NoAP && a.After.NoAP == b.After.NoAP &&
-		a.Before.NoEP == b.Before.NoEP && a.After.NoEP == b.After.NoEP &&
-		len(a.Before.Paths) == len(b.Before.Paths) &&
-		len(a.After.Paths) == len(b.After.Paths)
+// sameServedPoint reports whether two rollout results serve the same
+// point and the same numbers, bit for bit.
+func sameServedPoint(a, b redundancy.RolloutResult) bool {
+	f := math.Float64bits
+	return a.Spec.Key() == b.Spec.Key() && a.Spec.Name == b.Spec.Name &&
+		slices.Equal(a.Fractions, b.Fractions) && slices.Equal(a.Patched, b.Patched) &&
+		f(a.Security.AIM) == f(b.Security.AIM) && f(a.Security.ASP) == f(b.Security.ASP) &&
+		a.Security.NoEV == b.Security.NoEV && a.Security.NoAP == b.Security.NoAP &&
+		a.Security.NoEP == b.Security.NoEP &&
+		f(a.COA) == f(b.COA) && f(a.ServiceAvailability) == f(b.ServiceAvailability)
 }
 
 // TestRestoreRejectsFingerprintMismatch: a dump taken under a different
@@ -132,61 +147,139 @@ func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsVersionMismatch: future-format dumps fail loudly.
+// TestRestoreRejectsVersionMismatch: dumps of any other format version
+// fail with ErrSnapshotVersion and merge nothing — a future version, and
+// a real version-2 dump, which has no reader: a restarted daemon given
+// one starts cold.
 func TestRestoreRejectsVersionMismatch(t *testing.T) {
-	g, err := New(paperEvaluator(t), Options{})
+	v2, err := os.ReadFile("testdata/snapshot-v2.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := `{"version":99,"fingerprint":"","entries":[]}`
-	n, err := g.Restore(strings.NewReader(in))
-	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("err = %v, want ErrSnapshotVersion", err)
-	}
-	if n != 0 {
-		t.Fatalf("restored %d entries from wrong version", n)
-	}
-}
-
-// TestRestoreRejectsCorruptEntries: a tampered dump whose entry key
-// disagrees with its result spec, or whose spec fails validation, must
-// not merge a single entry.
-func TestRestoreRejectsCorruptEntries(t *testing.T) {
-	ev := paperEvaluator(t)
-	g, err := New(ev, Options{Fingerprint: "fp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.EvaluateSpec(specFor(t, 1, 1, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := g.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	for name, mangle := range map[string]func(string) string{
-		"key mismatch": func(s string) string {
-			return strings.Replace(s, `"key":"dns:1;`, `"key":"dns:9;`, 1)
-		},
-		"invalid spec": func(s string) string {
-			return strings.Replace(s, `"Replicas":1`, `"Replicas":0`, 1)
-		},
-		"not json": func(string) string { return "not a snapshot" },
+	for name, in := range map[string]string{
+		"future": `{"version":99,"fingerprint":"fuzz","entries":[]}`,
+		"v2":     string(v2),
 	} {
 		t.Run(name, func(t *testing.T) {
-			fresh, err := New(ev, Options{Fingerprint: "fp"})
+			g, err := New(paperEvaluator(t), Options{Fingerprint: "fuzz"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, err := fresh.Restore(strings.NewReader(mangle(buf.String())))
+			n, err := g.Restore(strings.NewReader(in))
+			if !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("err = %v, want ErrSnapshotVersion", err)
+			}
+			if n != 0 || g.Len() != 0 {
+				t.Fatalf("restored %d entries (Len %d) from the wrong version", n, g.Len())
+			}
+		})
+	}
+}
+
+// corruptions mangle one entry of the version-3 seed dump
+// (testdata/snapshot-v3.json); Restore must reject each one whole. A
+// key mismatch is a rollout key over a design's numbers.
+var corruptions = map[string]func(string) string{
+	"design key holding a rollout point": func(s string) string {
+		return strings.Replace(s, `"key":"dns:1;web:2;app:2;db:1|rollout=1,1,1,1"`, `"key":"dns:1;web:2;app:2;db:1"`, 1)
+	},
+	"key mismatch": func(s string) string {
+		return strings.Replace(s, `"key":"dns:1;web:1;app:1;db:1"`, `"key":"dns:1;web:1;app:1;db:1|rollout=1,1,1,1"`, 1)
+	},
+	"invalid spec": func(s string) string {
+		return strings.Replace(s, `"key":"dns:1;web:1;`, `"key":"dns:0;web:1;`, 1)
+	},
+	"not json": func(string) string { return "not a snapshot" },
+	"non-canonical key": func(s string) string {
+		return strings.Replace(s, `"key":"dns:1;web:1;`, `"key":"dns:01;web:1;`, 1)
+	},
+	"non-canonical variant": func(s string) string {
+		return strings.Replace(s, `"key":"dns:1;web:1;`, `"key":"dns:1;web/web:1;`, 1)
+	},
+	"unknown role": func(s string) string {
+		return strings.Replace(s, `"key":"dns:1;web:1;`, `"key":"mainframe:1;web:1;`, 1)
+	},
+	"unknown variant": func(s string) string {
+		return strings.Replace(s, `"key":"dns:1;web/webalt:2;`, `"key":"dns:1;web/iis:2;`, 1)
+	},
+	"rollout patches more than the replicas": func(s string) string {
+		return strings.Replace(s, `|rollout=1,1,1,1"`, `|rollout=1,3,1,1"`, 1)
+	},
+	"rollout with too few tier counts": func(s string) string {
+		return strings.Replace(s, `|rollout=1,1,1,1"`, `|rollout=1,1,1"`, 1)
+	},
+	"rollout with too many tier counts": func(s string) string {
+		return strings.Replace(s, `|rollout=1,1,1,1"`, `|rollout=1,1,1,1,0"`, 1)
+	},
+	"entries not a list": func(s string) string {
+		return strings.Replace(s, `"entries":[`, `"entries":7,"x":[`, 1)
+	},
+}
+
+// TestRestoreRejectsCorruptEntries: a dump with one malformed entry —
+// a key whose kind does not match its numbers, an invalid or
+// non-canonical key, a rollout point that does not fit its design —
+// must not merge a single entry, and says ErrSnapshotCorrupt unless it
+// is not JSON at all.
+func TestRestoreRejectsCorruptEntries(t *testing.T) {
+	seed, err := os.ReadFile("testdata/snapshot-v3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mangle := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			in := mangle(string(seed))
+			if in == string(seed) {
+				t.Fatal("mangle did not change the seed dump")
+			}
+			fresh, err := New(paperEvaluator(t), Options{Fingerprint: "fuzz"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := fresh.Restore(strings.NewReader(in))
 			if err == nil {
 				t.Fatal("corrupt snapshot restored without error")
+			}
+			if name != "not json" && !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Errorf("err = %v, want ErrSnapshotCorrupt", err)
 			}
 			if n != 0 || fresh.Len() != 0 {
 				t.Fatalf("corrupt snapshot merged %d entries (cache %d)", n, fresh.Len())
 			}
 		})
+	}
+}
+
+// TestRestoreSeedDump: the committed version-3 seed dump restores whole
+// — three designs, one of them a variant, and three rollout points —
+// serves a rollout point without solving, and snapshots back to the
+// same bytes.
+func TestRestoreSeedDump(t *testing.T) {
+	seed, err := os.ReadFile("testdata/snapshot-v3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingEvaluator{inner: paperEvaluator(t)}
+	g, err := New(counted, Options{Fingerprint: "fuzz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := g.Restore(bytes.NewReader(seed)); err != nil || n != 6 {
+		t.Fatalf("restored %d entries, err %v; want 6", n, err)
+	}
+	r, err := g.EvaluateRollout(context.Background(), specFor(t, 1, 2, 2, 1), []float64{0.5, 0.5, 0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Security.NoEV != 17 || counted.rolloutCalls.Load() != 0 {
+		t.Fatalf("restored rollout point served NoEV %d after %d solves", r.Security.NoEV, counted.rolloutCalls.Load())
+	}
+	var buf bytes.Buffer
+	if _, err := g.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), seed) {
+		t.Fatalf("re-snapshot differs from the seed dump:\n%s\n%s", buf.Bytes(), seed)
 	}
 }
 

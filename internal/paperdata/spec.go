@@ -130,6 +130,74 @@ func (s DesignSpec) AppendKey(b []byte) []byte {
 	return b
 }
 
+// rolloutSep joins a design key and a rollout point's patched counts.
+const rolloutSep = "|rollout="
+
+// AppendRolloutKey appends the key of the spec at one rollout point:
+// its Key, then "|rollout=" and the per-tier patched counts separated
+// by commas. Fractions that ceil to the same counts share the key.
+func (s DesignSpec) AppendRolloutKey(b []byte, patched []int) []byte {
+	b = append(s.AppendKey(b), rolloutSep...)
+	for i, p := range patched {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(p), 10)
+	}
+	return b
+}
+
+// IsRolloutKey reports whether key is a rollout-point key
+// (AppendRolloutKey) rather than a design key (Key).
+func IsRolloutKey(key string) bool { return strings.Contains(key, rolloutSep) }
+
+// ParseKey is the inverse of AppendKey and AppendRolloutKey. It returns
+// the unnamed spec a key describes and, for a rollout key, the per-tier
+// patched counts (nil for a design key). The spec must be valid and a
+// rollout key must carry one count per tier, each within 0..replicas.
+// ParseKey accepts spellings its renderers never produce ("dns:01",
+// "web/web:1"); callers that need the canonical form re-render the
+// result and compare.
+func ParseKey(key string) (DesignSpec, []int, error) {
+	design, counts, rollout := strings.Cut(key, rolloutSep)
+	var spec DesignSpec
+	for part := range strings.SplitSeq(design, ";") {
+		label, n, ok := strings.Cut(part, ":")
+		if !ok {
+			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: tier %q has no replica count", key, part)
+		}
+		replicas, err := strconv.Atoi(n)
+		if err != nil {
+			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: tier %q: %v", key, part, err)
+		}
+		role, variant, _ := strings.Cut(label, "/")
+		spec.Tiers = append(spec.Tiers, TierSpec{Role: role, Replicas: replicas, Variant: variant})
+	}
+	if err := spec.Validate(); err != nil {
+		return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: %w", key, err)
+	}
+	if !rollout {
+		return spec, nil, nil
+	}
+	patched := make([]int, 0, len(spec.Tiers))
+	for c := range strings.SplitSeq(counts, ",") {
+		p, err := strconv.Atoi(c)
+		if err != nil {
+			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: patched count %q: %v", key, c, err)
+		}
+		if i := len(patched); i < len(spec.Tiers) && (p < 0 || p > spec.Tiers[i].Replicas) {
+			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: tier %d patches %d of %d replicas",
+				key, i, p, spec.Tiers[i].Replicas)
+		}
+		patched = append(patched, p)
+	}
+	if len(patched) != len(spec.Tiers) {
+		return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: %d patched counts for %d tiers",
+			key, len(patched), len(spec.Tiers))
+	}
+	return spec, patched, nil
+}
+
 // String renders the spec in the paper's notation, e.g.
 // "1 DNS + 2 WEB + 2 APP + 1 DB"; variant groups render as
 // "1 WEB/WEBALT".

@@ -1,0 +1,93 @@
+package paperdata
+
+import (
+	"slices"
+	"testing"
+)
+
+// TestParseKeyRoundTrip: ParseKey inverts Key and AppendRolloutKey for
+// classic, variant, heterogeneous and single-tier designs, at no point,
+// at the endpoints and mid-rollout.
+func TestParseKeyRoundTrip(t *testing.T) {
+	specs := []DesignSpec{
+		BaseDesign().Spec(),
+		{Tiers: []TierSpec{{Role: RoleWeb, Replicas: 12, Variant: RoleWebAlt}}},
+		{Tiers: []TierSpec{
+			{Role: RoleDNS, Replicas: 1},
+			{Role: RoleWeb, Replicas: 2},
+			{Role: RoleWeb, Replicas: 3, Variant: RoleWebAlt},
+			{Role: RoleDB, Replicas: 4},
+		}},
+	}
+	for _, spec := range specs {
+		key := spec.Key()
+		got, patched, err := ParseKey(key)
+		if err != nil {
+			t.Fatalf("ParseKey(%q): %v", key, err)
+		}
+		if patched != nil || got.Key() != key || IsRolloutKey(key) {
+			t.Fatalf("ParseKey(%q) = %q, patched %v", key, got.Key(), patched)
+		}
+		zero := make([]int, len(spec.Tiers))
+		full := make([]int, len(spec.Tiers))
+		mid := make([]int, len(spec.Tiers))
+		for i, tier := range spec.Tiers {
+			full[i] = tier.Replicas
+			mid[i] = (tier.Replicas + 1) / 2
+		}
+		for _, want := range [][]int{zero, full, mid} {
+			rk := string(spec.AppendRolloutKey(nil, want))
+			got, patched, err := ParseKey(rk)
+			if err != nil {
+				t.Fatalf("ParseKey(%q): %v", rk, err)
+			}
+			if !IsRolloutKey(rk) || !slices.Equal(patched, want) || string(got.AppendRolloutKey(nil, patched)) != rk {
+				t.Fatalf("ParseKey(%q) = %q at %v", rk, got.Key(), patched)
+			}
+		}
+	}
+}
+
+// TestParseKeyRejects: keys that do not describe a valid design, or a
+// rollout point that does not fit its design, fail to parse.
+func TestParseKeyRejects(t *testing.T) {
+	for _, key := range []string{
+		"",
+		"dns",
+		"dns:",
+		"dns:x",
+		"dns:0",
+		"dns:-1",
+		"mainframe:1",
+		"web/iis:1",
+		":1",
+		"dns:1;",
+		"dns:1;;web:1",
+		"dns:1|rollout=",
+		"dns:1|rollout=2",
+		"dns:1|rollout=-1",
+		"dns:1;web:2|rollout=1",
+		"dns:1;web:2|rollout=1,1,0",
+		"dns:1|rollout=1|rollout=1",
+	} {
+		if spec, patched, err := ParseKey(key); err == nil {
+			t.Errorf("ParseKey(%q) = %+v, %v; want an error", key, spec, patched)
+		}
+	}
+	// Spellings the renderers never produce parse, but do not
+	// re-render to themselves: callers needing the canonical form
+	// compare.
+	for _, key := range []string{"dns:01", "dns:+1", "web/web:1", "dns:1|rollout=01"} {
+		spec, patched, err := ParseKey(key)
+		if err != nil {
+			t.Fatalf("ParseKey(%q): %v", key, err)
+		}
+		re := spec.Key()
+		if patched != nil {
+			re = string(spec.AppendRolloutKey(nil, patched))
+		}
+		if re == key {
+			t.Errorf("non-canonical %q re-renders to itself", key)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -125,8 +126,9 @@ func engineFor(t *testing.T, policy patch.Policy) *engine.Engine {
 //     every NetworkSolution measure within 1e-9;
 //   - the f=0 and f=1 rollout points are byte-identical to the atomic
 //     result's two sides;
-//   - an engine memo hit, atomic or rollout, equals a fresh evaluator's
-//     answer.
+//   - an engine memo hit, atomic or rollout, serves exactly what a
+//     fresh evaluator answers: the same spec and every served number
+//     bit for bit (the memo keeps no Paths or ShortestPath).
 func FuzzFastPathMatchesOracles(f *testing.F) {
 	fractions := [][]byte{{0}, {255}, {128}, {0, 255}, {64, 191, 255, 0, 32}}
 	for i, spec := range redundancy.EquivalenceSpecs() {
@@ -214,18 +216,43 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(hit, atomic) {
+			if !sameServed(hit, atomic) {
 				t.Errorf("%s: engine answer differs from a fresh evaluator:\n%+v\n%+v", c.spec.Name, hit, atomic)
 			}
 			hitPoint, err := g.EvaluateRollout(ctx, c.spec, c.fractions)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(hitPoint, point) {
+			if !sameServedPoint(hitPoint, point) {
 				t.Errorf("%s: engine rollout answer differs from a fresh evaluator:\n%+v\n%+v", c.spec.Name, hitPoint, point)
 			}
 		}
 	})
+}
+
+// servedBits projects security metrics onto the five numbers a report
+// serves, floats as bit patterns, so == compares them bitwise.
+func servedBits(m harm.Metrics) [5]uint64 {
+	return [5]uint64{math.Float64bits(m.AIM), math.Float64bits(m.ASP),
+		uint64(m.NoEV), uint64(m.NoAP), uint64(m.NoEP)}
+}
+
+// sameServed reports whether two results serve the same design and the
+// same numbers, bit for bit.
+func sameServed(a, b redundancy.Result) bool {
+	return reflect.DeepEqual(a.Spec, b.Spec) &&
+		servedBits(a.Before) == servedBits(b.Before) && servedBits(a.After) == servedBits(b.After) &&
+		math.Float64bits(a.COA) == math.Float64bits(b.COA) &&
+		math.Float64bits(a.ServiceAvailability) == math.Float64bits(b.ServiceAvailability)
+}
+
+// sameServedPoint is sameServed for rollout points: spec, fractions,
+// patched counts and the served numbers.
+func sameServedPoint(a, b redundancy.RolloutResult) bool {
+	return reflect.DeepEqual(a.Spec, b.Spec) && reflect.DeepEqual(a.Fractions, b.Fractions) &&
+		reflect.DeepEqual(a.Patched, b.Patched) && servedBits(a.Security) == servedBits(b.Security) &&
+		math.Float64bits(a.COA) == math.Float64bits(b.COA) &&
+		math.Float64bits(a.ServiceAvailability) == math.Float64bits(b.ServiceAvailability)
 }
 
 // checkSecurity compares factored and expanded metrics on every Table II

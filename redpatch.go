@@ -730,7 +730,7 @@ func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequ
 // SecurityFactorHits the model lookups served from the security memo.
 // The rollout counters cover mixed-version evaluation: RolloutSolves
 // rollout points evaluated by the engine, RolloutHits points served
-// from (or deduplicated onto) the rollout memo.
+// from (or deduplicated onto) the memo.
 type EngineStats struct {
 	Solves             uint64 `json:"solves"`
 	Hits               uint64 `json:"hits"`
@@ -763,32 +763,45 @@ func (s *CaseStudy) EngineStats() EngineStats {
 	}
 }
 
-// CacheEntries reports the number of completed designs in the engine's
-// memo cache (in-flight solves excluded).
+// CacheEntries reports the number of completed entries in the engine's
+// memo cache, evaluated designs and rollout points alike (in-flight
+// solves excluded).
 func (s *CaseStudy) CacheEntries() int { return s.eng.Len() }
 
-// CachePeek reports whether spec's result is already completed in the
-// engine's memo cache, without solving, waiting or moving any counter.
-// redpatchd's admission control uses it to let warm evaluate requests
-// bypass the limiter: a true peek means the matching EvaluateSpec is a
-// map lookup. Best-effort — a concurrent eviction of an erred entry or
-// a racing solve may change the answer by the time the evaluation
-// runs, which costs at most one un-admitted solve. The memo key
-// excludes the design name, so an unnamed spec is peeked as it is.
-func (s *CaseStudy) CachePeek(spec DesignSpec) bool {
-	return s.eng.Peek(spec.pd())
+// CachedReport serves spec from the engine's memo when the design is
+// already solved: it returns the report EvaluateSpecCtx would, counts
+// the hit and records the same engine span, but never solves and never
+// waits on a solve in flight. It reads false, moving nothing, for a
+// design not yet memoized or an invalid spec. redpatchd's admission
+// control uses it so warm evaluate requests bypass the limiter and
+// convert, validate and key their spec once. A racing solve may finish
+// just after a false answer, which costs at most one admitted request
+// served from the memo.
+func (s *CaseStudy) CachedReport(ctx context.Context, spec DesignSpec) (DesignReport, bool) {
+	p := spec.pd()
+	if spec.Name == "" {
+		p.Name = p.CanonicalName()
+	}
+	r, ok := s.eng.Lookup(ctx, p)
+	if !ok {
+		return DesignReport{}, false
+	}
+	return convert(r), true
 }
 
 // SnapshotCache writes the engine's memo cache to w as versioned JSON,
 // fingerprinted by the vulnerability dataset, patch policy and schedule
-// the study was built under, and reports how many entries it wrote.
-// redpatchd dumps each scenario's cache this way on graceful shutdown
-// so a restart keeps the warmed cache.
+// the study was built under, and reports how many entries it wrote:
+// evaluated designs and rollout points, each as its key and the numbers
+// its report serves. redpatchd dumps each scenario's cache this way on
+// graceful shutdown so a restart keeps the warmed cache.
 func (s *CaseStudy) SnapshotCache(w io.Writer) (int, error) { return s.eng.Snapshot(w) }
 
 // RestoreCache merges a SnapshotCache dump into the engine's memo cache
 // and reports how many entries it added. A dump taken under a different
 // vulnerability dataset, policy or schedule — a different fingerprint —
-// is rejected with engine.ErrSnapshotFingerprint and changes nothing;
-// designs already cached (or being solved) keep their live results.
+// is rejected with engine.ErrSnapshotFingerprint, and one written by
+// another format version (engine.SnapshotVersion) with
+// engine.ErrSnapshotVersion; either changes nothing. Designs already
+// cached (or being solved) keep their live results.
 func (s *CaseStudy) RestoreCache(r io.Reader) (int, error) { return s.eng.Restore(r) }

@@ -557,22 +557,41 @@ func TestSpecValidationAtFacade(t *testing.T) {
 	}
 }
 
-// TestCachePeekAllocations pins what a warm CachePeek costs — the
-// admission bypass every warm evaluate request pays: the spec
-// conversion and the memo key, and nothing for the design name, which
-// the key excludes.
-func TestCachePeekAllocations(t *testing.T) {
+// TestCachedReportAllocations pins what a whole warm evaluate costs in
+// the facade — the lookup that both decides the admission bypass and
+// serves the request: one spec conversion, the default name, a memo
+// read with the key in a stack buffer, and the report. It must equal
+// what EvaluateSpec serves, and a miss must move no counter.
+func TestCachedReportAllocations(t *testing.T) {
 	s, _ := caseStudy(t)
+	ctx := context.Background()
+	st := s.EngineStats()
+	if _, ok := s.CachedReport(ctx, ClassicSpec("", 9, 9, 9, 9)); ok {
+		t.Fatal("CachedReport served a design never evaluated")
+	}
+	if got := s.EngineStats(); got != st {
+		t.Fatalf("a missed lookup moved the counters: %+v, was %+v", got, st)
+	}
 	for _, name := range []string{"", "named"} {
 		spec := ClassicSpec(name, 1, 2, 2, 1)
-		if _, err := s.EvaluateSpec(spec); err != nil {
+		want, err := s.EvaluateSpec(spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.CachePeek(spec) {
-			t.Fatalf("CachePeek(%q) = false after EvaluateSpec", name)
+		got, ok := s.CachedReport(ctx, spec)
+		if !ok {
+			t.Fatalf("CachedReport(%q) missed after EvaluateSpec", name)
 		}
-		if got := testing.AllocsPerRun(100, func() { s.CachePeek(spec) }); got > 2 {
-			t.Errorf("warm CachePeek(%q) = %v allocs, want at most 2", name, got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("CachedReport(%q) = %+v, EvaluateSpec served %+v", name, got, want)
+		}
+		hits := s.EngineStats().Hits
+		s.CachedReport(ctx, spec)
+		if got := s.EngineStats().Hits; got != hits+1 {
+			t.Errorf("a warm lookup counted %d hits, want 1", got-hits)
+		}
+		if got := testing.AllocsPerRun(100, func() { s.CachedReport(ctx, spec) }); got > 9 {
+			t.Errorf("warm CachedReport(%q) = %v allocs, want at most 9", name, got)
 		}
 	}
 }

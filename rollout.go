@@ -92,7 +92,7 @@ func (c chaosEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.Desi
 
 // EvaluateRollout evaluates a design at one rollout point given by
 // per-tier patched fractions (aligned with the spec's tiers), through
-// the engine's rollout memo. Fraction 0 everywhere reproduces the
+// the engine's memo. Fraction 0 everywhere reproduces the
 // atomic before-patch result, fraction 1 everywhere the after-patch one.
 func (s *CaseStudy) EvaluateRollout(ctx context.Context, spec DesignSpec, fractions []float64) (RolloutReport, error) {
 	p := spec.pd()
