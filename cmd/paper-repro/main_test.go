@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -43,5 +45,44 @@ func TestRunCSVMode(t *testing.T) {
 	}
 	if strings.Contains(out, "digraph") {
 		t.Error("CSV mode should omit the DOT exports")
+	}
+}
+
+// TestRunMatchesGolden pins the whole output of both modes byte for byte:
+// every table, figure, region and DOT export. The golden files are the
+// reproduction as it stands; regenerate them only for an intended change
+// to what paper-repro prints.
+func TestRunMatchesGolden(t *testing.T) {
+	for _, c := range []struct {
+		file string
+		csv  bool
+	}{{"paper-repro.golden", false}, {"paper-repro-csv.golden", true}} {
+		t.Run(c.file, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := run(&buf, c.csv); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(buf.Bytes(), want) {
+				return
+			}
+			got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(got) || i < len(exp); i++ {
+				var g, e string
+				if i < len(got) {
+					g = got[i]
+				}
+				if i < len(exp) {
+					e = exp[i]
+				}
+				if g != e {
+					t.Fatalf("line %d differs (got %d lines, want %d)\n got: %q\nwant: %q", i+1, len(got), len(exp), g, e)
+				}
+			}
+			t.Fatal("output differs from golden")
+		})
 	}
 }
