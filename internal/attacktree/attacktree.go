@@ -116,14 +116,6 @@ func New(root Node) *Tree { return &Tree{root: root} }
 // Empty reports whether the tree offers the attacker nothing.
 func (t *Tree) Empty() bool { return t == nil || t.root == nil }
 
-// Root returns the root node (nil for an empty tree).
-func (t *Tree) Root() Node {
-	if t == nil {
-		return nil
-	}
-	return t.root
-}
-
 // Clone returns a deep copy.
 func (t *Tree) Clone() *Tree {
 	if t.Empty() {

@@ -226,18 +226,6 @@ type ServerSolution struct {
 	Tangible, Vanishing int
 }
 
-// DowntimeShare reports the fraction of total service downtime
-// attributable to the patch pipeline (as opposed to failures). The
-// paper's COA analysis isolates exactly this share by modelling only
-// patch-induced outages in the upper layer.
-func (s ServerSolution) DowntimeShare() float64 {
-	total := s.PatchDown + s.FailureDown
-	if total == 0 {
-		return 0
-	}
-	return s.PatchDown / total
-}
-
 // SolveServer builds and solves the server SRN and extracts the measures
 // that feed the paper's aggregation equations.
 func SolveServer(p ServerParams) (ServerSolution, error) {
@@ -313,10 +301,6 @@ func (a AggregatedRates) MTTP() float64 { return 1 / a.LambdaEq }
 // MTTR returns the mean time to recover from a patch in hours (1/mu_eq).
 func (a AggregatedRates) MTTR() float64 { return 1 / a.MuEq }
 
-// Availability returns the steady-state availability of the two-state
-// abstraction: mu/(lambda+mu).
-func (a AggregatedRates) Availability() float64 { return a.MuEq / (a.LambdaEq + a.MuEq) }
-
 // Aggregate applies Eq. 1 and Eq. 2 to a solved server model.
 func Aggregate(sol ServerSolution) (AggregatedRates, error) {
 	if sol.PatchDown <= 0 {
@@ -326,43 +310,4 @@ func Aggregate(sol ServerSolution) (AggregatedRates, error) {
 		LambdaEq: rate(sol.Params.PatchInterval),
 		MuEq:     rate(sol.Params.SvcReboot) * sol.ReadyToReboot / sol.PatchDown,
 	}, nil
-}
-
-// AggregateTotal produces a two-state abstraction covering ALL service
-// downtime — patching and failures alike — by frequency matching: the
-// down-going rate is the steady-state frequency of the service leaving
-// its up state divided by P(up), the recovery rate the same frequency
-// divided by P(down). The resulting two-state chain reproduces both the
-// exact availability and the exact outage frequency of the full model.
-// The paper's upper layer deliberately models patch downtime only;
-// feeding these rates instead quantifies what that isolation leaves out.
-func AggregateTotal(p ServerParams) (AggregatedRates, ServerSolution, error) {
-	net, pl, err := BuildServerSRN(p)
-	if err != nil {
-		return AggregatedRates{}, ServerSolution{}, err
-	}
-	ss, err := net.Generate(srn.GenerateOptions{})
-	if err != nil {
-		return AggregatedRates{}, ServerSolution{}, err
-	}
-	pi, err := ss.SteadyState(ctmc.SolveOptions{})
-	if err != nil {
-		return AggregatedRates{}, ServerSolution{}, err
-	}
-	sol, err := SolveServer(p)
-	if err != nil {
-		return AggregatedRates{}, ServerSolution{}, err
-	}
-	upPred := func(m srn.Marking) bool { return m.Tokens(pl.SvcUp) == 1 }
-	freq, err := ss.ExitFrequency(pi, upPred)
-	if err != nil {
-		return AggregatedRates{}, ServerSolution{}, err
-	}
-	if freq <= 0 || sol.ServiceUp <= 0 || sol.ServiceUp >= 1 {
-		return AggregatedRates{}, ServerSolution{}, fmt.Errorf("availability: %s: degenerate service process (freq %v, up %v)", p.Name, freq, sol.ServiceUp)
-	}
-	return AggregatedRates{
-		LambdaEq: freq / sol.ServiceUp,
-		MuEq:     freq / (1 - sol.ServiceUp),
-	}, sol, nil
 }

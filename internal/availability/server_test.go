@@ -323,77 +323,11 @@ func TestFasterPatchingImprovesAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aggFast.Availability() <= aggSlow.Availability() {
+	avail := func(a AggregatedRates) float64 { return a.MuEq / (a.LambdaEq + a.MuEq) }
+	if avail(aggFast) <= avail(aggSlow) {
 		t.Errorf("faster patching should raise availability: %v vs %v",
-			aggFast.Availability(), aggSlow.Availability())
+			avail(aggFast), avail(aggSlow))
 	}
-}
-
-// TestAggregateTotal: the frequency-matched two-state abstraction
-// reproduces the full model's service availability exactly, and its
-// downtime exceeds the patch-only abstraction's (failures included).
-func TestAggregateTotal(t *testing.T) {
-	p := paperServerParams("dns")
-	total, sol, err := AggregateTotal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mathx.AlmostEqual(total.Availability(), sol.ServiceUp, 1e-9) {
-		t.Errorf("two-state availability %v != full-model %v", total.Availability(), sol.ServiceUp)
-	}
-	patchOnly, err := Aggregate(sol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Availability() >= patchOnly.Availability() {
-		t.Errorf("including failures must lower availability: %v vs %v",
-			total.Availability(), patchOnly.Availability())
-	}
-	// Outages happen more often than monthly once failures count: the
-	// service fails every ~336 h on top of the 720 h patch cycle.
-	if total.MTTP() >= 720 {
-		t.Errorf("total MTTP = %v h, want below the 720 h patch interval", total.MTTP())
-	}
-	// Combined outage rate ≈ 1/336 (svc) + 1/1440 (os) + 1/720 (patch)
-	// ≈ 1/198 h.
-	if total.MTTP() < 150 {
-		t.Errorf("total MTTP = %v h, implausibly frequent", total.MTTP())
-	}
-}
-
-// TestCOAWithFailures quantifies what the paper's patch-only upper layer
-// leaves out: COA over the total abstraction is visibly lower.
-func TestCOAWithFailures(t *testing.T) {
-	var patchTiers, totalTiers []Tier
-	counts := map[string]int{"dns": 1, "web": 2, "app": 2, "db": 1}
-	for _, role := range []string{"dns", "web", "app", "db"} {
-		p := paperServerParams(role)
-		total, sol, err := AggregateTotal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		patchAgg, err := Aggregate(sol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		patchTiers = append(patchTiers, Tier{Name: role, N: counts[role], LambdaEq: patchAgg.LambdaEq, MuEq: patchAgg.MuEq})
-		totalTiers = append(totalTiers, Tier{Name: role, N: counts[role], LambdaEq: total.LambdaEq, MuEq: total.MuEq})
-	}
-	patchCOA, err := ClosedFormCOA(NetworkModel{Tiers: patchTiers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalCOA, err := ClosedFormCOA(NetworkModel{Tiers: totalTiers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if totalCOA >= patchCOA {
-		t.Errorf("COA with failures %v should be below patch-only %v", totalCOA, patchCOA)
-	}
-	if totalCOA < 0.98 {
-		t.Errorf("COA with failures = %v, implausibly low", totalCOA)
-	}
-	t.Logf("COA patch-only %.6f vs with failures %.6f", patchCOA, totalCOA)
 }
 
 func TestAggregateRejectsUnsolvedPipeline(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"redpatch/internal/mathx"
-	"redpatch/internal/sparse"
 )
 
 // Chain is a finite-state CTMC under construction or analysis. States are
@@ -20,16 +19,16 @@ import (
 // frozen into a generator on first solve.
 type Chain struct {
 	n       int
-	builder *sparse.Builder
-	gen     *sparse.CSR // off-diagonal rates, rows = source states
-	diag    []float64   // diagonal of the generator (negative exit rates)
+	builder *builder
+	gen     *csr      // off-diagonal rates, rows = source states
+	diag    []float64 // diagonal of the generator (negative exit rates)
 
 	// Lazy transpose of gen (Gauss-Seidel sweeps). Guarded by a Once so
 	// concurrent solves on an already-frozen chain stay safe — the
 	// pre-cache code built a fresh transpose per call and callers (e.g.
 	// a shared srn.StateSpace) rely on that.
 	incomingOnce sync.Once
-	incoming     *sparse.CSR
+	incoming     *csr
 }
 
 // New returns a chain with n states and no transitions.
@@ -37,7 +36,7 @@ func New(n int) *Chain {
 	if n <= 0 {
 		panic("ctmc: chain must have at least one state")
 	}
-	return &Chain{n: n, builder: sparse.NewBuilder(n, n)}
+	return &Chain{n: n, builder: newBuilder(n, n)}
 }
 
 // NumStates returns the number of states in the chain.
@@ -60,7 +59,7 @@ func (c *Chain) AddRate(i, j int, rate float64) error {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return fmt.Errorf("ctmc: invalid rate %v for transition %d->%d", rate, i, j)
 	}
-	c.builder.Add(i, j, rate)
+	c.builder.add(i, j, rate)
 	return nil
 }
 
@@ -69,25 +68,13 @@ func (c *Chain) freeze() {
 	if c.gen != nil {
 		return
 	}
-	c.gen = c.builder.Build()
+	c.gen = c.builder.build()
 	c.builder = nil
 	c.diag = make([]float64, c.n)
-	sums := c.gen.RowSums()
+	sums := c.gen.rowSums()
 	for i := range c.diag {
 		c.diag[i] = -sums[i]
 	}
-}
-
-// Generator returns the full generator matrix Q (including the diagonal) as
-// a CSR matrix. Each row of Q sums to zero.
-func (c *Chain) Generator() *sparse.CSR {
-	c.freeze()
-	b := sparse.NewBuilder(c.n, c.n)
-	for i := 0; i < c.n; i++ {
-		c.gen.Row(i, func(j int, v float64) { b.Add(i, j, v) })
-		b.Add(i, i, c.diag[i])
-	}
-	return b.Build()
 }
 
 // ExitRate returns the total exit rate of state i.
@@ -149,13 +136,6 @@ const autoDirectLimit = 512
 // SteadyState returns the stationary distribution pi with pi*Q = 0 and
 // sum(pi) = 1, using the configured method.
 func (c *Chain) SteadyState(opts SolveOptions) ([]float64, error) {
-	return c.SteadyStateWith(nil, opts)
-}
-
-// SteadyStateWith is SteadyState drawing its scratch buffers from ws.
-// A nil ws allocates per call; the returned distribution never aliases
-// workspace memory.
-func (c *Chain) SteadyStateWith(ws *Workspace, opts SolveOptions) ([]float64, error) {
 	c.freeze()
 	opts = opts.withDefaults()
 	method := opts.Method
@@ -168,11 +148,11 @@ func (c *Chain) SteadyStateWith(ws *Workspace, opts SolveOptions) ([]float64, er
 	}
 	switch method {
 	case Direct:
-		return c.steadyDirect(ws)
+		return c.steadyDirect()
 	case GaussSeidel:
 		return c.steadyGaussSeidel(opts)
 	case Power:
-		return c.steadyPower(ws, opts)
+		return c.steadyPower(opts)
 	default:
 		return nil, fmt.Errorf("ctmc: unknown method %d", method)
 	}
@@ -181,23 +161,23 @@ func (c *Chain) SteadyStateWith(ws *Workspace, opts SolveOptions) ([]float64, er
 // steadyDirect solves Q^T pi = 0 with the last equation replaced by the
 // normalization sum(pi) = 1, by Gaussian elimination with partial
 // pivoting on a flat-backed augmented matrix: one backing allocation
-// (reused through ws) instead of one slice per row, and pivoting swaps
-// row indices instead of rows.
-func (c *Chain) steadyDirect(ws *Workspace) ([]float64, error) {
+// instead of one slice per row, and pivoting swaps row indices instead
+// of rows.
+func (c *Chain) steadyDirect() ([]float64, error) {
 	n := c.n
 	// Assemble A = Q^T with the final row overwritten by ones, b = e_n.
-	a := ws.denseSystem(n, n+1)
+	a := newDense(n, n+1)
 	for i := 0; i < n; i++ {
-		c.gen.Row(i, func(j int, v float64) { a.Add(j, i, v) })
-		a.Add(i, i, c.diag[i])
+		c.gen.row(i, func(j int, v float64) { a.add(j, i, v) })
+		a.add(i, i, c.diag[i])
 	}
-	last := a.Row(n - 1)
+	last := a.row(n - 1)
 	for j := 0; j <= n; j++ {
 		last[j] = 1
 	}
 
 	pi := make([]float64, n)
-	if err := eliminate(a, ws.rowPerm(n), pi); err != nil {
+	if err := eliminate(a, make([]int, n), pi); err != nil {
 		return nil, fmt.Errorf("ctmc: singular balance system (%v) — chain reducible?", err)
 	}
 	clampAndNormalize(pi)
@@ -208,16 +188,16 @@ func (c *Chain) steadyDirect(ws *Workspace) ([]float64, error) {
 // destroying a's contents. Partial pivoting runs over the row-index
 // permutation perm (len m): a pivot exchange swaps two ints, never two
 // rows of the backing. The solution lands in x (len m).
-func eliminate(a *sparse.Dense, perm []int, x []float64) error {
+func eliminate(a *dense, perm []int, x []float64) error {
 	m := len(x)
 	for i := 0; i < m; i++ {
 		perm[i] = i
 	}
 	for col := 0; col < m; col++ {
 		pivot := col
-		best := math.Abs(a.Row(perm[col])[col])
+		best := math.Abs(a.row(perm[col])[col])
 		for r := col + 1; r < m; r++ {
-			if v := math.Abs(a.Row(perm[r])[col]); v > best {
+			if v := math.Abs(a.row(perm[r])[col]); v > best {
 				pivot, best = r, v
 			}
 		}
@@ -225,10 +205,10 @@ func eliminate(a *sparse.Dense, perm []int, x []float64) error {
 			return fmt.Errorf("singular system at column %d", col)
 		}
 		perm[col], perm[pivot] = perm[pivot], perm[col]
-		prow := a.Row(perm[col])
+		prow := a.row(perm[col])
 		inv := 1 / prow[col]
 		for r := col + 1; r < m; r++ {
-			row := a.Row(perm[r])
+			row := a.row(perm[r])
 			f := row[col] * inv
 			if f == 0 {
 				continue
@@ -240,7 +220,7 @@ func eliminate(a *sparse.Dense, perm []int, x []float64) error {
 		}
 	}
 	for r := m - 1; r >= 0; r-- {
-		row := a.Row(perm[r])
+		row := a.row(perm[r])
 		sum := row[m]
 		for k := r + 1; k < m; k++ {
 			sum -= row[k] * x[k]
@@ -252,8 +232,8 @@ func eliminate(a *sparse.Dense, perm []int, x []float64) error {
 
 // incomingMatrix returns (building lazily, once) the transpose of the
 // off-diagonal rate matrix: row j holds the incoming rates of state j.
-func (c *Chain) incomingMatrix() *sparse.CSR {
-	c.incomingOnce.Do(func() { c.incoming = c.gen.Transpose() })
+func (c *Chain) incomingMatrix() *csr {
+	c.incomingOnce.Do(func() { c.incoming = c.gen.transpose() })
 	return c.incoming
 }
 
@@ -276,7 +256,7 @@ func (c *Chain) steadyGaussSeidel(opts SolveOptions) ([]float64, error) {
 				continue
 			}
 			var sum float64
-			incoming.Row(j, func(i int, q float64) { sum += pi[i] * q })
+			incoming.row(j, func(i int, q float64) { sum += pi[i] * q })
 			next := sum / -c.diag[j]
 			delta := math.Abs(next - pi[j])
 			if ref := math.Abs(next); ref > 1 {
@@ -297,11 +277,11 @@ func (c *Chain) steadyGaussSeidel(opts SolveOptions) ([]float64, error) {
 }
 
 // steadyPower iterates the uniformized DTMC P = I + Q/Lambda.
-func (c *Chain) steadyPower(ws *Workspace, opts SolveOptions) ([]float64, error) {
+func (c *Chain) steadyPower(opts SolveOptions) ([]float64, error) {
 	n := c.n
 	lambda := c.uniformizationRate()
-	pi := ws.vec(0, n)
-	next := ws.vec(1, n)
+	pi := make([]float64, n)
+	next := make([]float64, n)
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}
@@ -315,7 +295,7 @@ func (c *Chain) steadyPower(ws *Workspace, opts SolveOptions) ([]float64, error)
 			if w == 0 {
 				continue
 			}
-			c.gen.Row(i, func(j int, q float64) { next[j] += w * q })
+			c.gen.row(i, func(j int, q float64) { next[j] += w * q })
 		}
 		normalize(next)
 		maxDelta := 0.0
@@ -326,10 +306,8 @@ func (c *Chain) steadyPower(ws *Workspace, opts SolveOptions) ([]float64, error)
 		}
 		pi, next = next, pi
 		if maxDelta < opts.Tolerance {
-			out := make([]float64, n) // detach the result from ws memory
-			copy(out, pi)
-			clampAndNormalize(out)
-			return out, nil
+			clampAndNormalize(pi)
+			return pi, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: power iteration after %d iterations", ErrNotConverged, opts.MaxIter)
@@ -353,13 +331,6 @@ func (c *Chain) uniformizationRate() float64 {
 // distribution p0, computed by uniformization with adaptive truncation of
 // the Poisson series (truncation error below 1e-12).
 func (c *Chain) Transient(p0 []float64, t float64) ([]float64, error) {
-	return c.TransientWith(nil, p0, t)
-}
-
-// TransientWith is Transient drawing its uniformization buffers from ws.
-// A nil ws allocates per call; the returned distribution never aliases
-// workspace memory.
-func (c *Chain) TransientWith(ws *Workspace, p0 []float64, t float64) ([]float64, error) {
 	c.freeze()
 	if len(p0) != c.n {
 		return nil, fmt.Errorf("ctmc: initial distribution has %d entries, want %d", len(p0), c.n)
@@ -375,8 +346,8 @@ func (c *Chain) TransientWith(ws *Workspace, p0 []float64, t float64) ([]float64
 	lambda := c.uniformizationRate()
 	lt := lambda * t
 
-	cur := ws.vec(0, c.n)
-	next := ws.vec(1, c.n)
+	cur := make([]float64, c.n)
+	next := make([]float64, c.n)
 	copy(cur, p0)
 
 	// Accumulate sum_k Poisson(k; lt) * p0 * P^k with scaled weights to
@@ -410,7 +381,7 @@ func (c *Chain) TransientWith(ws *Workspace, p0 []float64, t float64) ([]float64
 			if wi == 0 {
 				continue
 			}
-			c.gen.Row(i, func(j int, q float64) { next[j] += wi * q })
+			c.gen.row(i, func(j int, q float64) { next[j] += wi * q })
 		}
 		cur, next = next, cur
 		logW += math.Log(lt / float64(k+1))
@@ -452,11 +423,11 @@ func (c *Chain) MeanTimeToAbsorption(absorbing []int) ([]float64, error) {
 		return make([]float64, c.n), nil
 	}
 	// Solve Q_TT * tau = -1 by flat-backed dense elimination.
-	a := sparse.NewDense(m, m+1)
+	a := newDense(m, m+1)
 	for r, s := range transient {
-		row := a.Row(r)
+		row := a.row(r)
 		row[idx[s]] = c.diag[s]
-		c.gen.Row(s, func(j int, v float64) {
+		c.gen.row(s, func(j int, v float64) {
 			if !isAbs[j] {
 				row[idx[j]] += v
 			}
@@ -472,30 +443,6 @@ func (c *Chain) MeanTimeToAbsorption(absorbing []int) ([]float64, error) {
 		out[s] = tau[r]
 	}
 	return out, nil
-}
-
-// Validate checks structural well-formedness of the generator: every
-// off-diagonal rate non-negative and every row of Q summing to zero within
-// tolerance. It is primarily a guard for hand-built chains in tests.
-func (c *Chain) Validate() error {
-	c.freeze()
-	for i := 0; i < c.n; i++ {
-		var sum float64
-		bad := false
-		c.gen.Row(i, func(j int, v float64) {
-			sum += v
-			if v < 0 {
-				bad = true
-			}
-		})
-		if bad {
-			return fmt.Errorf("ctmc: negative off-diagonal rate in row %d", i)
-		}
-		if !mathx.AlmostEqual(sum, -c.diag[i], 1e-9) {
-			return fmt.Errorf("ctmc: row %d of generator does not sum to zero", i)
-		}
-	}
-	return nil
 }
 
 func normalize(v []float64) {

@@ -193,9 +193,11 @@ func TestSteadyStateBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := c.Generator()
 	res := make([]float64, n)
-	q.MulVecLeft(res, pi)
+	for i := 0; i < n; i++ {
+		res[i] += pi[i] * c.diag[i]
+		c.gen.row(i, func(j int, q float64) { res[j] += pi[i] * q })
+	}
 	for i, r := range res {
 		if math.Abs(r) > 1e-10 {
 			t.Errorf("residual (pi*Q)[%d] = %v, want ~0", i, r)
@@ -318,18 +320,11 @@ func TestMeanTimeToAbsorptionValidation(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	c := twoState(t, 1, 2)
-	if err := c.Validate(); err != nil {
-		t.Errorf("Validate on well-formed chain: %v", err)
-	}
-}
-
 func TestGeneratorRowsSumToZero(t *testing.T) {
 	c := birthDeath(t, 5, 0.9, 1.4)
-	q := c.Generator()
-	for _, s := range q.RowSums() {
-		if math.Abs(s) > 1e-12 {
+	c.freeze()
+	for i, s := range c.gen.rowSums() {
+		if s := s + c.diag[i]; math.Abs(s) > 1e-12 {
 			t.Errorf("generator row sum = %v, want 0", s)
 		}
 	}
@@ -354,72 +349,9 @@ func TestExitRate(t *testing.T) {
 	}
 }
 
-// TestWorkspaceReuseMatchesFreshSolves: solving several different chains
-// through one workspace must give bit-identical results to workspace-free
-// solves, and the returned vectors must not alias workspace memory.
-func TestWorkspaceReuseMatchesFreshSolves(t *testing.T) {
-	ws := NewWorkspace()
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(40)
-		build := func() *Chain {
-			c := New(n)
-			for i := 0; i < n; i++ {
-				if err := c.AddRate(i, (i+1)%n, 0.2+rng.Float64()*3); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return c
-		}
-		seed := rng.Int63()
-		rng.Seed(seed)
-		withWS := build()
-		rng.Seed(seed)
-		without := build()
-
-		for _, method := range []Method{Direct, Power} {
-			got, err := withWS.SteadyStateWith(ws, SolveOptions{Method: method})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := without.SteadyState(SolveOptions{Method: method})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d method %d: ws solve diverged at state %d: %v vs %v",
-						trial, method, i, got[i], want[i])
-				}
-			}
-			// Mutating the result must not disturb later ws solves (no
-			// aliasing): stash and re-check after the next method runs.
-			for i := range got {
-				got[i] = -1
-			}
-		}
-
-		p0 := make([]float64, n)
-		p0[0] = 1
-		gotT, err := withWS.TransientWith(ws, p0, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantT, err := without.Transient(p0, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantT {
-			if gotT[i] != wantT[i] {
-				t.Fatalf("trial %d: ws transient diverged at state %d", trial, i)
-			}
-		}
-	}
-}
-
-// TestDirectSolveAllocations pins the satellite fix: the flat-backed
-// direct solve through a warmed workspace performs O(1) allocations
-// (result vector plus closure plumbing), not one per matrix row.
+// TestDirectSolveAllocations pins the flat-backed direct solve to O(1)
+// allocations (the system, the pivot permutation, the result vector and
+// closure plumbing), not one per matrix row.
 func TestDirectSolveAllocations(t *testing.T) {
 	const n = 200
 	build := func() *Chain {
@@ -435,26 +367,23 @@ func TestDirectSolveAllocations(t *testing.T) {
 		c.freeze()
 		return c
 	}
-	ws := NewWorkspace()
-	if _, err := build().SteadyStateWith(ws, SolveOptions{Method: Direct}); err != nil {
-		t.Fatal(err) // warm the workspace high-water mark
-	}
 	chains := make([]*Chain, 10)
 	for i := range chains {
 		chains[i] = build()
 	}
 	idx := 0
 	avg := testing.AllocsPerRun(len(chains), func() {
-		if _, err := chains[idx].SteadyStateWith(ws, SolveOptions{Method: Direct}); err != nil {
+		if _, err := chains[idx].SteadyState(SolveOptions{Method: Direct}); err != nil {
 			t.Fatal(err)
 		}
 		idx = (idx + 1) % len(chains)
 	})
 	// The n x (n+1) system alone would be n+1 allocations in the old
-	// row-slice representation; the flat path needs only the returned
-	// distribution and a couple of closure headers.
+	// row-slice representation; the flat path needs only the system,
+	// the permutation, the returned distribution and a couple of
+	// closure headers.
 	if avg > 8 {
-		t.Errorf("direct solve with warm workspace averaged %.1f allocs, want <= 8", avg)
+		t.Errorf("direct solve averaged %.1f allocs, want <= 8", avg)
 	}
 }
 

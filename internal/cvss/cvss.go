@@ -168,43 +168,6 @@ func (v Vector) AttackSuccessProbability() float64 {
 	return mathx.Round2(v.ExploitabilityScore() / 10)
 }
 
-// Severity is the qualitative NVD rating band for CVSS v2 base scores.
-type Severity int
-
-// Severity bands per the NVD v2 rating scale.
-const (
-	SeverityLow Severity = iota + 1
-	SeverityMedium
-	SeverityHigh
-)
-
-// String returns the NVD severity label.
-func (s Severity) String() string {
-	switch s {
-	case SeverityLow:
-		return "LOW"
-	case SeverityMedium:
-		return "MEDIUM"
-	case SeverityHigh:
-		return "HIGH"
-	default:
-		return fmt.Sprintf("Severity(%d)", int(s))
-	}
-}
-
-// Severity returns the NVD v2 qualitative rating of the base score:
-// 0.0–3.9 low, 4.0–6.9 medium, 7.0–10.0 high.
-func (v Vector) Severity() Severity {
-	switch s := v.BaseScore(); {
-	case s < 4.0:
-		return SeverityLow
-	case s < 7.0:
-		return SeverityMedium
-	default:
-		return SeverityHigh
-	}
-}
-
 // String renders the vector in the canonical short form, e.g.
 // "AV:N/AC:L/Au:N/C:C/I:C/A:C".
 func (v Vector) String() string {

@@ -144,31 +144,6 @@ func TestKnownScores(t *testing.T) {
 	}
 }
 
-func TestSeverityBands(t *testing.T) {
-	tests := []struct {
-		vector string
-		want   Severity
-	}{
-		{vector: "AV:N/AC:L/Au:N/C:C/I:C/A:C", want: SeverityHigh},   // 10.0
-		{vector: "AV:N/AC:L/Au:N/C:P/I:P/A:P", want: SeverityHigh},   // 7.5
-		{vector: "AV:N/AC:L/Au:N/C:P/I:N/A:N", want: SeverityMedium}, // 5.0
-		{vector: "AV:N/AC:M/Au:N/C:P/I:N/A:N", want: SeverityMedium}, // 4.3
-		{vector: "AV:L/AC:H/Au:M/C:P/I:N/A:N", want: SeverityLow},
-	}
-	for _, tt := range tests {
-		v := MustParse(tt.vector)
-		if got := v.Severity(); got != tt.want {
-			t.Errorf("Severity(%s) = %v (base %v), want %v", tt.vector, got, v.BaseScore(), tt.want)
-		}
-	}
-}
-
-func TestSeverityString(t *testing.T) {
-	if SeverityLow.String() != "LOW" || SeverityMedium.String() != "MEDIUM" || SeverityHigh.String() != "HIGH" {
-		t.Error("severity labels wrong")
-	}
-}
-
 func randomVector(rng *rand.Rand) Vector {
 	return Vector{
 		AV: AccessVector(1 + rng.Intn(3)),

@@ -13,7 +13,7 @@ func ExampleParse() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("base %.1f impact %.1f asp %.2f %s\n",
-		v.BaseScore(), v.ImpactScoreRounded(), v.AttackSuccessProbability(), v.Severity())
-	// Output: base 10.0 impact 10.0 asp 1.00 HIGH
+	fmt.Printf("base %.1f impact %.1f asp %.2f\n",
+		v.BaseScore(), v.ImpactScoreRounded(), v.AttackSuccessProbability())
+	// Output: base 10.0 impact 10.0 asp 1.00
 }

@@ -43,18 +43,9 @@ type Site struct {
 	PanicProb float64
 }
 
-// Counts is a snapshot of one site's activity.
-type Counts struct {
-	Hits   uint64 // times the site was reached
-	Errors uint64 // injected errors returned
-	Panics uint64 // injected panics raised
-	Delays uint64 // injected latencies slept
-}
-
 type siteState struct {
 	cfg Site
 	rng *rand.Rand
-	n   Counts
 }
 
 // Injector holds the configured sites. It is safe for concurrent use;
@@ -76,7 +67,7 @@ func New(seed int64) *Injector {
 }
 
 // Configure sets (or replaces) a site's fault configuration. The site's
-// PRNG and counters survive reconfiguration, so a test can dial a
+// PRNG survives reconfiguration, so a test can dial a
 // probability to zero mid-run and assert monotone recovery without
 // resetting the draw sequence.
 func (in *Injector) Configure(name string, cfg Site) {
@@ -90,19 +81,6 @@ func (in *Injector) Configure(name string, cfg Site) {
 		in.sites[name] = st
 	}
 	st.cfg = cfg
-}
-
-// Counts returns a site's activity snapshot; unknown sites read zero.
-func (in *Injector) Counts(name string) Counts {
-	if in == nil {
-		return Counts{}
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if st, ok := in.sites[name]; ok {
-		return st.n
-	}
-	return Counts{}
 }
 
 // Hit runs the named site with no cancellation: HitCtx under a
@@ -126,7 +104,6 @@ func (in *Injector) HitCtx(ctx context.Context, name string) error {
 		in.mu.Unlock()
 		return nil
 	}
-	st.n.Hits++
 	cfg := st.cfg
 	// Fixed draw order (latency, panic, error) regardless of which
 	// probabilities are set keeps the per-site sequence stable across
@@ -134,15 +111,6 @@ func (in *Injector) HitCtx(ctx context.Context, name string) error {
 	sleep := st.rng.Float64() < cfg.LatencyProb
 	panics := st.rng.Float64() < cfg.PanicProb
 	errs := st.rng.Float64() < cfg.ErrProb
-	if sleep && cfg.Latency > 0 {
-		st.n.Delays++
-	}
-	if panics {
-		st.n.Panics++
-	}
-	if errs {
-		st.n.Errors++
-	}
 	in.mu.Unlock()
 
 	if sleep && cfg.Latency > 0 {

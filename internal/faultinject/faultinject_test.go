@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -62,9 +63,6 @@ func TestErrRate(t *testing.T) {
 	if errs < 200 || errs > 400 {
 		t.Errorf("1000 hits at ErrProb 0.3 errored %d times", errs)
 	}
-	if n := in.Counts("s"); n.Hits != 1000 || n.Errors != uint64(errs) {
-		t.Errorf("counts = %+v, want 1000 hits and %d errors", n, errs)
-	}
 }
 
 // TestCustomErr: a configured Site.Err is returned verbatim.
@@ -89,9 +87,6 @@ func TestPanic(t *testing.T) {
 		if s, ok := p.(string); !ok || !strings.Contains(s, "boom") {
 			t.Errorf("panic value %v does not name the site", p)
 		}
-		if n := in.Counts("boom"); n.Panics != 1 {
-			t.Errorf("panic count = %d, want 1", n.Panics)
-		}
 	}()
 	in.Hit("boom")
 }
@@ -114,8 +109,7 @@ func TestLatencyCtx(t *testing.T) {
 }
 
 // TestRecovery: dialing a site's probabilities to zero stops all
-// faults — the monotone-recovery contract the chaos suite leans on —
-// without resetting its counters.
+// faults — the monotone-recovery contract the chaos suite leans on.
 func TestRecovery(t *testing.T) {
 	in := New(7)
 	in.Configure("s", Site{ErrProb: 1})
@@ -128,9 +122,6 @@ func TestRecovery(t *testing.T) {
 			t.Fatalf("hit %d errored after recovery: %v", i, err)
 		}
 	}
-	if n := in.Counts("s"); n.Errors != 1 || n.Hits != 101 {
-		t.Errorf("counts = %+v, want errors 1 and hits 101 across reconfiguration", n)
-	}
 }
 
 // TestNilAndUnconfigured: nil injectors and unknown sites are free
@@ -140,36 +131,40 @@ func TestNilAndUnconfigured(t *testing.T) {
 	if err := in.Hit("anything"); err != nil {
 		t.Errorf("nil injector Hit = %v", err)
 	}
-	if n := in.Counts("anything"); n != (Counts{}) {
-		t.Errorf("nil injector Counts = %+v", n)
-	}
 	in = New(1)
 	if err := in.Hit("unconfigured"); err != nil {
 		t.Errorf("unconfigured site Hit = %v", err)
 	}
-	if n := in.Counts("unconfigured"); n != (Counts{}) {
-		t.Errorf("unconfigured site counted: %+v", n)
-	}
 }
 
 // TestConcurrentHits: concurrent hits race-cleanly share a site and
-// lose no counts.
+// lose no draws: they fire as many faults as a serial replay.
 func TestConcurrentHits(t *testing.T) {
+	cfg := Site{ErrProb: 0.5}
 	in := New(3)
-	in.Configure("s", Site{ErrProb: 0.5})
+	in.Configure("s", cfg)
+	var errs atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
-				_ = in.Hit("s")
+				if in.Hit("s") != nil {
+					errs.Add(1)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if n := in.Counts("s"); n.Hits != 2000 {
-		t.Errorf("hits = %d, want 2000", n.Hits)
+	want := 0
+	for _, e := range hitSeq(3, cfg, 2000) {
+		if e {
+			want++
+		}
+	}
+	if got := errs.Load(); got != int64(want) {
+		t.Errorf("concurrent errors = %d, want %d as in a serial replay", got, want)
 	}
 }
 
@@ -190,10 +185,19 @@ func TestConcurrentDeterministicStreams(t *testing.T) {
 		"a": {ErrProb: 0.25},
 		"b": {ErrProb: 0.75, LatencyProb: 0.1, Latency: time.Nanosecond},
 	}
-	run := func(parallel bool) map[string]Counts {
+	run := func(parallel bool) map[string]int64 {
 		in := New(seed)
 		for name, c := range cfg {
 			in.Configure(name, c)
+		}
+		var a, b atomic.Int64
+		hit := func() {
+			if in.Hit("a") != nil {
+				a.Add(1)
+			}
+			if in.Hit("b") != nil {
+				b.Add(1)
+			}
 		}
 		if parallel {
 			var wg sync.WaitGroup
@@ -202,32 +206,27 @@ func TestConcurrentDeterministicStreams(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < perW; i++ {
-						_ = in.Hit("a")
-						_ = in.Hit("b")
+						hit()
 					}
 				}()
 			}
 			wg.Wait()
 		} else {
 			for i := 0; i < total; i++ {
-				_ = in.Hit("a")
-				_ = in.Hit("b")
+				hit()
 			}
 		}
-		return map[string]Counts{"a": in.Counts("a"), "b": in.Counts("b")}
+		return map[string]int64{"a": a.Load(), "b": b.Load()}
 	}
 	serial := run(false)
 	concurrent := run(true)
 	for name := range cfg {
-		if concurrent[name].Hits != uint64(total) {
-			t.Errorf("site %q: concurrent hits = %d, want exactly %d", name, concurrent[name].Hits, total)
-		}
 		if serial[name] != concurrent[name] {
-			t.Errorf("site %q: concurrent counts %+v diverged from serial same-seed replay %+v",
+			t.Errorf("site %q: %d concurrent errors diverged from the serial same-seed replay's %d",
 				name, concurrent[name], serial[name])
 		}
 	}
-	if serial["a"].Errors == 0 || serial["b"].Errors == 0 || serial["b"].Delays == 0 {
+	if serial["a"] == 0 || serial["b"] == 0 {
 		t.Errorf("replay exercised no faults: %+v", serial)
 	}
 }

@@ -37,7 +37,7 @@ func (h *HARM) DOT() string {
 		fmt.Fprintf(&b, "  %q [%s];\n", host, strings.Join(attrs, ", "))
 	}
 	for _, from := range h.upper.Nodes() {
-		for _, to := range h.upper.Successors(from) {
+		for _, to := range h.upper.successors(from) {
 			fmt.Fprintf(&b, "  %q -> %q;\n", from, to)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"redpatch/internal/attackgraph"
 	"redpatch/internal/attacktree"
 	"redpatch/internal/mathx"
 )
@@ -72,9 +71,6 @@ func (f *FactoredHARM) Patched(keep func(role string, leaf *attacktree.Leaf) boo
 	return &FactoredHARM{h: h}, nil
 }
 
-// Quotient exposes the underlying quotient HARM (classes as hosts).
-func (f *FactoredHARM) Quotient() *HARM { return f.h }
-
 // Compiled is a factored model lowered, under fixed EvalOptions, into
 // class-indexed arrays. Everything about its metrics that does not
 // depend on replica counts is computed once by Compile: the per-class
@@ -104,7 +100,7 @@ type Compiled struct {
 // compiledPath is one quotient path: its class indices (attacker
 // excluded) and its multiplicity-blind impact and probability.
 type compiledPath struct {
-	path         attackgraph.Path
+	path         Path
 	classes      []int
 	impact, prob float64
 }
@@ -152,7 +148,7 @@ func (f *FactoredHARM) Compile(classes []string, opts EvalOptions) (*Compiled, e
 	default:
 		return nil, fmt.Errorf("harm: unknown ASP strategy %d", opts.Strategy)
 	}
-	paths, err := h.upper.AllPaths(h.attacker, h.targets, attackgraph.AllPathsOptions{MaxPaths: opts.MaxPaths})
+	paths, err := h.upper.allPaths(h.attacker, h.targets, allPathsOptions{MaxPaths: opts.MaxPaths})
 	if err != nil {
 		return nil, fmt.Errorf("harm: %w", err)
 	}

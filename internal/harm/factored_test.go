@@ -33,7 +33,7 @@ func quotientPaperTopology(t *testing.T) *topology.Topology {
 // evalFactored compiles f under opts over its sorted class list and
 // evaluates it at mult; classes absent from mult count one replica.
 func evalFactored(f *FactoredHARM, mult map[string]int, opts EvalOptions) (Metrics, error) {
-	classes := f.Quotient().Hosts()
+	classes := f.h.Hosts()
 	c, err := f.Compile(classes, opts)
 	if err != nil {
 		return Metrics{}, err
@@ -102,7 +102,7 @@ func TestFactoredMatchesPaperTableII(t *testing.T) {
 			after.NoEV, after.NoAP, after.NoEP)
 	}
 	// The patched DNS class must have left the quotient graph.
-	if patched.Quotient().Upper().HasNode("dns") {
+	if patched.h.Upper().HasNode("dns") {
 		t.Error("patched dns class should leave the quotient graph")
 	}
 }

@@ -1,7 +1,7 @@
 // Package harm implements the two-layered Hierarchical Attack
 // Representation Model of Hong & Kim that the paper uses as its security
 // model: the upper layer is an attack graph over host instances
-// (internal/attackgraph), the lower layer an attack tree per host
+// (graph.go), the lower layer an attack tree per host
 // (internal/attacktree). The package builds HARMs from a network topology
 // plus per-role attack-tree templates, applies the security-patch
 // transformation, and evaluates the paper's five security metrics —
@@ -20,7 +20,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"redpatch/internal/attackgraph"
 	"redpatch/internal/attacktree"
 	"redpatch/internal/mathx"
 	"redpatch/internal/topology"
@@ -50,7 +49,7 @@ type HARM struct {
 	top       *topology.Topology
 	roles     map[string]*attacktree.Tree // templates by role (already pruned for patched HARMs)
 	instances map[string]*attacktree.Tree // per-instance overrides (already pruned for patched HARMs)
-	upper     *attackgraph.Graph
+	upper     *Graph
 	lower     map[string]*attacktree.Tree // per host instance; replicas of one role share the template tree
 	hosts     []string                    // sorted host names (keys of lower)
 	attacker  string
@@ -122,8 +121,8 @@ func assemble(top *topology.Topology, roles, instances map[string]*attacktree.Tr
 		targetRole[r] = true
 	}
 
-	upper := attackgraph.New()
-	if err := upper.AddNode(h.attacker); err != nil {
+	upper := newGraph()
+	if err := upper.addNode(h.attacker); err != nil {
 		return nil, err
 	}
 	for _, host := range top.Hosts() {
@@ -139,7 +138,7 @@ func assemble(top *topology.Topology, roles, instances map[string]*attacktree.Tr
 		if tr.Empty() {
 			continue // not attackable: excluded from the upper layer
 		}
-		if err := upper.AddNode(host.Name); err != nil {
+		if err := upper.addNode(host.Name); err != nil {
 			return nil, err
 		}
 		if targetRole[host.Role] {
@@ -159,7 +158,7 @@ func assemble(top *topology.Topology, roles, instances map[string]*attacktree.Tr
 		}
 		for _, to := range top.Successors(n.Name) {
 			if upper.HasNode(to) {
-				if err := upper.AddEdge(n.Name, to); err != nil {
+				if err := upper.addEdge(n.Name, to); err != nil {
 					return nil, err
 				}
 			}
@@ -194,12 +193,6 @@ func (h *HARM) Patched(keep func(role string, leaf *attacktree.Leaf) bool) (*HAR
 	return assemble(h.top, pruned, prunedInst, h.attacker, h.tgtRoles)
 }
 
-// Attacker returns the attacker node name.
-func (h *HARM) Attacker() string { return h.attacker }
-
-// Targets returns the target host names, sorted.
-func (h *HARM) Targets() []string { return append([]string(nil), h.targets...) }
-
 // Hosts returns every host instance name (attackable or not), sorted.
 func (h *HARM) Hosts() []string {
 	return append([]string(nil), h.hosts...)
@@ -211,7 +204,7 @@ func (h *HARM) Hosts() []string {
 func (h *HARM) Tree(host string) *attacktree.Tree { return h.lower[host] }
 
 // Upper returns a copy of the upper-layer attack graph.
-func (h *HARM) Upper() *attackgraph.Graph { return h.upper.Clone() }
+func (h *HARM) Upper() *Graph { return h.upper.clone() }
 
 // ASPStrategy selects how per-path success probabilities aggregate to the
 // network-level ASP. More than one is provided because the paper does not
@@ -271,7 +264,7 @@ func (o EvalOptions) withDefaults() EvalOptions {
 
 // PathMetric is the per-path detail underlying AIM and ASP.
 type PathMetric struct {
-	Path   attackgraph.Path
+	Path   Path
 	Impact float64 // sum of host impacts along the path
 	Prob   float64 // product of host probabilities along the path
 	// Count is the number of concrete attack paths the entry stands for:
@@ -344,12 +337,12 @@ func (h *HARM) Evaluate(opts EvalOptions) (Metrics, error) {
 	if len(h.targets) == 0 {
 		return m, nil
 	}
-	paths, err := h.upper.AllPaths(h.attacker, h.targets, attackgraph.AllPathsOptions{MaxPaths: opts.MaxPaths})
+	paths, err := h.upper.allPaths(h.attacker, h.targets, allPathsOptions{MaxPaths: opts.MaxPaths})
 	if err != nil {
 		return Metrics{}, fmt.Errorf("harm: %w", err)
 	}
 	m.NoAP = len(paths)
-	m.NoEP = len(attackgraph.EntryPoints(paths))
+	m.NoEP = len(entryPoints(paths))
 
 	prob := make(map[string]float64, len(h.lower))
 	for host, tr := range h.lower {
@@ -400,7 +393,7 @@ func (h *HARM) Evaluate(opts EvalOptions) (Metrics, error) {
 
 // compromiseProbability computes P(at least one path fully compromised)
 // with hosts compromised independently with probability prob[host].
-func compromiseProbability(paths []attackgraph.Path, prob map[string]float64, maxExact int) (float64, error) {
+func compromiseProbability(paths []Path, prob map[string]float64, maxExact int) (float64, error) {
 	exact, hosts, err := planExactASP(paths, maxExact)
 	if err != nil {
 		return 0, err
@@ -427,7 +420,7 @@ type exactASP struct {
 // (2^hosts terms). maxExact caps the chosen exponent; redundant tiered
 // networks have few distinct hosts even when their path counts
 // multiply, so at least one algorithm usually applies.
-func planExactASP(paths []attackgraph.Path, maxExact int) (exactASP, []string, error) {
+func planExactASP(paths []Path, maxExact int) (exactASP, []string, error) {
 	k := len(paths)
 	if k == 0 {
 		return exactASP{}, nil, nil

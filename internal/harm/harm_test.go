@@ -3,11 +3,11 @@ package harm
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"redpatch/internal/attackgraph"
 	"redpatch/internal/attacktree"
 	"redpatch/internal/mathx"
 	"redpatch/internal/topology"
@@ -171,7 +171,7 @@ func TestPaperPathImpactExample(t *testing.T) {
 	}
 	var found bool
 	for _, pm := range m.Paths {
-		if pm.Path.String() == "attacker -> dns1 -> web1 -> app1 -> db1" {
+		if strings.Join(pm.Path, " -> ") == "attacker -> dns1 -> web1 -> app1 -> db1" {
 			found = true
 			if !mathx.AlmostEqual(pm.Impact, 52.2, 1e-9) {
 				t.Errorf("path impact = %v, want 52.2", pm.Impact)
@@ -356,11 +356,11 @@ func TestCompromiseMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		// Brute force over all compromise subsets of hosts on paths.
-		paths, err := h.Upper().AllPaths("A", []string{"T"}, attackgraph.AllPathsOptions{})
+		paths, err := h.upper.allPaths("A", []string{"T"}, allPathsOptions{})
 		if err != nil {
 			return false
 		}
-		hosts := attackgraph.NodesOnPaths(paths)
+		hosts := nodesOnPaths(paths)
 		want := 0.0
 		for mask := 0; mask < 1<<uint(len(hosts)); mask++ {
 			comp := make(map[string]bool)
@@ -495,11 +495,11 @@ func TestBuildValidation(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	h := buildPaperHARM(t)
-	if h.Attacker() != "attacker" {
-		t.Errorf("Attacker = %q", h.Attacker())
+	if h.attacker != "attacker" {
+		t.Errorf("attacker = %q", h.attacker)
 	}
-	if got := h.Targets(); len(got) != 1 || got[0] != "db1" {
-		t.Errorf("Targets = %v", got)
+	if got := h.targets; len(got) != 1 || got[0] != "db1" {
+		t.Errorf("targets = %v", got)
 	}
 	if got := h.Hosts(); len(got) != 6 {
 		t.Errorf("Hosts = %v, want 6 entries", got)
@@ -509,7 +509,9 @@ func TestAccessors(t *testing.T) {
 	}
 	// Upper returns a copy: mutating it must not corrupt the HARM.
 	up := h.Upper()
-	up.RemoveNode("db1")
+	if err := up.addEdge("attacker", "db1"); err != nil {
+		t.Fatal(err)
+	}
 	m, err := h.Evaluate(EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -557,4 +559,21 @@ func TestPatchedDoesNotMutateOriginal(t *testing.T) {
 	if before.NoEV != after.NoEV || before.NoAP != after.NoAP {
 		t.Error("Patched must not mutate the original HARM")
 	}
+}
+
+// nodesOnPaths returns the union of non-source nodes visited by the
+// paths, sorted.
+func nodesOnPaths(paths []Path) []string {
+	set := make(map[string]bool)
+	for _, p := range paths {
+		for _, n := range p[1:] {
+			set[n] = true
+		}
+	}
+	out := make([]string, 0, len(set))
+	for n := range set {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }

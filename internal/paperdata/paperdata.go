@@ -259,9 +259,6 @@ func (d Design) Counts() map[string]int {
 	return map[string]int{RoleDNS: d.DNS, RoleWeb: d.Web, RoleApp: d.App, RoleDB: d.DB}
 }
 
-// Total returns the number of servers in the design.
-func (d Design) Total() int { return d.DNS + d.Web + d.App + d.DB }
-
 // DefaultName renders the canonical compact name of a design tuple
 // ("1d2w2a1b") — the one naming scheme shared by design enumeration and
 // the evaluation service.

@@ -154,15 +154,15 @@ func TestDesigns(t *testing.T) {
 	if len(ds) != 5 {
 		t.Fatalf("Designs = %d, want 5", len(ds))
 	}
-	if ds[0].Total() != 4 || ds[1].Total() != 5 {
+	if ds[0].Spec().Total() != 4 || ds[1].Spec().Total() != 5 {
 		t.Error("design sizes wrong")
 	}
 	if got := ds[1].String(); got != "2 DNS + 1 WEB + 1 APP + 1 DB" {
 		t.Errorf("String = %q", got)
 	}
 	base := BaseDesign()
-	if base.Total() != 6 {
-		t.Errorf("base design total = %d, want 6", base.Total())
+	if got := base.Spec().Total(); got != 6 {
+		t.Errorf("base design total = %d, want 6", got)
 	}
 	for _, d := range append(ds, base) {
 		if err := d.Validate(); err != nil {

@@ -1,7 +1,7 @@
 // Package report renders the outputs of the evaluation pipeline in the
 // forms the paper presents them: aligned text tables (Tables I–VI),
 // scatter-plot series (Fig. 6) and radar-chart series (Fig. 7), plus CSV
-// for external plotting. All rendering is deterministic.
+// tables for external plotting. All rendering is deterministic.
 package report
 
 import (
@@ -128,15 +128,6 @@ func (s ScatterSeries) Render() string {
 		fmt.Fprintf(&b, "  %-28s %s=%.6f  %s=%.6f\n", p.Label, s.XLabel, p.X, s.YLabel, p.Y)
 	}
 	return b.String()
-}
-
-// CSV renders the series as label,x,y rows.
-func (s ScatterSeries) CSV() string {
-	t := NewTable("", "label", s.XLabel, s.YLabel)
-	for _, p := range s.Points {
-		t.AddRow(p.Label, F(p.X, 6), F(p.Y, 6))
-	}
-	return t.CSV()
 }
 
 // ASCIIPlot renders the scatter series as a text plot of roughly the
@@ -270,21 +261,6 @@ func (r RadarChart) Render() string {
 		t.AddRow(row...)
 	}
 	return t.Render()
-}
-
-// CSV renders the chart with one row per axis.
-func (r RadarChart) CSV() string {
-	headers := append([]string{"metric"}, labels(r.Series)...)
-	t := NewTable("", headers...)
-	for i, axis := range r.Axes {
-		row := make([]string, 0, len(r.Series)+1)
-		row = append(row, axis)
-		for _, s := range r.Series {
-			row = append(row, F(s.Values[i], 6))
-		}
-		t.AddRow(row...)
-	}
-	return t.CSV()
 }
 
 func labels(series []RadarSeries) []string {

@@ -82,13 +82,6 @@ func TestScatterSeries(t *testing.T) {
 			t.Errorf("Render missing %q:\n%s", want, out)
 		}
 	}
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "label,ASP,COA\n") {
-		t.Errorf("CSV header wrong: %q", csv)
-	}
-	if !strings.Contains(csv, "0.090000") {
-		t.Errorf("CSV missing point: %q", csv)
-	}
 }
 
 func TestASCIIPlot(t *testing.T) {
@@ -151,10 +144,6 @@ func TestRadarChart(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q:\n%s", want, out)
 		}
-	}
-	csv := chart.CSV()
-	if !strings.HasPrefix(csv, "metric,D1,D2\n") {
-		t.Errorf("CSV header wrong: %q", csv)
 	}
 
 	bad := RadarChart{Axes: []string{"a"}, Series: []RadarSeries{{Label: "x", Values: []float64{1, 2}}}}

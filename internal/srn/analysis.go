@@ -285,37 +285,3 @@ func (s *StateSpace) Probability(pi []float64, pred func(m Marking) bool) (float
 	}
 	return mathx.KahanSum(terms), nil
 }
-
-// MeanTokens returns the expected steady-state token count of place p.
-func (s *StateSpace) MeanTokens(pi []float64, p *Place) (float64, error) {
-	return s.ExpectedReward(pi, func(m Marking) float64 { return float64(m.Tokens(p)) })
-}
-
-// ExitFrequency returns the steady-state frequency (events per unit
-// time) of leaving the set of markings satisfying pred: the sum over
-// member states i and non-member states j of pi_i * q_ij. For an
-// up-state predicate this is the service-failure frequency, the quantity
-// frequency-based two-state aggregation preserves.
-func (s *StateSpace) ExitFrequency(pi []float64, pred func(m Marking) bool) (float64, error) {
-	if len(pi) != len(s.markings) {
-		return 0, fmt.Errorf("srn: distribution has %d entries, want %d", len(pi), len(s.markings))
-	}
-	member := make([]bool, len(s.markings))
-	for i, m := range s.markings {
-		member[i] = pred(m)
-	}
-	gen := s.chain.Generator()
-	var terms []float64
-	for i := range s.markings {
-		if !member[i] {
-			continue
-		}
-		weight := pi[i]
-		gen.Row(i, func(j int, rate float64) {
-			if j != i && !member[j] && rate > 0 {
-				terms = append(terms, weight*rate)
-			}
-		})
-	}
-	return mathx.KahanSum(terms), nil
-}

@@ -12,7 +12,7 @@ func TestIncidenceMatrix(t *testing.T) {
 	n := New("inc")
 	a := n.AddPlace("a", 1)
 	b := n.AddPlace("b", 0)
-	n.AddTimedTransition("T", 1).FromN(a, 2).ToN(b, 3)
+	n.AddTimedTransition("T", 1).From(a, a).To(b, b, b)
 	c := n.IncidenceMatrix()
 	if c[a.index][0] != -2 || c[b.index][0] != 3 {
 		t.Errorf("incidence = %v, want a:-2 b:+3", c)

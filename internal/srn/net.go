@@ -1,7 +1,7 @@
 // Package srn implements stochastic reward nets (SRNs): Petri nets with
 // exponentially timed and immediate transitions, enabling guard functions,
-// marking-dependent firing rates, inhibitor arcs, priorities and weights
-// for immediate-transition conflicts, and rate-reward structures. Nets are
+// marking-dependent firing rates, weights for immediate-transition
+// conflicts, and rate-reward structures. Nets are
 // compiled into continuous-time Markov chains (internal/ctmc) by reachability
 // exploration with on-the-fly elimination of vanishing markings, which is
 // the same pipeline the paper drives through the SPNP tool.
@@ -62,65 +62,34 @@ type RateFunc func(m Marking) float64
 // reward is the integral the paper uses for capacity oriented availability.
 type RewardFunc func(m Marking) float64
 
-type arc struct {
-	place *Place
-	mult  int
-}
-
 // Transition is a timed or immediate transition. Configure it with the
 // fluent With*/From/To methods at net-construction time; it must not be
 // mutated after the state space has been generated.
 type Transition struct {
-	name     string
-	kind     Kind
-	rate     float64
-	rateFn   RateFunc
-	weight   float64
-	priority int
-	guard    Guard
-	in       []arc
-	out      []arc
-	inhib    []arc
+	name   string
+	kind   Kind
+	rate   float64
+	rateFn RateFunc
+	weight float64
+	guard  Guard
+	in     []*Place
+	out    []*Place
 }
-
-// Name returns the transition name.
-func (t *Transition) Name() string { return t.name }
 
 // Kind returns whether the transition is timed or immediate.
 func (t *Transition) Kind() Kind { return t.kind }
 
-// From adds input arcs (multiplicity 1) from each of the given places.
+// From adds an input arc, consuming one token, from each of the given
+// places.
 func (t *Transition) From(places ...*Place) *Transition {
-	for _, p := range places {
-		t.in = append(t.in, arc{place: p, mult: 1})
-	}
+	t.in = append(t.in, places...)
 	return t
 }
 
-// FromN adds an input arc from p with the given multiplicity.
-func (t *Transition) FromN(p *Place, mult int) *Transition {
-	t.in = append(t.in, arc{place: p, mult: mult})
-	return t
-}
-
-// To adds output arcs (multiplicity 1) to each of the given places.
+// To adds an output arc, producing one token, to each of the given
+// places.
 func (t *Transition) To(places ...*Place) *Transition {
-	for _, p := range places {
-		t.out = append(t.out, arc{place: p, mult: 1})
-	}
-	return t
-}
-
-// ToN adds an output arc to p with the given multiplicity.
-func (t *Transition) ToN(p *Place, mult int) *Transition {
-	t.out = append(t.out, arc{place: p, mult: mult})
-	return t
-}
-
-// Inhibit adds an inhibitor arc: the transition is disabled while p holds
-// at least mult tokens.
-func (t *Transition) Inhibit(p *Place, mult int) *Transition {
-	t.inhib = append(t.inhib, arc{place: p, mult: mult})
+	t.out = append(t.out, places...)
 	return t
 }
 
@@ -138,18 +107,10 @@ func (t *Transition) WithRateFunc(fn RateFunc) *Transition {
 }
 
 // WithWeight sets the conflict-resolution weight of an immediate
-// transition (default 1). When several immediate transitions of equal
-// priority are enabled, each fires with probability proportional to its
-// weight.
+// transition (default 1). When several immediate transitions are
+// enabled, each fires with probability proportional to its weight.
 func (t *Transition) WithWeight(w float64) *Transition {
 	t.weight = w
-	return t
-}
-
-// WithPriority sets the priority of an immediate transition (default 0).
-// Only the highest-priority enabled immediates compete to fire.
-func (t *Transition) WithPriority(p int) *Transition {
-	t.priority = p
 	return t
 }
 
@@ -170,9 +131,6 @@ func New(name string) *Net {
 		byTransName: make(map[string]*Transition),
 	}
 }
-
-// Name returns the net name.
-func (n *Net) Name() string { return n.name }
 
 // AddPlace creates a place with the given initial token count. Place names
 // must be unique within the net; AddPlace panics on duplicates because the
@@ -199,8 +157,7 @@ func (n *Net) AddTimedTransition(name string, rate float64) *Transition {
 	return t
 }
 
-// AddImmediateTransition creates an immediate transition with weight 1 and
-// priority 0.
+// AddImmediateTransition creates an immediate transition with weight 1.
 func (n *Net) AddImmediateTransition(name string) *Transition {
 	t := n.addTransition(name, Immediate)
 	t.weight = 1
@@ -216,9 +173,6 @@ func (n *Net) addTransition(name string, k Kind) *Transition {
 	n.byTransName[name] = t
 	return t
 }
-
-// Place returns the place with the given name, or nil if absent.
-func (n *Net) Place(name string) *Place { return n.byPlaceName[name] }
 
 // TransitionByName returns the transition with the given name, or nil.
 func (n *Net) TransitionByName(name string) *Transition { return n.byTransName[name] }
@@ -247,9 +201,8 @@ func (n *Net) InitialMarking() Marking {
 }
 
 // Validate checks structural well-formedness: every transition has at least
-// one arc, arc multiplicities are positive, timed transitions have a
-// positive constant rate or a rate function, and immediate transitions have
-// positive weight.
+// one arc, timed transitions have a positive constant rate or a rate
+// function, and immediate transitions have positive weight.
 func (n *Net) Validate() error {
 	if len(n.places) == 0 {
 		return fmt.Errorf("srn %q: net has no places", n.name)
@@ -257,11 +210,6 @@ func (n *Net) Validate() error {
 	for _, t := range n.transitions {
 		if len(t.in)+len(t.out) == 0 {
 			return fmt.Errorf("srn %q: transition %q has no arcs", n.name, t.name)
-		}
-		for _, a := range append(append(append([]arc{}, t.in...), t.out...), t.inhib...) {
-			if a.mult <= 0 {
-				return fmt.Errorf("srn %q: transition %q has non-positive arc multiplicity on place %q", n.name, t.name, a.place.name)
-			}
 		}
 		switch t.kind {
 		case Timed:
@@ -281,13 +229,8 @@ func (n *Net) Validate() error {
 
 // enabled reports whether t may fire in marking m.
 func (n *Net) enabled(t *Transition, m Marking) bool {
-	for _, a := range t.in {
-		if m[a.place.index] < a.mult {
-			return false
-		}
-	}
-	for _, a := range t.inhib {
-		if m[a.place.index] >= a.mult {
+	for _, p := range t.in {
+		if m[p.index] < 1 {
 			return false
 		}
 	}
@@ -302,11 +245,11 @@ func (n *Net) enabled(t *Transition, m Marking) bool {
 func (n *Net) fire(t *Transition, m Marking) Marking {
 	next := make(Marking, len(m))
 	copy(next, m)
-	for _, a := range t.in {
-		next[a.place.index] -= a.mult
+	for _, p := range t.in {
+		next[p.index]--
 	}
-	for _, a := range t.out {
-		next[a.place.index] += a.mult
+	for _, p := range t.out {
+		next[p.index]++
 	}
 	return next
 }
@@ -319,24 +262,16 @@ func (t *Transition) rateOf(m Marking) float64 {
 	return t.rate
 }
 
-// enabledImmediates returns the highest-priority enabled immediate
-// transitions in m, or nil when none are enabled (m is tangible).
+// enabledImmediates returns the enabled immediate transitions in m, or
+// nil when none are enabled (m is tangible).
 func (n *Net) enabledImmediates(m Marking) []*Transition {
-	var best []*Transition
-	bestPrio := 0
+	var out []*Transition
 	for _, t := range n.transitions {
-		if t.kind != Immediate || !n.enabled(t, m) {
-			continue
-		}
-		switch {
-		case best == nil || t.priority > bestPrio:
-			best = []*Transition{t}
-			bestPrio = t.priority
-		case t.priority == bestPrio:
-			best = append(best, t)
+		if t.kind == Immediate && n.enabled(t, m) {
+			out = append(out, t)
 		}
 	}
-	return best
+	return out
 }
 
 // enabledTimed returns the timed transitions enabled in m.
@@ -354,13 +289,6 @@ func (n *Net) enabledTimed(m Marking) []*Transition {
 // transition (1 unless set otherwise).
 func (t *Transition) Weight() float64 { return t.weight }
 
-// Priority returns the priority of an immediate transition.
-func (t *Transition) Priority() int { return t.priority }
-
-// Enabled reports whether t may fire in marking m (exported for
-// simulators and diagnostics).
-func (n *Net) Enabled(t *Transition, m Marking) bool { return n.enabled(t, m) }
-
 // TimedRate returns the firing rate of a timed transition in marking m
 // and whether the transition is enabled there.
 func (n *Net) TimedRate(t *Transition, m Marking) (float64, bool) {
@@ -370,8 +298,8 @@ func (n *Net) TimedRate(t *Transition, m Marking) (float64, bool) {
 	return t.rateOf(m), true
 }
 
-// EnabledImmediates returns the highest-priority enabled immediate
-// transitions of m (exported for simulators).
+// EnabledImmediates returns the enabled immediate transitions of m
+// (exported for simulators).
 func (n *Net) EnabledImmediates(m Marking) []*Transition { return n.enabledImmediates(m) }
 
 // Fire returns the marking reached by firing t in m. Firing a disabled

@@ -58,7 +58,7 @@ func TestLargeStateSpace(t *testing.T) {
 	var mean float64
 	for _, up := range ups {
 		up := up
-		m, err := ss.MeanTokens(pi, up)
+		m, err := ss.ExpectedReward(pi, func(m Marking) float64 { return float64(m.Tokens(up)) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,15 +21,6 @@ func (sc SpanContext) Valid() bool {
 	return validHex(sc.TraceID, 32) && validHex(sc.SpanID, 16)
 }
 
-// Traceparent renders the context as a version-00 traceparent value
-// with the sampled flag set, or "" when invalid.
-func (sc SpanContext) Traceparent() string {
-	if !sc.Valid() {
-		return ""
-	}
-	return "00-" + sc.TraceID + "-" + sc.SpanID + "-01"
-}
-
 // ParseTraceparent parses a W3C traceparent header value. It accepts
 // version 00 (and forward-compatibly any known-length future version
 // except ff) and rejects all-zero IDs, per the spec.
@@ -69,14 +60,6 @@ func Extract(ctx context.Context, r *http.Request) context.Context {
 		return ctx
 	}
 	return ContextWithRemote(ctx, sc)
-}
-
-// Inject writes the current span's traceparent onto outbound headers;
-// a nil span (tracing off) writes nothing.
-func Inject(s *Span, h http.Header) {
-	if tp := s.SpanContext().Traceparent(); tp != "" {
-		h.Set(TraceparentHeader, tp)
-	}
 }
 
 func validHex(s string, n int) bool {

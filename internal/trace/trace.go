@@ -308,14 +308,6 @@ func (s *Span) SpanID() string {
 	return s.spanID
 }
 
-// SpanContext returns the span's W3C identity for propagation.
-func (s *Span) SpanContext() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: s.traceID, SpanID: s.spanID}
-}
-
 // End finishes the span with StatusOK. Idempotent; nil-safe.
 func (s *Span) End() { s.end(StatusOK) }
 

@@ -183,18 +183,6 @@ func (db *DB) Critical(threshold float64) []Vulnerability {
 	return out
 }
 
-// Exploitable returns the records flagged exploitable, sorted by ID.
-func (db *DB) Exploitable() []Vulnerability {
-	var out []Vulnerability
-	for _, v := range db.byID {
-		if v.Exploitable {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // jsonRecord is the serialized form of a vulnerability.
 type jsonRecord struct {
 	ID          string `json:"id"`

@@ -149,10 +149,6 @@ func TestQueries(t *testing.T) {
 	if crit[0].ID != "CVE-2016-6662" || crit[1].ID != "CVE-2016-9999" {
 		t.Errorf("Critical returned %v, want sorted [CVE-2016-6662 CVE-2016-9999]", []string{crit[0].ID, crit[1].ID})
 	}
-	expl := db.Exploitable()
-	if len(expl) != 3 {
-		t.Errorf("Exploitable returned %d records, want 3", len(expl))
-	}
 	all := db.All()
 	if len(all) != 4 {
 		t.Fatalf("All returned %d records, want 4", len(all))
