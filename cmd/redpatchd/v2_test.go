@@ -120,6 +120,13 @@ func TestScenariosDivergeOnPolicy(t *testing.T) {
 	if w := do(t, h, http.MethodPost, "/api/v2/scenarios", `{"name":"div-patch-all","config":{"patchAll":true}}`); w.Code != http.StatusCreated {
 		t.Fatalf("create status = %d: %s", w.Code, w.Body)
 	}
+	// The daemon is shared by the package's tests and by repeated runs
+	// (-count): leave it without the scenario.
+	t.Cleanup(func() {
+		if w := do(t, h, http.MethodDelete, "/api/v2/scenarios/div-patch-all", ""); w.Code != http.StatusNoContent {
+			t.Errorf("delete status = %d: %s", w.Code, w.Body)
+		}
+	})
 	get := func(scenario string) redpatch.DesignReport {
 		t.Helper()
 		body := `{"scenario":"` + scenario + `","spec":` + classicSpecJSON + `}`
