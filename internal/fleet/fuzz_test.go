@@ -1,0 +1,91 @@
+package fleet
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
+
+// FuzzFleetRestore feeds arbitrary bytes to Registry.Restore, the path a
+// restarting daemon takes with its on-disk fleet dump. No input may
+// panic. A rejected input returns (0, err) and leaves a populated
+// registry exactly as it was. An accepted input adds only unknown IDs,
+// leaves live registrations alone, and round-trips: its restored
+// registry's Snapshot restores into a fresh registry whose Snapshot is
+// byte-identical.
+func FuzzFleetRestore(f *testing.F) {
+	three := NewRegistry()
+	for _, id := range []string{"a", "b", "c"} {
+		s := testSystem(id)
+		if id == "b" {
+			s.Scenario = "weekly"
+			s.Priority = 1.5
+			s.DeadlineHours = 720
+			s.SuccessProbability = 0.9
+			s.RollbackMinutes = 15
+			s.Tiers[1].Variant = "webalt"
+		}
+		if err := three.Register(s); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snap, err := three.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap)
+	f.Add(bytes.Replace(snap, []byte(`"version":1`), []byte(`"version":2`), 1))
+	f.Add(bytes.Replace(snap, []byte(`"successProbability":0.9`), []byte(`"successProbability":2`), 1))
+	f.Add(bytes.Replace(snap, []byte(`"id":"c"`), []byte(`"id":"a"`), 1))
+	f.Add([]byte("not json"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		live := NewRegistry()
+		s := testSystem("a")
+		s.Priority = 9
+		if err := live.Register(s); err != nil {
+			t.Fatal(err)
+		}
+		before, rev := live.List(), live.Rev()
+
+		added, err := live.Restore(data)
+		if err != nil {
+			if added != 0 {
+				t.Fatalf("rejected restore reported %d added", added)
+			}
+			if got := live.List(); !reflect.DeepEqual(got, before) || live.Rev() != rev {
+				t.Fatalf("rejected restore changed the registry: %+v rev %d, want %+v rev %d", got, live.Rev(), before, rev)
+			}
+			return
+		}
+		if got, _ := live.Get("a"); !reflect.DeepEqual(got, s) {
+			t.Fatalf("restore overwrote a live registration: %+v", got)
+		}
+		if live.Len() != len(before)+added {
+			t.Fatalf("restore reported %d added, registry grew from %d to %d", added, len(before), live.Len())
+		}
+		if (added > 0) != (live.Rev() > rev) {
+			t.Fatalf("restore of %d systems moved the revision from %d to %d", added, rev, live.Rev())
+		}
+
+		first := NewRegistry()
+		if _, err := first.Restore(data); err != nil {
+			t.Fatalf("accepted by a populated registry, rejected by a fresh one: %v", err)
+		}
+		s1, err := first.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := NewRegistry()
+		if _, err := second.Restore(s1); err != nil {
+			t.Fatalf("own snapshot rejected: %v\n%s", err, s1)
+		}
+		s2, err := second.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s1, s2) {
+			t.Fatalf("snapshot does not round-trip:\n%s\n%s", s1, s2)
+		}
+	})
+}
