@@ -3,6 +3,9 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -192,5 +195,75 @@ func TestSimulateAborts(t *testing.T) {
 	sentinel := context.DeadlineExceeded
 	if _, err := Simulate(context.Background(), plan, SimOptions{}, func(Event) error { return sentinel }); err != sentinel {
 		t.Errorf("emit error not propagated: %v", err)
+	}
+}
+
+// TestSimulateMatchesTryRevertMoments pins the simulator to the
+// try-revert model's closed forms over many single-round systems with
+// success probability p < 1 and an attempt budget m. Every window
+// succeeds independently with probability p, so the mean outage per
+// window is Plan.ExpectedDowntime, with per-window variance
+// p(1-p)(T-F)^2 for success and failure outages T and F. A round takes
+// N = min(Geometric(p), m) attempts: E[N] = sum_{k<m} q^k and
+// E[N^2] = sum_{k<m} (2k+1) q^k with q = 1-p. Both sample means must lie
+// within z standard errors of their expectation; z = 4 bounds the chance
+// that a correct simulator fails either check below 1.3e-4.
+func TestSimulateMatchesTryRevertMoments(t *testing.T) {
+	const (
+		systems = 2000
+		p       = 0.4
+		m       = 3
+		z       = 4.0
+		seed    = 1
+	)
+	fleet := make([]System, systems)
+	for i := range fleet {
+		s := testSystem(fmt.Sprintf("s%03d", i))
+		s.WindowMinutes = 600 // one round per campaign
+		s.SuccessProbability = p
+		s.RollbackMinutes = 15
+		fleet[i] = s
+	}
+	plan, err := PlanFleet(context.Background(), fleet, testResolver(t), PlanOptions{MaxConcurrent: systems})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := plan.Systems[0].campaign.Rounds[0]
+	for _, sp := range plan.Systems {
+		if len(sp.campaign.Rounds) != 1 || !reflect.DeepEqual(sp.campaign.Rounds[0], round) {
+			t.Fatalf("system %s: want the same single round as every other system", sp.System.ID)
+		}
+	}
+	if !round.RequiresPatch() {
+		t.Fatal("the round patches nothing")
+	}
+
+	var windows int
+	var downtime float64
+	if _, err := Simulate(context.Background(), plan, SimOptions{Seed: seed, MaxConcurrent: systems, MaxAttempts: m}, func(ev Event) error {
+		windows++
+		downtime += ev.DowntimeMinutes
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	att := fleet[0].attempt()
+	success, failure := round.TotalDowntime().Minutes(), round.FailedDowntime(att).Minutes()
+	wantDowntime := round.ExpectedDowntime(att).Minutes()
+	sdDowntime := math.Sqrt(p*(1-p)) * math.Abs(success-failure)
+	if got, bound := downtime/float64(windows), z*sdDowntime/math.Sqrt(float64(windows)); math.Abs(got-wantDowntime) > bound {
+		t.Errorf("mean downtime per window = %.4f min over %d windows, want %.4f ± %.4f", got, windows, wantDowntime, bound)
+	}
+
+	q := 1 - p
+	var mean, second float64
+	for k := 0; k < m; k++ {
+		mean += math.Pow(q, float64(k))
+		second += float64(2*k+1) * math.Pow(q, float64(k))
+	}
+	sdAttempts := math.Sqrt(second - mean*mean)
+	if got, bound := float64(windows)/systems, z*sdAttempts/math.Sqrt(systems); math.Abs(got-mean) > bound {
+		t.Errorf("mean attempts per round = %.4f over %d rounds, want %.4f ± %.4f", got, systems, mean, bound)
 	}
 }
