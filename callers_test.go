@@ -107,10 +107,12 @@ func unusedExports(root string) ([]string, error) {
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		sp := s.pkgs[p]
 		if _, err := s.importPlain(p); err != nil {
 			return nil, err
 		}
+	}
+	for _, p := range paths {
+		sp := s.pkgs[p]
 		if len(sp.tests) == 0 && len(sp.xtests) == 0 {
 			continue
 		}
