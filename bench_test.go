@@ -1,9 +1,9 @@
 package redpatch
 
 // Benchmark harness: one benchmark per table and figure of the paper
-// (experiments_test.go pins the same artefacts as tests E1–E11), plus
+// (experiments_test.go pins the same artefacts as its E tests), plus
 // ablation benches for the modelling choices that have alternatives
-// (recovery semantics, ASP aggregation strategy, closed-form vs SRN
+// (ASP aggregation strategy, factored closed form vs generated SRN
 // availability). Each benchmark regenerates its artefact per iteration,
 // so ns/op measures the cost of a full reproduction of that table or
 // figure.
@@ -184,7 +184,7 @@ func BenchmarkTable6COA(b *testing.B) {
 	nm := paperNetworkModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := availability.SolveNetwork(nm)
+		sol, err := solveFactored(nm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,56 +235,6 @@ func BenchmarkFigure7Radar(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRedundancyPlacement compares the COA gain of placing
-// one redundant server in each tier (paper §IV-C observation 1).
-func BenchmarkAblationRedundancyPlacement(b *testing.B) {
-	nm := paperNetworkModel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		best := ""
-		bestCOA := 0.0
-		for idx, tier := range nm.Tiers {
-			variant := availability.NetworkModel{Tiers: append([]availability.Tier(nil), nm.Tiers...)}
-			for j := range variant.Tiers {
-				variant.Tiers[j].N = 1
-			}
-			variant.Tiers[idx].N = 2
-			coa, err := availability.ClosedFormCOA(variant)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if coa > bestCOA {
-				bestCOA, best = coa, tier.Name
-			}
-		}
-		if best != "app" {
-			b.Fatalf("best placement = %s, want app", best)
-		}
-	}
-}
-
-// BenchmarkAblationRecoverySemantics compares per-server and
-// single-repair recovery in the upper layer.
-func BenchmarkAblationRecoverySemantics(b *testing.B) {
-	nm := paperNetworkModel(b)
-	single := nm
-	single.Recovery = availability.SingleRepair
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		per, err := availability.SolveNetwork(nm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ser, err := availability.SolveNetwork(single)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ser.COA > per.COA {
-			b.Fatal("single repair cannot beat per-server recovery")
-		}
-	}
-}
-
 // BenchmarkAblationASPStrategies compares the three ASP aggregation
 // strategies on the patched base network.
 func BenchmarkAblationASPStrategies(b *testing.B) {
@@ -316,13 +266,14 @@ func BenchmarkAblationASPStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationClosedFormCOA compares the closed-form COA against the
-// SRN solve it replaces in sweeps.
+// BenchmarkAblationClosedFormCOA measures the factored closed-form COA,
+// the solve that replaces the generated SRN (BenchmarkScalabilitySRNOracle)
+// in sweeps.
 func BenchmarkAblationClosedFormCOA(b *testing.B) {
 	nm := paperNetworkModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := availability.ClosedFormCOA(nm); err != nil {
+		if _, err := solveCOA(nm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -340,7 +291,7 @@ func BenchmarkExtensionPatchSchedules(b *testing.B) {
 			for j := range variant.Tiers {
 				variant.Tiers[j].LambdaEq = 1 / interval
 			}
-			coa, err := availability.ClosedFormCOA(variant)
+			coa, err := solveCOA(variant)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -368,7 +319,7 @@ func BenchmarkExtensionDesignSpace(b *testing.B) {
 						variant.Tiers[1].N = web
 						variant.Tiers[2].N = app
 						variant.Tiers[3].N = db
-						if _, err := availability.ClosedFormCOA(variant); err != nil {
+						if _, err := solveCOA(variant); err != nil {
 							b.Fatal(err)
 						}
 						count++
@@ -436,9 +387,8 @@ func BenchmarkScalabilityHARM(b *testing.B) {
 }
 
 // BenchmarkScalabilitySRN measures upper-layer availability solving as
-// replica counts grow: the state space spans (n+1)^4 states. Since PR 3
-// SolveNetwork dispatches PerServer models to the factored per-tier
-// solver, so this measures the production path; the generated-SRN
+// replica counts grow: the state space spans (n+1)^4 states. It measures
+// the production path, the factored per-tier solver; the generated-SRN
 // elimination it replaced is BenchmarkScalabilitySRNOracle.
 func BenchmarkScalabilitySRN(b *testing.B) {
 	base := paperNetworkModel(b)
@@ -451,7 +401,7 @@ func BenchmarkScalabilitySRN(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, err := availability.SolveNetwork(nm)
+				sol, err := solveFactored(nm)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -460,7 +410,7 @@ func BenchmarkScalabilitySRN(b *testing.B) {
 					b.Fatalf("states = %d, want %d", sol.States, want)
 				}
 				if !sol.Factored {
-					b.Fatal("PerServer model not dispatched to the factored path")
+					b.Fatal("model not solved by the factored path")
 				}
 			}
 		})
@@ -468,8 +418,8 @@ func BenchmarkScalabilitySRN(b *testing.B) {
 }
 
 // BenchmarkScalabilitySRNOracle measures the generated-SRN path the
-// factored solver replaced (kept as the SingleRepair solver and the
-// cross-validation oracle): state-space generation plus CTMC steady
+// factored solver replaced (kept as its cross-validation oracle):
+// state-space generation plus CTMC steady
 // state over (n+1)^4 states.
 func BenchmarkScalabilitySRNOracle(b *testing.B) {
 	base := paperNetworkModel(b)
@@ -508,7 +458,7 @@ func BenchmarkScalabilityFactored(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, err := availability.SolveNetwork(nm)
+				sol, err := solveFactored(nm)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -517,18 +467,6 @@ func BenchmarkScalabilityFactored(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkExtensionTransientCOA measures the availability trajectory
-// computation (uniformization over the 36-state base network).
-func BenchmarkExtensionTransientCOA(b *testing.B) {
-	nm := paperNetworkModel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := availability.TransientCOA(nm, 720); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -558,7 +496,7 @@ func BenchmarkExtensionCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionPatchPrioritization measures the greedy
+// BenchmarkExtensionPatchPrioritization measures the single-patch
 // vulnerability-ranking extension on the base network.
 func BenchmarkExtensionPatchPrioritization(b *testing.B) {
 	db := paperdata.VulnDB()
@@ -572,7 +510,7 @@ func BenchmarkExtensionPatchPrioritization(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.RankPatchCandidates(harm.EvalOptions{}); err != nil {
+		if _, err := h.RankPatchCandidatesWhere(harm.EvalOptions{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -584,16 +522,26 @@ func paperNetworkModel(b *testing.B) availability.NetworkModel {
 	b.Helper()
 	paperNMOnce.Do(func() {
 		db := paperdata.VulnDB()
-		var params []availability.ServerParams
-		for _, role := range paperdata.Roles() {
+		base := paperdata.BaseDesign()
+		for i, role := range paperdata.Roles() {
 			p, _, err := paperdata.ServerParams(db, role, patch.CriticalPolicy(), patch.MonthlySchedule())
 			if err != nil {
 				paperNMErr = err
 				return
 			}
-			params = append(params, p)
+			sol, err := availability.SolveServer(p)
+			if err != nil {
+				paperNMErr = err
+				return
+			}
+			agg, err := availability.Aggregate(sol)
+			if err != nil {
+				paperNMErr = err
+				return
+			}
+			n := []int{base.DNS, base.Web, base.App, base.DB}[i]
+			paperNM.Tiers = append(paperNM.Tiers, availability.Tier{Name: role, N: n, LambdaEq: agg.LambdaEq, MuEq: agg.MuEq})
 		}
-		paperNM, _, paperNMErr = availability.SolveServerTiers(params, paperdata.BaseDesign().Counts())
 	})
 	if paperNMErr != nil {
 		b.Fatal(paperNMErr)
@@ -606,6 +554,55 @@ var (
 	paperNMErr  error
 	paperNMOnce sync.Once
 )
+
+// solveFactored is the evaluator's availability path: one birth–death
+// factor per tier, composed.
+func solveFactored(nm availability.NetworkModel) (availability.NetworkSolution, error) {
+	factors := make([]availability.TierFactor, len(nm.Tiers))
+	for i, t := range nm.Tiers {
+		f, err := availability.SolveTierFactor(t)
+		if err != nil {
+			return availability.NetworkSolution{}, err
+		}
+		factors[i] = f
+	}
+	return availability.ComposeNetwork(nm, factors)
+}
+
+// solveCOA is the COA of solveFactored.
+func solveCOA(nm availability.NetworkModel) (float64, error) {
+	sol, err := solveFactored(nm)
+	return sol.COA, err
+}
+
+// fullSpace sweeps every classic design with 1..max replicas per tier.
+func fullSpace(max int) engine.SweepSpec {
+	var s engine.SweepSpec
+	for _, role := range paperdata.Roles() {
+		s.Tiers = append(s.Tiers, engine.TierSweep{Role: role, Replicas: engine.Range{Min: 1, Max: max}})
+	}
+	return s
+}
+
+// patchedFactored builds the fully patched factored model of a spec as
+// the evaluator's security memo does: the all-patched rollout quotient
+// with the policy-pruned trees of its classes.
+func patchedFactored(spec paperdata.DesignSpec, trees map[string]*attacktree.Tree, keep func(string, *attacktree.Leaf) bool) (*harm.FactoredHARM, paperdata.RolloutQuotient, error) {
+	full := make([]int, len(spec.Tiers))
+	for i, t := range spec.Tiers {
+		full[i] = t.Replicas
+	}
+	rq, err := paperdata.SpecRolloutQuotient(spec, full)
+	if err != nil {
+		return nil, rq, err
+	}
+	top, err := paperdata.SpecTopology(rq.Quotient)
+	if err != nil {
+		return nil, rq, err
+	}
+	f, err := harm.BuildFactoredRollout(harm.BuildInput{Topology: top, Trees: trees, TargetRoles: rq.Quotient.TargetStacks()}, rq.PatchedHosts, keep)
+	return f, rq, err
+}
 
 // securityBenchCases are the replica counts the security benchmarks run
 // at, each with the heaviest ASP strategy that stays feasible on the
@@ -642,7 +639,7 @@ func securityKeep(b *testing.B) func(string, *attacktree.Leaf) bool {
 
 // BenchmarkSecurityExpanded measures one spec's security evaluation on
 // the replica-expanded HARM — build, evaluate, patch, evaluate — the
-// per-spec cost EvaluateSpec paid before the factored path.
+// per-spec cost an evaluation paid before the factored path.
 func BenchmarkSecurityExpanded(b *testing.B) {
 	trees := paperdata.Trees(paperdata.VulnDB())
 	keep := securityKeep(b)
@@ -716,15 +713,15 @@ func BenchmarkSecurityQuotient(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				patched, err := f.Patched(keep)
+				patched, prq, err := patchedFactored(spec, trees, keep)
 				if err != nil {
 					b.Fatal(err)
 				}
-				pc, err := patched.Compile(rq.Hosts, tc.opts)
+				pc, err := patched.Compile(prq.Hosts, tc.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := pc.Evaluate(rq.Counts); err != nil {
+				if _, err := pc.Evaluate(prq.Counts); err != nil {
 					b.Fatal(err)
 				}
 				if before.NoAP != wantPaths {
@@ -739,7 +736,7 @@ func BenchmarkSecurityQuotient(b *testing.B) {
 // security evaluation — both compiled models already memoized (as in
 // every sweep past the first spec of a variant structure), leaving only
 // the two closed-form Evaluate calls. This is the security arithmetic
-// EvaluateSpec pays per design; compare BenchmarkSecurityExpanded for
+// an evaluation pays per design; compare BenchmarkSecurityExpanded for
 // what it paid before the factored path.
 func BenchmarkSecurityQuotientMemo(b *testing.B) {
 	trees := paperdata.Trees(paperdata.VulnDB())
@@ -764,11 +761,11 @@ func BenchmarkSecurityQuotientMemo(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			patched, err := f.Patched(keep)
+			patched, prq, err := patchedFactored(spec, trees, keep)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pc, err := patched.Compile(rq.Hosts, tc.opts)
+			pc, err := patched.Compile(prq.Hosts, tc.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -779,7 +776,7 @@ func BenchmarkSecurityQuotientMemo(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := pc.Evaluate(rq.Counts); err != nil {
+				if _, err := pc.Evaluate(prq.Counts); err != nil {
 					b.Fatal(err)
 				}
 				if before.NoAP != wantPaths {
@@ -797,7 +794,7 @@ func BenchmarkSecurityQuotientMemo(b *testing.B) {
 // structure, whose unpatched and fully patched endpoints are the two
 // models).
 func BenchmarkSweepSecurityFactored(b *testing.B) {
-	spec := engine.FullSpace(3)
+	spec := fullSpace(3)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -825,18 +822,21 @@ func BenchmarkSweepSecurityFactored(b *testing.B) {
 }
 
 // BenchmarkSweepSerial is the pre-engine baseline: the 16-design space
-// (1..2 replicas per tier) evaluated by the serial EvaluateAll loop, no
-// caching, one core.
+// (1..2 replicas per tier) evaluated by a serial loop over the bare
+// evaluator, no caching, one core.
 func BenchmarkSweepSerial(b *testing.B) {
 	ev, err := redundancy.NewEvaluator(redundancy.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	designs := redundancy.EnumerateDesigns(2)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvaluateAll(designs); err != nil {
-			b.Fatal(err)
+		for _, d := range designs {
+			if _, err := ev.EvaluateSpecContext(ctx, d.Spec()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -850,7 +850,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := engine.FullSpace(2)
+	spec := fullSpace(2)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -873,7 +873,7 @@ func BenchmarkSweepCold81(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := engine.FullSpace(3)
+	spec := fullSpace(3)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -903,7 +903,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		spec := engine.FullSpace(3)
+		spec := fullSpace(3)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng, err := engine.New(ev, engine.Options{})
@@ -936,7 +936,7 @@ func BenchmarkSweepCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := engine.FullSpace(2)
+	spec := fullSpace(2)
 	ctx := context.Background()
 	if _, err := eng.Sweep(ctx, spec); err != nil { // prime the cache
 		b.Fatal(err)

@@ -1,6 +1,7 @@
 package redpatch
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -8,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -16,7 +18,8 @@ import (
 
 // exportAllowlist names the exported API in internal/ that the reference
 // scan below cannot see being called, each with the reason it stays. Keys
-// are "importpath.Name" or "importpath.Type.Method".
+// are "importpath.Name" or "importpath.Type.Method". An oracle kept only
+// for the tests that compare a fast path against it names those tests.
 var exportAllowlist = map[string]string{
 	"redpatch/internal/patch.Outcome.MarshalJSON":            "json.Marshaler: encoding/json calls it when redpatchd streams fleet simulation events",
 	"redpatch/internal/patch.Outcome.UnmarshalJSON":          "json.Unmarshaler: the decoding half of the event wire format MarshalJSON writes",
@@ -30,72 +33,122 @@ var exportAllowlist = map[string]string{
 	"redpatch/internal/trace.LogHandler.Handle":              "slog.Handler: log/slog calls it on redpatchd's logger",
 	"redpatch/internal/trace.LogHandler.WithAttrs":           "slog.Handler: log/slog calls it on redpatchd's logger",
 	"redpatch/internal/trace.LogHandler.WithGroup":           "slog.Handler: log/slog calls it on redpatchd's logger",
-	"redpatch/internal/sim.Estimate.Contains":                "oracle entry point: the Monte-Carlo oracle's test asks whether a closed form lies in its 95% interval",
-	"redpatch/internal/redundancy.Evaluator.EvaluateRollout": "oracle entry point: FuzzFastPathMatchesOracles and the rollout suites drive the unmemoized rollout path through it",
+	"redpatch/internal/availability.SolveNetworkSRN":         "oracle: TestFactoredEquivalence, TestFactoredAvailabilityMatchesSRNOracle and FuzzFastPathMatchesOracles pin the factored solver to the whole-network SRN",
+	"redpatch/internal/availability.SolveNetworkRollout":     "oracle: TestFactoredEquivalenceRollout, TestRolloutEndpointsAtomic and redundancy's TestRolloutAvailabilityMapping pin the memoized rollout path to the unmemoized factored solve",
+	"redpatch/internal/redundancy.Evaluator.EvaluateRollout": "oracle: FuzzFastPathMatchesOracles and the rollout suites drive the unmemoized rollout path through it",
+	"redpatch/internal/sim.EstimateReward":                   "oracle: internal/sim's TestNetworkCOAAgainstAnalytic and TestServerModelAgainstAnalytic check the SRN solutions against Monte-Carlo simulation",
+	"redpatch/internal/sim.Estimate.Contains":                "oracle: the Monte-Carlo validation tests ask whether a closed form lies in the estimate's 95% interval",
+	"redpatch/internal/srn.Net.CheckConservation":            "oracle: TestServerModelConservation and TestInvariantsHoldOnReachableMarkings check that every reachable marking conserves the net's place invariants",
 }
 
 // TestEveryExportedNameHasACaller fails on every exported top-level name,
-// and every method of an exported type, in internal/ that nothing uses but
-// its own package's tests. It type-checks every package of the module
-// (tests included) and the bench module, which compiles against the
-// facade and internal/trace. A use counts from non-test code anywhere, or
-// from another package's tests. A method also counts as used when an
-// interface declared in the module that its type implements has that
-// method called. This is a reference scan, not a call graph: a name used
-// only by other dead code passes.
+// and every method of an exported type, in internal/ that no non-test code
+// uses, unless exportAllowlist keeps it; and on every allowlist entry that
+// is no longer needed.
 func TestEveryExportedNameHasACaller(t *testing.T) {
 	unused, err := unusedExports(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flagged []string
-	for _, k := range unused {
-		if _, ok := exportAllowlist[k]; !ok {
-			flagged = append(flagged, k)
-		}
-	}
+	flagged, stale := applyAllowlist(unused, exportAllowlist)
 	if len(flagged) > 0 {
-		t.Errorf("%d exported names in internal/ have no caller outside their own package's tests; delete them (or unexport them if their package still uses them):\n\t%s",
+		t.Errorf("%d exported names in internal/ have no caller outside tests; delete them (or unexport them if their package still uses them):\n\t%s",
 			len(flagged), strings.Join(flagged, "\n\t"))
 	}
-	stale := map[string]bool{}
-	for k := range exportAllowlist {
-		stale[k] = true
-	}
-	for _, k := range unused {
-		delete(stale, k)
-	}
-	for k := range stale {
+	for _, k := range stale {
 		t.Errorf("allowlist entry %s is not an unused export any more; remove it", k)
 	}
 }
 
-const modulePath = "redpatch"
+// TestUnusedExportsFixture runs the scan over the small module in
+// testdata/callers, whose names each exercise one rule of the gate.
+func TestUnusedExportsFixture(t *testing.T) {
+	unused, err := unusedExports(filepath.Join("testdata", "callers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"fixture/internal/lib.Allowlisted",
+		"fixture/internal/lib.UsedByOtherTest",
+		"fixture/internal/lib.UsedByOwnTest",
+	}
+	if fmt.Sprint(unused) != fmt.Sprint(want) {
+		t.Errorf("unused = %v, want %v", unused, want)
+	}
+	flagged, stale := applyAllowlist(unused, map[string]string{
+		"fixture/internal/lib.Allowlisted": "kept on purpose",
+		"fixture/internal/lib.UsedByCode":  "used, so this entry is stale",
+	})
+	if want := []string{"fixture/internal/lib.UsedByOtherTest", "fixture/internal/lib.UsedByOwnTest"}; fmt.Sprint(flagged) != fmt.Sprint(want) {
+		t.Errorf("flagged = %v, want %v", flagged, want)
+	}
+	if want := []string{"fixture/internal/lib.UsedByCode"}; fmt.Sprint(stale) != fmt.Sprint(want) {
+		t.Errorf("stale = %v, want %v", stale, want)
+	}
+}
 
-// srcPackage is one directory's parsed files, split the way go test
-// builds them.
+// applyAllowlist splits a scan's result into the names the allowlist does
+// not keep and the allowlist entries the scan did not report, both sorted.
+func applyAllowlist(unused []string, allow map[string]string) (flagged, stale []string) {
+	reported := map[string]bool{}
+	for _, k := range unused {
+		reported[k] = true
+		if _, ok := allow[k]; !ok {
+			flagged = append(flagged, k)
+		}
+	}
+	for k := range allow {
+		if !reported[k] {
+			stale = append(stale, k)
+		}
+	}
+	sort.Strings(stale)
+	return flagged, stale
+}
+
+// srcPackage is one directory's parsed non-test files.
 type srcPackage struct {
-	files, tests, xtests []*ast.File
-	testFiles            map[string]bool
-	receiverIdents       map[*ast.Ident]bool
+	files          []*ast.File
+	receiverIdents map[*ast.Ident]bool
 }
 
-// scan type-checks the module and records, for each exported internal
-// name, whether anything but its own package's tests uses it.
+// scan type-checks a module's non-test code and records which of its
+// names that code uses.
 type scan struct {
-	fset  *token.FileSet
-	std   types.Importer
-	pkgs  map[string]*srcPackage
-	plain map[string]*types.Package
-	used  map[string]bool
+	module string
+	fset   *token.FileSet
+	std    types.Importer
+	pkgs   map[string]*srcPackage
+	plain  map[string]*types.Package
+	used   map[string]bool
 }
 
+// unusedExports lists, sorted, every exported top-level name and every
+// exported method of an exported type in the internal/ packages of the
+// module at root that no non-test code of that module uses. Nested
+// modules under root, such as bench, count as users when their module
+// path is the root's path plus their directory. A method also counts as
+// used when an interface declared in the module that its type implements
+// has that method used. This is a reference scan, not a call graph: a
+// name used only by other dead code passes.
 func unusedExports(root string) ([]string, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
 	s := &scan{
 		fset:  token.NewFileSet(),
 		pkgs:  map[string]*srcPackage{},
 		plain: map[string]*types.Package{},
 		used:  map[string]bool{},
+	}
+	for _, line := range strings.Split(string(mod), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			s.module = strings.TrimSpace(rest)
+		}
+	}
+	if s.module == "" {
+		return nil, fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
 	if err := s.parse(root); err != nil {
@@ -107,38 +160,22 @@ func unusedExports(root string) ([]string, error) {
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		if _, err := s.importPlain(p); err != nil {
+		if _, err := s.Import(p); err != nil {
 			return nil, err
-		}
-	}
-	for _, p := range paths {
-		sp := s.pkgs[p]
-		if len(sp.tests) == 0 && len(sp.xtests) == 0 {
-			continue
-		}
-		withTests, err := s.check(p, append(append([]*ast.File{}, sp.files...), sp.tests...), s, p)
-		if err != nil {
-			return nil, err
-		}
-		if len(sp.xtests) > 0 {
-			x := &xtestImporter{scan: s, under: p, test: withTests, cache: map[string]*types.Package{}}
-			if _, err := s.check(p+"_test", sp.xtests, x, p); err != nil {
-				return nil, err
-			}
 		}
 	}
 	s.linkInterfaces()
 
 	var unused []string
 	for _, p := range paths {
-		if !strings.HasPrefix(p, modulePath+"/internal/") {
+		if !strings.HasPrefix(p, s.module+"/internal/") {
 			continue
 		}
 		scope := s.plain[p].Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() && !s.used[objectKey(obj)] {
-				unused = append(unused, objectKey(obj))
+			if obj.Exported() && !s.used[s.key(obj)] {
+				unused = append(unused, s.key(obj))
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || !obj.Exported() {
@@ -150,8 +187,8 @@ func unusedExports(root string) ([]string, error) {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !s.used[objectKey(m)] {
-					unused = append(unused, objectKey(m))
+				if m.Exported() && !s.used[s.key(m)] {
+					unused = append(unused, s.key(m))
 				}
 			}
 		}
@@ -160,8 +197,7 @@ func unusedExports(root string) ([]string, error) {
 	return unused, nil
 }
 
-// parse reads every package directory under root. The bench directory
-// is its own module whose path, redpatch/bench, is also its directory.
+// parse reads the non-test files of every package directory under root.
 func (s *scan) parse(root string) error {
 	return filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -177,26 +213,22 @@ func (s *scan) parse(root string) error {
 			}
 			return err
 		}
-		path := modulePath
-		if dir != root {
-			path += "/" + filepath.ToSlash(dir)
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
 		}
-		sp := &srcPackage{testFiles: map[string]bool{}, receiverIdents: map[*ast.Ident]bool{}}
-		for _, set := range []struct {
-			names []string
-			into  *[]*ast.File
-			test  bool
-		}{{bp.GoFiles, &sp.files, false}, {bp.TestGoFiles, &sp.tests, true}, {bp.XTestGoFiles, &sp.xtests, true}} {
-			for _, name := range set.names {
-				file := filepath.Join(dir, name)
-				f, err := parser.ParseFile(s.fset, file, nil, parser.SkipObjectResolution)
-				if err != nil {
-					return err
-				}
-				*set.into = append(*set.into, f)
-				sp.testFiles[file] = set.test
-				markReceivers(f, sp.receiverIdents)
+		path := s.module
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		sp := &srcPackage{receiverIdents: map[*ast.Ident]bool{}}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
 			}
+			sp.files = append(sp.files, f)
+			markReceivers(f, sp.receiverIdents)
 		}
 		s.pkgs[path] = sp
 		return nil
@@ -218,10 +250,9 @@ func markReceivers(f *ast.File, into map[*ast.Ident]bool) {
 	}
 }
 
-func (s *scan) Import(path string) (*types.Package, error) { return s.importPlain(path) }
-
-// importPlain type-checks a module package's non-test files once.
-func (s *scan) importPlain(path string) (*types.Package, error) {
+// Import type-checks a module package once and records its uses; other
+// paths go to the stdlib importer.
+func (s *scan) Import(path string) (*types.Package, error) {
 	if p, ok := s.plain[path]; ok {
 		return p, nil
 	}
@@ -229,81 +260,22 @@ func (s *scan) importPlain(path string) (*types.Package, error) {
 	if !ok {
 		return s.std.Import(path)
 	}
-	p, err := s.check(path, sp.files, s, path)
-	if err != nil {
-		return nil, err
-	}
-	s.plain[path] = p
-	return p, nil
-}
-
-// check type-checks files as package path and records their uses. home
-// is the package whose tests these files are, if they are tests.
-func (s *scan) check(path string, files []*ast.File, imp types.Importer, home string) (*types.Package, error) {
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	conf := types.Config{Importer: imp}
-	p, err := conf.Check(path, s.fset, files, info)
+	conf := types.Config{Importer: s}
+	p, err := conf.Check(path, s.fset, sp.files, info)
 	if err != nil {
 		return nil, err
 	}
-	sp := s.pkgs[home]
 	for id, obj := range info.Uses {
-		if sp.receiverIdents[id] || obj.Pkg() == nil {
+		if sp.receiverIdents[id] {
 			continue
 		}
-		if obj.Pkg().Path() == home && sp.testFiles[s.fset.File(id.Pos()).Name()] {
-			continue
-		}
-		if k := objectKey(obj); k != "" {
+		if k := s.key(obj); k != "" {
 			s.used[k] = true
 		}
 	}
+	s.plain[path] = p
 	return p, nil
-}
-
-// xtestImporter resolves imports for an external test package the way go
-// test builds it: the package under test with its in-package test files,
-// and every module package that depends on it rebuilt against that.
-type xtestImporter struct {
-	*scan
-	under string
-	test  *types.Package
-	cache map[string]*types.Package
-}
-
-func (x *xtestImporter) Import(path string) (*types.Package, error) {
-	if path == x.under {
-		return x.test, nil
-	}
-	if p, ok := x.cache[path]; ok {
-		return p, nil
-	}
-	sp, ok := x.pkgs[path]
-	if !ok || !x.dependsOn(path, map[string]bool{}) {
-		return x.scan.Import(path)
-	}
-	p, err := x.check(path, sp.files, x, path)
-	if err != nil {
-		return nil, err
-	}
-	x.cache[path] = p
-	return p, nil
-}
-
-func (x *xtestImporter) dependsOn(path string, seen map[string]bool) bool {
-	if path == x.under {
-		return true
-	}
-	if seen[path] {
-		return false
-	}
-	seen[path] = true
-	for _, imp := range x.plain[path].Imports() {
-		if _, ok := x.pkgs[imp.Path()]; ok && x.dependsOn(imp.Path(), seen) {
-			return true
-		}
-	}
-	return false
 }
 
 // linkInterfaces marks a method used when a module-declared interface
@@ -336,22 +308,22 @@ func (s *scan) linkInterfaces() {
 			}
 			for i := 0; i < it.NumMethods(); i++ {
 				im := it.Method(i)
-				if !s.used[objectKey(im)] {
+				if !s.used[s.key(im)] {
 					continue
 				}
 				obj, _, _ := types.LookupFieldOrMethod(c, true, c.Obj().Pkg(), im.Name())
 				if m, ok := obj.(*types.Func); ok {
-					s.used[objectKey(m)] = true
+					s.used[s.key(m)] = true
 				}
 			}
 		}
 	}
 }
 
-// objectKey names a module-level object or method of a named type as
+// key names a module-level object or method of a named type as
 // "importpath.Name" or "importpath.Type.Method"; other objects get "".
-func objectKey(obj types.Object) string {
-	if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), modulePath) {
+func (s *scan) key(obj types.Object) string {
+	if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), s.module) {
 		return ""
 	}
 	if f, ok := obj.(*types.Func); ok {

@@ -128,9 +128,6 @@ func (m *serverMetrics) registerCollectors(s *server) {
 	engineCounter("redpatchd_engine_factored_solves_total",
 		"Availability solves served by the factored per-tier path.",
 		func(st redpatch.EngineStats) uint64 { return st.FactoredSolves })
-	engineCounter("redpatchd_engine_srn_solves_total",
-		"Availability solves that generated and eliminated the full SRN.",
-		func(st redpatch.EngineStats) uint64 { return st.SRNSolves })
 	engineCounter("redpatchd_engine_tier_solves_total",
 		"Distinct (stack, replicas) tier factors solved.",
 		func(st redpatch.EngineStats) uint64 { return st.TierSolves })

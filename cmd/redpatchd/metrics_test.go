@@ -83,14 +83,14 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %s, want %s", series, got, want)
 		}
 	}
-	// The solver counters ride along: one factored solve, no SRN solve,
-	// and the security axis served by the two factored (quotient) models
+	// The solver counters ride along: one factored solve (there is no
+	// SRN solve family any more), and the security axis served by the two factored (quotient) models
 	// of the design's unpatched and fully patched endpoints.
 	if got := metricValue(t, body, `redpatchd_engine_factored_solves_total{scenario="default"}`); got != "1" {
 		t.Errorf("factored solves = %s, want 1", got)
 	}
-	if got := metricValue(t, body, `redpatchd_engine_srn_solves_total{scenario="default"}`); got != "0" {
-		t.Errorf("srn solves = %s, want 0", got)
+	if strings.Contains(body, "redpatchd_engine_srn_solves_total") {
+		t.Error("/metrics still exports redpatchd_engine_srn_solves_total")
 	}
 	if got := metricValue(t, body, `redpatchd_engine_security_factored_total{scenario="default"}`); got != "1" {
 		t.Errorf("security factored = %s, want 1", got)

@@ -34,11 +34,7 @@ func (m *serverMetrics) observeSpan(d trace.SpanData) {
 			}
 		}
 	case "availability.solve":
-		kind := "availability_factored"
-		if v, _ := d.Attr("solver"); v == "srn" {
-			kind = "availability_srn"
-		}
-		m.solverTime.With(kind).Observe(d.Duration.Seconds())
+		m.solverTime.With("availability_factored").Observe(d.Duration.Seconds())
 	case "security.evaluate":
 		m.solverTime.With("security_quotient").Observe(d.Duration.Seconds())
 	case "harm.expanded.evaluate":

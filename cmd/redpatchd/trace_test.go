@@ -312,7 +312,7 @@ func TestSweepStreamCancellation(t *testing.T) {
 				for _, tr := range s.tracer.Recent() {
 					roots = append(roots, tr.Root)
 				}
-				t.Fatalf("cancelled request never completed its trace; ring roots = %v, live = %d", roots, s.tracer.Len())
+				t.Fatalf("cancelled request never completed its trace; ring roots = %v", roots)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

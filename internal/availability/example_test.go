@@ -32,11 +32,11 @@ func Example() {
 		{Name: "app", N: 2, LambdaEq: 1.0 / 720, MuEq: 0.99995},
 		{Name: "db", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.09085},
 	}}
-	coa, err := availability.ClosedFormCOA(nm)
+	net, err := availability.SolveNetworkSRN(nm)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("network COA: %.5f\n", coa)
+	fmt.Printf("network COA: %.5f\n", net.COA)
 	// Output:
 	// dns: MTTP 720 h, MTTR 0.6667 h
 	// network COA: 0.99707

@@ -7,19 +7,16 @@ import (
 	"redpatch/internal/mathx"
 )
 
-// This file implements the factored upper-layer solver. Under PerServer
-// recovery every server patches and recovers on its own clock, so the
-// tiers of the network SRN are statistically independent birth–death
-// chains: the joint generator is the Kronecker sum of the per-tier
+// This file implements the factored upper-layer solver. Every server
+// patches and recovers on its own clock, so the tiers of the network SRN
+// are statistically independent birth–death chains: the joint generator is the Kronecker sum of the per-tier
 // generators and the joint steady state is the product of the per-tier
 // solutions. Instead of generating the (n_1+1)*...*(n_k+1) product chain
 // and eliminating it — the paper pipeline's scalability wall — we solve
 // each tier's (n+1)-state chain in O(n), convolve tiers into logical
 // groups, and assemble COA, service availability and the per-tier
 // measures from the group distributions. The SRN path (SolveNetworkSRN)
-// remains both the SingleRepair solver (its recovery transition couples
-// the servers of a tier, but the chain per tier is still generated
-// faithfully there) and the cross-validation oracle for this one.
+// remains as the cross-validation oracle for this one.
 
 // TierFactor is the steady-state solution of one tier's birth–death
 // chain: the distribution of the number of servers up.
@@ -39,9 +36,9 @@ func (f TierFactor) AllUp() float64 {
 	return f.PMF[len(f.PMF)-1]
 }
 
-// SolveTierFactor solves the (N+1)-state birth–death chain of one tier
-// under PerServer recovery. With k servers up, the chain moves down at
-// rate lambda*k and up at rate mu*(N-k); detailed balance gives the
+// SolveTierFactor solves the (N+1)-state birth–death chain of one tier.
+// With k servers up, the chain moves down at rate lambda*k and up at
+// rate mu*(N-k); detailed balance gives the
 // product form pi_{k+1} = pi_k * mu(N-k)/(lambda(k+1)), which normalizes
 // to the binomial distribution with per-server availability
 // a = mu/(lambda+mu) — each server is an independent two-state chain.
@@ -66,17 +63,12 @@ func SolveTierFactor(t Tier) (TierFactor, error) {
 // ComposeNetwork assembles the full NetworkSolution from per-tier
 // factors, one per tier of nm in order. Logical groups convolve their
 // members' up-count distributions; quorums apply per group exactly as in
-// the SRN reward. The model must use PerServer semantics — composing
-// SingleRepair factors would assert an independence the model does not
-// have. States reports the size the product-form CTMC would have had, so
-// callers comparing against the SRN path see the same state-space
-// accounting.
+// the SRN reward. States reports the size the product-form CTMC would
+// have had, so callers comparing against the SRN path see the same
+// state-space accounting.
 func ComposeNetwork(nm NetworkModel, factors []TierFactor) (NetworkSolution, error) {
 	if err := nm.Validate(); err != nil {
 		return NetworkSolution{}, err
-	}
-	if nm.recovery() != PerServer {
-		return NetworkSolution{}, fmt.Errorf("availability: factored solve requires PerServer semantics")
 	}
 	if len(factors) != len(nm.Tiers) {
 		return NetworkSolution{}, fmt.Errorf("availability: %d tier factors for %d tiers", len(factors), len(nm.Tiers))
@@ -128,28 +120,6 @@ func ComposeNetwork(nm NetworkModel, factors []TierFactor) (NetworkSolution, err
 	}
 	sol.COA = mathx.KahanSum(terms) / total
 	return sol, nil
-}
-
-// SolveNetworkFactored solves the upper-layer model by the factored
-// path: one O(n) birth–death solve per tier plus group convolutions,
-// instead of generating and eliminating the product CTMC. Exact (up to
-// floating point) under PerServer recovery; rejected otherwise.
-func SolveNetworkFactored(nm NetworkModel) (NetworkSolution, error) {
-	if err := nm.Validate(); err != nil {
-		return NetworkSolution{}, err
-	}
-	if nm.recovery() != PerServer {
-		return NetworkSolution{}, fmt.Errorf("availability: factored solve requires PerServer semantics")
-	}
-	factors := make([]TierFactor, len(nm.Tiers))
-	for i, t := range nm.Tiers {
-		f, err := SolveTierFactor(t)
-		if err != nil {
-			return NetworkSolution{}, err
-		}
-		factors[i] = f
-	}
-	return ComposeNetwork(nm, factors)
 }
 
 // convolve returns the distribution of the sum of two independent

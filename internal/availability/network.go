@@ -2,7 +2,6 @@ package availability
 
 import (
 	"fmt"
-	"math"
 
 	"redpatch/internal/ctmc"
 	"redpatch/internal/srn"
@@ -54,26 +53,9 @@ func (t Tier) Validate() error {
 	return nil
 }
 
-// RecoverySemantics selects how simultaneous patch outages within a tier
-// recover.
-type RecoverySemantics int
-
-// Recovery semantics values.
-const (
-	// PerServer lets every down server recover independently (rate
-	// mu * #down): each server runs its own patch pipeline. This matches
-	// the independence of per-server patch clocks in the lower-layer
-	// model and reproduces the paper's Table VI value; it is the default.
-	PerServer RecoverySemantics = iota + 1
-	// SingleRepair serializes recoveries (rate mu regardless of #down),
-	// modelling a single operations team; provided as an ablation.
-	SingleRepair
-)
-
 // NetworkModel is the upper-layer SRN input: one Tier per server type.
 type NetworkModel struct {
-	Tiers    []Tier
-	Recovery RecoverySemantics // zero value selects PerServer
+	Tiers []Tier
 	// Quorum optionally raises the number of servers a logical group
 	// needs for the service to count as up (k-out-of-n, e.g. a database
 	// cluster needing a majority), keyed by group name. Groups absent
@@ -87,13 +69,6 @@ func (nm NetworkModel) quorumOf(group string) int {
 		return q
 	}
 	return 1
-}
-
-func (nm NetworkModel) recovery() RecoverySemantics {
-	if nm.Recovery == 0 {
-		return PerServer
-	}
-	return nm.Recovery
 }
 
 // Validate checks the model.
@@ -110,9 +85,6 @@ func (nm NetworkModel) Validate() error {
 			return fmt.Errorf("availability: duplicate tier %s", t.Name)
 		}
 		seen[t.Name] = true
-	}
-	if r := nm.recovery(); r != PerServer && r != SingleRepair {
-		return fmt.Errorf("availability: invalid recovery semantics %d", r)
 	}
 	if len(nm.Quorum) > 0 {
 		groupSize := make(map[string]int)
@@ -144,9 +116,9 @@ func (nm NetworkModel) TotalServers() int {
 // BuildNetworkSRN constructs the upper-layer SRN of the paper's Fig. 4:
 // per tier an up-place initially holding N tokens and a down place, with a
 // marking-dependent patch transition (rate lambda_eq * #up, as the paper
-// specifies) and a recovery transition whose rate depends on the recovery
-// semantics. It returns the net and the up-places per tier in input
-// order.
+// specifies) and a recovery transition at rate mu_eq * #down, every down
+// server recovering on its own clock. It returns the net and the
+// up-places per tier in input order.
 func BuildNetworkSRN(nm NetworkModel) (*srn.Net, []*srn.Place, error) {
 	if err := nm.Validate(); err != nil {
 		return nil, nil, err
@@ -163,13 +135,8 @@ func BuildNetworkSRN(nm NetworkModel) (*srn.Net, []*srn.Place, error) {
 		}
 		n.AddTimedTransition("T"+t.Name+"d", 0).From(up).To(down).
 			WithRateFunc(func(m srn.Marking) float64 { return t.LambdaEq * float64(m.Tokens(up)) })
-		switch nm.recovery() {
-		case SingleRepair:
-			n.AddTimedTransition("T"+t.Name+"up", t.MuEq).From(down).To(up)
-		default: // PerServer
-			n.AddTimedTransition("T"+t.Name+"up", 0).From(down).To(up).
-				WithRateFunc(func(m srn.Marking) float64 { return t.MuEq * float64(m.Tokens(down)) })
-		}
+		n.AddTimedTransition("T"+t.Name+"up", 0).From(down).To(up).
+			WithRateFunc(func(m srn.Marking) float64 { return t.MuEq * float64(m.Tokens(down)) })
 	}
 	return n, ups, nil
 }
@@ -238,26 +205,9 @@ type NetworkSolution struct {
 	Factored bool
 }
 
-// SolveNetwork solves the upper-layer model, dispatching on the model's
-// structure: under PerServer recovery the tiers are independent
-// birth–death chains and the factored solver (SolveNetworkFactored)
-// answers in O(total servers) without generating the product CTMC; the
-// SingleRepair ablation keeps the generated-SRN path. SolveNetworkSRN
-// remains available as the cross-validation oracle for the factored
-// solver (see TestFactoredEquivalence).
-func SolveNetwork(nm NetworkModel) (NetworkSolution, error) {
-	if err := nm.Validate(); err != nil {
-		return NetworkSolution{}, err
-	}
-	if nm.recovery() == PerServer {
-		return SolveNetworkFactored(nm)
-	}
-	return SolveNetworkSRN(nm)
-}
-
 // SolveNetworkSRN builds the upper-layer SRN, generates its CTMC, solves
 // it, and evaluates COA and the auxiliary availability measures — the
-// paper's original pipeline, exact under every recovery semantics.
+// paper's original pipeline, kept as the oracle of the factored solver.
 func SolveNetworkSRN(nm NetworkModel) (NetworkSolution, error) {
 	net, ups, err := BuildNetworkSRN(nm)
 	if err != nil {
@@ -307,94 +257,12 @@ func SolveNetworkSRN(nm NetworkModel) (NetworkSolution, error) {
 	return sol, nil
 }
 
-// ClosedFormCOA computes COA analytically under PerServer semantics:
-// every server is an independent two-state chain with availability
-// a = mu/(lambda+mu), each logical group's up-count distribution is the
-// convolution of its tiers' binomials, and by linearity of expectation
-// over the independent groups
-//
-//	COA = (1/total) * sum_g E[up_g * 1{up_g >= q_g}] * prod_{h != g} P(up_h >= q_h).
-//
-// It predates — and is now a thin view of — the factored solver, which
-// computes exactly this composition (SolveTierFactor + ComposeNetwork);
-// delegating keeps one copy of the quorum-COA derivation in the package.
-func ClosedFormCOA(nm NetworkModel) (float64, error) {
-	if nm.Recovery != 0 && nm.Recovery != PerServer {
-		return 0, fmt.Errorf("availability: closed form requires PerServer semantics")
-	}
-	sol, err := SolveNetworkFactored(nm)
-	if err != nil {
-		return 0, err
-	}
-	return sol.COA, nil
-}
-
 func pow(x float64, n int) float64 {
 	p := 1.0
 	for i := 0; i < n; i++ {
 		p *= x
 	}
 	return p
-}
-
-// BirnbaumImportance returns, per tier, the classical Birnbaum importance
-// of its servers' availability to the end-to-end service availability:
-// the partial derivative of P(every group meets a one-server quorum) with
-// respect to the tier's per-server availability. Redundancy slashes a
-// tier's importance by orders of magnitude — the quantitative face of the
-// paper's availability argument for redundancy. Requires PerServer
-// semantics and the default one-server quorums (the closed form used
-// here factorizes over groups).
-func BirnbaumImportance(nm NetworkModel) (map[string]float64, error) {
-	if err := nm.Validate(); err != nil {
-		return nil, err
-	}
-	if nm.recovery() != PerServer {
-		return nil, fmt.Errorf("availability: Birnbaum importance requires PerServer semantics")
-	}
-	if len(nm.Quorum) > 0 {
-		return nil, fmt.Errorf("availability: Birnbaum importance supports the default quorums only")
-	}
-	groups := groupIndices(nm)
-
-	avail := func(t Tier) float64 {
-		if t.LambdaEq == 0 {
-			return 1
-		}
-		return t.MuEq / (t.LambdaEq + t.MuEq)
-	}
-	// P(group has >= 1 up) per group, and, per tier, the derivative of
-	// its own group's term with respect to the tier availability:
-	// d/da [1 - (1-a)^N * rest] = N (1-a)^(N-1) * rest.
-	pUp := make([]float64, len(groups))
-	for g, idxs := range groups {
-		allDown := 1.0
-		for _, i := range idxs {
-			allDown *= pow(1-avail(nm.Tiers[i]), nm.Tiers[i].N)
-		}
-		pUp[g] = 1 - allDown
-	}
-	out := make(map[string]float64, len(nm.Tiers))
-	for g, idxs := range groups {
-		othersProduct := 1.0
-		for h := range groups {
-			if h != g {
-				othersProduct *= pUp[h]
-			}
-		}
-		for _, i := range idxs {
-			t := nm.Tiers[i]
-			a := avail(t)
-			rest := 1.0
-			for _, j := range idxs {
-				if j != i {
-					rest *= pow(1-avail(nm.Tiers[j]), nm.Tiers[j].N)
-				}
-			}
-			out[t.Name] = float64(t.N) * pow(1-a, t.N-1) * rest * othersProduct
-		}
-	}
-	return out, nil
 }
 
 // MeanTimeToServiceDown returns the expected time from the all-up state
@@ -446,72 +314,4 @@ func MeanTimeToServiceDown(nm NetworkModel) (float64, error) {
 		return 0, err
 	}
 	return tau[start], nil
-}
-
-// RedundancyGain reports, for every tier of the model, the COA increase
-// obtained by adding one server to that tier — the quantitative version
-// of the paper's §IV-C observation that redundancy helps most on the tier
-// with the slowest patch recovery. Computed with the closed form, so the
-// model must use PerServer semantics.
-func RedundancyGain(nm NetworkModel) (map[string]float64, error) {
-	base, err := ClosedFormCOA(nm)
-	if err != nil {
-		return nil, err
-	}
-	gains := make(map[string]float64, len(nm.Tiers))
-	for i, t := range nm.Tiers {
-		variant := NetworkModel{Tiers: append([]Tier(nil), nm.Tiers...), Recovery: nm.Recovery}
-		variant.Tiers[i].N++
-		coa, err := ClosedFormCOA(variant)
-		if err != nil {
-			return nil, err
-		}
-		gains[t.Name] = coa - base
-	}
-	return gains, nil
-}
-
-// BestRedundancyPlacement returns the tier whose extra server yields the
-// highest COA gain, with the gain itself.
-func BestRedundancyPlacement(nm NetworkModel) (string, float64, error) {
-	gains, err := RedundancyGain(nm)
-	if err != nil {
-		return "", 0, err
-	}
-	best := ""
-	bestGain := math.Inf(-1)
-	for name, g := range gains {
-		if g > bestGain || (g == bestGain && name < best) {
-			best, bestGain = name, g
-		}
-	}
-	return best, bestGain, nil
-}
-
-// SolveServerTiers runs the full paper pipeline for a set of server types:
-// solve each lower-layer model once, aggregate, and instantiate tiers with
-// the requested replica counts. counts maps tier name to N; params must
-// contain one entry per counted tier. Tiers whose servers require no patch
-// (zero selected vulnerabilities) should simply be given LambdaEq 0 by the
-// caller instead.
-func SolveServerTiers(params []ServerParams, counts map[string]int) (NetworkModel, []ServerSolution, error) {
-	var nm NetworkModel
-	sols := make([]ServerSolution, 0, len(params))
-	for _, p := range params {
-		n, ok := counts[p.Name]
-		if !ok {
-			return NetworkModel{}, nil, fmt.Errorf("availability: no replica count for tier %s", p.Name)
-		}
-		sol, err := SolveServer(p)
-		if err != nil {
-			return NetworkModel{}, nil, err
-		}
-		agg, err := Aggregate(sol)
-		if err != nil {
-			return NetworkModel{}, nil, err
-		}
-		sols = append(sols, sol)
-		nm.Tiers = append(nm.Tiers, Tier{Name: p.Name, N: n, LambdaEq: agg.LambdaEq, MuEq: agg.MuEq})
-	}
-	return nm, sols, nil
 }

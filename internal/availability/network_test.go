@@ -13,15 +13,21 @@ import (
 // the Table V rates computed by the lower-layer model.
 func paperTiers(t *testing.T, counts map[string]int) NetworkModel {
 	t.Helper()
-	var params []ServerParams
+	var nm NetworkModel
 	for _, name := range []string{"dns", "web", "app", "db"} {
-		if _, ok := counts[name]; ok {
-			params = append(params, paperServerParams(name))
+		n, ok := counts[name]
+		if !ok {
+			continue
 		}
-	}
-	nm, _, err := SolveServerTiers(params, counts)
-	if err != nil {
-		t.Fatal(err)
+		sol, err := SolveServer(paperServerParams(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := Aggregate(sol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nm.Tiers = append(nm.Tiers, Tier{Name: name, N: n, LambdaEq: agg.LambdaEq, MuEq: agg.MuEq})
 	}
 	return nm
 }
@@ -32,7 +38,7 @@ var baseCounts = map[string]int{"dns": 1, "web": 2, "app": 2, "db": 1}
 // base network ≈ 0.99707.
 func TestTable6COA(t *testing.T) {
 	nm := paperTiers(t, baseCounts)
-	sol, err := SolveNetwork(nm)
+	sol, err := solveFactored(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +71,7 @@ func TestFiveDesignCOAs(t *testing.T) {
 	coa := make(map[string]float64, len(designs))
 	for _, d := range designs {
 		nm := paperTiers(t, d.counts)
-		sol, err := SolveNetwork(nm)
+		sol, err := solveFactored(nm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +90,8 @@ func TestFiveDesignCOAs(t *testing.T) {
 	}
 }
 
-// TestClosedFormMatchesSRN cross-validates the two COA computations on
-// the paper's designs.
+// TestClosedFormMatchesSRN cross-validates the factored closed form
+// against the generated SRN on the paper's designs.
 func TestClosedFormMatchesSRN(t *testing.T) {
 	for _, counts := range []map[string]int{
 		baseCounts,
@@ -93,16 +99,16 @@ func TestClosedFormMatchesSRN(t *testing.T) {
 		{"dns": 1, "web": 3, "app": 2, "db": 2},
 	} {
 		nm := paperTiers(t, counts)
-		sol, err := SolveNetwork(nm)
+		sol, err := solveFactored(nm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cf, err := ClosedFormCOA(nm)
+		oracle, err := SolveNetworkSRN(nm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mathx.AlmostEqual(sol.COA, cf, 1e-9) {
-			t.Errorf("SRN COA %.9f != closed form %.9f for %v", sol.COA, cf, counts)
+		if !mathx.AlmostEqual(sol.COA, oracle.COA, 1e-9) {
+			t.Errorf("factored COA %.9f != SRN %.9f for %v", sol.COA, oracle.COA, counts)
 		}
 	}
 }
@@ -122,15 +128,15 @@ func TestClosedFormMatchesSRNRandom(t *testing.T) {
 				MuEq:     0.5 + rng.Float64()*2,
 			})
 		}
-		sol, err := SolveNetwork(nm)
+		sol, err := solveFactored(nm)
 		if err != nil {
 			return false
 		}
-		cf, err := ClosedFormCOA(nm)
+		oracle, err := SolveNetworkSRN(nm)
 		if err != nil {
 			return false
 		}
-		return mathx.AlmostEqual(sol.COA, cf, 1e-8)
+		return mathx.AlmostEqual(sol.COA, oracle.COA, 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -176,7 +182,7 @@ func TestNeverPatchingTierIsAlwaysUp(t *testing.T) {
 		{Name: "static", N: 2},
 		{Name: "patchy", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.5},
 	}}
-	sol, err := SolveNetwork(nm)
+	sol, err := solveFactored(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,26 +194,6 @@ func TestNeverPatchingTierIsAlwaysUp(t *testing.T) {
 	want := a*1 + (1-a)*0 // reward 0 when the single patchy server is down
 	if !mathx.AlmostEqual(sol.COA, want, 1e-9) {
 		t.Errorf("COA = %v, want %v", sol.COA, want)
-	}
-}
-
-func TestSingleRepairLowersCOA(t *testing.T) {
-	// With serialized recovery, overlapping patches last longer, so COA
-	// must be (weakly) lower than with per-server recovery.
-	tiers := []Tier{{Name: "web", N: 3, LambdaEq: 0.01, MuEq: 0.5}}
-	per, err := SolveNetwork(NetworkModel{Tiers: tiers, Recovery: PerServer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := SolveNetwork(NetworkModel{Tiers: tiers, Recovery: SingleRepair})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.COA >= per.COA {
-		t.Errorf("SingleRepair COA %v should be below PerServer COA %v", single.COA, per.COA)
-	}
-	if _, err := ClosedFormCOA(NetworkModel{Tiers: tiers, Recovery: SingleRepair}); err == nil {
-		t.Error("closed form must reject SingleRepair")
 	}
 }
 
@@ -225,91 +211,33 @@ func TestCOARewardGeneralizesTable6(t *testing.T) {
 	}
 	// One web down: 5/6.
 	m := net.InitialMarking()
-	m[indexOf(t, net.Places(), "Pwebup")] = 1
+	m[indexOf(t, net, ups[1])] = 1
 	if got := reward(m); !mathx.AlmostEqual(got, 5.0/6, 1e-12) {
 		t.Errorf("one web down reward = %v, want 5/6", got)
 	}
 	// One web and one app down: 4/6.
-	m[indexOf(t, net.Places(), "Pappup")] = 1
+	m[indexOf(t, net, ups[2])] = 1
 	if got := reward(m); !mathx.AlmostEqual(got, 4.0/6, 1e-12) {
 		t.Errorf("one web + one app down reward = %v, want 4/6", got)
 	}
 	// DNS down: 0 regardless of capacity elsewhere.
 	m = net.InitialMarking()
-	m[indexOf(t, net.Places(), "Pdnsup")] = 0
+	m[indexOf(t, net, ups[0])] = 0
 	if got := reward(m); got != 0 {
 		t.Errorf("dns down reward = %v, want 0", got)
 	}
 }
 
-func indexOf(t *testing.T, places []*srn.Place, name string) int {
+// indexOf returns the marking index of a place of net.
+func indexOf(t *testing.T, net *srn.Net, place *srn.Place) int {
 	t.Helper()
-	for i, p := range places {
-		if p.Name() == name {
+	for i, p := range net.Places() {
+		if p == place {
 			return i
 		}
 	}
-	t.Fatalf("place %s not found", name)
+	t.Fatal("place not in net")
 	return -1
-}
-
-// TestBirnbaumImportance: redundant tiers matter orders of magnitude less
-// to service availability than singleton tiers, and the numbers agree
-// with a numerical derivative of the closed-form service availability.
-func TestBirnbaumImportance(t *testing.T) {
-	nm := paperTiers(t, baseCounts)
-	imp, err := BirnbaumImportance(nm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Singleton tiers (dns, db) carry importance near 1; the duplicated
-	// web/app tiers near zero.
-	for _, single := range []string{"dns", "db"} {
-		if imp[single] < 0.99 {
-			t.Errorf("importance(%s) = %v, want near 1", single, imp[single])
-		}
-	}
-	for _, dup := range []string{"web", "app"} {
-		if imp[dup] > 0.01 {
-			t.Errorf("importance(%s) = %v, want near 0 (redundant)", dup, imp[dup])
-		}
-		if imp[dup] <= 0 {
-			t.Errorf("importance(%s) = %v, want positive", dup, imp[dup])
-		}
-	}
-	// Validate one entry against a numerical derivative: perturb the web
-	// tier's availability through its recovery rate.
-	serviceAvail := func(model NetworkModel) float64 {
-		sol, err := SolveNetwork(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sol.ServiceAvailability
-	}
-	perturbed := NetworkModel{Tiers: append([]Tier(nil), nm.Tiers...)}
-	var webIdx int
-	for i, tier := range perturbed.Tiers {
-		if tier.Name == "web" {
-			webIdx = i
-		}
-	}
-	w := perturbed.Tiers[webIdx]
-	a0 := w.MuEq / (w.LambdaEq + w.MuEq)
-	const dA = 1e-5
-	a1 := a0 - dA
-	// Solve mu for the perturbed availability at fixed lambda.
-	perturbed.Tiers[webIdx].MuEq = a1 * w.LambdaEq / (1 - a1)
-	numerical := (serviceAvail(nm) - serviceAvail(perturbed)) / dA
-	if !mathx.AlmostEqual(numerical, imp["web"], 1e-2) {
-		t.Errorf("numerical derivative %v vs Birnbaum %v", numerical, imp["web"])
-	}
-	// Guard rails.
-	if _, err := BirnbaumImportance(NetworkModel{Tiers: nm.Tiers, Recovery: SingleRepair}); err == nil {
-		t.Error("SingleRepair should be rejected")
-	}
-	if _, err := BirnbaumImportance(NetworkModel{Tiers: nm.Tiers, Quorum: map[string]int{"web": 2}}); err == nil {
-		t.Error("non-default quorums should be rejected")
-	}
 }
 
 // TestExtremeRateRatios guards numerical robustness: rates spanning nine
@@ -319,19 +247,19 @@ func TestExtremeRateRatios(t *testing.T) {
 		{Name: "fast", N: 2, LambdaEq: 1e3, MuEq: 1e6},
 		{Name: "slow", N: 1, LambdaEq: 1e-3, MuEq: 1e-1},
 	}}
-	sol, err := SolveNetwork(nm)
+	sol, err := solveFactored(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.COA < 0 || sol.COA > 1 {
 		t.Errorf("COA = %v outside [0,1]", sol.COA)
 	}
-	cf, err := ClosedFormCOA(nm)
+	oracle, err := SolveNetworkSRN(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(sol.COA, cf, 1e-6) {
-		t.Errorf("SRN %v vs closed form %v under extreme rates", sol.COA, cf)
+	if !mathx.AlmostEqual(sol.COA, oracle.COA, 1e-6) {
+		t.Errorf("factored %v vs SRN %v under extreme rates", sol.COA, oracle.COA)
 	}
 }
 
@@ -384,11 +312,11 @@ func TestQuorum(t *testing.T) {
 	loose := NetworkModel{Tiers: tiers}
 	strict := NetworkModel{Tiers: tiers, Quorum: map[string]int{"db": 2}}
 
-	lSol, err := SolveNetwork(loose)
+	lSol, err := solveFactored(loose)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sSol, err := SolveNetwork(strict)
+	sSol, err := solveFactored(strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,13 +327,13 @@ func TestQuorum(t *testing.T) {
 		t.Errorf("quorum must cost service availability: %v vs %v",
 			sSol.ServiceAvailability, lSol.ServiceAvailability)
 	}
-	// Closed form agrees with the SRN under quorums too.
-	cf, err := ClosedFormCOA(strict)
+	// The factored solve agrees with the SRN under quorums too.
+	oracle, err := SolveNetworkSRN(strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(sSol.COA, cf, 1e-9) {
-		t.Errorf("quorum closed form %.9f != SRN %.9f", cf, sSol.COA)
+	if !mathx.AlmostEqual(sSol.COA, oracle.COA, 1e-9) {
+		t.Errorf("quorum factored %.9f != SRN %.9f", sSol.COA, oracle.COA)
 	}
 	// Reward spot check: one db down zeroes the reward under the quorum.
 	net, ups, err := BuildNetworkSRN(strict)
@@ -414,7 +342,7 @@ func TestQuorum(t *testing.T) {
 	}
 	reward := COAReward(strict, ups)
 	m := net.InitialMarking()
-	m[indexOf(t, net.Places(), "Pdbup")] = 1
+	m[indexOf(t, net, ups[1])] = 1
 	if got := reward(m); got != 0 {
 		t.Errorf("reward with quorum broken = %v, want 0", got)
 	}
@@ -443,33 +371,30 @@ func TestQuorumValidation(t *testing.T) {
 }
 
 // TestRedundancyGain verifies the quantitative form of §IV-C observation
-// 1: the application tier (slowest patch recovery) benefits most from an
-// extra server.
+// 1: starting from one server per tier, an extra server on the
+// application tier (slowest patch recovery) raises COA the most, and an
+// extra server on any tier raises it.
 func TestRedundancyGain(t *testing.T) {
-	nm := paperTiers(t, map[string]int{"dns": 1, "web": 1, "app": 1, "db": 1})
-	gains, err := RedundancyGain(nm)
+	single := map[string]int{"dns": 1, "web": 1, "app": 1, "db": 1}
+	base, err := solveFactored(paperTiers(t, single))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gains) != 4 {
-		t.Fatalf("gains = %v, want 4 entries", gains)
+	gains := make(map[string]float64, len(single))
+	for tier := range single {
+		counts := map[string]int{"dns": 1, "web": 1, "app": 1, "db": 1}
+		counts[tier]++
+		sol, err := solveFactored(paperTiers(t, counts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gains[tier] = sol.COA - base.COA
 	}
 	for _, other := range []string{"dns", "web", "db"} {
 		if gains["app"] <= gains[other] {
 			t.Errorf("gain(app)=%v should exceed gain(%s)=%v", gains["app"], other, gains[other])
 		}
 	}
-	best, gain, err := BestRedundancyPlacement(nm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != "app" {
-		t.Errorf("best placement = %s, want app", best)
-	}
-	if !mathx.AlmostEqual(gain, gains["app"], 1e-15) {
-		t.Errorf("best gain = %v, want %v", gain, gains["app"])
-	}
-	// Every gain must be positive: redundancy never hurts COA here.
 	for name, g := range gains {
 		if g <= 0 {
 			t.Errorf("gain(%s) = %v, want positive", name, g)
@@ -506,16 +431,16 @@ func TestHeterogeneousGroups(t *testing.T) {
 		{Name: "webB", Group: "web", N: 1, LambdaEq: 1.0 / 720, MuEq: 2.0},
 		{Name: "db", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.09085},
 	}}
-	sol, err := SolveNetwork(hetero)
+	sol, err := solveFactored(hetero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := ClosedFormCOA(hetero)
+	oracle, err := SolveNetworkSRN(hetero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(sol.COA, cf, 1e-9) {
-		t.Errorf("SRN COA %.9f != closed form %.9f", sol.COA, cf)
+	if !mathx.AlmostEqual(sol.COA, oracle.COA, 1e-9) {
+		t.Errorf("factored COA %.9f != SRN %.9f", sol.COA, oracle.COA)
 	}
 	// Sanity: the grouped pair must beat a single webA server (redundancy
 	// helps) and the COA must exceed the service availability would-be
@@ -524,7 +449,7 @@ func TestHeterogeneousGroups(t *testing.T) {
 		{Name: "webA", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.71420},
 		{Name: "db", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.09085},
 	}}
-	sSol, err := SolveNetwork(single)
+	sSol, err := solveFactored(single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,11 +468,11 @@ func TestHeterogeneousGroups(t *testing.T) {
 	if got := reward(m); !mathx.AlmostEqual(got, 1, 1e-12) {
 		t.Errorf("all-up reward = %v", got)
 	}
-	m[indexOf(t, net.Places(), "PwebAup")] = 0
+	m[indexOf(t, net, ups[0])] = 0
 	if got := reward(m); !mathx.AlmostEqual(got, 2.0/3, 1e-12) {
 		t.Errorf("one web down reward = %v, want 2/3 (capacity loss, not outage)", got)
 	}
-	m[indexOf(t, net.Places(), "PwebBup")] = 0
+	m[indexOf(t, net, ups[1])] = 0
 	if got := reward(m); got != 0 {
 		t.Errorf("whole web group down reward = %v, want 0", got)
 	}
@@ -572,24 +497,17 @@ func TestGroupedClosedFormMatchesSRNRandom(t *testing.T) {
 				id++
 			}
 		}
-		sol, err := SolveNetwork(nm)
+		sol, err := solveFactored(nm)
 		if err != nil {
 			return false
 		}
-		cf, err := ClosedFormCOA(nm)
+		oracle, err := SolveNetworkSRN(nm)
 		if err != nil {
 			return false
 		}
-		return mathx.AlmostEqual(sol.COA, cf, 1e-8)
+		return mathx.AlmostEqual(sol.COA, oracle.COA, 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSolveServerTiersMissingCount(t *testing.T) {
-	_, _, err := SolveServerTiers([]ServerParams{paperServerParams("dns")}, map[string]int{})
-	if err == nil {
-		t.Error("missing replica count should fail")
 	}
 }

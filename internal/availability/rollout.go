@@ -47,15 +47,12 @@ func SolveTierFactorRollout(t Tier, patched int) (TierFactor, error) {
 
 // SolveNetworkRollout solves the upper-layer model mid-rollout by the
 // factored path: one mixed-version birth–death factor per tier, with
-// patched[i] servers of tier i on the patch cycle, composed exactly as
-// in SolveNetworkFactored. Exact (up to floating point) under PerServer
-// recovery; rejected otherwise.
+// patched[i] servers of tier i on the patch cycle, composed by
+// ComposeNetwork exactly as the atomic factors are. Exact up to floating
+// point.
 func SolveNetworkRollout(nm NetworkModel, patched []int) (NetworkSolution, error) {
 	if err := nm.Validate(); err != nil {
 		return NetworkSolution{}, err
-	}
-	if nm.recovery() != PerServer {
-		return NetworkSolution{}, fmt.Errorf("availability: factored solve requires PerServer semantics")
 	}
 	if len(patched) != len(nm.Tiers) {
 		return NetworkSolution{}, fmt.Errorf("availability: %d patched counts for %d tiers", len(patched), len(nm.Tiers))

@@ -68,7 +68,7 @@ func TestSolveTierFactorRollout(t *testing.T) {
 // split model solved by the atomic factored path must agree with the
 // mixed-version factor on every network measure.
 func splitRollout(nm NetworkModel, patched []int) NetworkModel {
-	split := NetworkModel{Quorum: nm.Quorum, Recovery: nm.Recovery}
+	split := NetworkModel{Quorum: nm.Quorum}
 	for i, tier := range nm.Tiers {
 		p := patched[i]
 		if p > 0 {
@@ -107,7 +107,7 @@ func TestFactoredEquivalenceRollout(t *testing.T) {
 			t.Logf("seed %d: rollout solve: %v", seed, err)
 			return false
 		}
-		oracle, err := SolveNetworkFactored(splitRollout(nm, patched))
+		oracle, err := solveFactored(splitRollout(nm, patched))
 		if err != nil {
 			t.Logf("seed %d: split oracle solve: %v", seed, err)
 			return false
@@ -142,7 +142,7 @@ func TestRolloutEndpointsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atomic, err := SolveNetworkFactored(nm)
+	atomic, err := solveFactored(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +158,8 @@ func TestRolloutEndpointsAtomic(t *testing.T) {
 			zero.COA, zero.ServiceAvailability)
 	}
 
-	// Validation: wrong patched-count length and SingleRepair are rejected.
+	// Validation: a wrong patched-count length is rejected.
 	if _, err := SolveNetworkRollout(nm, []int{1}); err == nil {
 		t.Error("mismatched patched length should fail")
-	}
-	single := nm
-	single.Recovery = SingleRepair
-	if _, err := SolveNetworkRollout(single, patched); err == nil {
-		t.Error("SingleRepair should be rejected")
 	}
 }

@@ -70,7 +70,7 @@ func TestBuildServerSRNStructure(t *testing.T) {
 		"Tsvcd", "Tsvcdrb", "Tsvcfup", "Tsvcptrig", "Tsvcp", "Tsvcrpd", "Tsvcrrb", "Tsvcrrbd", "Tsvcprb",
 		"Tinterval", "Tpolicy", "Treset",
 	} {
-		if net.TransitionByName(name) == nil {
+		if !hasTransition(t, name) {
 			t.Errorf("missing transition %s", name)
 			continue
 		}
@@ -79,7 +79,7 @@ func TestBuildServerSRNStructure(t *testing.T) {
 	if guarded != 20 {
 		t.Errorf("guarded transitions = %d, want 20", guarded)
 	}
-	if pl.HWUp.Initial() != 1 || pl.OSUp.Initial() != 1 || pl.SvcUp.Initial() != 1 || pl.Clock.Initial() != 1 {
+	if m0 := net.InitialMarking(); m0.Tokens(pl.HWUp) != 1 || m0.Tokens(pl.OSUp) != 1 || m0.Tokens(pl.SvcUp) != 1 || m0.Tokens(pl.Clock) != 1 {
 		t.Error("initial marking should have one token in each up place and the clock")
 	}
 }
@@ -263,10 +263,16 @@ func TestNoDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := ss.Chain()
-	for i := 0; i < chain.NumStates(); i++ {
-		if chain.ExitRate(i) == 0 {
-			t.Errorf("tangible state %d (%s) is absorbing", i, net.MarkingString(ss.Markings()[i]))
+	for i, m := range ss.Markings() {
+		leaves := false
+		for _, tr := range net.Transitions() {
+			if rate, ok := net.TimedRate(tr, m); ok && rate > 0 && net.MarkingString(net.Fire(tr, m)) != net.MarkingString(m) {
+				leaves = true
+				break
+			}
+		}
+		if !leaves {
+			t.Errorf("tangible state %d (%s) is absorbing", i, net.MarkingString(m))
 		}
 	}
 	// Ergodicity: the steady state must exist and put mass on the up
@@ -334,4 +340,18 @@ func TestAggregateRejectsUnsolvedPipeline(t *testing.T) {
 	if _, err := Aggregate(ServerSolution{Params: paperServerParams("dns")}); err == nil {
 		t.Error("Aggregate with zero patch-down probability should fail")
 	}
+}
+
+// hasTransition reports whether the paper's DNS server SRN has a
+// transition of the given name, probing a fresh build of the net: srn
+// refuses a second transition of a name it already holds.
+func hasTransition(t *testing.T, name string) (found bool) {
+	t.Helper()
+	net, _, err := BuildServerSRN(paperServerParams("dns"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { found = recover() != nil }()
+	net.AddImmediateTransition(name)
+	return false
 }

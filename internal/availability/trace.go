@@ -13,19 +13,6 @@ import (
 // Only genuinely expensive steps get a variant here — closed-form work
 // (ComposeNetwork) is recorded by callers as span attributes instead.
 
-// SolveNetworkSRNCtx is SolveNetworkSRN under an "availability.srn"
-// span recording the tier count and the eliminated state-space size.
-func SolveNetworkSRNCtx(ctx context.Context, nm NetworkModel) (NetworkSolution, error) {
-	_, sp := trace.Start(ctx, "availability.srn",
-		trace.Attr{Key: "tiers", Value: len(nm.Tiers)})
-	sol, err := SolveNetworkSRN(nm)
-	if err == nil {
-		sp.SetAttr("states", sol.States)
-	}
-	sp.EndErr(err)
-	return sol, err
-}
-
 // SolveTierFactorRolloutCtx is SolveTierFactorRollout under an
 // "availability.tierfactor" span recording the tier size and the
 // patched sub-population. Callers memoizing factors only reach it on a

@@ -39,9 +39,6 @@ func New(n int) *Chain {
 	return &Chain{n: n, builder: newBuilder(n, n)}
 }
 
-// NumStates returns the number of states in the chain.
-func (c *Chain) NumStates() int { return c.n }
-
 // AddRate adds a transition from state i to state j with the given positive
 // rate. Multiple calls for the same pair accumulate. Self loops are
 // rejected: they have no effect on a CTMC's dynamics and always indicate a
@@ -75,12 +72,6 @@ func (c *Chain) freeze() {
 	for i := range c.diag {
 		c.diag[i] = -sums[i]
 	}
-}
-
-// ExitRate returns the total exit rate of state i.
-func (c *Chain) ExitRate(i int) float64 {
-	c.freeze()
-	return -c.diag[i]
 }
 
 // Method selects the steady-state solution algorithm.
@@ -325,69 +316,6 @@ func (c *Chain) uniformizationRate() float64 {
 		return 1
 	}
 	return maxExit * 1.02
-}
-
-// Transient returns the state distribution at time t >= 0 starting from the
-// distribution p0, computed by uniformization with adaptive truncation of
-// the Poisson series (truncation error below 1e-12).
-func (c *Chain) Transient(p0 []float64, t float64) ([]float64, error) {
-	c.freeze()
-	if len(p0) != c.n {
-		return nil, fmt.Errorf("ctmc: initial distribution has %d entries, want %d", len(p0), c.n)
-	}
-	if t < 0 || math.IsNaN(t) {
-		return nil, fmt.Errorf("ctmc: invalid time %v", t)
-	}
-	out := make([]float64, c.n)
-	if t == 0 {
-		copy(out, p0)
-		return out, nil
-	}
-	lambda := c.uniformizationRate()
-	lt := lambda * t
-
-	cur := make([]float64, c.n)
-	next := make([]float64, c.n)
-	copy(cur, p0)
-
-	// Accumulate sum_k Poisson(k; lt) * p0 * P^k with scaled weights to
-	// avoid underflow for large lt.
-	logW := -lt // log of Poisson weight at k = 0
-	const tail = 1e-12
-	// Upper truncation: mean + 10 sqrt(mean) + 50 comfortably bounds the
-	// series remainder below the tolerance.
-	kMax := int(lt + 10*math.Sqrt(lt) + 50)
-	for k := 0; ; k++ {
-		w := math.Exp(logW)
-		if w > 0 {
-			for i := range out {
-				out[i] += w * cur[i]
-			}
-		}
-		if k >= kMax {
-			break
-		}
-		// Early exit once the remaining mass is negligible: the accumulated
-		// weights sum to the Poisson CDF at k.
-		if k > int(lt) && w < tail {
-			break
-		}
-		// next = cur * P
-		for j := range next {
-			next[j] = cur[j] * (1 + c.diag[j]/lambda)
-		}
-		for i := 0; i < c.n; i++ {
-			wi := cur[i] / lambda
-			if wi == 0 {
-				continue
-			}
-			c.gen.row(i, func(j int, q float64) { next[j] += wi * q })
-		}
-		cur, next = next, cur
-		logW += math.Log(lt / float64(k+1))
-	}
-	clampAndNormalize(out)
-	return out, nil
 }
 
 // MeanTimeToAbsorption returns, for each transient state, the expected time

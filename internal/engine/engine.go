@@ -67,9 +67,6 @@ type Stats struct {
 	// FactoredSolves is the number of upper-layer availability solves
 	// served by the factored (per-tier birth–death) path.
 	FactoredSolves uint64
-	// SRNSolves is the number of upper-layer solves that generated and
-	// eliminated the full SRN.
-	SRNSolves uint64
 	// TierSolves is the number of distinct (stack, replicas) tier
 	// factors solved; TierFactorHits the number served from the memo.
 	TierSolves     uint64
@@ -190,7 +187,6 @@ func (g *Engine) Stats() Stats {
 	if p, ok := g.eval.(SolverStatsProvider); ok {
 		ss := p.SolverStats()
 		st.FactoredSolves = ss.FactoredSolves
-		st.SRNSolves = ss.SRNSolves
 		st.TierSolves = ss.TierSolves
 		st.TierFactorHits = ss.TierFactorHits
 		st.SecurityFactored = ss.SecurityFactored
@@ -357,8 +353,8 @@ func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (redunda
 }
 
 // EvaluateAll scores every design on the worker pool and returns results
-// in input order — the concurrent, cached counterpart of
-// redundancy.(*Evaluator).EvaluateAll, with identical output.
+// in input order, with the output a serial loop over the evaluator
+// would give.
 func (g *Engine) EvaluateAll(designs []paperdata.Design) ([]redundancy.Result, error) {
 	return workpool.Map(g.workers, designs, func(_ int, d paperdata.Design) (redundancy.Result, error) {
 		r, err := g.Evaluate(d)

@@ -34,6 +34,33 @@ func paperEvaluator(t testing.TB) *redundancy.Evaluator {
 	return evalRef
 }
 
+// classicSpace sweeps the paper's four roles over one replica range.
+func classicSpace(r Range) SweepSpec {
+	var s SweepSpec
+	for _, role := range paperdata.Roles() {
+		s.Tiers = append(s.Tiers, TierSweep{Role: role, Replicas: r})
+	}
+	return s
+}
+
+// fullSpace sweeps every classic design with 1..max replicas per tier.
+func fullSpace(max int) SweepSpec { return classicSpace(Range{Min: 1, Max: max}) }
+
+// evaluateSerially is the serial reference: the bare evaluator over
+// designs, in order.
+func evaluateSerially(t *testing.T, ev *redundancy.Evaluator, designs []paperdata.Design) []redundancy.Result {
+	t.Helper()
+	out := make([]redundancy.Result, len(designs))
+	for i, d := range designs {
+		r, err := ev.EvaluateSpecContext(context.Background(), d.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = r
+	}
+	return out
+}
+
 // countingEvaluator wraps a DesignEvaluator and counts EvaluateSpecContext
 // and EvaluatePatched calls;
 // optionally it blocks every call until released, to force overlap.
@@ -86,10 +113,7 @@ func servedAll(rs []redundancy.Result) []served {
 func TestParallelSweepMatchesSerialEvaluateAll(t *testing.T) {
 	ev := paperEvaluator(t)
 	designs := redundancy.EnumerateDesigns(3) // 81 designs
-	serial, err := ev.EvaluateAll(designs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := evaluateSerially(t, ev, designs)
 
 	g, err := New(ev, Options{Workers: 8})
 	if err != nil {
@@ -103,7 +127,7 @@ func TestParallelSweepMatchesSerialEvaluateAll(t *testing.T) {
 		t.Fatal("parallel EvaluateAll differs from the serial reference")
 	}
 
-	sweep, err := g.Sweep(context.Background(), FullSpace(3))
+	sweep, err := g.Sweep(context.Background(), fullSpace(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +148,7 @@ func TestRepeatSweepServedFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := FullSpace(2) // 16 designs
+	spec := fullSpace(2) // 16 designs
 	if _, err := g.Sweep(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +175,7 @@ func TestRepeatSweepServedFromCache(t *testing.T) {
 	}
 
 	// An overlapping sweep only solves the designs it adds to the space.
-	if _, err := g.Sweep(context.Background(), FullSpace(3)); err != nil {
+	if _, err := g.Sweep(context.Background(), fullSpace(3)); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.calls.Load(); n != 81 {
@@ -238,17 +262,18 @@ func TestSweepBoundsFilterIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := FullSpace(2)
+	spec := fullSpace(2)
 	spec.Scatter = &redundancy.ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}
 	res, err := g.Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := ev.EvaluateAll(redundancy.EnumerateDesigns(2))
-	if err != nil {
-		t.Fatal(err)
+	var want []redundancy.Result
+	for _, r := range evaluateSerially(t, ev, redundancy.EnumerateDesigns(2)) {
+		if spec.Scatter.Satisfied(r) {
+			want = append(want, r)
+		}
 	}
-	want := redundancy.Filter(all, *spec.Scatter)
 	if !slices.Equal(servedAll(res.Kept), servedAll(want)) {
 		t.Fatalf("kept %d results, want %d", len(res.Kept), len(want))
 	}
@@ -267,11 +292,11 @@ func TestSweepParetoMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := g.Sweep(context.Background(), FullSpace(2))
+	full, err := g.Sweep(context.Background(), fullSpace(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, front, err := g.SweepPareto(context.Background(), FullSpace(2))
+	total, front, err := g.SweepPareto(context.Background(), fullSpace(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +314,7 @@ func TestSweepFuncStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed int
-	total, err := g.SweepFunc(context.Background(), FullSpace(2), func(redundancy.Result) error {
+	total, err := g.SweepFunc(context.Background(), fullSpace(2), func(redundancy.Result) error {
 		streamed++
 		return nil
 	})
@@ -301,7 +326,7 @@ func TestSweepFuncStreams(t *testing.T) {
 	}
 
 	sentinel := errors.New("enough")
-	if _, err := g.SweepFunc(context.Background(), FullSpace(2), func(redundancy.Result) error {
+	if _, err := g.SweepFunc(context.Background(), fullSpace(2), func(redundancy.Result) error {
 		return sentinel
 	}); !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not propagated: %v", err)
@@ -315,27 +340,24 @@ func TestSweepHonoursContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Sweep(ctx, FullSpace(4)); !errors.Is(err, context.Canceled) {
+	if _, err := g.Sweep(ctx, fullSpace(4)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestSweepSpecValidate(t *testing.T) {
-	bad := ClassicSpace(Range{Min: 3, Max: 1}, Range{}, Range{}, Range{})
+	bad := classicSpace(Range{Min: 3, Max: 1})
 	if err := bad.Validate(); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 	if err := (SweepSpec{}).Validate(); err == nil {
 		t.Fatal("tierless spec accepted")
 	}
-	if n := ClassicSpace(Range{}, Range{}, Range{}, Range{}).Size(); n != 1 {
+	if n := classicSpace(Range{}).Size(); n != 1 {
 		t.Fatalf("zero-range classic spec size = %d, want 1", n)
 	}
-	if n := FullSpace(4).Size(); n != 256 {
-		t.Fatalf("FullSpace(4) size = %d, want 256", n)
-	}
-	if err := FullSpace(0).Validate(); err == nil {
-		t.Fatal("FullSpace(0) must fail validation, not sweep one design")
+	if n := fullSpace(4).Size(); n != 256 {
+		t.Fatalf("1..4 classic spec size = %d, want 256", n)
 	}
 	for name, spec := range map[string]SweepSpec{
 		"duplicate role":    {Tiers: []TierSweep{{Role: "web"}, {Role: "web"}}},
@@ -374,7 +396,7 @@ func TestSweepSurfacesEvaluationError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Sweep(context.Background(), FullSpace(2)); err == nil {
+	if _, err := g.Sweep(context.Background(), fullSpace(2)); err == nil {
 		t.Fatal("evaluation error swallowed")
 	}
 }
@@ -431,7 +453,7 @@ func TestTransientErrorIsNotMemoized(t *testing.T) {
 		if failed.CompareAndSwap(false, true) {
 			return redundancy.Result{}, errors.New("transient failure")
 		}
-		return inner.EvaluateSpec(s)
+		return inner.EvaluateSpecContext(context.Background(), s)
 	}), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +541,7 @@ func TestColdSweepTierSolveBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := FullSpace(3)
+	spec := fullSpace(3)
 	res, err := g.Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -538,9 +560,6 @@ func TestColdSweepTierSolveBudget(t *testing.T) {
 	if st.TierSolves > sumRanges {
 		t.Errorf("cold 3^4 sweep performed %d tier solves, budget is sum of ranges = %d",
 			st.TierSolves, sumRanges)
-	}
-	if st.SRNSolves != 0 {
-		t.Errorf("sweep performed %d SRN solves, want 0", st.SRNSolves)
 	}
 	// Every design reads 4 factors; all but the 12 misses must hit.
 	if want := uint64(81*4) - st.TierSolves; st.TierFactorHits != want {
@@ -563,7 +582,7 @@ func TestStatsWithoutSolverProvider(t *testing.T) {
 	if st.Solves != 1 {
 		t.Errorf("solves = %d, want 1", st.Solves)
 	}
-	if st.FactoredSolves != 0 || st.SRNSolves != 0 || st.TierSolves != 0 || st.TierFactorHits != 0 {
+	if st.FactoredSolves != 0 || st.TierSolves != 0 || st.TierFactorHits != 0 {
 		t.Errorf("wrapped evaluator without SolverStats leaked counters: %+v", st)
 	}
 }
@@ -584,7 +603,7 @@ func TestSweepCancelDropsQueuedSpecs(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := g.Sweep(ctx, FullSpace(3)) // 81 designs
+		_, err := g.Sweep(ctx, fullSpace(3)) // 81 designs
 		done <- err
 	}()
 

@@ -69,29 +69,6 @@ type SweepSpec struct {
 	Multi *redundancy.MultiBounds
 }
 
-// FullSpace is the sweep of every classic design with 1..maxPerTier
-// replicas in every tier, the paper's §V enumeration. maxPerTier < 1
-// yields a spec that fails Validate — it must not silently shrink to a
-// one-design sweep the way the Max-means-Min sentinel otherwise would.
-func FullSpace(maxPerTier int) SweepSpec {
-	r := Range{Min: 1, Max: maxPerTier}
-	if maxPerTier < 1 {
-		r = Range{Min: 1, Max: -1}
-	}
-	return ClassicSpace(r, r, r, r)
-}
-
-// ClassicSpace builds the paper's fixed four-tier sweep from per-tier
-// replica ranges.
-func ClassicSpace(dns, web, app, db Range) SweepSpec {
-	return SweepSpec{Tiers: []TierSweep{
-		{Role: paperdata.RoleDNS, Replicas: dns},
-		{Role: paperdata.RoleWeb, Replicas: web},
-		{Role: paperdata.RoleApp, Replicas: app},
-		{Role: paperdata.RoleDB, Replicas: db},
-	}}
-}
-
 // Validate rejects specs with no tiers, duplicate or empty roles,
 // nonsensical ranges, and unknown or duplicate variant stacks.
 func (s SweepSpec) Validate() error {

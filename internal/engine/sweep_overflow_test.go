@@ -10,7 +10,7 @@ import (
 // saturate, never wrap past the cap to a small or negative count.
 func TestSweepSizeSaturatesInsteadOfWrapping(t *testing.T) {
 	r := Range{Min: 1, Max: 65536} // 65536^4 == 2^64 wraps to 0 unchecked
-	spec := ClassicSpace(r, r, r, r)
+	spec := classicSpace(r)
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("huge-but-wellformed spec rejected: %v", err)
 	}

@@ -242,9 +242,9 @@ func (r *Registry) Snapshot() ([]byte, error) {
 
 // Restore merges a snapshot into the registry: systems whose ID is
 // already registered are skipped (live registrations win over the dump),
-// invalid records reject the whole snapshot, mirroring the engine
-// cache's all-or-nothing restore. It returns how many systems were
-// added.
+// while an invalid record or an ID listed twice rejects the whole
+// snapshot before any record is applied, mirroring the engine cache's
+// all-or-nothing restore. It returns how many systems were added.
 func (r *Registry) Restore(data []byte) (int, error) {
 	var snap registrySnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -253,10 +253,15 @@ func (r *Registry) Restore(data []byte) (int, error) {
 	if snap.Version != snapshotVersion {
 		return 0, fmt.Errorf("fleet: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
+	seen := make(map[string]bool, len(snap.Systems))
 	for _, s := range snap.Systems {
 		if err := s.Validate(); err != nil {
 			return 0, fmt.Errorf("fleet: snapshot rejected: %w", err)
 		}
+		if seen[s.ID] {
+			return 0, fmt.Errorf("fleet: snapshot rejected: system %q listed twice", s.ID)
+		}
+		seen[s.ID] = true
 	}
 	added := 0
 	r.mu.Lock()

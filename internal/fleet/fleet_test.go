@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -81,7 +83,7 @@ func TestSystemDefaults(t *testing.T) {
 	if got := s.priority(); got != 1 {
 		t.Errorf("default priority = %v, want 1", got)
 	}
-	if got := s.attempt(); got != patch.PerfectAttempt() {
+	if got := s.attempt(); got != (patch.Attempt{SuccessProbability: 1}) {
 		t.Errorf("default attempt = %+v, want perfect", got)
 	}
 	s.Priority = 1.5
@@ -182,6 +184,39 @@ func TestRegistrySnapshotRestore(t *testing.T) {
 	}
 	if _, err := fresh.Restore([]byte(`{"version":1,"systems":[{"id":""}]}`)); err == nil {
 		t.Error("invalid record should reject the snapshot")
+	}
+}
+
+// TestRestoreRejectsDuplicateIDs: a snapshot listing one ID twice is
+// rejected whole, before any of its records (here the unknown "b")
+// lands in the registry.
+func TestRestoreRejectsDuplicateIDs(t *testing.T) {
+	src := NewRegistry()
+	for _, id := range []string{"a", "b", "c"} {
+		if err := src.Register(testSystem(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := bytes.Replace(data, []byte(`"id":"c"`), []byte(`"id":"a"`), 1)
+	if bytes.Equal(dup, data) {
+		t.Fatal("snapshot has no system c to rename")
+	}
+
+	live := NewRegistry()
+	if err := live.Register(testSystem("a")); err != nil {
+		t.Fatal(err)
+	}
+	before, rev := live.List(), live.Rev()
+	added, err := live.Restore(dup)
+	if err == nil || added != 0 {
+		t.Fatalf("Restore of a snapshot listing a twice = (%d, %v), want (0, error)", added, err)
+	}
+	if got := live.List(); !reflect.DeepEqual(got, before) || live.Rev() != rev {
+		t.Errorf("rejected restore changed the registry: %+v rev %d, want %+v rev %d", got, live.Rev(), before, rev)
 	}
 }
 

@@ -2,14 +2,16 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
 
 // FuzzFleetRestore feeds arbitrary bytes to Registry.Restore, the path a
 // restarting daemon takes with its on-disk fleet dump. No input may
-// panic. A rejected input returns (0, err) and leaves a populated
-// registry exactly as it was. An accepted input adds only unknown IDs,
+// panic. A snapshot that lists one ID twice is rejected. A rejected
+// input returns (0, err) and leaves a populated registry exactly as it
+// was. An accepted input adds only unknown IDs,
 // leaves live registrations alone, and round-trips: its restored
 // registry's Snapshot restores into a fresh registry whose Snapshot is
 // byte-identical.
@@ -49,6 +51,9 @@ func FuzzFleetRestore(f *testing.F) {
 		before, rev := live.List(), live.Rev()
 
 		added, err := live.Restore(data)
+		if err == nil && listsAnIDTwice(data) {
+			t.Fatalf("snapshot listing an ID twice accepted with %d added", added)
+		}
 		if err != nil {
 			if added != 0 {
 				t.Fatalf("rejected restore reported %d added", added)
@@ -88,4 +93,21 @@ func FuzzFleetRestore(f *testing.F) {
 			t.Fatalf("snapshot does not round-trip:\n%s\n%s", s1, s2)
 		}
 	})
+}
+
+// listsAnIDTwice reports whether data decodes as a snapshot whose
+// systems repeat an ID.
+func listsAnIDTwice(data []byte) bool {
+	var snap registrySnapshot
+	if json.Unmarshal(data, &snap) != nil {
+		return false
+	}
+	seen := map[string]bool{}
+	for _, s := range snap.Systems {
+		if seen[s.ID] {
+			return true
+		}
+		seen[s.ID] = true
+	}
+	return false
 }

@@ -36,7 +36,7 @@ func (h *HARM) DOT() string {
 		}
 		fmt.Fprintf(&b, "  %q [%s];\n", host, strings.Join(attrs, ", "))
 	}
-	for _, from := range h.upper.Nodes() {
+	for _, from := range h.upper.sortedNodes() {
 		for _, to := range h.upper.successors(from) {
 			fmt.Fprintf(&b, "  %q -> %q;\n", from, to)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"redpatch/internal/attacktree"
 	"redpatch/internal/mathx"
 )
 
@@ -54,17 +53,6 @@ type FactoredHARM struct {
 // (paperdata.SpecRolloutQuotient).
 func BuildFactored(in BuildInput) (*FactoredHARM, error) {
 	h, err := Build(in)
-	if err != nil {
-		return nil, err
-	}
-	return &FactoredHARM{h: h}, nil
-}
-
-// Patched returns the factored model after the patch transformation,
-// mirroring HARM.Patched: classes whose pruned trees empty drop out of
-// the quotient graph, exactly as their expanded replicas would.
-func (f *FactoredHARM) Patched(keep func(role string, leaf *attacktree.Leaf) bool) (*FactoredHARM, error) {
-	h, err := f.h.Patched(keep)
 	if err != nil {
 		return nil, err
 	}

@@ -84,12 +84,13 @@ func TestFactoredMatchesPaperTableII(t *testing.T) {
 		t.Errorf("ShortestPath = %d, want 3", m.ShortestPath)
 	}
 
-	patched, err := f.Patched(func(role string, l *attacktree.Leaf) bool {
+	ph, err := f.h.Patched(func(role string, l *attacktree.Leaf) bool {
 		return !criticalRefs[l.Ref]
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	patched := &FactoredHARM{h: ph}
 	after, err := evalFactored(patched, mult, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestFactoredMatchesPaperTableII(t *testing.T) {
 			after.NoEV, after.NoAP, after.NoEP)
 	}
 	// The patched DNS class must have left the quotient graph.
-	if patched.h.Upper().HasNode("dns") {
+	if patched.h.upper.hasNode("dns") {
 		t.Error("patched dns class should leave the quotient graph")
 	}
 }

@@ -19,25 +19,25 @@ import (
 // graphs.
 var errTooManyPaths = errors.New("attackgraph: too many attack paths")
 
-// Graph is a directed graph over string-named nodes. Adjacency is kept as
+// graph is a directed graph over string-named nodes. Adjacency is kept as
 // sorted successor slices maintained on insertion, so traversal
 // (successors, allPaths) never rebuilds or re-sorts per call and the graph
 // is safe for concurrent reads once construction is done.
-type Graph struct {
+type graph struct {
 	nodes map[string]bool
 	adj   map[string][]string // sorted successor names per node
 }
 
 // newGraph returns an empty graph.
-func newGraph() *Graph {
-	return &Graph{
+func newGraph() *graph {
+	return &graph{
 		nodes: make(map[string]bool),
 		adj:   make(map[string][]string),
 	}
 }
 
 // addNode inserts a node; adding an existing node is a no-op.
-func (g *Graph) addNode(name string) error {
+func (g *graph) addNode(name string) error {
 	if name == "" {
 		return fmt.Errorf("attackgraph: empty node name")
 	}
@@ -47,7 +47,7 @@ func (g *Graph) addNode(name string) error {
 
 // addEdge inserts a directed edge; both endpoints must exist. Inserting an
 // existing edge is a no-op.
-func (g *Graph) addEdge(from, to string) error {
+func (g *graph) addEdge(from, to string) error {
 	if !g.nodes[from] {
 		return fmt.Errorf("attackgraph: unknown node %q", from)
 	}
@@ -69,11 +69,11 @@ func (g *Graph) addEdge(from, to string) error {
 	return nil
 }
 
-// HasNode reports whether the node exists.
-func (g *Graph) HasNode(name string) bool { return g.nodes[name] }
+// hasNode reports whether the node exists.
+func (g *graph) hasNode(name string) bool { return g.nodes[name] }
 
-// Nodes returns all node names sorted.
-func (g *Graph) Nodes() []string {
+// sortedNodes returns all node names sorted.
+func (g *graph) sortedNodes() []string {
 	out := make([]string, 0, len(g.nodes))
 	for n := range g.nodes {
 		out = append(out, n)
@@ -84,24 +84,8 @@ func (g *Graph) Nodes() []string {
 
 // successors returns the direct successors of a node, sorted. The slice is
 // the graph's own adjacency snapshot — callers must not modify it.
-func (g *Graph) successors(name string) []string {
+func (g *graph) successors(name string) []string {
 	return g.adj[name]
-}
-
-// clone returns a deep copy of the graph. The adjacency snapshot is copied
-// wholesale instead of replayed edge by edge.
-func (g *Graph) clone() *Graph {
-	c := &Graph{
-		nodes: make(map[string]bool, len(g.nodes)),
-		adj:   make(map[string][]string, len(g.adj)),
-	}
-	for n := range g.nodes {
-		c.nodes[n] = true
-	}
-	for from, succ := range g.adj {
-		c.adj[from] = append([]string(nil), succ...)
-	}
-	return c
 }
 
 // Path is a simple path through the graph, source first.
@@ -125,7 +109,7 @@ func (o allPathsOptions) withDefaults() allPathsOptions {
 // in deterministic (lexicographically ordered DFS) order. Paths stop at
 // the first target they reach: the attacker's goal is reaching a target,
 // so continuing past one would double-count.
-func (g *Graph) allPaths(src string, targets []string, opts allPathsOptions) ([]Path, error) {
+func (g *graph) allPaths(src string, targets []string, opts allPathsOptions) ([]Path, error) {
 	if !g.nodes[src] {
 		return nil, fmt.Errorf("attackgraph: unknown source %q", src)
 	}

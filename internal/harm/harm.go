@@ -49,7 +49,7 @@ type HARM struct {
 	top       *topology.Topology
 	roles     map[string]*attacktree.Tree // templates by role (already pruned for patched HARMs)
 	instances map[string]*attacktree.Tree // per-instance overrides (already pruned for patched HARMs)
-	upper     *Graph
+	upper     *graph
 	lower     map[string]*attacktree.Tree // per host instance; replicas of one role share the template tree
 	hosts     []string                    // sorted host names (keys of lower)
 	attacker  string
@@ -153,11 +153,11 @@ func assemble(top *topology.Topology, roles, instances map[string]*attacktree.Tr
 		return h, nil
 	}
 	for _, n := range top.Nodes() {
-		if !upper.HasNode(n.Name) {
+		if !upper.hasNode(n.Name) {
 			continue
 		}
 		for _, to := range top.Successors(n.Name) {
-			if upper.HasNode(to) {
+			if upper.hasNode(to) {
 				if err := upper.addEdge(n.Name, to); err != nil {
 					return nil, err
 				}
@@ -197,14 +197,6 @@ func (h *HARM) Patched(keep func(role string, leaf *attacktree.Leaf) bool) (*HAR
 func (h *HARM) Hosts() []string {
 	return append([]string(nil), h.hosts...)
 }
-
-// Tree returns the attack tree of the given host instance (possibly
-// empty), or nil if the host is unknown. Replicas of one role share the
-// returned tree; callers must treat it as read-only.
-func (h *HARM) Tree(host string) *attacktree.Tree { return h.lower[host] }
-
-// Upper returns a copy of the upper-layer attack graph.
-func (h *HARM) Upper() *Graph { return h.upper.clone() }
 
 // ASPStrategy selects how per-path success probabilities aggregate to the
 // network-level ASP. More than one is provided because the paper does not

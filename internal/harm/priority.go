@@ -27,21 +27,15 @@ type PatchCandidate struct {
 	RiskReduction float64
 }
 
-// RankPatchCandidates evaluates, for every distinct vulnerability in the
-// HARM, the security metrics of the network with only that vulnerability
-// patched, and returns the candidates sorted by descending risk
-// reduction (ties broken by reference). It answers the prioritization
-// question behind the paper's observation that patching everything is
-// infeasible "due to time and cost constraints": which single patch buys
-// the most security.
-func (h *HARM) RankPatchCandidates(opts EvalOptions) ([]PatchCandidate, error) {
-	return h.RankPatchCandidatesWhere(opts, nil)
-}
-
-// RankPatchCandidatesWhere is RankPatchCandidates restricted to the
-// vulnerabilities eligible accepts — the ranking a patch policy needs
-// when only its selected set is up for patching. A nil eligible ranks
-// every vulnerability.
+// RankPatchCandidatesWhere evaluates, for every distinct vulnerability
+// in the HARM that eligible accepts, the security metrics of the network
+// with only that vulnerability patched, and returns the candidates
+// sorted by descending risk reduction (ties broken by reference). It
+// answers the prioritization question behind the paper's observation
+// that patching everything is infeasible "due to time and cost
+// constraints": which single patch buys the most security. A patch
+// policy passes its selected set as eligible; a nil eligible ranks every
+// vulnerability.
 func (h *HARM) RankPatchCandidatesWhere(opts EvalOptions, eligible func(ref string) bool) ([]PatchCandidate, error) {
 	before, err := h.Evaluate(opts)
 	if err != nil {
@@ -92,38 +86,4 @@ func (h *HARM) RankPatchCandidatesWhere(opts EvalOptions, eligible func(ref stri
 		return out[i].Ref < out[j].Ref
 	})
 	return out, nil
-}
-
-// GreedyPatchPlan selects up to k vulnerabilities by repeatedly patching
-// the one with the largest remaining risk reduction, re-evaluating the
-// network after each pick. It returns the chosen references in order and
-// the metrics after applying all of them. The greedy loop stops early
-// when no candidate reduces risk further.
-func (h *HARM) GreedyPatchPlan(k int, opts EvalOptions) ([]string, Metrics, error) {
-	if k < 0 {
-		return nil, Metrics{}, fmt.Errorf("harm: negative plan size %d", k)
-	}
-	current := h
-	var chosen []string
-	metrics, err := current.Evaluate(opts)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	for len(chosen) < k {
-		candidates, err := current.RankPatchCandidates(opts)
-		if err != nil {
-			return nil, Metrics{}, err
-		}
-		if len(candidates) == 0 || candidates[0].RiskReduction <= 0 {
-			break
-		}
-		best := candidates[0]
-		chosen = append(chosen, best.Ref)
-		current, err = current.Patched(func(role string, l *attacktree.Leaf) bool { return l.Ref != best.Ref })
-		if err != nil {
-			return nil, Metrics{}, err
-		}
-		metrics = best.After
-	}
-	return chosen, metrics, nil
 }

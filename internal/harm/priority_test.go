@@ -5,7 +5,6 @@ import (
 
 	"redpatch/internal/attacktree"
 	"redpatch/internal/mathx"
-	"redpatch/internal/topology"
 )
 
 func TestRisk(t *testing.T) {
@@ -17,7 +16,7 @@ func TestRisk(t *testing.T) {
 
 func TestRankPatchCandidates(t *testing.T) {
 	h := buildPaperHARM(t)
-	candidates, err := h.RankPatchCandidates(EvalOptions{})
+	candidates, err := h.RankPatchCandidatesWhere(EvalOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,68 +66,6 @@ func TestRankPatchCandidates(t *testing.T) {
 	}
 }
 
-func TestGreedyPatchPlan(t *testing.T) {
-	h := buildPaperHARM(t)
-	refs, after, err := h.GreedyPatchPlan(2, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs) != 2 {
-		t.Fatalf("plan = %v, want 2 picks", refs)
-	}
-	if refs[0] != "v1dns" {
-		t.Errorf("first pick = %s, want v1dns", refs[0])
-	}
-	before, err := h.Evaluate(EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Risk() >= before.Risk() {
-		t.Errorf("greedy plan should reduce risk: %v -> %v", before.Risk(), after.Risk())
-	}
-	// Zero-size plan: no picks, metrics unchanged.
-	none, unchanged, err := h.GreedyPatchPlan(0, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 || !mathx.AlmostEqual(unchanged.Risk(), before.Risk(), 1e-12) {
-		t.Error("zero-size plan must change nothing")
-	}
-	if _, _, err := h.GreedyPatchPlan(-1, EvalOptions{}); err == nil {
-		t.Error("negative plan size should fail")
-	}
-}
-
-func TestGreedyPatchPlanStopsWhenNoGain(t *testing.T) {
-	// A single host whose only exploit chain is one AND pair: patching
-	// either leaf removes the whole path; afterwards nothing reduces risk
-	// further, so the greedy loop stops after one pick even with k = 5.
-	top := topology.New()
-	top.MustAddNode(topology.Node{Name: "A", Kind: topology.KindAttacker})
-	top.MustAddNode(topology.Node{Name: "h", Kind: topology.KindHost, Role: "h"})
-	top.MustConnect("A", "h")
-	trees := map[string]*attacktree.Tree{
-		"h": attacktree.New(attacktree.NewAND(
-			attacktree.NewLeaf("x", 5, 0.5),
-			attacktree.NewLeaf("y", 5, 0.5),
-		)),
-	}
-	h, err := Build(BuildInput{Topology: top, Trees: trees, TargetRoles: []string{"h"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs, after, err := h.GreedyPatchPlan(5, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs) != 1 {
-		t.Errorf("plan = %v, want a single pick", refs)
-	}
-	if after.Risk() != 0 {
-		t.Errorf("risk after = %v, want 0", after.Risk())
-	}
-}
-
 // TestInstanceTreeOverrides exercises heterogeneous redundancy: two web
 // replicas with different stacks.
 func TestInstanceTreeOverrides(t *testing.T) {
@@ -158,10 +95,10 @@ func TestInstanceTreeOverrides(t *testing.T) {
 	if m.NoEV != 24 {
 		t.Errorf("NoEV = %d, want 24 (26 - 2)", m.NoEV)
 	}
-	if got := h.Tree("web2").String(); got != "OR(alt1, AND(alt2, alt3))" {
+	if got := h.lower["web2"].String(); got != "OR(alt1, AND(alt2, alt3))" {
 		t.Errorf("web2 tree = %s", got)
 	}
-	if got := h.Tree("web1").String(); got == h.Tree("web2").String() {
+	if got := h.lower["web1"].String(); got == h.lower["web2"].String() {
 		t.Error("web1 must keep the role template")
 	}
 
@@ -177,7 +114,7 @@ func TestInstanceTreeOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := patched.Tree("web2").String(); got != "OR(AND(alt2, alt3))" {
+	if got := patched.lower["web2"].String(); got != "OR(AND(alt2, alt3))" {
 		t.Errorf("patched web2 tree = %s", got)
 	}
 	// web2's success probability (0.86*0.39) differs from web1's 0.39, so

@@ -11,7 +11,7 @@ import "redpatch/internal/attacktree"
 // to prune; keep is the patch transformation predicate of HARM.Patched.
 //
 // With no patched classes this is exactly BuildFactored, and with every
-// class patched it matches BuildFactored(...).Patched(keep) — the
+// class patched it matches the factored model of HARM.Patched(keep) — the
 // pruned per-instance trees are value-identical to the pruned role
 // templates, so both degenerate rollout endpoints reproduce the atomic
 // models' metrics bit for bit.

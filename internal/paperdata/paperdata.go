@@ -254,11 +254,6 @@ type Design struct {
 	DB   int
 }
 
-// Counts returns the per-role replica counts as a map.
-func (d Design) Counts() map[string]int {
-	return map[string]int{RoleDNS: d.DNS, RoleWeb: d.Web, RoleApp: d.App, RoleDB: d.DB}
-}
-
 // DefaultName renders the canonical compact name of a design tuple
 // ("1d2w2a1b") — the one naming scheme shared by design enumeration and
 // the evaluation service.

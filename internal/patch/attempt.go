@@ -73,10 +73,6 @@ type Attempt struct {
 	Rollback time.Duration
 }
 
-// PerfectAttempt returns the paper's idealisation: every window succeeds
-// and the rollback branch is dormant.
-func PerfectAttempt() Attempt { return Attempt{SuccessProbability: 1} }
-
 // Validate checks the attempt parameters.
 func (a Attempt) Validate() error {
 	if a.SuccessProbability <= 0 || a.SuccessProbability > 1 {

@@ -7,8 +7,8 @@ import (
 )
 
 func TestAttemptValidate(t *testing.T) {
-	if err := PerfectAttempt().Validate(); err != nil {
-		t.Errorf("PerfectAttempt invalid: %v", err)
+	if err := (Attempt{SuccessProbability: 1}).Validate(); err != nil {
+		t.Errorf("the perfect attempt is invalid: %v", err)
 	}
 	cases := []Attempt{
 		{SuccessProbability: 0},
@@ -44,7 +44,7 @@ func TestFailedAndExpectedDowntime(t *testing.T) {
 		t.Errorf("ExpectedDowntime = %v, want %v", got, wantExpected)
 	}
 	// The perfect attempt collapses to the paper's atomic window.
-	if got := plan.ExpectedDowntime(PerfectAttempt()); got != plan.TotalDowntime() {
+	if got := plan.ExpectedDowntime(Attempt{SuccessProbability: 1}); got != plan.TotalDowntime() {
 		t.Errorf("perfect ExpectedDowntime = %v, want %v", got, plan.TotalDowntime())
 	}
 	// An empty plan has no downtime on either branch.

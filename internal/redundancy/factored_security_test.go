@@ -147,7 +147,7 @@ func TestSecurityMemoSweepReuse(t *testing.T) {
 			for app := 1; app <= 3; app++ {
 				for db := 1; db <= 3; db++ {
 					d := paperdata.Design{Name: "s", DNS: dns, Web: web, App: app, DB: db}
-					if _, err := ev.EvaluateSpec(d.Spec()); err != nil {
+					if _, err := ev.EvaluateSpecContext(context.Background(), d.Spec()); err != nil {
 						t.Fatal(err)
 					}
 					n++
@@ -195,11 +195,11 @@ func TestSecurityMemoKeyVariants(t *testing.T) {
 			{Role: paperdata.RoleDB, Replicas: 1},
 		},
 	}
-	rp, err := ev.EvaluateSpec(plain)
+	rp, err := ev.EvaluateSpecContext(context.Background(), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, err := ev.EvaluateSpec(variant)
+	rv, err := ev.EvaluateSpecContext(context.Background(), variant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSecurityMemoKeyVariants(t *testing.T) {
 		t.Errorf("plain and variant NoEV both %d; factors must not be shared", rp.Before.NoEV)
 	}
 	// Re-evaluating either spec is a pure memo hit.
-	if _, err := ev.EvaluateSpec(plain); err != nil {
+	if _, err := ev.EvaluateSpecContext(context.Background(), plain); err != nil {
 		t.Fatal(err)
 	}
 	if got := ev.SolverStats().SecuritySolves; got != 4 {
@@ -238,11 +238,11 @@ func TestSecurityMemoDistinctPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := paperdata.BaseDesign().Spec()
-	rc, err := critical.EvaluateSpec(spec)
+	rc, err := critical.EvaluateSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := all.EvaluateSpec(spec)
+	ra, err := all.EvaluateSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		atomic, err := ev.EvaluateSpec(c.spec)
+		atomic, err := ev.EvaluateSpecContext(context.Background(), c.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}

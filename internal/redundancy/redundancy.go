@@ -23,15 +23,13 @@ import (
 	"redpatch/internal/patch"
 	"redpatch/internal/trace"
 	"redpatch/internal/vulndb"
-	"redpatch/internal/workpool"
 )
 
-// Evaluator evaluates redundancy designs for one case study: a
-// vulnerability dataset, per-stack attack trees, a patch policy and
-// schedule, and the HARM evaluation options. Lower-layer availability
-// models are solved once per software stack and cached — the paper's
-// four roles eagerly at construction, variant stacks (RoleWebAlt)
-// lazily on first use.
+// Evaluator evaluates redundancy designs for one case study: the paper's
+// vulnerability dataset and per-stack attack trees under a patch policy
+// and schedule. Lower-layer availability models are solved once per
+// software stack and cached — the paper's four roles eagerly at
+// construction, variant stacks (RoleWebAlt) lazily on first use.
 //
 // An Evaluator is safe for concurrent use after NewEvaluator returns:
 // the configuration fields are read-only from then on, the lazily
@@ -39,17 +37,15 @@ import (
 // models) are guarded by its mutex and hold immutable values,
 // harm.Build clones the shared attack-tree templates before touching
 // them, vulndb.DB lookups are plain map reads, and each call builds
-// only its own network model and result. The one caveat is the
-// vulnerability database itself — callers must not mutate a DB
-// (Add/UnmarshalJSON) that a live Evaluator reads. The concurrent
-// engine (internal/engine) relies on this guarantee.
+// only its own network model and result; the evaluator's dataset is its
+// own and never handed out. The concurrent engine (internal/engine)
+// relies on this guarantee.
 type Evaluator struct {
 	db       *vulndb.DB
 	trees    map[string]*attacktree.Tree
 	policy   patch.Policy
 	schedule patch.Schedule
 	evalOpts harm.EvalOptions
-	workers  int
 
 	mu      sync.Mutex // guards agg, plans, factors and security (lazy solves)
 	agg     map[string]availability.AggregatedRates
@@ -70,7 +66,6 @@ type Evaluator struct {
 
 	// Solver dispatch counters (see SolverStats).
 	factoredSolves   atomic.Uint64
-	srnSolves        atomic.Uint64
 	tierSolves       atomic.Uint64
 	tierFactorHits   atomic.Uint64
 	securityFactored atomic.Uint64
@@ -91,34 +86,26 @@ type factorKey struct {
 	patched int
 }
 
-// Options configures an Evaluator. Zero-value fields select the paper's
-// defaults.
+// Options configures an Evaluator. Nil fields select the paper's
+// defaults. The evaluator always reads the paper dataset and its Fig. 3
+// attack-tree templates, and evaluates security with ASPCompromise and
+// noisy-OR tree combination, the configuration closest to the paper's
+// published ASP values (0.234 against Table II's 0.265; harm's
+// TestASPStrategiesAfterPatch pins every rule).
 type Options struct {
-	// DB defaults to the paper dataset.
-	DB *vulndb.DB
-	// Trees defaults to the paper's Fig. 3 templates.
-	Trees map[string]*attacktree.Tree
 	// Policy defaults to the critical policy (base score > 8.0).
 	Policy *patch.Policy
 	// Schedule defaults to the monthly schedule.
 	Schedule *patch.Schedule
-	// Eval defaults to ASPCompromise with noisy-OR tree combination, the
-	// configuration closest to the paper's published ASP values (0.234
-	// against Table II's 0.265; harm's TestASPStrategiesAfterPatch pins
-	// every rule).
-	Eval *harm.EvalOptions
-	// Workers bounds the goroutines EvaluateAll fans out across; the
-	// default of 1 keeps it a deterministic serial loop (the engine in
-	// internal/engine layers caching and wider pools on top).
-	Workers int
 }
 
 // NewEvaluator builds an evaluator and solves the per-role availability
 // models.
 func NewEvaluator(opts Options) (*Evaluator, error) {
+	db := paperdata.VulnDB()
 	e := &Evaluator{
-		db:       opts.DB,
-		trees:    opts.Trees,
+		db:       db,
+		trees:    paperdata.Trees(db),
 		policy:   patch.CriticalPolicy(),
 		schedule: patch.MonthlySchedule(),
 		evalOpts: harm.EvalOptions{Strategy: harm.ASPCompromise, ORRule: attacktree.ORNoisy},
@@ -127,24 +114,11 @@ func NewEvaluator(opts Options) (*Evaluator, error) {
 		factors:  make(map[factorKey]availability.TierFactor),
 		security: make(map[string]*harm.Compiled),
 	}
-	if e.db == nil {
-		e.db = paperdata.VulnDB()
-	}
-	if e.trees == nil {
-		e.trees = paperdata.Trees(e.db)
-	}
 	if opts.Policy != nil {
 		e.policy = *opts.Policy
 	}
 	if opts.Schedule != nil {
 		e.schedule = *opts.Schedule
-	}
-	if opts.Eval != nil {
-		e.evalOpts = *opts.Eval
-	}
-	e.workers = 1
-	if opts.Workers > 0 {
-		e.workers = opts.Workers
 	}
 
 	for _, role := range paperdata.Roles() {
@@ -329,25 +303,21 @@ func patchedAt(patched []int, i int, t availability.Tier) int {
 	return patched[i]
 }
 
-// solveNetwork dispatches one spec's availability solve at per-tier
-// patched counts (aligned with nm.Tiers; nil for the atomic design):
-// PerServer models (every model this evaluator builds) go through the
-// memoized factored path, anything else falls back to the generated
-// SRN. When every tier factor is already memoized the solve is
-// closed-form arithmetic, so it is recorded as attributes on the
-// caller's span rather than a span of its own — a memo-warm sweep stays
-// nearly span-free. Any real solve work gets an "availability.solve"
-// span recording which solver answered and how many tier factors came
-// from the memo versus fresh solves.
+// solveNetwork solves one spec's availability at per-tier patched
+// counts (aligned with nm.Tiers; nil for the atomic design) by the
+// memoized factored path. When every tier factor is already memoized the
+// solve is closed-form arithmetic, so it is recorded as attributes on
+// the caller's span rather than a span of its own — a memo-warm sweep
+// stays nearly span-free. Any real solve work gets an
+// "availability.solve" span recording the solver and how many tier
+// factors came from the memo versus fresh solves.
 func (e *Evaluator) solveNetwork(ctx context.Context, nm availability.NetworkModel, stacks []string, patched []int) (availability.NetworkSolution, error) {
-	if nm.Recovery == 0 || nm.Recovery == availability.PerServer {
-		if factors, ok := e.memoizedFactors(nm, stacks, patched); ok {
-			// One attribute suffices: on this path every tier factor was
-			// a memo hit by definition.
-			trace.FromContext(ctx).SetAttr("availability_solver", "factored")
-			e.factoredSolves.Add(1)
-			return availability.ComposeNetwork(nm, factors)
-		}
+	if factors, ok := e.memoizedFactors(nm, stacks, patched); ok {
+		// One attribute suffices: on this path every tier factor was a
+		// memo hit by definition.
+		trace.FromContext(ctx).SetAttr("availability_solver", "factored")
+		e.factoredSolves.Add(1)
+		return availability.ComposeNetwork(nm, factors)
 	}
 	ctx, sp := trace.Start(ctx, "availability.solve",
 		trace.Attr{Key: "tiers", Value: len(nm.Tiers)})
@@ -377,11 +347,6 @@ func (e *Evaluator) memoizedFactors(nm availability.NetworkModel, stacks []strin
 }
 
 func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, nm availability.NetworkModel, stacks []string, patched []int) (availability.NetworkSolution, error) {
-	if nm.Recovery != 0 && nm.Recovery != availability.PerServer {
-		sp.SetAttr("solver", "srn")
-		e.srnSolves.Add(1)
-		return availability.SolveNetworkSRNCtx(ctx, nm)
-	}
 	sp.SetAttr("solver", "factored")
 	factors := make([]availability.TierFactor, len(nm.Tiers))
 	hits := 0
@@ -568,9 +533,6 @@ type SolverStats struct {
 	// FactoredSolves is the number of network solves served by the
 	// factored (per-tier birth–death) path.
 	FactoredSolves uint64
-	// SRNSolves is the number of network solves that generated and
-	// eliminated the full SRN (SingleRepair models).
-	SRNSolves uint64
 	// TierSolves is the number of per-(stack, replicas) tier factors
 	// solved — the cache-miss count.
 	TierSolves uint64
@@ -596,7 +558,6 @@ type SolverStats struct {
 func (e *Evaluator) SolverStats() SolverStats {
 	return SolverStats{
 		FactoredSolves:     e.factoredSolves.Load(),
-		SRNSolves:          e.srnSolves.Load(),
 		TierSolves:         e.tierSolves.Load(),
 		TierFactorHits:     e.tierFactorHits.Load(),
 		SecurityFactored:   e.securityFactored.Load(),
@@ -606,22 +567,16 @@ func (e *Evaluator) SolverStats() SolverStats {
 	}
 }
 
-// EvaluateSpec runs both models for one role-keyed design. Security goes
-// through the factored (quotient) evaluator: the replica-symmetric HARM
-// is built once per variant structure and the spec's replica counts enter
-// the metrics in closed form, so sweeps never rebuild or re-enumerate the
-// replica-expanded model.
-func (e *Evaluator) EvaluateSpec(spec paperdata.DesignSpec) (Result, error) {
-	return e.EvaluateSpecContext(context.Background(), spec)
-}
-
-// EvaluateSpecContext is EvaluateSpec with the caller's context threaded
-// through for tracing: when the context carries a tracer, the security
-// and availability solves record spans naming which solver ran, which
-// memos hit, and how long each step took. The context is used for
-// observability only — an evaluation never aborts mid-solve on
-// cancellation, so a result computed for one caller stays valid for
-// every concurrent caller deduplicated onto it.
+// EvaluateSpecContext runs both models for one role-keyed design.
+// Security goes through the factored (quotient) evaluator: the
+// replica-symmetric HARM is built once per variant structure and the
+// spec's replica counts enter the metrics in closed form, so sweeps never
+// rebuild or re-enumerate the replica-expanded model. When the context
+// carries a tracer, the security and availability solves record spans
+// naming which solver ran, which memos hit, and how long each step took.
+// The context is used for observability only — an evaluation never
+// aborts mid-solve on cancellation, so a result computed for one caller
+// stays valid for every concurrent caller deduplicated onto it.
 func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (Result, error) {
 	// The one validation of the design: the security fold and the
 	// network model below assume a valid spec.
@@ -645,14 +600,6 @@ func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.Desi
 	res.COA = sol.COA
 	res.ServiceAvailability = sol.ServiceAvailability
 	return res, nil
-}
-
-// Evaluate runs both models for one classic 4-tuple design.
-func (e *Evaluator) Evaluate(d paperdata.Design) (Result, error) {
-	if err := d.Validate(); err != nil {
-		return Result{}, err
-	}
-	return e.EvaluateSpec(d.Spec())
 }
 
 // RankPatches ranks the policy-selected vulnerabilities of a design by
@@ -686,21 +633,6 @@ func (e *Evaluator) PlanCampaign(role string, maxWindow time.Duration) (patch.Ca
 	return patch.PlanCampaign(role, vulns, e.policy, e.schedule, maxWindow)
 }
 
-// EvaluateAll evaluates a list of designs and returns results in input
-// order. It delegates to the engine's worker-pool primitive
-// (internal/workpool); with the default Options.Workers of 1 it is the
-// serial reference loop, with more workers the designs evaluate
-// concurrently with identical output.
-func (e *Evaluator) EvaluateAll(designs []paperdata.Design) ([]Result, error) {
-	return workpool.Map(e.workers, designs, func(_ int, d paperdata.Design) (Result, error) {
-		r, err := e.Evaluate(d)
-		if err != nil {
-			return Result{}, fmt.Errorf("redundancy: design %s: %w", d, err)
-		}
-		return r, nil
-	})
-}
-
 // ScatterBounds are the administrator bounds of the paper's Eq. 3:
 // an upper bound phi on ASP and a lower bound psi on COA.
 type ScatterBounds struct {
@@ -731,22 +663,6 @@ func (b MultiBounds) Satisfied(r Result) bool {
 		r.After.NoAP <= b.MaxNoAP &&
 		r.After.NoEP <= b.MaxNoEP &&
 		r.COA >= b.MinCOA
-}
-
-// Bound is satisfied by both bounds types; filtering is generic over it.
-type Bound interface {
-	Satisfied(Result) bool
-}
-
-// Filter returns the results satisfying the bound, preserving order.
-func Filter(results []Result, b Bound) []Result {
-	var out []Result
-	for _, r := range results {
-		if b.Satisfied(r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // dominates is the one dominance rule of every frontier in this

@@ -1,6 +1,7 @@
 package redundancy
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"redpatch/internal/availability"
-	"redpatch/internal/harm"
 	"redpatch/internal/mathx"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
@@ -29,12 +29,35 @@ func evaluator(t *testing.T) (*Evaluator, []Result) {
 		if sharedInitErr != nil {
 			return
 		}
-		sharedResults, sharedInitErr = sharedEval.EvaluateAll(paperdata.Designs())
+		for _, d := range paperdata.Designs() {
+			r, err := evalDesign(sharedEval, d)
+			if err != nil {
+				sharedInitErr = err
+				return
+			}
+			sharedResults = append(sharedResults, r)
+		}
 	})
 	if sharedInitErr != nil {
 		t.Fatal(sharedInitErr)
 	}
 	return sharedEval, sharedResults
+}
+
+// evalDesign evaluates a classic design through the spec path.
+func evalDesign(e *Evaluator, d paperdata.Design) (Result, error) {
+	return e.EvaluateSpecContext(context.Background(), d.Spec())
+}
+
+// satisfying returns the results a bound accepts, in order.
+func satisfying(results []Result, ok func(Result) bool) []Result {
+	var out []Result
+	for _, r := range results {
+		if ok(r) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func byName(t *testing.T, results []Result, name string) Result {
@@ -132,12 +155,12 @@ func TestPaperObservations(t *testing.T) {
 // psi 0.9961) selects D2 alone.
 func TestEquation3Regions(t *testing.T) {
 	_, results := evaluator(t)
-	region1 := Filter(results, ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962})
+	region1 := satisfying(results, ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}.Satisfied)
 	if len(region1) != 2 || region1[0].Spec.Name != "D4" || region1[1].Spec.Name != "D5" {
 		names := designNames(region1)
 		t.Errorf("region 1 = %v, want [D4 D5]", names)
 	}
-	region2 := Filter(results, ScatterBounds{MaxASP: 0.1, MinCOA: 0.9961})
+	region2 := satisfying(results, ScatterBounds{MaxASP: 0.1, MinCOA: 0.9961}.Satisfied)
 	if len(region2) != 1 || region2[0].Spec.Name != "D2" {
 		t.Errorf("region 2 = %v, want [D2]", designNames(region2))
 	}
@@ -147,11 +170,11 @@ func TestEquation3Regions(t *testing.T) {
 // region 1 selects D4 alone; region 2 selects D2 alone.
 func TestEquation4Regions(t *testing.T) {
 	_, results := evaluator(t)
-	region1 := Filter(results, MultiBounds{MaxASP: 0.2, MaxNoEV: 9, MaxNoAP: 2, MaxNoEP: 1, MinCOA: 0.9962})
+	region1 := satisfying(results, MultiBounds{MaxASP: 0.2, MaxNoEV: 9, MaxNoAP: 2, MaxNoEP: 1, MinCOA: 0.9962}.Satisfied)
 	if len(region1) != 1 || region1[0].Spec.Name != "D4" {
 		t.Errorf("region 1 = %v, want [D4]", designNames(region1))
 	}
-	region2 := Filter(results, MultiBounds{MaxASP: 0.1, MaxNoEV: 7, MaxNoAP: 1, MaxNoEP: 1, MinCOA: 0.9961})
+	region2 := satisfying(results, MultiBounds{MaxASP: 0.1, MaxNoEV: 7, MaxNoAP: 1, MaxNoEP: 1, MinCOA: 0.9961}.Satisfied)
 	if len(region2) != 1 || region2[0].Spec.Name != "D2" {
 		t.Errorf("region 2 = %v, want [D2]", designNames(region2))
 	}
@@ -220,7 +243,7 @@ func TestEnumerateDesigns(t *testing.T) {
 
 func TestEvaluateRejectsBadDesign(t *testing.T) {
 	e, _ := evaluator(t)
-	if _, err := e.Evaluate(paperdata.Design{Name: "bad"}); err == nil {
+	if _, err := evalDesign(e, paperdata.Design{Name: "bad"}); err == nil {
 		t.Error("invalid design should fail")
 	}
 }
@@ -249,7 +272,7 @@ func TestPatchAllPolicyZeroesSecurityMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.Evaluate(paperdata.Designs()[0])
+	r, err := evalDesign(e, paperdata.Designs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,26 +286,6 @@ func TestPatchAllPolicyZeroesSecurityMetrics(t *testing.T) {
 	}
 }
 
-// TestMaxPathStrategyInsensitiveToRedundancy documents why ASPMaxPath is
-// not the default: it cannot see redundancy at all.
-func TestMaxPathStrategyInsensitiveToRedundancy(t *testing.T) {
-	ev, err := NewEvaluator(Options{Eval: &harm.EvalOptions{Strategy: harm.ASPMaxPath}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := ev.Evaluate(paperdata.Designs()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := ev.Evaluate(paperdata.Designs()[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mathx.AlmostEqual(r1.After.ASP, r3.After.ASP, 1e-12) {
-		t.Errorf("max-path ASP should not change with redundancy: %v vs %v", r1.After.ASP, r3.After.ASP)
-	}
-}
-
 // TestEvaluatorSafeForConcurrentUse exercises the documented guarantee the
 // engine relies on: one Evaluator shared by many goroutines, each
 // evaluating designs, must produce exactly the serial results (run under
@@ -292,7 +295,7 @@ func TestEvaluatorSafeForConcurrentUse(t *testing.T) {
 	designs := EnumerateDesigns(2)
 	serial := make([]Result, len(designs))
 	for i, d := range designs {
-		r, err := e.Evaluate(d)
+		r, err := evalDesign(e, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +310,7 @@ func TestEvaluatorSafeForConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, d := range designs {
-				r, err := e.Evaluate(d)
+				r, err := evalDesign(e, d)
 				if err != nil {
 					errs[g] = err
 					return
@@ -327,28 +330,6 @@ func TestEvaluatorSafeForConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllParallelMatchesSerial pins EvaluateAll's delegation to
-// the worker pool: any worker count returns the serial results.
-func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
-	e, _ := evaluator(t)
-	designs := EnumerateDesigns(2)
-	serial, err := e.EvaluateAll(designs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewEvaluator(Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := par.EvaluateAll(designs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, serial) {
-		t.Fatal("parallel EvaluateAll differs from serial")
-	}
-}
-
 // specTiers builds a classic chain with the given web-tier groups.
 func specTiers(web ...paperdata.TierSpec) []paperdata.TierSpec {
 	tiers := []paperdata.TierSpec{{Role: paperdata.RoleDNS, Replicas: 1}}
@@ -358,25 +339,6 @@ func specTiers(web ...paperdata.TierSpec) []paperdata.TierSpec {
 		paperdata.TierSpec{Role: paperdata.RoleDB, Replicas: 1})
 }
 
-// TestEvaluateSpecMatchesClassicEvaluate pins the wrapper contract: the
-// 4-int Evaluate and the role-keyed EvaluateSpec must agree exactly for
-// classic designs.
-func TestEvaluateSpecMatchesClassicEvaluate(t *testing.T) {
-	e, _ := evaluator(t)
-	d := paperdata.Design{Name: "eq", DNS: 1, Web: 2, App: 2, DB: 1}
-	classic, err := e.Evaluate(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := e.EvaluateSpec(d.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(classic, spec) {
-		t.Fatal("EvaluateSpec differs from Evaluate for a classic design")
-	}
-}
-
 // TestEvaluateSpecHeterogeneousWebTier evaluates the paper's §V variant
 // deployment through the spec path: a web tier mixing Apache and Nginx
 // shares no vulnerability between its replicas, so the after-patch attack
@@ -384,14 +346,14 @@ func TestEvaluateSpecMatchesClassicEvaluate(t *testing.T) {
 // still backs itself up for availability.
 func TestEvaluateSpecHeterogeneousWebTier(t *testing.T) {
 	e, _ := evaluator(t)
-	homog, err := e.EvaluateSpec(paperdata.DesignSpec{
+	homog, err := e.EvaluateSpecContext(context.Background(), paperdata.DesignSpec{
 		Name:  "homog",
 		Tiers: specTiers(paperdata.TierSpec{Role: paperdata.RoleWeb, Replicas: 2}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetero, err := e.EvaluateSpec(paperdata.DesignSpec{
+	hetero, err := e.EvaluateSpecContext(context.Background(), paperdata.DesignSpec{
 		Name: "hetero",
 		Tiers: specTiers(
 			paperdata.TierSpec{Role: paperdata.RoleWeb, Replicas: 1},
@@ -483,8 +445,7 @@ func TestPlanCampaignUsesEvaluatorPolicy(t *testing.T) {
 
 // TestTierFactorMemo pins the factored-availability bookkeeping: a fresh
 // evaluator solves one tier factor per distinct (stack, replicas) pair,
-// serves repeats from the memo, and never touches the SRN path for the
-// PerServer models it builds.
+// and serves repeats from the memo.
 func TestTierFactorMemo(t *testing.T) {
 	e, err := NewEvaluator(Options{})
 	if err != nil {
@@ -494,15 +455,15 @@ func TestTierFactorMemo(t *testing.T) {
 		t.Fatalf("fresh evaluator stats = %+v, want zeros", st)
 	}
 	// Base design 1d2w2a1b: four distinct (stack, n) pairs.
-	if _, err := e.Evaluate(paperdata.BaseDesign()); err != nil {
+	if _, err := evalDesign(e, paperdata.BaseDesign()); err != nil {
 		t.Fatal(err)
 	}
 	st := e.SolverStats()
-	if st.FactoredSolves != 1 || st.TierSolves != 4 || st.TierFactorHits != 0 || st.SRNSolves != 0 {
+	if st.FactoredSolves != 1 || st.TierSolves != 4 || st.TierFactorHits != 0 {
 		t.Fatalf("after base design: stats = %+v, want 1 factored / 4 tier solves", st)
 	}
 	// Same replica multiset again (different name): all four factors hit.
-	if _, err := e.Evaluate(paperdata.Design{Name: "again", DNS: 1, Web: 2, App: 2, DB: 1}); err != nil {
+	if _, err := evalDesign(e, paperdata.Design{Name: "again", DNS: 1, Web: 2, App: 2, DB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	st = e.SolverStats()
@@ -510,7 +471,7 @@ func TestTierFactorMemo(t *testing.T) {
 		t.Fatalf("after repeat: stats = %+v, want 2 factored / 4 tier solves / 4 hits", st)
 	}
 	// A new replica count adds exactly the new pairs.
-	if _, err := e.Evaluate(paperdata.Design{Name: "d1", DNS: 1, Web: 1, App: 1, DB: 1}); err != nil {
+	if _, err := evalDesign(e, paperdata.Design{Name: "d1", DNS: 1, Web: 1, App: 1, DB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	st = e.SolverStats()
@@ -531,7 +492,7 @@ func TestFactoredAvailabilityMatchesSRNOracle(t *testing.T) {
 		{Role: paperdata.RoleApp, Replicas: 2},
 		{Role: paperdata.RoleDB, Replicas: 1},
 	}}
-	r, err := e.EvaluateSpec(spec)
+	r, err := e.EvaluateSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

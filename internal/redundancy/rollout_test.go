@@ -55,7 +55,7 @@ func TestRolloutDegenerateEndpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, spec := range specs {
-				atomic, err := ev.EvaluateSpec(spec)
+				atomic, err := ev.EvaluateSpecContext(context.Background(), spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,7 +318,7 @@ func TestAtomicAndRolloutShareSecurityMemo(t *testing.T) {
 	}})
 	ctx := trace.WithTracer(context.Background(), tr)
 	d := paperdata.BaseDesign().Spec()
-	if _, err := ev.EvaluateSpec(d); err != nil {
+	if _, err := ev.EvaluateSpecContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	for name, f := range map[string]float64{"zeros": 0, "ones": 1} {

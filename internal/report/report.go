@@ -1,7 +1,7 @@
 // Package report renders the outputs of the evaluation pipeline in the
-// forms the paper presents them: aligned text tables (Tables I–VI),
-// scatter-plot series (Fig. 6) and radar-chart series (Fig. 7), plus CSV
-// tables for external plotting. All rendering is deterministic.
+// forms the paper presents them: aligned text tables (Tables I–VI and the
+// Fig. 7 comparison) and scatter plots (Fig. 6), plus CSV tables for
+// external plotting. All rendering is deterministic.
 package report
 
 import (
@@ -120,16 +120,6 @@ type ScatterSeries struct {
 	Points []ScatterPoint
 }
 
-// Render lists the points as text.
-func (s ScatterSeries) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%s vs %s)\n", s.Title, s.XLabel, s.YLabel)
-	for _, p := range s.Points {
-		fmt.Fprintf(&b, "  %-28s %s=%.6f  %s=%.6f\n", p.Label, s.XLabel, p.X, s.YLabel, p.Y)
-	}
-	return b.String()
-}
-
 // ASCIIPlot renders the scatter series as a text plot of roughly the
 // given dimensions (minimums apply), marking each point with its 1-based
 // index and listing a legend underneath. Points sharing a cell keep the
@@ -220,53 +210,4 @@ func maxFloat(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// RadarSeries is one polygon of a radar chart: a value per axis.
-type RadarSeries struct {
-	Label  string
-	Values []float64
-}
-
-// RadarChart is the data behind one of the paper's Fig. 7 panels.
-type RadarChart struct {
-	Title  string
-	Axes   []string
-	Series []RadarSeries
-}
-
-// Validate checks that every series covers every axis.
-func (r RadarChart) Validate() error {
-	if len(r.Axes) == 0 {
-		return fmt.Errorf("report: radar chart without axes")
-	}
-	for _, s := range r.Series {
-		if len(s.Values) != len(r.Axes) {
-			return fmt.Errorf("report: series %q has %d values for %d axes", s.Label, len(s.Values), len(r.Axes))
-		}
-	}
-	return nil
-}
-
-// Render presents the chart as an axes-by-series table.
-func (r RadarChart) Render() string {
-	headers := append([]string{"metric"}, labels(r.Series)...)
-	t := NewTable(r.Title, headers...)
-	for i, axis := range r.Axes {
-		row := make([]string, 0, len(r.Series)+1)
-		row = append(row, axis)
-		for _, s := range r.Series {
-			row = append(row, F(s.Values[i], 6))
-		}
-		t.AddRow(row...)
-	}
-	return t.Render()
-}
-
-func labels(series []RadarSeries) []string {
-	out := make([]string, len(series))
-	for i, s := range series {
-		out[i] = s.Label
-	}
-	return out
 }

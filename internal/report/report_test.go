@@ -76,10 +76,10 @@ func TestScatterSeries(t *testing.T) {
 			{Label: "1 DNS + 1 WEB + 1 APP + 1 DB", X: 0.09, Y: 0.9956},
 		},
 	}
-	out := s.Render()
+	out := s.ASCIIPlot(40, 10)
 	for _, want := range []string{"After patch", "ASP", "COA", "1 DNS"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("Render missing %q:\n%s", want, out)
+			t.Errorf("ASCIIPlot missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -124,33 +124,5 @@ func TestASCIIPlotManyPoints(t *testing.T) {
 		if !strings.Contains(out, want+" = p") {
 			t.Errorf("marker %q missing:\n%s", want, out)
 		}
-	}
-}
-
-func TestRadarChart(t *testing.T) {
-	chart := RadarChart{
-		Title: "Fig 7",
-		Axes:  []string{"ASP", "COA"},
-		Series: []RadarSeries{
-			{Label: "D1", Values: []float64{0.09, 0.9956}},
-			{Label: "D2", Values: []float64{0.09, 0.9962}},
-		},
-	}
-	if err := chart.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	out := chart.Render()
-	for _, want := range []string{"Fig 7", "metric", "D1", "D2", "ASP", "COA"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Render missing %q:\n%s", want, out)
-		}
-	}
-
-	bad := RadarChart{Axes: []string{"a"}, Series: []RadarSeries{{Label: "x", Values: []float64{1, 2}}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("mismatched series length should fail")
-	}
-	if err := (RadarChart{}).Validate(); err == nil {
-		t.Error("chart without axes should fail")
 	}
 }

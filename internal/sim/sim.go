@@ -223,8 +223,8 @@ func (s *state) run(duration float64, acc func(dt float64, m srn.Marking)) error
 	return nil
 }
 
-// settleImmediates fires enabled immediate transitions (highest priority
-// first, weight-proportional among ties) until the marking is tangible.
+// settleImmediates fires enabled immediate transitions (one at a time,
+// equiprobable among those enabled) until the marking is tangible.
 func (s *state) settleImmediates() error {
 	for chain := 0; ; chain++ {
 		if chain > s.opts.MaxImmediateChain {
@@ -234,20 +234,8 @@ func (s *state) settleImmediates() error {
 		if len(enabled) == 0 {
 			return nil
 		}
-		total := 0.0
-		for _, t := range enabled {
-			total += t.Weight()
-		}
-		x := s.rng.Float64() * total
-		pick := enabled[len(enabled)-1]
-		for _, t := range enabled {
-			x -= t.Weight()
-			if x <= 0 {
-				pick = t
-				break
-			}
-		}
-		s.m = s.net.Fire(pick, s.m)
+		pick := min(int(s.rng.Float64()*float64(len(enabled))), len(enabled)-1)
+		s.m = s.net.Fire(enabled[pick], s.m)
 		s.events++
 	}
 }

@@ -64,16 +64,19 @@ func TestEstimateIsReproducible(t *testing.T) {
 }
 
 func TestImmediateBranchingWeights(t *testing.T) {
-	// Vanishing marking splits 1:3; occupancy of the two branches must
-	// reflect the weights.
+	// A vanishing marking enables one immediate transition into branch a
+	// and three into branch b, a 1:3 split; occupancy of the two branches
+	// must reflect it.
 	n := srn.New("weights")
 	src := n.AddPlace("src", 1)
 	mid := n.AddPlace("mid", 0)
 	a := n.AddPlace("a", 0)
 	b := n.AddPlace("b", 0)
 	n.AddTimedTransition("Tgo", 1).From(src).To(mid)
-	n.AddImmediateTransition("TtoA").From(mid).To(a).WithWeight(1)
-	n.AddImmediateTransition("TtoB").From(mid).To(b).WithWeight(3)
+	n.AddImmediateTransition("TtoA").From(mid).To(a)
+	for _, name := range []string{"TtoB1", "TtoB2", "TtoB3"} {
+		n.AddImmediateTransition(name).From(mid).To(b)
+	}
 	n.AddTimedTransition("TbackA", 1).From(a).To(src)
 	n.AddTimedTransition("TbackB", 1).From(b).To(src)
 
@@ -170,42 +173,12 @@ func TestNetworkCOAAgainstAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic, err := availability.ClosedFormCOA(nm)
+	analytic, err := availability.SolveNetworkSRN(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(est.Mean-analytic) > 4*est.StdErr+1e-4 {
-		t.Errorf("simulated COA %v too far from analytic %v (stderr %v)", est.Mean, analytic, est.StdErr)
-	}
-}
-
-// TestSingleRepairAgainstAnalytic cross-validates the serialized-repair
-// ablation: the simulator and the SRN solver must agree on the COA of a
-// single-repair tier.
-func TestSingleRepairAgainstAnalytic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Monte Carlo cross-validation skipped in -short mode")
-	}
-	nm := availability.NetworkModel{
-		Tiers:    []availability.Tier{{Name: "web", N: 3, LambdaEq: 0.02, MuEq: 0.5}},
-		Recovery: availability.SingleRepair,
-	}
-	analytic, err := availability.SolveNetwork(nm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, ups, err := availability.BuildNetworkSRN(nm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := EstimateReward(net, availability.COAReward(nm, ups),
-		Options{Horizon: 30000, Batches: 30, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Mean-analytic.COA) > 4*est.StdErr+1e-3 {
-		t.Errorf("simulated single-repair COA %v too far from analytic %v (stderr %v)",
-			est.Mean, analytic.COA, est.StdErr)
+	if math.Abs(est.Mean-analytic.COA) > 4*est.StdErr+1e-4 {
+		t.Errorf("simulated COA %v too far from analytic %v (stderr %v)", est.Mean, analytic.COA, est.StdErr)
 	}
 }
 

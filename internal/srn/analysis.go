@@ -46,8 +46,7 @@ type StateSpace struct {
 	markings  []Marking // tangible markings, index = CTMC state
 	index     map[string]int
 	chain     *ctmc.Chain
-	vanishing int             // number of distinct vanishing markings eliminated
-	initDist  map[int]float64 // tangible distribution of the initial marking
+	vanishing int // number of distinct vanishing markings eliminated
 }
 
 // Generate explores the reachability graph from the net's initial marking,
@@ -112,22 +111,16 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 		onStack[k] = true
 		defer delete(onStack, k)
 
-		var totalWeight float64
-		for _, t := range imm {
-			totalWeight += t.weight
-		}
 		for _, t := range imm {
 			next := n.fire(t, m)
-			if err := resolve(next, prob*t.weight/totalWeight, onStack, depth+1, acc); err != nil {
+			if err := resolve(next, prob/float64(len(imm)), onStack, depth+1, acc); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	// Seed with the tangible closure of the initial marking, keeping its
-	// probability split for transient analysis.
-	ss.initDist = make(map[int]float64)
+	// Seed with the tangible closure of the initial marking.
 	initAcc := make(map[string]tangibleMass)
 	if err := resolve(n.InitialMarking(), 1, make(map[string]bool), 0, initAcc); err != nil {
 		return nil, err
@@ -137,7 +130,6 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 		if err != nil {
 			return nil, err
 		}
-		ss.initDist[id] += tm.prob
 		if fresh {
 			queue = append(queue, queued{state: id})
 		}
@@ -228,33 +220,6 @@ func (s *StateSpace) StateOf(m Marking) (int, bool) {
 // SteadyState solves the underlying CTMC for its stationary distribution.
 func (s *StateSpace) SteadyState(opts ctmc.SolveOptions) ([]float64, error) {
 	return s.chain.SteadyState(opts)
-}
-
-// InitialDistribution returns the probability distribution over tangible
-// states induced by the (possibly vanishing) initial marking.
-func (s *StateSpace) InitialDistribution() []float64 {
-	p0 := make([]float64, len(s.markings))
-	for id, prob := range s.initDist {
-		p0[id] = prob
-	}
-	return p0
-}
-
-// Transient returns the state distribution at time t, starting from the
-// initial marking.
-func (s *StateSpace) Transient(t float64) ([]float64, error) {
-	return s.chain.Transient(s.InitialDistribution(), t)
-}
-
-// TransientReward returns the expected reward rate at time t, starting
-// from the initial marking — e.g. point availability t hours after a
-// patch round begins.
-func (s *StateSpace) TransientReward(reward RewardFunc, t float64) (float64, error) {
-	pt, err := s.Transient(t)
-	if err != nil {
-		return 0, err
-	}
-	return s.ExpectedReward(pt, reward)
 }
 
 // ExpectedReward computes the expected steady-state reward rate of the

@@ -1,7 +1,7 @@
 // Package srn implements stochastic reward nets (SRNs): Petri nets with
 // exponentially timed and immediate transitions, enabling guard functions,
-// marking-dependent firing rates, weights for immediate-transition
-// conflicts, and rate-reward structures. Nets are
+// marking-dependent firing rates, equiprobable resolution of conflicts
+// between immediate transitions, and rate-reward structures. Nets are
 // compiled into continuous-time Markov chains (internal/ctmc) by reachability
 // exploration with on-the-fly elimination of vanishing markings, which is
 // the same pipeline the paper drives through the SPNP tool.
@@ -19,13 +19,6 @@ type Place struct {
 	index   int
 	initial int
 }
-
-// Name returns the place name.
-func (p *Place) Name() string { return p.name }
-
-// Initial returns the number of tokens the place holds in the initial
-// marking.
-func (p *Place) Initial() int { return p.initial }
 
 // Kind distinguishes timed from immediate transitions.
 type Kind int
@@ -70,7 +63,6 @@ type Transition struct {
 	kind   Kind
 	rate   float64
 	rateFn RateFunc
-	weight float64
 	guard  Guard
 	in     []*Place
 	out    []*Place
@@ -103,14 +95,6 @@ func (t *Transition) WithGuard(g Guard) *Transition {
 // paper requires for the upper-layer tier transitions (rate = lambda * #up).
 func (t *Transition) WithRateFunc(fn RateFunc) *Transition {
 	t.rateFn = fn
-	return t
-}
-
-// WithWeight sets the conflict-resolution weight of an immediate
-// transition (default 1). When several immediate transitions are
-// enabled, each fires with probability proportional to its weight.
-func (t *Transition) WithWeight(w float64) *Transition {
-	t.weight = w
 	return t
 }
 
@@ -157,11 +141,10 @@ func (n *Net) AddTimedTransition(name string, rate float64) *Transition {
 	return t
 }
 
-// AddImmediateTransition creates an immediate transition with weight 1.
+// AddImmediateTransition creates an immediate transition. When several
+// immediate transitions are enabled, each fires with equal probability.
 func (n *Net) AddImmediateTransition(name string) *Transition {
-	t := n.addTransition(name, Immediate)
-	t.weight = 1
-	return t
+	return n.addTransition(name, Immediate)
 }
 
 func (n *Net) addTransition(name string, k Kind) *Transition {
@@ -173,9 +156,6 @@ func (n *Net) addTransition(name string, k Kind) *Transition {
 	n.byTransName[name] = t
 	return t
 }
-
-// TransitionByName returns the transition with the given name, or nil.
-func (n *Net) TransitionByName(name string) *Transition { return n.byTransName[name] }
 
 // Places returns the places in creation order.
 func (n *Net) Places() []*Place {
@@ -201,8 +181,8 @@ func (n *Net) InitialMarking() Marking {
 }
 
 // Validate checks structural well-formedness: every transition has at least
-// one arc, timed transitions have a positive constant rate or a rate
-// function, and immediate transitions have positive weight.
+// one arc, and timed transitions have a positive constant rate or a rate
+// function.
 func (n *Net) Validate() error {
 	if len(n.places) == 0 {
 		return fmt.Errorf("srn %q: net has no places", n.name)
@@ -217,9 +197,6 @@ func (n *Net) Validate() error {
 				return fmt.Errorf("srn %q: timed transition %q has no positive rate", n.name, t.name)
 			}
 		case Immediate:
-			if t.weight <= 0 {
-				return fmt.Errorf("srn %q: immediate transition %q has non-positive weight", n.name, t.name)
-			}
 		default:
 			return fmt.Errorf("srn %q: transition %q has invalid kind %v", n.name, t.name, t.kind)
 		}
@@ -284,10 +261,6 @@ func (n *Net) enabledTimed(m Marking) []*Transition {
 	}
 	return out
 }
-
-// Weight returns the conflict-resolution weight of an immediate
-// transition (1 unless set otherwise).
-func (t *Transition) Weight() float64 { return t.weight }
 
 // TimedRate returns the firing rate of a timed transition in marking m
 // and whether the transition is enabled there.

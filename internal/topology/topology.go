@@ -148,9 +148,6 @@ func (t *Topology) Successors(name string) []string {
 	return out
 }
 
-// HasEdge reports whether a directed edge exists.
-func (t *Topology) HasEdge(from, to string) bool { return t.adj[from][to] }
-
 // Validate checks that the topology has at least one attacker and one host
 // and that every host carries a role (the HARM generator requires one).
 func (t *Topology) Validate() error {

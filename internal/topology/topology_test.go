@@ -43,10 +43,10 @@ func TestConnect(t *testing.T) {
 	if err := top.Connect("attacker", "web1"); err != nil {
 		t.Fatal(err)
 	}
-	if !top.HasEdge("attacker", "web1") {
+	if !top.adj["attacker"]["web1"] {
 		t.Error("edge should exist")
 	}
-	if top.HasEdge("web1", "attacker") {
+	if top.adj["web1"]["attacker"] {
 		t.Error("edges are directed")
 	}
 	if err := top.Connect("attacker", "nosuch"); err == nil {

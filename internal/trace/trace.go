@@ -455,13 +455,6 @@ func (t *Tracer) Collect(traceID string) []SpanData {
 	return nil
 }
 
-// Len reports the number of completed traces retained.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ring)
-}
-
 // randomTraceID mints a 16-byte lowercase-hex W3C trace ID; the
 // all-zero value is invalid per spec, so zero draws are redrawn.
 func randomTraceID() string {

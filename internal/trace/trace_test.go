@@ -59,7 +59,7 @@ func TestSpanTreeAndRing(t *testing.T) {
 	child.End()
 	root.End()
 
-	if n := tr.Len(); n != 1 {
+	if n := len(tr.Recent()); n != 1 {
 		t.Fatalf("ring has %d traces, want 1", n)
 	}
 	got := tr.Recent()[0]
@@ -180,7 +180,7 @@ func TestEndIsIdempotent(t *testing.T) {
 	s.End()
 	s.End()
 	s.EndErr(errors.New("late"))
-	if n := tr.Len(); n != 1 {
+	if n := len(tr.Recent()); n != 1 {
 		t.Fatalf("double End produced %d traces, want 1", n)
 	}
 	if len(tr.Recent()[0].Spans) != 1 {
@@ -360,7 +360,7 @@ func TestConcurrentTraces(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := tr.Len(); n != 32 {
+	if n := len(tr.Recent()); n != 32 {
 		t.Fatalf("ring has %d traces, want 32", n)
 	}
 	for _, tr := range tr.Recent() {

@@ -139,9 +139,6 @@ func (db *DB) MustAdd(v Vulnerability) {
 	}
 }
 
-// Len returns the number of records.
-func (db *DB) Len() int { return len(db.byID) }
-
 // ByID returns the record for the given CVE ID.
 func (db *DB) ByID(id string) (Vulnerability, bool) {
 	v, ok := db.byID[id]
@@ -163,19 +160,6 @@ func (db *DB) ByProduct(product string) []Vulnerability {
 	var out []Vulnerability
 	for _, v := range db.byID {
 		if v.Product == product {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Critical returns the records with base score strictly above the
-// threshold, sorted by ID.
-func (db *DB) Critical(threshold float64) []Vulnerability {
-	var out []Vulnerability
-	for _, v := range db.byID {
-		if v.IsCritical(threshold) {
 			out = append(out, v)
 		}
 	}

@@ -23,8 +23,8 @@ func TestAddAndLookup(t *testing.T) {
 	if err := db.Add(sample()); err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", db.Len())
+	if len(db.byID) != 1 {
+		t.Fatalf("records = %d, want 1", len(db.byID))
 	}
 	v, ok := db.ByID("CVE-2016-6662")
 	if !ok {
@@ -142,13 +142,6 @@ func TestQueries(t *testing.T) {
 	if got := db.ByProduct("MySQL"); len(got) != 2 {
 		t.Errorf("ByProduct(MySQL) returned %d records, want 2", len(got))
 	}
-	crit := db.Critical(8.0)
-	if len(crit) != 2 {
-		t.Fatalf("Critical(8.0) returned %d records, want 2", len(crit))
-	}
-	if crit[0].ID != "CVE-2016-6662" || crit[1].ID != "CVE-2016-9999" {
-		t.Errorf("Critical returned %v, want sorted [CVE-2016-6662 CVE-2016-9999]", []string{crit[0].ID, crit[1].ID})
-	}
 	all := db.All()
 	if len(all) != 4 {
 		t.Fatalf("All returned %d records, want 4", len(all))
@@ -170,8 +163,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != db.Len() {
-		t.Fatalf("round trip lost records: %d != %d", back.Len(), db.Len())
+	if len(back.byID) != len(db.byID) {
+		t.Fatalf("round trip lost records: %d != %d", len(back.byID), len(db.byID))
 	}
 	for _, v := range db.All() {
 		got, ok := back.ByID(v.ID)

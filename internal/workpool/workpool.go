@@ -2,9 +2,8 @@
 // evaluation engine: a fixed number of worker goroutines draining a
 // slice, either collecting results in input order (Map) or handing them
 // to a collector as they complete (StreamCtx).
-// redundancy.(*Evaluator).EvaluateAll delegates to Map and the engine's
-// sweeps to StreamCtx, so serial and concurrent evaluation share one pool
-// and differ only in worker count.
+// The engine's EvaluateAll delegates to Map and its sweeps to StreamCtx,
+// so batch and streamed evaluation share one pool.
 package workpool
 
 import (

@@ -717,12 +717,10 @@ func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequ
 // the number of full model evaluations performed, Hits the number of
 // requests served from the memo cache (including requests that joined an
 // in-flight solve of the same design). The solver counters break the
-// model work down by dispatch path: FactoredSolves counts network
-// availability models answered by the per-tier factored solver, SRNSolves
-// those that generated and eliminated the full SRN, and
-// TierSolves/TierFactorHits the per-(stack, replicas) birth–death memo
-// misses and hits behind the factored path. On the security axis,
-// SecurityFactored counts spec evaluations served by the quotient
+// model work down: FactoredSolves counts network availability models
+// answered by the per-tier factored solver, and TierSolves/TierFactorHits
+// the per-(stack, replicas) birth–death memo misses and hits behind it.
+// On the security axis, SecurityFactored counts spec evaluations served by the quotient
 // (replica-symmetric) HARM evaluator, SecuritySolves the factored
 // security models built — one per rollout structure, so an atomic
 // design's variant structure costs two (its unpatched and fully patched
@@ -735,7 +733,6 @@ type EngineStats struct {
 	Solves             uint64 `json:"solves"`
 	Hits               uint64 `json:"hits"`
 	FactoredSolves     uint64 `json:"factoredSolves"`
-	SRNSolves          uint64 `json:"srnSolves"`
 	TierSolves         uint64 `json:"tierSolves"`
 	TierFactorHits     uint64 `json:"tierFactorHits"`
 	SecurityFactored   uint64 `json:"securityFactored"`
@@ -752,7 +749,6 @@ func (s *CaseStudy) EngineStats() EngineStats {
 		Solves:             st.Solves,
 		Hits:               st.Hits,
 		FactoredSolves:     st.FactoredSolves,
-		SRNSolves:          st.SRNSolves,
 		TierSolves:         st.TierSolves,
 		TierFactorHits:     st.TierFactorHits,
 		SecurityFactored:   st.SecurityFactored,
