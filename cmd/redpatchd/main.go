@@ -28,9 +28,9 @@
 //	POST   /api/v2/scenarios        register a (policy, schedule) scenario
 //	DELETE /api/v2/scenarios/{name} delete a scenario
 //	POST   /api/v2/evaluate         one role-keyed spec, per scenario
-//	POST   /api/v2/sweep            a role-keyed sweep (variant sets allowed)
-//	POST   /api/v2/pareto           like sweep, Pareto front only
-//	POST   /api/v2/sweep/stream     the sweep as batched NDJSON
+//	POST   /api/v2/sweep/stream     a role-keyed sweep (variant sets
+//	                                allowed) as batched NDJSON, ending in
+//	                                a done trailer with the Pareto front
 //	POST   /api/v2/rollout/sweep    mixed-version rollout frontier, NDJSON
 //	POST   /api/v2/rank-patches     policy-aware single-patch ranking
 //	POST   /api/v2/plan-campaign    maintenance-window campaign planning
@@ -95,6 +95,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -434,8 +435,6 @@ func (s *server) handler() http.Handler {
 	// spec is decoded can a warm design be recognized and bypass the
 	// limiter.
 	route("POST /api/v2/evaluate", nil, s.handleEvaluateV2)
-	route("POST /api/v2/sweep", s.adm.sweep, s.handleSweepV2)
-	route("POST /api/v2/pareto", s.adm.sweep, s.handleParetoV2)
 	route("POST /api/v2/sweep/stream", s.adm.sweep, s.handleSweepStream)
 	route("POST /api/v2/rollout/sweep", s.adm.sweep, s.handleRolloutSweep)
 	route("POST /api/v2/rank-patches", s.adm.evaluate, s.handleRankPatches)
@@ -558,7 +557,9 @@ func decodeJSON(r *http.Request, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
-	if dec.More() {
+	// Anything but whitespace after the object is an error. More alone
+	// would pass a stray closing bracket ("{...}}" or "{...}]").
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("decoding request: trailing data after JSON object")
 	}
 	return nil

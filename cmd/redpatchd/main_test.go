@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -193,22 +194,28 @@ func TestEvaluateRejectsBadRequests(t *testing.T) {
 		method, path, body string
 		wantStatus         int
 	}{
-		"malformed json":   {http.MethodPost, "/api/v2/evaluate", `{"spec":`, http.StatusBadRequest},
-		"unknown field":    {http.MethodPost, "/api/v2/evaluate", `{"specs":{}}`, http.StatusBadRequest},
-		"trailing garbage": {http.MethodPost, "/api/v2/evaluate", d1111Body + `{}`, http.StatusBadRequest},
-		"wrong type":       {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[{"role":"dns","replicas":"one"}]}}`, http.StatusBadRequest},
-		"huge sweep tier":  {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":4000,"max":4000}]}`, http.StatusBadRequest},
-		"huge min only":    {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":100,"max":0}]}`, http.StatusBadRequest},
-		"GET evaluate":     {http.MethodGet, "/api/v2/evaluate", ``, http.StatusMethodNotAllowed},
-		"POST healthz":     {http.MethodPost, "/healthz", ``, http.StatusMethodNotAllowed},
-		"sweep bad json":   {http.MethodPost, "/api/v2/sweep", `[1,2]`, http.StatusBadRequest},
-		"sweep inverted":   {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":3,"max":1}]}`, http.StatusBadRequest},
-		"sweep overflow": {http.MethodPost, "/api/v2/sweep",
+		"malformed json":         {http.MethodPost, "/api/v2/evaluate", `{"spec":`, http.StatusBadRequest},
+		"unknown field":          {http.MethodPost, "/api/v2/evaluate", `{"specs":{}}`, http.StatusBadRequest},
+		"trailing garbage":       {http.MethodPost, "/api/v2/evaluate", d1111Body + `{}`, http.StatusBadRequest},
+		"trailing brace":         {http.MethodPost, "/api/v2/evaluate", d1111Body + `}`, http.StatusBadRequest},
+		"trailing bracket":       {http.MethodPost, "/api/v2/evaluate", d1111Body + `]`, http.StatusBadRequest},
+		"wrong type":             {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[{"role":"dns","replicas":"one"}]}}`, http.StatusBadRequest},
+		"huge sweep tier":        {http.MethodPost, "/api/v2/sweep/stream", `{"tiers":[{"role":"dns","min":4000,"max":4000}]}`, http.StatusBadRequest},
+		"huge min only":          {http.MethodPost, "/api/v2/sweep/stream", `{"tiers":[{"role":"dns","min":100,"max":0}]}`, http.StatusBadRequest},
+		"GET evaluate":           {http.MethodGet, "/api/v2/evaluate", ``, http.StatusMethodNotAllowed},
+		"POST healthz":           {http.MethodPost, "/healthz", ``, http.StatusMethodNotAllowed},
+		"sweep bad json":         {http.MethodPost, "/api/v2/sweep/stream", `[1,2]`, http.StatusBadRequest},
+		"sweep not json":         {http.MethodPost, "/api/v2/sweep/stream", `nope`, http.StatusBadRequest},
+		"sweep trailing brace":   {http.MethodPost, "/api/v2/sweep/stream", classicSweepBody(1, 1, "") + `}`, http.StatusBadRequest},
+		"sweep trailing bracket": {http.MethodPost, "/api/v2/sweep/stream", classicSweepBody(1, 1, "") + `]`, http.StatusBadRequest},
+		"sweep inverted":         {http.MethodPost, "/api/v2/sweep/stream", `{"tiers":[{"role":"dns","min":3,"max":1}]}`, http.StatusBadRequest},
+		"sweep overflow": {http.MethodPost, "/api/v2/sweep/stream",
 			classicSweepBody(1, 65536, ""), http.StatusBadRequest},
-		"pareto bad json":   {http.MethodPost, "/api/v2/pareto", `nope`, http.StatusBadRequest},
-		"unknown endpoint":  {http.MethodGet, "/api/v2/nope", ``, http.StatusNotFound},
-		"negative range":    {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":-1,"max":2}]}`, http.StatusBadRequest},
-		"sweep wrong shape": {http.MethodPost, "/api/v2/sweep", classicSweepBody(1, 1, `,"scatter":{"maxAsp":"high"}`), http.StatusBadRequest},
+		"unknown endpoint":     {http.MethodGet, "/api/v2/nope", ``, http.StatusNotFound},
+		"retired sweep route":  {http.MethodPost, "/api/v2/sweep", classicSweepBody(1, 1, ""), http.StatusNotFound},
+		"retired pareto route": {http.MethodPost, "/api/v2/pareto", classicSweepBody(1, 1, ""), http.StatusNotFound},
+		"negative range":       {http.MethodPost, "/api/v2/sweep/stream", `{"tiers":[{"role":"dns","min":-1,"max":2}]}`, http.StatusBadRequest},
+		"sweep wrong shape":    {http.MethodPost, "/api/v2/sweep/stream", classicSweepBody(1, 1, `,"scatter":{"maxAsp":"high"}`), http.StatusBadRequest},
 	} {
 		w := do(t, h, tc.method, tc.path, tc.body)
 		if w.Code != tc.wantStatus {
@@ -217,13 +224,59 @@ func TestEvaluateRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// sweepResponse is the wire shape of /api/v2/sweep.
+// sweepResponse is a /api/v2/sweep/stream body gathered up: the report
+// lines in arrival order plus the done trailer's totals and front.
 type sweepResponse struct {
 	Total   int                     `json:"total"`
 	Kept    int                     `json:"kept"`
-	Reports []redpatch.DesignReport `json:"reports"`
+	Reports []redpatch.DesignReport `json:"-"`
 	Pareto  []redpatch.DesignReport `json:"pareto"`
-	Engine  redpatch.EngineStats    `json:"engine"`
+}
+
+// sweepStream posts body to /api/v2/sweep/stream and gathers the
+// stream. A status other than 200, an error line, or a body without
+// exactly one done trailer is an error.
+func sweepStream(h http.Handler, body string) (sweepResponse, error) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v2/sweep/stream", strings.NewReader(body)))
+	if w.Code != http.StatusOK {
+		return sweepResponse{}, &httpError{w.Code, w.Body.String()}
+	}
+	var resp sweepResponse
+	dones := 0
+	for _, line := range strings.Split(strings.TrimSpace(w.Body.String()), "\n") {
+		var probe map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(line), &probe); err != nil {
+			return resp, fmt.Errorf("line %q: %w", line, err)
+		}
+		switch {
+		case probe["error"] != nil:
+			return resp, fmt.Errorf("stream error: %s", line)
+		case probe["progress"] != nil:
+		case string(probe["done"]) == "true":
+			dones++
+			if err := json.Unmarshal([]byte(line), &resp); err != nil {
+				return resp, err
+			}
+		default:
+			var rep redpatch.DesignReport
+			if err := json.Unmarshal([]byte(line), &rep); err != nil {
+				return resp, err
+			}
+			resp.Reports = append(resp.Reports, rep)
+		}
+	}
+	if dones != 1 {
+		return resp, fmt.Errorf("%d done trailers, want 1", dones)
+	}
+	return resp, nil
+}
+
+// byName sorts reports by name: for classic designs of at most nine
+// replicas per tier that is enumeration order.
+func byName(reports []redpatch.DesignReport) []redpatch.DesignReport {
+	slices.SortFunc(reports, func(a, b redpatch.DesignReport) int { return strings.Compare(a.Name, b.Name) })
+	return reports
 }
 
 // TestSweepFullRangeConcurrently serves the full 1..4 per-tier space (256
@@ -233,9 +286,19 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 	s := testServer(t)
 	h := s.handler()
 
-	want, err := s.study.EnumerateDesigns(4)
-	if err != nil {
-		t.Fatal(err)
+	var want []redpatch.DesignReport
+	for dns := 1; dns <= 4; dns++ {
+		for web := 1; web <= 4; web++ {
+			for app := 1; app <= 4; app++ {
+				for db := 1; db <= 4; db++ {
+					r, err := s.study.EvaluateSpec(redpatch.ClassicSpec("", dns, web, app, db))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, r)
+				}
+			}
+		}
 	}
 
 	const clients = 4
@@ -246,14 +309,7 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			req := httptest.NewRequest(http.MethodPost, "/api/v2/sweep", strings.NewReader(classicSweepBody(1, 4, "")))
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, req)
-			if w.Code != http.StatusOK {
-				errs[i] = &httpError{w.Code, w.Body.String()}
-				return
-			}
-			errs[i] = json.Unmarshal(w.Body.Bytes(), &responses[i])
+			responses[i], errs[i] = sweepStream(h, classicSweepBody(1, 4, ""))
 		}(i)
 	}
 	wg.Wait()
@@ -265,7 +321,7 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 		if r.Total != 256 || r.Kept != 256 || len(r.Reports) != 256 {
 			t.Fatalf("client %d: total=%d kept=%d reports=%d, want 256 each", i, r.Total, r.Kept, len(r.Reports))
 		}
-		if !reflect.DeepEqual(r.Reports, want) {
+		if !reflect.DeepEqual(byName(r.Reports), want) {
 			t.Fatalf("client %d: sweep reports differ from the serial enumeration", i)
 		}
 		if len(r.Pareto) == 0 {
@@ -275,9 +331,8 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 
 	// A repeat sweep is all cache: zero new solves.
 	before := s.study.EngineStats()
-	w := do(t, h, http.MethodPost, "/api/v2/sweep", classicSweepBody(1, 4, ""))
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d", w.Code)
+	if _, err := sweepStream(h, classicSweepBody(1, 4, "")); err != nil {
+		t.Fatal(err)
 	}
 	after := s.study.EngineStats()
 	if after.Solves != before.Solves {
@@ -290,20 +345,15 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 
 func TestSweepWithBounds(t *testing.T) {
 	h := testServer(t).handler()
-	w := do(t, h, http.MethodPost, "/api/v2/sweep",
-		classicSweepBody(1, 2, `,"scatter":{"maxAsp":0.2,"minCoa":0.9962}`))
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", w.Code, w.Body)
-	}
-	var resp sweepResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+	resp, err := sweepStream(h, classicSweepBody(1, 2, `,"scatter":{"maxAsp":0.2,"minCoa":0.9962}`))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Total != 16 {
 		t.Fatalf("total = %d, want 16", resp.Total)
 	}
-	if resp.Kept == 0 || resp.Kept == 16 {
-		t.Fatalf("kept = %d, want a strict subset", resp.Kept)
+	if resp.Kept == 0 || resp.Kept == 16 || resp.Kept != len(resp.Reports) {
+		t.Fatalf("kept = %d of %d streamed, want a strict subset", resp.Kept, len(resp.Reports))
 	}
 	for _, r := range resp.Reports {
 		if r.After.ASP > 0.2 || r.COA < 0.9962 {
@@ -314,37 +364,26 @@ func TestSweepWithBounds(t *testing.T) {
 
 func TestSweepPerTierRanges(t *testing.T) {
 	h := testServer(t).handler()
-	w := do(t, h, http.MethodPost, "/api/v2/sweep",
+	resp, err := sweepStream(h,
 		`{"tiers":[{"role":"dns","min":1,"max":1},{"role":"web","min":1,"max":3},{"role":"app","min":2,"max":2},{"role":"db","min":1,"max":1}]}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", w.Code, w.Body)
-	}
-	var resp sweepResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Total != 3 || len(resp.Reports) != 3 {
 		t.Fatalf("total = %d, reports = %d, want 3", resp.Total, len(resp.Reports))
 	}
 	for i, name := range []string{"1d1w2a1b", "1d2w2a1b", "1d3w2a1b"} {
-		if resp.Reports[i].Name != name {
-			t.Fatalf("report %d = %q, want %q", i, resp.Reports[i].Name, name)
+		if got := byName(resp.Reports)[i].Name; got != name {
+			t.Fatalf("report %d = %q, want %q", i, got, name)
 		}
 	}
 }
 
+// TestParetoEndpoint checks the Pareto front the stream's done trailer
+// carries.
 func TestParetoEndpoint(t *testing.T) {
-	s := testServer(t)
-	h := s.handler()
-	w := do(t, h, http.MethodPost, "/api/v2/pareto", classicSweepBody(1, 2, ""))
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", w.Code, w.Body)
-	}
-	var resp struct {
-		Total  int                     `json:"total"`
-		Pareto []redpatch.DesignReport `json:"pareto"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+	resp, err := sweepStream(testServer(t).handler(), classicSweepBody(1, 2, ""))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Total != 16 || len(resp.Pareto) == 0 {

@@ -45,6 +45,13 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Rolling and canary ramps expand to one point per step, so a step
+	// count past the cap is refused before the expansion allocates it.
+	if req.Schedule.Steps > s.maxDesigns {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("schedule has %d steps, above the %d cap", req.Schedule.Steps, s.maxDesigns))
+		return
+	}
 	// Expanding the schedule before streaming keeps every validation
 	// fault a clean 400: bad strategies, out-of-range fractions and
 	// oversized expansions never start an NDJSON response.

@@ -37,8 +37,6 @@ func (m *serverMetrics) observeSpan(d trace.SpanData) {
 		m.solverTime.With("availability_factored").Observe(d.Duration.Seconds())
 	case "security.evaluate":
 		m.solverTime.With("security_quotient").Observe(d.Duration.Seconds())
-	case "harm.expanded.evaluate":
-		m.solverTime.With("security_expanded").Observe(d.Duration.Seconds())
 	}
 }
 
@@ -110,8 +108,6 @@ func (s *server) explain(ctx context.Context) map[string]any {
 			if v, ok := d.Attr("memo"); ok {
 				prov["securityMemo"] = v
 			}
-		case "harm.expanded.evaluate":
-			prov["securitySolver"] = "expanded"
 		}
 	}
 	prov["spans"] = out

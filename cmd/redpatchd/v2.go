@@ -420,45 +420,6 @@ func (s *server) scenarioSweep(r *http.Request) (*scenario, redpatch.SpecSweepRe
 	return sc, req.SpecSweepRequest, nil
 }
 
-func (s *server) handleSweepV2(w http.ResponseWriter, r *http.Request) {
-	sc, req, err := s.scenarioSweep(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sum, err := sc.study.SweepSpec(r.Context(), req)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"scenario": sc.name,
-		"total":    sum.Total,
-		"kept":     len(sum.Reports),
-		"reports":  sum.Reports,
-		"pareto":   sum.Pareto,
-		"engine":   sc.study.EngineStats(),
-	})
-}
-
-func (s *server) handleParetoV2(w http.ResponseWriter, r *http.Request) {
-	sc, req, err := s.scenarioSweep(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	total, front, err := sc.study.SweepSpecPareto(r.Context(), req)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"scenario": sc.name,
-		"total":    total,
-		"pareto":   front,
-	})
-}
-
 // handleSweepStream streams sweep results as NDJSON: one report object
 // per line in completion order, the first flushed at once and the rest
 // in batches written at streamBatchBytes or after streamLinger,

@@ -80,17 +80,8 @@ func TestHeterogeneousSweepV2(t *testing.T) {
 		{"role":"web","min":1,"max":2,"variants":["","webalt"]},
 		{"role":"app","min":1,"max":1},
 		{"role":"db","min":1,"max":1}]}`
-	w := do(t, h, http.MethodPost, "/api/v2/sweep", body)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", w.Code, w.Body)
-	}
-	var resp struct {
-		Total   int                     `json:"total"`
-		Kept    int                     `json:"kept"`
-		Reports []redpatch.DesignReport `json:"reports"`
-		Pareto  []redpatch.DesignReport `json:"pareto"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+	resp, err := sweepStream(h, body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Total != 4 || resp.Kept != 4 {
@@ -263,11 +254,10 @@ func TestV2RejectsBadRequests(t *testing.T) {
 		"zero replicas":      {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":0}]}}`},
 		"replica cap":        {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":1000}]}}`},
 		"tier cap":           {"/api/v2/evaluate", `{"spec":{"tiers":[` + long[:len(long)-1] + `]}}`},
-		"unknown variant":    {"/api/v2/sweep", `{"tiers":[{"role":"web","min":1,"max":1,"variants":["iis"]}]}`},
-		"sweep size cap":     {"/api/v2/sweep", `{"tiers":[{"role":"dns","min":1,"max":9},{"role":"web","min":1,"max":9},{"role":"app","min":1,"max":9},{"role":"db","min":1,"max":9}]}`},
+		"unknown variant":    {"/api/v2/sweep/stream", `{"tiers":[{"role":"web","min":1,"max":1,"variants":["iis"]}]}`},
+		"sweep size cap":     {"/api/v2/sweep/stream", `{"tiers":[{"role":"dns","min":1,"max":9},{"role":"web","min":1,"max":9},{"role":"app","min":1,"max":9},{"role":"db","min":1,"max":9}]}`},
 		"stream bad json":    {"/api/v2/sweep/stream", `nope`},
 		"stream shard":       {"/api/v2/sweep/stream", `{"tiers":[{"role":"web","min":1,"max":2}],"shard":{"index":0,"count":2}}`},
-		"sweep shard":        {"/api/v2/sweep", `{"tiers":[{"role":"web","min":1,"max":2}],"shard":{"index":0,"count":2}}`},
 		"campaign no window": {"/api/v2/plan-campaign", `{"role":"web"}`},
 		"campaign bad role":  {"/api/v2/plan-campaign", `{"role":"mainframe","windowMinutes":30}`},
 	} {

@@ -8,9 +8,8 @@
 // waits for that one result. Memo values are fixed-size and hold no
 // per-path detail, so a long-lived engine costs a couple of hundred
 // bytes per entry. Sweeps (sweep.go) enumerate per-tier redundancy
-// ranges and stream results through administrator-bound and Pareto
-// filters incrementally, so large spaces never accumulate rejected
-// results in memory.
+// ranges and stream results through the administrator bounds as they
+// complete, so large spaces never accumulate rejected results in memory.
 //
 // One Engine wraps one evaluator and therefore one patch policy and
 // schedule; construct one engine per policy configuration (the redpatch
@@ -28,7 +27,6 @@ import (
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
 	"redpatch/internal/trace"
-	"redpatch/internal/workpool"
 )
 
 // DesignEvaluator is the evaluation dependency: anything that can score
@@ -196,34 +194,20 @@ func (g *Engine) Stats() Stats {
 	return st
 }
 
-// Evaluate scores one classic 4-tuple design through the spec path.
-func (g *Engine) Evaluate(d paperdata.Design) (redundancy.Result, error) {
-	if err := d.Validate(); err != nil {
-		return redundancy.Result{}, err
-	}
-	return g.EvaluateSpec(d.Spec())
-}
-
-// EvaluateSpec scores one role-keyed design, serving repeats from the
-// cache. Concurrent calls for the same spec identity share a single
+// EvaluateSpecCtx scores one role-keyed design, serving repeats from the
+// memo. Concurrent calls for the same spec identity share a single
 // solve. The returned result carries the requested spec (name included)
-// even on a cache hit, and the served numbers only: its metrics have no
-// Paths and no ShortestPath, on a miss as on a hit.
-func (g *Engine) EvaluateSpec(spec paperdata.DesignSpec) (redundancy.Result, error) {
-	return g.EvaluateSpecCtx(context.Background(), spec)
-}
-
-// EvaluateSpecCtx is EvaluateSpec with the caller's context threaded
-// through for tracing. When the context carries a tracer, the call
-// records an "engine.evaluate" span whose cache attribute distinguishes
-// a miss (this call solved), a hit (the memo had a completed entry) and
-// an inflight join (a concurrent solve of the same design was in
-// progress and this call waited for it). The context does not cancel an
-// in-flight solve — a result being computed belongs to every caller
-// deduplicated onto it, so the first caller's cancellation must not
-// poison the shared entry — but a caller *joining* an in-flight solve
-// abandons its wait when its context ends: the solve finishes and
-// memoizes without it.
+// even on a hit, and the served numbers only: its metrics have no Paths
+// and no ShortestPath, on a miss as on a hit. When the context carries a
+// tracer, the call records an "engine.evaluate" span whose cache
+// attribute distinguishes a miss (this call solved), a hit (the memo had
+// a completed entry) and an inflight join (a concurrent solve of the
+// same design was in progress and this call waited for it). The context
+// does not cancel an in-flight solve — a result being computed belongs
+// to every caller deduplicated onto it, so the first caller's
+// cancellation must not poison the shared entry — but a caller *joining*
+// an in-flight solve abandons its wait when its context ends: the solve
+// finishes and memoizes without it.
 func (g *Engine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
 	return g.evaluateSpecTraced(ctx, spec,
 		trace.Attr{Key: "design", Value: spec.Name})
@@ -350,17 +334,4 @@ func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (redunda
 		sp.End()
 	}
 	return v.result(spec), true
-}
-
-// EvaluateAll scores every design on the worker pool and returns results
-// in input order, with the output a serial loop over the evaluator
-// would give.
-func (g *Engine) EvaluateAll(designs []paperdata.Design) ([]redundancy.Result, error) {
-	return workpool.Map(g.workers, designs, func(_ int, d paperdata.Design) (redundancy.Result, error) {
-		r, err := g.Evaluate(d)
-		if err != nil {
-			return redundancy.Result{}, fmt.Errorf("engine: design %s: %w", d, err)
-		}
-		return r, nil
-	})
 }

@@ -48,11 +48,11 @@ func fullSpace(max int) SweepSpec { return classicSpace(Range{Min: 1, Max: max})
 
 // evaluateSerially is the serial reference: the bare evaluator over
 // designs, in order.
-func evaluateSerially(t *testing.T, ev *redundancy.Evaluator, designs []paperdata.Design) []redundancy.Result {
+func evaluateSerially(t *testing.T, ev *redundancy.Evaluator, designs []paperdata.DesignSpec) []redundancy.Result {
 	t.Helper()
 	out := make([]redundancy.Result, len(designs))
 	for i, d := range designs {
-		r, err := ev.EvaluateSpecContext(context.Background(), d.Spec())
+		r, err := ev.EvaluateSpecContext(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,35 +110,40 @@ func servedAll(rs []redundancy.Result) []served {
 	return out
 }
 
+// sweepAll runs one sweep and returns its total and the kept results in
+// enumeration order (Sweep delivers them in completion order).
+func sweepAll(ctx context.Context, g *Engine, spec SweepSpec) (int, []redundancy.Result, error) {
+	var kept []redundancy.Result
+	total, err := g.Sweep(ctx, spec, func(r redundancy.Result) error {
+		kept = append(kept, r)
+		return nil
+	}, nil)
+	order := make(map[string]int)
+	for i, d := range spec.Designs() {
+		order[d.Key()] = i
+	}
+	slices.SortFunc(kept, func(a, b redundancy.Result) int { return order[a.Spec.Key()] - order[b.Spec.Key()] })
+	return total, kept, err
+}
+
 func TestParallelSweepMatchesSerialEvaluateAll(t *testing.T) {
 	ev := paperEvaluator(t)
-	designs := redundancy.EnumerateDesigns(3) // 81 designs
-	serial := evaluateSerially(t, ev, designs)
+	spec := fullSpace(3) // 81 designs
+	serial := evaluateSerially(t, ev, spec.Designs())
 
 	g, err := New(ev, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := g.EvaluateAll(designs)
+	total, kept, err := sweepAll(context.Background(), g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(servedAll(serial), servedAll(parallel)) {
-		t.Fatal("parallel EvaluateAll differs from the serial reference")
+	if total != len(serial) {
+		t.Fatalf("total = %d, want %d", total, len(serial))
 	}
-
-	sweep, err := g.Sweep(context.Background(), fullSpace(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sweep.Total != len(designs) {
-		t.Fatalf("Total = %d, want %d", sweep.Total, len(designs))
-	}
-	if !slices.Equal(servedAll(serial), servedAll(sweep.Kept)) {
+	if !slices.Equal(servedAll(serial), servedAll(kept)) {
 		t.Fatal("parallel sweep differs from the serial reference")
-	}
-	if want := redundancy.ParetoFront(serial); !slices.Equal(servedAll(sweep.Front), servedAll(want)) {
-		t.Fatalf("sweep Pareto front differs from ParetoFront of the serial results: got %d, want %d members", len(sweep.Front), len(want))
 	}
 }
 
@@ -149,17 +154,17 @@ func TestRepeatSweepServedFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := fullSpace(2) // 16 designs
-	if _, err := g.Sweep(context.Background(), spec); err != nil {
+	if _, _, err := sweepAll(context.Background(), g, spec); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.calls.Load(); n != 16 {
 		t.Fatalf("first sweep solved %d designs, want 16", n)
 	}
-	first, err := g.Sweep(context.Background(), spec)
+	_, first, err := sweepAll(context.Background(), g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := g.Sweep(context.Background(), spec)
+	_, second, err := sweepAll(context.Background(), g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +180,7 @@ func TestRepeatSweepServedFromCache(t *testing.T) {
 	}
 
 	// An overlapping sweep only solves the designs it adds to the space.
-	if _, err := g.Sweep(context.Background(), fullSpace(3)); err != nil {
+	if _, _, err := sweepAll(context.Background(), g, fullSpace(3)); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.calls.Load(); n != 81 {
@@ -200,7 +205,7 @@ func TestConcurrentDuplicatesShareOneSolve(t *testing.T) {
 		go func(i int) {
 			started.Done()
 			defer done.Done()
-			results[i], errs[i] = g.Evaluate(d)
+			results[i], errs[i] = g.EvaluateSpecCtx(context.Background(), d.Spec())
 		}(i)
 	}
 	started.Wait()
@@ -224,11 +229,11 @@ func TestEvaluateStampsRequestedName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := g.Evaluate(paperdata.Design{Name: "first", DNS: 1, Web: 2, App: 2, DB: 1})
+	a, err := g.EvaluateSpecCtx(context.Background(), paperdata.Design{Name: "first", DNS: 1, Web: 2, App: 2, DB: 1}.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.Evaluate(paperdata.Design{Name: "second", DNS: 1, Web: 2, App: 2, DB: 1})
+	b, err := g.EvaluateSpecCtx(context.Background(), paperdata.Design{Name: "second", DNS: 1, Web: 2, App: 2, DB: 1}.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +253,7 @@ func TestEvaluateRejectsInvalidDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Evaluate(paperdata.Design{Name: "bad", DNS: 0, Web: 1, App: 1, DB: 1}); err == nil {
+	if _, err := g.EvaluateSpecCtx(context.Background(), paperdata.Design{Name: "bad", DNS: 0, Web: 1, App: 1, DB: 1}.Spec()); err == nil {
 		t.Fatal("zero-replica design accepted")
 	}
 	if st := g.Stats(); st.Solves != 0 {
@@ -264,47 +269,24 @@ func TestSweepBoundsFilterIncrementally(t *testing.T) {
 	}
 	spec := fullSpace(2)
 	spec.Scatter = &redundancy.ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}
-	res, err := g.Sweep(context.Background(), spec)
+	total, kept, err := sweepAll(context.Background(), g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []redundancy.Result
-	for _, r := range evaluateSerially(t, ev, redundancy.EnumerateDesigns(2)) {
+	for _, r := range evaluateSerially(t, ev, spec.Designs()) {
 		if spec.Scatter.Satisfied(r) {
 			want = append(want, r)
 		}
 	}
-	if !slices.Equal(servedAll(res.Kept), servedAll(want)) {
-		t.Fatalf("kept %d results, want %d", len(res.Kept), len(want))
+	if !slices.Equal(servedAll(kept), servedAll(want)) {
+		t.Fatalf("kept %d results, want %d", len(kept), len(want))
 	}
-	if res.Total != 16 {
-		t.Fatalf("Total = %d, want 16", res.Total)
+	if total != 16 {
+		t.Fatalf("total = %d, want 16", total)
 	}
-	for _, r := range res.Front {
-		if !spec.Scatter.Satisfied(r) {
-			t.Fatalf("front member %s violates the bounds", r.Spec)
-		}
-	}
-}
-
-func TestSweepParetoMatchesSweep(t *testing.T) {
-	g, err := New(paperEvaluator(t), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := g.Sweep(context.Background(), fullSpace(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, front, err := g.SweepPareto(context.Background(), fullSpace(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != full.Total {
-		t.Fatalf("total = %d, want %d", total, full.Total)
-	}
-	if !reflect.DeepEqual(front, full.Front) {
-		t.Fatalf("front-only sweep returned %d members, Sweep returned %d", len(front), len(full.Front))
+	if len(want) == 0 || len(want) == 16 {
+		t.Fatalf("bounds kept %d of 16, want a strict subset", len(want))
 	}
 }
 
@@ -314,21 +296,26 @@ func TestSweepFuncStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed int
-	total, err := g.SweepFunc(context.Background(), fullSpace(2), func(redundancy.Result) error {
+	var progressed int
+	total, err := g.Sweep(context.Background(), fullSpace(2), func(redundancy.Result) error {
 		streamed++
 		return nil
+	}, func(done, total int) {
+		if progressed++; done != progressed || total != 16 {
+			t.Errorf("progress(%d, %d) after %d evaluations, want (%d, 16)", done, total, progressed, progressed)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 16 || streamed != 16 {
-		t.Fatalf("total = %d, streamed = %d, want 16/16", total, streamed)
+	if total != 16 || streamed != 16 || progressed != 16 {
+		t.Fatalf("total = %d, streamed = %d, progressed = %d, want 16/16/16", total, streamed, progressed)
 	}
 
 	sentinel := errors.New("enough")
-	if _, err := g.SweepFunc(context.Background(), fullSpace(2), func(redundancy.Result) error {
+	if _, err := g.Sweep(context.Background(), fullSpace(2), func(redundancy.Result) error {
 		return sentinel
-	}); !errors.Is(err, sentinel) {
+	}, nil); !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not propagated: %v", err)
 	}
 }
@@ -340,7 +327,7 @@ func TestSweepHonoursContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Sweep(ctx, fullSpace(4)); !errors.Is(err, context.Canceled) {
+	if _, _, err := sweepAll(ctx, g, fullSpace(4)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -396,7 +383,7 @@ func TestSweepSurfacesEvaluationError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Sweep(context.Background(), fullSpace(2)); err == nil {
+	if _, _, err := sweepAll(context.Background(), g, fullSpace(2)); err == nil {
 		t.Fatal("evaluation error swallowed")
 	}
 }
@@ -422,12 +409,12 @@ func TestEvaluatorPanicDoesNotWedgeCacheKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := paperdata.BaseDesign()
-	if _, err := g.Evaluate(d); err == nil {
+	if _, err := g.EvaluateSpecCtx(context.Background(), d.Spec()); err == nil {
 		t.Fatal("panic not surfaced as an error")
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := g.Evaluate(d)
+		_, err := g.EvaluateSpecCtx(context.Background(), d.Spec())
 		done <- err
 	}()
 	select {
@@ -459,10 +446,10 @@ func TestTransientErrorIsNotMemoized(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := paperdata.BaseDesign()
-	if _, err := g.Evaluate(d); err == nil {
+	if _, err := g.EvaluateSpecCtx(context.Background(), d.Spec()); err == nil {
 		t.Fatal("first call should fail")
 	}
-	r, err := g.Evaluate(d)
+	r, err := g.EvaluateSpecCtx(context.Background(), d.Spec())
 	if err != nil {
 		t.Fatalf("retry after transient failure: %v", err)
 	}
@@ -495,15 +482,15 @@ func TestSpecCacheKeysDistinguishVariants(t *testing.T) {
 		paperdata.TierSpec{Role: paperdata.RoleWeb, Replicas: 1},
 		paperdata.TierSpec{Role: paperdata.RoleWeb, Replicas: 1, Variant: paperdata.RoleWebAlt})
 
-	rPlain, err := g.EvaluateSpec(plain)
+	rPlain, err := g.EvaluateSpecCtx(context.Background(), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rAlt, err := g.EvaluateSpec(alt)
+	rAlt, err := g.EvaluateSpecCtx(context.Background(), alt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.EvaluateSpec(mixed); err != nil {
+	if _, err := g.EvaluateSpecCtx(context.Background(), mixed); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.calls.Load(); n != 3 {
@@ -515,7 +502,7 @@ func TestSpecCacheKeysDistinguishVariants(t *testing.T) {
 
 	renamed := alt
 	renamed.Name = "renamed"
-	r, err := g.EvaluateSpec(renamed)
+	r, err := g.EvaluateSpecCtx(context.Background(), renamed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,12 +529,12 @@ func TestColdSweepTierSolveBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := fullSpace(3)
-	res, err := g.Sweep(context.Background(), spec)
+	total, _, err := sweepAll(context.Background(), g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Total != 81 {
-		t.Fatalf("total = %d, want 81", res.Total)
+	if total != 81 {
+		t.Fatalf("total = %d, want 81", total)
 	}
 	st := g.Stats()
 	if st.Solves != 81 || st.FactoredSolves != 81 {
@@ -575,7 +562,7 @@ func TestStatsWithoutSolverProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Evaluate(paperdata.BaseDesign()); err != nil {
+	if _, err := g.EvaluateSpecCtx(context.Background(), paperdata.BaseDesign().Spec()); err != nil {
 		t.Fatal(err)
 	}
 	st := g.Stats()
@@ -603,7 +590,7 @@ func TestSweepCancelDropsQueuedSpecs(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := g.Sweep(ctx, fullSpace(3)) // 81 designs
+		_, _, err := sweepAll(ctx, g, fullSpace(3)) // 81 designs
 		done <- err
 	}()
 

@@ -75,7 +75,7 @@ func TestMemoEntryBytes(t *testing.T) {
 	}
 	designs := func(g *Engine) {
 		for _, sp := range specs {
-			if _, err := g.EvaluateSpec(sp); err != nil {
+			if _, err := g.EvaluateSpecCtx(context.Background(), sp); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -151,7 +151,7 @@ func TestMemoSharedAcrossGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sp := range specs {
-		if _, err := other.EvaluateSpec(sp); err != nil {
+		if _, err := other.EvaluateSpecCtx(context.Background(), sp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestMemoSharedAcrossGoroutines(t *testing.T) {
 				sp := specs[(w+i)%len(specs)]
 				switch w % 3 {
 				case 0:
-					if _, err := g.EvaluateSpec(sp); err != nil {
+					if _, err := g.EvaluateSpecCtx(context.Background(), sp); err != nil {
 						t.Error(err)
 					}
 					g.Lookup(ctx, sp)
@@ -215,7 +215,7 @@ func TestLookupServesOnlyCompletedEntries(t *testing.T) {
 	sp := specFor(t, 1, 2, 2, 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := g.EvaluateSpec(sp)
+		_, err := g.EvaluateSpecCtx(context.Background(), sp)
 		done <- err
 	}()
 	for c.calls.Load() == 0 {
@@ -234,7 +234,7 @@ func TestLookupServesOnlyCompletedEntries(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	want, err := g.EvaluateSpec(sp)
+	want, err := g.EvaluateSpecCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	points := [][]float64{{0.5, 0.5, 0.5, 0.5}, {0, 1, 0, 1}}
 	want := make([]redundancy.Result, len(specs))
 	for i, sp := range specs {
-		if want[i], err = g.EvaluateSpec(sp); err != nil {
+		if want[i], err = g.EvaluateSpecCtx(context.Background(), sp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d entries (Len %d), want %d", restored, g2.Len(), entries)
 	}
 	for i, sp := range specs {
-		got, err := g2.EvaluateSpec(sp)
+		got, err := g2.EvaluateSpecCtx(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.EvaluateSpec(specFor(t, 1, 1, 1, 1)); err != nil {
+	if _, err := g.EvaluateSpecCtx(context.Background(), specFor(t, 1, 1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -292,7 +292,7 @@ func TestRestoreSkipsExistingEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sp := range []paperdata.DesignSpec{specFor(t, 1, 1, 1, 1), specFor(t, 1, 2, 2, 1)} {
-		if _, err := g.EvaluateSpec(sp); err != nil {
+		if _, err := g.EvaluateSpecCtx(context.Background(), sp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func TestRestoreSkipsExistingEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g2.EvaluateSpec(specFor(t, 1, 1, 1, 1)); err != nil {
+	if _, err := g2.EvaluateSpecCtx(context.Background(), specFor(t, 1, 1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := g2.Restore(bytes.NewReader(buf.Bytes()))
@@ -331,7 +331,7 @@ func TestSnapshotSkipsInFlight(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := g.EvaluateSpec(specFor(t, 1, 1, 1, 1))
+		_, err := g.EvaluateSpecCtx(context.Background(), specFor(t, 1, 1, 1, 1))
 		done <- err
 	}()
 	// Wait for the solve to be registered in-flight.
@@ -368,7 +368,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, i := range order {
-			if _, err := g.EvaluateSpec(specs[i]); err != nil {
+			if _, err := g.EvaluateSpecCtx(context.Background(), specs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"redpatch/internal/paperdata"
@@ -128,8 +127,8 @@ func (s SweepSpec) Size() int {
 // Designs enumerates the spec in lexicographic tier order: earlier tiers
 // vary slowest, and within a tier replica counts vary before variant
 // choices. Classic homogeneous sweeps keep the "1d2w2a1b" naming of
-// redundancy.EnumerateDesigns; heterogeneous designs get role-keyed
-// canonical names.
+// paperdata.DefaultName; heterogeneous designs get role-keyed canonical
+// names.
 func (s SweepSpec) Designs() []paperdata.DesignSpec {
 	out := make([]paperdata.DesignSpec, 0, min(s.Size(), 1<<20))
 	tiers := make([]paperdata.TierSpec, len(s.Tiers))
@@ -165,83 +164,18 @@ func (s SweepSpec) keeps(r redundancy.Result) bool {
 	return true
 }
 
-// SweepResult is a completed sweep.
-type SweepResult struct {
-	// Total is the number of designs enumerated (and, on success,
-	// evaluated — possibly from cache).
-	Total int
-	// Kept holds the results passing the spec's bounds, in enumeration
-	// order.
-	Kept []redundancy.Result
-	// Front is the Pareto front (minimize after-patch ASP, maximize COA)
-	// over Kept, sorted by ascending ASP.
-	Front []redundancy.Result
-}
-
-// Sweep evaluates the whole spec on the worker pool and returns the
-// bound-filtered results plus their Pareto front. Rejected results are
-// discarded as they arrive, so peak memory is proportional to the kept
-// set, not the space; the front is taken from the kept set at the end.
-func (g *Engine) Sweep(ctx context.Context, spec SweepSpec) (SweepResult, error) {
-	type kept struct {
-		idx int
-		res redundancy.Result
-	}
-	var ks []kept
-	total, err := g.sweep(ctx, spec, func(idx int, r redundancy.Result) error {
-		ks = append(ks, kept{idx, r})
-		return nil
-	}, nil)
-	if err != nil {
-		return SweepResult{}, err
-	}
-	// The collector sees completion order; restore enumeration order.
-	sort.Slice(ks, func(i, j int) bool { return ks[i].idx < ks[j].idx })
-	out := SweepResult{Total: total, Kept: make([]redundancy.Result, len(ks))}
-	for i, k := range ks {
-		out.Kept[i] = k.res
-	}
-	out.Front = redundancy.ParetoFront(out.Kept)
-	return out, nil
-}
-
-// SweepPareto sweeps the spec but retains only the incremental Pareto
-// front — peak memory is the front, not the kept set. It returns the
-// number of enumerated designs and the front sorted by ascending ASP.
-func (g *Engine) SweepPareto(ctx context.Context, spec SweepSpec) (int, []redundancy.Result, error) {
-	var front paretoFront
-	total, err := g.sweep(ctx, spec, func(_ int, r redundancy.Result) error {
-		front.insert(r)
-		return nil
-	}, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return total, redundancy.ParetoFront(front.front), nil
-}
-
-// SweepFunc streams every result passing the spec's bounds to fn as it
-// completes (completion order, not enumeration order). fn runs on a
-// single collector goroutine, so it needs no locking; returning an error
-// cancels the sweep. The total number of enumerated designs is returned.
-func (g *Engine) SweepFunc(ctx context.Context, spec SweepSpec, fn func(redundancy.Result) error) (int, error) {
-	return g.sweep(ctx, spec, func(_ int, r redundancy.Result) error { return fn(r) }, nil)
-}
-
-// SweepFuncProgress is SweepFunc plus a progress callback: progress runs
-// on the collector goroutine after every completed evaluation — kept or
-// bound-filtered — with the number of designs done so far and the total.
-// Streaming surfaces (redpatchd's NDJSON sweep) derive their periodic
-// progress events from it. A nil progress makes this exactly SweepFunc.
-func (g *Engine) SweepFuncProgress(ctx context.Context, spec SweepSpec, fn func(redundancy.Result) error, progress func(done, total int)) (int, error) {
-	return g.sweep(ctx, spec, func(_ int, r redundancy.Result) error { return fn(r) }, progress)
-}
-
-// sweep fans a design-space sweep out over the pool: every design
-// evaluates through the cache, the collector applies bound filtering and
-// hands passing results (with their enumeration index) to emit. The
-// whole sweep runs under an "engine.sweep" span.
-func (g *Engine) sweep(ctx context.Context, spec SweepSpec, emit func(int, redundancy.Result) error, progress func(done, total int)) (total int, err error) {
+// Sweep evaluates the whole spec on the worker pool and hands every
+// result passing the spec's bounds to fn as it completes (completion
+// order, not enumeration order). Rejected results are discarded as they
+// arrive, so the sweep holds nothing the caller does not keep. fn runs
+// on a single collector goroutine, so it needs no locking; returning an
+// error cancels the sweep. progress, when non-nil, runs on the same
+// goroutine after every completed evaluation — kept or bound-filtered —
+// with the number of designs done so far and the total; streaming
+// surfaces derive their periodic progress events from it. The whole
+// sweep runs under an "engine.sweep" span, and the number of enumerated
+// designs is returned.
+func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(redundancy.Result) error, progress func(done, total int)) (total int, err error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
@@ -257,9 +191,9 @@ func (g *Engine) sweep(ctx context.Context, spec SweepSpec, emit func(int, redun
 			}
 			return r, err
 		},
-		func(idx int, r redundancy.Result) error {
+		func(_ int, r redundancy.Result) error {
 			if spec.keeps(r) {
-				return emit(idx, r)
+				return fn(r)
 			}
 			return nil
 		})
@@ -312,28 +246,4 @@ func stream[T, R any](ctx context.Context, g *Engine, items []T, progress func(d
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// paretoFront maintains a (minimize ASP, maximize COA) front under
-// insertion: dominated newcomers are rejected, newcomers evict the
-// members they dominate.
-type paretoFront struct {
-	front []redundancy.Result
-}
-
-func (p *paretoFront) insert(r redundancy.Result) {
-	// keep compacts in place. The early return below cannot corrupt the
-	// front: if some member dominates r, then (by transitivity of
-	// dominance) no earlier member was dominated by r, so nothing has
-	// been dropped and every write so far was an identity write.
-	keep := p.front[:0]
-	for _, s := range p.front {
-		if redundancy.Dominates(s, r) {
-			return // r dominated by an existing member; front unchanged
-		}
-		if !redundancy.Dominates(r, s) {
-			keep = append(keep, s)
-		}
-	}
-	p.front = append(keep, r)
 }

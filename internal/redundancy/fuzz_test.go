@@ -212,7 +212,7 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 		// Engine memo hits equal the fresh evaluator's answers.
 		g := engineFor(t, c.policy)
 		for range 2 {
-			hit, err := g.EvaluateSpec(c.spec)
+			hit, err := g.EvaluateSpecCtx(ctx, c.spec)
 			if err != nil {
 				t.Fatal(err)
 			}

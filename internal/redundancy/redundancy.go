@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +70,6 @@ type Evaluator struct {
 	securityFactored atomic.Uint64
 	securitySolves   atomic.Uint64
 	securityHits     atomic.Uint64
-	rolloutEvals     atomic.Uint64
 }
 
 // factorKey identifies one memoized tier factor: a software stack (whose
@@ -549,9 +547,6 @@ type SolverStats struct {
 	// SecurityFactorHits is the number of security-model lookups served
 	// from the memo: two per atomic evaluation, one per rollout point.
 	SecurityFactorHits uint64
-	// RolloutEvals is the number of mixed-version rollout-point
-	// evaluations.
-	RolloutEvals uint64
 }
 
 // SolverStats returns a snapshot of the dispatch counters.
@@ -563,7 +558,6 @@ func (e *Evaluator) SolverStats() SolverStats {
 		SecurityFactored:   e.securityFactored.Load(),
 		SecuritySolves:     e.securitySolves.Load(),
 		SecurityFactorHits: e.securityHits.Load(),
-		RolloutEvals:       e.rolloutEvals.Load(),
 	}
 }
 
@@ -665,18 +659,12 @@ func (b MultiBounds) Satisfied(r Result) bool {
 		r.COA >= b.MinCOA
 }
 
-// dominates is the one dominance rule of every frontier in this
-// repository, on the (minimize ASP, maximize COA) plane: a is no worse
-// than b on both axes and strictly better on at least one.
+// dominates is the dominance rule on the (minimize ASP, maximize COA)
+// plane that Front's sort-and-scan implements: a is no worse than b on
+// both axes and strictly better on at least one. The quadratic reference
+// that FuzzFrontMatchesQuadratic pins Front to applies it pairwise.
 func dominates(aASP, aCOA, bASP, bCOA float64) bool {
 	return aASP <= bASP && aCOA >= bCOA && (aASP < bASP || aCOA > bCOA)
-}
-
-// Dominates reports whether design a dominates design b on the
-// (minimize after-patch ASP, maximize COA) plane. ParetoFront and the
-// engine's incremental front both apply it.
-func Dominates(a, b Result) bool {
-	return dominates(a.After.ASP, a.COA, b.After.ASP, b.COA)
 }
 
 // Front returns the items not dominated on the (minimize ASP, maximize
@@ -750,35 +738,3 @@ func Front[T any](items []T, point func(T) (asp, coa float64), tiebreak func(a, 
 
 // frontPoint is one item's (ASP, COA) coordinates in Front.
 type frontPoint struct{ asp, coa float64 }
-
-// ParetoFront returns the designs not dominated on the
-// (minimize after-patch ASP, maximize COA) plane in Front's order, with
-// the design name as the tiebreak.
-func ParetoFront(results []Result) []Result {
-	return Front(results,
-		func(r Result) (float64, float64) { return r.After.ASP, r.COA },
-		func(a, b Result) int { return strings.Compare(a.Spec.Name, b.Spec.Name) })
-}
-
-// EnumerateDesigns yields every design with 1..maxPerTier servers per
-// tier, in lexicographic order — the larger design spaces of the paper's
-// §V "Systems" extension.
-func EnumerateDesigns(maxPerTier int) []paperdata.Design {
-	if maxPerTier < 1 {
-		return nil
-	}
-	var out []paperdata.Design
-	for dns := 1; dns <= maxPerTier; dns++ {
-		for web := 1; web <= maxPerTier; web++ {
-			for app := 1; app <= maxPerTier; app++ {
-				for db := 1; db <= maxPerTier; db++ {
-					out = append(out, paperdata.Design{
-						Name: paperdata.DefaultName(dns, web, app, db),
-						DNS:  dns, Web: web, App: app, DB: db,
-					})
-				}
-			}
-		}
-	}
-	return out
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -190,7 +191,9 @@ func designNames(results []Result) []string {
 
 func TestParetoFront(t *testing.T) {
 	_, results := evaluator(t)
-	front := ParetoFront(results)
+	front := Front(results,
+		func(r Result) (float64, float64) { return r.After.ASP, r.COA },
+		func(a, b Result) int { return strings.Compare(a.Spec.Name, b.Spec.Name) })
 	if len(front) == 0 {
 		t.Fatal("front must not be empty")
 	}
@@ -218,26 +221,6 @@ func TestParetoFront(t *testing.T) {
 		if front[i-1].After.ASP > front[i].After.ASP {
 			t.Error("front must be sorted by ascending ASP")
 		}
-	}
-}
-
-func TestEnumerateDesigns(t *testing.T) {
-	ds := EnumerateDesigns(2)
-	if len(ds) != 16 {
-		t.Fatalf("EnumerateDesigns(2) = %d designs, want 16", len(ds))
-	}
-	seen := make(map[string]bool, len(ds))
-	for _, d := range ds {
-		if err := d.Validate(); err != nil {
-			t.Errorf("design %s invalid: %v", d.Name, err)
-		}
-		if seen[d.Name] {
-			t.Errorf("duplicate design name %s", d.Name)
-		}
-		seen[d.Name] = true
-	}
-	if got := EnumerateDesigns(0); got != nil {
-		t.Error("EnumerateDesigns(0) should be nil")
 	}
 }
 
@@ -292,10 +275,10 @@ func TestPatchAllPolicyZeroesSecurityMetrics(t *testing.T) {
 // -race to verify the absence of data races, not just agreement).
 func TestEvaluatorSafeForConcurrentUse(t *testing.T) {
 	e, _ := evaluator(t)
-	designs := EnumerateDesigns(2)
-	serial := make([]Result, len(designs))
-	for i, d := range designs {
-		r, err := evalDesign(e, d)
+	specs := equivalenceSpecs()
+	serial := make([]Result, len(specs))
+	for i, sp := range specs {
+		r, err := e.EvaluateSpecContext(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,14 +292,14 @@ func TestEvaluatorSafeForConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i, d := range designs {
-				r, err := evalDesign(e, d)
+			for i, sp := range specs {
+				r, err := e.EvaluateSpecContext(context.Background(), sp)
 				if err != nil {
 					errs[g] = err
 					return
 				}
 				if !reflect.DeepEqual(r, serial[i]) {
-					errs[g] = fmt.Errorf("design %s: concurrent result differs", d)
+					errs[g] = fmt.Errorf("design %s: concurrent result differs", sp)
 					return
 				}
 			}

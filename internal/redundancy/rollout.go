@@ -242,7 +242,6 @@ func (e *Evaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSp
 		return RolloutResult{}, err
 	}
 	recordSecurity(ctx, hit)
-	e.rolloutEvals.Add(1)
 	res := RolloutResult{Spec: spec, Patched: patched}
 	if res.Security, err = model.Evaluate(counts); err != nil {
 		return RolloutResult{}, err

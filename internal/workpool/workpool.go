@@ -1,9 +1,8 @@
 // Package workpool is the bounded fan-out primitive under the design
-// evaluation engine: a fixed number of worker goroutines draining a
-// slice, either collecting results in input order (Map) or handing them
-// to a collector as they complete (StreamCtx).
-// The engine's EvaluateAll delegates to Map and its sweeps to StreamCtx,
-// so batch and streamed evaluation share one pool.
+// evaluation engine and the fleet planner: a fixed number of worker
+// goroutines draining a slice, either collecting results in input order
+// (Map) or handing them to a collector as they complete (StreamCtx).
+// Fleet planning delegates to Map and the engine's sweeps to StreamCtx.
 package workpool
 
 import (

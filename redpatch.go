@@ -14,7 +14,7 @@
 //
 // Designs are described by role-keyed DesignSpecs — ordered tier groups
 // with replica counts and optional stack variants — evaluated through
-// EvaluateSpec and swept through SweepSpec.
+// EvaluateSpec and swept through SweepSpecEach.
 //
 //	study, err := redpatch.NewCaseStudy()
 //	r, err := study.EvaluateSpec(redpatch.DesignSpec{Name: "mine", Tiers: []redpatch.TierSpec{
@@ -316,12 +316,13 @@ func (s *CaseStudy) EvaluateSpecCtx(ctx context.Context, spec DesignSpec) (Desig
 // PaperDesigns evaluates the five design choices of the paper's §IV in
 // order (D1..D5).
 func (s *CaseStudy) PaperDesigns() ([]DesignReport, error) {
-	results, err := s.eng.EvaluateAll(paperdata.Designs())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]DesignReport, len(results))
-	for i, r := range results {
+	designs := paperdata.Designs()
+	out := make([]DesignReport, len(designs))
+	for i, d := range designs {
+		r, err := s.eng.EvaluateSpecCtx(context.Background(), d.Spec())
+		if err != nil {
+			return nil, err
+		}
 		out[i] = convert(r)
 	}
 	return out, nil
@@ -330,7 +331,7 @@ func (s *CaseStudy) PaperDesigns() ([]DesignReport, error) {
 // BaseNetwork evaluates the paper's §III case-study network
 // (1 DNS + 2 WEB + 2 APP + 1 DB), whose COA the paper reports as 0.99707.
 func (s *CaseStudy) BaseNetwork() (DesignReport, error) {
-	r, err := s.eng.Evaluate(paperdata.BaseDesign())
+	r, err := s.eng.EvaluateSpecCtx(context.Background(), paperdata.BaseDesign().Spec())
 	if err != nil {
 		return DesignReport{}, err
 	}
@@ -572,23 +573,6 @@ func (s *CaseStudy) MeanTimeToServiceOutageSpec(spec DesignSpec) (float64, error
 	return availability.MeanTimeToServiceDown(nm)
 }
 
-// EnumerateDesigns evaluates every design with 1..maxPerTier replicas per
-// tier (the larger design spaces of §V), concurrently and cached.
-func (s *CaseStudy) EnumerateDesigns(maxPerTier int) ([]DesignReport, error) {
-	if maxPerTier < 1 {
-		return nil, fmt.Errorf("redpatch: maxPerTier must be at least 1, have %d", maxPerTier)
-	}
-	results, err := s.eng.EvaluateAll(redundancy.EnumerateDesigns(maxPerTier))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]DesignReport, len(results))
-	for i, r := range results {
-		out[i] = convert(r)
-	}
-	return out, nil
-}
-
 // TierSweep is one tier of a role-keyed sweep: an inclusive replica
 // range plus the stack variants to enumerate. An empty Variants set
 // sweeps the role's own stack only; listing variants (the empty string
@@ -642,64 +626,12 @@ func (r SpecSweepRequest) SweepSize() int { return r.spec().Size() }
 // and nonsensical replica ranges.
 func (r SpecSweepRequest) Validate() error { return r.spec().Validate() }
 
-// SweepSummary is a completed sweep.
-type SweepSummary struct {
-	// Total is the number of designs enumerated and evaluated (possibly
-	// from cache).
-	Total int
-	// Reports are the designs passing the request's bounds, in
-	// lexicographic (dns, web, app, db) enumeration order.
-	Reports []DesignReport
-	// Pareto is the (minimize after-patch ASP, maximize COA) front over
-	// Reports, sorted by ascending ASP.
-	Pareto []DesignReport
-}
-
-// SweepSpec evaluates the requested role-keyed design space on the
-// engine's worker pool and returns the bound-filtered reports plus their
-// Pareto front. The context cancels an in-flight sweep.
-func (s *CaseStudy) SweepSpec(ctx context.Context, req SpecSweepRequest) (SweepSummary, error) {
-	res, err := s.eng.Sweep(ctx, req.spec())
-	if err != nil {
-		return SweepSummary{}, err
-	}
-	out := SweepSummary{
-		Total:   res.Total,
-		Reports: make([]DesignReport, len(res.Kept)),
-		Pareto:  make([]DesignReport, len(res.Front)),
-	}
-	for i, r := range res.Kept {
-		out.Reports[i] = convert(r)
-	}
-	for i, r := range res.Front {
-		out.Pareto[i] = convert(r)
-	}
-	return out, nil
-}
-
-// SweepSpecPareto evaluates the requested design space but returns only
-// its Pareto front (plus the enumerated-design count) — for callers that
-// do not need the full kept set.
-func (s *CaseStudy) SweepSpecPareto(ctx context.Context, req SpecSweepRequest) (int, []DesignReport, error) {
-	total, front, err := s.eng.SweepPareto(ctx, req.spec())
-	if err != nil {
-		return 0, nil, err
-	}
-	out := make([]DesignReport, len(front))
-	for i, r := range front {
-		out[i] = convert(r)
-	}
-	return total, out, nil
-}
-
 // SweepSpecEach streams every report passing the request's bounds to fn
 // as designs finish evaluating (completion order). fn runs on one
 // collector goroutine; returning an error cancels the sweep. The total
 // number of enumerated designs is returned.
 func (s *CaseStudy) SweepSpecEach(ctx context.Context, req SpecSweepRequest, fn func(DesignReport) error) (int, error) {
-	return s.eng.SweepFunc(ctx, req.spec(), func(r redundancy.Result) error {
-		return fn(convert(r))
-	})
+	return s.SweepSpecEachProgress(ctx, req, fn, nil)
 }
 
 // SweepSpecEachProgress is SweepSpecEach plus a progress callback:
@@ -708,7 +640,7 @@ func (s *CaseStudy) SweepSpecEach(ctx context.Context, req SpecSweepRequest, fn 
 // so far and the total. redpatchd's NDJSON sweep stream derives its
 // periodic progress events (done/total, cache-hit ratio, ETA) from it.
 func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequest, fn func(DesignReport) error, progress func(done, total int)) (int, error) {
-	return s.eng.SweepFuncProgress(ctx, req.spec(), func(r redundancy.Result) error {
+	return s.eng.Sweep(ctx, req.spec(), func(r redundancy.Result) error {
 		return fn(convert(r))
 	}, progress)
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -225,20 +226,6 @@ func TestEvaluateDesignValidation(t *testing.T) {
 	}
 }
 
-func TestEnumerateDesigns(t *testing.T) {
-	s, _ := caseStudy(t)
-	all, err := s.EnumerateDesigns(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 16 {
-		t.Fatalf("enumerated %d designs, want 16", len(all))
-	}
-	if _, err := s.EnumerateDesigns(0); err == nil {
-		t.Error("maxPerTier 0 should fail")
-	}
-}
-
 func TestRankPatches(t *testing.T) {
 	s, _ := caseStudy(t)
 	ranked, err := s.RankPatchesSpec(ClassicSpec("base", 1, 2, 2, 1))
@@ -389,26 +376,59 @@ func fullSweep(maxPerTier int) SpecSweepRequest {
 	return SpecSweepRequest{Tiers: []TierSweep{tier("dns"), tier("web"), tier("app"), tier("db")}}
 }
 
-// TestSweepMatchesEnumerate pins the engine-backed sweep surface to the
-// batch enumeration it supersedes.
+// classicReports is the serial reference: every classic design with
+// 1..maxPerTier replicas per tier, evaluated one at a time, in name
+// order.
+func classicReports(t *testing.T, s *CaseStudy, maxPerTier int) []DesignReport {
+	t.Helper()
+	var out []DesignReport
+	for dns := 1; dns <= maxPerTier; dns++ {
+		for web := 1; web <= maxPerTier; web++ {
+			for app := 1; app <= maxPerTier; app++ {
+				for db := 1; db <= maxPerTier; db++ {
+					r, err := s.EvaluateSpec(ClassicSpec("", dns, web, app, db))
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, r)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sweepSorted streams req through SweepSpecEach and returns the total
+// and the kept reports sorted by name (the stream delivers them in
+// completion order).
+func sweepSorted(t *testing.T, s *CaseStudy, req SpecSweepRequest) (int, []DesignReport) {
+	t.Helper()
+	var reports []DesignReport
+	total, err := s.SweepSpecEach(context.Background(), req, func(r DesignReport) error {
+		reports = append(reports, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(reports, func(a, b DesignReport) int { return strings.Compare(a.Name, b.Name) })
+	return total, reports
+}
+
+// TestSweepMatchesEnumerate pins the streamed sweep, and the Pareto
+// front taken over it, to serial evaluation of the same designs.
 func TestSweepMatchesEnumerate(t *testing.T) {
 	s, _ := caseStudy(t)
-	want, err := s.EnumerateDesigns(2)
-	if err != nil {
-		t.Fatal(err)
+	want := classicReports(t, s, 2)
+	total, got := sweepSorted(t, s, fullSweep(2))
+	if total != 16 {
+		t.Fatalf("total = %d, want 16", total)
 	}
-	sum, err := s.SweepSpec(context.Background(), fullSweep(2))
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("sweep reports differ from serial evaluation")
 	}
-	if sum.Total != 16 {
-		t.Fatalf("Total = %d, want 16", sum.Total)
-	}
-	if !reflect.DeepEqual(sum.Reports, want) {
-		t.Fatal("sweep reports differ from EnumerateDesigns")
-	}
-	if !reflect.DeepEqual(sum.Pareto, Pareto(want)) {
-		t.Fatal("sweep Pareto front differs from Pareto()")
+	if !reflect.DeepEqual(Pareto(got), Pareto(want)) {
+		t.Fatal("Pareto front of the sweep differs from that of serial evaluation")
 	}
 }
 
@@ -418,20 +438,13 @@ func TestSweepBoundsAndStats(t *testing.T) {
 	s, _ := caseStudy(t)
 	req := fullSweep(2)
 	req.Scatter = &ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}
-	sum, err := s.SweepSpec(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := s.EnumerateDesigns(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := FilterScatter(all, *req.Scatter); !reflect.DeepEqual(sum.Reports, want) {
-		t.Fatalf("bounded sweep kept %d, want %d", len(sum.Reports), len(want))
+	_, kept := sweepSorted(t, s, req)
+	if want := FilterScatter(classicReports(t, s, 2), *req.Scatter); !reflect.DeepEqual(kept, want) {
+		t.Fatalf("bounded sweep kept %d, want %d", len(kept), len(want))
 	}
 
 	before := s.EngineStats()
-	if _, err := s.SweepSpec(context.Background(), req); err != nil {
+	if _, err := s.SweepSpecEach(context.Background(), req, func(DesignReport) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	after := s.EngineStats()
@@ -464,7 +477,7 @@ func TestSweepRejectsInvalidRange(t *testing.T) {
 	s, _ := caseStudy(t)
 	req := fullSweep(2)
 	req.Tiers[0].Min, req.Tiers[0].Max = 3, 1
-	if _, err := s.SweepSpec(context.Background(), req); err == nil {
+	if _, err := s.SweepSpecEach(context.Background(), req, func(DesignReport) error { return nil }); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -475,22 +488,19 @@ func TestSweepRejectsInvalidRange(t *testing.T) {
 // descriptions and metrics.
 func TestHeterogeneousFacadeSweep(t *testing.T) {
 	s, _ := caseStudy(t)
-	sum, err := s.SweepSpec(context.Background(), SpecSweepRequest{Tiers: []TierSweep{
+	total, reports := sweepSorted(t, s, SpecSweepRequest{Tiers: []TierSweep{
 		{Role: "dns", Min: 1, Max: 1},
 		{Role: "web", Min: 2, Max: 2, Variants: []string{"", "webalt"}},
 		{Role: "app", Min: 1, Max: 1},
 		{Role: "db", Min: 1, Max: 1},
 	}})
-	if err != nil {
-		t.Fatal(err)
+	if total != 2 || len(reports) != 2 {
+		t.Fatalf("total = %d, reports = %d, want 2", total, len(reports))
 	}
-	if sum.Total != 2 || len(sum.Reports) != 2 {
-		t.Fatalf("total = %d, reports = %d, want 2", sum.Total, len(sum.Reports))
-	}
-	if len(sum.Pareto) == 0 {
+	if len(Pareto(reports)) == 0 {
 		t.Fatal("empty Pareto front")
 	}
-	apache, nginx := sum.Reports[0], sum.Reports[1]
+	apache, nginx := reports[0], reports[1]
 	if apache.Name != "1d2w1a1b" {
 		t.Errorf("homogeneous name = %q", apache.Name)
 	}
