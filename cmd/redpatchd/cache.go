@@ -75,11 +75,12 @@ func (cs *cacheStore) path(name string) string {
 	return filepath.Join(cs.dir, name+".cache.json")
 }
 
-// readFile hands a persisted dump to restore if the file exists. Every
-// failure — missing file aside — bumps the restore-error counter, is
-// logged, and leaves the state cold: a mismatched or corrupt dump must
-// never be merged. Scenario caches and the fleet registry both load
-// through it.
+// readFile hands a persisted dump to restore, as the open file, if it
+// exists. Every failure — missing file aside — bumps the restore-error
+// counter, is logged, and leaves the state cold: a mismatched or
+// corrupt dump must never be merged. Scenario caches and the fleet
+// registry both load through it; a scenario's engine reads its file in
+// one buffer sized to the file (engine.Restore sizes it by Stat).
 func (cs *cacheStore) readFile(path string, restore func(io.Reader) error, logArgs ...any) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {

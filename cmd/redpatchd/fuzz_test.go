@@ -14,21 +14,26 @@ import (
 )
 
 // fuzzRoutes are the request bodies FuzzRequestBodies drives, each with
-// the type its handler decodes into. A seed file in testdata/requests
-// names its route by the prefix before the first "-".
+// the type its handler decodes into and whether a 200 is an NDJSON
+// stream. A seed file in testdata/requests names its route by the
+// prefix before the first "-".
 var fuzzRoutes = []struct {
 	name, path string
 	body       func() any
+	stream     bool
 }{
-	{"evaluate", "/api/v2/evaluate", func() any { return new(evaluateV2Request) }},
-	{"sweep", "/api/v2/sweep/stream", func() any { return new(sweepV2Request) }},
-	{"rollout", "/api/v2/rollout/sweep", func() any { return new(rolloutSweepRequest) }},
+	{"evaluate", "/api/v2/evaluate", func() any { return new(evaluateV2Request) }, false},
+	{"sweep", "/api/v2/sweep/stream", func() any { return new(sweepV2Request) }, true},
+	{"rollout", "/api/v2/rollout/sweep", func() any { return new(rolloutSweepRequest) }, true},
+	{"fleet", "/api/v2/fleet/register", func() any { return new(fleetRegisterRequest) }, false},
 }
 
-// FuzzRequestBodies posts arbitrary bodies to the evaluate, sweep/stream
-// and rollout/sweep routes. No body may get a 5xx, every body decodeJSON
-// rejects must get a 400, and every 200 stream must end in exactly one
-// done or error line.
+// FuzzRequestBodies posts arbitrary bodies to the evaluate, sweep/stream,
+// rollout/sweep and fleet/register routes. No body may get a 5xx, every
+// body decodeJSON rejects must get a 400, and every 200 stream must end
+// in exactly one done or error line. Registered systems stay registered
+// across inputs, so the fleet cap (the sweep cap, 64 here) is reached
+// and enforced too.
 func FuzzRequestBodies(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "requests", "*.json"))
 	if err != nil || len(seeds) == 0 {
@@ -73,7 +78,7 @@ func FuzzRequestBodies(f *testing.F) {
 		if derr != nil && w.Code != http.StatusBadRequest {
 			t.Fatalf("%s %q: decodeJSON rejects it (%v) but the status is %d", r.path, body, derr, w.Code)
 		}
-		if w.Code != http.StatusOK || r.name == "evaluate" {
+		if w.Code != http.StatusOK || !r.stream {
 			return
 		}
 		lines := strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n")

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"maps"
 	"os"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -11,10 +13,14 @@ import (
 // FuzzRestore feeds arbitrary bytes to Restore on an engine that already
 // holds the version-3 seed dump. A rejected input must not panic, must
 // report zero entries merged and must leave Len unchanged; an accepted
-// one must add exactly the entries it reports, and the engine's
-// snapshot must restore into a fresh engine that snapshots to the same
-// bytes. Seeds: the real version-3 and version-2 dumps in testdata/ and
-// every mangled dump of TestRestoreRejectsCorruptEntries.
+// one must add exactly the entries it reports. Restore's typed reader
+// is pinned to oracleDecode, the encoding/json reading: what the reader
+// accepts, the oracle accepts with equal entries, and whatever entries
+// the oracle accepts, written out as Snapshot writes them, the reader
+// accepts. Every snapshot the engine then takes must restore into a
+// fresh engine that snapshots to the same bytes. Seeds: the real
+// version-3 and version-2 dumps in testdata/ and every mangled dump of
+// TestRestoreRejectsCorruptEntries.
 func FuzzRestore(f *testing.F) {
 	v3, err := os.ReadFile("testdata/snapshot-v3.json")
 	if err != nil {
@@ -45,11 +51,40 @@ func FuzzRestore(f *testing.F) {
 			if n != 0 || g.Len() != before {
 				t.Fatalf("rejected input merged %d entries (Len %d, was %d): %v", n, g.Len(), before, err)
 			}
-			return
-		}
-		if g.Len() != before+n {
+		} else if g.Len() != before+n {
 			t.Fatalf("Restore reported %d entries but Len went %d -> %d", n, before, g.Len())
 		}
+
+		got, rerr := decodeSnapshot(data, "fuzz")
+		want, oerr := oracleDecode(data, "fuzz")
+		if (rerr == nil) != (err == nil) {
+			t.Fatalf("Restore says %v, its reader %v", err, rerr)
+		}
+		if rerr == nil {
+			if oerr != nil {
+				t.Fatalf("reader accepts what the oracle rejects: %v", oerr)
+			}
+			if !reflect.DeepEqual(persisted(got), want) {
+				t.Fatalf("reader and oracle decode different entries:\n%+v\n%+v", persisted(got), want)
+			}
+		}
+		if oerr == nil {
+			if want == nil {
+				want = []snapshotEntry{} // Snapshot writes [], never null
+			}
+			var canon bytes.Buffer
+			if err := json.NewEncoder(&canon).Encode(snapshotFile{SnapshotVersion, "fuzz", want}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := decodeSnapshot(canon.Bytes(), "fuzz")
+			if err != nil {
+				t.Fatalf("reader rejects the oracle's entries as Snapshot writes them: %v\n%s", err, canon.Bytes())
+			}
+			if !reflect.DeepEqual(persisted(got), want) {
+				t.Fatalf("reader and oracle decode different entries:\n%+v\n%+v", persisted(got), want)
+			}
+		}
+
 		var first bytes.Buffer
 		if _, err := g.Snapshot(&first); err != nil {
 			t.Fatal(err)

@@ -10,11 +10,14 @@ package engine
 // must never be merged, silently serving stale models.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
+	"strconv"
 
 	"redpatch/internal/paperdata"
 )
@@ -49,13 +52,11 @@ var (
 	ErrSnapshotCorrupt = errors.New("engine: corrupt snapshot")
 )
 
-// snapshotFile is the on-disk shape. Restore reads Entries only once
-// the version and fingerprint match, so another version's entry shape
-// never reaches the entry decoder.
-type snapshotFile[E any] struct {
-	Version     int    `json:"version"`
-	Fingerprint string `json:"fingerprint"`
-	Entries     E      `json:"entries"`
+// snapshotFile is the on-disk shape Snapshot encodes.
+type snapshotFile struct {
+	Version     int             `json:"version"`
+	Fingerprint string          `json:"fingerprint"`
+	Entries     []snapshotEntry `json:"entries"`
 }
 
 // snapshotEntry is one memo entry: a design key (DesignSpec.Key) with
@@ -82,33 +83,6 @@ func persist(k string, v entry) snapshotEntry {
 	return se
 }
 
-// entry rebuilds the memo value of a persisted entry, checking that its
-// key parses to a valid spec (and rollout point), is in the canonical
-// form the engine renders, and that its shape matches the key's kind.
-func (se snapshotEntry) entry() (entry, error) {
-	spec, patched, err := paperdata.ParseKey(se.Key)
-	if err != nil {
-		return entry{}, err
-	}
-	var buf [keyBuf]byte
-	if patched == nil {
-		if k := spec.AppendKey(buf[:0]); string(k) != se.Key {
-			return entry{}, fmt.Errorf("key %q is not canonical (want %q)", se.Key, k)
-		}
-		if se.Before == nil || se.After == nil || se.Security != nil {
-			return entry{}, fmt.Errorf("design key %q needs before and after, and no security", se.Key)
-		}
-		return entry{before: *se.Before, after: *se.After, coa: se.COA, sa: se.SA}, nil
-	}
-	if k := spec.AppendRolloutKey(buf[:0], patched); string(k) != se.Key {
-		return entry{}, fmt.Errorf("key %q is not canonical (want %q)", se.Key, k)
-	}
-	if se.Security == nil || se.Before != nil || se.After != nil {
-		return entry{}, fmt.Errorf("rollout key %q needs security, and no before or after", se.Key)
-	}
-	return entry{before: *se.Security, coa: se.COA, sa: se.SA}, nil
-}
-
 // Len reports the number of completed entries in the memo, designs and
 // rollout points alike (in-flight solves excluded). It reads one
 // atomic — metrics scrapes and flush-loop clean checks call it per
@@ -133,7 +107,7 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 	}
 	g.mu.Unlock()
 
-	if err := json.NewEncoder(w).Encode(snapshotFile[[]snapshotEntry]{
+	if err := json.NewEncoder(w).Encode(snapshotFile{
 		Version:     SnapshotVersion,
 		Fingerprint: g.fp,
 		Entries:     entries,
@@ -151,44 +125,311 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 // otherwise), so a rejected snapshot leaves the memo as it was. Entries
 // whose key is already cached (or being solved) are skipped: live
 // results win over persisted ones.
+//
+// Restore reads the layout Snapshot writes and no other: its fields in
+// its order, no insignificant whitespace, at most a newline after the
+// closing brace. A reformatted or hand-edited dump fails with
+// ErrSnapshotCorrupt even where it is equivalent JSON.
 func (g *Engine) Restore(r io.Reader) (int, error) {
-	var snap snapshotFile[json.RawMessage]
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+	data, err := readAll(r)
+	if err != nil {
 		return 0, fmt.Errorf("engine: reading snapshot: %w", err)
 	}
-	if snap.Version != SnapshotVersion {
-		return 0, fmt.Errorf("%w: snapshot version %d, engine supports %d",
-			ErrSnapshotVersion, snap.Version, SnapshotVersion)
-	}
-	if snap.Fingerprint != g.fp {
-		return 0, fmt.Errorf("%w: snapshot taken under %q, engine is %q",
-			ErrSnapshotFingerprint, snap.Fingerprint, g.fp)
-	}
-	var entries []snapshotEntry
-	if err := json.Unmarshal(snap.Entries, &entries); err != nil {
-		return 0, fmt.Errorf("%w: entries: %v", ErrSnapshotCorrupt, err)
-	}
-	vals := make([]entry, len(entries))
-	for i, se := range entries {
-		v, err := se.entry()
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-		}
-		vals[i] = v
+	entries, err := decodeSnapshot(data, g.fp)
+	if err != nil {
+		return 0, err
 	}
 
 	restored := 0
 	g.mu.Lock()
-	for i, se := range entries {
-		if _, ok := g.memo[se.Key]; ok {
+	if len(g.memo) == 0 {
+		// A restarted service restores into an empty memo: size it for
+		// the dump once instead of growing it entry by entry.
+		g.memo = make(map[string]entry, len(entries))
+	}
+	for _, e := range entries {
+		if _, ok := g.memo[e.key]; ok {
 			continue
 		}
-		if _, ok := g.inflight[se.Key]; ok {
+		if _, ok := g.inflight[e.key]; ok {
 			continue
 		}
-		g.insert(se.Key, vals[i])
+		g.insert(e.key, e.val)
 		restored++
 	}
 	g.mu.Unlock()
 	return restored, nil
+}
+
+// readAll reads r to the end. A file, which is how redpatchd hands
+// over its dump, is read into one buffer sized by Stat, so the dump is
+// never copied into a grown buffer.
+func readAll(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			// ReadFrom grows only when less than MinRead is free.
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// restoredEntry is one dump entry, checked and ready to merge.
+type restoredEntry struct {
+	key string
+	val entry
+}
+
+// decodeSnapshot reads a dump in the layout Snapshot writes, in one
+// pass and without reflection. It reads the version first
+// (ErrSnapshotVersion), then the fingerprint (ErrSnapshotFingerprint
+// unless it is fp), then the entries, each checked as it is read: its
+// key must parse to a valid spec and rollout point, be in the canonical
+// form the engine renders, and match the entry's shape. Anything else
+// is ErrSnapshotCorrupt.
+func decodeSnapshot(data []byte, fp string) ([]restoredEntry, error) {
+	d := dumpReader{b: data}
+	d.lit(`{"version":`)
+	if v := d.int(); d.err == nil && v != SnapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d, engine supports %d",
+			ErrSnapshotVersion, v, SnapshotVersion)
+	}
+	d.lit(`,"fingerprint":`)
+	if tok := d.str(); d.err == nil {
+		if err := checkFingerprint(tok, fp); err != nil {
+			return nil, err
+		}
+	}
+	d.lit(`,"entries":[`)
+	// Snapshot writes every entry opening with its key, so counting the
+	// openings sizes the slice once.
+	entries := make([]restoredEntry, 0, bytes.Count(data[d.pos:], []byte(`{"key":`)))
+	if !d.skip("]") {
+		for {
+			e, err := d.entry()
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+			}
+			entries = append(entries, e)
+			if !d.skip(",") {
+				break
+			}
+		}
+		d.lit("]")
+	}
+	d.lit("}")
+	d.skip("\n")
+	if d.err == nil && d.pos != len(d.b) {
+		d.fail("the end of the dump")
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return entries, nil
+}
+
+// checkFingerprint compares the fingerprint token of a dump with the
+// engine's: a different one is ErrSnapshotFingerprint, an equal one
+// spelled other than Snapshot spells it ErrSnapshotCorrupt.
+func checkFingerprint(tok []byte, fp string) error {
+	var got string
+	if err := json.Unmarshal(tok, &got); err != nil {
+		return fmt.Errorf("%w: fingerprint: %v", ErrSnapshotCorrupt, err)
+	}
+	if got != fp {
+		return fmt.Errorf("%w: snapshot taken under %q, engine is %q",
+			ErrSnapshotFingerprint, got, fp)
+	}
+	if want, _ := json.Marshal(fp); !bytes.Equal(tok, want) {
+		return fmt.Errorf("%w: fingerprint spelled %s, not %s", ErrSnapshotCorrupt, tok, want)
+	}
+	return nil
+}
+
+// dumpReader is a cursor over a dump. The first mismatch sets err and
+// turns every later read into a no-op, so a decoder reads straight
+// through and checks err once.
+type dumpReader struct {
+	b   []byte
+	pos int
+	err error
+}
+
+func (d *dumpReader) fail(want string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: at byte %d: want %s", ErrSnapshotCorrupt, d.pos, want)
+	}
+}
+
+// skip consumes s if the dump continues with it.
+func (d *dumpReader) skip(s string) bool {
+	if d.err != nil || len(d.b)-d.pos < len(s) || string(d.b[d.pos:d.pos+len(s)]) != s {
+		return false
+	}
+	d.pos += len(s)
+	return true
+}
+
+// lit consumes s, which the dump must continue with.
+func (d *dumpReader) lit(s string) {
+	if !d.skip(s) {
+		d.fail(strconv.Quote(s))
+	}
+}
+
+// str consumes a JSON string and returns it with its quotes and
+// escapes, undecoded.
+func (d *dumpReader) str() []byte {
+	start := d.pos
+	if !d.skip(`"`) {
+		d.fail("a string")
+		return nil
+	}
+	for i := d.pos; i < len(d.b); i++ {
+		switch d.b[i] {
+		case '\\':
+			i++
+		case '"':
+			d.pos = i + 1
+			return d.b[start:d.pos]
+		}
+	}
+	d.fail("the string's closing quote")
+	return nil
+}
+
+// number consumes a JSON number and returns its text.
+func (d *dumpReader) number() []byte {
+	if d.err != nil {
+		return nil
+	}
+	b, i := d.b, d.pos
+	digits := func() bool {
+		from := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i > from
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	ok := true
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else {
+		ok = digits()
+	}
+	if ok && i < len(b) && b[i] == '.' {
+		i++
+		ok = digits()
+	}
+	if ok && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		ok = digits()
+	}
+	if !ok {
+		d.fail("a number")
+		return nil
+	}
+	tok := b[d.pos:i]
+	d.pos = i
+	return tok
+}
+
+func (d *dumpReader) float() float64 {
+	tok := d.number()
+	if d.err != nil {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		d.fail("a float64, not " + string(tok))
+	}
+	return f
+}
+
+func (d *dumpReader) int() int {
+	tok := d.number()
+	if d.err != nil {
+		return 0
+	}
+	n, err := strconv.Atoi(string(tok))
+	if err != nil {
+		d.fail("an int, not " + string(tok))
+	}
+	return n
+}
+
+// summary consumes one side's security numbers.
+func (d *dumpReader) summary() summary {
+	var s summary
+	d.lit(`{"aim":`)
+	s.AIM = d.float()
+	d.lit(`,"asp":`)
+	s.ASP = d.float()
+	d.lit(`,"noev":`)
+	s.NoEV = d.int()
+	d.lit(`,"noap":`)
+	s.NoAP = d.int()
+	d.lit(`,"noep":`)
+	s.NoEP = d.int()
+	d.lit("}")
+	return s
+}
+
+// entry consumes one memo entry and checks it. A layout mismatch is
+// left in d.err; a well-formed entry whose key fails a check is
+// returned as the error.
+func (d *dumpReader) entry() (restoredEntry, error) {
+	var e restoredEntry
+	d.lit(`{"key":`)
+	// The key is taken verbatim: a canonical key has no escapes, so the
+	// re-render check below rejects any.
+	if tok := d.str(); d.err == nil {
+		e.key = string(tok[1 : len(tok)-1])
+	}
+	design := d.skip(`,"before":`)
+	if design {
+		e.val.before = d.summary()
+		d.lit(`,"after":`)
+		e.val.after = d.summary()
+	} else {
+		d.lit(`,"security":`)
+		e.val.before = d.summary()
+	}
+	d.lit(`,"coa":`)
+	e.val.coa = d.float()
+	d.lit(`,"sa":`)
+	e.val.sa = d.float()
+	d.lit("}")
+	if d.err != nil {
+		return e, nil
+	}
+
+	spec, patched, err := paperdata.ParseKey(e.key)
+	if err != nil {
+		return e, err
+	}
+	var buf [keyBuf]byte
+	k := spec.AppendKey(buf[:0])
+	if patched != nil {
+		k = spec.AppendRolloutKey(buf[:0], patched)
+	}
+	if string(k) != e.key {
+		// The copy keeps buf on the stack.
+		return e, fmt.Errorf("key %q is not canonical (want %q)", e.key, string(k))
+	}
+	switch {
+	case patched == nil && !design:
+		return e, fmt.Errorf("design key %q needs before and after, and no security", e.key)
+	case patched != nil && design:
+		return e, fmt.Errorf("rollout key %q needs security, and no before or after", e.key)
+	}
+	return e, nil
 }

@@ -3,9 +3,13 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -176,9 +180,10 @@ func TestRestoreRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
-// corruptions mangle one entry of the version-3 seed dump
-// (testdata/snapshot-v3.json); Restore must reject each one whole. A
-// key mismatch is a rollout key over a design's numbers.
+// corruptions mangle the version-3 seed dump
+// (testdata/snapshot-v3.json), most of them in one entry; Restore must
+// reject each one whole. A key mismatch is a rollout key over a
+// design's numbers.
 var corruptions = map[string]func(string) string{
 	"design key holding a rollout point": func(s string) string {
 		return strings.Replace(s, `"key":"dns:1;web:2;app:2;db:1|rollout=1,1,1,1"`, `"key":"dns:1;web:2;app:2;db:1"`, 1)
@@ -213,6 +218,31 @@ var corruptions = map[string]func(string) string{
 	},
 	"entries not a list": func(s string) string {
 		return strings.Replace(s, `"entries":[`, `"entries":7,"x":[`, 1)
+	},
+	// Equivalent JSON that Snapshot never writes: Restore reads only
+	// Snapshot's layout.
+	"trailing bytes after the closing brace": func(s string) string {
+		return strings.TrimSuffix(s, "\n") + "}\n"
+	},
+	"pretty-printed": func(s string) string {
+		var out bytes.Buffer
+		if err := json.Indent(&out, []byte(s), "", "  "); err != nil {
+			return "json.Indent: " + err.Error()
+		}
+		return out.String()
+	},
+	"reordered entry fields": func(s string) string {
+		return strings.Replace(s, `"coa":0.9971106846166876,"sa":0.9978020437422631}`,
+			`"sa":0.9978020437422631,"coa":0.9971106846166876}`, 1)
+	},
+	"truncated number": func(s string) string {
+		return s[:strings.LastIndex(s, `"sa":`)+len(`"sa":0.`)]
+	},
+	"escaped key": func(s string) string {
+		return strings.Replace(s, `"key":"dns:1;web:1;`, `"key":"dns:1;w\u0065b:1;`, 1)
+	},
+	"fractional count": func(s string) string {
+		return strings.Replace(s, `"noev":22`, `"noev":1.5`, 1)
 	},
 }
 
@@ -381,4 +411,133 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if dump([]int{0, 1, 2}) != dump([]int{2, 0, 1}) {
 		t.Fatal("snapshot bytes depend on evaluation order")
 	}
+}
+
+// TestRestoreAllocations pins what restoring a restarted service's dump
+// costs: the 4,096 designs of the 1..8-per-tier classic space, restored
+// into an empty engine. The read buffer, the entry slice and the memo
+// are allocated once; per entry the key string and the spec ParseKey
+// builds to check it remain: at most 2 per entry and 64 more. The file
+// is read into one buffer sized by Stat, never grown.
+func TestRestoreAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	g, err := New(paperEvaluator(t), Options{Fingerprint: "fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sweepAll(context.Background(), g, fullSpace(8)); err != nil {
+		t.Fatal(err)
+	}
+	var dump bytes.Buffer
+	n, err := g.Snapshot(&dump)
+	if err != nil || n != 4096 {
+		t.Fatalf("snapshot wrote %d entries, err %v; want 4096", n, err)
+	}
+	// Restore reads the open file, as redpatchd hands it over.
+	path := filepath.Join(t.TempDir(), "dump.json")
+	if err := os.WriteFile(path, dump.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		fresh, err := New(evaluatorFunc(nil), Options{Fingerprint: "fp"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if m, err := fresh.Restore(f); err != nil || m != n {
+			t.Fatalf("restored %d entries of %d, err %v", m, n, err)
+		}
+	})
+	if want := float64(2*n + 64); allocs > want {
+		t.Errorf("restore made %v allocs, %.3f per entry; want at most %v", allocs, allocs/float64(n), want)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reads := testing.AllocsPerRun(5, func() {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := readAll(f); err != nil || len(b) != dump.Len() {
+			t.Fatalf("read %d bytes of %d, err %v", len(b), dump.Len(), err)
+		}
+	})
+	if reads > 2 {
+		t.Errorf("reading the dump made %v allocs, want 2: Stat's FileInfo and the buffer it sizes", reads)
+	}
+}
+
+// oracleDecode is the encoding/json reading of a dump: any field order,
+// any whitespace, anything after the first value ignored. It checks the
+// version, the fingerprint and every entry as Restore does, and
+// FuzzRestore pins Restore's typed reader to it.
+func oracleDecode(data []byte, fp string) ([]snapshotEntry, error) {
+	var snap struct {
+		Version     int             `json:"version"`
+		Fingerprint string          `json:"fingerprint"`
+		Entries     json.RawMessage `json:"entries"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		return nil, err
+	}
+	if snap.Version != SnapshotVersion {
+		return nil, fmt.Errorf("%w: %d", ErrSnapshotVersion, snap.Version)
+	}
+	if snap.Fingerprint != fp {
+		return nil, fmt.Errorf("%w: %q", ErrSnapshotFingerprint, snap.Fingerprint)
+	}
+	var entries []snapshotEntry
+	if err := json.Unmarshal(snap.Entries, &entries); err != nil {
+		return nil, fmt.Errorf("%w: entries: %v", ErrSnapshotCorrupt, err)
+	}
+	for _, se := range entries {
+		if err := oracleCheck(se); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		}
+	}
+	return entries, nil
+}
+
+// oracleCheck checks that an entry's key parses to a valid spec (and
+// rollout point), is in the canonical form the engine renders, and
+// that its shape matches the key's kind.
+func oracleCheck(se snapshotEntry) error {
+	spec, patched, err := paperdata.ParseKey(se.Key)
+	if err != nil {
+		return err
+	}
+	if patched == nil {
+		if k := spec.Key(); k != se.Key {
+			return fmt.Errorf("key %q is not canonical (want %q)", se.Key, k)
+		}
+		if se.Before == nil || se.After == nil || se.Security != nil {
+			return fmt.Errorf("design key %q needs before and after, and no security", se.Key)
+		}
+		return nil
+	}
+	if k := string(spec.AppendRolloutKey(nil, patched)); k != se.Key {
+		return fmt.Errorf("key %q is not canonical (want %q)", se.Key, k)
+	}
+	if se.Security == nil || se.Before != nil || se.After != nil {
+		return fmt.Errorf("rollout key %q needs security, and no before or after", se.Key)
+	}
+	return nil
+}
+
+// persisted renders decoded entries as the writer's entries, for
+// comparison with the oracle's.
+func persisted(entries []restoredEntry) []snapshotEntry {
+	out := make([]snapshotEntry, len(entries))
+	for i, e := range entries {
+		out[i] = persist(e.key, e.val)
+	}
+	return out
 }

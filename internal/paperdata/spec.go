@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"redpatch/internal/topology"
 )
@@ -160,8 +161,13 @@ func IsRolloutKey(key string) bool { return strings.Contains(key, rolloutSep) }
 // result and compare.
 func ParseKey(key string) (DesignSpec, []int, error) {
 	design, counts, rollout := strings.Cut(key, rolloutSep)
-	var spec DesignSpec
-	for part := range strings.SplitSeq(design, ";") {
+	// Tiers is sized once from the separators, and each part is cut off
+	// the front of the rest, so a valid key allocates the tier slice and,
+	// for a rollout key, the counts: a restore parses thousands.
+	spec := DesignSpec{Tiers: make([]TierSpec, 0, strings.Count(design, ";")+1)}
+	for rest, more := design, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ";")
 		label, n, ok := strings.Cut(part, ":")
 		if !ok {
 			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: tier %q has no replica count", key, part)
@@ -179,21 +185,23 @@ func ParseKey(key string) (DesignSpec, []int, error) {
 	if !rollout {
 		return spec, nil, nil
 	}
-	patched := make([]int, 0, len(spec.Tiers))
-	for c := range strings.SplitSeq(counts, ",") {
+	if n := strings.Count(counts, ",") + 1; n != len(spec.Tiers) {
+		return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: %d patched counts for %d tiers",
+			key, n, len(spec.Tiers))
+	}
+	patched := make([]int, len(spec.Tiers))
+	for i, rest := 0, counts; i < len(patched); i++ {
+		var c string
+		c, rest, _ = strings.Cut(rest, ",")
 		p, err := strconv.Atoi(c)
 		if err != nil {
 			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: patched count %q: %v", key, c, err)
 		}
-		if i := len(patched); i < len(spec.Tiers) && (p < 0 || p > spec.Tiers[i].Replicas) {
+		if p < 0 || p > spec.Tiers[i].Replicas {
 			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: tier %d patches %d of %d replicas",
 				key, i, p, spec.Tiers[i].Replicas)
 		}
-		patched = append(patched, p)
-	}
-	if len(patched) != len(spec.Tiers) {
-		return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: %d patched counts for %d tiers",
-			key, len(patched), len(spec.Tiers))
+		patched[i] = p
 	}
 	return spec, patched, nil
 }
@@ -202,15 +210,32 @@ func ParseKey(key string) (DesignSpec, []int, error) {
 // "1 DNS + 2 WEB + 2 APP + 1 DB"; variant groups render as
 // "1 WEB/WEBALT".
 func (s DesignSpec) String() string {
-	b := make([]byte, 0, 16*len(s.Tiers))
+	var buf [64]byte
+	b := buf[:0]
 	for i, t := range s.Tiers {
 		if i > 0 {
 			b = append(b, " + "...)
 		}
 		b = append(strconv.AppendInt(b, int64(t.Replicas), 10), ' ')
-		b = append(b, strings.ToUpper(t.label())...)
+		b = upperFrom(t.appendLabel(b), len(b))
 	}
 	return string(b)
+}
+
+// upperFrom upper-cases b[start:] as strings.ToUpper would, in place:
+// catalog labels are ASCII, so rendering one builds no string. A
+// non-ASCII byte hands the rest to strings.ToUpper, whose result may
+// differ in length.
+func upperFrom(b []byte, start int) []byte {
+	for i := start; i < len(b); i++ {
+		switch c := b[i]; {
+		case c >= utf8.RuneSelf:
+			return append(b[:i], strings.ToUpper(string(b[i:]))...)
+		case 'a' <= c && c <= 'z':
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	return b
 }
 
 // classic reports whether the spec is exactly the homogeneous

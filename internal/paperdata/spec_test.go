@@ -2,6 +2,8 @@ package paperdata
 
 import (
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -89,5 +91,29 @@ func TestParseKeyRejects(t *testing.T) {
 		if re == key {
 			t.Errorf("non-canonical %q re-renders to itself", key)
 		}
+	}
+}
+
+// TestStringUpperCasesLikeToUpper: String renders what strings.ToUpper
+// over each label would, for the catalog's ASCII labels and for labels
+// whose upper case changes their byte length, and a short spec costs
+// one allocation, the string itself.
+func TestStringUpperCasesLikeToUpper(t *testing.T) {
+	for _, spec := range []DesignSpec{
+		BaseDesign().Spec(),
+		{Tiers: []TierSpec{{Role: RoleDNS, Replicas: 1}, {Role: RoleWeb, Replicas: 3, Variant: RoleWebAlt}}},
+		{Tiers: []TierSpec{{Role: "ſvc", Replicas: 2}, {Role: "dıb", Replicas: 1, Variant: "ǆ-x"}, {Role: "Db9", Replicas: 10}}},
+	} {
+		var want []string
+		for _, tier := range spec.Tiers {
+			want = append(want, strconv.Itoa(tier.Replicas)+" "+strings.ToUpper(tier.label()))
+		}
+		if got := spec.String(); got != strings.Join(want, " + ") {
+			t.Errorf("String() = %q, want %q", got, strings.Join(want, " + "))
+		}
+	}
+	base := BaseDesign().Spec()
+	if got := testing.AllocsPerRun(100, func() { _ = base.String() }); got > 1 {
+		t.Errorf("String() = %v allocs, want 1 (the string)", got)
 	}
 }

@@ -56,8 +56,14 @@ type RolloutSchedule struct {
 	Fractions [][]float64
 }
 
+// maxRolloutSteps caps Steps for the rolling and canary ramps, which
+// expand to one point per step: an unbounded count would overflow the
+// point slice's size or exhaust memory before a point is evaluated.
+const maxRolloutSteps = 1 << 16
+
 // Points expands the schedule into per-tier fraction vectors for a
-// design with the given tier count.
+// design with the given tier count. A rolling or canary schedule may
+// take at most 65,536 steps.
 func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 	if tiers < 1 {
 		return nil, fmt.Errorf("redundancy: rollout schedule needs at least one tier")
@@ -72,6 +78,10 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 	steps := s.Steps
 	if steps <= 0 {
 		steps = 4
+	}
+	if steps > maxRolloutSteps && (s.Strategy == RolloutRolling || s.Strategy == RolloutCanary) {
+		return nil, fmt.Errorf("redundancy: %s rollout schedule has %d steps, above the %d cap",
+			s.Strategy, steps, maxRolloutSteps)
 	}
 	switch s.Strategy {
 	case "", RolloutCustom:

@@ -2,6 +2,7 @@ package redpatch
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -198,6 +199,33 @@ func TestFrontIgnoresInputOrder(t *testing.T) {
 				t.Errorf("front depends on input order: %v vs reversed %v", fwd, rev)
 			}
 		})
+	}
+}
+
+// TestRolloutSweepEachRejectsHugeSteps: a rolling or canary schedule
+// expands to one point per step, so a step count past the cap is an
+// error before anything is expanded or evaluated — not a panic in make
+// (rolling, where Steps+1 overflows) or a ramp that appends until
+// memory runs out (canary). The cap itself still expands.
+func TestRolloutSweepEachRejectsHugeSteps(t *testing.T) {
+	s, _ := caseStudy(t)
+	spec := ClassicSpec("", 1, 2, 2, 1)
+	for _, sched := range []RolloutSchedule{
+		{Strategy: "rolling", Steps: math.MaxInt},
+		{Strategy: "canary", Steps: math.MaxInt},
+		{Strategy: "canary", Steps: 1<<16 + 1, CanaryFraction: 0.2},
+	} {
+		n, err := s.RolloutSweepEach(context.Background(), spec, sched, func(RolloutReport) error {
+			t.Fatalf("%+v evaluated a point", sched)
+			return nil
+		}, nil)
+		if err == nil || n != 0 {
+			t.Errorf("%+v: %d points, err %v; want an error", sched, n, err)
+		}
+	}
+	points, err := RolloutSchedule{Strategy: "rolling", Steps: 1 << 16}.Points(len(spec.Tiers))
+	if err != nil || len(points) != 1<<16+1 {
+		t.Fatalf("rolling at the cap: %d points, err %v", len(points), err)
 	}
 }
 
@@ -600,8 +628,8 @@ func TestCachedReportAllocations(t *testing.T) {
 		if got := s.EngineStats().Hits; got != hits+1 {
 			t.Errorf("a warm lookup counted %d hits, want 1", got-hits)
 		}
-		if got := testing.AllocsPerRun(100, func() { s.CachedReport(ctx, spec) }); got > 9 {
-			t.Errorf("warm CachedReport(%q) = %v allocs, want at most 9", name, got)
+		if got := testing.AllocsPerRun(100, func() { s.CachedReport(ctx, spec) }); got > 4 {
+			t.Errorf("warm CachedReport(%q) = %v allocs, want at most 4", name, got)
 		}
 	}
 }
