@@ -5,11 +5,12 @@
 // security summaries, COA and service availability), and in-flight
 // deduplication ensures overlapping sweeps never solve the same HARM/CTMC
 // models twice — the first caller computes, every concurrent duplicate
-// waits for that one result. Memo values are fixed-size and hold no
-// per-path detail, so a long-lived engine costs a couple of hundred
-// bytes per entry. Sweeps (sweep.go) enumerate per-tier redundancy
-// ranges and stream results through the administrator bounds as they
-// complete, so large spaces never accumulate rejected results in memory.
+// waits for that one result. Memo entries are fixed-size slots and
+// packed keys in memory the garbage collector never scans (memo.go), so
+// a long-lived engine costs about 125 bytes per entry. Sweeps
+// (sweep.go) enumerate per-tier redundancy ranges and stream results
+// through the administrator bounds as they complete, so large spaces
+// never accumulate rejected results in memory.
 //
 // One Engine wraps one evaluator and therefore one patch policy and
 // schedule; construct one engine per policy configuration (the redpatch
@@ -98,11 +99,12 @@ type Engine struct {
 
 	mu sync.Mutex
 	// memo holds every completed solve, atomic designs and rollout
-	// points alike, keyed by DesignSpec.Key or AppendRolloutKey. A
-	// value is the numbers a report serves and nothing else.
-	memo map[string]entry
-	// inflight holds a solve only while it runs, so concurrent callers
-	// for the same key wait for it instead of solving again.
+	// points alike, under the packed key of the spec (and patched
+	// counts). A value is the numbers a report serves and nothing else.
+	memo memo
+	// inflight holds a solve only while it runs, under its packed key,
+	// so concurrent callers for the same key wait for it instead of
+	// solving again.
 	inflight map[string]*call
 
 	solves        atomic.Uint64
@@ -168,7 +170,7 @@ func New(eval DesignEvaluator, opts Options) (*Engine, error) {
 		eval:     eval,
 		workers:  opts.Workers,
 		fp:       opts.Fingerprint,
-		memo:     make(map[string]entry),
+		memo:     newMemo(),
 		inflight: make(map[string]*call),
 	}, nil
 }
@@ -222,8 +224,7 @@ func (g *Engine) evaluateSpecTraced(ctx context.Context, spec paperdata.DesignSp
 	if err := spec.Validate(); err != nil {
 		return redundancy.Result{}, err
 	}
-	var buf [keyBuf]byte
-	v, err := g.do(ctx, sp, spec.AppendKey(buf[:0]), &g.solves, &g.hits, func() (entry, error) {
+	v, err := g.do(ctx, sp, spec, nil, &g.solves, &g.hits, func() (entry, error) {
 		r, err := g.eval.EvaluateSpecContext(ctx, spec)
 		return atomicEntry(r), err
 	})
@@ -233,24 +234,31 @@ func (g *Engine) evaluateSpecTraced(ctx context.Context, spec paperdata.DesignSp
 	return v.result(spec), nil
 }
 
-// keyBuf sizes the stack buffers memo keys are built in; a longer key
-// spills to the heap and stays correct.
+// keyBuf sizes the stack buffers keys are built in: a packed key of up
+// to about 45 tiers, a text key of about eight. A longer key spills to
+// the heap and stays correct.
 const keyBuf = 96
 
-// do serves key k from the memo, solving it at most once across
-// concurrent callers: a caller finding a completed entry reads it
-// ("cache" attribute hit), a caller finding a solve in progress waits
-// for it (inflight), and otherwise the caller runs solve (miss). solves
-// and hits count misses and hits-or-joins. A hit reads one map and
-// allocates nothing; only a miss copies k into a string. The context
+// do serves the valid spec, at rollout point patched when that is not
+// nil, from the memo, solving it at most once across concurrent
+// callers: a caller finding a completed entry reads it ("cache"
+// attribute hit), a caller finding a solve in progress waits for it
+// (inflight), and otherwise the caller runs solve (miss). solves and
+// hits count misses and hits-or-joins. The key is packed straight from
+// the spec; a hit allocates nothing, and only a miss copies the key
+// into a string for the in-flight table. The context
 // does not cancel an in-flight solve — a result being computed belongs
 // to every caller deduplicated onto it, so the first caller's
 // cancellation must not poison the shared entry — but a caller joining
 // an in-flight solve abandons its wait when its context ends: the solve
 // finishes and memoizes without it.
-func (g *Engine) do(ctx context.Context, sp *trace.Span, k []byte, solves, hits *atomic.Uint64, solve func() (entry, error)) (entry, error) {
+func (g *Engine) do(ctx context.Context, sp *trace.Span, spec paperdata.DesignSpec, patched []int, solves, hits *atomic.Uint64, solve func() (entry, error)) (entry, error) {
+	var buf [keyBuf]byte
 	g.mu.Lock()
-	if v, ok := g.memo[string(k)]; ok {
+	// A spec that reaches a solve interns its labels now, so that its
+	// in-flight call has a key.
+	k, _ := g.memo.appendKey(buf[:0], spec, patched, true)
+	if v, ok := g.memo.get(k); ok {
 		g.mu.Unlock()
 		hits.Add(1)
 		sp.SetAttr("cache", "hit")
@@ -279,14 +287,14 @@ func (g *Engine) do(ctx context.Context, sp *trace.Span, k []byte, solves, hits 
 		// waiter on this key. Surface it as the call's error instead.
 		defer func() {
 			if p := recover(); p != nil {
-				c.err = fmt.Errorf("engine: evaluator panic for %s: %v", key, p)
+				c.err = fmt.Errorf("engine: evaluator panic for %s: %v", textKey(spec, patched), p)
 			}
 			g.mu.Lock()
 			// Errors are not memoized: waiters already holding this
 			// call see it, but later callers retry rather than read a
 			// possibly transient failure forever.
 			if c.err == nil {
-				g.insert(key, c.val)
+				g.insert(k, c.val)
 			}
 			delete(g.inflight, key)
 			g.mu.Unlock()
@@ -297,13 +305,22 @@ func (g *Engine) do(ctx context.Context, sp *trace.Span, k []byte, solves, hits 
 	return c.val, c.err
 }
 
-// insert stores v under key; g.mu must be held. A key a restore filled
-// while this solve ran is overwritten with the live result.
-func (g *Engine) insert(key string, v entry) {
-	if _, ok := g.memo[key]; !ok {
+// insert stores v under packed key k; g.mu must be held. A key a
+// restore filled while this solve ran is overwritten with the live
+// result.
+func (g *Engine) insert(k []byte, v entry) {
+	if g.memo.put(k, v) {
 		g.size.Add(1)
 	}
-	g.memo[key] = v
+}
+
+// textKey renders the text key of spec, at rollout point patched when
+// that is not nil, for messages.
+func textKey(spec paperdata.DesignSpec, patched []int) string {
+	if patched != nil {
+		return string(spec.AppendRolloutKey(nil, patched))
+	}
+	return spec.Key()
 }
 
 // Lookup serves spec from the memo when a completed entry holds it,
@@ -318,9 +335,12 @@ func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (redunda
 		return redundancy.Result{}, false
 	}
 	var buf [keyBuf]byte
-	k := spec.AppendKey(buf[:0])
 	g.mu.Lock()
-	v, ok := g.memo[string(k)]
+	k, ok := g.memo.appendKey(buf[:0], spec, nil, false)
+	var v entry
+	if ok {
+		v, ok = g.memo.get(k)
+	}
 	g.mu.Unlock()
 	if !ok {
 		return redundancy.Result{}, false

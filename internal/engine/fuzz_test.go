@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"redpatch/internal/paperdata"
 )
 
 // FuzzRestore feeds arbitrary bytes to Restore on an engine that already
@@ -104,4 +106,166 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("snapshot -> restore -> snapshot differs:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// memoKey is one key of a FuzzMemo run: a spec, and the patched counts
+// of a rollout point (nil for a design).
+type memoKey struct {
+	spec    paperdata.DesignSpec
+	patched []int
+}
+
+// fuzzOps decodes a FuzzMemo input. A read past the end yields zero,
+// so every input decodes.
+type fuzzOps []byte
+
+func (d *fuzzOps) byte() byte {
+	if len(*d) == 0 {
+		return 0
+	}
+	b := (*d)[0]
+	*d = (*d)[1:]
+	return b
+}
+
+// key decodes one memo key: 1 to 8 tiers of any catalog role, each on
+// its own stack, on the webalt stack or with its own stack spelled as
+// the variant; 1 to 32,895 replicas, so counts above 127 take a
+// two-byte uvarint; and, for a rollout point, a patched count per tier.
+func (d *fuzzOps) key() memoKey {
+	roles := paperdata.Roles()
+	tiers := make([]paperdata.TierSpec, d.byte()%8+1)
+	for i := range tiers {
+		b := d.byte()
+		t := paperdata.TierSpec{Role: roles[b%4]}
+		switch b >> 2 % 3 {
+		case 1:
+			t.Variant = paperdata.RoleWebAlt
+		case 2:
+			t.Variant = t.Role
+		}
+		r := d.byte()
+		t.Replicas = int(r&0x7f) + 1
+		if r&0x80 != 0 {
+			t.Replicas += int(d.byte()) << 7
+		}
+		tiers[i] = t
+	}
+	k := memoKey{spec: paperdata.DesignSpec{Tiers: tiers}}
+	if d.byte()&1 == 1 {
+		k.patched = make([]int, len(tiers))
+		for i, t := range tiers {
+			k.patched[i] = (int(d.byte()) | int(d.byte())<<8) % (t.Replicas + 1)
+		}
+	}
+	return k
+}
+
+// FuzzMemo runs a decoded sequence of memo operations against a
+// map[string]entry oracle keyed by text keys: puts of decoded keys,
+// overwrites of keys already put, gets of decoded keys (present or
+// not), index growth as Restore sizes it, and full iteration. After
+// every operation its key, and one more key put so far in turn, must
+// read the oracle's entry (after growth and iteration every key put so
+// far must), and after every put Len must equal the oracle's. Iteration rendered to text and sorted must equal
+// the oracle's sorted keys, each with the oracle's entry.
+func FuzzMemo(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 1, 1, 4, 2, 1, 2, 2, 0, 3, 3, 4})
+	f.Add([]byte{0, 7, 1, 0x85, 2, 9, 4, 0x80, 8, 7, 16, 0x81, 0x10, 1, 2, 1, 5, 0, 1, 0, 7, 4})
+	many := []byte{}
+	for i := range 60 {
+		many = append(many, 0, byte(i%4), byte(i), byte(i*37), byte(i>>2), byte(i*11), byte(i&1), byte(i*5), 0)
+		if i%7 == 0 {
+			many = append(many, 1, byte(i))
+		}
+	}
+	f.Add(append(many, 3, 9, 4))
+	f.Fuzz(memoOps)
+}
+
+// memoOps is FuzzMemo's body: it runs the operations data decodes to.
+func memoOps(t *testing.T, data []byte) {
+	m := newMemo()
+	oracle := make(map[string]entry)
+	var keys []memoKey
+	check := func(k memoKey) {
+		t.Helper()
+		text := textKey(k.spec, k.patched)
+		want, inOracle := oracle[text]
+		packed, ok := m.appendKey(nil, k.spec, k.patched, false)
+		var got entry
+		if ok {
+			got, ok = m.get(packed)
+		}
+		if ok != inOracle || got != want {
+			t.Fatalf("get %s = %+v, %v; oracle %+v, %v", text, got, ok, want, inOracle)
+		}
+	}
+	put := func(k memoKey, v entry) {
+		t.Helper()
+		text := textKey(k.spec, k.patched)
+		_, had := oracle[text]
+		oracle[text] = v
+		packed, _ := m.appendKey(nil, k.spec, k.patched, true)
+		if added := m.put(packed, v); added == had {
+			t.Fatalf("put %s reports new %v; oracle had it: %v", text, added, had)
+		}
+		if !had {
+			keys = append(keys, k)
+		}
+		if m.n != len(oracle) {
+			t.Fatalf("memo holds %d entries after a put, oracle %d", m.n, len(oracle))
+		}
+	}
+	d := fuzzOps(data)
+	for step := 1; len(d) > 0; step++ {
+		v := entry{before: summary{AIM: float64(step), NoAP: step}, coa: 1 / float64(step)}
+		op := d.byte() % 5
+		var k memoKey
+		switch op {
+		case 0:
+			k = d.key()
+			put(k, v)
+		case 1:
+			if len(keys) == 0 {
+				continue
+			}
+			k = keys[int(d.byte())%len(keys)]
+			put(k, v)
+		case 2:
+			k = d.key()
+		case 3:
+			m.reserve(len(oracle) + int(d.byte())*16)
+		case 4:
+			var sc keyScratch
+			var got []string
+			for pk, v := range m.all() {
+				text, rollout := m.appendText(nil, pk, &sc)
+				if _, patched, err := paperdata.ParseKey(string(text)); err != nil || rollout != (patched != nil) {
+					t.Fatalf("key %s, rendered as a rollout point: %v, parses to %v, %v", text, rollout, patched, err)
+				}
+				if want, ok := oracle[string(text)]; !ok || *v != want {
+					t.Fatalf("iteration yields %s = %+v; oracle %+v, %v", text, *v, want, ok)
+				}
+				got = append(got, string(text))
+			}
+			slices.Sort(got)
+			if want := slices.Sorted(maps.Keys(oracle)); !slices.Equal(got, want) {
+				t.Fatalf("iteration yields keys\n%q\noracle holds\n%q", got, want)
+			}
+		}
+		switch {
+		case op <= 2:
+			check(k)
+		default:
+			for _, k := range keys {
+				check(k)
+			}
+		}
+		// One more key put so far, in turn, so that every key is read
+		// back as the memo grows around it.
+		if len(keys) > 0 {
+			check(keys[step%len(keys)])
+		}
+	}
 }

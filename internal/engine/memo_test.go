@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,8 +14,9 @@ import (
 )
 
 // memoEntryBudget is the most live heap one memo entry may hold: its
-// key string, its share of the map and the served numbers.
-const memoEntryBudget = 320
+// 104-byte slot, its packed key and its share of the index and of the
+// chunks' unused tails.
+const memoEntryBudget = 140
 
 // coldShape maps i onto the evaluate_cold benchmark's design space:
 // dns, web, app and db each 1..16 replicas, web on its own stack or
@@ -244,5 +246,117 @@ func TestLookupServesOnlyCompletedEntries(t *testing.T) {
 	}
 	if st := g.Stats(); st.Hits != 2 || st.Solves != 1 {
 		t.Fatalf("stats = %+v, want 1 solve and 2 hits", st)
+	}
+}
+
+// TestMemoLayoutHoldsNoPointers walks the element types of the memo's
+// slab, index and arena and fails if any of them holds a pointer: the
+// memo's bulk must stay memory the garbage collector never scans.
+func TestMemoLayoutHoldsNoPointers(t *testing.T) {
+	var m memo
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(m.slots).Elem().Elem(),
+		reflect.TypeOf(m.index).Elem(),
+		reflect.TypeOf(m.arena).Elem().Elem(),
+	} {
+		if path := pointerIn(typ, typ.String()); path != "" {
+			t.Errorf("memo element type %s holds a pointer at %s", typ, path)
+		}
+	}
+}
+
+// pointerIn returns the path to the first pointer-shaped part of typ,
+// or "" when it has none.
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p := pointerIn(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	default:
+		return path + " (" + typ.Kind().String() + ")"
+	}
+}
+
+// TestMemoFillsChunksToTheirCap stores enough keys to fill several
+// slab chunks and arena chunks at their cap, plus one key longer than
+// a full arena chunk, and reads every one back, by lookup and by
+// iteration. FuzzMemo's short inputs stay in the first chunks.
+func TestMemoFillsChunksToTheirCap(t *testing.T) {
+	roles := paperdata.Roles()
+	key := func(i int) memoKey {
+		tiers := make([]paperdata.TierSpec, 8)
+		for j := range tiers {
+			tiers[j] = paperdata.TierSpec{Role: roles[j%4], Replicas: 1 + (i>>(2*j)&3)*1000}
+		}
+		tiers[0].Replicas = i + 1
+		return memoKey{spec: paperdata.DesignSpec{Tiers: tiers}}
+	}
+	// Enough tiers for a packed key of more than one full arena chunk.
+	long := memoKey{spec: paperdata.DesignSpec{Tiers: make([]paperdata.TierSpec, 1<<arenaOffBits)}}
+	for j := range long.spec.Tiers {
+		long.spec.Tiers[j] = paperdata.TierSpec{Role: paperdata.RoleWeb, Replicas: 1}
+	}
+	// Past the geometric slab chunks (2,032 slots) and three full ones;
+	// about 150 KB of keys.
+	const n = 6000
+	m := newMemo()
+	var keys []memoKey
+	for i := range n {
+		k := key(i)
+		if i == n/2 {
+			k = long
+		}
+		packed, _ := m.appendKey(nil, k.spec, k.patched, true)
+		if !m.put(packed, entry{coa: float64(i)}) {
+			t.Fatalf("key %d is not new", i)
+		}
+		keys = append(keys, k)
+	}
+	var fullSlabs, fullArenas, ownChunks int
+	for _, c := range m.slots {
+		if cap(c) == 1<<slabOffBits {
+			fullSlabs++
+		}
+	}
+	for _, c := range m.arena {
+		switch {
+		case cap(c) == 1<<arenaOffBits:
+			fullArenas++
+		case cap(c) > 1<<arenaOffBits:
+			ownChunks++
+		}
+	}
+	if fullSlabs < 3 || fullArenas < 2 || ownChunks != 1 {
+		t.Fatalf("%d full slab chunks, %d full arena chunks and %d chunks of a long key; want at least 3, at least 2 and 1",
+			fullSlabs, fullArenas, ownChunks)
+	}
+	for i, k := range keys {
+		packed, _ := m.appendKey(nil, k.spec, k.patched, false)
+		if v, ok := m.get(packed); !ok || v.coa != float64(i) {
+			t.Fatalf("key %d reads %v, %v", i, v.coa, ok)
+		}
+	}
+	var sc keyScratch
+	i := 0
+	for packed, v := range m.all() {
+		text, _ := m.appendText(nil, packed, &sc)
+		if want := keys[i].spec.Key(); string(text) != want || v.coa != float64(i) {
+			t.Fatalf("iteration yields key %d as %.40q = %v", i, text, v.coa)
+		}
+		i++
+	}
+	if i != n {
+		t.Fatalf("iteration yields %d keys, want %d", i, n)
 	}
 }

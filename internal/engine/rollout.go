@@ -47,8 +47,7 @@ func (g *Engine) evaluateRolloutTraced(ctx context.Context, spec paperdata.Desig
 	}
 	// Fractions that ceil to the same counts share one entry: the
 	// quotient structure, not the raw fraction, determines the models.
-	var buf [keyBuf]byte
-	v, err := g.do(ctx, sp, spec.AppendRolloutKey(buf[:0], patched), &g.rolloutSolves, &g.rolloutHits,
+	v, err := g.do(ctx, sp, spec, patched, &g.rolloutSolves, &g.rolloutHits,
 		func() (entry, error) {
 			r, err := g.eval.EvaluatePatched(ctx, spec, patched)
 			return rolloutEntry(r), err

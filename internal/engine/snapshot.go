@@ -16,8 +16,9 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"redpatch/internal/paperdata"
 )
@@ -72,10 +73,11 @@ type snapshotEntry struct {
 	SA       float64  `json:"sa"`
 }
 
-// persist renders the memo entry v stored under key k.
-func persist(k string, v entry) snapshotEntry {
+// persist renders the memo entry v stored under text key k, a rollout
+// point's when rollout is set. The entry points into v.
+func persist(k string, rollout bool, v *entry) snapshotEntry {
 	se := snapshotEntry{Key: k, COA: v.coa, SA: v.sa}
-	if paperdata.IsRolloutKey(k) {
+	if rollout {
 		se.Security = &v.before
 	} else {
 		se.Before, se.After = &v.before, &v.after
@@ -93,19 +95,32 @@ func (g *Engine) Len() int { return int(g.size.Load()) }
 // Snapshot writes every completed memo entry to w as versioned JSON and
 // reports how many entries it wrote. In-flight solves are skipped, not
 // waited for; erred solves never reach the memo. Entries are sorted by
-// key, so equal memos snapshot byte-identically.
+// key, so equal memos snapshot byte-identically. The memo's lock is held
+// only while its slots are copied: keys are rendered, sorted and
+// encoded after it is released.
 func (g *Engine) Snapshot(w io.Writer) (int, error) {
 	g.mu.Lock()
-	keys := make([]string, 0, len(g.memo))
-	for k := range g.memo {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	entries := make([]snapshotEntry, len(keys))
-	for i, k := range keys {
-		entries[i] = persist(k, g.memo[k])
-	}
+	m := g.memo.frozen()
 	g.mu.Unlock()
+
+	// Every key is rendered into one buffer and converted to one
+	// string, which the entries' keys slice.
+	var sc keyScratch
+	var text []byte
+	entries := make([]snapshotEntry, 0, m.n)
+	ends := make([]int, 0, m.n)
+	for k, v := range m.all() {
+		var rollout bool
+		text, rollout = m.appendText(text, k, &sc)
+		ends = append(ends, len(text))
+		entries = append(entries, persist("", rollout, v))
+	}
+	keys, start := string(text), 0
+	for i, end := range ends {
+		entries[i].Key = keys[start:end]
+		start = end
+	}
+	slices.SortFunc(entries, func(a, b snapshotEntry) int { return strings.Compare(a.Key, b.Key) })
 
 	if err := json.NewEncoder(w).Encode(snapshotFile{
 		Version:     SnapshotVersion,
@@ -141,20 +156,22 @@ func (g *Engine) Restore(r io.Reader) (int, error) {
 	}
 
 	restored := 0
+	var buf [keyBuf]byte
 	g.mu.Lock()
-	if len(g.memo) == 0 {
-		// A restarted service restores into an empty memo: size it for
-		// the dump once instead of growing it entry by entry.
-		g.memo = make(map[string]entry, len(entries))
+	if g.memo.n == 0 {
+		// A restarted service restores into an empty memo: size its
+		// index for the dump once instead of growing it entry by entry.
+		g.memo.reserve(len(entries))
 	}
 	for _, e := range entries {
-		if _, ok := g.memo[e.key]; ok {
+		k, _ := g.memo.appendKey(buf[:0], e.spec, e.patched, true)
+		if _, ok := g.memo.get(k); ok {
 			continue
 		}
-		if _, ok := g.inflight[e.key]; ok {
+		if _, ok := g.inflight[string(k)]; ok {
 			continue
 		}
-		g.insert(e.key, e.val)
+		g.insert(k, e.val)
 		restored++
 	}
 	g.mu.Unlock()
@@ -176,10 +193,13 @@ func readAll(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// restoredEntry is one dump entry, checked and ready to merge.
+// restoredEntry is one dump entry, checked and ready to merge: the
+// spec its key parses to, the patched counts of a rollout key (nil for
+// a design key) and the served numbers.
 type restoredEntry struct {
-	key string
-	val entry
+	spec    paperdata.DesignSpec
+	patched []int
+	val     entry
 }
 
 // decodeSnapshot reads a dump in the layout Snapshot writes, in one
@@ -388,11 +408,12 @@ func (d *dumpReader) summary() summary {
 // returned as the error.
 func (d *dumpReader) entry() (restoredEntry, error) {
 	var e restoredEntry
+	var key string
 	d.lit(`{"key":`)
 	// The key is taken verbatim: a canonical key has no escapes, so the
 	// re-render check below rejects any.
 	if tok := d.str(); d.err == nil {
-		e.key = string(tok[1 : len(tok)-1])
+		key = string(tok[1 : len(tok)-1])
 	}
 	design := d.skip(`,"before":`)
 	if design {
@@ -412,7 +433,7 @@ func (d *dumpReader) entry() (restoredEntry, error) {
 		return e, nil
 	}
 
-	spec, patched, err := paperdata.ParseKey(e.key)
+	spec, patched, err := paperdata.ParseKey(key)
 	if err != nil {
 		return e, err
 	}
@@ -421,15 +442,16 @@ func (d *dumpReader) entry() (restoredEntry, error) {
 	if patched != nil {
 		k = spec.AppendRolloutKey(buf[:0], patched)
 	}
-	if string(k) != e.key {
+	if string(k) != key {
 		// The copy keeps buf on the stack.
-		return e, fmt.Errorf("key %q is not canonical (want %q)", e.key, string(k))
+		return e, fmt.Errorf("key %q is not canonical (want %q)", key, string(k))
 	}
 	switch {
 	case patched == nil && !design:
-		return e, fmt.Errorf("design key %q needs before and after, and no security", e.key)
+		return e, fmt.Errorf("design key %q needs before and after, and no security", key)
 	case patched != nil && design:
-		return e, fmt.Errorf("rollout key %q needs security, and no before or after", e.key)
+		return e, fmt.Errorf("rollout key %q needs security, and no before or after", key)
 	}
+	e.spec, e.patched = spec, patched
 	return e, nil
 }

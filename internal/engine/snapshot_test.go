@@ -415,10 +415,11 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 // TestRestoreAllocations pins what restoring a restarted service's dump
 // costs: the 4,096 designs of the 1..8-per-tier classic space, restored
-// into an empty engine. The read buffer, the entry slice and the memo
-// are allocated once; per entry the key string and the spec ParseKey
-// builds to check it remain: at most 2 per entry and 64 more. The file
-// is read into one buffer sized by Stat, never grown.
+// into an empty engine. The read buffer, the entry slice and the memo's
+// index are allocated once, and the memo's chunks a few dozen times;
+// per entry the key string and the spec ParseKey builds to check it
+// remain: at most 2 per entry and 64 more. The file is read into one
+// buffer sized by Stat, never grown.
 func TestRestoreAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -472,6 +473,33 @@ func TestRestoreAllocations(t *testing.T) {
 	})
 	if reads > 2 {
 		t.Errorf("reading the dump made %v allocs, want 2: Stat's FileInfo and the buffer it sizes", reads)
+	}
+}
+
+// TestSnapshotAllocations pins what a flush of a restarted service's
+// memo costs: the 4,096 designs of the 1..8-per-tier classic space.
+// The slots are copied once, every key is rendered into one buffer and
+// one string, and the entries point into the copy, so the count does
+// not grow with the entries: encoding/json's buffer growth dominates
+// it.
+func TestSnapshotAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	g, err := New(paperEvaluator(t), Options{Fingerprint: "fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sweepAll(context.Background(), g, fullSpace(8)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if n, err := g.Snapshot(io.Discard); err != nil || n != 4096 {
+			t.Fatalf("snapshot wrote %d entries, err %v; want 4096", n, err)
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("a 4,096-entry snapshot made %v allocs, want at most 64", allocs)
 	}
 }
 
@@ -537,7 +565,7 @@ func oracleCheck(se snapshotEntry) error {
 func persisted(entries []restoredEntry) []snapshotEntry {
 	out := make([]snapshotEntry, len(entries))
 	for i, e := range entries {
-		out[i] = persist(e.key, e.val)
+		out[i] = persist(textKey(e.spec, e.patched), e.patched != nil, &entries[i].val)
 	}
 	return out
 }

@@ -148,10 +148,6 @@ func (s DesignSpec) AppendRolloutKey(b []byte, patched []int) []byte {
 	return b
 }
 
-// IsRolloutKey reports whether key is a rollout-point key
-// (AppendRolloutKey) rather than a design key (Key).
-func IsRolloutKey(key string) bool { return strings.Contains(key, rolloutSep) }
-
 // ParseKey is the inverse of AppendKey and AppendRolloutKey. It returns
 // the unnamed spec a key describes and, for a rollout key, the per-tier
 // patched counts (nil for a design key). The spec must be valid and a

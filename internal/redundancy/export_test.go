@@ -17,8 +17,31 @@ import (
 var EquivalenceSpecs = equivalenceSpecs
 
 // SecurityExpanded is the replica-expanded security oracle.
-func (e *Evaluator) SecurityExpanded(ctx context.Context, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
-	return e.securityExpanded(ctx, spec)
+func (e *Evaluator) SecurityExpanded(spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
+	return e.securityExpanded(spec)
+}
+
+// securityExpanded evaluates the security metrics on the full
+// replica-expanded HARM — the original pipeline, kept as the oracle the
+// factored path is cross-validated against
+// (TestFactoredSecurityEquivalence, FuzzFastPathMatchesOracles). Every
+// evaluation enumerates the expanded model; no served path reaches it.
+func (e *Evaluator) securityExpanded(spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
+	h, err := e.buildHARM(spec)
+	if err != nil {
+		return harm.Metrics{}, harm.Metrics{}, err
+	}
+	if before, err = h.Evaluate(e.evalOpts); err != nil {
+		return harm.Metrics{}, harm.Metrics{}, err
+	}
+	patched, err := h.Patched(e.keepLeaf)
+	if err != nil {
+		return harm.Metrics{}, harm.Metrics{}, err
+	}
+	if after, err = patched.Evaluate(e.evalOpts); err != nil {
+		return harm.Metrics{}, harm.Metrics{}, err
+	}
+	return before, after, nil
 }
 
 // RolloutSecurityExpanded is the mixed-version expanded security oracle

@@ -122,7 +122,7 @@ func TestFactoredSecurityEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: factored: %v", spec.Name, err)
 				}
-				expBefore, expAfter, err := ev.securityExpanded(ctx, spec)
+				expBefore, expAfter, err := ev.securityExpanded(spec)
 				if err != nil {
 					t.Fatalf("%s: expanded: %v", spec.Name, err)
 				}

@@ -152,7 +152,7 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 		}
 
 		// Security: factored against the expanded oracle.
-		expBefore, expAfter, err := ev.SecurityExpanded(ctx, c.spec)
+		expBefore, expAfter, err := ev.SecurityExpanded(c.spec)
 		if err != nil {
 			t.Fatalf("%s: expanded oracle: %v", c.spec, err)
 		}

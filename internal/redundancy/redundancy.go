@@ -466,7 +466,8 @@ const (
 // Both models come from the security memo, built once per variant
 // structure, and the counts enter their metrics in closed form. The
 // rollout quotient is built only on a memo miss. The expanded-topology
-// evaluation (securityExpanded) remains as the cross-validation oracle.
+// evaluation (securityExpanded, in the tests) is the cross-validation
+// oracle.
 func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
 	var keyb [2][keyBuf]byte
 	var countb [2][classBuf]int
@@ -496,30 +497,6 @@ func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) 
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
 	if after, err = am.Evaluate(counts); err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
-	}
-	return before, after, nil
-}
-
-// securityExpanded evaluates the security metrics on the full
-// replica-expanded HARM — the original pipeline, kept as the oracle the
-// factored path is cross-validated against (TestFactoredSecurityEquivalence).
-// Unlike the factored path, every oracle evaluation enumerates the
-// expanded model, so both rounds run under "harm.expanded.evaluate"
-// spans — in a trace, oracle time is unmistakable.
-func (e *Evaluator) securityExpanded(ctx context.Context, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
-	h, err := e.buildHARM(spec)
-	if err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
-	}
-	if before, err = h.EvaluateCtx(ctx, e.evalOpts); err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
-	}
-	patched, err := h.Patched(e.keepLeaf)
-	if err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
-	}
-	if after, err = patched.EvaluateCtx(ctx, e.evalOpts); err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
 	return before, after, nil
