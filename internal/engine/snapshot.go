@@ -137,7 +137,8 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 // fingerprint — a dump taken under a different vulnerability dataset,
 // policy or schedule fails with ErrSnapshotFingerprint and changes
 // nothing. Every entry is checked before any merges (ErrSnapshotCorrupt
-// otherwise), so a rejected snapshot leaves the memo as it was. Entries
+// otherwise, as for a dump listing one key twice), so a rejected
+// snapshot leaves the memo as it was. Entries
 // whose key is already cached (or being solved) are skipped: live
 // results win over persisted ones.
 //
@@ -207,8 +208,8 @@ type restoredEntry struct {
 // (ErrSnapshotVersion), then the fingerprint (ErrSnapshotFingerprint
 // unless it is fp), then the entries, each checked as it is read: its
 // key must parse to a valid spec and rollout point, be in the canonical
-// form the engine renders, and match the entry's shape. Anything else
-// is ErrSnapshotCorrupt.
+// form the engine renders, match the entry's shape and differ from every
+// other entry's key. Anything else is ErrSnapshotCorrupt.
 func decodeSnapshot(data []byte, fp string) ([]restoredEntry, error) {
 	d := dumpReader{b: data}
 	d.lit(`{"version":`)
@@ -225,14 +226,17 @@ func decodeSnapshot(data []byte, fp string) ([]restoredEntry, error) {
 	d.lit(`,"entries":[`)
 	// Snapshot writes every entry opening with its key, so counting the
 	// openings sizes the slice once.
-	entries := make([]restoredEntry, 0, bytes.Count(data[d.pos:], []byte(`{"key":`)))
+	n := bytes.Count(data[d.pos:], []byte(`{"key":`))
+	entries := make([]restoredEntry, 0, n)
+	keys := make([]string, 0, n)
 	if !d.skip("]") {
 		for {
-			e, err := d.entry()
+			e, key, err := d.entry()
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 			}
 			entries = append(entries, e)
+			keys = append(keys, key)
 			if !d.skip(",") {
 				break
 			}
@@ -246,6 +250,15 @@ func decodeSnapshot(data []byte, fp string) ([]restoredEntry, error) {
 	}
 	if d.err != nil {
 		return nil, d.err
+	}
+	// A key listed twice would make which entry is served depend on
+	// the order of the merge. Snapshot writes its keys sorted, so the
+	// sort finds them in order.
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return nil, fmt.Errorf("%w: key %q appears twice", ErrSnapshotCorrupt, keys[i])
+		}
 	}
 	return entries, nil
 }
@@ -403,10 +416,10 @@ func (d *dumpReader) summary() summary {
 	return s
 }
 
-// entry consumes one memo entry and checks it. A layout mismatch is
-// left in d.err; a well-formed entry whose key fails a check is
-// returned as the error.
-func (d *dumpReader) entry() (restoredEntry, error) {
+// entry consumes one memo entry and checks it, returning it with its
+// key. A layout mismatch is left in d.err; a well-formed entry whose key
+// fails a check is returned as the error.
+func (d *dumpReader) entry() (restoredEntry, string, error) {
 	var e restoredEntry
 	var key string
 	d.lit(`{"key":`)
@@ -430,12 +443,12 @@ func (d *dumpReader) entry() (restoredEntry, error) {
 	e.val.sa = d.float()
 	d.lit("}")
 	if d.err != nil {
-		return e, nil
+		return e, key, nil
 	}
 
 	spec, patched, err := paperdata.ParseKey(key)
 	if err != nil {
-		return e, err
+		return e, key, err
 	}
 	var buf [keyBuf]byte
 	k := spec.AppendKey(buf[:0])
@@ -444,14 +457,14 @@ func (d *dumpReader) entry() (restoredEntry, error) {
 	}
 	if string(k) != key {
 		// The copy keeps buf on the stack.
-		return e, fmt.Errorf("key %q is not canonical (want %q)", key, string(k))
+		return e, key, fmt.Errorf("key %q is not canonical (want %q)", key, string(k))
 	}
 	switch {
 	case patched == nil && !design:
-		return e, fmt.Errorf("design key %q needs before and after, and no security", key)
+		return e, key, fmt.Errorf("design key %q needs before and after, and no security", key)
 	case patched != nil && design:
-		return e, fmt.Errorf("rollout key %q needs security, and no before or after", key)
+		return e, key, fmt.Errorf("rollout key %q needs security, and no before or after", key)
 	}
 	e.spec, e.patched = spec, patched
-	return e, nil
+	return e, key, nil
 }

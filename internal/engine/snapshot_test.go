@@ -20,10 +20,9 @@ import (
 
 func specFor(t *testing.T, dns, web, app, db int) paperdata.DesignSpec {
 	t.Helper()
-	return paperdata.Design{
-		Name: paperdata.DefaultName(dns, web, app, db),
-		DNS:  dns, Web: web, App: app, DB: db,
-	}.Spec()
+	spec := paperdata.Design{DNS: dns, Web: web, App: app, DB: db}.Spec()
+	spec.Name = spec.CanonicalName()
+	return spec
 }
 
 // TestSnapshotRoundTrip dumps a warmed engine, designs and rollout
@@ -195,6 +194,12 @@ var corruptions = map[string]func(string) string{
 		return strings.Replace(s, `"key":"dns:1;web:1;`, `"key":"dns:0;web:1;`, 1)
 	},
 	"not json": func(string) string { return "not a snapshot" },
+	"one key listed twice": func(s string) string {
+		// The first entry, written again right after itself.
+		start := strings.Index(s, `"entries":[`) + len(`"entries":[`)
+		end := start + strings.Index(s[start:], `},{"key":`) + 1
+		return s[:end] + "," + s[start:end] + s[end:]
+	},
 	"non-canonical key": func(s string) string {
 		return strings.Replace(s, `"key":"dns:1;web:1;`, `"key":"dns:01;web:1;`, 1)
 	},
@@ -526,10 +531,15 @@ func oracleDecode(data []byte, fp string) ([]snapshotEntry, error) {
 	if err := json.Unmarshal(snap.Entries, &entries); err != nil {
 		return nil, fmt.Errorf("%w: entries: %v", ErrSnapshotCorrupt, err)
 	}
+	seen := make(map[string]bool, len(entries))
 	for _, se := range entries {
 		if err := oracleCheck(se); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 		}
+		if seen[se.Key] {
+			return nil, fmt.Errorf("%w: key %q appears twice", ErrSnapshotCorrupt, se.Key)
+		}
+		seen[se.Key] = true
 	}
 	return entries, nil
 }

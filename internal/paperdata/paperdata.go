@@ -63,16 +63,15 @@ type RoleSpec struct {
 	OSProduct      string
 }
 
-// Catalog returns the role-to-stack mapping of the paper's §III-A plus
-// the alternative web stack of the heterogeneity extension.
-func Catalog() []RoleSpec {
-	return []RoleSpec{
-		{Role: RoleDNS, ServiceProduct: ProductMicrosoftDNS, OSProduct: ProductWindows},
-		{Role: RoleWeb, ServiceProduct: ProductApache, OSProduct: ProductRHEL},
-		{Role: RoleApp, ServiceProduct: ProductWebLogic, OSProduct: ProductOracleLinux},
-		{Role: RoleDB, ServiceProduct: ProductMySQL, OSProduct: ProductOracleLinux},
-		{Role: RoleWebAlt, ServiceProduct: ProductNginx, OSProduct: ProductUbuntu},
-	}
+// catalog is the role-to-stack mapping of the paper's §III-A plus the
+// alternative web stack of the heterogeneity extension. It is built
+// once: KnownStack reads it for every tier of every validated spec.
+var catalog = []RoleSpec{
+	{Role: RoleDNS, ServiceProduct: ProductMicrosoftDNS, OSProduct: ProductWindows},
+	{Role: RoleWeb, ServiceProduct: ProductApache, OSProduct: ProductRHEL},
+	{Role: RoleApp, ServiceProduct: ProductWebLogic, OSProduct: ProductOracleLinux},
+	{Role: RoleDB, ServiceProduct: ProductMySQL, OSProduct: ProductOracleLinux},
+	{Role: RoleWebAlt, ServiceProduct: ProductNginx, OSProduct: ProductUbuntu},
 }
 
 const (
@@ -185,7 +184,7 @@ func AltWebTree(db *vulndb.DB) *attacktree.Tree {
 // VulnsForRole returns every vulnerability affecting the given role's
 // service and OS products.
 func VulnsForRole(db *vulndb.DB, role string) ([]vulndb.Vulnerability, error) {
-	for _, spec := range Catalog() {
+	for _, spec := range catalog {
 		if spec.Role != role {
 			continue
 		}
@@ -254,16 +253,14 @@ type Design struct {
 	DB   int
 }
 
-// DefaultName renders the canonical compact name of a design tuple
-// ("1d2w2a1b") — the one naming scheme shared by design enumeration and
-// the evaluation service.
-func DefaultName(dns, web, app, db int) string {
-	b := make([]byte, 0, 8)
+// appendClassicName appends the canonical compact name of a design
+// tuple ("1d2w2a1b") to b — the one naming scheme shared by design
+// enumeration and the evaluation service.
+func appendClassicName(b []byte, dns, web, app, db int) []byte {
 	b = append(strconv.AppendInt(b, int64(dns), 10), 'd')
 	b = append(strconv.AppendInt(b, int64(web), 10), 'w')
 	b = append(strconv.AppendInt(b, int64(app), 10), 'a')
-	b = append(strconv.AppendInt(b, int64(db), 10), 'b')
-	return string(b)
+	return append(strconv.AppendInt(b, int64(db), 10), 'b')
 }
 
 // String renders the design in the paper's notation.

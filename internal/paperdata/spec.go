@@ -71,17 +71,23 @@ func (d Design) Spec() DesignSpec {
 // KnownStack reports whether the catalog names a software stack for the
 // role.
 func KnownStack(role string) bool {
-	for _, spec := range Catalog() {
-		if spec.Role == role {
+	for i := range catalog {
+		if catalog[i].Role == role {
 			return true
 		}
 	}
 	return false
 }
 
+// keySeparators are the bytes the key grammar (AppendKey,
+// AppendRolloutKey) separates its parts with. A role or variant holding
+// one would let two different specs render one key.
+const keySeparators = ";:/,|"
+
 // Validate checks the spec: at least one tier, at least one replica per
-// group, and every stack (role or variant) present in the catalog, since
-// evaluation needs the stack's vulnerabilities and patch plan.
+// group, no key separator (; : / , |) in a role or variant, and every
+// stack (role or variant) present in the catalog, since evaluation needs
+// the stack's vulnerabilities and patch plan.
 func (s DesignSpec) Validate() error {
 	if len(s.Tiers) == 0 {
 		return fmt.Errorf("paperdata: design spec %q has no tiers", s.Name)
@@ -89,6 +95,10 @@ func (s DesignSpec) Validate() error {
 	for i, t := range s.Tiers {
 		if t.Role == "" {
 			return fmt.Errorf("paperdata: design spec %q: tier %d has no role", s.Name, i)
+		}
+		if strings.ContainsAny(t.Role, keySeparators) || strings.ContainsAny(t.Variant, keySeparators) {
+			return fmt.Errorf("paperdata: design spec %q: tier %d label %q contains one of %q, which separate the design key",
+				s.Name, i, t.label(), keySeparators)
 		}
 		if t.Replicas < 1 {
 			return fmt.Errorf("paperdata: design spec %q: tier %s needs at least one replica, have %d",
@@ -207,7 +217,11 @@ func ParseKey(key string) (DesignSpec, []int, error) {
 // "1 WEB/WEBALT".
 func (s DesignSpec) String() string {
 	var buf [64]byte
-	b := buf[:0]
+	return string(s.AppendString(buf[:0]))
+}
+
+// AppendString appends String's text to b without building the string.
+func (s DesignSpec) AppendString(b []byte) []byte {
 	for i, t := range s.Tiers {
 		if i > 0 {
 			b = append(b, " + "...)
@@ -215,7 +229,7 @@ func (s DesignSpec) String() string {
 		b = append(strconv.AppendInt(b, int64(t.Replicas), 10), ' ')
 		b = upperFrom(t.appendLabel(b), len(b))
 	}
-	return string(b)
+	return b
 }
 
 // upperFrom upper-cases b[start:] as strings.ToUpper would, in place:
@@ -259,17 +273,23 @@ func (s DesignSpec) classic() (Design, bool) {
 // "1d2w2a1b" scheme for homogeneous four-tier designs (shared with the
 // 4-int API), and a role-keyed "1dns-2web/webalt-..." form otherwise.
 func (s DesignSpec) CanonicalName() string {
+	var buf [64]byte
+	return string(s.AppendCanonicalName(buf[:0]))
+}
+
+// AppendCanonicalName appends CanonicalName's text to b without
+// building the string.
+func (s DesignSpec) AppendCanonicalName(b []byte) []byte {
 	if d, ok := s.classic(); ok {
-		return DefaultName(d.DNS, d.Web, d.App, d.DB)
+		return appendClassicName(b, d.DNS, d.Web, d.App, d.DB)
 	}
-	b := make([]byte, 0, 16*len(s.Tiers))
 	for i, t := range s.Tiers {
 		if i > 0 {
 			b = append(b, '-')
 		}
 		b = t.appendLabel(strconv.AppendInt(b, int64(t.Replicas), 10))
 	}
-	return string(b)
+	return b
 }
 
 // LogicalTier is one logical service tier of a spec: every group sharing

@@ -117,3 +117,31 @@ func TestStringUpperCasesLikeToUpper(t *testing.T) {
 		t.Errorf("String() = %v allocs, want 1 (the string)", got)
 	}
 }
+
+// TestValidateRejectsKeySeparators: a role or variant holding a
+// separator of the key grammar fails Validate, so two different specs
+// can no longer render one key. The pair below both validated before
+// and both keyed as "x/dns:1;dns/web:1".
+func TestValidateRejectsKeySeparators(t *testing.T) {
+	forged := DesignSpec{Tiers: []TierSpec{{Role: "x/dns:1;dns", Variant: RoleWeb, Replicas: 1}}}
+	honest := DesignSpec{Tiers: []TierSpec{{Role: "x", Variant: RoleDNS, Replicas: 1}, {Role: RoleDNS, Variant: RoleWeb, Replicas: 1}}}
+	if err := forged.Validate(); err == nil {
+		t.Errorf("Validate accepted role %q", forged.Tiers[0].Role)
+	}
+	if err := honest.Validate(); err != nil {
+		t.Fatalf("Validate rejected %v: %v", honest, err)
+	}
+	if got := honest.Key(); got != "x/dns:1;dns/web:1" {
+		t.Errorf("Key() = %q", got)
+	}
+	for _, sep := range strings.Split(keySeparators, "") {
+		for _, tier := range []TierSpec{
+			{Role: "a" + sep + "b", Variant: RoleWeb, Replicas: 1},
+			{Role: RoleWeb, Variant: RoleWebAlt + sep, Replicas: 1},
+		} {
+			if err := (DesignSpec{Tiers: []TierSpec{tier}}).Validate(); err == nil {
+				t.Errorf("Validate accepted tier %+v", tier)
+			}
+		}
+	}
+}

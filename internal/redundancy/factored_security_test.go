@@ -41,10 +41,9 @@ func equivalenceSpecs() []paperdata.DesignSpec {
 		for web := 1; web <= 4; web++ {
 			for app := 1; app <= 4; app++ {
 				for db := 1; db <= 4; db++ {
-					specs = append(specs, paperdata.Design{
-						Name: paperdata.DefaultName(dns, web, app, db),
-						DNS:  dns, Web: web, App: app, DB: db,
-					}.Spec())
+					spec := paperdata.Design{DNS: dns, Web: web, App: app, DB: db}.Spec()
+					spec.Name = spec.CanonicalName()
+					specs = append(specs, spec)
 				}
 			}
 		}
