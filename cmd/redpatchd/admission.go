@@ -192,7 +192,7 @@ func (s *server) retryAfter(route string, l *admission.Limiter) int {
 // tiny budget.
 func (s *server) deadline(r *http.Request) (time.Duration, error) {
 	d := max(s.requestTimeout, 0)
-	q := r.URL.Query().Get("timeout_ms")
+	q := query(r).Get("timeout_ms")
 	if q == "" {
 		return d, nil
 	}
@@ -213,15 +213,15 @@ func (s *server) deadline(r *http.Request) (time.Duration, error) {
 // after the first byte: the status code is spent, so the trailer line
 // carries the verdict — "budget_exhausted" for an exhausted request
 // deadline, "canceled" for a client disconnect, "internal" otherwise.
-func streamErrorTrailer(err error) map[string]any {
-	tr := map[string]any{"error": err.Error()}
+func streamErrorTrailer(err error) streamError {
+	tr := streamError{err: err.Error()}
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		tr["reason"] = "budget_exhausted"
+		tr.reason = "budget_exhausted"
 	case errors.Is(err, context.Canceled):
-		tr["reason"] = "canceled"
+		tr.reason = "canceled"
 	default:
-		tr["reason"] = "internal"
+		tr.reason = "internal"
 	}
 	return tr
 }

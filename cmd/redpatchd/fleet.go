@@ -90,7 +90,7 @@ type fleetRegisterRequest struct {
 
 func (s *server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	var req fleetRegisterRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -212,7 +212,7 @@ func (s *server) planFleet(r *http.Request, req fleetPlanRequest) (fleet.Plan, e
 
 func (s *server) handleFleetPlan(w http.ResponseWriter, r *http.Request) {
 	var req fleetPlanRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -250,7 +250,7 @@ type fleetSimulateRequest struct {
 // exactly one explicit done or error line.
 func (s *server) handleFleetSimulate(w http.ResponseWriter, r *http.Request) {
 	var req fleetSimulateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

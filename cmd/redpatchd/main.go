@@ -99,6 +99,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime/debug"
@@ -475,8 +476,13 @@ func (s *server) route(pattern string, class *admission.Limiter, h http.HandlerF
 		start := time.Now()
 		s.metrics.inFlight.Inc()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		d, derr := s.deadline(r)
 		ctx := r.Context()
+		if r.URL.RawQuery != "" {
+			// Parsed once: the deadline and the handlers read it back.
+			ctx = context.WithValue(ctx, queryKey{}, r.URL.Query())
+			r = r.WithContext(ctx)
+		}
+		d, derr := s.deadline(r)
 		if d > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, d)
@@ -550,9 +556,26 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeJSON strictly decodes one JSON object from the request body.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+// queryKey is the context key under which route stores a request's
+// parsed URL query.
+type queryKey struct{}
+
+// query returns the request's URL query: nil when it has none, else the
+// values route parsed once for the whole request.
+func query(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
+	if q, ok := r.Context().Value(queryKey{}).(url.Values); ok {
+		return q
+	}
+	return r.URL.Query()
+}
+
+// decodeJSON strictly decodes one JSON object from a request body of at
+// most maxBody bytes.
+func decodeJSON(body io.Reader, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(body), maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)

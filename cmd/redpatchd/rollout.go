@@ -33,7 +33,7 @@ type rolloutSweepRequest struct {
 // {"error":...,"reason":...} trailer line.
 func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 	var req rolloutSweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readRequest(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -93,16 +93,15 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 		st.fail(err)
 		return
 	}
-	trailer := map[string]any{
-		"done":     true,
-		"scenario": sc.name,
-		"total":    total,
-		"frontier": redpatch.RolloutPareto(reports),
+	trailer := rolloutDone{
+		scenario: sc.name,
+		total:    total,
+		frontier: redpatch.RolloutPareto(reports),
 	}
 	if wantExplain(r) {
 		// Every solver span has ended by now; the provenance block covers
 		// the whole sweep.
-		trailer["explain"] = s.explain(r.Context())
+		trailer.explain = s.explain(r.Context())
 	}
 	_ = st.event(trailer)
 }

@@ -45,7 +45,7 @@ type ndjsonStream struct {
 
 	mu      sync.Mutex
 	buf     *bytes.Buffer // from streamBufs, returned by close
-	enc     *json.Encoder // encodes into buf
+	enc     *json.Encoder // encodes lines that cannot append themselves into buf
 	started bool          // the first line has been written
 	armed   bool          // timer will write out the pending lines
 	closed  bool
@@ -58,7 +58,7 @@ func newNDJSONStream(w http.ResponseWriter) *ndjsonStream {
 	w.Header().Set("X-Accel-Buffering", "no") // proxies must not batch the stream
 	flusher, _ := w.(http.Flusher)
 	buf := streamBufs.Get().(*bytes.Buffer)
-	return &ndjsonStream{w: w, flusher: flusher, buf: buf, enc: json.NewEncoder(buf)}
+	return &ndjsonStream{w: w, flusher: flusher, buf: buf}
 }
 
 // line encodes v as one NDJSON result line. The first line is written
@@ -84,7 +84,7 @@ func (st *ndjsonStream) encode(v any, now bool) error {
 	if st.err != nil {
 		return st.err
 	}
-	if err := st.enc.Encode(v); err != nil {
+	if err := st.append(v); err != nil {
 		return err
 	}
 	switch {
@@ -100,6 +100,26 @@ func (st *ndjsonStream) encode(v any, now bool) error {
 		}
 	}
 	return st.err
+}
+
+// append adds v's encoding and a newline to the buffer, or nothing when
+// v fails to encode. A jsonAppender appends itself; any other value goes
+// through encoding/json. st.mu is held.
+func (st *ndjsonStream) append(v any) error {
+	a, ok := v.(jsonAppender)
+	if !ok {
+		if st.enc == nil {
+			st.enc = json.NewEncoder(st.buf)
+		}
+		return st.enc.Encode(v)
+	}
+	st.buf.Grow(1024)
+	b, err := a.AppendJSON(st.buf.AvailableBuffer())
+	if err != nil {
+		return err
+	}
+	_, _ = st.buf.Write(append(b, '\n'))
+	return nil
 }
 
 // linger is the timer's callback: it writes out the lines that have
@@ -172,12 +192,11 @@ func (st *ndjsonStream) progress(every time.Duration, counts func() (hits, solve
 			ratio = float64(hits) / float64(looked)
 		}
 		eta := time.Since(start).Seconds() / float64(done) * float64(total-done)
-		_ = st.event(map[string]any{
-			"progress":      true,
-			"done":          done,
-			"total":         total,
-			"cacheHitRatio": ratio,
-			"etaSeconds":    eta,
+		_ = st.event(progressEvent{
+			done:          done,
+			total:         total,
+			cacheHitRatio: ratio,
+			etaSeconds:    eta,
 		})
 	}
 }

@@ -50,7 +50,7 @@ type explainSpan struct {
 
 // wantExplain reports whether the request asked for provenance.
 func wantExplain(r *http.Request) bool {
-	v := r.URL.Query().Get("explain")
+	v := query(r).Get("explain")
 	return v == "1" || v == "true"
 }
 

@@ -259,7 +259,7 @@ func (s *server) handleScenarioList(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 	var req createScenarioRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -298,7 +298,7 @@ type evaluateV2Request struct {
 // scenarioSpec decodes, validates and resolves an evaluate-shaped body.
 func (s *server) scenarioSpec(r *http.Request) (*scenario, redpatch.DesignSpec, error) {
 	var req evaluateV2Request
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readRequest(r.Body, &req); err != nil {
 		return nil, redpatch.DesignSpec{}, err
 	}
 	if err := s.checkSpec(req.Spec); err != nil {
@@ -340,13 +340,13 @@ func (s *server) handleEvaluateV2(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp := map[string]any{"scenario": sc.name, "report": report}
+	resp := evaluateAnswer{scenario: sc.name, report: report}
 	if wantExplain(r) {
 		// The solver spans have all ended by now; only the root span is
 		// still open, so the provenance block is complete.
-		resp["explain"] = s.explain(r.Context())
+		resp.explain = s.explain(r.Context())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAppended(w, http.StatusOK, resp)
 }
 
 func (s *server) handleRankPatches(w http.ResponseWriter, r *http.Request) {
@@ -375,7 +375,7 @@ type campaignRequest struct {
 
 func (s *server) handlePlanCampaign(w http.ResponseWriter, r *http.Request) {
 	var req campaignRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -407,7 +407,7 @@ type sweepV2Request struct {
 // scenarioSweep decodes, validates and resolves a sweep-shaped body.
 func (s *server) scenarioSweep(r *http.Request) (*scenario, redpatch.SpecSweepRequest, error) {
 	var req sweepV2Request
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readRequest(r.Body, &req); err != nil {
 		return nil, redpatch.SpecSweepRequest{}, err
 	}
 	if err := s.checkSpecSweep(req.SpecSweepRequest); err != nil {
@@ -456,11 +456,10 @@ func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		st.fail(err)
 		return
 	}
-	_ = st.event(map[string]any{
-		"done":     true,
-		"scenario": sc.name,
-		"total":    total,
-		"kept":     len(reports),
-		"pareto":   redpatch.Pareto(reports),
+	_ = st.event(sweepDone{
+		scenario: sc.name,
+		total:    total,
+		kept:     len(reports),
+		pareto:   redpatch.Pareto(reports),
 	})
 }

@@ -127,15 +127,25 @@ func (s SweepSpec) Size() int {
 // Designs enumerates the spec in lexicographic tier order: earlier tiers
 // vary slowest, and within a tier replica counts vary before variant
 // choices. Classic homogeneous sweeps keep the "1d2w2a1b" naming of
-// paperdata.DefaultName; heterogeneous designs get role-keyed canonical
+// DesignSpec.CanonicalName; heterogeneous designs get role-keyed canonical
 // names.
 func (s SweepSpec) Designs() []paperdata.DesignSpec {
-	out := make([]paperdata.DesignSpec, 0, min(s.Size(), 1<<20))
-	tiers := make([]paperdata.TierSpec, len(s.Tiers))
+	size := min(s.Size(), 1<<20)
+	out := make([]paperdata.DesignSpec, 0, size)
+	n := len(s.Tiers)
+	tiers := make([]paperdata.TierSpec, n)
+	// The designs' tier lists are cut from blocks of up to 256 designs
+	// each, not allocated one by one.
+	var block []paperdata.TierSpec
 	var walk func(i int)
 	walk = func(i int) {
-		if i == len(s.Tiers) {
-			spec := paperdata.DesignSpec{Tiers: append([]paperdata.TierSpec(nil), tiers...)}
+		if i == n {
+			if len(block) < n {
+				block = make([]paperdata.TierSpec, n*min(max(size-len(out), 1), 256))
+			}
+			spec := paperdata.DesignSpec{Tiers: block[:n:n]}
+			block = block[n:]
+			copy(spec.Tiers, tiers)
 			spec.Name = spec.CanonicalName()
 			out = append(out, spec)
 			return

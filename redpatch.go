@@ -302,15 +302,31 @@ func (s *CaseStudy) EvaluateSpec(spec DesignSpec) (DesignReport, error) {
 // never cancels a solve in flight; results stay shared across
 // deduplicated callers.
 func (s *CaseStudy) EvaluateSpecCtx(ctx context.Context, spec DesignSpec) (DesignReport, error) {
-	p := spec.pd()
-	if spec.Name == "" {
-		p.Name = p.CanonicalName()
-	}
+	p, desc := spec.resolve()
 	r, err := s.eng.EvaluateSpecCtx(ctx, p)
 	if err != nil {
 		return DesignReport{}, err
 	}
-	return convert(r), nil
+	return described(r, desc), nil
+}
+
+// resolve converts the spec for the engine and renders the description
+// its report carries. A spec without a name gets its canonical one; the
+// name and the description are then built as one string, which both
+// slice.
+func (s DesignSpec) resolve() (paperdata.DesignSpec, string) {
+	p := s.pd()
+	var buf [128]byte
+	b := buf[:0]
+	if s.Name == "" {
+		b = p.AppendCanonicalName(b)
+	}
+	n := len(b)
+	text := string(p.AppendString(b))
+	if s.Name == "" {
+		p.Name = text[:n]
+	}
+	return p, text[n:]
 }
 
 // PaperDesigns evaluates the five design choices of the paper's §IV in
@@ -361,10 +377,14 @@ func (s *CaseStudy) PatchRates() map[string]PatchRates {
 	return out
 }
 
-func convert(r redundancy.Result) DesignReport {
+func convert(r redundancy.Result) DesignReport { return described(r, r.Spec.String()) }
+
+// described converts an engine result whose description is already
+// rendered.
+func described(r redundancy.Result, desc string) DesignReport {
 	return DesignReport{
 		Name:                r.Spec.Name,
-		Description:         r.Spec.String(),
+		Description:         desc,
 		Spec:                specFromPD(r.Spec),
 		Servers:             r.Spec.Total(),
 		Before:              summarize(r.Before),
@@ -706,15 +726,12 @@ func (s *CaseStudy) CacheEntries() int { return s.eng.Len() }
 // just after a false answer, which costs at most one admitted request
 // served from the memo.
 func (s *CaseStudy) CachedReport(ctx context.Context, spec DesignSpec) (DesignReport, bool) {
-	p := spec.pd()
-	if spec.Name == "" {
-		p.Name = p.CanonicalName()
-	}
+	p, desc := spec.resolve()
 	r, ok := s.eng.Lookup(ctx, p)
 	if !ok {
 		return DesignReport{}, false
 	}
-	return convert(r), true
+	return described(r, desc), true
 }
 
 // SnapshotCache writes the engine's memo cache to w as versioned JSON,

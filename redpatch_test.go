@@ -597,8 +597,9 @@ func TestSpecValidationAtFacade(t *testing.T) {
 
 // TestCachedReportAllocations pins what a whole warm evaluate costs in
 // the facade — the lookup that both decides the admission bypass and
-// serves the request: one spec conversion, the default name, a memo
-// read with the key in a stack buffer, and the report. It must equal
+// serves the request: one spec conversion, one string holding the
+// default name and the description, a memo read with the key in a stack
+// buffer, and the report's spec. It must equal
 // what EvaluateSpec serves, and a miss must move no counter.
 func TestCachedReportAllocations(t *testing.T) {
 	s, _ := caseStudy(t)
@@ -628,8 +629,8 @@ func TestCachedReportAllocations(t *testing.T) {
 		if got := s.EngineStats().Hits; got != hits+1 {
 			t.Errorf("a warm lookup counted %d hits, want 1", got-hits)
 		}
-		if got := testing.AllocsPerRun(100, func() { s.CachedReport(ctx, spec) }); got > 4 {
-			t.Errorf("warm CachedReport(%q) = %v allocs, want at most 4", name, got)
+		if got := testing.AllocsPerRun(100, func() { s.CachedReport(ctx, spec) }); got > 3 {
+			t.Errorf("warm CachedReport(%q) = %v allocs, want at most 3", name, got)
 		}
 	}
 }
