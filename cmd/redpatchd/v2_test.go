@@ -248,18 +248,20 @@ func TestV2RejectsBadRequests(t *testing.T) {
 	for name, tc := range map[string]struct {
 		path, body string
 	}{
-		"unknown scenario":   {"/api/v2/evaluate", `{"scenario":"nope","spec":` + classicSpecJSON + `}`},
-		"empty spec":         {"/api/v2/evaluate", `{"spec":{"tiers":[]}}`},
-		"unknown stack":      {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"cache","replicas":1}]}}`},
-		"zero replicas":      {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":0}]}}`},
-		"replica cap":        {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":1000}]}}`},
-		"tier cap":           {"/api/v2/evaluate", `{"spec":{"tiers":[` + long[:len(long)-1] + `]}}`},
-		"unknown variant":    {"/api/v2/sweep/stream", `{"tiers":[{"role":"web","min":1,"max":1,"variants":["iis"]}]}`},
-		"sweep size cap":     {"/api/v2/sweep/stream", `{"tiers":[{"role":"dns","min":1,"max":9},{"role":"web","min":1,"max":9},{"role":"app","min":1,"max":9},{"role":"db","min":1,"max":9}]}`},
-		"stream bad json":    {"/api/v2/sweep/stream", `nope`},
-		"stream shard":       {"/api/v2/sweep/stream", `{"tiers":[{"role":"web","min":1,"max":2}],"shard":{"index":0,"count":2}}`},
-		"campaign no window": {"/api/v2/plan-campaign", `{"role":"web"}`},
-		"campaign bad role":  {"/api/v2/plan-campaign", `{"role":"mainframe","windowMinutes":30}`},
+		"unknown scenario": {"/api/v2/evaluate", `{"scenario":"nope","spec":` + classicSpecJSON + `}`},
+		"empty spec":       {"/api/v2/evaluate", `{"spec":{"tiers":[]}}`},
+		"unknown stack":    {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"cache","replicas":1}]}}`},
+		"zero replicas":    {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":0}]}}`},
+		"replica cap":      {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":1000}]}}`},
+		"tier cap":         {"/api/v2/evaluate", `{"spec":{"tiers":[` + long[:len(long)-1] + `]}}`},
+		"unknown variant":  {"/api/v2/sweep/stream", `{"tiers":[{"role":"web","min":1,"max":1,"variants":["iis"]}]}`},
+		// This role once rendered the key of [{x, dns, 1}, {dns, web, 1}].
+		"key separator in role": {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"x/dns:1;dns","variant":"web","replicas":1}]}}`},
+		"sweep size cap":        {"/api/v2/sweep/stream", `{"tiers":[{"role":"dns","min":1,"max":9},{"role":"web","min":1,"max":9},{"role":"app","min":1,"max":9},{"role":"db","min":1,"max":9}]}`},
+		"stream bad json":       {"/api/v2/sweep/stream", `nope`},
+		"stream shard":          {"/api/v2/sweep/stream", `{"tiers":[{"role":"web","min":1,"max":2}],"shard":{"index":0,"count":2}}`},
+		"campaign no window":    {"/api/v2/plan-campaign", `{"role":"web"}`},
+		"campaign bad role":     {"/api/v2/plan-campaign", `{"role":"mainframe","windowMinutes":30}`},
 	} {
 		if w := do(t, h, http.MethodPost, tc.path, tc.body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (%s)", name, w.Code, w.Body)

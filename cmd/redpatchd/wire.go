@@ -248,8 +248,8 @@ func decodeBody(b []byte, v any) bool {
 	switch v := v.(type) {
 	case *evaluateV2Request:
 		var req evaluateV2Request
-		d.object(func(k string) bool {
-			switch k {
+		d.object(func(k []byte) bool {
+			switch string(k) {
 			case "scenario":
 				req.Scenario = d.str()
 			case "spec":
@@ -265,8 +265,8 @@ func decodeBody(b []byte, v any) bool {
 		}
 	case *sweepV2Request:
 		var req sweepV2Request
-		d.object(func(k string) bool {
-			switch k {
+		d.object(func(k []byte) bool {
+			switch string(k) {
 			case "scenario":
 				req.Scenario = d.str()
 			case "tiers":
@@ -286,8 +286,8 @@ func decodeBody(b []byte, v any) bool {
 		}
 	case *rolloutSweepRequest:
 		var req rolloutSweepRequest
-		d.object(func(k string) bool {
-			switch k {
+		d.object(func(k []byte) bool {
+			switch string(k) {
 			case "scenario":
 				req.Scenario = d.str()
 			case "spec":
@@ -376,10 +376,10 @@ func (d *bodyReader) elems(elem func()) {
 	}
 }
 
-// object consumes an object, calling field with each key to decode its
-// value. field reports false for a key it does not know; a key seen
-// twice is refused here.
-func (d *bodyReader) object(field func(key string) bool) {
+// object consumes an object, calling field with each key, which aliases
+// the body, to decode its value. field reports false for a key it does
+// not know; a key seen twice is refused here.
+func (d *bodyReader) object(field func(key []byte) bool) {
 	if !d.eat('{') {
 		d.bad = true
 		return
@@ -387,7 +387,7 @@ func (d *bodyReader) object(field func(key string) bool) {
 	if d.eat('}') {
 		return
 	}
-	var seen [8]string
+	var seen [8][]byte
 	n := 0
 	for !d.bad {
 		k := d.raw()
@@ -395,20 +395,17 @@ func (d *bodyReader) object(field func(key string) bool) {
 			d.bad = true
 			return
 		}
-		// A key known to field is one of its string constants, so the
-		// comparison below never builds a string.
 		for _, s := range seen[:n] {
-			if string(k) == s {
+			if bytes.Equal(k, s) {
 				d.bad = true
 				return
 			}
 		}
-		key := intern(k)
-		if n == len(seen) || !field(key) {
+		if n == len(seen) || !field(k) {
 			d.bad = true
 			return
 		}
-		seen[n] = key
+		seen[n] = k
 		n++
 		if d.eat(',') {
 			continue
@@ -451,8 +448,8 @@ func (d *bodyReader) str() string {
 	return intern(s)
 }
 
-// intern returns the wire's known keys, catalog labels and rollout
-// strategies without allocating, and a copy of any other string.
+// intern returns the catalog labels, the default scenario and the
+// rollout strategies without allocating, and a copy of any other string.
 func intern(s []byte) string {
 	switch string(s) {
 	case "":
@@ -479,52 +476,6 @@ func intern(s []byte) string {
 		return "one-shot"
 	case "custom":
 		return "custom"
-	case "scenario":
-		return "scenario"
-	case "spec":
-		return "spec"
-	case "name":
-		return "name"
-	case "tiers":
-		return "tiers"
-	case "role":
-		return "role"
-	case "replicas":
-		return "replicas"
-	case "variant":
-		return "variant"
-	case "min":
-		return "min"
-	case "max":
-		return "max"
-	case "variants":
-		return "variants"
-	case "scatter":
-		return "scatter"
-	case "multi":
-		return "multi"
-	case "maxAsp":
-		return "maxAsp"
-	case "minCoa":
-		return "minCoa"
-	case "maxNoev":
-		return "maxNoev"
-	case "maxNoap":
-		return "maxNoap"
-	case "maxNoep":
-		return "maxNoep"
-	case "schedule":
-		return "schedule"
-	case "strategy":
-		return "strategy"
-	case "steps":
-		return "steps"
-	case "canaryFraction":
-		return "canaryFraction"
-	case "order":
-		return "order"
-	case "fractions":
-		return "fractions"
 	}
 	return string(s)
 }
@@ -608,8 +559,8 @@ func (d *bodyReader) float() float64 {
 // spec consumes a DesignSpec.
 func (d *bodyReader) spec() redpatch.DesignSpec {
 	var s redpatch.DesignSpec
-	d.object(func(k string) bool {
-		switch k {
+	d.object(func(k []byte) bool {
+		switch string(k) {
 		case "name":
 			s.Name = d.str()
 		case "tiers":
@@ -628,8 +579,8 @@ func (d *bodyReader) tiers() []redpatch.TierSpec {
 	ts := stack[:0]
 	d.elems(func() {
 		var t redpatch.TierSpec
-		d.object(func(k string) bool {
-			switch k {
+		d.object(func(k []byte) bool {
+			switch string(k) {
 			case "role":
 				t.Role = d.str()
 			case "replicas":
@@ -652,8 +603,8 @@ func (d *bodyReader) tierSweeps() []redpatch.TierSweep {
 	ts := stack[:0]
 	d.elems(func() {
 		var t redpatch.TierSweep
-		d.object(func(k string) bool {
-			switch k {
+		d.object(func(k []byte) bool {
+			switch string(k) {
 			case "role":
 				t.Role = d.str()
 			case "min":
@@ -678,8 +629,8 @@ func (d *bodyReader) tierSweeps() []redpatch.TierSweep {
 // scatter consumes Eq. 3 bounds.
 func (d *bodyReader) scatter() *redpatch.ScatterBounds {
 	b := new(redpatch.ScatterBounds)
-	d.object(func(k string) bool {
-		switch k {
+	d.object(func(k []byte) bool {
+		switch string(k) {
 		case "maxAsp":
 			b.MaxASP = d.float()
 		case "minCoa":
@@ -695,8 +646,8 @@ func (d *bodyReader) scatter() *redpatch.ScatterBounds {
 // multi consumes Eq. 4 bounds.
 func (d *bodyReader) multi() *redpatch.MultiBounds {
 	b := new(redpatch.MultiBounds)
-	d.object(func(k string) bool {
-		switch k {
+	d.object(func(k []byte) bool {
+		switch string(k) {
 		case "maxAsp":
 			b.MaxASP = d.float()
 		case "maxNoev":
@@ -718,8 +669,8 @@ func (d *bodyReader) multi() *redpatch.MultiBounds {
 // schedule consumes a rollout schedule.
 func (d *bodyReader) schedule() redpatch.RolloutSchedule {
 	var s redpatch.RolloutSchedule
-	d.object(func(k string) bool {
-		switch k {
+	d.object(func(k []byte) bool {
+		switch string(k) {
 		case "strategy":
 			s.Strategy = d.str()
 		case "steps":

@@ -36,9 +36,9 @@ func (r DesignReport) AppendJSON(b []byte) ([]byte, error) {
 // MarshalJSON implements json.Marshaler with AppendJSON, in one
 // allocation for a report whose strings need no escapes.
 func (r DesignReport) MarshalJSON() ([]byte, error) {
-	n := 320 + 2*len(r.Name) + len(r.Description)
+	n := 288 + 2*len(r.Name) + len(r.Description)
 	for _, t := range r.Spec.Tiers {
-		n += 64 + len(t.Role) + len(t.Variant)
+		n += 48 + len(t.Role) + len(t.Variant)
 	}
 	return r.AppendJSON(make([]byte, 0, n))
 }
@@ -66,7 +66,7 @@ func (r RolloutReport) AppendJSON(b []byte) ([]byte, error) {
 // MarshalJSON implements json.Marshaler with AppendJSON, in one
 // allocation.
 func (r RolloutReport) MarshalJSON() ([]byte, error) {
-	return r.AppendJSON(make([]byte, 0, 256+24*len(r.Fractions)+20*len(r.Patched)))
+	return r.AppendJSON(make([]byte, 0, 192+24*len(r.Fractions)+12*len(r.Patched)))
 }
 
 // appendJSON appends the spec under its wire tags.
