@@ -20,10 +20,10 @@ import (
 	"redpatch/internal/availability"
 	"redpatch/internal/engine"
 	"redpatch/internal/harm"
+	"redpatch/internal/oracle"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
 	"redpatch/internal/redundancy"
-	"redpatch/internal/sim"
 	"redpatch/internal/srn"
 	"redpatch/internal/trace"
 	"redpatch/internal/vulndb"
@@ -337,14 +337,14 @@ func BenchmarkExtensionDesignSpace(b *testing.B) {
 // the upper-layer model (short horizon per iteration).
 func BenchmarkSimulationValidation(b *testing.B) {
 	nm := paperNetworkModel(b)
-	net, ups, err := availability.BuildNetworkSRN(nm)
+	net, ups, err := oracle.BuildNetworkSRN(nm)
 	if err != nil {
 		b.Fatal(err)
 	}
-	reward := availability.COAReward(nm, ups)
+	reward := oracle.COAReward(nm, ups)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.EstimateReward(net, reward, sim.Options{Horizon: 2000, Batches: 2, Seed: int64(i + 1)}); err != nil {
+		if _, err := oracle.EstimateReward(net, reward, oracle.SimOptions{Horizon: 2000, Batches: 2, Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -432,7 +432,7 @@ func BenchmarkScalabilitySRNOracle(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, err := availability.SolveNetworkSRN(nm)
+				sol, err := oracle.SolveNetworkSRN(nm)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -16,58 +16,58 @@ import (
 	"testing"
 )
 
-// exportAllowlist names the exported API in internal/ that the reference
-// scan below cannot see being called, each with the reason it stays. Keys
-// are "importpath.Name" or "importpath.Type.Method". An oracle kept only
-// for the tests that compare a fast path against it names those tests.
+// exportAllowlist names the exported API in internal/ and the root
+// package that the reference scan below cannot see being called, each
+// with the reason it stays. Keys are "importpath.Name" or
+// "importpath.Type.Method".
 var exportAllowlist = map[string]string{
-	"redpatch/internal/patch.Outcome.MarshalJSON":            "json.Marshaler: encoding/json calls it when redpatchd streams fleet simulation events",
-	"redpatch/internal/patch.Outcome.UnmarshalJSON":          "json.Unmarshaler: the decoding half of the event wire format MarshalJSON writes",
-	"redpatch/internal/vulndb.DB.MarshalJSON":                "json.Marshaler: encoding/json calls it when the facade fingerprints the vulnerability dataset",
-	"redpatch/internal/vulndb.DB.UnmarshalJSON":              "json.Unmarshaler: the decoding half of the dataset format MarshalJSON writes",
-	"redpatch/internal/vulndb.Component.MarshalJSON":         "json.Marshaler: encoding/json calls it for every record DB.MarshalJSON encodes",
-	"redpatch/internal/vulndb.Component.UnmarshalJSON":       "json.Unmarshaler: the decoding half of the record format MarshalJSON writes",
-	"redpatch/internal/srn.Kind.String":                      "fmt.Stringer: Net.Validate formats an invalid transition kind with %v",
-	"redpatch/internal/paperdata.Design.String":              "fmt.Stringer: Design.Validate formats the design with %s in its error",
-	"redpatch/internal/trace.LogHandler.Enabled":             "slog.Handler: log/slog calls it on redpatchd's logger",
-	"redpatch/internal/trace.LogHandler.Handle":              "slog.Handler: log/slog calls it on redpatchd's logger",
-	"redpatch/internal/trace.LogHandler.WithAttrs":           "slog.Handler: log/slog calls it on redpatchd's logger",
-	"redpatch/internal/trace.LogHandler.WithGroup":           "slog.Handler: log/slog calls it on redpatchd's logger",
-	"redpatch/internal/availability.SolveNetworkSRN":         "oracle: TestFactoredEquivalence, TestFactoredAvailabilityMatchesSRNOracle and FuzzFastPathMatchesOracles pin the factored solver to the whole-network SRN",
-	"redpatch/internal/availability.SolveNetworkRollout":     "oracle: TestFactoredEquivalenceRollout, TestRolloutEndpointsAtomic and redundancy's TestRolloutAvailabilityMapping pin the memoized rollout path to the unmemoized factored solve",
-	"redpatch/internal/redundancy.Evaluator.EvaluateRollout": "oracle: FuzzFastPathMatchesOracles and the rollout suites drive the unmemoized rollout path through it",
-	"redpatch/internal/sim.EstimateReward":                   "oracle: internal/sim's TestNetworkCOAAgainstAnalytic and TestServerModelAgainstAnalytic check the SRN solutions against Monte-Carlo simulation",
-	"redpatch/internal/sim.Estimate.Contains":                "oracle: the Monte-Carlo validation tests ask whether a closed form lies in the estimate's 95% interval",
-	"redpatch/internal/srn.Net.CheckConservation":            "oracle: TestServerModelConservation and TestInvariantsHoldOnReachableMarkings check that every reachable marking conserves the net's place invariants",
+	"redpatch/internal/patch.Outcome.MarshalJSON":      "json.Marshaler: encoding/json calls it when redpatchd streams fleet simulation events",
+	"redpatch/internal/patch.Outcome.UnmarshalJSON":    "json.Unmarshaler: the decoding half of the event wire format MarshalJSON writes",
+	"redpatch/internal/vulndb.DB.MarshalJSON":          "json.Marshaler: encoding/json calls it when the facade fingerprints the vulnerability dataset",
+	"redpatch/internal/vulndb.DB.UnmarshalJSON":        "json.Unmarshaler: the decoding half of the dataset format MarshalJSON writes",
+	"redpatch/internal/vulndb.Component.MarshalJSON":   "json.Marshaler: encoding/json calls it for every record DB.MarshalJSON encodes",
+	"redpatch/internal/vulndb.Component.UnmarshalJSON": "json.Unmarshaler: the decoding half of the record format MarshalJSON writes",
+	"redpatch/internal/srn.Kind.String":                "fmt.Stringer: Net.Validate formats an invalid transition kind with %v",
+	"redpatch/internal/paperdata.Design.String":        "fmt.Stringer: Design.Validate formats the design with %s in its error",
+	"redpatch/internal/trace.LogHandler.Enabled":       "slog.Handler: log/slog calls it on redpatchd's logger",
+	"redpatch/internal/trace.LogHandler.Handle":        "slog.Handler: log/slog calls it on redpatchd's logger",
+	"redpatch/internal/trace.LogHandler.WithAttrs":     "slog.Handler: log/slog calls it on redpatchd's logger",
+	"redpatch/internal/trace.LogHandler.WithGroup":     "slog.Handler: log/slog calls it on redpatchd's logger",
+	"redpatch.DesignSpec.Key":                          "bench/workload_test.go keys the benchmark's designs with it; no serving surface does",
 }
 
 // TestEveryExportedNameHasACaller fails on every exported top-level name,
-// and every method of an exported type, in internal/ that no non-test code
-// uses, unless exportAllowlist keeps it; and on every allowlist entry that
-// is no longer needed.
+// and every method of an exported type, in internal/ and the root package
+// that no non-test code uses, unless exportAllowlist keeps it; on every
+// allowlist entry that is no longer needed; and on every non-test package
+// that imports internal/oracle.
 func TestEveryExportedNameHasACaller(t *testing.T) {
-	unused, err := unusedExports(".")
+	unused, oracleUsers, err := unusedExports(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	flagged, stale := applyAllowlist(unused, exportAllowlist)
 	if len(flagged) > 0 {
-		t.Errorf("%d exported names in internal/ have no caller outside tests; delete them (or unexport them if their package still uses them):\n\t%s",
+		t.Errorf("%d exported names in internal/ and the root package have no caller outside tests; delete them (or unexport them if their package still uses them):\n\t%s",
 			len(flagged), strings.Join(flagged, "\n\t"))
 	}
 	for _, k := range stale {
 		t.Errorf("allowlist entry %s is not an unused export any more; remove it", k)
+	}
+	for _, u := range oracleUsers {
+		t.Errorf("%s: oracle code is for tests only", u)
 	}
 }
 
 // TestUnusedExportsFixture runs the scan over the small module in
 // testdata/callers, whose names each exercise one rule of the gate.
 func TestUnusedExportsFixture(t *testing.T) {
-	unused, err := unusedExports(filepath.Join("testdata", "callers"))
+	unused, oracleUsers, err := unusedExports(filepath.Join("testdata", "callers"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
+		"fixture.UsedByOwnTest",
 		"fixture/internal/lib.Allowlisted",
 		"fixture/internal/lib.UsedByOtherTest",
 		"fixture/internal/lib.UsedByOwnTest",
@@ -75,11 +75,14 @@ func TestUnusedExportsFixture(t *testing.T) {
 	if fmt.Sprint(unused) != fmt.Sprint(want) {
 		t.Errorf("unused = %v, want %v", unused, want)
 	}
+	if want := []string{"fixture/serving imports fixture/internal/oracle"}; fmt.Sprint(oracleUsers) != fmt.Sprint(want) {
+		t.Errorf("oracle users = %v, want %v", oracleUsers, want)
+	}
 	flagged, stale := applyAllowlist(unused, map[string]string{
 		"fixture/internal/lib.Allowlisted": "kept on purpose",
 		"fixture/internal/lib.UsedByCode":  "used, so this entry is stale",
 	})
-	if want := []string{"fixture/internal/lib.UsedByOtherTest", "fixture/internal/lib.UsedByOwnTest"}; fmt.Sprint(flagged) != fmt.Sprint(want) {
+	if want := []string{"fixture.UsedByOwnTest", "fixture/internal/lib.UsedByOtherTest", "fixture/internal/lib.UsedByOwnTest"}; fmt.Sprint(flagged) != fmt.Sprint(want) {
 		t.Errorf("flagged = %v, want %v", flagged, want)
 	}
 	if want := []string{"fixture/internal/lib.UsedByCode"}; fmt.Sprint(stale) != fmt.Sprint(want) {
@@ -106,9 +109,10 @@ func applyAllowlist(unused []string, allow map[string]string) (flagged, stale []
 	return flagged, stale
 }
 
-// srcPackage is one directory's parsed non-test files.
+// srcPackage is one directory's parsed non-test files and their imports.
 type srcPackage struct {
 	files          []*ast.File
+	imports        []string
 	receiverIdents map[*ast.Ident]bool
 }
 
@@ -124,17 +128,20 @@ type scan struct {
 }
 
 // unusedExports lists, sorted, every exported top-level name and every
-// exported method of an exported type in the internal/ packages of the
-// module at root that no non-test code of that module uses. Nested
+// exported method of an exported type in the root package and the
+// internal/ packages of the module at root that no non-test code of that
+// module uses. The oracle packages, internal/oracle and below, are
+// exempt: they serve tests only, and oracleUsers lists, sorted, each
+// non-test package outside them that imports one. Nested
 // modules under root, such as bench, count as users when their module
 // path is the root's path plus their directory. A method also counts as
 // used when an interface declared in the module that its type implements
 // has that method used. This is a reference scan, not a call graph: a
 // name used only by other dead code passes.
-func unusedExports(root string) ([]string, error) {
+func unusedExports(root string) (unused, oracleUsers []string, err error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s := &scan{
 		fset:  token.NewFileSet(),
@@ -148,11 +155,11 @@ func unusedExports(root string) ([]string, error) {
 		}
 	}
 	if s.module == "" {
-		return nil, fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
+		return nil, nil, fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
 	if err := s.parse(root); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var paths []string
 	for p := range s.pkgs {
@@ -161,14 +168,23 @@ func unusedExports(root string) ([]string, error) {
 	sort.Strings(paths)
 	for _, p := range paths {
 		if _, err := s.Import(p); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	s.linkInterfaces()
 
-	var unused []string
+	oracle := s.module + "/internal/oracle"
+	isOracle := func(p string) bool { return p == oracle || strings.HasPrefix(p, oracle+"/") }
 	for _, p := range paths {
-		if !strings.HasPrefix(p, s.module+"/internal/") {
+		if isOracle(p) {
+			continue
+		}
+		for _, imp := range s.pkgs[p].imports {
+			if isOracle(imp) {
+				oracleUsers = append(oracleUsers, p+" imports "+imp)
+			}
+		}
+		if p != s.module && !strings.HasPrefix(p, s.module+"/internal/") {
 			continue
 		}
 		scope := s.plain[p].Scope()
@@ -194,7 +210,7 @@ func unusedExports(root string) ([]string, error) {
 		}
 	}
 	sort.Strings(unused)
-	return unused, nil
+	return unused, oracleUsers, nil
 }
 
 // parse reads the non-test files of every package directory under root.
@@ -221,7 +237,7 @@ func (s *scan) parse(root string) error {
 		if rel != "." {
 			path += "/" + filepath.ToSlash(rel)
 		}
-		sp := &srcPackage{receiverIdents: map[*ast.Ident]bool{}}
+		sp := &srcPackage{imports: bp.Imports, receiverIdents: map[*ast.Ident]bool{}}
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {

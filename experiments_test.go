@@ -16,10 +16,10 @@ import (
 	"redpatch/internal/availability"
 	"redpatch/internal/harm"
 	"redpatch/internal/mathx"
+	"redpatch/internal/oracle"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
 	"redpatch/internal/report"
-	"redpatch/internal/sim"
 	"redpatch/internal/srn"
 )
 
@@ -378,7 +378,7 @@ func TestExperimentE10_Observations(t *testing.T) {
 }
 
 // TestExperimentE11_Extensions exercises the §V extensions that a surface
-// serves: patch schedules, cost, patch prioritization, and Monte-Carlo
+// serves: patch schedules, patch prioritization, and Monte-Carlo
 // validation.
 func TestExperimentE11_Extensions(t *testing.T) {
 	t.Run("patchSchedules", func(t *testing.T) {
@@ -397,13 +397,6 @@ func TestExperimentE11_Extensions(t *testing.T) {
 		}
 		if !(coas[0] < coas[1] && coas[1] < coas[2]) {
 			t.Errorf("COA should grow with the patch interval: %v", coas)
-		}
-	})
-	t.Run("cost", func(t *testing.T) {
-		_, ds := caseStudy(t)
-		c := CostModel{ServerPerMonth: 400, DowntimePerHour: 2000, BreachLoss: 50000}
-		for _, d := range ds {
-			t.Logf("%s: %.0f per month", d.Name, c.MonthlyCost(d))
 		}
 	})
 	t.Run("patchPrioritization", func(t *testing.T) {
@@ -437,16 +430,16 @@ func TestExperimentE11_Extensions(t *testing.T) {
 			{Name: "app", N: 2, LambdaEq: 1.0 / 720, MuEq: 0.99995},
 			{Name: "db", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.09085},
 		}}
-		net, ups, err := availability.BuildNetworkSRN(nm)
+		net, ups, err := oracle.BuildNetworkSRN(nm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := sim.EstimateReward(net, availability.COAReward(nm, ups),
-			sim.Options{Horizon: 20000, Batches: 40, Seed: 5})
+		est, err := oracle.EstimateReward(net, oracle.COAReward(nm, ups),
+			oracle.SimOptions{Horizon: 20000, Batches: 40, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := availability.SolveNetworkSRN(nm)
+		sol, err := oracle.SolveNetworkSRN(nm)
 		if err != nil {
 			t.Fatal(err)
 		}

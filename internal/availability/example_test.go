@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"redpatch/internal/availability"
+	"redpatch/internal/oracle"
 )
 
 // Example runs the paper's two-level availability pipeline for the DNS
@@ -32,7 +33,7 @@ func Example() {
 		{Name: "app", N: 2, LambdaEq: 1.0 / 720, MuEq: 0.99995},
 		{Name: "db", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.09085},
 	}}
-	net, err := availability.SolveNetworkSRN(nm)
+	net, err := oracle.SolveNetworkSRN(nm)
 	if err != nil {
 		panic(err)
 	}

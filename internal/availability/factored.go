@@ -15,8 +15,9 @@ import (
 // and eliminating it — the paper pipeline's scalability wall — we solve
 // each tier's (n+1)-state chain in O(n), convolve tiers into logical
 // groups, and assemble COA, service availability and the per-tier
-// measures from the group distributions. The SRN path (SolveNetworkSRN)
-// remains as the cross-validation oracle for this one.
+// measures from the group distributions. The SRN path
+// (internal/oracle's SolveNetworkSRN) remains as the cross-validation
+// oracle for this one.
 
 // TierFactor is the steady-state solution of one tier's birth–death
 // chain: the distribution of the number of servers up.

@@ -1,4 +1,4 @@
-package availability
+package availability_test
 
 import (
 	"math"
@@ -6,14 +6,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"redpatch/internal/availability"
 	"redpatch/internal/mathx"
+	"redpatch/internal/oracle"
 )
 
 // randomModel builds a random grouped network model: 1-3 logical groups,
 // 1-2 member tiers each, replica counts 1-4, rates spanning never-patching
 // tiers to fast patch clocks, and (sometimes) a non-default quorum.
-func randomModel(rng *rand.Rand) NetworkModel {
-	var nm NetworkModel
+func randomModel(rng *rand.Rand) availability.NetworkModel {
+	var nm availability.NetworkModel
 	groupSize := make(map[string]int)
 	nGroups := 1 + rng.Intn(3)
 	id := 0
@@ -26,7 +28,7 @@ func randomModel(rng *rand.Rand) NetworkModel {
 				lambda = 0 // never-patching tier
 			}
 			n := 1 + rng.Intn(4)
-			nm.Tiers = append(nm.Tiers, Tier{
+			nm.Tiers = append(nm.Tiers, availability.Tier{
 				Name:     "t" + string(rune('0'+id)),
 				Group:    group,
 				N:        n,
@@ -47,16 +49,16 @@ func randomModel(rng *rand.Rand) NetworkModel {
 
 // solveFactored is the factored path as the evaluator runs it: one
 // birth–death factor per tier, composed.
-func solveFactored(nm NetworkModel) (NetworkSolution, error) {
-	factors := make([]TierFactor, len(nm.Tiers))
+func solveFactored(nm availability.NetworkModel) (availability.NetworkSolution, error) {
+	factors := make([]availability.TierFactor, len(nm.Tiers))
 	for i, t := range nm.Tiers {
-		f, err := SolveTierFactor(t)
+		f, err := availability.SolveTierFactor(t)
 		if err != nil {
-			return NetworkSolution{}, err
+			return availability.NetworkSolution{}, err
 		}
 		factors[i] = f
 	}
-	return ComposeNetwork(nm, factors)
+	return availability.ComposeNetwork(nm, factors)
 }
 
 // TestFactoredEquivalence is the correctness gate: across random
@@ -72,7 +74,7 @@ func TestFactoredEquivalence(t *testing.T) {
 			t.Logf("seed %d: factored solve: %v", seed, err)
 			return false
 		}
-		srn, err := SolveNetworkSRN(nm)
+		srn, err := oracle.SolveNetworkSRN(nm)
 		if err != nil {
 			t.Logf("seed %d: SRN solve: %v", seed, err)
 			return false
@@ -122,28 +124,28 @@ func TestFactoredEquivalencePaperDesigns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := SolveNetworkSRN(nm)
+		ref, err := oracle.SolveNetworkSRN(nm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mathx.AlmostEqual(sol.COA, oracle.COA, 1e-9) {
-			t.Errorf("%v: factored COA %.12f != SRN %.12f", counts, sol.COA, oracle.COA)
+		if !mathx.AlmostEqual(sol.COA, ref.COA, 1e-9) {
+			t.Errorf("%v: factored COA %.12f != SRN %.12f", counts, sol.COA, ref.COA)
 		}
-		if !mathx.AlmostEqual(sol.ServiceAvailability, oracle.ServiceAvailability, 1e-9) {
+		if !mathx.AlmostEqual(sol.ServiceAvailability, ref.ServiceAvailability, 1e-9) {
 			t.Errorf("%v: factored service availability %.12f != SRN %.12f",
-				counts, sol.ServiceAvailability, oracle.ServiceAvailability)
+				counts, sol.ServiceAvailability, ref.ServiceAvailability)
 		}
-		for name := range oracle.TierAllUp {
-			if !mathx.AlmostEqual(sol.TierAllUp[name], oracle.TierAllUp[name], 1e-9) {
+		for name := range ref.TierAllUp {
+			if !mathx.AlmostEqual(sol.TierAllUp[name], ref.TierAllUp[name], 1e-9) {
 				t.Errorf("%v: tier %s all-up %.12f != SRN %.12f",
-					counts, name, sol.TierAllUp[name], oracle.TierAllUp[name])
+					counts, name, sol.TierAllUp[name], ref.TierAllUp[name])
 			}
 		}
 	}
 }
 
 func TestSolveTierFactor(t *testing.T) {
-	f, err := SolveTierFactor(Tier{Name: "web", N: 3, LambdaEq: 1.0 / 720, MuEq: 1.7})
+	f, err := availability.SolveTierFactor(availability.Tier{Name: "web", N: 3, LambdaEq: 1.0 / 720, MuEq: 1.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestSolveTierFactor(t *testing.T) {
 		t.Errorf("AllUp = %v, want %v", f.AllUp(), want)
 	}
 	// A never-patching tier is deterministically all-up.
-	f0, err := SolveTierFactor(Tier{Name: "static", N: 2})
+	f0, err := availability.SolveTierFactor(availability.Tier{Name: "static", N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,24 +168,24 @@ func TestSolveTierFactor(t *testing.T) {
 		t.Errorf("never-patching factor = %v, want [0 0 1]", f0.PMF)
 	}
 	// Invalid tiers are rejected.
-	if _, err := SolveTierFactor(Tier{Name: "bad", N: 0}); err == nil {
+	if _, err := availability.SolveTierFactor(availability.Tier{Name: "bad", N: 0}); err == nil {
 		t.Error("zero-size tier should fail")
 	}
 }
 
 func TestComposeNetworkValidation(t *testing.T) {
-	nm := NetworkModel{Tiers: []Tier{{Name: "web", N: 2, LambdaEq: 0.01, MuEq: 1}}}
-	good, err := SolveTierFactor(nm.Tiers[0])
+	nm := availability.NetworkModel{Tiers: []availability.Tier{{Name: "web", N: 2, LambdaEq: 0.01, MuEq: 1}}}
+	good, err := availability.SolveTierFactor(nm.Tiers[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ComposeNetwork(nm, nil); err == nil {
+	if _, err := availability.ComposeNetwork(nm, nil); err == nil {
 		t.Error("missing factors should fail")
 	}
-	if _, err := ComposeNetwork(nm, []TierFactor{{PMF: []float64{1}}}); err == nil {
+	if _, err := availability.ComposeNetwork(nm, []availability.TierFactor{{PMF: []float64{1}}}); err == nil {
 		t.Error("size-mismatched factor should fail")
 	}
-	sol, err := ComposeNetwork(nm, []TierFactor{good})
+	sol, err := availability.ComposeNetwork(nm, []availability.TierFactor{good})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +199,7 @@ func TestComposeNetworkValidation(t *testing.T) {
 // finite, normalized and in agreement with the closed-form COA of two
 // single-tier groups: COA = sum_g N_g a_g prod_{h != g} (1-(1-a_h)^N_h) / total.
 func TestFactoredExtremeRates(t *testing.T) {
-	nm := NetworkModel{Tiers: []Tier{
+	nm := availability.NetworkModel{Tiers: []availability.Tier{
 		{Name: "fast", N: 40, LambdaEq: 1e3, MuEq: 1e6},
 		{Name: "slow", N: 2, LambdaEq: 1e-3, MuEq: 1e-1},
 	}}
@@ -223,13 +225,13 @@ func TestFactoredExtremeRates(t *testing.T) {
 // TestProductStatesSaturates: a model too large to enumerate must report
 // MaxInt instead of a wrapped product.
 func TestProductStatesSaturates(t *testing.T) {
-	var nm NetworkModel
+	var nm availability.NetworkModel
 	for i := 0; i < 16; i++ {
-		nm.Tiers = append(nm.Tiers, Tier{
+		nm.Tiers = append(nm.Tiers, availability.Tier{
 			Name: "t" + string(rune('a'+i)), N: 1 << 20, LambdaEq: 0.01, MuEq: 1,
 		})
 	}
-	if got := productStates(nm); got != math.MaxInt {
+	if got := availability.ProductStates(nm); got != math.MaxInt {
 		t.Errorf("productStates = %d, want MaxInt", got)
 	}
 }

@@ -1,11 +1,6 @@
 package availability
 
-import (
-	"fmt"
-
-	"redpatch/internal/ctmc"
-	"redpatch/internal/srn"
-)
+import "fmt"
 
 // Tier is one redundancy group of identical servers in the upper-layer
 // network model: N servers that each go down for patching at rate
@@ -113,60 +108,16 @@ func (nm NetworkModel) TotalServers() int {
 	return n
 }
 
-// BuildNetworkSRN constructs the upper-layer SRN of the paper's Fig. 4:
-// per tier an up-place initially holding N tokens and a down place, with a
-// marking-dependent patch transition (rate lambda_eq * #up, as the paper
-// specifies) and a recovery transition at rate mu_eq * #down, every down
-// server recovering on its own clock. It returns the net and the
-// up-places per tier in input order.
-func BuildNetworkSRN(nm NetworkModel) (*srn.Net, []*srn.Place, error) {
-	if err := nm.Validate(); err != nil {
-		return nil, nil, err
-	}
-	n := srn.New("network")
-	ups := make([]*srn.Place, len(nm.Tiers))
-	for i, t := range nm.Tiers {
-		t := t
-		up := n.AddPlace("P"+t.Name+"up", t.N)
-		down := n.AddPlace("P"+t.Name+"d", 0)
-		ups[i] = up
-		if t.LambdaEq == 0 {
-			continue // tier never patches
-		}
-		n.AddTimedTransition("T"+t.Name+"d", 0).From(up).To(down).
-			WithRateFunc(func(m srn.Marking) float64 { return t.LambdaEq * float64(m.Tokens(up)) })
-		n.AddTimedTransition("T"+t.Name+"up", 0).From(down).To(up).
-			WithRateFunc(func(m srn.Marking) float64 { return t.MuEq * float64(m.Tokens(down)) })
-	}
-	return n, ups, nil
-}
-
-// COAReward generalizes the paper's Table VI reward function: a marking
-// earns (#servers up / #servers total) when every logical tier (group)
-// meets its quorum (by default one server up), and zero otherwise (the
-// end-to-end service is down, so no capacity is delivered). With
-// homogeneous tiers and default quorums this reduces to Table VI exactly.
-func COAReward(nm NetworkModel, ups []*srn.Place) srn.RewardFunc {
-	total := float64(nm.TotalServers())
-	groups := groupIndices(nm)
-	quorums := make([]int, len(groups))
+// Groups returns the tier indices of each logical group, in order of
+// first appearance, and the number of servers each group needs up: its
+// quorum, by default one.
+func (nm NetworkModel) Groups() (groups [][]int, quorums []int) {
+	groups = groupIndices(nm)
+	quorums = make([]int, len(groups))
 	for g, idxs := range groups {
 		quorums[g] = nm.quorumOf(nm.Tiers[idxs[0]].group())
 	}
-	return func(m srn.Marking) float64 {
-		upCount := 0
-		for g, idxs := range groups {
-			groupUp := 0
-			for _, i := range idxs {
-				groupUp += m.Tokens(ups[i])
-			}
-			if groupUp < quorums[g] {
-				return 0
-			}
-			upCount += groupUp
-		}
-		return float64(upCount) / total
-	}
+	return groups, quorums
 }
 
 // groupIndices returns tier indices per logical group in deterministic
@@ -205,113 +156,10 @@ type NetworkSolution struct {
 	Factored bool
 }
 
-// SolveNetworkSRN builds the upper-layer SRN, generates its CTMC, solves
-// it, and evaluates COA and the auxiliary availability measures — the
-// paper's original pipeline, kept as the oracle of the factored solver.
-func SolveNetworkSRN(nm NetworkModel) (NetworkSolution, error) {
-	net, ups, err := BuildNetworkSRN(nm)
-	if err != nil {
-		return NetworkSolution{}, err
-	}
-	ss, err := net.Generate(srn.GenerateOptions{})
-	if err != nil {
-		return NetworkSolution{}, err
-	}
-	pi, err := ss.SteadyState(ctmc.SolveOptions{})
-	if err != nil {
-		return NetworkSolution{}, err
-	}
-	sol := NetworkSolution{States: ss.NumTangible(), TierAllUp: make(map[string]float64, len(nm.Tiers))}
-	sol.COA, err = ss.ExpectedReward(pi, COAReward(nm, ups))
-	if err != nil {
-		return NetworkSolution{}, err
-	}
-	groups := groupIndices(nm)
-	quorums := make([]int, len(groups))
-	for g, idxs := range groups {
-		quorums[g] = nm.quorumOf(nm.Tiers[idxs[0]].group())
-	}
-	sol.ServiceAvailability, err = ss.Probability(pi, func(m srn.Marking) bool {
-		for g, idxs := range groups {
-			groupUp := 0
-			for _, i := range idxs {
-				groupUp += m.Tokens(ups[i])
-			}
-			if groupUp < quorums[g] {
-				return false
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return NetworkSolution{}, err
-	}
-	for i, t := range nm.Tiers {
-		p := ups[i]
-		want := t.N
-		sol.TierAllUp[t.Name], err = ss.Probability(pi, func(m srn.Marking) bool { return m.Tokens(p) == want })
-		if err != nil {
-			return NetworkSolution{}, err
-		}
-	}
-	return sol, nil
-}
-
 func pow(x float64, n int) float64 {
 	p := 1.0
 	for i := 0; i < n; i++ {
 		p *= x
 	}
 	return p
-}
-
-// MeanTimeToServiceDown returns the expected time from the all-up state
-// until the service first drops below quorum in some logical group — the
-// mean time between patch-induced service outages. Computed by making
-// every below-quorum marking absorbing and solving the first-passage
-// system.
-func MeanTimeToServiceDown(nm NetworkModel) (float64, error) {
-	net, ups, err := BuildNetworkSRN(nm)
-	if err != nil {
-		return 0, err
-	}
-	ss, err := net.Generate(srn.GenerateOptions{})
-	if err != nil {
-		return 0, err
-	}
-	groups := groupIndices(nm)
-	quorums := make([]int, len(groups))
-	for g, idxs := range groups {
-		quorums[g] = nm.quorumOf(nm.Tiers[idxs[0]].group())
-	}
-	serviceDown := func(m srn.Marking) bool {
-		for g, idxs := range groups {
-			groupUp := 0
-			for _, i := range idxs {
-				groupUp += m.Tokens(ups[i])
-			}
-			if groupUp < quorums[g] {
-				return true
-			}
-		}
-		return false
-	}
-	var absorbing []int
-	for i, m := range ss.Markings() {
-		if serviceDown(m) {
-			absorbing = append(absorbing, i)
-		}
-	}
-	if len(absorbing) == 0 {
-		return 0, fmt.Errorf("availability: the service can never go down in this model")
-	}
-	start, ok := ss.StateOf(net.InitialMarking())
-	if !ok {
-		return 0, fmt.Errorf("availability: all-up marking not tangible")
-	}
-	tau, err := ss.Chain().MeanTimeToAbsorption(absorbing)
-	if err != nil {
-		return 0, err
-	}
-	return tau[start], nil
 }

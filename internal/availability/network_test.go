@@ -1,33 +1,35 @@
-package availability
+package availability_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"redpatch/internal/availability"
 	"redpatch/internal/mathx"
+	"redpatch/internal/oracle"
 	"redpatch/internal/srn"
 )
 
 // paperTiers returns the aggregated tiers of the example network using
 // the Table V rates computed by the lower-layer model.
-func paperTiers(t *testing.T, counts map[string]int) NetworkModel {
+func paperTiers(t *testing.T, counts map[string]int) availability.NetworkModel {
 	t.Helper()
-	var nm NetworkModel
+	var nm availability.NetworkModel
 	for _, name := range []string{"dns", "web", "app", "db"} {
 		n, ok := counts[name]
 		if !ok {
 			continue
 		}
-		sol, err := SolveServer(paperServerParams(name))
+		sol, err := availability.SolveServer(paperServerParams(name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, err := Aggregate(sol)
+		agg, err := availability.Aggregate(sol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nm.Tiers = append(nm.Tiers, Tier{Name: name, N: n, LambdaEq: agg.LambdaEq, MuEq: agg.MuEq})
+		nm.Tiers = append(nm.Tiers, availability.Tier{Name: name, N: n, LambdaEq: agg.LambdaEq, MuEq: agg.MuEq})
 	}
 	return nm
 }
@@ -103,12 +105,12 @@ func TestClosedFormMatchesSRN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := SolveNetworkSRN(nm)
+		ref, err := oracle.SolveNetworkSRN(nm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mathx.AlmostEqual(sol.COA, oracle.COA, 1e-9) {
-			t.Errorf("factored COA %.9f != SRN %.9f for %v", sol.COA, oracle.COA, counts)
+		if !mathx.AlmostEqual(sol.COA, ref.COA, 1e-9) {
+			t.Errorf("factored COA %.9f != SRN %.9f for %v", sol.COA, ref.COA, counts)
 		}
 	}
 }
@@ -119,9 +121,9 @@ func TestClosedFormMatchesSRNRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nTiers := 1 + rng.Intn(3)
-		var nm NetworkModel
+		var nm availability.NetworkModel
 		for i := 0; i < nTiers; i++ {
-			nm.Tiers = append(nm.Tiers, Tier{
+			nm.Tiers = append(nm.Tiers, availability.Tier{
 				Name:     "t" + string(rune('0'+i)),
 				N:        1 + rng.Intn(3),
 				LambdaEq: rng.Float64() * 0.05,
@@ -132,11 +134,11 @@ func TestClosedFormMatchesSRNRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		oracle, err := SolveNetworkSRN(nm)
+		ref, err := oracle.SolveNetworkSRN(nm)
 		if err != nil {
 			return false
 		}
-		return mathx.AlmostEqual(sol.COA, oracle.COA, 1e-8)
+		return mathx.AlmostEqual(sol.COA, ref.COA, 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -146,15 +148,15 @@ func TestClosedFormMatchesSRNRandom(t *testing.T) {
 func TestTierValidation(t *testing.T) {
 	tests := []struct {
 		name    string
-		tier    Tier
+		tier    availability.Tier
 		wantErr bool
 	}{
-		{name: "ok", tier: Tier{Name: "web", N: 2, LambdaEq: 0.001, MuEq: 1}, wantErr: false},
-		{name: "noName", tier: Tier{N: 1}, wantErr: true},
-		{name: "zeroN", tier: Tier{Name: "x"}, wantErr: true},
-		{name: "negLambda", tier: Tier{Name: "x", N: 1, LambdaEq: -1}, wantErr: true},
-		{name: "patchNoRecovery", tier: Tier{Name: "x", N: 1, LambdaEq: 1}, wantErr: true},
-		{name: "neverPatches", tier: Tier{Name: "x", N: 1}, wantErr: false},
+		{name: "ok", tier: availability.Tier{Name: "web", N: 2, LambdaEq: 0.001, MuEq: 1}, wantErr: false},
+		{name: "noName", tier: availability.Tier{N: 1}, wantErr: true},
+		{name: "zeroN", tier: availability.Tier{Name: "x"}, wantErr: true},
+		{name: "negLambda", tier: availability.Tier{Name: "x", N: 1, LambdaEq: -1}, wantErr: true},
+		{name: "patchNoRecovery", tier: availability.Tier{Name: "x", N: 1, LambdaEq: 1}, wantErr: true},
+		{name: "neverPatches", tier: availability.Tier{Name: "x", N: 1}, wantErr: false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -166,10 +168,10 @@ func TestTierValidation(t *testing.T) {
 }
 
 func TestNetworkModelValidation(t *testing.T) {
-	if err := (NetworkModel{}).Validate(); err == nil {
+	if err := (availability.NetworkModel{}).Validate(); err == nil {
 		t.Error("empty model should fail")
 	}
-	dup := NetworkModel{Tiers: []Tier{
+	dup := availability.NetworkModel{Tiers: []availability.Tier{
 		{Name: "a", N: 1}, {Name: "a", N: 1},
 	}}
 	if err := dup.Validate(); err == nil {
@@ -178,7 +180,7 @@ func TestNetworkModelValidation(t *testing.T) {
 }
 
 func TestNeverPatchingTierIsAlwaysUp(t *testing.T) {
-	nm := NetworkModel{Tiers: []Tier{
+	nm := availability.NetworkModel{Tiers: []availability.Tier{
 		{Name: "static", N: 2},
 		{Name: "patchy", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.5},
 	}}
@@ -200,11 +202,11 @@ func TestNeverPatchingTierIsAlwaysUp(t *testing.T) {
 func TestCOARewardGeneralizesTable6(t *testing.T) {
 	// Reconstruct the Table VI reward rows for the base network.
 	nm := paperTiers(t, baseCounts)
-	net, ups, err := BuildNetworkSRN(nm)
+	net, ups, err := oracle.BuildNetworkSRN(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reward := COAReward(nm, ups)
+	reward := oracle.COAReward(nm, ups)
 	marking := net.InitialMarking()
 	if got := reward(marking); got != 1 {
 		t.Errorf("all-up reward = %v, want 1", got)
@@ -243,7 +245,7 @@ func indexOf(t *testing.T, net *srn.Net, place *srn.Place) int {
 // TestExtremeRateRatios guards numerical robustness: rates spanning nine
 // orders of magnitude must still produce a valid distribution.
 func TestExtremeRateRatios(t *testing.T) {
-	nm := NetworkModel{Tiers: []Tier{
+	nm := availability.NetworkModel{Tiers: []availability.Tier{
 		{Name: "fast", N: 2, LambdaEq: 1e3, MuEq: 1e6},
 		{Name: "slow", N: 1, LambdaEq: 1e-3, MuEq: 1e-1},
 	}}
@@ -254,63 +256,24 @@ func TestExtremeRateRatios(t *testing.T) {
 	if sol.COA < 0 || sol.COA > 1 {
 		t.Errorf("COA = %v outside [0,1]", sol.COA)
 	}
-	oracle, err := SolveNetworkSRN(nm)
+	ref, err := oracle.SolveNetworkSRN(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(sol.COA, oracle.COA, 1e-6) {
-		t.Errorf("factored %v vs SRN %v under extreme rates", sol.COA, oracle.COA)
-	}
-}
-
-// TestMeanTimeToServiceDown checks first-passage analysis on the upper
-// layer: with single DNS/DB servers, the first patch on either takes the
-// service down, so the MTTF is close to 720/2 h minus redundancy effects.
-func TestMeanTimeToServiceDown(t *testing.T) {
-	nm := paperTiers(t, baseCounts)
-	mttf, err := MeanTimeToServiceDown(nm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two singleton tiers patch at 1/720 each: the service-down arrival
-	// rate is slightly above 2/720 (double web/app outages contribute a
-	// little), so the MTTF sits just below 360 h.
-	if mttf < 300 || mttf > 360 {
-		t.Errorf("MTTF = %v h, want just below 360", mttf)
-	}
-	// A two-state sanity model: single tier, single server: MTTF = MTTP.
-	single := NetworkModel{Tiers: []Tier{{Name: "x", N: 1, LambdaEq: 1.0 / 720, MuEq: 1}}}
-	mttfSingle, err := MeanTimeToServiceDown(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mathx.AlmostEqual(mttfSingle, 720, 1e-6) {
-		t.Errorf("single-server MTTF = %v, want 720", mttfSingle)
-	}
-	// Redundancy extends the MTTF.
-	redundant := NetworkModel{Tiers: []Tier{{Name: "x", N: 2, LambdaEq: 1.0 / 720, MuEq: 1}}}
-	mttfRedundant, err := MeanTimeToServiceDown(redundant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mttfRedundant <= 10*mttfSingle {
-		t.Errorf("redundant MTTF = %v, expected much larger than %v", mttfRedundant, mttfSingle)
-	}
-	// A never-patching model has no down states.
-	if _, err := MeanTimeToServiceDown(NetworkModel{Tiers: []Tier{{Name: "x", N: 1}}}); err == nil {
-		t.Error("model without down states should fail")
+	if !mathx.AlmostEqual(sol.COA, ref.COA, 1e-6) {
+		t.Errorf("factored %v vs SRN %v under extreme rates", sol.COA, ref.COA)
 	}
 }
 
 // TestQuorum exercises the k-out-of-n generalization of the Table VI
 // reward: a two-server database cluster that needs both replicas.
 func TestQuorum(t *testing.T) {
-	tiers := []Tier{
+	tiers := []availability.Tier{
 		{Name: "web", N: 2, LambdaEq: 1.0 / 720, MuEq: 1.71420},
 		{Name: "db", N: 2, LambdaEq: 1.0 / 720, MuEq: 1.09085},
 	}
-	loose := NetworkModel{Tiers: tiers}
-	strict := NetworkModel{Tiers: tiers, Quorum: map[string]int{"db": 2}}
+	loose := availability.NetworkModel{Tiers: tiers}
+	strict := availability.NetworkModel{Tiers: tiers, Quorum: map[string]int{"db": 2}}
 
 	lSol, err := solveFactored(loose)
 	if err != nil {
@@ -328,19 +291,19 @@ func TestQuorum(t *testing.T) {
 			sSol.ServiceAvailability, lSol.ServiceAvailability)
 	}
 	// The factored solve agrees with the SRN under quorums too.
-	oracle, err := SolveNetworkSRN(strict)
+	ref, err := oracle.SolveNetworkSRN(strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(sSol.COA, oracle.COA, 1e-9) {
-		t.Errorf("quorum factored %.9f != SRN %.9f", sSol.COA, oracle.COA)
+	if !mathx.AlmostEqual(sSol.COA, ref.COA, 1e-9) {
+		t.Errorf("quorum factored %.9f != SRN %.9f", sSol.COA, ref.COA)
 	}
 	// Reward spot check: one db down zeroes the reward under the quorum.
-	net, ups, err := BuildNetworkSRN(strict)
+	net, ups, err := oracle.BuildNetworkSRN(strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reward := COAReward(strict, ups)
+	reward := oracle.COAReward(strict, ups)
 	m := net.InitialMarking()
 	m[indexOf(t, net, ups[1])] = 1
 	if got := reward(m); got != 0 {
@@ -349,7 +312,7 @@ func TestQuorum(t *testing.T) {
 }
 
 func TestQuorumValidation(t *testing.T) {
-	tiers := []Tier{{Name: "db", N: 2, LambdaEq: 0.001, MuEq: 1}}
+	tiers := []availability.Tier{{Name: "db", N: 2, LambdaEq: 0.001, MuEq: 1}}
 	tests := []struct {
 		name   string
 		quorum map[string]int
@@ -362,7 +325,7 @@ func TestQuorumValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			nm := NetworkModel{Tiers: tiers, Quorum: tt.quorum}
+			nm := availability.NetworkModel{Tiers: tiers, Quorum: tt.quorum}
 			if err := nm.Validate(); (err == nil) != tt.ok {
 				t.Errorf("Validate err = %v, want ok=%v", err, tt.ok)
 			}
@@ -403,7 +366,7 @@ func TestRedundancyGain(t *testing.T) {
 }
 
 func TestDowntimeDecomposition(t *testing.T) {
-	sol, err := SolveServer(paperServerParams("dns"))
+	sol, err := availability.SolveServer(paperServerParams("dns"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +389,7 @@ func TestDowntimeDecomposition(t *testing.T) {
 // extension: two web servers with different stacks (different patch
 // windows) forming one logical tier.
 func TestHeterogeneousGroups(t *testing.T) {
-	hetero := NetworkModel{Tiers: []Tier{
+	hetero := availability.NetworkModel{Tiers: []availability.Tier{
 		{Name: "webA", Group: "web", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.71420},
 		{Name: "webB", Group: "web", N: 1, LambdaEq: 1.0 / 720, MuEq: 2.0},
 		{Name: "db", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.09085},
@@ -435,17 +398,17 @@ func TestHeterogeneousGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := SolveNetworkSRN(hetero)
+	ref, err := oracle.SolveNetworkSRN(hetero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(sol.COA, oracle.COA, 1e-9) {
-		t.Errorf("factored COA %.9f != SRN %.9f", sol.COA, oracle.COA)
+	if !mathx.AlmostEqual(sol.COA, ref.COA, 1e-9) {
+		t.Errorf("factored COA %.9f != SRN %.9f", sol.COA, ref.COA)
 	}
 	// Sanity: the grouped pair must beat a single webA server (redundancy
 	// helps) and the COA must exceed the service availability would-be
 	// product of any single chain.
-	single := NetworkModel{Tiers: []Tier{
+	single := availability.NetworkModel{Tiers: []availability.Tier{
 		{Name: "webA", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.71420},
 		{Name: "db", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.09085},
 	}}
@@ -459,11 +422,11 @@ func TestHeterogeneousGroups(t *testing.T) {
 	}
 	// The grouped reward must treat one-of-two web servers down as
 	// degraded capacity, not an outage.
-	net, ups, err := BuildNetworkSRN(hetero)
+	net, ups, err := oracle.BuildNetworkSRN(hetero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reward := COAReward(hetero, ups)
+	reward := oracle.COAReward(hetero, ups)
 	m := net.InitialMarking()
 	if got := reward(m); !mathx.AlmostEqual(got, 1, 1e-12) {
 		t.Errorf("all-up reward = %v", got)
@@ -481,13 +444,13 @@ func TestHeterogeneousGroups(t *testing.T) {
 func TestGroupedClosedFormMatchesSRNRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var nm NetworkModel
+		var nm availability.NetworkModel
 		nGroups := 1 + rng.Intn(2)
 		id := 0
 		for g := 0; g < nGroups; g++ {
 			members := 1 + rng.Intn(2)
 			for m := 0; m < members; m++ {
-				nm.Tiers = append(nm.Tiers, Tier{
+				nm.Tiers = append(nm.Tiers, availability.Tier{
 					Name:     "t" + string(rune('0'+id)),
 					Group:    "g" + string(rune('0'+g)),
 					N:        1 + rng.Intn(2),
@@ -501,11 +464,11 @@ func TestGroupedClosedFormMatchesSRNRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		oracle, err := SolveNetworkSRN(nm)
+		ref, err := oracle.SolveNetworkSRN(nm)
 		if err != nil {
 			return false
 		}
-		return mathx.AlmostEqual(sol.COA, oracle.COA, 1e-8)
+		return mathx.AlmostEqual(sol.COA, ref.COA, 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

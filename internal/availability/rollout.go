@@ -44,26 +44,3 @@ func SolveTierFactorRollout(t Tier, patched int) (TierFactor, error) {
 	}
 	return TierFactor{PMF: pmf}, nil
 }
-
-// SolveNetworkRollout solves the upper-layer model mid-rollout by the
-// factored path: one mixed-version birth–death factor per tier, with
-// patched[i] servers of tier i on the patch cycle, composed by
-// ComposeNetwork exactly as the atomic factors are. Exact up to floating
-// point.
-func SolveNetworkRollout(nm NetworkModel, patched []int) (NetworkSolution, error) {
-	if err := nm.Validate(); err != nil {
-		return NetworkSolution{}, err
-	}
-	if len(patched) != len(nm.Tiers) {
-		return NetworkSolution{}, fmt.Errorf("availability: %d patched counts for %d tiers", len(patched), len(nm.Tiers))
-	}
-	factors := make([]TierFactor, len(nm.Tiers))
-	for i, t := range nm.Tiers {
-		f, err := SolveTierFactorRollout(t, patched[i])
-		if err != nil {
-			return NetworkSolution{}, err
-		}
-		factors[i] = f
-	}
-	return ComposeNetwork(nm, factors)
-}

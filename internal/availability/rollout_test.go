@@ -1,4 +1,4 @@
-package availability
+package availability_test
 
 import (
 	"math/rand"
@@ -6,13 +6,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"redpatch/internal/availability"
 	"redpatch/internal/mathx"
+	"redpatch/internal/oracle"
 )
 
 func TestSolveTierFactorRollout(t *testing.T) {
-	tier := Tier{Name: "web", N: 4, LambdaEq: 1.0 / 720, MuEq: 1.7}
+	tier := availability.Tier{Name: "web", N: 4, LambdaEq: 1.0 / 720, MuEq: 1.7}
 	for patched := 0; patched <= tier.N; patched++ {
-		f, err := SolveTierFactorRollout(tier, patched)
+		f, err := availability.SolveTierFactorRollout(tier, patched)
 		if err != nil {
 			t.Fatalf("patched=%d: %v", patched, err)
 		}
@@ -32,18 +34,18 @@ func TestSolveTierFactorRollout(t *testing.T) {
 	}
 	// The endpoints are the atomic models: patched == N must be
 	// byte-identical to SolveTierFactor, patched == 0 a point mass at N.
-	full, err := SolveTierFactorRollout(tier, tier.N)
+	full, err := availability.SolveTierFactorRollout(tier, tier.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	atomic, err := SolveTierFactor(tier)
+	atomic, err := availability.SolveTierFactor(tier)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(full, atomic) {
 		t.Errorf("patched=N factor %v != atomic %v", full.PMF, atomic.PMF)
 	}
-	zero, err := SolveTierFactorRollout(tier, 0)
+	zero, err := availability.SolveTierFactorRollout(tier, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +53,13 @@ func TestSolveTierFactorRollout(t *testing.T) {
 		t.Errorf("patched=0 factor = %v, want point mass at %d", zero.PMF, tier.N)
 	}
 	// Out-of-range patched counts and invalid tiers are rejected.
-	if _, err := SolveTierFactorRollout(tier, -1); err == nil {
+	if _, err := availability.SolveTierFactorRollout(tier, -1); err == nil {
 		t.Error("negative patched count should fail")
 	}
-	if _, err := SolveTierFactorRollout(tier, tier.N+1); err == nil {
+	if _, err := availability.SolveTierFactorRollout(tier, tier.N+1); err == nil {
 		t.Error("patched > N should fail")
 	}
-	if _, err := SolveTierFactorRollout(Tier{Name: "bad", N: 0}, 0); err == nil {
+	if _, err := availability.SolveTierFactorRollout(availability.Tier{Name: "bad", N: 0}, 0); err == nil {
 		t.Error("zero-size tier should fail")
 	}
 }
@@ -67,8 +69,8 @@ func TestSolveTierFactorRollout(t *testing.T) {
 // the patch cycle plus n-p never-patching (always-up) servers — so the
 // split model solved by the atomic factored path must agree with the
 // mixed-version factor on every network measure.
-func splitRollout(nm NetworkModel, patched []int) NetworkModel {
-	split := NetworkModel{Quorum: nm.Quorum}
+func splitRollout(nm availability.NetworkModel, patched []int) availability.NetworkModel {
+	split := availability.NetworkModel{Quorum: nm.Quorum}
 	for i, tier := range nm.Tiers {
 		p := patched[i]
 		if p > 0 {
@@ -102,24 +104,24 @@ func TestFactoredEquivalenceRollout(t *testing.T) {
 		for i, tier := range nm.Tiers {
 			patched[i] = rng.Intn(tier.N + 1)
 		}
-		mixed, err := SolveNetworkRollout(nm, patched)
+		mixed, err := oracle.SolveNetworkRollout(nm, patched)
 		if err != nil {
 			t.Logf("seed %d: rollout solve: %v", seed, err)
 			return false
 		}
-		oracle, err := solveFactored(splitRollout(nm, patched))
+		ref, err := solveFactored(splitRollout(nm, patched))
 		if err != nil {
 			t.Logf("seed %d: split oracle solve: %v", seed, err)
 			return false
 		}
 		const tol = 1e-9
-		if !mathx.AlmostEqual(mixed.COA, oracle.COA, tol) {
-			t.Logf("seed %d: patched %v: COA %.12f != %.12f", seed, patched, mixed.COA, oracle.COA)
+		if !mathx.AlmostEqual(mixed.COA, ref.COA, tol) {
+			t.Logf("seed %d: patched %v: COA %.12f != %.12f", seed, patched, mixed.COA, ref.COA)
 			return false
 		}
-		if !mathx.AlmostEqual(mixed.ServiceAvailability, oracle.ServiceAvailability, tol) {
+		if !mathx.AlmostEqual(mixed.ServiceAvailability, ref.ServiceAvailability, tol) {
 			t.Logf("seed %d: patched %v: service availability %.12f != %.12f",
-				seed, patched, mixed.ServiceAvailability, oracle.ServiceAvailability)
+				seed, patched, mixed.ServiceAvailability, ref.ServiceAvailability)
 			return false
 		}
 		return true
@@ -138,7 +140,7 @@ func TestRolloutEndpointsAtomic(t *testing.T) {
 	for i, tier := range nm.Tiers {
 		patched[i] = tier.N
 	}
-	full, err := SolveNetworkRollout(nm, patched)
+	full, err := oracle.SolveNetworkRollout(nm, patched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestRolloutEndpointsAtomic(t *testing.T) {
 	if !reflect.DeepEqual(full, atomic) {
 		t.Errorf("all-patched rollout solution differs from the atomic factored solution:\n%+v\n%+v", full, atomic)
 	}
-	zero, err := SolveNetworkRollout(nm, make([]int, len(nm.Tiers)))
+	zero, err := oracle.SolveNetworkRollout(nm, make([]int, len(nm.Tiers)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestRolloutEndpointsAtomic(t *testing.T) {
 	}
 
 	// Validation: a wrong patched-count length is rejected.
-	if _, err := SolveNetworkRollout(nm, []int{1}); err == nil {
+	if _, err := oracle.SolveNetworkRollout(nm, []int{1}); err == nil {
 		t.Error("mismatched patched length should fail")
 	}
 }

@@ -1,19 +1,21 @@
-package availability
+package availability_test
 
 import (
 	"testing"
 	"time"
 
+	"redpatch/internal/availability"
 	"redpatch/internal/ctmc"
 	"redpatch/internal/mathx"
+	"redpatch/internal/oracle"
 	"redpatch/internal/srn"
 )
 
 // paperServerParams returns the Table IV parameters of the four server
 // types; the patch windows derive from the per-type critical counts
 // (paperdata's TestServerParams pins the derivation).
-func paperServerParams(name string) ServerParams {
-	p := DefaultRates(name)
+func paperServerParams(name string) availability.ServerParams {
+	p := availability.DefaultRates(name)
 	switch name {
 	case "dns":
 		p.SvcPatchTime = 5 * time.Minute
@@ -49,7 +51,7 @@ func TestValidateParams(t *testing.T) {
 }
 
 func TestBuildServerSRNStructure(t *testing.T) {
-	net, pl, err := BuildServerSRN(paperServerParams("dns"))
+	net, pl, err := availability.BuildServerSRN(paperServerParams("dns"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestBuildServerSRNStructure(t *testing.T) {
 // probabilities the paper publishes for the DNS server in §III-D2:
 // p_prrb ≈ 0.00011563 and p_pd ≈ 0.00092506, giving mu_eq ≈ 1.49992.
 func TestDNSSolutionMatchesPaper(t *testing.T) {
-	sol, err := SolveServer(paperServerParams("dns"))
+	sol, err := availability.SolveServer(paperServerParams("dns"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestDNSSolutionMatchesPaper(t *testing.T) {
 	if !mathx.AlmostEqual(sol.PatchDown, 0.00092506, 1e-4) {
 		t.Errorf("p_pd = %.8f, want ≈ 0.00092506", sol.PatchDown)
 	}
-	agg, err := Aggregate(sol)
+	agg, err := availability.Aggregate(sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +128,11 @@ func TestTable5AggregatedRates(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			sol, err := SolveServer(paperServerParams(tt.name))
+			sol, err := availability.SolveServer(paperServerParams(tt.name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg, err := Aggregate(sol)
+			agg, err := availability.Aggregate(sol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,11 +154,11 @@ func TestTable5AggregatedRates(t *testing.T) {
 // restart), since failures during the short window are rare.
 func TestMTTRDecomposition(t *testing.T) {
 	p := paperServerParams("web")
-	sol, err := SolveServer(p)
+	sol, err := availability.SolveServer(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Aggregate(sol)
+	agg, err := availability.Aggregate(sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestMTTRDecomposition(t *testing.T) {
 }
 
 func TestServerStateSpaceIsSmallAndStable(t *testing.T) {
-	sol, err := SolveServer(paperServerParams("db"))
+	sol, err := availability.SolveServer(paperServerParams("db"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestServerStateSpaceIsSmallAndStable(t *testing.T) {
 }
 
 func TestServiceUpDominates(t *testing.T) {
-	sol, err := SolveServer(paperServerParams("app"))
+	sol, err := availability.SolveServer(paperServerParams("app"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestServiceUpDominates(t *testing.T) {
 // ready to patch, the pipeline passes through service-patched, OS-ready,
 // OS-patched and ready-to-reboot markings before returning to up.
 func TestPatchPipelineOrdering(t *testing.T) {
-	net, pl, err := BuildServerSRN(paperServerParams("dns"))
+	net, pl, err := availability.BuildServerSRN(paperServerParams("dns"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +236,11 @@ func TestPatchPipelineOrdering(t *testing.T) {
 // tokens — one each for the hardware, OS, service and patch-clock
 // sub-models — and every reachable marking honours the conservation laws.
 func TestServerModelConservation(t *testing.T) {
-	net, _, err := BuildServerSRN(paperServerParams("dns"))
+	net, _, err := availability.BuildServerSRN(paperServerParams("dns"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := net.PlaceInvariants()
+	inv := oracle.PlaceInvariants(net)
 	if len(inv) != 4 {
 		t.Fatalf("place invariants = %d, want 4 (hw, os, svc, clock)", len(inv))
 	}
@@ -246,7 +248,7 @@ func TestServerModelConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.CheckConservation(ss); err != nil {
+	if err := oracle.CheckConservation(net, ss); err != nil {
 		t.Errorf("conservation violated: %v", err)
 	}
 }
@@ -255,7 +257,7 @@ func TestServerModelConservation(t *testing.T) {
 // timed transition (the model is ergodic; a deadlock would trap the
 // token).
 func TestNoDeadlock(t *testing.T) {
-	net, _, err := BuildServerSRN(paperServerParams("web"))
+	net, _, err := availability.BuildServerSRN(paperServerParams("web"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +293,11 @@ func TestNoDeadlock(t *testing.T) {
 func TestZeroPatchWindowClamped(t *testing.T) {
 	p := paperServerParams("dns")
 	p.SvcPatchTime = 0 // nothing to patch in the service layer
-	sol, err := SolveServer(p)
+	sol, err := availability.SolveServer(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Aggregate(sol)
+	agg, err := availability.Aggregate(sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,23 +315,23 @@ func TestFasterPatchingImprovesAvailability(t *testing.T) {
 	fast := slow
 	fast.SvcPatchTime /= 2
 	fast.OSPatchTime /= 2
-	solSlow, err := SolveServer(slow)
+	solSlow, err := availability.SolveServer(slow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solFast, err := SolveServer(fast)
+	solFast, err := availability.SolveServer(fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggSlow, err := Aggregate(solSlow)
+	aggSlow, err := availability.Aggregate(solSlow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggFast, err := Aggregate(solFast)
+	aggFast, err := availability.Aggregate(solFast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	avail := func(a AggregatedRates) float64 { return a.MuEq / (a.LambdaEq + a.MuEq) }
+	avail := func(a availability.AggregatedRates) float64 { return a.MuEq / (a.LambdaEq + a.MuEq) }
 	if avail(aggFast) <= avail(aggSlow) {
 		t.Errorf("faster patching should raise availability: %v vs %v",
 			avail(aggFast), avail(aggSlow))
@@ -337,7 +339,7 @@ func TestFasterPatchingImprovesAvailability(t *testing.T) {
 }
 
 func TestAggregateRejectsUnsolvedPipeline(t *testing.T) {
-	if _, err := Aggregate(ServerSolution{Params: paperServerParams("dns")}); err == nil {
+	if _, err := availability.Aggregate(availability.ServerSolution{Params: paperServerParams("dns")}); err == nil {
 		t.Error("Aggregate with zero patch-down probability should fail")
 	}
 }
@@ -347,7 +349,7 @@ func TestAggregateRejectsUnsolvedPipeline(t *testing.T) {
 // refuses a second transition of a name it already holds.
 func hasTransition(t *testing.T, name string) (found bool) {
 	t.Helper()
-	net, _, err := BuildServerSRN(paperServerParams("dns"))
+	net, _, err := availability.BuildServerSRN(paperServerParams("dns"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,61 +318,6 @@ func (c *Chain) uniformizationRate() float64 {
 	return maxExit * 1.02
 }
 
-// MeanTimeToAbsorption returns, for each transient state, the expected time
-// until the chain first enters any of the given absorbing states, starting
-// from that state. The absorbing set must be non-empty and every state must
-// be able to reach it (otherwise the linear system is singular and an error
-// is returned). Entries for absorbing states are zero.
-func (c *Chain) MeanTimeToAbsorption(absorbing []int) ([]float64, error) {
-	c.freeze()
-	if len(absorbing) == 0 {
-		return nil, errors.New("ctmc: no absorbing states given")
-	}
-	isAbs := make([]bool, c.n)
-	for _, s := range absorbing {
-		if s < 0 || s >= c.n {
-			return nil, fmt.Errorf("ctmc: absorbing state %d out of range", s)
-		}
-		isAbs[s] = true
-	}
-	// Transient-state indexing.
-	idx := make([]int, c.n)
-	var transient []int
-	for i := 0; i < c.n; i++ {
-		if isAbs[i] {
-			idx[i] = -1
-			continue
-		}
-		idx[i] = len(transient)
-		transient = append(transient, i)
-	}
-	m := len(transient)
-	if m == 0 {
-		return make([]float64, c.n), nil
-	}
-	// Solve Q_TT * tau = -1 by flat-backed dense elimination.
-	a := newDense(m, m+1)
-	for r, s := range transient {
-		row := a.row(r)
-		row[idx[s]] = c.diag[s]
-		c.gen.row(s, func(j int, v float64) {
-			if !isAbs[j] {
-				row[idx[j]] += v
-			}
-		})
-		row[m] = -1
-	}
-	tau := make([]float64, m)
-	if err := eliminate(a, make([]int, m), tau); err != nil {
-		return nil, fmt.Errorf("ctmc: mean time to absorption: %w", err)
-	}
-	out := make([]float64, c.n)
-	for r, s := range transient {
-		out[s] = tau[r]
-	}
-	return out, nil
-}
-
 func normalize(v []float64) {
 	sum := mathx.KahanSum(v)
 	if sum == 0 {

@@ -225,38 +225,6 @@ func TestReducibleChainDirectFails(t *testing.T) {
 	}
 }
 
-func TestMeanTimeToAbsorption(t *testing.T) {
-	// Pure death chain 2 -> 1 -> 0 with rate mu: MTTA from state i is i/mu.
-	const mu = 4.0
-	c := New(3)
-	if err := c.AddRate(2, 1, mu); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddRate(1, 0, mu); err != nil {
-		t.Fatal(err)
-	}
-	tau, err := c.MeanTimeToAbsorption([]int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mathx.AlmostEqual(tau[1], 1/mu, 1e-12) || !mathx.AlmostEqual(tau[2], 2/mu, 1e-12) {
-		t.Errorf("MTTA = %v, want [0 %v %v]", tau, 1/mu, 2/mu)
-	}
-	if tau[0] != 0 {
-		t.Errorf("MTTA of absorbing state = %v, want 0", tau[0])
-	}
-}
-
-func TestMeanTimeToAbsorptionValidation(t *testing.T) {
-	c := twoState(t, 1, 1)
-	if _, err := c.MeanTimeToAbsorption(nil); err == nil {
-		t.Error("empty absorbing set should fail")
-	}
-	if _, err := c.MeanTimeToAbsorption([]int{9}); err == nil {
-		t.Error("out-of-range absorbing state should fail")
-	}
-}
-
 func TestGeneratorRowsSumToZero(t *testing.T) {
 	c := birthDeath(t, 5, 0.9, 1.4)
 	c.freeze()

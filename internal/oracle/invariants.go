@@ -1,31 +1,12 @@
-package srn
+package oracle
 
 import (
 	"fmt"
 	"math"
 
 	"redpatch/internal/mathx"
+	"redpatch/internal/srn"
 )
-
-// IncidenceMatrix returns the net's incidence matrix C with one row per
-// place (creation order) and one column per transition (creation order):
-// C[p][t] = tokens produced into p by t minus tokens consumed from p by
-// t.
-func (n *Net) IncidenceMatrix() [][]int {
-	c := make([][]int, len(n.places))
-	for i := range c {
-		c[i] = make([]int, len(n.transitions))
-	}
-	for j, t := range n.transitions {
-		for _, p := range t.in {
-			c[p.index][j]--
-		}
-		for _, p := range t.out {
-			c[p.index][j]++
-		}
-	}
-	return c
-}
 
 // PlaceInvariants returns a basis of the left null space of the incidence
 // matrix: weight vectors y over places such that the weighted token count
@@ -33,10 +14,10 @@ func (n *Net) IncidenceMatrix() [][]int {
 // of the model (e.g. "the hardware token never leaves the hardware
 // sub-model") appear here; the basis is computed over floats by Gaussian
 // elimination, so vectors may mix signs.
-func (n *Net) PlaceInvariants() [][]float64 {
+func PlaceInvariants(n *srn.Net) [][]float64 {
 	inc := n.IncidenceMatrix()
-	nPlaces := len(n.places)
-	nTrans := len(n.transitions)
+	nPlaces := len(inc)
+	nTrans := len(n.Transitions())
 
 	// Solve y^T C = 0, i.e. C^T y = 0: eliminate on the nTrans x nPlaces
 	// matrix A = C^T and read the null space off the free columns.
@@ -108,8 +89,8 @@ func (n *Net) PlaceInvariants() [][]float64 {
 // token count matches the initial marking's). A violation means the state
 // space and the net structure disagree — an internal error worth failing
 // loudly on.
-func (n *Net) CheckConservation(ss *StateSpace) error {
-	invariants := n.PlaceInvariants()
+func CheckConservation(n *srn.Net, ss *srn.StateSpace) error {
+	invariants := PlaceInvariants(n)
 	if len(invariants) == 0 {
 		return nil
 	}
@@ -121,7 +102,7 @@ func (n *Net) CheckConservation(ss *StateSpace) error {
 	for _, m := range ss.Markings() {
 		for i, y := range invariants {
 			if got := dot(y, m); !mathx.AlmostEqual(got, want[i], 1e-6) {
-				return fmt.Errorf("srn: marking %s violates invariant %d: weighted count %v, want %v",
+				return fmt.Errorf("oracle: marking %s violates invariant %d: weighted count %v, want %v",
 					n.MarkingString(m), i, got, want[i])
 			}
 		}
@@ -129,7 +110,7 @@ func (n *Net) CheckConservation(ss *StateSpace) error {
 	return nil
 }
 
-func dot(y []float64, m Marking) float64 {
+func dot(y []float64, m srn.Marking) float64 {
 	var s float64
 	for i, w := range y {
 		s += w * float64(m[i])

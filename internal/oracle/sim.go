@@ -1,10 +1,11 @@
-// Package sim is a discrete-event Monte-Carlo simulator for the
+package oracle
+
+// This file is a discrete-event Monte-Carlo simulator for the
 // stochastic reward nets of internal/srn. It estimates steady-state
 // expected reward rates by simulating trajectories and batching, serving
 // as an independent cross-check of the analytic
 // reachability-plus-steady-state pipeline — the role a measurement
 // testbed would play for the paper's models.
-package sim
 
 import (
 	"errors"
@@ -15,9 +16,9 @@ import (
 	"redpatch/internal/srn"
 )
 
-// Options configures a simulation run. Times are in the same unit as the
-// net's rates (hours throughout this repository).
-type Options struct {
+// SimOptions configures a simulation run. Times are in the same unit
+// as the net's rates (hours throughout this repository).
+type SimOptions struct {
 	// Horizon is the simulated time per batch after warmup; required.
 	Horizon float64
 	// Warmup is discarded simulated time at the start (default: one tenth
@@ -37,7 +38,7 @@ type Options struct {
 	MaxImmediateChain int
 }
 
-func (o Options) withDefaults() (Options, error) {
+func (o SimOptions) withDefaults() (SimOptions, error) {
 	if o.Horizon <= 0 || math.IsNaN(o.Horizon) {
 		return o, fmt.Errorf("sim: invalid horizon %v", o.Horizon)
 	}
@@ -88,7 +89,7 @@ var ErrImmediateLoop = errors.New("sim: immediate-transition loop")
 
 // EstimateReward simulates the net and estimates the expected steady-state
 // rate of the reward function by the batch-means method.
-func EstimateReward(net *srn.Net, reward srn.RewardFunc, opts Options) (Estimate, error) {
+func EstimateReward(net *srn.Net, reward srn.RewardFunc, opts SimOptions) (Estimate, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return Estimate{}, err
@@ -98,7 +99,7 @@ func EstimateReward(net *srn.Net, reward srn.RewardFunc, opts Options) (Estimate
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	st := &state{
+	st := &simState{
 		net:   net,
 		rng:   rng,
 		m:     net.InitialMarking(),
@@ -140,11 +141,11 @@ func EstimateReward(net *srn.Net, reward srn.RewardFunc, opts Options) (Estimate
 	return est, nil
 }
 
-type state struct {
+type simState struct {
 	net    *srn.Net
 	rng    *rand.Rand
 	m      srn.Marking
-	opts   Options
+	opts   SimOptions
 	events int64
 	timed  []*srn.Transition
 }
@@ -161,7 +162,7 @@ func timedTransitions(net *srn.Net) []*srn.Transition {
 
 // run advances the simulation by the given amount of simulated time,
 // feeding occupancy intervals to acc (when non-nil).
-func (s *state) run(duration float64, acc func(dt float64, m srn.Marking)) error {
+func (s *simState) run(duration float64, acc func(dt float64, m srn.Marking)) error {
 	remaining := duration
 	for remaining > 0 {
 		if s.events >= s.opts.MaxEvents {
@@ -225,7 +226,7 @@ func (s *state) run(duration float64, acc func(dt float64, m srn.Marking)) error
 
 // settleImmediates fires enabled immediate transitions (one at a time,
 // equiprobable among those enabled) until the marking is tangible.
-func (s *state) settleImmediates() error {
+func (s *simState) settleImmediates() error {
 	for chain := 0; ; chain++ {
 		if chain > s.opts.MaxImmediateChain {
 			return fmt.Errorf("%w at %s", ErrImmediateLoop, s.net.MarkingString(s.m))

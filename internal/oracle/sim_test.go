@@ -1,4 +1,4 @@
-package sim
+package oracle
 
 import (
 	"errors"
@@ -24,7 +24,7 @@ func TestEstimateMatchesClosedForm(t *testing.T) {
 	net, up := upDownNet(t, lambda, mu)
 	est, err := EstimateReward(net,
 		func(m srn.Marking) float64 { return float64(m.Tokens(up)) },
-		Options{Horizon: 2000, Batches: 10, Seed: 42})
+		SimOptions{Horizon: 2000, Batches: 10, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,18 +43,18 @@ func TestEstimateMatchesClosedForm(t *testing.T) {
 func TestEstimateIsReproducible(t *testing.T) {
 	net, up := upDownNet(t, 0.5, 2.0)
 	reward := func(m srn.Marking) float64 { return float64(m.Tokens(up)) }
-	a, err := EstimateReward(net, reward, Options{Horizon: 100, Seed: 7})
+	a, err := EstimateReward(net, reward, SimOptions{Horizon: 100, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateReward(net, reward, Options{Horizon: 100, Seed: 7})
+	b, err := EstimateReward(net, reward, SimOptions{Horizon: 100, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Mean != b.Mean || a.Events != b.Events {
 		t.Error("same seed must reproduce the run")
 	}
-	c, err := EstimateReward(net, reward, Options{Horizon: 100, Seed: 8})
+	c, err := EstimateReward(net, reward, SimOptions{Horizon: 100, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +82,13 @@ func TestImmediateBranchingWeights(t *testing.T) {
 
 	estA, err := EstimateReward(n,
 		func(m srn.Marking) float64 { return float64(m.Tokens(a)) },
-		Options{Horizon: 4000, Seed: 1})
+		SimOptions{Horizon: 4000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	estB, err := EstimateReward(n,
 		func(m srn.Marking) float64 { return float64(m.Tokens(b)) },
-		Options{Horizon: 4000, Seed: 1})
+		SimOptions{Horizon: 4000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDeadlockDetected(t *testing.T) {
 	b := n.AddPlace("b", 0)
 	n.AddTimedTransition("Tgo", 1).From(a).To(b) // b has no way out
 	_, err := EstimateReward(n, func(srn.Marking) float64 { return 0 },
-		Options{Horizon: 10, Seed: 1})
+		SimOptions{Horizon: 10, Seed: 1})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Errorf("expected ErrDeadlock, got %v", err)
 	}
@@ -120,7 +120,7 @@ func TestImmediateLoopDetected(t *testing.T) {
 	clock := n.AddPlace("clock", 1)
 	n.AddTimedTransition("Tc", 1).From(clock).To(clock)
 	_, err := EstimateReward(n, func(srn.Marking) float64 { return 0 },
-		Options{Horizon: 10, Seed: 1, MaxImmediateChain: 50})
+		SimOptions{Horizon: 10, Seed: 1, MaxImmediateChain: 50})
 	if !errors.Is(err, ErrImmediateLoop) {
 		t.Errorf("expected ErrImmediateLoop, got %v", err)
 	}
@@ -129,13 +129,13 @@ func TestImmediateLoopDetected(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	net, _ := upDownNet(t, 1, 1)
 	reward := func(srn.Marking) float64 { return 0 }
-	if _, err := EstimateReward(net, reward, Options{}); err == nil {
+	if _, err := EstimateReward(net, reward, SimOptions{}); err == nil {
 		t.Error("zero horizon should fail")
 	}
-	if _, err := EstimateReward(net, reward, Options{Horizon: 10, Batches: 1}); err == nil {
+	if _, err := EstimateReward(net, reward, SimOptions{Horizon: 10, Batches: 1}); err == nil {
 		t.Error("single batch should fail")
 	}
-	if _, err := EstimateReward(net, reward, Options{Horizon: 10, Warmup: -1}); err == nil {
+	if _, err := EstimateReward(net, reward, SimOptions{Horizon: 10, Warmup: -1}); err == nil {
 		t.Error("negative warmup should fail")
 	}
 }
@@ -143,7 +143,7 @@ func TestOptionValidation(t *testing.T) {
 func TestEventCap(t *testing.T) {
 	net, _ := upDownNet(t, 100, 100)
 	_, err := EstimateReward(net, func(srn.Marking) float64 { return 0 },
-		Options{Horizon: 1e6, Seed: 1, MaxEvents: 1000})
+		SimOptions{Horizon: 1e6, Seed: 1, MaxEvents: 1000})
 	if err == nil {
 		t.Error("event cap should trip on a long busy run")
 	}
@@ -162,18 +162,18 @@ func TestNetworkCOAAgainstAnalytic(t *testing.T) {
 		{Name: "app", N: 2, LambdaEq: 1.0 / 720, MuEq: 0.99995},
 		{Name: "db", N: 1, LambdaEq: 1.0 / 720, MuEq: 1.09085},
 	}}
-	net, ups, err := availability.BuildNetworkSRN(nm)
+	net, ups, err := BuildNetworkSRN(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reward := availability.COAReward(nm, ups)
+	reward := COAReward(nm, ups)
 	// 60 batches x 20000 h: patches are rare events (1/720 h per server),
 	// so the horizon must cover many thousands of cycles.
-	est, err := EstimateReward(net, reward, Options{Horizon: 20000, Batches: 60, Seed: 11})
+	est, err := EstimateReward(net, reward, SimOptions{Horizon: 20000, Batches: 60, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic, err := availability.SolveNetworkSRN(nm)
+	analytic, err := SolveNetworkSRN(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestServerModelAgainstAnalytic(t *testing.T) {
 	}
 	est, err := EstimateReward(net,
 		func(m srn.Marking) float64 { return float64(m.Tokens(pl.SvcUp)) },
-		Options{Horizon: 50000, Batches: 30, Seed: 3})
+		SimOptions{Horizon: 50000, Batches: 30, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,3 +145,91 @@ func TestValidateRejectsKeySeparators(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSpecKey: the text key is injective on valid specs and ParseKey
+// inverts it. Each input encodes two specs, one tier a line as
+// "role<TAB>variant<TAB>replicas", and the patched count of each tier of
+// a rollout point (a byte modulo replicas+1). For two valid specs, equal
+// design keys mean equal canonical specs (name dropped, a variant equal
+// to its role dropped), and equal rollout keys also mean equal patched
+// counts. For each valid spec, ParseKey of its design key and of its
+// rollout key re-renders the same key and returns the canonical spec and
+// the patched counts.
+func FuzzSpecKey(f *testing.F) {
+	// The pair that shared the key "x/dns:1;dns/web:1" before Validate
+	// rejected separators in labels.
+	f.Add("x/dns:1;dns\tweb\t1", "x\tdns\t1\ndns\tweb\t1", []byte{1, 1})
+	f.Add("dns\t\t1\nweb\t\t2\napp\t\t2\ndb\t\t1", "dns\t\t1\nweb\tweb\t2\napp\t\t2\ndb\t\t1", []byte{0, 1, 2, 1})
+	f.Add("web\twebalt\t12", "web\t\t3\nweb\twebalt\t3\nx\tdb\t4", []byte{7, 2, 9})
+	f.Fuzz(func(t *testing.T, a, b string, patch []byte) {
+		var specs [2]DesignSpec
+		var keys, rolloutKeys [2]string
+		var patched [2][]int
+		valid := 0
+		for i, text := range [2]string{a, b} {
+			s := fuzzSpec(text)
+			if s.Validate() != nil {
+				continue
+			}
+			valid++
+			specs[i], keys[i] = s, s.Key()
+			got, counts, err := ParseKey(keys[i])
+			if err != nil || counts != nil || got.Key() != keys[i] || !equalSpecs(got, canonical(s)) {
+				t.Fatalf("ParseKey(%q) = %+v, %v, %v; spec %+v", keys[i], got, counts, err, s)
+			}
+			patched[i] = make([]int, len(s.Tiers))
+			for j, tier := range s.Tiers {
+				if len(patch) > 0 {
+					patched[i][j] = int(patch[j%len(patch)]) % (tier.Replicas + 1)
+				}
+			}
+			rolloutKeys[i] = string(s.AppendRolloutKey(nil, patched[i]))
+			got, counts, err = ParseKey(rolloutKeys[i])
+			if err != nil || !slices.Equal(counts, patched[i]) || string(got.AppendRolloutKey(nil, counts)) != rolloutKeys[i] || !equalSpecs(got, canonical(s)) {
+				t.Fatalf("ParseKey(%q) = %+v, %v, %v; spec %+v at %v", rolloutKeys[i], got, counts, err, s, patched[i])
+			}
+		}
+		if valid < 2 {
+			return
+		}
+		same := equalSpecs(canonical(specs[0]), canonical(specs[1]))
+		if (keys[0] == keys[1]) != same {
+			t.Fatalf("keys %q and %q for specs %+v and %+v (canonically equal: %v)", keys[0], keys[1], specs[0], specs[1], same)
+		}
+		if (rolloutKeys[0] == rolloutKeys[1]) != (same && slices.Equal(patched[0], patched[1])) {
+			t.Fatalf("rollout keys %q and %q for specs %+v at %v and %+v at %v",
+				rolloutKeys[0], rolloutKeys[1], specs[0], patched[0], specs[1], patched[1])
+		}
+	})
+}
+
+// fuzzSpec decodes FuzzSpecKey's spec text. A replica count that does
+// not parse is 0, which Validate rejects.
+func fuzzSpec(text string) DesignSpec {
+	var s DesignSpec
+	for _, line := range strings.Split(text, "\n") {
+		role, rest, _ := strings.Cut(line, "\t")
+		variant, count, _ := strings.Cut(rest, "\t")
+		n, _ := strconv.Atoi(count)
+		s.Tiers = append(s.Tiers, TierSpec{Role: role, Replicas: n, Variant: variant})
+	}
+	return s
+}
+
+// canonical is the spec as its key identifies it: no name, and a
+// variant only where it names a stack other than the role's.
+func canonical(s DesignSpec) DesignSpec {
+	out := DesignSpec{Tiers: make([]TierSpec, len(s.Tiers))}
+	for i, t := range s.Tiers {
+		out.Tiers[i] = TierSpec{Role: t.Role, Replicas: t.Replicas}
+		if stack := t.Stack(); stack != t.Role {
+			out.Tiers[i].Variant = stack
+		}
+	}
+	return out
+}
+
+// equalSpecs compares two specs field by field.
+func equalSpecs(a, b DesignSpec) bool {
+	return a.Name == b.Name && slices.Equal(a.Tiers, b.Tiers)
+}

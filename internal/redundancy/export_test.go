@@ -60,3 +60,21 @@ func (e *Evaluator) FactoredNetwork(ctx context.Context, spec paperdata.DesignSp
 	sol, err := e.solveNetwork(ctx, nm, stacks, nil)
 	return nm, sol, err
 }
+
+// EvaluateRollout is PatchedCounts plus EvaluatePatched: one design at
+// one rollout point given by per-tier patched fractions, through the
+// evaluator's memos but without the engine's. The rollout suites and
+// FuzzFastPathMatchesOracles drive the unmemoized rollout path through
+// it.
+func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (RolloutResult, error) {
+	patched, err := PatchedCounts(spec, fractions)
+	if err != nil {
+		return RolloutResult{}, err
+	}
+	res, err := e.EvaluatePatched(ctx, spec, patched)
+	if err != nil {
+		return RolloutResult{}, err
+	}
+	res.Fractions = append([]float64(nil), fractions...)
+	return res, nil
+}

@@ -13,6 +13,7 @@ import (
 	"redpatch/internal/engine"
 	"redpatch/internal/harm"
 	"redpatch/internal/mathx"
+	"redpatch/internal/oracle"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
 	"redpatch/internal/redundancy"
@@ -164,7 +165,7 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srn, err := availability.SolveNetworkSRN(nm)
+		srn, err := oracle.SolveNetworkSRN(nm)
 		if err != nil {
 			t.Fatalf("%s: SRN oracle: %v", c.spec, err)
 		}

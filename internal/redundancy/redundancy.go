@@ -212,20 +212,12 @@ func (e *Evaluator) buildHARM(spec paperdata.DesignSpec) (*harm.HARM, error) {
 	})
 }
 
-// NetworkModelFor builds the upper-layer availability model of a spec:
-// one tier per replica group with the stack's aggregated rates, grouped
-// by logical role so heterogeneous groups back each other up (the
-// service is up while any group of the role has a server up).
-func (e *Evaluator) NetworkModelFor(spec paperdata.DesignSpec) (availability.NetworkModel, error) {
-	if err := spec.Validate(); err != nil {
-		return availability.NetworkModel{}, err
-	}
-	nm, _, err := e.networkModelFor(spec)
-	return nm, err
-}
-
-// networkModelFor is NetworkModelFor on an already validated spec, plus
-// the software stack behind each tier in order — the memo identity the
+// networkModelFor builds the upper-layer availability model of an
+// already validated spec: one tier per replica group with the stack's
+// aggregated rates, grouped by logical role so heterogeneous groups back
+// each other up (the service is up while any group of the role has a
+// server up). It also returns the software stack behind each tier in
+// order — the memo identity the
 // factored solver caches tier factors under (tier names carry ordinal
 // suffixes, stacks do not). Tiers follow the spec's logical order
 // (paperdata.DesignSpec.AppendLogicalOrder).

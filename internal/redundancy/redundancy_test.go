@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"redpatch/internal/availability"
 	"redpatch/internal/mathx"
+	"redpatch/internal/oracle"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
 )
@@ -479,19 +479,19 @@ func TestFactoredAvailabilityMatchesSRNOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := e.NetworkModelFor(spec)
+	nm, _, err := e.networkModelFor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := availability.SolveNetworkSRN(nm)
+	want, err := oracle.SolveNetworkSRN(nm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(r.COA, oracle.COA, 1e-9) {
-		t.Errorf("factored COA %.12f != SRN oracle %.12f", r.COA, oracle.COA)
+	if !mathx.AlmostEqual(r.COA, want.COA, 1e-9) {
+		t.Errorf("factored COA %.12f != SRN oracle %.12f", r.COA, want.COA)
 	}
-	if !mathx.AlmostEqual(r.ServiceAvailability, oracle.ServiceAvailability, 1e-9) {
+	if !mathx.AlmostEqual(r.ServiceAvailability, want.ServiceAvailability, 1e-9) {
 		t.Errorf("factored service availability %.12f != SRN oracle %.12f",
-			r.ServiceAvailability, oracle.ServiceAvailability)
+			r.ServiceAvailability, want.ServiceAvailability)
 	}
 }

@@ -213,34 +213,19 @@ type RolloutResult struct {
 	ServiceAvailability float64
 }
 
-// EvaluateRollout evaluates one design at one rollout point given by
-// per-tier patched fractions (aligned with spec.Tiers). Both axes run
-// factored through the same memos as atomic evaluations: security on
-// the sub-classed rollout quotient with the model memoized per rollout
-// structure key, availability by composing mixed-version tier factors
-// memoized per (stack, n, patched). The all-zero and all-one points
-// therefore reuse the models an atomic evaluation of the design built.
-// The context carries tracing only; provenance lands as attributes on
-// the caller's span exactly like the atomic path.
-func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (RolloutResult, error) {
-	// PatchedCounts validates the spec: the design's one validation.
-	patched, err := PatchedCounts(spec, fractions)
-	if err != nil {
-		return RolloutResult{}, err
-	}
-	res, err := e.EvaluatePatched(ctx, spec, patched)
-	if err != nil {
-		return RolloutResult{}, err
-	}
-	res.Fractions = append([]float64(nil), fractions...)
-	return res, nil
-}
-
-// EvaluatePatched is EvaluateRollout at per-tier patched replica counts
-// that PatchedCounts produced for spec: it validates neither, so a
-// caller that already converted the fractions (the engine, for its memo
-// key) validates each point once. The result's Fractions is nil and
-// Patched aliases patched.
+// EvaluatePatched evaluates one design at one rollout point given by
+// per-tier patched replica counts that PatchedCounts produced for spec
+// (aligned with spec.Tiers). Both axes run factored through the same
+// memos as atomic evaluations: security on the sub-classed rollout
+// quotient with the model memoized per rollout structure key,
+// availability by composing mixed-version tier factors memoized per
+// (stack, n, patched). The all-zero and all-one points therefore reuse
+// the models an atomic evaluation of the design built. The context
+// carries tracing only; provenance lands as attributes on the caller's
+// span exactly like the atomic path. It validates neither the spec nor
+// the counts, so a caller that already converted the fractions (the
+// engine, for its memo key) validates each point once. The result's
+// Fractions is nil and Patched aliases patched.
 func (e *Evaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (RolloutResult, error) {
 	var keyb [keyBuf]byte
 	var countb [classBuf]int

@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"redpatch/internal/attacktree"
-	"redpatch/internal/availability"
 	"redpatch/internal/harm"
+	"redpatch/internal/oracle"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
 	"redpatch/internal/trace"
@@ -238,21 +238,21 @@ func TestRolloutAvailabilityMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := ev.NetworkModelFor(spec)
+	nm, _, err := ev.networkModelFor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// nm.Tiers is the logical order dns, web, webalt, app, db; the
 	// patched counts are written out by hand against it.
-	oracle, err := availability.SolveNetworkRollout(nm, []int{0, 2, 0, 1, 0})
+	want, err := oracle.SolveNetworkRollout(nm, []int{0, 2, 0, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.COA != oracle.COA {
-		t.Errorf("COA %v != oracle %v", r.COA, oracle.COA)
+	if r.COA != want.COA {
+		t.Errorf("COA %v != oracle %v", r.COA, want.COA)
 	}
-	if r.ServiceAvailability != oracle.ServiceAvailability {
-		t.Errorf("service availability %v != oracle %v", r.ServiceAvailability, oracle.ServiceAvailability)
+	if r.ServiceAvailability != want.ServiceAvailability {
+		t.Errorf("service availability %v != oracle %v", r.ServiceAvailability, want.ServiceAvailability)
 	}
 }
 

@@ -42,9 +42,7 @@ func (o GenerateOptions) withDefaults() GenerateOptions {
 // markings, the underlying CTMC over those markings, and bookkeeping about
 // eliminated vanishing markings.
 type StateSpace struct {
-	net       *Net
 	markings  []Marking // tangible markings, index = CTMC state
-	index     map[string]int
 	chain     *ctmc.Chain
 	vanishing int // number of distinct vanishing markings eliminated
 }
@@ -59,10 +57,8 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 	}
 	opts = opts.withDefaults()
 
-	ss := &StateSpace{
-		net:   n,
-		index: make(map[string]int),
-	}
+	ss := &StateSpace{}
+	index := make(map[string]int) // tangible marking key -> CTMC state
 	vanishingSeen := make(map[string]bool)
 
 	// resolve maps an arbitrary marking to a distribution over tangible
@@ -73,14 +69,14 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 
 	intern := func(m Marking) (int, bool, error) {
 		k := m.key()
-		if id, ok := ss.index[k]; ok {
+		if id, ok := index[k]; ok {
 			return id, false, nil
 		}
-		if len(ss.index)+len(vanishingSeen) >= opts.MaxMarkings {
+		if len(index)+len(vanishingSeen) >= opts.MaxMarkings {
 			return 0, false, fmt.Errorf("%w (%d markings)", ErrStateSpaceExceeded, opts.MaxMarkings)
 		}
 		id := len(ss.markings)
-		ss.index[k] = id
+		index[k] = id
 		ss.markings = append(ss.markings, m)
 		return id, true, nil
 	}
@@ -104,7 +100,7 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 		}
 		if !vanishingSeen[k] {
 			vanishingSeen[k] = true
-			if len(ss.index)+len(vanishingSeen) > opts.MaxMarkings {
+			if len(index)+len(vanishingSeen) > opts.MaxMarkings {
 				return fmt.Errorf("%w (%d markings)", ErrStateSpaceExceeded, opts.MaxMarkings)
 			}
 		}
@@ -198,9 +194,6 @@ func (s *StateSpace) NumTangible() int { return len(s.markings) }
 // eliminated during generation.
 func (s *StateSpace) NumVanishing() int { return s.vanishing }
 
-// Chain exposes the underlying CTMC.
-func (s *StateSpace) Chain() *ctmc.Chain { return s.chain }
-
 // Markings returns the tangible markings; index corresponds to CTMC state.
 func (s *StateSpace) Markings() []Marking {
 	out := make([]Marking, len(s.markings))
@@ -208,13 +201,6 @@ func (s *StateSpace) Markings() []Marking {
 		out[i] = m.clone()
 	}
 	return out
-}
-
-// StateOf returns the CTMC state index of the given marking and whether the
-// marking is a known tangible state.
-func (s *StateSpace) StateOf(m Marking) (int, bool) {
-	id, ok := s.index[m.key()]
-	return id, ok
 }
 
 // SteadyState solves the underlying CTMC for its stationary distribution.

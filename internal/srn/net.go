@@ -311,3 +311,23 @@ func (n *Net) MarkingString(m Marking) string {
 	}
 	return s + "}"
 }
+
+// IncidenceMatrix returns the net's incidence matrix C with one row per
+// place (creation order) and one column per transition (creation order):
+// C[p][t] = tokens produced into p by t minus tokens consumed from p by
+// t.
+func (n *Net) IncidenceMatrix() [][]int {
+	c := make([][]int, len(n.places))
+	for i := range c {
+		c[i] = make([]int, len(n.transitions))
+	}
+	for j, t := range n.transitions {
+		for _, p := range t.in {
+			c[p.index][j]--
+		}
+		for _, p := range t.out {
+			c[p.index][j]++
+		}
+	}
+	return c
+}

@@ -194,24 +194,6 @@ func TestExpectedRewardAndMeanTokens(t *testing.T) {
 	}
 }
 
-func TestStateOf(t *testing.T) {
-	n, up, down := upDownNet(t, 1, 1)
-	ss, _ := solve(t, n)
-	m := n.InitialMarking()
-	if _, ok := ss.StateOf(m); !ok {
-		t.Error("initial marking should be a tangible state")
-	}
-	m[up.index] = 0
-	m[down.index] = 1
-	if _, ok := ss.StateOf(m); !ok {
-		t.Error("down marking should be a tangible state")
-	}
-	m[down.index] = 5
-	if _, ok := ss.StateOf(m); ok {
-		t.Error("unreachable marking should not be a state")
-	}
-}
-
 func TestVanishingInitialMarking(t *testing.T) {
 	// The initial marking immediately fires into the tangible chain.
 	n := New("vanishinit")
@@ -391,5 +373,16 @@ func TestRandomBirthDeathMatchesDirectCTMC(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestIncidenceMatrix(t *testing.T) {
+	n := New("inc")
+	a := n.AddPlace("a", 1)
+	b := n.AddPlace("b", 0)
+	n.AddTimedTransition("T", 1).From(a, a).To(b, b, b)
+	c := n.IncidenceMatrix()
+	if c[a.index][0] != -2 || c[b.index][0] != 3 {
+		t.Errorf("incidence = %v, want a:-2 b:+3", c)
 	}
 }

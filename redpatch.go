@@ -8,8 +8,8 @@
 // functions that combine the two.
 //
 // This package is the high-level facade: it exposes the paper's complete
-// case study plus design evaluation, decision regions, Pareto analysis and
-// cost modelling. The engines live in internal packages (srn, ctmc, harm,
+// case study plus design evaluation, decision regions and Pareto
+// analysis. The engines live in internal packages (srn, ctmc, harm,
 // availability, ...) and are exercised through examples/ and cmd/.
 //
 // Designs are described by role-keyed DesignSpecs — ordered tier groups
@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"redpatch/internal/availability"
 	"redpatch/internal/engine"
 	"redpatch/internal/faultinject"
 	"redpatch/internal/harm"
@@ -456,25 +455,6 @@ func Pareto(reports []DesignReport) []DesignReport {
 		func(a, b DesignReport) int { return strings.Compare(a.Name, b.Name) })
 }
 
-// CostModel monetizes a design per month (the paper's §V economics
-// extension).
-type CostModel struct {
-	// ServerPerMonth is the operating cost of one server.
-	ServerPerMonth float64
-	// DowntimePerHour is the cost of one lost full-capacity hour.
-	DowntimePerHour float64
-	// BreachLoss is the loss of a successful compromise, weighted by the
-	// after-patch ASP.
-	BreachLoss float64
-}
-
-// MonthlyCost evaluates the model for one design report (720 h month).
-func (c CostModel) MonthlyCost(r DesignReport) float64 {
-	return c.ServerPerMonth*float64(r.Servers) +
-		c.DowntimePerHour*(1-r.COA)*720 +
-		c.BreachLoss*r.After.ASP
-}
-
 // PatchPriority is one entry of the vulnerability ranking: the
 // network-level effect of patching a single CVE everywhere it occurs.
 type PatchPriority struct {
@@ -580,17 +560,6 @@ func (s *CaseStudy) PlanCampaign(role string, window time.Duration) (CampaignPla
 		out.Deferred = append(out.Deferred, v.ID)
 	}
 	return out, nil
-}
-
-// MeanTimeToServiceOutageSpec returns the expected hours from an all-up
-// start until some logical tier of the design first loses all servers to
-// patching.
-func (s *CaseStudy) MeanTimeToServiceOutageSpec(spec DesignSpec) (float64, error) {
-	nm, err := s.eval.NetworkModelFor(spec.pd())
-	if err != nil {
-		return 0, err
-	}
-	return availability.MeanTimeToServiceDown(nm)
 }
 
 // TierSweep is one tier of a role-keyed sweep: an inclusive replica

@@ -237,16 +237,6 @@ func reversed[T any](xs []T, reverse bool) []T {
 	return out
 }
 
-func TestCostModel(t *testing.T) {
-	_, ds := caseStudy(t)
-	c := CostModel{ServerPerMonth: 200, DowntimePerHour: 500, BreachLoss: 20000}
-	got := c.MonthlyCost(ds[0])
-	want := 200*4 + 500*(1-ds[0].COA)*720 + 20000*ds[0].After.ASP
-	if !mathx.AlmostEqual(got, want, 1e-9) {
-		t.Errorf("MonthlyCost = %v, want %v", got, want)
-	}
-}
-
 func TestEvaluateDesignValidation(t *testing.T) {
 	s, _ := caseStudy(t)
 	if _, err := s.EvaluateSpec(ClassicSpec("bad", 0, 1, 1, 1)); err == nil {
@@ -295,27 +285,6 @@ func TestRankPatches(t *testing.T) {
 		if r.CVE == "CVE-2016-4997" && len(r.Hosts) != 3 {
 			t.Errorf("CVE-2016-4997 hosts = %v, want app1, app2, db1", r.Hosts)
 		}
-	}
-}
-
-func TestMeanTimeToServiceOutage(t *testing.T) {
-	s, _ := caseStudy(t)
-	base, err := s.MeanTimeToServiceOutageSpec(ClassicSpec("base", 1, 2, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base < 300 || base > 360 {
-		t.Errorf("base MTTF = %v h, want just under 360 (two singleton tiers patch monthly)", base)
-	}
-	hardened, err := s.MeanTimeToServiceOutageSpec(ClassicSpec("hard", 2, 2, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hardened <= 10*base {
-		t.Errorf("full redundancy MTTF = %v, expected far above %v", hardened, base)
-	}
-	if _, err := s.MeanTimeToServiceOutageSpec(ClassicSpec("bad", 0, 1, 1, 1)); err == nil {
-		t.Error("invalid design should fail")
 	}
 }
 

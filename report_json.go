@@ -9,8 +9,7 @@ import (
 // This file is the facade's typed JSON encoder: DesignReport and
 // RolloutReport append their own encoding, byte for byte what
 // encoding/json writes for their fields and tags, without reflection.
-// redpatchd appends them straight into its pooled response buffers, and
-// MarshalJSON routes every encoding/json caller through the same code.
+// redpatchd appends them straight into its pooled response buffers.
 
 // AppendJSON appends the report's JSON encoding to b: the bytes
 // encoding/json writes for a DesignReport, with its untagged field
@@ -33,16 +32,6 @@ func (r DesignReport) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// MarshalJSON implements json.Marshaler with AppendJSON, in one
-// allocation for a report whose strings need no escapes.
-func (r DesignReport) MarshalJSON() ([]byte, error) {
-	n := 288 + 2*len(r.Name) + len(r.Description)
-	for _, t := range r.Spec.Tiers {
-		n += 48 + len(t.Role) + len(t.Variant)
-	}
-	return r.AppendJSON(make([]byte, 0, n))
-}
-
 // AppendJSON appends the rollout point's JSON encoding to b: the bytes
 // encoding/json writes for a RolloutReport under its wire tags. A NaN or
 // infinite value is the error encoding/json reports for it, and b is
@@ -61,12 +50,6 @@ func (r RolloutReport) AppendJSON(b []byte) ([]byte, error) {
 	b = wire.AppendFloat(append(b, `,"coa":`...), r.COA)
 	b = wire.AppendFloat(append(b, `,"serviceAvailability":`...), r.ServiceAvailability)
 	return append(b, '}'), nil
-}
-
-// MarshalJSON implements json.Marshaler with AppendJSON, in one
-// allocation.
-func (r RolloutReport) MarshalJSON() ([]byte, error) {
-	return r.AppendJSON(make([]byte, 0, 192+24*len(r.Fractions)+12*len(r.Patched)))
 }
 
 // appendJSON appends the spec under its wire tags.

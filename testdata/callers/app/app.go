@@ -1,7 +1,11 @@
-// Package app is the fixture's non-test user of internal/lib.
+// Package app is the fixture's non-test user of internal/lib and of the
+// root package.
 package app
 
-import "fixture/internal/lib"
+import (
+	"fixture"
+	"fixture/internal/lib"
+)
 
 // Speaker is the module interface through which lib.Voice.Speak is used.
 type Speaker interface{ Speak() string }
@@ -9,6 +13,6 @@ type Speaker interface{ Speak() string }
 // Run calls lib through a direct call and through Speaker.
 func Run() string {
 	var s Speaker = lib.Voice{}
-	_ = lib.UsedByCode()
+	_ = lib.UsedByCode() + fixture.UsedByApp()
 	return s.Speak()
 }
