@@ -309,7 +309,7 @@ func (g *Engine) do(ctx context.Context, sp *trace.Span, spec paperdata.DesignSp
 // restore filled while this solve ran is overwritten with the live
 // result.
 func (g *Engine) insert(k []byte, v entry) {
-	if g.memo.put(k, v) {
+	if g.memo.put(k, v, false) {
 		g.size.Add(1)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"redpatch/internal/paperdata"
@@ -15,14 +16,17 @@ import (
 // FuzzRestore feeds arbitrary bytes to Restore on an engine that already
 // holds the version-3 seed dump. A rejected input must not panic, must
 // report zero entries merged and must leave Len unchanged; an accepted
-// one must add exactly the entries it reports. Restore's typed reader
-// is pinned to oracleDecode, the encoding/json reading: what the reader
-// accepts, the oracle accepts with equal entries, and whatever entries
-// the oracle accepts, written out as Snapshot writes them, the reader
-// accepts. Every snapshot the engine then takes must restore into a
-// fresh engine that snapshots to the same bytes. Seeds: the real
-// version-3 and version-2 dumps in testdata/ and every mangled dump of
-// TestRestoreRejectsCorruptEntries.
+// one must add exactly the entries it reports. The engine reads in
+// three parts, so every input of two entries or more is cut between
+// parts whatever the runner's core count, and a one-worker engine must
+// accept and reject alike and snapshot the same bytes. Restore's typed
+// reader is pinned to oracleDecode, the encoding/json reading: what the
+// reader accepts, the oracle accepts with equal entries, and whatever
+// entries the oracle accepts, sorted by key and written out as Snapshot
+// writes them, the reader accepts. Every snapshot the engine then takes
+// must restore into a fresh engine that snapshots to the same bytes.
+// Seeds: the real version-3 and version-2 dumps in testdata/ and every
+// mangled dump of TestRestoreRejectsCorruptEntries.
 func FuzzRestore(f *testing.F) {
 	v3, err := os.ReadFile("testdata/snapshot-v3.json")
 	if err != nil {
@@ -39,8 +43,10 @@ func FuzzRestore(f *testing.F) {
 	}
 	// Restore never solves, so the engines need no real evaluator.
 	never := evaluatorFunc(nil)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := New(never, Options{Fingerprint: "fuzz"})
+	// restore restores the seed dump and then data into a new engine
+	// reading with the given workers, and snapshots it.
+	restore := func(t *testing.T, workers int, data []byte) (*Engine, int, []byte, error) {
+		g, err := New(never, Options{Fingerprint: "fuzz", Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,8 +62,20 @@ func FuzzRestore(f *testing.F) {
 		} else if g.Len() != before+n {
 			t.Fatalf("Restore reported %d entries but Len went %d -> %d", n, before, g.Len())
 		}
+		var snap bytes.Buffer
+		if _, err := g.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return g, n, snap.Bytes(), err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, n, first, err := restore(t, 3, data)
+		if _, n1, snap1, err1 := restore(t, 1, data); (err1 == nil) != (err == nil) || n1 != n || !bytes.Equal(snap1, first) {
+			t.Fatalf("one worker restores %d entries (err %v), three %d (err %v); snapshots equal: %v",
+				n1, err1, n, err, bytes.Equal(snap1, first))
+		}
 
-		got, rerr := decodeSnapshot(data, "fuzz")
+		got, rerr := decodeSnapshot(data, "fuzz", 3)
 		want, oerr := oracleDecode(data, "fuzz")
 		if (rerr == nil) != (err == nil) {
 			t.Fatalf("Restore says %v, its reader %v", err, rerr)
@@ -74,11 +92,12 @@ func FuzzRestore(f *testing.F) {
 			if want == nil {
 				want = []snapshotEntry{} // Snapshot writes [], never null
 			}
+			slices.SortFunc(want, func(a, b snapshotEntry) int { return strings.Compare(a.Key, b.Key) })
 			var canon bytes.Buffer
 			if err := json.NewEncoder(&canon).Encode(snapshotFile{SnapshotVersion, "fuzz", want}); err != nil {
 				t.Fatal(err)
 			}
-			got, err := decodeSnapshot(canon.Bytes(), "fuzz")
+			got, err := decodeSnapshot(canon.Bytes(), "fuzz", 3)
 			if err != nil {
 				t.Fatalf("reader rejects the oracle's entries as Snapshot writes them: %v\n%s", err, canon.Bytes())
 			}
@@ -87,23 +106,19 @@ func FuzzRestore(f *testing.F) {
 			}
 		}
 
-		var first bytes.Buffer
-		if _, err := g.Snapshot(&first); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := New(never, Options{Fingerprint: "fuzz"})
+		fresh, err := New(never, Options{Fingerprint: "fuzz", Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, err := fresh.Restore(bytes.NewReader(first.Bytes())); err != nil || m != g.Len() {
+		if m, err := fresh.Restore(bytes.NewReader(first)); err != nil || m != g.Len() {
 			t.Fatalf("restoring a snapshot: %d entries of %d, err %v", m, g.Len(), err)
 		}
 		var second bytes.Buffer
 		if _, err := fresh.Snapshot(&second); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("snapshot -> restore -> snapshot differs:\n%s\n%s", first.Bytes(), second.Bytes())
+		if !bytes.Equal(first, second.Bytes()) {
+			t.Fatalf("snapshot -> restore -> snapshot differs:\n%s\n%s", first, second.Bytes())
 		}
 	})
 }
@@ -163,7 +178,8 @@ func (d *fuzzOps) key() memoKey {
 
 // FuzzMemo runs a decoded sequence of memo operations against a
 // map[string]entry oracle keyed by text keys: puts of decoded keys,
-// overwrites of keys already put, gets of decoded keys (present or
+// puts of keys already put that overwrite their entry or, as Restore
+// puts, keep it, gets of decoded keys (present or
 // not), index growth as Restore sizes it, and full iteration. After
 // every operation its key, and one more key put so far in turn, must
 // read the oracle's entry (after growth and iteration every key put so
@@ -201,13 +217,15 @@ func memoOps(t *testing.T, data []byte) {
 			t.Fatalf("get %s = %+v, %v; oracle %+v, %v", text, got, ok, want, inOracle)
 		}
 	}
-	put := func(k memoKey, v entry) {
+	put := func(k memoKey, v entry, keep bool) {
 		t.Helper()
 		text := textKey(k.spec, k.patched)
 		_, had := oracle[text]
-		oracle[text] = v
+		if !had || !keep {
+			oracle[text] = v
+		}
 		packed, _ := m.appendKey(nil, k.spec, k.patched, true)
-		if added := m.put(packed, v); added == had {
+		if added := m.put(packed, v, keep); added == had {
 			t.Fatalf("put %s reports new %v; oracle had it: %v", text, added, had)
 		}
 		if !had {
@@ -225,13 +243,14 @@ func memoOps(t *testing.T, data []byte) {
 		switch op {
 		case 0:
 			k = d.key()
-			put(k, v)
+			put(k, v, false)
 		case 1:
 			if len(keys) == 0 {
 				continue
 			}
-			k = keys[int(d.byte())%len(keys)]
-			put(k, v)
+			b := d.byte()
+			k = keys[int(b)%len(keys)]
+			put(k, v, b&0x80 != 0)
 		case 2:
 			k = d.key()
 		case 3:
@@ -241,7 +260,7 @@ func memoOps(t *testing.T, data []byte) {
 			var got []string
 			for pk, v := range m.all() {
 				text, rollout := m.appendText(nil, pk, &sc)
-				if _, patched, err := paperdata.ParseKey(string(text)); err != nil || rollout != (patched != nil) {
+				if _, patched, err := parseKey(string(text)); err != nil || rollout != (patched != nil) {
 					t.Fatalf("key %s, rendered as a rollout point: %v, parses to %v, %v", text, rollout, patched, err)
 				}
 				if want, ok := oracle[string(text)]; !ok || *v != want {

@@ -163,15 +163,17 @@ func (m *memo) get(k []byte) (entry, bool) {
 	return m.slot(m.index[p] - 1).val, true
 }
 
-// put stores v under k, overwriting an entry already there, and reports
-// whether k is new.
-func (m *memo) put(k []byte, v entry) bool {
+// put stores v under k and reports whether k is new. An entry already
+// under k is overwritten, unless keep is set.
+func (m *memo) put(k []byte, v entry, keep bool) bool {
 	h := m.hash(k)
 	var p int
 	if len(m.index) > 0 {
 		var ok bool
 		if p, ok = m.find(k, h); ok {
-			m.slot(m.index[p] - 1).val = v
+			if !keep {
+				m.slot(m.index[p] - 1).val = v
+			}
 			return false
 		}
 	}
@@ -281,8 +283,37 @@ func (m *memo) frozen() memo {
 	}
 }
 
-// keyScratch is the spec and counts appendText decodes a key into,
-// reused across keys.
+// translate appends packed key k of memo from to b with this memo's
+// label ids: ids[x-1] holds this memo's id for from's label x, or 0
+// until translate first meets it and interns it.
+func (m *memo) translate(b, k []byte, from *memo, ids []uint32) []byte {
+	rollout := false
+	for len(k) > 0 {
+		x, w := binary.Uvarint(k)
+		k = k[w:]
+		switch {
+		case rollout:
+			b = binary.AppendUvarint(b, x)
+		case x == rolloutMark:
+			rollout = true
+			b = append(b, rolloutMark)
+		default:
+			if ids[x-1] == 0 {
+				l := from.labels[x-1]
+				if ids[x-1] = m.ids[l]; ids[x-1] == 0 {
+					ids[x-1] = m.intern(l)
+				}
+			}
+			r, w := binary.Uvarint(k)
+			k = k[w:]
+			b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(ids[x-1])), r)
+		}
+	}
+	return b
+}
+
+// keyScratch is the spec and counts appendText decodes a key into, and
+// a restore parses a text key into, reused across keys.
 type keyScratch struct {
 	tiers   []paperdata.TierSpec
 	patched []int

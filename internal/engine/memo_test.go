@@ -318,7 +318,7 @@ func TestMemoFillsChunksToTheirCap(t *testing.T) {
 			k = long
 		}
 		packed, _ := m.appendKey(nil, k.spec, k.patched, true)
-		if !m.put(packed, entry{coa: float64(i)}) {
+		if !m.put(packed, entry{coa: float64(i)}, false) {
 			t.Fatalf("key %d is not new", i)
 		}
 		keys = append(keys, k)

@@ -21,6 +21,8 @@ import (
 	"strings"
 
 	"redpatch/internal/paperdata"
+	"redpatch/internal/wire"
+	"redpatch/internal/workpool"
 )
 
 // SnapshotVersion is the current snapshot format version. Restore
@@ -48,42 +50,10 @@ var (
 	ErrSnapshotFingerprint = errors.New("engine: snapshot fingerprint mismatch")
 	// ErrSnapshotCorrupt reports a snapshot whose entries are
 	// malformed: a key that does not parse to a valid spec and rollout
-	// point, is not in canonical form, or does not match the entry's
-	// shape.
+	// point, is not in canonical form, does not match the entry's
+	// shape or does not sort after the key before it.
 	ErrSnapshotCorrupt = errors.New("engine: corrupt snapshot")
 )
-
-// snapshotFile is the on-disk shape Snapshot encodes.
-type snapshotFile struct {
-	Version     int             `json:"version"`
-	Fingerprint string          `json:"fingerprint"`
-	Entries     []snapshotEntry `json:"entries"`
-}
-
-// snapshotEntry is one memo entry: a design key (DesignSpec.Key) with
-// both sides of the patch round, or a rollout key
-// (DesignSpec.AppendRolloutKey) with the point's mixed-version
-// security; COA and service availability either way.
-type snapshotEntry struct {
-	Key      string   `json:"key"`
-	Before   *summary `json:"before,omitempty"`
-	After    *summary `json:"after,omitempty"`
-	Security *summary `json:"security,omitempty"`
-	COA      float64  `json:"coa"`
-	SA       float64  `json:"sa"`
-}
-
-// persist renders the memo entry v stored under text key k, a rollout
-// point's when rollout is set. The entry points into v.
-func persist(k string, rollout bool, v *entry) snapshotEntry {
-	se := snapshotEntry{Key: k, COA: v.coa, SA: v.sa}
-	if rollout {
-		se.Security = &v.before
-	} else {
-		se.Before, se.After = &v.before, &v.after
-	}
-	return se
-}
 
 // Len reports the number of completed entries in the memo, designs and
 // rollout points alike (in-flight solves excluded). It reads one
@@ -97,39 +67,84 @@ func (g *Engine) Len() int { return int(g.size.Load()) }
 // waited for; erred solves never reach the memo. Entries are sorted by
 // key, so equal memos snapshot byte-identically. The memo's lock is held
 // only while its slots are copied: keys are rendered, sorted and
-// encoded after it is released.
+// written after it is released. The bytes are those encoding/json
+// writes for the same entries, rendered with package wire into one
+// buffer and handed to w in one Write.
 func (g *Engine) Snapshot(w io.Writer) (int, error) {
 	g.mu.Lock()
 	m := g.memo.frozen()
 	g.mu.Unlock()
 
 	// Every key is rendered into one buffer and converted to one
-	// string, which the entries' keys slice.
+	// string, which the sorted references index. A classic design's key
+	// takes 22 bytes and a rollout point's about 40.
 	var sc keyScratch
-	var text []byte
-	entries := make([]snapshotEntry, 0, m.n)
-	ends := make([]int, 0, m.n)
+	text := make([]byte, 0, 32*m.n)
+	refs := make([]snapshotRef, 0, m.n)
 	for k, v := range m.all() {
+		start := len(text)
 		var rollout bool
 		text, rollout = m.appendText(text, k, &sc)
-		ends = append(ends, len(text))
-		entries = append(entries, persist("", rollout, v))
+		refs = append(refs, snapshotRef{start: start, end: len(text), rollout: rollout, val: v})
 	}
-	keys, start := string(text), 0
-	for i, end := range ends {
-		entries[i].Key = keys[start:end]
-		start = end
-	}
-	slices.SortFunc(entries, func(a, b snapshotEntry) int { return strings.Compare(a.Key, b.Key) })
+	keys := string(text)
+	slices.SortFunc(refs, func(a, b snapshotRef) int {
+		return strings.Compare(keys[a.start:a.end], keys[b.start:b.end])
+	})
 
-	if err := json.NewEncoder(w).Encode(snapshotFile{
-		Version:     SnapshotVersion,
-		Fingerprint: g.fp,
-		Entries:     entries,
-	}); err != nil {
+	// A design entry takes about 245 bytes, its key included: the buffer
+	// is sized to hold the dump without growing.
+	b := make([]byte, 0, 64+len(g.fp)+len(keys)+len(refs)*240)
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, SnapshotVersion, 10)
+	b = append(b, `,"fingerprint":`...)
+	b = wire.AppendString(b, g.fp)
+	b = append(b, `,"entries":[`...)
+	for i, r := range refs {
+		v := r.val
+		if err := wire.CheckFinite(v.before.AIM, v.before.ASP, v.after.AIM, v.after.ASP, v.coa, v.sa); err != nil {
+			return 0, fmt.Errorf("engine: writing snapshot: %w", err)
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"key":`...)
+		b = wire.AppendString(b, keys[r.start:r.end])
+		if r.rollout {
+			b = appendSummary(append(b, `,"security":`...), v.before)
+		} else {
+			b = appendSummary(append(b, `,"before":`...), v.before)
+			b = appendSummary(append(b, `,"after":`...), v.after)
+		}
+		b = wire.AppendFloat(append(b, `,"coa":`...), v.coa)
+		b = wire.AppendFloat(append(b, `,"sa":`...), v.sa)
+		b = append(b, '}')
+	}
+	b = append(b, "]}\n"...)
+	if _, err := w.Write(b); err != nil {
 		return 0, fmt.Errorf("engine: writing snapshot: %w", err)
 	}
-	return len(entries), nil
+	return len(refs), nil
+}
+
+// snapshotRef is one memo entry as Snapshot writes it: its text key,
+// keys[start:end] in Snapshot's one string of keys, whether that is a
+// rollout point's, and its numbers.
+type snapshotRef struct {
+	start, end int
+	rollout    bool
+	val        *entry
+}
+
+// appendSummary appends one side's security numbers as the dump's
+// object. The floats must be finite.
+func appendSummary(b []byte, s summary) []byte {
+	b = wire.AppendFloat(append(b, `{"aim":`...), s.AIM)
+	b = wire.AppendFloat(append(b, `,"asp":`...), s.ASP)
+	b = strconv.AppendInt(append(b, `,"noev":`...), int64(s.NoEV), 10)
+	b = strconv.AppendInt(append(b, `,"noap":`...), int64(s.NoAP), 10)
+	b = strconv.AppendInt(append(b, `,"noep":`...), int64(s.NoEP), 10)
+	return append(b, '}')
 }
 
 // Restore merges a snapshot into the memo and reports how many entries
@@ -137,21 +152,24 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 // fingerprint — a dump taken under a different vulnerability dataset,
 // policy or schedule fails with ErrSnapshotFingerprint and changes
 // nothing. Every entry is checked before any merges (ErrSnapshotCorrupt
-// otherwise, as for a dump listing one key twice), so a rejected
-// snapshot leaves the memo as it was. Entries
+// otherwise), so a rejected snapshot leaves the memo as it was. Entries
 // whose key is already cached (or being solved) are skipped: live
 // results win over persisted ones.
 //
 // Restore reads the layout Snapshot writes and no other: its fields in
 // its order, no insignificant whitespace, at most a newline after the
-// closing brace. A reformatted or hand-edited dump fails with
-// ErrSnapshotCorrupt even where it is equivalent JSON.
+// closing brace, and the entries in strictly increasing key order, as
+// Snapshot sorts them. A reformatted or hand-edited dump, or one whose
+// entries are out of order or list a key twice, fails with
+// ErrSnapshotCorrupt even where it is equivalent JSON. The entries are
+// decoded in up to Options.Workers parts at once (GOMAXPROCS when it is
+// not set), each straight from the dump's bytes.
 func (g *Engine) Restore(r io.Reader) (int, error) {
 	data, err := readAll(r)
 	if err != nil {
 		return 0, fmt.Errorf("engine: reading snapshot: %w", err)
 	}
-	entries, err := decodeSnapshot(data, g.fp)
+	parts, err := decodeSnapshot(data, g.fp, g.workers)
 	if err != nil {
 		return 0, err
 	}
@@ -162,18 +180,27 @@ func (g *Engine) Restore(r io.Reader) (int, error) {
 	if g.memo.n == 0 {
 		// A restarted service restores into an empty memo: size its
 		// index for the dump once instead of growing it entry by entry.
-		g.memo.reserve(len(entries))
+		n := 0
+		for i := range parts {
+			n += len(parts[i].entries)
+		}
+		g.memo.reserve(n)
 	}
-	for _, e := range entries {
-		k, _ := g.memo.appendKey(buf[:0], e.spec, e.patched, true)
-		if _, ok := g.memo.get(k); ok {
-			continue
+	for i := range parts {
+		p := &parts[i]
+		ids := make([]uint32, len(p.labels.labels))
+		for j := range p.entries {
+			e := &p.entries[j]
+			k := g.memo.translate(buf[:0], p.keys[e.start:e.end], &p.labels, ids)
+			if _, ok := g.inflight[string(k)]; ok {
+				continue
+			}
+			// An entry already cached stays: live results win.
+			if g.memo.put(k, e.val, true) {
+				g.size.Add(1)
+				restored++
+			}
 		}
-		if _, ok := g.inflight[string(k)]; ok {
-			continue
-		}
-		g.insert(k, e.val)
-		restored++
 	}
 	g.mu.Unlock()
 	return restored, nil
@@ -194,23 +221,44 @@ func readAll(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// restoredEntry is one dump entry, checked and ready to merge: the
-// spec its key parses to, the patched counts of a rollout key (nil for
-// a design key) and the served numbers.
-type restoredEntry struct {
-	spec    paperdata.DesignSpec
-	patched []int
-	val     entry
+// restoredPart is the checked entries of one run of a dump. Their
+// keys are packed back to back in keys, as the memo packs them, with
+// tier label ids from the part's own label table: labels is a memo used
+// for that table alone. first and last are the run's first and last
+// text keys, which alias the dump.
+type restoredPart struct {
+	labels      memo
+	keys        []byte
+	entries     []restoredEntry
+	first, last []byte
 }
 
-// decodeSnapshot reads a dump in the layout Snapshot writes, in one
-// pass and without reflection. It reads the version first
-// (ErrSnapshotVersion), then the fingerprint (ErrSnapshotFingerprint
-// unless it is fp), then the entries, each checked as it is read: its
-// key must parse to a valid spec and rollout point, be in the canonical
-// form the engine renders, match the entry's shape and differ from every
-// other entry's key. Anything else is ErrSnapshotCorrupt.
-func decodeSnapshot(data []byte, fp string) ([]restoredEntry, error) {
+// restoredEntry is one dump entry, checked and ready to merge: the
+// served numbers and its packed key, keys[start:end] of its part.
+type restoredEntry struct {
+	start, end int
+	val        entry
+}
+
+// entrySep is what separates two entries in the layout Snapshot
+// writes; the second opens at its '{'.
+var entrySep = []byte(`},{"key":`)
+
+// decodeSnapshot reads a dump in the layout Snapshot writes, without
+// reflection. It reads the version first (ErrSnapshotVersion), then the
+// fingerprint (ErrSnapshotFingerprint unless it is fp), then the
+// entries, in up to workers parts at once (workpool.Clamp's count). Each
+// entry is checked as it is read: its key must parse to a valid spec
+// and rollout point, be in the canonical form the engine renders, match
+// the entry's shape and sort after the key before it. Anything else is
+// ErrSnapshotCorrupt.
+//
+// The parts are cut where entrySep opens an entry. A dump the one-part
+// reader accepts has entrySep nowhere else: its '"' after '{' is
+// unescaped, so inside a key it would end the string, and the layout
+// allows no "key" after a key. A cut in a corrupt dump makes the part
+// before it run past its end, which is ErrSnapshotCorrupt too.
+func decodeSnapshot(data []byte, fp string, workers int) ([]restoredPart, error) {
 	d := dumpReader{b: data}
 	d.lit(`{"version":`)
 	if v := d.int(); d.err == nil && v != SnapshotVersion {
@@ -224,43 +272,116 @@ func decodeSnapshot(data []byte, fp string) ([]restoredEntry, error) {
 		}
 	}
 	d.lit(`,"entries":[`)
-	// Snapshot writes every entry opening with its key, so counting the
-	// openings sizes the slice once.
-	n := bytes.Count(data[d.pos:], []byte(`{"key":`))
-	entries := make([]restoredEntry, 0, n)
-	keys := make([]string, 0, n)
-	if !d.skip("]") {
-		for {
-			e, key, err := d.entry()
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-			}
-			entries = append(entries, e)
-			keys = append(keys, key)
-			if !d.skip(",") {
-				break
-			}
+	if d.skip("]") {
+		d.lit("}")
+		d.skip("\n")
+		if d.err == nil && d.pos != len(d.b) {
+			d.fail("the end of the dump")
 		}
-		d.lit("]")
+		return nil, d.err
 	}
-	d.lit("}")
-	d.skip("\n")
-	if d.err == nil && d.pos != len(d.b) {
-		d.fail("the end of the dump")
+	// The entries run to the "]}" that closes the dump.
+	end := len(data) - len("]}")
+	if bytes.HasSuffix(data, []byte("\n")) {
+		end--
+	}
+	if d.err == nil && (end < d.pos || !bytes.HasPrefix(data[end:], []byte("]}"))) {
+		d.fail(`the entries' closing "]}" at the end of the dump`)
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
-	// A key listed twice would make which entry is served depend on
-	// the order of the merge. Snapshot writes its keys sorted, so the
-	// sort finds them in order.
-	slices.Sort(keys)
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
-			return nil, fmt.Errorf("%w: key %q appears twice", ErrSnapshotCorrupt, keys[i])
+
+	// Part i runs from bounds[i] to the ',' before bounds[i+1]; each
+	// cut is the first entry to open at or after an even share or,
+	// when none does, after the last cut, so with two workers or more a
+	// dump of two entries or more reads in two parts at least.
+	workers = workpool.Clamp(workers, 0)
+	bounds := make([]int, 1, workers+1)
+	bounds[0] = d.pos
+	for i := 1; i < workers; i++ {
+		last := bounds[len(bounds)-1]
+		from := max(d.pos+(end-d.pos)*i/workers-len(entrySep), last)
+		j := bytes.Index(data[from:end], entrySep)
+		if j < 0 {
+			from = last
+			j = bytes.Index(data[from:end], entrySep)
+		}
+		if j < 0 {
+			break
+		}
+		bounds = append(bounds, from+j+len("},"))
+	}
+	bounds = append(bounds, end+1)
+	parts, err := workpool.Map(len(bounds)-1, bounds[:len(bounds)-1], func(i, start int) (restoredPart, error) {
+		return decodePart(data, start, bounds[i+1]-1)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(parts); i++ {
+		if err := checkOrder(parts[i-1].last, parts[i].first); err != nil {
+			return nil, err
 		}
 	}
-	return entries, nil
+	return parts, nil
+}
+
+// decodePart reads the entries data[start:end] holds, which must be
+// whole entries separated by commas.
+func decodePart(data []byte, start, end int) (restoredPart, error) {
+	d := dumpReader{b: data, pos: start}
+	run := data[start:end]
+	// Snapshot writes every entry opening with its key, and a key of n
+	// tiers holds n-1 ';', so counting both sizes the part once. A
+	// packed tier takes two bytes while its label id and replica count
+	// are below 128, and a rollout point a marker and a byte a count.
+	n := bytes.Count(run, []byte(`{"key":`))
+	tiers := n + bytes.Count(run, []byte{';'})
+	p := restoredPart{
+		keys:    make([]byte, 0, 3*tiers+n),
+		entries: make([]restoredEntry, 0, n),
+	}
+	var kp paperdata.KeyParser
+	var sc keyScratch
+	for {
+		key, err := d.entry(&p, &kp, &sc)
+		if err != nil {
+			return restoredPart{}, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		}
+		if d.err != nil {
+			return restoredPart{}, d.err
+		}
+		if p.first == nil {
+			p.first = key
+		} else if err := checkOrder(p.last, key); err != nil {
+			return restoredPart{}, err
+		}
+		p.last = key
+		if d.pos >= end {
+			break
+		}
+		d.lit(",")
+	}
+	if d.pos != end {
+		d.fail("the end of the entries")
+		return restoredPart{}, d.err
+	}
+	return p, nil
+}
+
+// checkOrder checks that key sorts after prev, the key of the entry
+// before it: Snapshot writes each key once, in increasing order, and a
+// key listed twice would make which entry is served depend on the
+// order of the merge.
+func checkOrder(prev, key []byte) error {
+	switch c := bytes.Compare(prev, key); {
+	case c == 0:
+		return fmt.Errorf("%w: key %q appears twice", ErrSnapshotCorrupt, key)
+	case c > 0:
+		return fmt.Errorf("%w: key %q follows %q, out of order", ErrSnapshotCorrupt, key, prev)
+	}
+	return nil
 }
 
 // checkFingerprint compares the fingerprint token of a dump with the
@@ -416,55 +537,62 @@ func (d *dumpReader) summary() summary {
 	return s
 }
 
-// entry consumes one memo entry and checks it, returning it with its
-// key. A layout mismatch is left in d.err; a well-formed entry whose key
-// fails a check is returned as the error.
-func (d *dumpReader) entry() (restoredEntry, string, error) {
-	var e restoredEntry
-	var key string
+// entry consumes one memo entry, checks it and appends it to p,
+// returning its key, which aliases the dump. The key is parsed into
+// sc's buffers. A layout mismatch is left in d.err; a well-formed entry
+// whose key fails a check is returned as the error.
+func (d *dumpReader) entry(p *restoredPart, kp *paperdata.KeyParser, sc *keyScratch) ([]byte, error) {
+	var val entry
+	var key []byte
 	d.lit(`{"key":`)
 	// The key is taken verbatim: a canonical key has no escapes, so the
 	// re-render check below rejects any.
 	if tok := d.str(); d.err == nil {
-		key = string(tok[1 : len(tok)-1])
+		key = tok[1 : len(tok)-1]
 	}
 	design := d.skip(`,"before":`)
 	if design {
-		e.val.before = d.summary()
+		val.before = d.summary()
 		d.lit(`,"after":`)
-		e.val.after = d.summary()
+		val.after = d.summary()
 	} else {
 		d.lit(`,"security":`)
-		e.val.before = d.summary()
+		val.before = d.summary()
 	}
 	d.lit(`,"coa":`)
-	e.val.coa = d.float()
+	val.coa = d.float()
 	d.lit(`,"sa":`)
-	e.val.sa = d.float()
+	val.sa = d.float()
 	d.lit("}")
 	if d.err != nil {
-		return e, key, nil
+		return key, nil
 	}
 
-	spec, patched, err := paperdata.ParseKey(key)
+	tiers, patched, rollout, err := kp.AppendParse(sc.tiers[:0], sc.patched[:0], key)
+	sc.tiers, sc.patched = tiers, patched
 	if err != nil {
-		return e, key, err
+		return key, err
 	}
+	spec := paperdata.DesignSpec{Tiers: tiers}
 	var buf [keyBuf]byte
 	k := spec.AppendKey(buf[:0])
-	if patched != nil {
+	if rollout {
 		k = spec.AppendRolloutKey(buf[:0], patched)
+	} else {
+		patched = nil
 	}
-	if string(k) != key {
+	if !bytes.Equal(k, key) {
 		// The copy keeps buf on the stack.
-		return e, key, fmt.Errorf("key %q is not canonical (want %q)", key, string(k))
+		return key, fmt.Errorf("key %q is not canonical (want %q)", key, string(k))
 	}
 	switch {
-	case patched == nil && !design:
-		return e, key, fmt.Errorf("design key %q needs before and after, and no security", key)
-	case patched != nil && design:
-		return e, key, fmt.Errorf("rollout key %q needs security, and no before or after", key)
+	case !rollout && !design:
+		return key, fmt.Errorf("design key %q needs before and after, and no security", key)
+	case rollout && design:
+		return key, fmt.Errorf("rollout key %q needs security, and no before or after", key)
 	}
-	e.spec, e.patched = spec, patched
-	return e, key, nil
+	start := len(p.keys)
+	p.keys, _ = p.labels.appendKey(p.keys, spec, patched, true)
+	p.entries = append(p.entries, restoredEntry{start: start, end: len(p.keys), val: val})
+	return key, nil
 }

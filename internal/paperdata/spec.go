@@ -1,6 +1,7 @@
 package paperdata
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -158,58 +159,81 @@ func (s DesignSpec) AppendRolloutKey(b []byte, patched []int) []byte {
 	return b
 }
 
-// ParseKey is the inverse of AppendKey and AppendRolloutKey. It returns
-// the unnamed spec a key describes and, for a rollout key, the per-tier
-// patched counts (nil for a design key). The spec must be valid and a
-// rollout key must carry one count per tier, each within 0..replicas.
-// ParseKey accepts spellings its renderers never produce ("dns:01",
-// "web/web:1"); callers that need the canonical form re-render the
-// result and compare.
-func ParseKey(key string) (DesignSpec, []int, error) {
-	design, counts, rollout := strings.Cut(key, rolloutSep)
-	// Tiers is sized once from the separators, and each part is cut off
-	// the front of the rest, so a valid key allocates the tier slice and,
-	// for a rollout key, the counts: a restore parses thousands.
-	spec := DesignSpec{Tiers: make([]TierSpec, 0, strings.Count(design, ";")+1)}
+// KeyParser parses text keys, the inverse of AppendKey and
+// AppendRolloutKey. It interns the tier labels it reads, so a run of
+// keys shares one string per distinct role and variant and a parsed key
+// allocates nothing. The zero value is ready to use; a KeyParser is not
+// safe for concurrent use.
+type KeyParser struct{ labels map[string]string }
+
+// AppendParse parses key and appends the tiers of the unnamed spec it
+// describes to tiers and, for a rollout key, the per-tier patched counts
+// to patched; rollout reports which kind of key it is. The spec must be
+// valid and a rollout key must carry one count per tier, each within
+// 0..replicas; on error tiers and patched keep the lengths they were
+// passed with. AppendParse accepts spellings the renderers never
+// produce ("dns:01", "web/web:1"); callers that need the canonical form
+// re-render the result and compare.
+func (p *KeyParser) AppendParse(tiers []TierSpec, patched []int, key []byte) ([]TierSpec, []int, bool, error) {
+	t0 := len(tiers)
+	design, counts, rollout := bytes.Cut(key, []byte(rolloutSep))
 	for rest, more := design, true; more; {
-		var part string
-		part, rest, more = strings.Cut(rest, ";")
-		label, n, ok := strings.Cut(part, ":")
+		var part []byte
+		part, rest, more = bytes.Cut(rest, []byte(";"))
+		label, n, ok := bytes.Cut(part, []byte(":"))
 		if !ok {
-			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: tier %q has no replica count", key, part)
+			return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: tier %q has no replica count", key, part)
 		}
-		replicas, err := strconv.Atoi(n)
+		replicas, err := strconv.Atoi(string(n))
 		if err != nil {
-			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: tier %q: %v", key, part, err)
+			return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: tier %q: %v", key, part, err)
 		}
-		role, variant, _ := strings.Cut(label, "/")
-		spec.Tiers = append(spec.Tiers, TierSpec{Role: role, Replicas: replicas, Variant: variant})
+		role, variant, _ := bytes.Cut(label, []byte("/"))
+		tiers = append(tiers, TierSpec{Role: p.intern(role), Replicas: replicas, Variant: p.intern(variant)})
 	}
+	spec := DesignSpec{Tiers: tiers[t0:]}
 	if err := spec.Validate(); err != nil {
-		return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: %w", key, err)
+		return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: %w", key, err)
 	}
 	if !rollout {
-		return spec, nil, nil
+		return tiers, patched, false, nil
 	}
-	if n := strings.Count(counts, ",") + 1; n != len(spec.Tiers) {
-		return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: %d patched counts for %d tiers",
+	if n := bytes.Count(counts, []byte(",")) + 1; n != len(spec.Tiers) {
+		return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: %d patched counts for %d tiers",
 			key, n, len(spec.Tiers))
 	}
-	patched := make([]int, len(spec.Tiers))
-	for i, rest := 0, counts; i < len(patched); i++ {
-		var c string
-		c, rest, _ = strings.Cut(rest, ",")
-		p, err := strconv.Atoi(c)
+	p0 := len(patched)
+	for i, rest := 0, counts; i < len(spec.Tiers); i++ {
+		var c []byte
+		c, rest, _ = bytes.Cut(rest, []byte(","))
+		n, err := strconv.Atoi(string(c))
 		if err != nil {
-			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: patched count %q: %v", key, c, err)
+			return tiers[:t0], patched[:p0], false, fmt.Errorf("paperdata: key %q: patched count %q: %v", key, c, err)
 		}
-		if p < 0 || p > spec.Tiers[i].Replicas {
-			return DesignSpec{}, nil, fmt.Errorf("paperdata: key %q: tier %d patches %d of %d replicas",
-				key, i, p, spec.Tiers[i].Replicas)
+		if n < 0 || n > spec.Tiers[i].Replicas {
+			return tiers[:t0], patched[:p0], false, fmt.Errorf("paperdata: key %q: tier %d patches %d of %d replicas",
+				key, i, n, spec.Tiers[i].Replicas)
 		}
-		patched[i] = p
+		patched = append(patched, n)
 	}
-	return spec, patched, nil
+	return tiers, patched, true, nil
+}
+
+// intern returns label as a string, the same string for every equal
+// label this parser has read.
+func (p *KeyParser) intern(label []byte) string {
+	if len(label) == 0 {
+		return ""
+	}
+	if s, ok := p.labels[string(label)]; ok {
+		return s
+	}
+	if p.labels == nil {
+		p.labels = make(map[string]string)
+	}
+	s := string(label)
+	p.labels[s] = s
+	return s
 }
 
 // String renders the spec in the paper's notation, e.g.

@@ -7,7 +7,18 @@ import (
 	"testing"
 )
 
-// TestParseKeyRoundTrip: ParseKey inverts Key and AppendRolloutKey for
+// parseKey parses one key with a fresh KeyParser: the unnamed spec and,
+// for a rollout key, the patched counts (nil for a design key).
+func parseKey(key string) (DesignSpec, []int, error) {
+	var p KeyParser
+	tiers, patched, _, err := p.AppendParse(nil, nil, []byte(key))
+	if err != nil {
+		return DesignSpec{}, nil, err
+	}
+	return DesignSpec{Tiers: tiers}, patched, nil
+}
+
+// TestParseKeyRoundTrip: KeyParser inverts Key and AppendRolloutKey for
 // classic, variant, heterogeneous and single-tier designs, at no point,
 // at the endpoints and mid-rollout.
 func TestParseKeyRoundTrip(t *testing.T) {
@@ -23,12 +34,12 @@ func TestParseKeyRoundTrip(t *testing.T) {
 	}
 	for _, spec := range specs {
 		key := spec.Key()
-		got, patched, err := ParseKey(key)
+		got, patched, err := parseKey(key)
 		if err != nil {
-			t.Fatalf("ParseKey(%q): %v", key, err)
+			t.Fatalf("parseKey(%q): %v", key, err)
 		}
 		if patched != nil || got.Key() != key || strings.Contains(key, rolloutSep) {
-			t.Fatalf("ParseKey(%q) = %q, patched %v", key, got.Key(), patched)
+			t.Fatalf("parseKey(%q) = %q, patched %v", key, got.Key(), patched)
 		}
 		zero := make([]int, len(spec.Tiers))
 		full := make([]int, len(spec.Tiers))
@@ -39,14 +50,27 @@ func TestParseKeyRoundTrip(t *testing.T) {
 		}
 		for _, want := range [][]int{zero, full, mid} {
 			rk := string(spec.AppendRolloutKey(nil, want))
-			got, patched, err := ParseKey(rk)
+			got, patched, err := parseKey(rk)
 			if err != nil {
-				t.Fatalf("ParseKey(%q): %v", rk, err)
+				t.Fatalf("parseKey(%q): %v", rk, err)
 			}
 			if !strings.Contains(rk, rolloutSep) || !slices.Equal(patched, want) || string(got.AppendRolloutKey(nil, patched)) != rk {
-				t.Fatalf("ParseKey(%q) = %q at %v", rk, got.Key(), patched)
+				t.Fatalf("parseKey(%q) = %q at %v", rk, got.Key(), patched)
 			}
 		}
+	}
+	// Once its labels are interned, a parser appends a key to arenas
+	// with room for it without allocating: a restore parses thousands.
+	var p KeyParser
+	key := specs[2].AppendRolloutKey(nil, []int{1, 2, 3, 4})
+	tiers, counts := make([]TierSpec, 0, 4), make([]int, 0, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := p.AppendParse(tiers, counts, key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendParse made %v allocs, want 0", allocs)
 	}
 }
 
@@ -72,17 +96,17 @@ func TestParseKeyRejects(t *testing.T) {
 		"dns:1;web:2|rollout=1,1,0",
 		"dns:1|rollout=1|rollout=1",
 	} {
-		if spec, patched, err := ParseKey(key); err == nil {
-			t.Errorf("ParseKey(%q) = %+v, %v; want an error", key, spec, patched)
+		if spec, patched, err := parseKey(key); err == nil {
+			t.Errorf("parseKey(%q) = %+v, %v; want an error", key, spec, patched)
 		}
 	}
 	// Spellings the renderers never produce parse, but do not
 	// re-render to themselves: callers needing the canonical form
 	// compare.
 	for _, key := range []string{"dns:01", "dns:+1", "web/web:1", "dns:1|rollout=01"} {
-		spec, patched, err := ParseKey(key)
+		spec, patched, err := parseKey(key)
 		if err != nil {
-			t.Fatalf("ParseKey(%q): %v", key, err)
+			t.Fatalf("parseKey(%q): %v", key, err)
 		}
 		re := spec.Key()
 		if patched != nil {
@@ -146,15 +170,17 @@ func TestValidateRejectsKeySeparators(t *testing.T) {
 	}
 }
 
-// FuzzSpecKey: the text key is injective on valid specs and ParseKey
+// FuzzSpecKey: the text key is injective on valid specs and KeyParser
 // inverts it. Each input encodes two specs, one tier a line as
 // "role<TAB>variant<TAB>replicas", and the patched count of each tier of
 // a rollout point (a byte modulo replicas+1). For two valid specs, equal
 // design keys mean equal canonical specs (name dropped, a variant equal
 // to its role dropped), and equal rollout keys also mean equal patched
-// counts. For each valid spec, ParseKey of its design key and of its
-// rollout key re-renders the same key and returns the canonical spec and
-// the patched counts.
+// counts. For each valid spec, its design key and its rollout key parse
+// back to the canonical spec and the patched counts, which re-render the
+// same key. One KeyParser appends every key of an input to one pair of
+// arenas, the first input string taken raw as a key too, and a rejected
+// key leaves the arenas' lengths as they were.
 func FuzzSpecKey(f *testing.F) {
 	// The pair that shared the key "x/dns:1;dns/web:1" before Validate
 	// rejected separators in labels.
@@ -162,6 +188,30 @@ func FuzzSpecKey(f *testing.F) {
 	f.Add("dns\t\t1\nweb\t\t2\napp\t\t2\ndb\t\t1", "dns\t\t1\nweb\tweb\t2\napp\t\t2\ndb\t\t1", []byte{0, 1, 2, 1})
 	f.Add("web\twebalt\t12", "web\t\t3\nweb\twebalt\t3\nx\tdb\t4", []byte{7, 2, 9})
 	f.Fuzz(func(t *testing.T, a, b string, patch []byte) {
+		// One parser and one pair of arenas serve every key of the
+		// input, as they serve every key of a part of a restored dump.
+		var kp KeyParser
+		var arena []TierSpec
+		var arenaCounts []int
+		parse := func(key string) (DesignSpec, []int, error) {
+			t0, c0 := len(arena), len(arenaCounts)
+			tiers, counts, rollout, err := kp.AppendParse(arena, arenaCounts, []byte(key))
+			if len(tiers) < t0 || len(counts) < c0 || err != nil && (len(tiers) != t0 || len(counts) != c0) {
+				t.Fatalf("AppendParse(%q) took the arenas from %d, %d to %d, %d (err %v)", key, t0, c0, len(tiers), len(counts), err)
+			}
+			arena, arenaCounts = tiers, counts
+			if err != nil {
+				return DesignSpec{}, nil, err
+			}
+			var patched []int
+			if rollout {
+				patched = counts[c0:]
+			}
+			return DesignSpec{Tiers: tiers[t0:]}, patched, nil
+		}
+		// Raw input as a key: whatever it parses to, a rejection leaves
+		// the arenas as they were.
+		_, _, _ = parse(a)
 		var specs [2]DesignSpec
 		var keys, rolloutKeys [2]string
 		var patched [2][]int
@@ -173,9 +223,9 @@ func FuzzSpecKey(f *testing.F) {
 			}
 			valid++
 			specs[i], keys[i] = s, s.Key()
-			got, counts, err := ParseKey(keys[i])
+			got, counts, err := parse(keys[i])
 			if err != nil || counts != nil || got.Key() != keys[i] || !equalSpecs(got, canonical(s)) {
-				t.Fatalf("ParseKey(%q) = %+v, %v, %v; spec %+v", keys[i], got, counts, err, s)
+				t.Fatalf("parseKey(%q) = %+v, %v, %v; spec %+v", keys[i], got, counts, err, s)
 			}
 			patched[i] = make([]int, len(s.Tiers))
 			for j, tier := range s.Tiers {
@@ -184,9 +234,9 @@ func FuzzSpecKey(f *testing.F) {
 				}
 			}
 			rolloutKeys[i] = string(s.AppendRolloutKey(nil, patched[i]))
-			got, counts, err = ParseKey(rolloutKeys[i])
+			got, counts, err = parse(rolloutKeys[i])
 			if err != nil || !slices.Equal(counts, patched[i]) || string(got.AppendRolloutKey(nil, counts)) != rolloutKeys[i] || !equalSpecs(got, canonical(s)) {
-				t.Fatalf("ParseKey(%q) = %+v, %v, %v; spec %+v at %v", rolloutKeys[i], got, counts, err, s, patched[i])
+				t.Fatalf("parseKey(%q) = %+v, %v, %v; spec %+v at %v", rolloutKeys[i], got, counts, err, s, patched[i])
 			}
 		}
 		if valid < 2 {
