@@ -583,7 +583,7 @@ func discard(redundancy.Result) error { return nil }
 func fullSpace(max int) engine.SweepSpec {
 	var s engine.SweepSpec
 	for _, role := range paperdata.Roles() {
-		s.Tiers = append(s.Tiers, engine.TierSweep{Role: role, Replicas: engine.Range{Min: 1, Max: max}})
+		s.Tiers = append(s.Tiers, engine.TierSweep{Role: role, Min: 1, Max: max})
 	}
 	return s
 }

@@ -33,7 +33,6 @@ var exportAllowlist = map[string]string{
 	"redpatch/internal/trace.LogHandler.Handle":        "slog.Handler: log/slog calls it on redpatchd's logger",
 	"redpatch/internal/trace.LogHandler.WithAttrs":     "slog.Handler: log/slog calls it on redpatchd's logger",
 	"redpatch/internal/trace.LogHandler.WithGroup":     "slog.Handler: log/slog calls it on redpatchd's logger",
-	"redpatch.DesignSpec.Key":                          "bench/workload_test.go keys the benchmark's designs with it; no serving surface does",
 }
 
 // TestEveryExportedNameHasACaller fails on every exported top-level name,

@@ -79,7 +79,7 @@ func TestFleetEngine(t *testing.T) {
 		systems[i] = fleet.System{
 			ID:   string(rune('a' + i)),
 			Role: "app",
-			Tiers: []fleet.TierSpec{
+			Tiers: []TierSpec{
 				{Role: "dns", Replicas: 1}, {Role: "web", Replicas: 1 + i%2},
 				{Role: "app", Replicas: 2}, {Role: "db", Replicas: 1},
 			},

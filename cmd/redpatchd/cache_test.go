@@ -339,18 +339,25 @@ func TestFleetDumpCountsFlushes(t *testing.T) {
 }
 
 // TestCorruptFleetDumpCountsRestoreError: a fleet.json that does not
-// parse is rejected like a corrupt scenario dump — the fleet starts
+// parse, or that holds one system register would refuse beside a valid
+// one, is rejected like a corrupt scenario dump — the fleet starts
 // empty and redpatchd_cache_restore_errors_total counts the rejection.
 func TestCorruptFleetDumpCountsRestoreError(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "fleet.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
+	dumps := map[string]string{"not json": "{not json"}
+	for name, sys := range invalidFleetSystems {
+		dumps[name] = `{"version":1,"systems":[` + fleetSystemA + `,` + sys + `]}`
 	}
-	s := mustServer(t, newStudy(t), serverConfig{cacheDir: dir})
-	if n := s.fleetReg.Len(); n != 0 {
-		t.Fatalf("corrupt dump restored %d systems", n)
-	}
-	if got := metricValue(t, scrape(t, s.handler()), `redpatchd_cache_restore_errors_total`); got != "1" {
-		t.Fatalf("restore errors = %s, want 1", got)
+	for name, dump := range dumps {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "fleet.json"), []byte(dump), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := mustServer(t, newStudy(t), serverConfig{cacheDir: dir})
+		if n := s.fleetReg.Len(); n != 0 {
+			t.Errorf("%s: rejected dump restored %d systems", name, n)
+		}
+		if got := metricValue(t, scrape(t, s.handler()), `redpatchd_cache_restore_errors_total`); got != "1" {
+			t.Errorf("%s: restore errors = %s, want 1", name, got)
+		}
 	}
 }

@@ -14,8 +14,6 @@ import (
 	"net/http"
 	"time"
 
-	"redpatch"
-
 	"redpatch/internal/faultinject"
 	"redpatch/internal/fleet"
 	"redpatch/internal/paperdata"
@@ -74,11 +72,7 @@ func (s *server) checkSystem(sys fleet.System) error {
 	if _, err := s.reg.get(sys.Scenario); err != nil {
 		return err
 	}
-	spec := redpatch.DesignSpec{Tiers: make([]redpatch.TierSpec, len(sys.Tiers))}
-	for i, t := range sys.Tiers {
-		spec.Tiers[i] = redpatch.TierSpec{Role: t.Role, Replicas: t.Replicas, Variant: t.Variant}
-	}
-	if err := s.checkSpec(spec); err != nil {
+	if err := s.checkSpec(sys.Spec()); err != nil {
 		return fmt.Errorf("system %q: %w", sys.ID, err)
 	}
 	return nil

@@ -110,19 +110,37 @@ func TestFleetEndpoints(t *testing.T) {
 	}
 }
 
+// invalidFleetSystems are well-formed systems whose design or campaign
+// role no evaluation accepts: a tier on the unknown stack "foo", a key
+// separator in a tier role whose variant is catalogued, and the campaign
+// role "nosuch".
+var invalidFleetSystems = map[string]string{
+	"unknown stack": `{"id":"bad","role":"app","windowMinutes":60,
+		"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2,"variant":"foo"},{"role":"app","replicas":1}]}`,
+	"separator in role": `{"id":"bad","role":"app","windowMinutes":60,
+		"tiers":[{"role":"dns","replicas":1},{"role":"web;x","replicas":2,"variant":"web"},{"role":"app","replicas":1}]}`,
+	"unknown campaign role": `{"id":"bad","role":"nosuch","windowMinutes":60,
+		"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":1}]}`,
+}
+
 // TestFleetRegisterRejects pins the request-validation surface: bad
-// systems, unknown scenarios and over-cap designs must not register.
+// systems, unknown scenarios, over-cap designs and designs or campaign
+// roles no evaluation accepts must not register.
 func TestFleetRegisterRejects(t *testing.T) {
 	s := mustServer(t, newStudy(t), serverConfig{maxReplicas: 4})
 	h := s.handler()
-	for name, body := range map[string]string{
+	bodies := map[string]string{
 		"empty":     `{"systems":[]}`,
 		"no window": `{"systems":[{"id":"x","role":"app","tiers":[{"role":"app","replicas":1}]}]}`,
 		"bad scenario": `{"systems":[{"id":"x","role":"app","windowMinutes":60,"scenario":"ghost",
 			"tiers":[{"role":"app","replicas":1}]}]}`,
 		"over cap": `{"systems":[{"id":"x","role":"app","windowMinutes":60,
 			"tiers":[{"role":"app","replicas":99}]}]}`,
-	} {
+	}
+	for name, sys := range invalidFleetSystems {
+		bodies[name] = `{"systems":[` + sys + `]}`
+	}
+	for name, body := range bodies {
 		if w := do(t, h, http.MethodPost, "/api/v2/fleet/register", body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, w.Code)
 		}

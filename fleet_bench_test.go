@@ -18,7 +18,7 @@ import (
 // mixed priorities and windows — the shape diversity a real fleet has,
 // at the cache locality the memoized engine exploits.
 func benchFleet(n int, successProb float64) []fleet.System {
-	shapes := [][]fleet.TierSpec{
+	shapes := [][]TierSpec{
 		{{Role: "dns", Replicas: 1}, {Role: "web", Replicas: 2}, {Role: "app", Replicas: 2}, {Role: "db", Replicas: 1}},
 		{{Role: "dns", Replicas: 1}, {Role: "web", Replicas: 3}, {Role: "app", Replicas: 2}, {Role: "db", Replicas: 2}},
 		{{Role: "dns", Replicas: 2}, {Role: "web", Replicas: 2}, {Role: "app", Replicas: 3}, {Role: "db", Replicas: 1}},

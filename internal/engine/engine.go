@@ -59,29 +59,30 @@ type Options struct {
 // design instead of starting their own. The remaining counters mirror
 // the wrapped evaluator's availability-solver dispatch (SolverStats)
 // when it exposes one — redundancy.Evaluator does — and stay zero for
-// evaluators that do not.
+// evaluators that do not. The JSON tags are the wire shape redpatchd
+// serves the counters in.
 type Stats struct {
-	Solves uint64
-	Hits   uint64
+	Solves uint64 `json:"solves"`
+	Hits   uint64 `json:"hits"`
 	// FactoredSolves is the number of upper-layer availability solves
 	// served by the factored (per-tier birth–death) path.
-	FactoredSolves uint64
+	FactoredSolves uint64 `json:"factoredSolves"`
 	// TierSolves is the number of distinct (stack, replicas) tier
 	// factors solved; TierFactorHits the number served from the memo.
-	TierSolves     uint64
-	TierFactorHits uint64
+	TierSolves     uint64 `json:"tierSolves"`
+	TierFactorHits uint64 `json:"tierFactorHits"`
 	// SecurityFactored is the number of security evaluations served by
 	// the factored (quotient) path; SecuritySolves the number of
 	// factored security models built (one per variant structure);
 	// SecurityFactorHits the number served from the security memo.
-	SecurityFactored   uint64
-	SecuritySolves     uint64
-	SecurityFactorHits uint64
+	SecurityFactored   uint64 `json:"securityFactored"`
+	SecuritySolves     uint64 `json:"securitySolves"`
+	SecurityFactorHits uint64 `json:"securityFactorHits"`
 	// RolloutSolves is the number of rollout-point evaluations the
 	// engine ran; RolloutHits the number of rollout points served from
 	// (or deduplicated onto) the memo.
-	RolloutSolves uint64
-	RolloutHits   uint64
+	RolloutSolves uint64 `json:"rolloutSolves"`
+	RolloutHits   uint64 `json:"rolloutHits"`
 }
 
 // SolverStatsProvider is the optional evaluator extension surfacing

@@ -35,16 +35,16 @@ func paperEvaluator(t testing.TB) *redundancy.Evaluator {
 }
 
 // classicSpace sweeps the paper's four roles over one replica range.
-func classicSpace(r Range) SweepSpec {
+func classicSpace(lo, hi int) SweepSpec {
 	var s SweepSpec
 	for _, role := range paperdata.Roles() {
-		s.Tiers = append(s.Tiers, TierSweep{Role: role, Replicas: r})
+		s.Tiers = append(s.Tiers, TierSweep{Role: role, Min: lo, Max: hi})
 	}
 	return s
 }
 
 // fullSpace sweeps every classic design with 1..max replicas per tier.
-func fullSpace(max int) SweepSpec { return classicSpace(Range{Min: 1, Max: max}) }
+func fullSpace(max int) SweepSpec { return classicSpace(1, max) }
 
 // evaluateSerially is the serial reference: the bare evaluator over
 // designs, in order.
@@ -333,17 +333,17 @@ func TestSweepHonoursContext(t *testing.T) {
 }
 
 func TestSweepSpecValidate(t *testing.T) {
-	bad := classicSpace(Range{Min: 3, Max: 1})
+	bad := classicSpace(3, 1)
 	if err := bad.Validate(); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 	if err := (SweepSpec{}).Validate(); err == nil {
 		t.Fatal("tierless spec accepted")
 	}
-	if n := classicSpace(Range{}).Size(); n != 1 {
+	if n := classicSpace(0, 0).SweepSize(); n != 1 {
 		t.Fatalf("zero-range classic spec size = %d, want 1", n)
 	}
-	if n := fullSpace(4).Size(); n != 256 {
+	if n := fullSpace(4).SweepSize(); n != 256 {
 		t.Fatalf("1..4 classic spec size = %d, want 256", n)
 	}
 	for name, spec := range map[string]SweepSpec{
@@ -360,14 +360,14 @@ func TestSweepSpecValidate(t *testing.T) {
 	}
 	hetero := SweepSpec{Tiers: []TierSweep{
 		{Role: "dns"},
-		{Role: "web", Replicas: Range{Min: 1, Max: 2}, Variants: []string{"", "webalt"}},
+		{Role: "web", Min: 1, Max: 2, Variants: []string{"", "webalt"}},
 		{Role: "app"},
 		{Role: "db"},
 	}}
 	if err := hetero.Validate(); err != nil {
 		t.Fatalf("heterogeneous spec rejected: %v", err)
 	}
-	if n := hetero.Size(); n != 4 {
+	if n := hetero.SweepSize(); n != 4 {
 		t.Fatalf("heterogeneous size = %d, want 4 (2 counts x 2 stacks)", n)
 	}
 }
@@ -542,7 +542,7 @@ func TestColdSweepTierSolveBudget(t *testing.T) {
 	}
 	var sumRanges uint64
 	for _, tier := range spec.Tiers {
-		sumRanges += uint64(tier.Replicas.Max - tier.Replicas.Min + 1)
+		sumRanges += uint64(tier.Max - tier.Min + 1)
 	}
 	if st.TierSolves > sumRanges {
 		t.Errorf("cold 3^4 sweep performed %d tier solves, budget is sum of ranges = %d",

@@ -12,33 +12,24 @@ import (
 	"redpatch/internal/workpool"
 )
 
-// Range is an inclusive per-tier replica range. The zero value means
-// "exactly one replica".
-type Range struct {
-	Min, Max int
-}
-
-func (r Range) normalized() Range {
-	if r.Min < 1 {
-		r.Min = 1
-	}
-	if r.Max < r.Min {
-		r.Max = r.Min
-	}
-	return r
-}
-
-func (r Range) size() int { return r.Max - r.Min + 1 }
-
 // TierSweep is one tier of a sweep: a logical role, an inclusive replica
-// range, and the stack variants to enumerate. An empty Variants set
-// sweeps the role's own stack only; listing variants (the empty string
-// stands for the base stack) multiplies the space by the stack choices —
-// the paper's §V heterogeneous-redundancy exploration.
+// range Min..Max, and the stack variants to enumerate. A Min below one
+// reads as one and a Max below Min as Min, so the zero range means
+// "exactly one replica". An empty Variants set sweeps the role's own
+// stack only; listing variants (the empty string stands for the base
+// stack) multiplies the space by the stack choices — the paper's §V
+// heterogeneous-redundancy exploration. The JSON tags are the redpatchd
+// v2 wire shape.
 type TierSweep struct {
-	Role     string
-	Replicas Range
-	Variants []string
+	Role     string   `json:"role"`
+	Min      int      `json:"min"`
+	Max      int      `json:"max"`
+	Variants []string `json:"variants,omitempty"`
+}
+
+// replicas returns the tier's normalized inclusive replica range.
+func (t TierSweep) replicas() (lo, hi int) {
+	return max(t.Min, 1), max(t.Max, t.Min, 1)
 }
 
 // options returns the tier's stack choices, defaulting to the base
@@ -60,12 +51,13 @@ func (t TierSweep) options() []string {
 // SweepSpec describes a design-space sweep: an ordered list of tier
 // sweeps plus optional administrator bounds. When a bound is set,
 // results failing it are dropped as they arrive and never accumulate.
+// The JSON tags are the redpatchd v2 wire shape.
 type SweepSpec struct {
-	Tiers []TierSweep
+	Tiers []TierSweep `json:"tiers"`
 	// Scatter, when non-nil, applies the paper's Eq. 3 bounds.
-	Scatter *redundancy.ScatterBounds
+	Scatter *redundancy.ScatterBounds `json:"scatter,omitempty"`
 	// Multi, when non-nil, applies the paper's Eq. 4 bounds.
-	Multi *redundancy.MultiBounds
+	Multi *redundancy.MultiBounds `json:"multi,omitempty"`
 }
 
 // Validate rejects specs with no tiers, duplicate or empty roles,
@@ -86,11 +78,11 @@ func (s SweepSpec) Validate() error {
 		if !paperdata.KnownStack(t.Role) {
 			return fmt.Errorf("engine: sweep tier %q has no catalogued stack", t.Role)
 		}
-		if t.Replicas.Min < 0 || t.Replicas.Max < 0 {
-			return fmt.Errorf("engine: negative %s range [%d,%d]", t.Role, t.Replicas.Min, t.Replicas.Max)
+		if t.Min < 0 || t.Max < 0 {
+			return fmt.Errorf("engine: negative %s range [%d,%d]", t.Role, t.Min, t.Max)
 		}
-		if t.Replicas.Max != 0 && t.Replicas.Max < t.Replicas.Min {
-			return fmt.Errorf("engine: inverted %s range [%d,%d]", t.Role, t.Replicas.Min, t.Replicas.Max)
+		if t.Max != 0 && t.Max < t.Min {
+			return fmt.Errorf("engine: inverted %s range [%d,%d]", t.Role, t.Min, t.Max)
 		}
 		seen := make(map[string]bool, len(t.Variants))
 		for _, v := range t.options() {
@@ -106,13 +98,15 @@ func (s SweepSpec) Validate() error {
 	return nil
 }
 
-// Size is the number of designs the spec enumerates, saturating at
-// math.MaxInt — ranges are request data in redpatchd, and a wrapped
-// product would slip huge spaces past its size cap.
-func (s SweepSpec) Size() int {
+// SweepSize is the number of designs the spec enumerates, without
+// evaluating any, saturating at math.MaxInt — ranges are request data in
+// redpatchd, and a wrapped product would slip huge spaces past its size
+// cap.
+func (s SweepSpec) SweepSize() int {
 	size := 1
 	for _, t := range s.Tiers {
-		n := t.Replicas.normalized().size() * len(t.options())
+		lo, hi := t.replicas()
+		n := (hi - lo + 1) * len(t.options())
 		if n <= 0 {
 			n = 1
 		}
@@ -130,7 +124,7 @@ func (s SweepSpec) Size() int {
 // DesignSpec.CanonicalName; heterogeneous designs get role-keyed canonical
 // names.
 func (s SweepSpec) Designs() []paperdata.DesignSpec {
-	size := min(s.Size(), 1<<20)
+	size := min(s.SweepSize(), 1<<20)
 	out := make([]paperdata.DesignSpec, 0, size)
 	n := len(s.Tiers)
 	tiers := make([]paperdata.TierSpec, n)
@@ -151,8 +145,8 @@ func (s SweepSpec) Designs() []paperdata.DesignSpec {
 			return
 		}
 		t := s.Tiers[i]
-		r := t.Replicas.normalized()
-		for n := r.Min; n <= r.Max; n++ {
+		lo, hi := t.replicas()
+		for n := lo; n <= hi; n++ {
 			for _, v := range t.options() {
 				tiers[i] = paperdata.TierSpec{Role: t.Role, Replicas: n, Variant: v}
 				walk(i + 1)

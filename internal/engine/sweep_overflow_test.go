@@ -9,16 +9,15 @@ import (
 // request cap relies on: a product of huge attacker-chosen ranges must
 // saturate, never wrap past the cap to a small or negative count.
 func TestSweepSizeSaturatesInsteadOfWrapping(t *testing.T) {
-	r := Range{Min: 1, Max: 65536} // 65536^4 == 2^64 wraps to 0 unchecked
-	spec := classicSpace(r)
+	spec := classicSpace(1, 65536) // 65536^4 == 2^64 wraps to 0 unchecked
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("huge-but-wellformed spec rejected: %v", err)
 	}
-	if got := spec.Size(); got != math.MaxInt {
-		t.Fatalf("Size() = %d, want saturation at MaxInt", got)
+	if got := spec.SweepSize(); got != math.MaxInt {
+		t.Fatalf("SweepSize() = %d, want saturation at MaxInt", got)
 	}
-	half := SweepSpec{Tiers: []TierSweep{{Role: "dns", Replicas: r}, {Role: "web", Replicas: r}}}
-	if got := half.Size(); got != 65536*65536 {
-		t.Fatalf("unsaturated Size() = %d, want %d", got, 65536*65536)
+	half := SweepSpec{Tiers: []TierSweep{{Role: "dns", Min: 1, Max: 65536}, {Role: "web", Min: 1, Max: 65536}}}
+	if got := half.SweepSize(); got != 65536*65536 {
+		t.Fatalf("unsaturated SweepSize() = %d, want %d", got, 65536*65536)
 	}
 }

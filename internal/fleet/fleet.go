@@ -28,18 +28,6 @@ import (
 	"redpatch/internal/redundancy"
 )
 
-// TierSpec is the wire form of one redundancy group of a fleet system.
-// It mirrors paperdata.TierSpec with JSON tags (paperdata stays free of
-// serialization concerns).
-type TierSpec struct {
-	// Role is the logical tier ("dns", "web", "app", "db").
-	Role string `json:"role"`
-	// Replicas is the server count of the group.
-	Replicas int `json:"replicas"`
-	// Variant optionally swaps the group's software stack.
-	Variant string `json:"variant,omitempty"`
-}
-
 // System is one modeled system of the fleet.
 type System struct {
 	// ID uniquely names the system in the registry.
@@ -48,9 +36,10 @@ type System struct {
 	// engine evaluates the system; empty selects the default scenario.
 	Scenario string `json:"scenario,omitempty"`
 	// Tiers is the system's design.
-	Tiers []TierSpec `json:"tiers"`
-	// Role is the logical tier whose vulnerabilities the campaign
-	// patches (the paper plans campaigns per server role).
+	Tiers []paperdata.TierSpec `json:"tiers"`
+	// Role is the software stack whose vulnerabilities the campaign
+	// patches (the paper plans campaigns per server role); the catalog
+	// must know it.
 	Role string `json:"role"`
 	// Priority weights the system in the scheduler's ordering and the
 	// fleet residual; zero defaults to 1 (exemplar agents weight
@@ -70,24 +59,17 @@ type System struct {
 	RollbackMinutes float64 `json:"rollbackMinutes,omitempty"`
 }
 
-// Validate checks the system definition.
+// Validate checks the system definition: its design validates as a
+// spec would for an evaluation, and its campaign role is a known stack.
 func (s System) Validate() error {
 	if s.ID == "" {
 		return fmt.Errorf("fleet: system with empty id")
 	}
-	if len(s.Tiers) == 0 {
-		return fmt.Errorf("fleet: %s: no tiers", s.ID)
+	if err := s.Spec().Validate(); err != nil {
+		return fmt.Errorf("fleet: %s: %w", s.ID, err)
 	}
-	for i, t := range s.Tiers {
-		if t.Role == "" {
-			return fmt.Errorf("fleet: %s: tier %d has empty role", s.ID, i)
-		}
-		if t.Replicas < 1 {
-			return fmt.Errorf("fleet: %s: tier %s has %d replicas", s.ID, t.Role, t.Replicas)
-		}
-	}
-	if s.Role == "" {
-		return fmt.Errorf("fleet: %s: empty campaign role", s.ID)
+	if !paperdata.KnownStack(s.Role) {
+		return fmt.Errorf("fleet: %s: campaign role %q is not a known stack", s.ID, s.Role)
 	}
 	if s.Priority < 0 {
 		return fmt.Errorf("fleet: %s: negative priority %v", s.ID, s.Priority)
@@ -107,15 +89,9 @@ func (s System) Validate() error {
 	return s.attempt().Validate()
 }
 
-// Spec converts the system's tiers into the engine's design vocabulary.
+// Spec is the system's design, named by its ID.
 func (s System) Spec() paperdata.DesignSpec {
-	spec := paperdata.DesignSpec{Name: s.ID}
-	for _, t := range s.Tiers {
-		spec.Tiers = append(spec.Tiers, paperdata.TierSpec{
-			Role: t.Role, Replicas: t.Replicas, Variant: t.Variant,
-		})
-	}
-	return spec
+	return paperdata.DesignSpec{Name: s.ID, Tiers: s.Tiers}
 }
 
 // priority returns the effective scheduling weight.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -45,12 +46,21 @@ func testSystem(id string) System {
 	return System{
 		ID:   id,
 		Role: "app",
-		Tiers: []TierSpec{
+		Tiers: []paperdata.TierSpec{
 			{Role: "dns", Replicas: 1}, {Role: "web", Replicas: 2},
 			{Role: "app", Replicas: 2}, {Role: "db", Replicas: 1},
 		},
 		WindowMinutes: 60,
 	}
+}
+
+// badDesigns break a system the way only a full spec check catches: a
+// stack the catalog lacks, a key separator in a tier role whose variant
+// is catalogued, and a campaign role that names no stack.
+var badDesigns = map[string]func(*System){
+	"unknownStack":    func(s *System) { s.Tiers[1].Variant = "foo" },
+	"separatorInRole": func(s *System) { s.Tiers[1].Role, s.Tiers[1].Variant = "web;x", "web" },
+	"unknownCampaign": func(s *System) { s.Role = "nosuch" },
 }
 
 func TestSystemValidate(t *testing.T) {
@@ -68,6 +78,9 @@ func TestSystemValidate(t *testing.T) {
 		"negDeadline":   func(s *System) { s.DeadlineHours = -1 },
 		"badProb":       func(s *System) { s.SuccessProbability = 1.5 },
 		"negRollback":   func(s *System) { s.RollbackMinutes = -1 },
+	}
+	for name, mut := range badDesigns {
+		mutations[name] = mut
 	}
 	for name, mut := range mutations {
 		s := testSystem("x")
@@ -184,6 +197,33 @@ func TestRegistrySnapshotRestore(t *testing.T) {
 	}
 	if _, err := fresh.Restore([]byte(`{"version":1,"systems":[{"id":""}]}`)); err == nil {
 		t.Error("invalid record should reject the snapshot")
+	}
+}
+
+// TestRestoreRejectsInvalidDesigns: a snapshot holding one system whose
+// design or campaign role would fail evaluation is rejected whole, and
+// the valid systems beside it are not added either.
+func TestRestoreRejectsInvalidDesigns(t *testing.T) {
+	for name, mut := range badDesigns {
+		bad := testSystem("bad")
+		mut(&bad)
+		data, err := json.Marshal(registrySnapshot{Version: snapshotVersion,
+			Systems: []System{testSystem("a"), bad, testSystem("c")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := NewRegistry()
+		if err := live.Register(testSystem("live")); err != nil {
+			t.Fatal(err)
+		}
+		before, rev := live.List(), live.Rev()
+		added, err := live.Restore(data)
+		if err == nil || added != 0 {
+			t.Errorf("%s: Restore = (%d, %v), want (0, error)", name, added, err)
+		}
+		if got := live.List(); !reflect.DeepEqual(got, before) || live.Rev() != rev {
+			t.Errorf("%s: rejected restore changed the registry: %+v rev %d, want %+v rev %d", name, got, live.Rev(), before, rev)
+		}
 	}
 }
 

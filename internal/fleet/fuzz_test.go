@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"redpatch/internal/paperdata"
 )
 
 // FuzzFleetRestore feeds arbitrary bytes to Registry.Restore, the path a
@@ -12,9 +14,10 @@ import (
 // panic. A snapshot that lists one ID twice is rejected. A rejected
 // input returns (0, err) and leaves a populated registry exactly as it
 // was. An accepted input adds only unknown IDs,
-// leaves live registrations alone, and round-trips: its restored
-// registry's Snapshot restores into a fresh registry whose Snapshot is
-// byte-identical.
+// leaves live registrations alone, holds only systems whose Spec
+// validates and whose campaign role is a known stack, and round-trips:
+// its restored registry's Snapshot restores into a fresh registry whose
+// Snapshot is byte-identical.
 func FuzzFleetRestore(f *testing.F) {
 	three := NewRegistry()
 	for _, id := range []string{"a", "b", "c"} {
@@ -40,6 +43,7 @@ func FuzzFleetRestore(f *testing.F) {
 	f.Add(bytes.Replace(snap, []byte(`"successProbability":0.9`), []byte(`"successProbability":2`), 1))
 	f.Add(bytes.Replace(snap, []byte(`"id":"c"`), []byte(`"id":"a"`), 1))
 	f.Add([]byte("not json"))
+	f.Add(bytes.Replace(snap, []byte(`"variant":"webalt"`), []byte(`"variant":"foo"`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		live := NewRegistry()
@@ -65,6 +69,14 @@ func FuzzFleetRestore(f *testing.F) {
 		}
 		if got, _ := live.Get("a"); !reflect.DeepEqual(got, s) {
 			t.Fatalf("restore overwrote a live registration: %+v", got)
+		}
+		for _, sys := range live.List() {
+			if err := sys.Spec().Validate(); err != nil {
+				t.Fatalf("restore accepted system %q whose spec is invalid: %v", sys.ID, err)
+			}
+			if !paperdata.KnownStack(sys.Role) {
+				t.Fatalf("restore accepted system %q with unknown campaign role %q", sys.ID, sys.Role)
+			}
 		}
 		if live.Len() != len(before)+added {
 			t.Fatalf("restore reported %d added, registry grew from %d to %d", added, len(before), live.Len())

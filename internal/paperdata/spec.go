@@ -16,11 +16,12 @@ import (
 // tier) with its own vulnerability set and patch plan; empty means the
 // role's own stack. Several TierSpecs may share a Role — they then form
 // one heterogeneous logical tier (the paper's §V variant deployment),
-// available while any server across the groups is up.
+// available while any server across the groups is up. The JSON tags are
+// the wire shape of a tier everywhere one is served or stored.
 type TierSpec struct {
-	Role     string
-	Replicas int
-	Variant  string
+	Role     string `json:"role"`
+	Replicas int    `json:"replicas"`
+	Variant  string `json:"variant,omitempty"`
 }
 
 // Stack returns the software-stack role the group's servers run: the
@@ -53,10 +54,12 @@ func (t TierSpec) appendLabel(b []byte) []byte {
 // DesignSpec is a role-keyed redundancy design: an ordered list of tier
 // groups. It generalizes the paper's fixed (DNS, Web, App, DB) tuple to
 // arbitrary tier chains and heterogeneous variants; Design.Spec converts
-// the classic tuple into the canonical four-tier spec.
+// the classic tuple into the canonical four-tier spec. An empty Name
+// gets the canonical one where a design is served. The JSON tags are the
+// wire shape of a design spec.
 type DesignSpec struct {
-	Name  string
-	Tiers []TierSpec
+	Name  string     `json:"name,omitempty"`
+	Tiers []TierSpec `json:"tiers"`
 }
 
 // Spec converts the classic 4-int design into its role-keyed equivalent.

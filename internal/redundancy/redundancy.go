@@ -597,10 +597,11 @@ func (e *Evaluator) PlanCampaign(role string, maxWindow time.Duration) (patch.Ca
 }
 
 // ScatterBounds are the administrator bounds of the paper's Eq. 3:
-// an upper bound phi on ASP and a lower bound psi on COA.
+// an upper bound phi on ASP and a lower bound psi on COA. The JSON tags
+// are the redpatchd v2 wire shape.
 type ScatterBounds struct {
-	MaxASP float64 // phi
-	MinCOA float64 // psi
+	MaxASP float64 `json:"maxAsp"` // phi
+	MinCOA float64 `json:"minCoa"` // psi
 }
 
 // Satisfied implements Eq. 3 on the after-patch metrics: 1 iff
@@ -610,13 +611,14 @@ func (b ScatterBounds) Satisfied(r Result) bool {
 }
 
 // MultiBounds are the administrator bounds of the paper's Eq. 4: upper
-// bounds on ASP, NoEV, NoAP and NoEP plus a lower bound on COA.
+// bounds on ASP, NoEV, NoAP and NoEP plus a lower bound on COA. The
+// JSON tags are the redpatchd v2 wire shape.
 type MultiBounds struct {
-	MaxASP  float64 // phi
-	MaxNoEV int     // xi
-	MaxNoAP int     // omega
-	MaxNoEP int     // kappa
-	MinCOA  float64 // psi
+	MaxASP  float64 `json:"maxAsp"`  // phi
+	MaxNoEV int     `json:"maxNoev"` // xi
+	MaxNoAP int     `json:"maxNoap"` // omega
+	MaxNoEP int     `json:"maxNoep"` // kappa
+	MinCOA  float64 `json:"minCoa"`  // psi
 }
 
 // Satisfied implements Eq. 4 on the after-patch metrics.

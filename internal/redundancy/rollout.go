@@ -40,20 +40,22 @@ const (
 // and canary-then-ramp are all special cases of a fraction sequence;
 // Points expands whichever is selected. Every expansion starts at the
 // unpatched point (all zeros) and ends fully patched (all ones), so a
-// schedule's frontier always brackets both atomic endpoints.
+// schedule's frontier always brackets both atomic endpoints. The JSON
+// tags are the redpatchd v2 wire shape.
 type RolloutSchedule struct {
-	// Strategy selects the expansion; empty means RolloutCustom.
-	Strategy string
+	// Strategy selects the expansion: "custom" (or empty), "one-shot",
+	// "rolling", "blue-green" or "canary".
+	Strategy string `json:"strategy,omitempty"`
 	// Steps is the wave count for rolling and canary ramps (default 4).
-	Steps int
+	Steps int `json:"steps,omitempty"`
 	// CanaryFraction is the canary first-wave fraction (default 0.1).
-	CanaryFraction float64
+	CanaryFraction float64 `json:"canaryFraction,omitempty"`
 	// Order is the blue-green tier flip order, a permutation of the
 	// spec's tier indices (default: spec order).
-	Order []int
+	Order []int `json:"order,omitempty"`
 	// Fractions is the explicit point sequence for RolloutCustom, one
 	// per-tier fraction vector per point.
-	Fractions [][]float64
+	Fractions [][]float64 `json:"fractions,omitempty"`
 }
 
 // maxRolloutSteps caps Steps for the rolling and canary ramps, which

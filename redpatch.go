@@ -72,60 +72,29 @@ func summarize(m harm.Metrics) SecuritySummary {
 // for a "web" tier) with its own vulnerability set and patch plan.
 // Several TierSpecs may share a Role: they then form one heterogeneous
 // logical tier, available while any of its servers is up.
-type TierSpec struct {
-	Role     string `json:"role"`
-	Replicas int    `json:"replicas"`
-	Variant  string `json:"variant,omitempty"`
-}
+type TierSpec = paperdata.TierSpec
 
 // DesignSpec is a role-keyed redundancy design: an ordered list of tier
 // groups forming the network's logical chain. It generalizes the paper's
 // fixed (DNS, Web, App, DB) tuple to arbitrary tier sequences and
 // heterogeneous variants. An empty Name gets the canonical compact name.
-type DesignSpec struct {
-	Name  string     `json:"name,omitempty"`
-	Tiers []TierSpec `json:"tiers"`
-}
-
-// pd converts to the internal representation.
-func (s DesignSpec) pd() paperdata.DesignSpec {
-	out := paperdata.DesignSpec{Name: s.Name, Tiers: make([]paperdata.TierSpec, len(s.Tiers))}
-	for i, t := range s.Tiers {
-		out.Tiers[i] = paperdata.TierSpec{Role: t.Role, Replicas: t.Replicas, Variant: t.Variant}
-	}
-	return out
-}
-
-func specFromPD(s paperdata.DesignSpec) DesignSpec {
-	out := DesignSpec{Name: s.Name, Tiers: make([]TierSpec, len(s.Tiers))}
-	for i, t := range s.Tiers {
-		out.Tiers[i] = TierSpec{Role: t.Role, Replicas: t.Replicas, Variant: t.Variant}
-	}
-	return out
-}
+// Its Key is the canonical cache identity: tier order, roles, variants
+// and replica counts, and deliberately not the name.
+type DesignSpec = paperdata.DesignSpec
 
 // ClassicSpec builds the paper's four-tier homogeneous spec from the
 // classic (DNS, Web, App, DB) replica tuple.
 func ClassicSpec(name string, dns, web, app, db int) DesignSpec {
-	return specFromPD(paperdata.Design{Name: name, DNS: dns, Web: web, App: app, DB: db}.Spec())
+	return paperdata.Design{Name: name, DNS: dns, Web: web, App: app, DB: db}.Spec()
 }
-
-// Validate checks the spec without evaluating it.
-func (s DesignSpec) Validate() error { return s.pd().Validate() }
-
-// Key is the canonical cache identity of the spec: tier order, roles,
-// variants and replica counts — everything that changes the models —
-// and deliberately not the name. Two specs with equal keys evaluate to
-// the same report, so the key identifies a design's result across
-// requests, renames and processes.
-func (s DesignSpec) Key() string { return s.pd().Key() }
 
 // DesignReport is the combined evaluation of one redundancy design.
 type DesignReport struct {
 	// Name labels the design; Description renders it in the paper's
 	// "1 DNS + 2 WEB + 2 APP + 1 DB" notation.
 	Name, Description string
-	// Spec is the role-keyed design the report was evaluated from.
+	// Spec is the role-keyed design the report was evaluated from. Its
+	// Tiers are the evaluated spec's own slice, not a copy.
 	Spec DesignSpec
 	// Servers is the total server count.
 	Servers int
@@ -301,7 +270,7 @@ func (s *CaseStudy) EvaluateSpec(spec DesignSpec) (DesignReport, error) {
 // never cancels a solve in flight; results stay shared across
 // deduplicated callers.
 func (s *CaseStudy) EvaluateSpecCtx(ctx context.Context, spec DesignSpec) (DesignReport, error) {
-	p, desc := spec.resolve()
+	p, desc := resolve(spec)
 	r, err := s.eng.EvaluateSpecCtx(ctx, p)
 	if err != nil {
 		return DesignReport{}, err
@@ -309,23 +278,22 @@ func (s *CaseStudy) EvaluateSpecCtx(ctx context.Context, spec DesignSpec) (Desig
 	return described(r, desc), nil
 }
 
-// resolve converts the spec for the engine and renders the description
+// resolve names the spec for the engine and renders the description
 // its report carries. A spec without a name gets its canonical one; the
 // name and the description are then built as one string, which both
 // slice.
-func (s DesignSpec) resolve() (paperdata.DesignSpec, string) {
-	p := s.pd()
+func resolve(s DesignSpec) (DesignSpec, string) {
 	var buf [128]byte
 	b := buf[:0]
 	if s.Name == "" {
-		b = p.AppendCanonicalName(b)
+		b = s.AppendCanonicalName(b)
 	}
 	n := len(b)
-	text := string(p.AppendString(b))
+	text := string(s.AppendString(b))
 	if s.Name == "" {
-		p.Name = text[:n]
+		s.Name = text[:n]
 	}
-	return p, text[n:]
+	return s, text[n:]
 }
 
 // PaperDesigns evaluates the five design choices of the paper's §IV in
@@ -384,7 +352,7 @@ func described(r redundancy.Result, desc string) DesignReport {
 	return DesignReport{
 		Name:                r.Spec.Name,
 		Description:         desc,
-		Spec:                specFromPD(r.Spec),
+		Spec:                r.Spec,
 		Servers:             r.Spec.Total(),
 		Before:              summarize(r.Before),
 		After:               summarize(r.After),
@@ -394,21 +362,12 @@ func described(r redundancy.Result, desc string) DesignReport {
 }
 
 // ScatterBounds are the Eq. 3 administrator bounds: an ASP ceiling (phi)
-// and a COA floor (psi). The JSON tags are the redpatchd v2 wire shape.
-type ScatterBounds struct {
-	MaxASP float64 `json:"maxAsp"`
-	MinCOA float64 `json:"minCoa"`
-}
+// and a COA floor (psi).
+type ScatterBounds = redundancy.ScatterBounds
 
 // MultiBounds are the Eq. 4 administrator bounds over four security
-// metrics and COA. The JSON tags are the redpatchd v2 wire shape.
-type MultiBounds struct {
-	MaxASP  float64 `json:"maxAsp"`
-	MaxNoEV int     `json:"maxNoev"`
-	MaxNoAP int     `json:"maxNoap"`
-	MaxNoEP int     `json:"maxNoep"`
-	MinCOA  float64 `json:"minCoa"`
-}
+// metrics and COA.
+type MultiBounds = redundancy.MultiBounds
 
 // SatisfiesScatter implements the paper's Eq. 3 on a design report.
 func SatisfiesScatter(r DesignReport, b ScatterBounds) bool {
@@ -477,7 +436,7 @@ type PatchPriority struct {
 // study's configured policy: a PatchAll study ranks every vulnerability,
 // a threshold study only its critical set.
 func (s *CaseStudy) RankPatchesSpec(spec DesignSpec) ([]PatchPriority, error) {
-	candidates, err := s.eval.RankPatches(spec.pd())
+	candidates, err := s.eval.RankPatches(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -567,53 +526,15 @@ func (s *CaseStudy) PlanCampaign(role string, window time.Duration) (CampaignPla
 // sweeps the role's own stack only; listing variants (the empty string
 // stands for the base stack) multiplies the space by the stack choices —
 // the paper's §V heterogeneous-redundancy exploration.
-type TierSweep struct {
-	Role     string   `json:"role"`
-	Min      int      `json:"min"`
-	Max      int      `json:"max"`
-	Variants []string `json:"variants,omitempty"`
-}
+type TierSweep = engine.TierSweep
 
 // SpecSweepRequest describes a role-keyed design-space sweep: an ordered
 // list of tier sweeps plus optional administrator bounds. Designs
 // failing a configured bound are dropped as they are evaluated, never
-// accumulated.
-type SpecSweepRequest struct {
-	Tiers []TierSweep `json:"tiers"`
-	// Scatter, when non-nil, applies the Eq. 3 bounds.
-	Scatter *ScatterBounds `json:"scatter,omitempty"`
-	// Multi, when non-nil, applies the Eq. 4 bounds.
-	Multi *MultiBounds `json:"multi,omitempty"`
-}
-
-func (r SpecSweepRequest) spec() engine.SweepSpec {
-	spec := engine.SweepSpec{Tiers: make([]engine.TierSweep, len(r.Tiers))}
-	for i, t := range r.Tiers {
-		spec.Tiers[i] = engine.TierSweep{
-			Role:     t.Role,
-			Replicas: engine.Range{Min: t.Min, Max: t.Max},
-			Variants: t.Variants,
-		}
-	}
-	if r.Scatter != nil {
-		spec.Scatter = &redundancy.ScatterBounds{MaxASP: r.Scatter.MaxASP, MinCOA: r.Scatter.MinCOA}
-	}
-	if r.Multi != nil {
-		spec.Multi = &redundancy.MultiBounds{
-			MaxASP: r.Multi.MaxASP, MaxNoEV: r.Multi.MaxNoEV,
-			MaxNoAP: r.Multi.MaxNoAP, MaxNoEP: r.Multi.MaxNoEP, MinCOA: r.Multi.MinCOA,
-		}
-	}
-	return spec
-}
-
-// SweepSize returns the number of designs the request enumerates,
-// without evaluating any.
-func (r SpecSweepRequest) SweepSize() int { return r.spec().Size() }
-
-// Validate rejects requests with no tiers, unknown roles or variants,
-// and nonsensical replica ranges.
-func (r SpecSweepRequest) Validate() error { return r.spec().Validate() }
+// accumulated. SweepSize counts the designs it enumerates and Validate
+// rejects requests with no tiers, unknown roles or variants, and
+// nonsensical replica ranges.
+type SpecSweepRequest = engine.SweepSpec
 
 // SweepSpecEach streams every report passing the request's bounds to fn
 // as designs finish evaluating (completion order). fn runs on one
@@ -629,7 +550,7 @@ func (s *CaseStudy) SweepSpecEach(ctx context.Context, req SpecSweepRequest, fn 
 // so far and the total. redpatchd's NDJSON sweep stream derives its
 // periodic progress events (done/total, cache-hit ratio, ETA) from it.
 func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequest, fn func(DesignReport) error, progress func(done, total int)) (int, error) {
-	return s.eng.Sweep(ctx, req.spec(), func(r redundancy.Result) error {
+	return s.eng.Sweep(ctx, req, func(r redundancy.Result) error {
 		return fn(convert(r))
 	}, progress)
 }
@@ -650,35 +571,10 @@ func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequ
 // The rollout counters cover mixed-version evaluation: RolloutSolves
 // rollout points evaluated by the engine, RolloutHits points served
 // from (or deduplicated onto) the memo.
-type EngineStats struct {
-	Solves             uint64 `json:"solves"`
-	Hits               uint64 `json:"hits"`
-	FactoredSolves     uint64 `json:"factoredSolves"`
-	TierSolves         uint64 `json:"tierSolves"`
-	TierFactorHits     uint64 `json:"tierFactorHits"`
-	SecurityFactored   uint64 `json:"securityFactored"`
-	SecuritySolves     uint64 `json:"securitySolves"`
-	SecurityFactorHits uint64 `json:"securityFactorHits"`
-	RolloutSolves      uint64 `json:"rolloutSolves"`
-	RolloutHits        uint64 `json:"rolloutHits"`
-}
+type EngineStats = engine.Stats
 
 // EngineStats returns a snapshot of the case study's cache counters.
-func (s *CaseStudy) EngineStats() EngineStats {
-	st := s.eng.Stats()
-	return EngineStats{
-		Solves:             st.Solves,
-		Hits:               st.Hits,
-		FactoredSolves:     st.FactoredSolves,
-		TierSolves:         st.TierSolves,
-		TierFactorHits:     st.TierFactorHits,
-		SecurityFactored:   st.SecurityFactored,
-		SecuritySolves:     st.SecuritySolves,
-		SecurityFactorHits: st.SecurityFactorHits,
-		RolloutSolves:      st.RolloutSolves,
-		RolloutHits:        st.RolloutHits,
-	}
-}
+func (s *CaseStudy) EngineStats() EngineStats { return s.eng.Stats() }
 
 // CacheEntries reports the number of completed entries in the engine's
 // memo cache, evaluated designs and rollout points alike (in-flight
@@ -691,11 +587,11 @@ func (s *CaseStudy) CacheEntries() int { return s.eng.Len() }
 // waits on a solve in flight. It reads false, moving nothing, for a
 // design not yet memoized or an invalid spec. redpatchd's admission
 // control uses it so warm evaluate requests bypass the limiter and
-// convert, validate and key their spec once. A racing solve may finish
+// validate and key their spec once. A racing solve may finish
 // just after a false answer, which costs at most one admitted request
 // served from the memo.
 func (s *CaseStudy) CachedReport(ctx context.Context, spec DesignSpec) (DesignReport, bool) {
-	p, desc := spec.resolve()
+	p, desc := resolve(spec)
 	r, ok := s.eng.Lookup(ctx, p)
 	if !ok {
 		return DesignReport{}, false

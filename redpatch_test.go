@@ -566,9 +566,9 @@ func TestSpecValidationAtFacade(t *testing.T) {
 
 // TestCachedReportAllocations pins what a whole warm evaluate costs in
 // the facade — the lookup that both decides the admission bypass and
-// serves the request: one spec conversion, one string holding the
-// default name and the description, a memo read with the key in a stack
-// buffer, and the report's spec. It must equal
+// serves the request: one string holding the default name and the
+// description, and a memo read with the key in a stack buffer. The
+// report carries the caller's spec, never a copy. It must equal
 // what EvaluateSpec serves, and a miss must move no counter.
 func TestCachedReportAllocations(t *testing.T) {
 	s, _ := caseStudy(t)
@@ -598,8 +598,30 @@ func TestCachedReportAllocations(t *testing.T) {
 		if got := s.EngineStats().Hits; got != hits+1 {
 			t.Errorf("a warm lookup counted %d hits, want 1", got-hits)
 		}
-		if got := testing.AllocsPerRun(100, func() { s.CachedReport(ctx, spec) }); got > 3 {
-			t.Errorf("warm CachedReport(%q) = %v allocs, want at most 3", name, got)
+		if got := testing.AllocsPerRun(100, func() { s.CachedReport(ctx, spec) }); got > 1 {
+			t.Errorf("warm CachedReport(%q) = %v allocs, want at most 1", name, got)
 		}
+	}
+}
+
+// TestWarmSweepAllocations bounds what a warm 64-design classic sweep
+// costs in the facade: the enumeration with its canonical names, the
+// worker fan-out, a memo read per design and one description string per
+// report. A report carries the engine's spec as is, so no design pays
+// for a spec copy.
+func TestWarmSweepAllocations(t *testing.T) {
+	s, _ := caseStudy(t)
+	ctx := context.Background()
+	req := SpecSweepRequest{Tiers: []TierSweep{
+		{Role: "dns", Min: 1, Max: 4}, {Role: "web", Min: 1, Max: 4},
+		{Role: "app", Min: 1, Max: 4}, {Role: "db", Min: 1, Max: 1},
+	}}
+	kept := 0
+	fn := func(DesignReport) error { kept++; return nil }
+	if total, err := s.SweepSpecEach(ctx, req, fn); err != nil || total != 64 || kept != 64 {
+		t.Fatalf("warm-up sweep: total %d, kept %d, err %v; want 64, 64, nil", total, kept, err)
+	}
+	if got := testing.AllocsPerRun(20, func() { s.SweepSpecEach(ctx, req, fn) }); got > 280 {
+		t.Errorf("warm 64-design sweep = %v allocs, want at most 280", got)
 	}
 }

@@ -23,7 +23,7 @@ func (r DesignReport) AppendJSON(b []byte) ([]byte, error) {
 	}
 	b = wire.AppendString(append(b, `{"Name":`...), r.Name)
 	b = wire.AppendString(append(b, `,"Description":`...), r.Description)
-	b = r.Spec.appendJSON(append(b, `,"Spec":`...))
+	b = appendSpecJSON(append(b, `,"Spec":`...), r.Spec)
 	b = strconv.AppendInt(append(b, `,"Servers":`...), int64(r.Servers), 10)
 	b = r.Before.appendJSON(append(b, `,"Before":`...))
 	b = r.After.appendJSON(append(b, `,"After":`...))
@@ -52,8 +52,8 @@ func (r RolloutReport) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendJSON appends the spec under its wire tags.
-func (s DesignSpec) appendJSON(b []byte) []byte {
+// appendSpecJSON appends the spec under its wire tags.
+func appendSpecJSON(b []byte, s DesignSpec) []byte {
 	b = append(b, '{')
 	if s.Name != "" {
 		b = append(wire.AppendString(append(b, `"name":`...), s.Name), ',')

@@ -17,41 +17,11 @@ import (
 // patch the same replica counts share one solve.
 
 // RolloutSchedule describes a rollout as a sequence of per-tier patched
-// fractions. The JSON tags are the redpatchd v2 wire shape. One-shot,
-// rolling-N, blue-green and canary-then-ramp are special cases of the
-// fraction sequence; every expansion starts all-unpatched and ends
-// all-patched, bracketing both atomic endpoints.
-type RolloutSchedule struct {
-	// Strategy is "custom" (or empty), "one-shot", "rolling",
-	// "blue-green" or "canary".
-	Strategy string `json:"strategy,omitempty"`
-	// Steps is the wave count for rolling and canary ramps (default 4).
-	Steps int `json:"steps,omitempty"`
-	// CanaryFraction is the canary first-wave fraction (default 0.1).
-	CanaryFraction float64 `json:"canaryFraction,omitempty"`
-	// Order is the blue-green tier flip order, a permutation of the
-	// design's tier indices (default: spec order).
-	Order []int `json:"order,omitempty"`
-	// Fractions is the explicit point sequence for the custom strategy:
-	// one per-tier fraction vector per point.
-	Fractions [][]float64 `json:"fractions,omitempty"`
-}
-
-func (s RolloutSchedule) rd() redundancy.RolloutSchedule {
-	return redundancy.RolloutSchedule{
-		Strategy:       s.Strategy,
-		Steps:          s.Steps,
-		CanaryFraction: s.CanaryFraction,
-		Order:          s.Order,
-		Fractions:      s.Fractions,
-	}
-}
-
-// Points expands the schedule into per-tier fraction vectors for a
-// design with the given tier count, validating it in the process.
-func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
-	return s.rd().Points(tiers)
-}
+// fractions. One-shot, rolling-N, blue-green and canary-then-ramp are
+// special cases of the fraction sequence; Points expands the schedule for
+// a design's tier count, validating it. Every expansion starts
+// all-unpatched and ends all-patched, bracketing both atomic endpoints.
+type RolloutSchedule = redundancy.RolloutSchedule
 
 // RolloutReport is the evaluation of one design at one rollout point.
 // The JSON tags are the redpatchd v2 NDJSON wire shape.
@@ -95,11 +65,10 @@ func (c chaosEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.Desi
 // the engine's memo. Fraction 0 everywhere reproduces the
 // atomic before-patch result, fraction 1 everywhere the after-patch one.
 func (s *CaseStudy) EvaluateRollout(ctx context.Context, spec DesignSpec, fractions []float64) (RolloutReport, error) {
-	p := spec.pd()
 	if spec.Name == "" {
-		p.Name = p.CanonicalName()
+		spec.Name = spec.CanonicalName()
 	}
-	r, err := s.eng.EvaluateRollout(ctx, p, fractions)
+	r, err := s.eng.EvaluateRollout(ctx, spec, fractions)
 	if err != nil {
 		return RolloutReport{}, err
 	}
@@ -112,18 +81,17 @@ func (s *CaseStudy) EvaluateRollout(ctx context.Context, spec DesignSpec, fracti
 // error cancels the sweep. progress (optional) runs there too after
 // every completed point. The number of schedule points is returned.
 func (s *CaseStudy) RolloutSweepEach(ctx context.Context, spec DesignSpec, sched RolloutSchedule, fn func(RolloutReport) error, progress func(done, total int)) (int, error) {
-	p := spec.pd()
 	if spec.Name == "" {
-		p.Name = p.CanonicalName()
+		spec.Name = spec.CanonicalName()
 	}
-	if err := p.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
-	points, err := sched.Points(len(p.Tiers))
+	points, err := sched.Points(len(spec.Tiers))
 	if err != nil {
 		return 0, err
 	}
-	err = s.eng.RolloutSweep(ctx, p, points, func(step int, r redundancy.RolloutResult) error {
+	err = s.eng.RolloutSweep(ctx, spec, points, func(step int, r redundancy.RolloutResult) error {
 		return fn(convertRollout(step, r))
 	}, progress)
 	if err != nil {
