@@ -577,7 +577,7 @@ func solveCOA(nm availability.NetworkModel) (float64, error) {
 
 // discard is the sweep callback of benchmarks that time the sweep, not
 // what it keeps.
-func discard(redundancy.Result) error { return nil }
+func discard(engine.Report) error { return nil }
 
 // fullSpace sweeps every classic design with 1..max replicas per tier.
 func fullSpace(max int) engine.SweepSpec {
@@ -1026,7 +1026,7 @@ func BenchmarkRolloutSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		n := 0
-		err = eng.RolloutSweep(ctx, spec, points, func(step int, r redundancy.RolloutResult) error {
+		err = eng.RolloutSweep(ctx, spec, points, func(engine.RolloutReport) error {
 			n++
 			return nil
 		}, nil)

@@ -103,19 +103,13 @@ func (a admissionLimiters) all() []*admission.Limiter {
 
 // admitEvaluate is the evaluate class's in-handler admission, called
 // after the request decoded: warm specs (already in the scenario's
-// memo cache) take a free slot when one is available but are never
-// queued or shed — the whole point of the bypass is that a saturated
-// daemon still answers them. Returns ok=false with the shed response
-// written.
+// memo cache, and already served by the lookup that found them) return
+// at once, never touching the limiter — the whole point of the bypass
+// is that a saturated daemon still answers them. Returns ok=false with
+// the shed response written.
 func (s *server) admitEvaluate(w http.ResponseWriter, r *http.Request, warm bool) (release func(), ok bool) {
 	l := s.adm.evaluate
-	if l == nil {
-		return func() {}, true
-	}
-	if warm {
-		if rel, got := l.TryAcquire(); got {
-			return rel, true
-		}
+	if warm || l == nil {
 		return func() {}, true
 	}
 	rel, err := l.Acquire(r.Context())

@@ -14,11 +14,11 @@ import (
 	"net/http"
 	"time"
 
+	"redpatch"
 	"redpatch/internal/faultinject"
 	"redpatch/internal/fleet"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
-	"redpatch/internal/redundancy"
 )
 
 // fleetResolver adapts the scenario registry to the fleet scheduler:
@@ -48,9 +48,9 @@ type chaosFleetEngine struct {
 	next fleet.Engine
 }
 
-func (c chaosFleetEngine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
+func (c chaosFleetEngine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (redpatch.DesignReport, error) {
 	if err := c.inj.HitCtx(ctx, "fleet.evaluate"); err != nil {
-		return redundancy.Result{}, err
+		return redpatch.DesignReport{}, err
 	}
 	return c.next.EvaluateSpecCtx(ctx, spec)
 }

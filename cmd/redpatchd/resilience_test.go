@@ -99,6 +99,17 @@ func TestAdmissionSaturation(t *testing.T) {
 		t.Fatalf("warmup status = %d: %s", w.Code, w.Body)
 	}
 
+	// On the idle daemon a warm evaluate answers from the memo without
+	// touching the limiter: the admitted count stays at the warmup's.
+	const admitted = `redpatchd_admission_admitted_total{class="evaluate"}`
+	before := metricValue(t, scrape(t, h), admitted)
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate", warm); w.Code != http.StatusOK {
+		t.Fatalf("idle warm status = %d: %s", w.Code, w.Body)
+	}
+	if after := metricValue(t, scrape(t, h), admitted); after != before {
+		t.Fatalf("a warm evaluate moved %s from %s to %s", admitted, before, after)
+	}
+
 	inj.Configure(redpatch.ChaosSiteEvaluate,
 		faultinject.Site{LatencyProb: 1, Latency: 400 * time.Millisecond})
 

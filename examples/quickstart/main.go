@@ -50,7 +50,7 @@ func run() error {
 	bounds := redpatch.ScatterBounds{MaxASP: 0.25, MinCOA: 0.997}
 	for _, d := range []redpatch.DesignReport{base, variant} {
 		fmt.Printf("  %-30s satisfies (phi=%.2f, psi=%.3f): %v\n",
-			d.Description, bounds.MaxASP, bounds.MinCOA, redpatch.SatisfiesScatter(d, bounds))
+			d.Description, bounds.MaxASP, bounds.MinCOA, bounds.Satisfied(d))
 	}
 	return nil
 }

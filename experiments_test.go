@@ -14,6 +14,7 @@ import (
 
 	"redpatch/internal/attacktree"
 	"redpatch/internal/availability"
+	"redpatch/internal/engine"
 	"redpatch/internal/harm"
 	"redpatch/internal/mathx"
 	"redpatch/internal/oracle"
@@ -314,7 +315,7 @@ func TestExperimentE8_Figure6(t *testing.T) {
 // radar chart for the five designs) and the Eq. 4 decision regions.
 func TestExperimentE9_Figure7(t *testing.T) {
 	_, ds := caseStudy(t)
-	mkChart := func(title string, pick func(DesignReport) SecuritySummary) *report.Table {
+	mkChart := func(title string, pick func(DesignReport) engine.Summary) *report.Table {
 		chart := report.NewTable(title, "design", "NoEP", "COA", "ASP", "AIM", "NoEV", "NoAP")
 		for _, d := range ds {
 			sec := pick(d)
@@ -323,8 +324,8 @@ func TestExperimentE9_Figure7(t *testing.T) {
 		}
 		return chart
 	}
-	before := mkChart("Fig. 7(a) before patch", func(d DesignReport) SecuritySummary { return d.Before })
-	after := mkChart("Fig. 7(b) after patch", func(d DesignReport) SecuritySummary { return d.After })
+	before := mkChart("Fig. 7(a) before patch", func(d DesignReport) engine.Summary { return d.Before })
+	after := mkChart("Fig. 7(b) after patch", func(d DesignReport) engine.Summary { return d.After })
 	t.Logf("\n%s\n%s", before.Render(), after.Render())
 
 	// Paper §IV-B qualitative anchors.

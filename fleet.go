@@ -1,28 +1,21 @@
 package redpatch
 
 import (
-	"context"
 	"time"
 
 	"redpatch/internal/fleet"
-	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
-	"redpatch/internal/redundancy"
 )
 
 // fleetEngine adapts a case study to the fleet scheduler's Engine
-// interface: design evaluations go through the memoized engine (so a
-// thousand-system fleet over a handful of spec shapes costs a handful of
-// solves), campaign planning through the evaluator's policy-aware
-// planner.
-type fleetEngine struct{ s *CaseStudy }
-
-func (f fleetEngine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
-	return f.s.eng.EvaluateSpecCtx(ctx, spec)
-}
+// interface: design evaluations go through the study's memoized
+// EvaluateSpecCtx (so a thousand-system fleet over a handful of spec
+// shapes costs a handful of solves), campaign planning through the
+// evaluator's policy-aware planner.
+type fleetEngine struct{ *CaseStudy }
 
 func (f fleetEngine) PlanCampaign(role string, maxWindow time.Duration) (patch.Campaign, error) {
-	return f.s.eval.PlanCampaign(role, maxWindow)
+	return f.eval.PlanCampaign(role, maxWindow)
 }
 
 // FleetEngine exposes the study to the fleet scheduler

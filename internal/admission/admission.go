@@ -147,20 +147,6 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// TryAcquire admits the caller only when a slot is free right now —
-// the cache-bypass path uses it to keep warm reads cheap — returning
-// false instead of queueing.
-func (l *Limiter) TryAcquire() (release func(), ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.inflight >= l.opts.Concurrency || len(l.queue) > 0 {
-		return nil, false
-	}
-	l.inflight++
-	l.admitted++
-	return l.releaseOnce(), true
-}
-
 // abandon removes a timed-out or cancelled waiter from the queue. If a
 // releasing holder granted the waiter's slot first, the slot is
 // released again (handing it onward) so it is never lost.

@@ -195,24 +195,6 @@ func TestReleaseIdempotent(t *testing.T) {
 	}
 }
 
-// TestTryAcquire: admits only when a slot is free right now.
-func TestTryAcquire(t *testing.T) {
-	l := New("t", Options{Concurrency: 1, Queue: 4})
-	r, ok := l.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire failed on an idle limiter")
-	}
-	if _, ok := l.TryAcquire(); ok {
-		t.Fatal("TryAcquire admitted past the cap")
-	}
-	r()
-	r2, ok := l.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire failed after release")
-	}
-	r2()
-}
-
 // waitFor polls cond for up to 5s.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
 	"redpatch/internal/trace"
@@ -117,42 +116,6 @@ type Engine struct {
 	size atomic.Uint64
 }
 
-// summary is the five security numbers a report serves for one side of
-// the patch round (paper Table II): no per-path detail, no shortest
-// path.
-type summary struct {
-	AIM  float64 `json:"aim"`
-	ASP  float64 `json:"asp"`
-	NoEV int     `json:"noev"`
-	NoAP int     `json:"noap"`
-	NoEP int     `json:"noep"`
-}
-
-func summarize(m harm.Metrics) summary {
-	return summary{AIM: m.AIM, ASP: m.ASP, NoEV: m.NoEV, NoAP: m.NoAP, NoEP: m.NoEP}
-}
-
-func (s summary) metrics() harm.Metrics {
-	return harm.Metrics{AIM: s.AIM, ASP: s.ASP, NoEV: s.NoEV, NoAP: s.NoAP, NoEP: s.NoEP}
-}
-
-// entry is one memo value. An atomic design fills both sides of the
-// patch round; a rollout point keeps its mixed-version security in
-// before and leaves after zero.
-type entry struct {
-	before, after summary
-	coa, sa       float64
-}
-
-func atomicEntry(r redundancy.Result) entry {
-	return entry{before: summarize(r.Before), after: summarize(r.After), coa: r.COA, sa: r.ServiceAvailability}
-}
-
-func (v entry) result(spec paperdata.DesignSpec) redundancy.Result {
-	return redundancy.Result{Spec: spec, Before: v.before.metrics(), After: v.after.metrics(),
-		COA: v.coa, ServiceAvailability: v.sa}
-}
-
 // call is one solve in flight. done is closed once val and err are
 // final.
 type call struct {
@@ -199,40 +162,40 @@ func (g *Engine) Stats() Stats {
 
 // EvaluateSpecCtx scores one role-keyed design, serving repeats from the
 // memo. Concurrent calls for the same spec identity share a single
-// solve. The returned result carries the requested spec (name included)
-// even on a hit, and the served numbers only: its metrics have no Paths
-// and no ShortestPath, on a miss as on a hit. When the context carries a
-// tracer, the call records an "engine.evaluate" span whose cache
-// attribute distinguishes a miss (this call solved), a hit (the memo had
-// a completed entry) and an inflight join (a concurrent solve of the
-// same design was in progress and this call waited for it). The context
-// does not cancel an in-flight solve — a result being computed belongs
-// to every caller deduplicated onto it, so the first caller's
+// solve. The returned report carries the requested spec (name included,
+// the canonical one when it has none) even on a hit. When the context
+// carries a tracer, the call records an "engine.evaluate" span whose
+// cache attribute distinguishes a miss (this call solved), a hit (the
+// memo had a completed entry) and an inflight join (a concurrent solve
+// of the same design was in progress and this call waited for it). The
+// context does not cancel an in-flight solve — a result being computed
+// belongs to every caller deduplicated onto it, so the first caller's
 // cancellation must not poison the shared entry — but a caller *joining*
 // an in-flight solve abandons its wait when its context ends: the solve
 // finishes and memoizes without it.
-func (g *Engine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
-	return g.evaluateSpecTraced(ctx, spec,
+func (g *Engine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (Report, error) {
+	spec, desc := resolve(spec)
+	v, err := g.evaluateSpecTraced(ctx, spec,
 		trace.Attr{Key: "design", Value: spec.Name})
+	if err != nil {
+		return Report{}, err
+	}
+	return v.report(spec, desc), nil
 }
 
 // evaluateSpecTraced opens the "engine.evaluate" span with the caller's
 // attributes — the sweep path adds per-design queue wait on top of the
-// design name.
-func (g *Engine) evaluateSpecTraced(ctx context.Context, spec paperdata.DesignSpec, attrs ...trace.Attr) (res redundancy.Result, err error) {
+// design name — and returns the spec's memo entry.
+func (g *Engine) evaluateSpecTraced(ctx context.Context, spec paperdata.DesignSpec, attrs ...trace.Attr) (v entry, err error) {
 	ctx, sp := trace.Start(ctx, "engine.evaluate", attrs...)
 	defer func() { sp.EndErr(err) }()
 	if err := spec.Validate(); err != nil {
-		return redundancy.Result{}, err
+		return entry{}, err
 	}
-	v, err := g.do(ctx, sp, spec, nil, &g.solves, &g.hits, func() (entry, error) {
+	return g.do(ctx, sp, spec, nil, &g.solves, &g.hits, func() (entry, error) {
 		r, err := g.eval.EvaluateSpecContext(ctx, spec)
 		return atomicEntry(r), err
 	})
-	if err != nil {
-		return redundancy.Result{}, err
-	}
-	return v.result(spec), nil
 }
 
 // keyBuf sizes the stack buffers keys are built in: a packed key of up
@@ -327,13 +290,13 @@ func textKey(spec paperdata.DesignSpec, patched []int) string {
 // Lookup serves spec from the memo when a completed entry holds it,
 // without solving and without waiting: it counts a hit and records the
 // "engine.evaluate" span with cache hit, exactly as EvaluateSpecCtx
-// does on a hit, and returns the same result. An invalid spec, a solve
-// still in flight or a design never solved reads false, with no span
-// and no counter moved. Admission control uses it to serve warm
-// requests without taking a limiter slot.
-func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, bool) {
+// does on a hit, and returns the same report. An invalid spec, a solve
+// still in flight or a design never solved reads false, with no span,
+// no counter moved and nothing allocated. Admission control uses it to
+// serve warm requests without taking a limiter slot.
+func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (Report, bool) {
 	if spec.Validate() != nil {
-		return redundancy.Result{}, false
+		return Report{}, false
 	}
 	var buf [keyBuf]byte
 	g.mu.Lock()
@@ -344,9 +307,10 @@ func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (redunda
 	}
 	g.mu.Unlock()
 	if !ok {
-		return redundancy.Result{}, false
+		return Report{}, false
 	}
 	g.hits.Add(1)
+	spec, desc := resolve(spec)
 	// The span starts without attributes so that an untraced hit does
 	// not box the design name.
 	if _, sp := trace.Start(ctx, "engine.evaluate"); sp != nil {
@@ -354,5 +318,5 @@ func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (redunda
 		sp.SetAttr("cache", "hit")
 		sp.End()
 	}
-	return v.result(spec), true
+	return v.report(spec, desc), true
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
 )
@@ -47,18 +48,28 @@ func classicSpace(lo, hi int) SweepSpec {
 func fullSpace(max int) SweepSpec { return classicSpace(1, max) }
 
 // evaluateSerially is the serial reference: the bare evaluator over
-// designs, in order.
-func evaluateSerially(t *testing.T, ev *redundancy.Evaluator, designs []paperdata.DesignSpec) []redundancy.Result {
+// designs, in order, each result read as the report it serves.
+func evaluateSerially(t *testing.T, ev *redundancy.Evaluator, designs []paperdata.DesignSpec) []Report {
 	t.Helper()
-	out := make([]redundancy.Result, len(designs))
+	out := make([]Report, len(designs))
 	for i, d := range designs {
 		r, err := ev.EvaluateSpecContext(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = r
+		out[i] = reportOf(r)
 	}
 	return out
+}
+
+// reportOf reads an evaluator result as the report it serves, without
+// a description.
+func reportOf(r redundancy.Result) Report {
+	sum := func(m harm.Metrics) Summary {
+		return Summary{AIM: m.AIM, ASP: m.ASP, NoEV: m.NoEV, NoAP: m.NoAP, NoEP: m.NoEP}
+	}
+	return Report{Name: r.Spec.Name, Spec: r.Spec, Servers: r.Spec.Total(),
+		Before: sum(r.Before), After: sum(r.After), COA: r.COA, ServiceAvailability: r.ServiceAvailability}
 }
 
 // countingEvaluator wraps a DesignEvaluator and counts EvaluateSpecContext
@@ -84,16 +95,14 @@ func (c *countingEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.
 	return c.inner.EvaluatePatched(ctx, spec, patched)
 }
 
-// served projects a result onto what a report serves: the spec's name
-// and key and the twelve numbers, floats as bit patterns, so ==
-// compares results bitwise. The evaluator's Paths and ShortestPath are
-// not served and the memo does not keep them.
+// served projects a report onto the spec's name and key and the twelve
+// numbers, floats as bit patterns, so == compares reports bitwise.
 type served struct {
 	name, key string
 	nums      [12]uint64
 }
 
-func servedOf(r redundancy.Result) served {
+func servedOf(r Report) served {
 	f := math.Float64bits
 	return served{name: r.Spec.Name, key: r.Spec.Key(), nums: [12]uint64{
 		f(r.Before.AIM), f(r.Before.ASP), uint64(r.Before.NoEV), uint64(r.Before.NoAP), uint64(r.Before.NoEP),
@@ -102,7 +111,7 @@ func servedOf(r redundancy.Result) served {
 	}}
 }
 
-func servedAll(rs []redundancy.Result) []served {
+func servedAll(rs []Report) []served {
 	out := make([]served, len(rs))
 	for i, r := range rs {
 		out[i] = servedOf(r)
@@ -112,9 +121,9 @@ func servedAll(rs []redundancy.Result) []served {
 
 // sweepAll runs one sweep and returns its total and the kept results in
 // enumeration order (Sweep delivers them in completion order).
-func sweepAll(ctx context.Context, g *Engine, spec SweepSpec) (int, []redundancy.Result, error) {
-	var kept []redundancy.Result
-	total, err := g.Sweep(ctx, spec, func(r redundancy.Result) error {
+func sweepAll(ctx context.Context, g *Engine, spec SweepSpec) (int, []Report, error) {
+	var kept []Report
+	total, err := g.Sweep(ctx, spec, func(r Report) error {
 		kept = append(kept, r)
 		return nil
 	}, nil)
@@ -122,7 +131,7 @@ func sweepAll(ctx context.Context, g *Engine, spec SweepSpec) (int, []redundancy
 	for i, d := range spec.Designs() {
 		order[d.Key()] = i
 	}
-	slices.SortFunc(kept, func(a, b redundancy.Result) int { return order[a.Spec.Key()] - order[b.Spec.Key()] })
+	slices.SortFunc(kept, func(a, b Report) int { return order[a.Spec.Key()] - order[b.Spec.Key()] })
 	return total, kept, err
 }
 
@@ -196,7 +205,7 @@ func TestConcurrentDuplicatesShareOneSolve(t *testing.T) {
 	}
 	d := paperdata.BaseDesign()
 	const callers = 8
-	results := make([]redundancy.Result, callers)
+	results := make([]Report, callers)
 	errs := make([]error, callers)
 	var started, done sync.WaitGroup
 	for i := 0; i < callers; i++ {
@@ -268,12 +277,12 @@ func TestSweepBoundsFilterIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := fullSpace(2)
-	spec.Scatter = &redundancy.ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}
+	spec.Scatter = &ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}
 	total, kept, err := sweepAll(context.Background(), g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []redundancy.Result
+	var want []Report
 	for _, r := range evaluateSerially(t, ev, spec.Designs()) {
 		if spec.Scatter.Satisfied(r) {
 			want = append(want, r)
@@ -290,6 +299,50 @@ func TestSweepBoundsFilterIncrementally(t *testing.T) {
 	}
 }
 
+// paperRegion evaluates the paper's five designs (D1..D5) and returns
+// the names of those ok keeps, in order.
+func paperRegion(t *testing.T, ok func(Report) bool) []string {
+	t.Helper()
+	g, err := New(paperEvaluator(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range paperdata.Designs() {
+		r, err := g.EvaluateSpecCtx(context.Background(), d.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok(r) {
+			names = append(names, r.Name)
+		}
+	}
+	return names
+}
+
+// TestEquation3Regions reproduces the paper's §IV-A region results:
+// region 1 (phi 0.2, psi 0.9962) selects D4 and D5; region 2 (phi 0.1,
+// psi 0.9961) selects D2 alone.
+func TestEquation3Regions(t *testing.T) {
+	if got := paperRegion(t, ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}.Satisfied); !slices.Equal(got, []string{"D4", "D5"}) {
+		t.Errorf("region 1 = %v, want [D4 D5]", got)
+	}
+	if got := paperRegion(t, ScatterBounds{MaxASP: 0.1, MinCOA: 0.9961}.Satisfied); !slices.Equal(got, []string{"D2"}) {
+		t.Errorf("region 2 = %v, want [D2]", got)
+	}
+}
+
+// TestEquation4Regions reproduces the §IV-B multi-metric regions:
+// region 1 selects D4 alone; region 2 selects D2 alone.
+func TestEquation4Regions(t *testing.T) {
+	if got := paperRegion(t, MultiBounds{MaxASP: 0.2, MaxNoEV: 9, MaxNoAP: 2, MaxNoEP: 1, MinCOA: 0.9962}.Satisfied); !slices.Equal(got, []string{"D4"}) {
+		t.Errorf("region 1 = %v, want [D4]", got)
+	}
+	if got := paperRegion(t, MultiBounds{MaxASP: 0.1, MaxNoEV: 7, MaxNoAP: 1, MaxNoEP: 1, MinCOA: 0.9961}.Satisfied); !slices.Equal(got, []string{"D2"}) {
+		t.Errorf("region 2 = %v, want [D2]", got)
+	}
+}
+
 func TestSweepFuncStreams(t *testing.T) {
 	g, err := New(paperEvaluator(t), Options{Workers: 4})
 	if err != nil {
@@ -297,7 +350,7 @@ func TestSweepFuncStreams(t *testing.T) {
 	}
 	var streamed int
 	var progressed int
-	total, err := g.Sweep(context.Background(), fullSpace(2), func(redundancy.Result) error {
+	total, err := g.Sweep(context.Background(), fullSpace(2), func(Report) error {
 		streamed++
 		return nil
 	}, func(done, total int) {
@@ -313,7 +366,7 @@ func TestSweepFuncStreams(t *testing.T) {
 	}
 
 	sentinel := errors.New("enough")
-	if _, err := g.Sweep(context.Background(), fullSpace(2), func(redundancy.Result) error {
+	if _, err := g.Sweep(context.Background(), fullSpace(2), func(Report) error {
 		return sentinel
 	}, nil); !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not propagated: %v", err)

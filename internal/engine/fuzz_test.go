@@ -237,7 +237,7 @@ func memoOps(t *testing.T, data []byte) {
 	}
 	d := fuzzOps(data)
 	for step := 1; len(d) > 0; step++ {
-		v := entry{before: summary{AIM: float64(step), NoAP: step}, coa: 1 / float64(step)}
+		v := entry{before: Summary{AIM: float64(step), NoAP: step}, coa: 1 / float64(step)}
 		op := d.byte() % 5
 		var k memoKey
 		switch op {

@@ -125,8 +125,8 @@ func TestRolloutSweepStreamsEveryPoint(t *testing.T) {
 	var steps []int
 	lastDone := 0
 	err = g.RolloutSweep(context.Background(), spec, points,
-		func(step int, r redundancy.RolloutResult) error {
-			steps = append(steps, step)
+		func(r RolloutReport) error {
+			steps = append(steps, r.Step)
 			return nil
 		},
 		func(done, total int) {
@@ -153,18 +153,18 @@ func TestRolloutSweepStreamsEveryPoint(t *testing.T) {
 	// An error from fn cancels the sweep.
 	boom := errors.New("stop")
 	err = g.RolloutSweep(context.Background(), spec, points,
-		func(int, redundancy.RolloutResult) error { return boom }, nil)
+		func(RolloutReport) error { return boom }, nil)
 	if !errors.Is(err, boom) {
 		t.Errorf("sweep error = %v, want %v", err, boom)
 	}
 
 	// Validation: no points, invalid spec.
 	if err := g.RolloutSweep(context.Background(), spec, nil,
-		func(int, redundancy.RolloutResult) error { return nil }, nil); err == nil {
+		func(RolloutReport) error { return nil }, nil); err == nil {
 		t.Error("empty point list should fail")
 	}
 	if err := g.RolloutSweep(context.Background(), paperdata.DesignSpec{}, points,
-		func(int, redundancy.RolloutResult) error { return nil }, nil); err == nil {
+		func(RolloutReport) error { return nil }, nil); err == nil {
 		t.Error("invalid spec should fail")
 	}
 }
@@ -185,7 +185,7 @@ func TestRolloutSweepCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- g.RolloutSweep(ctx, spec, points,
-			func(int, redundancy.RolloutResult) error { return nil }, nil)
+			func(RolloutReport) error { return nil }, nil)
 	}()
 	cancel()
 	close(f.gate) // release any solver already holding the gate

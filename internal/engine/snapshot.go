@@ -111,10 +111,10 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 		b = append(b, `{"key":`...)
 		b = wire.AppendString(b, keys[r.start:r.end])
 		if r.rollout {
-			b = appendSummary(append(b, `,"security":`...), v.before)
+			b = v.before.appendJSON(append(b, `,"security":`...), &dumpKeys)
 		} else {
-			b = appendSummary(append(b, `,"before":`...), v.before)
-			b = appendSummary(append(b, `,"after":`...), v.after)
+			b = v.before.appendJSON(append(b, `,"before":`...), &dumpKeys)
+			b = v.after.appendJSON(append(b, `,"after":`...), &dumpKeys)
 		}
 		b = wire.AppendFloat(append(b, `,"coa":`...), v.coa)
 		b = wire.AppendFloat(append(b, `,"sa":`...), v.sa)
@@ -134,17 +134,6 @@ type snapshotRef struct {
 	start, end int
 	rollout    bool
 	val        *entry
-}
-
-// appendSummary appends one side's security numbers as the dump's
-// object. The floats must be finite.
-func appendSummary(b []byte, s summary) []byte {
-	b = wire.AppendFloat(append(b, `{"aim":`...), s.AIM)
-	b = wire.AppendFloat(append(b, `,"asp":`...), s.ASP)
-	b = strconv.AppendInt(append(b, `,"noev":`...), int64(s.NoEV), 10)
-	b = strconv.AppendInt(append(b, `,"noap":`...), int64(s.NoAP), 10)
-	b = strconv.AppendInt(append(b, `,"noep":`...), int64(s.NoEP), 10)
-	return append(b, '}')
 }
 
 // Restore merges a snapshot into the memo and reports how many entries
@@ -521,17 +510,17 @@ func (d *dumpReader) int() int {
 }
 
 // summary consumes one side's security numbers.
-func (d *dumpReader) summary() summary {
-	var s summary
-	d.lit(`{"aim":`)
+func (d *dumpReader) summary() Summary {
+	var s Summary
+	d.lit(dumpKeys[0])
 	s.AIM = d.float()
-	d.lit(`,"asp":`)
+	d.lit(dumpKeys[1])
 	s.ASP = d.float()
-	d.lit(`,"noev":`)
+	d.lit(dumpKeys[2])
 	s.NoEV = d.int()
-	d.lit(`,"noap":`)
+	d.lit(dumpKeys[3])
 	s.NoAP = d.int()
-	d.lit(`,"noep":`)
+	d.lit(dumpKeys[4])
 	s.NoEP = d.int()
 	d.lit("}")
 	return s

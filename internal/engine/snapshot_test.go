@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"redpatch/internal/paperdata"
-	"redpatch/internal/redundancy"
 )
 
 func specFor(t *testing.T, dns, web, app, db int) paperdata.DesignSpec {
@@ -43,13 +42,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		specFor(t, 2, 2, 2, 2),
 	}
 	points := [][]float64{{0.5, 0.5, 0.5, 0.5}, {0, 1, 0, 1}}
-	want := make([]redundancy.Result, len(specs))
+	want := make([]Report, len(specs))
 	for i, sp := range specs {
 		if want[i], err = g.EvaluateSpecCtx(context.Background(), sp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantPoints := make([]redundancy.RolloutResult, len(points))
+	wantPoints := make([]RolloutReport, len(points))
 	for i, fr := range points {
 		if wantPoints[i], err = g.EvaluateRollout(ctx, specs[2], fr); err != nil {
 			t.Fatal(err)
@@ -108,11 +107,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// sameServedPoint reports whether two rollout results serve the same
+// sameServedPoint reports whether two rollout reports serve the same
 // point and the same numbers, bit for bit.
-func sameServedPoint(a, b redundancy.RolloutResult) bool {
+func sameServedPoint(a, b RolloutReport) bool {
 	f := math.Float64bits
-	return a.Spec.Key() == b.Spec.Key() && a.Spec.Name == b.Spec.Name &&
+	return a.Step == b.Step &&
 		slices.Equal(a.Fractions, b.Fractions) && slices.Equal(a.Patched, b.Patched) &&
 		f(a.Security.AIM) == f(b.Security.AIM) && f(a.Security.ASP) == f(b.Security.ASP) &&
 		a.Security.NoEV == b.Security.NoEV && a.Security.NoAP == b.Security.NoAP &&
@@ -576,22 +575,32 @@ type snapshotFile struct {
 // (DesignSpec.AppendRolloutKey) with the point's mixed-version
 // security; COA and service availability either way.
 type snapshotEntry struct {
-	Key      string   `json:"key"`
-	Before   *summary `json:"before,omitempty"`
-	After    *summary `json:"after,omitempty"`
-	Security *summary `json:"security,omitempty"`
-	COA      float64  `json:"coa"`
-	SA       float64  `json:"sa"`
+	Key      string       `json:"key"`
+	Before   *dumpSummary `json:"before,omitempty"`
+	After    *dumpSummary `json:"after,omitempty"`
+	Security *dumpSummary `json:"security,omitempty"`
+	COA      float64      `json:"coa"`
+	SA       float64      `json:"sa"`
+}
+
+// dumpSummary is a Summary under the dump's lower-case field names.
+type dumpSummary struct {
+	AIM  float64 `json:"aim"`
+	ASP  float64 `json:"asp"`
+	NoEV int     `json:"noev"`
+	NoAP int     `json:"noap"`
+	NoEP int     `json:"noep"`
 }
 
 // persist renders the memo entry v stored under text key k, a rollout
-// point's when rollout is set. The entry points into v.
+// point's when rollout is set.
 func persist(k string, rollout bool, v *entry) snapshotEntry {
 	se := snapshotEntry{Key: k, COA: v.coa, SA: v.sa}
+	before, after := dumpSummary(v.before), dumpSummary(v.after)
 	if rollout {
-		se.Security = &v.before
+		se.Security = &before
 	} else {
-		se.Before, se.After = &v.before, &v.after
+		se.Before, se.After = &before, &after
 	}
 	return se
 }

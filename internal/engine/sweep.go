@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"redpatch/internal/paperdata"
-	"redpatch/internal/redundancy"
 	"redpatch/internal/trace"
 	"redpatch/internal/workpool"
 )
@@ -55,9 +54,9 @@ func (t TierSweep) options() []string {
 type SweepSpec struct {
 	Tiers []TierSweep `json:"tiers"`
 	// Scatter, when non-nil, applies the paper's Eq. 3 bounds.
-	Scatter *redundancy.ScatterBounds `json:"scatter,omitempty"`
+	Scatter *ScatterBounds `json:"scatter,omitempty"`
 	// Multi, when non-nil, applies the paper's Eq. 4 bounds.
-	Multi *redundancy.MultiBounds `json:"multi,omitempty"`
+	Multi *MultiBounds `json:"multi,omitempty"`
 }
 
 // Validate rejects specs with no tiers, duplicate or empty roles,
@@ -157,8 +156,8 @@ func (s SweepSpec) Designs() []paperdata.DesignSpec {
 	return out
 }
 
-// keeps reports whether a result passes every configured bound.
-func (s SweepSpec) keeps(r redundancy.Result) bool {
+// keeps reports whether a report passes every configured bound.
+func (s SweepSpec) keeps(r Report) bool {
 	if s.Scatter != nil && !s.Scatter.Satisfied(r) {
 		return false
 	}
@@ -169,17 +168,18 @@ func (s SweepSpec) keeps(r redundancy.Result) bool {
 }
 
 // Sweep evaluates the whole spec on the worker pool and hands every
-// result passing the spec's bounds to fn as it completes (completion
-// order, not enumeration order). Rejected results are discarded as they
-// arrive, so the sweep holds nothing the caller does not keep. fn runs
-// on a single collector goroutine, so it needs no locking; returning an
-// error cancels the sweep. progress, when non-nil, runs on the same
-// goroutine after every completed evaluation — kept or bound-filtered —
-// with the number of designs done so far and the total; streaming
-// surfaces derive their periodic progress events from it. The whole
-// sweep runs under an "engine.sweep" span, and the number of enumerated
-// designs is returned.
-func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(redundancy.Result) error, progress func(done, total int)) (total int, err error) {
+// report passing the spec's bounds to fn as it completes (completion
+// order, not enumeration order). Rejected designs are discarded as they
+// arrive, before their description is rendered, so the sweep holds
+// nothing the caller does not keep. fn runs on a single collector
+// goroutine, so it needs no locking; returning an error cancels the
+// sweep. progress, when non-nil, runs on the same goroutine after every
+// completed evaluation — kept or bound-filtered — with the number of
+// designs done so far and the total; streaming surfaces derive their
+// periodic progress events from it. The whole sweep runs under an
+// "engine.sweep" span, and the number of enumerated designs is
+// returned.
+func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) error, progress func(done, total int)) (total int, err error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
@@ -188,18 +188,20 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(redundancy.R
 		trace.Attr{Key: "designs", Value: len(designs)})
 	defer func() { sp.EndErr(err) }()
 	err = stream(ctx, g, designs, progress,
-		func(d paperdata.DesignSpec, wait trace.Attr) (redundancy.Result, error) {
-			r, err := g.evaluateSpecTraced(ctx, d, trace.Attr{Key: "design", Value: d.Name}, wait)
+		func(d paperdata.DesignSpec, wait trace.Attr) (entry, error) {
+			v, err := g.evaluateSpecTraced(ctx, d, trace.Attr{Key: "design", Value: d.Name}, wait)
 			if err != nil {
 				err = fmt.Errorf("engine: design %s: %w", d, err)
 			}
-			return r, err
+			return v, err
 		},
-		func(_ int, r redundancy.Result) error {
-			if spec.keeps(r) {
-				return fn(r)
+		func(i int, v entry) error {
+			r := v.report(designs[i], "")
+			if !spec.keeps(r) {
+				return nil
 			}
-			return nil
+			r.Description = r.Spec.String()
+			return fn(r)
 		})
 	if err != nil {
 		return 0, err

@@ -23,9 +23,9 @@ import (
 	"sync"
 	"time"
 
+	"redpatch/internal/engine"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
-	"redpatch/internal/redundancy"
 )
 
 // System is one modeled system of the fleet.
@@ -124,7 +124,7 @@ func (s System) window() time.Duration {
 // memoized design evaluator and the campaign planner. The redpatch
 // facade and the daemon's scenario registry both satisfy it.
 type Engine interface {
-	EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error)
+	EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (engine.Report, error)
 	PlanCampaign(role string, maxWindow time.Duration) (patch.Campaign, error)
 }
 

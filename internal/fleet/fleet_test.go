@@ -9,18 +9,17 @@ import (
 	"testing"
 	"time"
 
+	"redpatch/internal/engine"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
 	"redpatch/internal/redundancy"
 )
 
-// testEngine adapts a bare evaluator to the Engine interface (in the
-// daemon the facade's CaseStudy plays this role, backed by the memoized
-// engine).
-type testEngine struct{ ev *redundancy.Evaluator }
-
-func (t testEngine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
-	return t.ev.EvaluateSpecContext(ctx, spec)
+// testEngine adapts the memoized engine and its evaluator to the
+// Engine interface, as the facade's CaseStudy does in the daemon.
+type testEngine struct {
+	*engine.Engine
+	ev *redundancy.Evaluator
 }
 
 func (t testEngine) PlanCampaign(role string, maxWindow time.Duration) (patch.Campaign, error) {
@@ -33,7 +32,11 @@ func testResolver(t *testing.T) Resolver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := testEngine{ev: ev}
+	g, err := engine.New(ev, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := testEngine{Engine: g, ev: ev}
 	return func(scenario string) (Engine, error) {
 		if scenario != "" && scenario != "default" {
 			return nil, fmt.Errorf("unknown scenario %q", scenario)

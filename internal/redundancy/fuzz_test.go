@@ -238,20 +238,25 @@ func servedBits(m harm.Metrics) [5]uint64 {
 		uint64(m.NoEV), uint64(m.NoAP), uint64(m.NoEP)}
 }
 
-// sameServed reports whether two results serve the same design and the
-// same numbers, bit for bit.
-func sameServed(a, b redundancy.Result) bool {
+// summaryBits is servedBits for a report's summary.
+func summaryBits(s engine.Summary) [5]uint64 {
+	return servedBits(harm.Metrics{AIM: s.AIM, ASP: s.ASP, NoEV: s.NoEV, NoAP: s.NoAP, NoEP: s.NoEP})
+}
+
+// sameServed reports whether an engine report serves the design and
+// the numbers of an evaluator result, bit for bit.
+func sameServed(a engine.Report, b redundancy.Result) bool {
 	return reflect.DeepEqual(a.Spec, b.Spec) &&
-		servedBits(a.Before) == servedBits(b.Before) && servedBits(a.After) == servedBits(b.After) &&
+		summaryBits(a.Before) == servedBits(b.Before) && summaryBits(a.After) == servedBits(b.After) &&
 		math.Float64bits(a.COA) == math.Float64bits(b.COA) &&
 		math.Float64bits(a.ServiceAvailability) == math.Float64bits(b.ServiceAvailability)
 }
 
-// sameServedPoint is sameServed for rollout points: spec, fractions,
-// patched counts and the served numbers.
-func sameServedPoint(a, b redundancy.RolloutResult) bool {
-	return reflect.DeepEqual(a.Spec, b.Spec) && reflect.DeepEqual(a.Fractions, b.Fractions) &&
-		reflect.DeepEqual(a.Patched, b.Patched) && servedBits(a.Security) == servedBits(b.Security) &&
+// sameServedPoint is sameServed for rollout points: fractions, patched
+// counts and the served numbers.
+func sameServedPoint(a engine.RolloutReport, b redundancy.RolloutResult) bool {
+	return reflect.DeepEqual(a.Fractions, b.Fractions) &&
+		reflect.DeepEqual(a.Patched, b.Patched) && summaryBits(a.Security) == servedBits(b.Security) &&
 		math.Float64bits(a.COA) == math.Float64bits(b.COA) &&
 		math.Float64bits(a.ServiceAvailability) == math.Float64bits(b.ServiceAvailability)
 }

@@ -596,40 +596,6 @@ func (e *Evaluator) PlanCampaign(role string, maxWindow time.Duration) (patch.Ca
 	return patch.PlanCampaign(role, vulns, e.policy, e.schedule, maxWindow)
 }
 
-// ScatterBounds are the administrator bounds of the paper's Eq. 3:
-// an upper bound phi on ASP and a lower bound psi on COA. The JSON tags
-// are the redpatchd v2 wire shape.
-type ScatterBounds struct {
-	MaxASP float64 `json:"maxAsp"` // phi
-	MinCOA float64 `json:"minCoa"` // psi
-}
-
-// Satisfied implements Eq. 3 on the after-patch metrics: 1 iff
-// ASP <= phi and COA >= psi.
-func (b ScatterBounds) Satisfied(r Result) bool {
-	return r.After.ASP <= b.MaxASP && r.COA >= b.MinCOA
-}
-
-// MultiBounds are the administrator bounds of the paper's Eq. 4: upper
-// bounds on ASP, NoEV, NoAP and NoEP plus a lower bound on COA. The
-// JSON tags are the redpatchd v2 wire shape.
-type MultiBounds struct {
-	MaxASP  float64 `json:"maxAsp"`  // phi
-	MaxNoEV int     `json:"maxNoev"` // xi
-	MaxNoAP int     `json:"maxNoap"` // omega
-	MaxNoEP int     `json:"maxNoep"` // kappa
-	MinCOA  float64 `json:"minCoa"`  // psi
-}
-
-// Satisfied implements Eq. 4 on the after-patch metrics.
-func (b MultiBounds) Satisfied(r Result) bool {
-	return r.After.ASP <= b.MaxASP &&
-		r.After.NoEV <= b.MaxNoEV &&
-		r.After.NoAP <= b.MaxNoAP &&
-		r.After.NoEP <= b.MaxNoEP &&
-		r.COA >= b.MinCOA
-}
-
 // dominates is the dominance rule on the (minimize ASP, maximize COA)
 // plane that Front's sort-and-scan implements: a is no worse than b on
 // both axes and strictly better on at least one. The quadratic reference

@@ -50,17 +50,6 @@ func evalDesign(e *Evaluator, d paperdata.Design) (Result, error) {
 	return e.EvaluateSpecContext(context.Background(), d.Spec())
 }
 
-// satisfying returns the results a bound accepts, in order.
-func satisfying(results []Result, ok func(Result) bool) []Result {
-	var out []Result
-	for _, r := range results {
-		if ok(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 func byName(t *testing.T, results []Result, name string) Result {
 	t.Helper()
 	for _, r := range results {
@@ -148,36 +137,6 @@ func TestPaperObservations(t *testing.T) {
 	}
 	if byName(t, results, "D3").After.NoEP != 2 {
 		t.Error("only D3 keeps two entry points after patch")
-	}
-}
-
-// TestEquation3Regions reproduces the paper's §IV-A region results:
-// region 1 (phi 0.2, psi 0.9962) selects D4 and D5; region 2 (phi 0.1,
-// psi 0.9961) selects D2 alone.
-func TestEquation3Regions(t *testing.T) {
-	_, results := evaluator(t)
-	region1 := satisfying(results, ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}.Satisfied)
-	if len(region1) != 2 || region1[0].Spec.Name != "D4" || region1[1].Spec.Name != "D5" {
-		names := designNames(region1)
-		t.Errorf("region 1 = %v, want [D4 D5]", names)
-	}
-	region2 := satisfying(results, ScatterBounds{MaxASP: 0.1, MinCOA: 0.9961}.Satisfied)
-	if len(region2) != 1 || region2[0].Spec.Name != "D2" {
-		t.Errorf("region 2 = %v, want [D2]", designNames(region2))
-	}
-}
-
-// TestEquation4Regions reproduces the §IV-B multi-metric regions:
-// region 1 selects D4 alone; region 2 selects D2 alone.
-func TestEquation4Regions(t *testing.T) {
-	_, results := evaluator(t)
-	region1 := satisfying(results, MultiBounds{MaxASP: 0.2, MaxNoEV: 9, MaxNoAP: 2, MaxNoEP: 1, MinCOA: 0.9962}.Satisfied)
-	if len(region1) != 1 || region1[0].Spec.Name != "D4" {
-		t.Errorf("region 1 = %v, want [D4]", designNames(region1))
-	}
-	region2 := satisfying(results, MultiBounds{MaxASP: 0.1, MaxNoEV: 7, MaxNoAP: 1, MaxNoEP: 1, MinCOA: 0.9961}.Satisfied)
-	if len(region2) != 1 || region2[0].Spec.Name != "D2" {
-		t.Errorf("region 2 = %v, want [D2]", designNames(region2))
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 
 	"redpatch/internal/engine"
 	"redpatch/internal/faultinject"
-	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
 	"redpatch/internal/redundancy"
@@ -45,25 +44,6 @@ import (
 // hours converts a float hour count to a duration.
 func hours(h float64) time.Duration {
 	return time.Duration(h * float64(time.Hour))
-}
-
-// SecuritySummary carries the paper's five security metrics for one
-// design at one point in time (before or after the patch round).
-type SecuritySummary struct {
-	// AIM is the network-level attack impact.
-	AIM float64
-	// ASP is the network-level attack success probability.
-	ASP float64
-	// NoEV is the number of exploitable vulnerabilities across servers.
-	NoEV int
-	// NoAP is the number of attack paths to the target tier.
-	NoAP int
-	// NoEP is the number of entry points.
-	NoEP int
-}
-
-func summarize(m harm.Metrics) SecuritySummary {
-	return SecuritySummary{AIM: m.AIM, ASP: m.ASP, NoEV: m.NoEV, NoAP: m.NoAP, NoEP: m.NoEP}
 }
 
 // TierSpec is one redundancy group of a role-keyed design: Replicas
@@ -88,24 +68,12 @@ func ClassicSpec(name string, dns, web, app, db int) DesignSpec {
 	return paperdata.Design{Name: name, DNS: dns, Web: web, App: app, DB: db}.Spec()
 }
 
-// DesignReport is the combined evaluation of one redundancy design.
-type DesignReport struct {
-	// Name labels the design; Description renders it in the paper's
-	// "1 DNS + 2 WEB + 2 APP + 1 DB" notation.
-	Name, Description string
-	// Spec is the role-keyed design the report was evaluated from. Its
-	// Tiers are the evaluated spec's own slice, not a copy.
-	Spec DesignSpec
-	// Servers is the total server count.
-	Servers int
-	// Before and After are the security metrics around the patch round.
-	Before, After SecuritySummary
-	// COA is the capacity oriented availability under the monthly patch
-	// schedule.
-	COA float64
-	// ServiceAvailability is P(at least one server up per tier).
-	ServiceAvailability float64
-}
+// DesignReport is the combined evaluation of one redundancy design: its
+// name, its description in the paper's "1 DNS + 2 WEB + 2 APP + 1 DB"
+// notation, the evaluated spec, the server count, the security metrics
+// before and after the patch round, COA under the patch schedule and
+// service availability. AppendJSON writes what encoding/json does.
+type DesignReport = engine.Report
 
 // PatchRates are the aggregated per-server-type rates of the paper's
 // Table V.
@@ -270,30 +238,7 @@ func (s *CaseStudy) EvaluateSpec(spec DesignSpec) (DesignReport, error) {
 // never cancels a solve in flight; results stay shared across
 // deduplicated callers.
 func (s *CaseStudy) EvaluateSpecCtx(ctx context.Context, spec DesignSpec) (DesignReport, error) {
-	p, desc := resolve(spec)
-	r, err := s.eng.EvaluateSpecCtx(ctx, p)
-	if err != nil {
-		return DesignReport{}, err
-	}
-	return described(r, desc), nil
-}
-
-// resolve names the spec for the engine and renders the description
-// its report carries. A spec without a name gets its canonical one; the
-// name and the description are then built as one string, which both
-// slice.
-func resolve(s DesignSpec) (DesignSpec, string) {
-	var buf [128]byte
-	b := buf[:0]
-	if s.Name == "" {
-		b = s.AppendCanonicalName(b)
-	}
-	n := len(b)
-	text := string(s.AppendString(b))
-	if s.Name == "" {
-		s.Name = text[:n]
-	}
-	return s, text[n:]
+	return s.eng.EvaluateSpecCtx(ctx, spec)
 }
 
 // PaperDesigns evaluates the five design choices of the paper's §IV in
@@ -306,7 +251,7 @@ func (s *CaseStudy) PaperDesigns() ([]DesignReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = convert(r)
+		out[i] = r
 	}
 	return out, nil
 }
@@ -314,11 +259,7 @@ func (s *CaseStudy) PaperDesigns() ([]DesignReport, error) {
 // BaseNetwork evaluates the paper's §III case-study network
 // (1 DNS + 2 WEB + 2 APP + 1 DB), whose COA the paper reports as 0.99707.
 func (s *CaseStudy) BaseNetwork() (DesignReport, error) {
-	r, err := s.eng.EvaluateSpecCtx(context.Background(), paperdata.BaseDesign().Spec())
-	if err != nil {
-		return DesignReport{}, err
-	}
-	return convert(r), nil
+	return s.eng.EvaluateSpecCtx(context.Background(), paperdata.BaseDesign().Spec())
 }
 
 // PatchRates returns the aggregated patch/recovery rates per server type
@@ -344,50 +285,19 @@ func (s *CaseStudy) PatchRates() map[string]PatchRates {
 	return out
 }
 
-func convert(r redundancy.Result) DesignReport { return described(r, r.Spec.String()) }
-
-// described converts an engine result whose description is already
-// rendered.
-func described(r redundancy.Result, desc string) DesignReport {
-	return DesignReport{
-		Name:                r.Spec.Name,
-		Description:         desc,
-		Spec:                r.Spec,
-		Servers:             r.Spec.Total(),
-		Before:              summarize(r.Before),
-		After:               summarize(r.After),
-		COA:                 r.COA,
-		ServiceAvailability: r.ServiceAvailability,
-	}
-}
-
 // ScatterBounds are the Eq. 3 administrator bounds: an ASP ceiling (phi)
 // and a COA floor (psi).
-type ScatterBounds = redundancy.ScatterBounds
+type ScatterBounds = engine.ScatterBounds
 
 // MultiBounds are the Eq. 4 administrator bounds over four security
 // metrics and COA.
-type MultiBounds = redundancy.MultiBounds
-
-// SatisfiesScatter implements the paper's Eq. 3 on a design report.
-func SatisfiesScatter(r DesignReport, b ScatterBounds) bool {
-	return r.After.ASP <= b.MaxASP && r.COA >= b.MinCOA
-}
-
-// SatisfiesMulti implements the paper's Eq. 4 on a design report.
-func SatisfiesMulti(r DesignReport, b MultiBounds) bool {
-	return r.After.ASP <= b.MaxASP &&
-		r.After.NoEV <= b.MaxNoEV &&
-		r.After.NoAP <= b.MaxNoAP &&
-		r.After.NoEP <= b.MaxNoEP &&
-		r.COA >= b.MinCOA
-}
+type MultiBounds = engine.MultiBounds
 
 // FilterScatter returns the designs satisfying Eq. 3, preserving order.
 func FilterScatter(reports []DesignReport, b ScatterBounds) []DesignReport {
 	var out []DesignReport
 	for _, r := range reports {
-		if SatisfiesScatter(r, b) {
+		if b.Satisfied(r) {
 			out = append(out, r)
 		}
 	}
@@ -398,7 +308,7 @@ func FilterScatter(reports []DesignReport, b ScatterBounds) []DesignReport {
 func FilterMulti(reports []DesignReport, b MultiBounds) []DesignReport {
 	var out []DesignReport
 	for _, r := range reports {
-		if SatisfiesMulti(r, b) {
+		if b.Satisfied(r) {
 			out = append(out, r)
 		}
 	}
@@ -550,9 +460,7 @@ func (s *CaseStudy) SweepSpecEach(ctx context.Context, req SpecSweepRequest, fn 
 // so far and the total. redpatchd's NDJSON sweep stream derives its
 // periodic progress events (done/total, cache-hit ratio, ETA) from it.
 func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequest, fn func(DesignReport) error, progress func(done, total int)) (int, error) {
-	return s.eng.Sweep(ctx, req, func(r redundancy.Result) error {
-		return fn(convert(r))
-	}, progress)
+	return s.eng.Sweep(ctx, req, fn, progress)
 }
 
 // EngineStats reports the evaluation engine's cache behaviour: Solves is
@@ -591,12 +499,7 @@ func (s *CaseStudy) CacheEntries() int { return s.eng.Len() }
 // just after a false answer, which costs at most one admitted request
 // served from the memo.
 func (s *CaseStudy) CachedReport(ctx context.Context, spec DesignSpec) (DesignReport, bool) {
-	p, desc := resolve(spec)
-	r, ok := s.eng.Lookup(ctx, p)
-	if !ok {
-		return DesignReport{}, false
-	}
-	return described(r, desc), true
+	return s.eng.Lookup(ctx, spec)
 }
 
 // SnapshotCache writes the engine's memo cache to w as versioned JSON,

@@ -430,15 +430,38 @@ func TestSweepMatchesEnumerate(t *testing.T) {
 }
 
 // TestSweepBoundsAndStats checks incremental bound filtering plus the
-// cache counters behind it.
+// cache counters behind it. Under each of the paper's Eq. 3 and Eq. 4
+// regions, as cmd/paper-repro passes them to FilterScatter and
+// FilterMulti, the sweep keeps the designs the filter keeps.
 func TestSweepBoundsAndStats(t *testing.T) {
 	s, _ := caseStudy(t)
+	all := classicReports(t, s, 2)
+	for _, b := range []struct {
+		scatter *ScatterBounds
+		multi   *MultiBounds
+	}{
+		{scatter: &ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}},
+		{scatter: &ScatterBounds{MaxASP: 0.1, MinCOA: 0.9961}},
+		{multi: &MultiBounds{MaxASP: 0.2, MaxNoEV: 9, MaxNoAP: 2, MaxNoEP: 1, MinCOA: 0.9962}},
+		{multi: &MultiBounds{MaxASP: 0.1, MaxNoEV: 7, MaxNoAP: 1, MaxNoEP: 1, MinCOA: 0.9961}},
+	} {
+		req := fullSweep(2)
+		req.Scatter, req.Multi = b.scatter, b.multi
+		_, kept := sweepSorted(t, s, req)
+		var want []DesignReport
+		if b.scatter != nil {
+			want = FilterScatter(all, *b.scatter)
+		} else {
+			want = FilterMulti(all, *b.multi)
+		}
+		if len(want) == 0 || len(want) == len(all) || !reflect.DeepEqual(kept, want) {
+			t.Fatalf("under %+v%+v the bounded sweep kept %d of %d, the filter %d; want the same strict subset",
+				b.scatter, b.multi, len(kept), len(all), len(want))
+		}
+	}
+
 	req := fullSweep(2)
 	req.Scatter = &ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}
-	_, kept := sweepSorted(t, s, req)
-	if want := FilterScatter(classicReports(t, s, 2), *req.Scatter); !reflect.DeepEqual(kept, want) {
-		t.Fatalf("bounded sweep kept %d, want %d", len(kept), len(want))
-	}
 
 	before := s.EngineStats()
 	if _, err := s.SweepSpecEach(context.Background(), req, func(DesignReport) error { return nil }); err != nil {

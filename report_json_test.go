@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"redpatch/internal/engine"
 )
 
 // FuzzReportJSON: DesignReport.AppendJSON and RolloutReport.AppendJSON
@@ -26,8 +28,8 @@ func FuzzReportJSON(f *testing.F) {
 			Name: name, Description: desc,
 			Spec:    DesignSpec{Name: variant, Tiers: []TierSpec{{Role: role, Replicas: replicas, Variant: variant}, {Role: name, Replicas: count}}},
 			Servers: replicas + count,
-			Before:  SecuritySummary{AIM: a, ASP: b, NoEV: count, NoAP: replicas, NoEP: -count},
-			After:   SecuritySummary{AIM: c, ASP: d, NoEV: replicas, NoAP: count, NoEP: 1},
+			Before:  engine.Summary{AIM: a, ASP: b, NoEV: count, NoAP: replicas, NoEP: -count},
+			After:   engine.Summary{AIM: c, ASP: d, NoEV: replicas, NoAP: count, NoEP: 1},
 			COA:     b, ServiceAvailability: c,
 		}
 		roll := RolloutReport{

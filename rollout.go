@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 
+	"redpatch/internal/engine"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
 )
@@ -16,42 +17,18 @@ import (
 // the rollout quotient structure joins the cache key, so fractions that
 // patch the same replica counts share one solve.
 
+// RolloutReport is the evaluation of one design at one rollout point:
+// the point's schedule Step, per-tier Fractions and Patched counts, the
+// mixed-version Security metrics, COA and service availability. The
+// JSON tags are the redpatchd v2 NDJSON wire shape.
+type RolloutReport = engine.RolloutReport
+
 // RolloutSchedule describes a rollout as a sequence of per-tier patched
 // fractions. One-shot, rolling-N, blue-green and canary-then-ramp are
 // special cases of the fraction sequence; Points expands the schedule for
 // a design's tier count, validating it. Every expansion starts
 // all-unpatched and ends all-patched, bracketing both atomic endpoints.
 type RolloutSchedule = redundancy.RolloutSchedule
-
-// RolloutReport is the evaluation of one design at one rollout point.
-// The JSON tags are the redpatchd v2 NDJSON wire shape.
-type RolloutReport struct {
-	// Step is the point's index in the schedule's expansion.
-	Step int `json:"step"`
-	// Fractions are the per-tier rollout fractions of the point.
-	Fractions []float64 `json:"fractions"`
-	// Patched are the per-tier patched replica counts (ceil(f*n)).
-	Patched []int `json:"patched"`
-	// Security holds the mixed-version security metrics: patched
-	// replicas contribute post-patch attack trees, unpatched ones their
-	// pre-patch trees.
-	Security SecuritySummary `json:"security"`
-	// COA is the capacity oriented availability mid-rollout.
-	COA float64 `json:"coa"`
-	// ServiceAvailability is P(at least one server up in every tier).
-	ServiceAvailability float64 `json:"serviceAvailability"`
-}
-
-func convertRollout(step int, r redundancy.RolloutResult) RolloutReport {
-	return RolloutReport{
-		Step:                step,
-		Fractions:           r.Fractions,
-		Patched:             r.Patched,
-		Security:            summarize(r.Security),
-		COA:                 r.COA,
-		ServiceAvailability: r.ServiceAvailability,
-	}
-}
 
 func (c chaosEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error) {
 	if err := c.inj.HitCtx(ctx, ChaosSiteEvaluate); err != nil {
@@ -65,14 +42,7 @@ func (c chaosEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.Desi
 // the engine's memo. Fraction 0 everywhere reproduces the
 // atomic before-patch result, fraction 1 everywhere the after-patch one.
 func (s *CaseStudy) EvaluateRollout(ctx context.Context, spec DesignSpec, fractions []float64) (RolloutReport, error) {
-	if spec.Name == "" {
-		spec.Name = spec.CanonicalName()
-	}
-	r, err := s.eng.EvaluateRollout(ctx, spec, fractions)
-	if err != nil {
-		return RolloutReport{}, err
-	}
-	return convertRollout(0, r), nil
+	return s.eng.EvaluateRollout(ctx, spec, fractions)
 }
 
 // RolloutSweepEach expands the schedule for the design and streams every
@@ -81,9 +51,6 @@ func (s *CaseStudy) EvaluateRollout(ctx context.Context, spec DesignSpec, fracti
 // error cancels the sweep. progress (optional) runs there too after
 // every completed point. The number of schedule points is returned.
 func (s *CaseStudy) RolloutSweepEach(ctx context.Context, spec DesignSpec, sched RolloutSchedule, fn func(RolloutReport) error, progress func(done, total int)) (int, error) {
-	if spec.Name == "" {
-		spec.Name = spec.CanonicalName()
-	}
 	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
@@ -91,10 +58,7 @@ func (s *CaseStudy) RolloutSweepEach(ctx context.Context, spec DesignSpec, sched
 	if err != nil {
 		return 0, err
 	}
-	err = s.eng.RolloutSweep(ctx, spec, points, func(step int, r redundancy.RolloutResult) error {
-		return fn(convertRollout(step, r))
-	}, progress)
-	if err != nil {
+	if err := s.eng.RolloutSweep(ctx, spec, points, fn, progress); err != nil {
 		return 0, err
 	}
 	return len(points), nil

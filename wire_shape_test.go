@@ -5,15 +5,18 @@ import (
 	"reflect"
 	"testing"
 
+	"redpatch/internal/engine"
 	"redpatch/internal/fleet"
 )
 
 // TestWireShapes pins the JSON the served and stored types write. Each
 // type carries its wire tags on its one definition, so a renamed tag or
 // a reordered field would change a request, a stream line or a fleet
-// dump, and no golden covers the scenario or fleet answers. Every value
-// is fully populated, both bounds included, and must marshal to these
-// bytes and decode back to itself.
+// dump, and no golden covers the scenario or fleet answers. The reports
+// are pinned too: bench/ decodes answers into them, and FuzzReportJSON,
+// which compares two encoders of one type, cannot see a field renamed
+// in both. Every value is fully populated, both bounds included, and
+// must marshal to these bytes and decode back to itself.
 func TestWireShapes(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -49,6 +52,26 @@ func TestWireShapes(t *testing.T) {
 				SecurityFactored: 6, SecuritySolves: 7, SecurityFactorHits: 8, RolloutSolves: 9, RolloutHits: 10},
 			`{"solves":1,"hits":2,"factoredSolves":3,"tierSolves":4,"tierFactorHits":5,` +
 				`"securityFactored":6,"securitySolves":7,"securityFactorHits":8,"rolloutSolves":9,"rolloutHits":10}`,
+		},
+		{
+			engine.Summary{AIM: 52.2, ASP: 1, NoEV: 26, NoAP: 8, NoEP: 3},
+			`{"AIM":52.2,"ASP":1,"NoEV":26,"NoAP":8,"NoEP":3}`,
+		},
+		{
+			DesignReport{Name: "mine", Description: "1 DNS + 2 WEBALT",
+				Spec:    DesignSpec{Name: "mine", Tiers: []TierSpec{{Role: "dns", Replicas: 1}, {Role: "web", Replicas: 2, Variant: "webalt"}}},
+				Servers: 3,
+				Before:  engine.Summary{AIM: 52.2, ASP: 1, NoEV: 26, NoAP: 8, NoEP: 3},
+				After:   engine.Summary{AIM: 42.2, ASP: 0.23442368503554004, NoEV: 11, NoAP: 4, NoEP: 2},
+				COA:     0.9970721291594327, ServiceAvailability: 0.9978018703503317},
+			`{"Name":"mine","Description":"1 DNS + 2 WEBALT","Spec":{"name":"mine","tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2,"variant":"webalt"}]},` +
+				`"Servers":3,"Before":{"AIM":52.2,"ASP":1,"NoEV":26,"NoAP":8,"NoEP":3},"After":{"AIM":42.2,"ASP":0.23442368503554004,"NoEV":11,"NoAP":4,"NoEP":2},` +
+				`"COA":0.9970721291594327,"ServiceAvailability":0.9978018703503317}`,
+		},
+		{
+			RolloutReport{Step: 2, Fractions: []float64{0, 0.5}, Patched: []int{0, 1},
+				Security: engine.Summary{AIM: 42.2, ASP: 0.23442368503554004, NoEV: 11, NoAP: 4, NoEP: 2}, COA: 0.9981, ServiceAvailability: 0.9992},
+			`{"step":2,"fractions":[0,0.5],"patched":[0,1],"security":{"AIM":42.2,"ASP":0.23442368503554004,"NoEV":11,"NoAP":4,"NoEP":2},"coa":0.9981,"serviceAvailability":0.9992}`,
 		},
 		{
 			fleet.System{ID: "prod-a", Scenario: "weekly", Tiers: []TierSpec{{Role: "dns", Replicas: 1}, {Role: "web", Replicas: 2, Variant: "webalt"}},
