@@ -112,3 +112,27 @@ func TestFleetEngine(t *testing.T) {
 		t.Errorf("summary = %+v, want %d clean windows", sum, len(plan.Windows))
 	}
 }
+
+// TestFleetPlan1000SolvesEachShapeOnce: planning a 1,000-system fleet
+// over benchFleet's four design shapes costs four engine solves, one per
+// shape; the other 996 evaluations are memo hits. Each solve is one
+// factored availability solve, so an adapter that bypassed the engine
+// memo shows here as 1,000.
+func TestFleetPlan1000SolvesEachShapeOnce(t *testing.T) {
+	s, err := NewCaseStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(string) (fleet.Engine, error) { return s.FleetEngine(), nil }
+	plan, err := fleet.PlanFleet(context.Background(), benchFleet(1000, 0), resolve, fleet.PlanOptions{MaxConcurrent: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Systems) != 1000 || len(plan.Windows) == 0 {
+		t.Fatalf("plan: %d systems, %d windows; want 1000 and at least one", len(plan.Systems), len(plan.Windows))
+	}
+	st := s.EngineStats()
+	if st.Solves != 4 || st.FactoredSolves != 4 || st.Hits != 996 {
+		t.Errorf("engine solves/factored/hits = %d/%d/%d, want 4/4/996", st.Solves, st.FactoredSolves, st.Hits)
+	}
+}

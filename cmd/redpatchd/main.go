@@ -378,10 +378,11 @@ func newServer(study *redpatch.CaseStudy, cfg serverConfig) (*server, error) {
 		reg:      newRegistry(study, cfg.defaultConfig, cfg.workers, cfg.maxScenarios, store),
 		fleetReg: fleet.NewRegistry(),
 		metrics:  m,
-		// Tracing is always on: the ring is bounded, the disabled-path
-		// question is answered by the TraceOverhead benchmark, and the
-		// explain surface and histograms need the spans. Only the
-		// /debug/traces dump is gated (behind -pprof).
+		// Tracing is always on: the ring is bounded, its cost is
+		// measured end to end (bench/'s trace.overhead_pct and
+		// trace.spans_per_op), and the explain surface and histograms
+		// need the spans. Only the /debug/traces dump is gated (behind
+		// -pprof).
 		tracer:         trace.New(trace.Options{OnEnd: m.observeSpan}),
 		log:            cfg.logger,
 		store:          store,

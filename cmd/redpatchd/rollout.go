@@ -41,10 +41,6 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := req.Spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	// Rolling and canary ramps expand to one point per step, so a step
 	// count past the cap is refused before the expansion allocates it.
 	if req.Schedule.Steps > s.maxDesigns {

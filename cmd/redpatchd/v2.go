@@ -183,23 +183,21 @@ func (r *registry) remove(name string) error {
 	return nil
 }
 
-// checkSpec bounds a role-keyed design: tier-group count, per-group
-// replicas, and the upper-layer CTMC state product (every group adds a
-// (replicas+1)-state dimension).
+// checkSpec validates a role-keyed design and bounds it: tier-group
+// count, per-group replicas, and the upper-layer CTMC state product
+// (every group adds a (replicas+1)-state dimension). The tier cap comes
+// first, so an oversized body is refused before its tiers are walked.
 func (s *server) checkSpec(spec redpatch.DesignSpec) error {
-	if len(spec.Tiers) == 0 {
-		return errors.New("spec has no tiers")
-	}
 	if len(spec.Tiers) > s.maxTiers {
 		return fmt.Errorf("%d tier groups, above the %d cap", len(spec.Tiers), s.maxTiers)
+	}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 	states := 1
 	for _, t := range spec.Tiers {
 		if err := s.checkReplicas(t.Replicas); err != nil {
 			return err
-		}
-		if t.Replicas < 1 {
-			return fmt.Errorf("tier %s needs at least one replica", t.Role)
 		}
 		states *= t.Replicas + 1
 		if states > s.maxStates {
@@ -302,9 +300,6 @@ func (s *server) scenarioSpec(r *http.Request) (*scenario, redpatch.DesignSpec, 
 		return nil, redpatch.DesignSpec{}, err
 	}
 	if err := s.checkSpec(req.Spec); err != nil {
-		return nil, redpatch.DesignSpec{}, err
-	}
-	if err := req.Spec.Validate(); err != nil {
 		return nil, redpatch.DesignSpec{}, err
 	}
 	sc, err := s.reg.get(req.Scenario)

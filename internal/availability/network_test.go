@@ -55,6 +55,38 @@ func TestTable6COA(t *testing.T) {
 	}
 }
 
+// TestStateCountsAtScale: n replicas in each of the four tiers span
+// (n+1)^4 upper-layer states. The factored path reports that count
+// without generating the chain, says it was factored, and still gives
+// a proper COA at 257^4 states, far above redpatchd's replica cap; the
+// SRN oracle generates exactly that many states.
+func TestStateCountsAtScale(t *testing.T) {
+	for _, n := range []int{2, 4, 8, 32, 256} {
+		nm := paperTiers(t, map[string]int{"dns": n, "web": n, "app": n, "db": n})
+		want := (n + 1) * (n + 1) * (n + 1) * (n + 1)
+		sol, err := solveFactored(nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.States != want || !sol.Factored {
+			t.Errorf("replicas=%d: factored states %d (factored %v), want %d (true)", n, sol.States, sol.Factored, want)
+		}
+		if sol.COA <= 0 || sol.COA >= 1 {
+			t.Errorf("replicas=%d: implausible COA %v", n, sol.COA)
+		}
+		if n > 4 {
+			continue // the generated chain at n=8 allocates about 56 MB
+		}
+		srn, err := oracle.SolveNetworkSRN(nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srn.States != want {
+			t.Errorf("replicas=%d: SRN oracle states %d, want %d", n, srn.States, want)
+		}
+	}
+}
+
 // TestFiveDesignCOAs pins the five designs of §IV to the values our
 // pipeline computes (all within the paper's Fig. 6 axis range
 // [0.9955, 0.9964]) and checks the orderings the paper reports.

@@ -14,6 +14,7 @@ import (
 	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
+	"redpatch/internal/trace"
 )
 
 // sharedEvaluator builds the paper evaluator once; solving the four
@@ -568,10 +569,12 @@ func TestSpecCacheKeysDistinguishVariants(t *testing.T) {
 }
 
 // TestColdSweepTierSolveBudget pins the factored-sweep scaling contract:
-// a cold sweep over the 3^4 replica space (81 designs) performs at most
+// a cold sweep over the 3^4 replica space (81 designs) performs exactly
 // one tier solve per (role, replica-count) pair — the sum of the range
 // sizes, 12 — instead of one network solve per design point, and never
-// touches the SRN path. Asserted through the engine's merged counters.
+// touches the SRN path. Asserted through the engine's merged counters;
+// the tier memo solves under its lock, so the count is exact on any
+// number of workers.
 func TestColdSweepTierSolveBudget(t *testing.T) {
 	ev, err := redundancy.NewEvaluator(redundancy.Options{}) // cold: fresh counters
 	if err != nil {
@@ -597,13 +600,100 @@ func TestColdSweepTierSolveBudget(t *testing.T) {
 	for _, tier := range spec.Tiers {
 		sumRanges += uint64(tier.Max - tier.Min + 1)
 	}
-	if st.TierSolves > sumRanges {
-		t.Errorf("cold 3^4 sweep performed %d tier solves, budget is sum of ranges = %d",
+	if st.TierSolves != sumRanges {
+		t.Errorf("cold 3^4 sweep performed %d tier solves, want one per (role, replicas) pair = %d",
 			st.TierSolves, sumRanges)
 	}
 	// Every design reads 4 factors; all but the 12 misses must hit.
 	if want := uint64(81*4) - st.TierSolves; st.TierFactorHits != want {
 		t.Errorf("tier factor hits = %d, want %d", st.TierFactorHits, want)
+	}
+}
+
+// TestTracedColdSweepSpanCount pins what tracing records for a cold
+// 3^4 sweep on one worker, where the memo misses fall on the same
+// designs every run: the sweep root, one engine.evaluate span per
+// design, and a solver span only where a design misses the tier-factor
+// or security memo: 105 spans in all. A solver span on a memo hit, or a
+// second span per design, changes these counts.
+func TestTracedColdSweepSpanCount(t *testing.T) {
+	ev, err := redundancy.NewEvaluator(redundancy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(ev, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	spans := map[string]int{}
+	tr := trace.New(trace.Options{OnEnd: func(d trace.SpanData) {
+		mu.Lock()
+		spans[d.Name]++
+		mu.Unlock()
+	}})
+	total, _, err := sweepAll(trace.WithTracer(context.Background(), tr), g, fullSpace(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 81 {
+		t.Fatalf("total = %d, want 81", total)
+	}
+	want := map[string]int{
+		"engine.sweep":            1,
+		"engine.evaluate":         81,
+		"availability.solve":      9,
+		"availability.tierfactor": 12,
+		"security.evaluate":       2,
+	}
+	if !reflect.DeepEqual(spans, want) {
+		t.Errorf("traced cold 3^4 sweep recorded spans %v, want %v", spans, want)
+	}
+}
+
+// TestRepeatRolloutSweepServedFromMemo: an 8-wave rolling sweep streams
+// every point, and repeating it serves each point from the rollout memo
+// without a single new rollout solve.
+func TestRepeatRolloutSweepServedFromMemo(t *testing.T) {
+	ev, err := redundancy.NewEvaluator(redundancy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(ev, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := paperdata.Design{Name: "rs", DNS: 2, Web: 3, App: 2, DB: 2}.Spec()
+	points, err := redundancy.RolloutSchedule{Strategy: redundancy.RolloutRolling, Steps: 8}.Points(len(spec.Tiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() {
+		t.Helper()
+		var n atomic.Int64
+		err := g.RolloutSweep(context.Background(), spec, points, func(RolloutReport) error {
+			n.Add(1)
+			return nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(n.Load()) != len(points) {
+			t.Fatalf("streamed %d points, want %d", n.Load(), len(points))
+		}
+	}
+	sweep()
+	first := g.Stats()
+	if first.RolloutSolves == 0 {
+		t.Fatal("cold rollout sweep solved nothing")
+	}
+	sweep()
+	st := g.Stats()
+	if st.RolloutSolves != first.RolloutSolves {
+		t.Errorf("repeat rollout sweep performed %d rollout solves, want 0", st.RolloutSolves-first.RolloutSolves)
+	}
+	if hits := st.RolloutHits - first.RolloutHits; hits != uint64(len(points)) {
+		t.Errorf("repeat rollout sweep served %d points from the memo, want %d", hits, len(points))
 	}
 }
 

@@ -168,6 +168,47 @@ func TestSecurityMemoSweepReuse(t *testing.T) {
 	}
 }
 
+// TestQuotientPathCounts: n replicas in every tier give n^3(n+1)
+// attack paths, which the quotient counts in closed form at any n; the
+// expanded oracle, whose exact ASP is feasible only up to n=4, counts
+// the same there. A mixed-version rollout point keeps attack paths open.
+func TestQuotientPathCounts(t *testing.T) {
+	ev, err := NewEvaluator(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, n := range []int{4, 8} {
+		spec := paperdata.Design{Name: "sec", DNS: n, Web: n, App: n, DB: n}.Spec()
+		want := n * n * n * (n + 1)
+		r, err := ev.EvaluateSpecContext(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Before.NoAP != want {
+			t.Errorf("replicas=%d: quotient paths = %d, want %d", n, r.Before.NoAP, want)
+		}
+		if n > 4 {
+			continue
+		}
+		before, _, err := ev.securityExpanded(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before.NoAP != want {
+			t.Errorf("replicas=%d: expanded paths = %d, want %d", n, before.NoAP, want)
+		}
+	}
+	spec := paperdata.Design{Name: "rq", DNS: 2, Web: 4, App: 4, DB: 2}.Spec()
+	r, err := ev.EvaluatePatched(ctx, spec, []int{1, 2, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Security.NoAP == 0 {
+		t.Error("half-patched 2-4-4-2 rollout point has no attack paths")
+	}
+}
+
 // TestSecurityMemoKeyVariants: two specs with identical replica counts
 // but different variant sets must not share a security factor, and their
 // metrics must differ (the variant stack has different vulnerabilities).

@@ -329,6 +329,45 @@ func TestReplicaMonotonicity(t *testing.T) {
 	}
 }
 
+// TestTierOrderIsTheAttackChain pins a non-relation: tiers chain in
+// spec order, and the attacker enters at every DMZ tier, so swapping
+// two tiers of different roles keeps the availability numbers bit for
+// bit but changes the security ones. After the patch the dns server
+// has no exploit left, while each web replica keeps one. With dns
+// first, web reaches app directly: two paths, one per web replica,
+// survive the patch. With web first, every path passes the dns server,
+// so none does.
+func TestTierOrderIsTheAttackChain(t *testing.T) {
+	s, _ := caseStudy(t)
+	chain := func(tiers ...TierSpec) DesignReport {
+		t.Helper()
+		r, err := s.EvaluateSpec(DesignSpec{Tiers: tiers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	dns := TierSpec{Role: "dns", Replicas: 1}
+	web := TierSpec{Role: "web", Replicas: 2}
+	app := TierSpec{Role: "app", Replicas: 1}
+	db := TierSpec{Role: "db", Replicas: 1}
+	dnsFirst := chain(dns, web, app, db)
+	webFirst := chain(web, dns, app, db)
+	if dnsFirst.COA != webFirst.COA || dnsFirst.ServiceAvailability != webFirst.ServiceAvailability {
+		t.Errorf("tier order moved availability: COA %v vs %v, service %v vs %v",
+			dnsFirst.COA, webFirst.COA, dnsFirst.ServiceAvailability, webFirst.ServiceAvailability)
+	}
+	if !mathx.AlmostEqual(dnsFirst.COA, 0.996097378615136, 1e-15) {
+		t.Errorf("COA = %.15f, want 0.996097378615136", dnsFirst.COA)
+	}
+	if a := dnsFirst.After; !mathx.AlmostEqual(a.AIM, 42.2, 1e-12) || !mathx.AlmostEqual(a.ASP, 0.145604773314, 1e-12) || a.NoAP != 2 {
+		t.Errorf("dns first: after-patch AIM/ASP/NoAP = %v/%v/%d, want 42.2/0.145604773314/2", a.AIM, a.ASP, a.NoAP)
+	}
+	if a := webFirst.After; a.AIM != 0 || a.ASP != 0 || a.NoAP != 0 {
+		t.Errorf("web first: after-patch AIM/ASP/NoAP = %v/%v/%d, want 0/0/0", a.AIM, a.ASP, a.NoAP)
+	}
+}
+
 func TestCustomConfigPatchAll(t *testing.T) {
 	s, err := NewCaseStudyWithConfig(Config{PatchAll: true})
 	if err != nil {
@@ -624,6 +663,54 @@ func TestCachedReportAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { s.CachedReport(ctx, spec) }); got > 1 {
 			t.Errorf("warm CachedReport(%q) = %v allocs, want at most 1", name, got)
 		}
+	}
+}
+
+// TestColdEvaluateAllocations bounds what a cold evaluate costs in the
+// facade once the tier-factor and security memos are warm and no tracer
+// is set: the engine memo misses, so the design is composed, its
+// security read from the compiled quotient, memoized and reported. The
+// diagonal designs n-n-n-n warm every (role, n) tier factor and both
+// security models; each run then evaluates a distinct off-diagonal
+// design, built before the measurement.
+func TestColdEvaluateAllocations(t *testing.T) {
+	s, err := NewCaseStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const max = 6
+	var specs []DesignSpec
+	for dns := 1; dns <= max; dns++ {
+		for web := 1; web <= max; web++ {
+			for app := 1; app <= max; app++ {
+				for db := 1; db <= max; db++ {
+					spec := ClassicSpec("", dns, web, app, db)
+					if dns == web && web == app && app == db {
+						if _, err := s.EvaluateSpecCtx(ctx, spec); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
+					specs = append(specs, spec)
+				}
+			}
+		}
+	}
+	warm := s.EngineStats()
+	next := 0
+	got := testing.AllocsPerRun(1000, func() {
+		if _, err := s.EvaluateSpecCtx(ctx, specs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	st := s.EngineStats()
+	if st.Solves-warm.Solves != uint64(next) || st.TierSolves != warm.TierSolves || st.SecuritySolves != warm.SecuritySolves {
+		t.Fatalf("measured evaluates were not engine misses on warm solver memos: %+v, was %+v", st, warm)
+	}
+	if got > 26 {
+		t.Errorf("cold EvaluateSpecCtx = %v allocs, want at most 26", got)
 	}
 }
 
