@@ -408,7 +408,7 @@ func solveFactored(nm availability.NetworkModel) (availability.NetworkSolution, 
 		}
 		factors[i] = f
 	}
-	return availability.ComposeNetwork(nm, factors)
+	return availability.ComposeNetwork(nm, factors, nil)
 }
 
 // BenchmarkSecurityExpanded measures one spec's security evaluation on

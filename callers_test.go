@@ -29,6 +29,7 @@ var exportAllowlist = map[string]string{
 	"redpatch/internal/vulndb.Component.UnmarshalJSON": "json.Unmarshaler: the decoding half of the record format MarshalJSON writes",
 	"redpatch/internal/srn.Kind.String":                "fmt.Stringer: Net.Validate formats an invalid transition kind with %v",
 	"redpatch/internal/paperdata.Design.String":        "fmt.Stringer: Design.Validate formats the design with %s in its error",
+	"redpatch/internal/paperdata.DesignSpec.String":    "fmt.Stringer: Engine.Sweep formats a failed design with %s in its error",
 	"redpatch/internal/trace.LogHandler.Enabled":       "slog.Handler: log/slog calls it on redpatchd's logger",
 	"redpatch/internal/trace.LogHandler.Handle":        "slog.Handler: log/slog calls it on redpatchd's logger",
 	"redpatch/internal/trace.LogHandler.WithAttrs":     "slog.Handler: log/slog calls it on redpatchd's logger",

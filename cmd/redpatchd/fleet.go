@@ -14,7 +14,7 @@ import (
 	"net/http"
 	"time"
 
-	"redpatch"
+	"redpatch/internal/engine"
 	"redpatch/internal/faultinject"
 	"redpatch/internal/fleet"
 	"redpatch/internal/paperdata"
@@ -48,11 +48,11 @@ type chaosFleetEngine struct {
 	next fleet.Engine
 }
 
-func (c chaosFleetEngine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (redpatch.DesignReport, error) {
+func (c chaosFleetEngine) EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpec) (before, after engine.Summary, coa float64, err error) {
 	if err := c.inj.HitCtx(ctx, "fleet.evaluate"); err != nil {
-		return redpatch.DesignReport{}, err
+		return engine.Summary{}, engine.Summary{}, 0, err
 	}
-	return c.next.EvaluateSpecCtx(ctx, spec)
+	return c.next.EvaluateSummaries(ctx, spec)
 }
 
 func (c chaosFleetEngine) PlanCampaign(role string, maxWindow time.Duration) (patch.Campaign, error) {
@@ -62,9 +62,9 @@ func (c chaosFleetEngine) PlanCampaign(role string, maxWindow time.Duration) (pa
 	return c.next.PlanCampaign(role, maxWindow)
 }
 
-// checkSystem bounds one fleet system with the same caps as a direct
-// evaluation request: an unbounded design registered once would be
-// solved on every plan.
+// checkSystem validates one fleet system, its design included, and
+// bounds the design with the same caps as a direct evaluation request:
+// an unbounded design registered once would be solved on every plan.
 func (s *server) checkSystem(sys fleet.System) error {
 	if err := sys.Validate(); err != nil {
 		return err
@@ -72,7 +72,7 @@ func (s *server) checkSystem(sys fleet.System) error {
 	if _, err := s.reg.get(sys.Scenario); err != nil {
 		return err
 	}
-	if err := s.checkSpec(sys.Spec()); err != nil {
+	if err := s.checkCaps(sys.Spec()); err != nil {
 		return fmt.Errorf("system %q: %w", sys.ID, err)
 	}
 	return nil

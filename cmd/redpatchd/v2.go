@@ -183,16 +183,24 @@ func (r *registry) remove(name string) error {
 	return nil
 }
 
-// checkSpec validates a role-keyed design and bounds it: tier-group
-// count, per-group replicas, and the upper-layer CTMC state product
-// (every group adds a (replicas+1)-state dimension). The tier cap comes
-// first, so an oversized body is refused before its tiers are walked.
+// checkSpec validates a role-keyed design and bounds it (checkCaps).
 func (s *server) checkSpec(spec redpatch.DesignSpec) error {
+	// The tier cap comes first, so an oversized body is refused before
+	// Validate walks its tiers.
+	if len(spec.Tiers) <= s.maxTiers {
+		if err := spec.Validate(); err != nil {
+			return err
+		}
+	}
+	return s.checkCaps(spec)
+}
+
+// checkCaps bounds a role-keyed design: tier-group count, per-group
+// replicas, and the upper-layer CTMC state product (every group adds a
+// (replicas+1)-state dimension).
+func (s *server) checkCaps(spec redpatch.DesignSpec) error {
 	if len(spec.Tiers) > s.maxTiers {
 		return fmt.Errorf("%d tier groups, above the %d cap", len(spec.Tiers), s.maxTiers)
-	}
-	if err := spec.Validate(); err != nil {
-		return err
 	}
 	states := 1
 	for _, t := range spec.Tiers {

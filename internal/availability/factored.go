@@ -3,6 +3,7 @@ package availability
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"redpatch/internal/mathx"
 )
@@ -14,10 +15,10 @@ import (
 // solutions. Instead of generating the (n_1+1)*...*(n_k+1) product chain
 // and eliminating it — the paper pipeline's scalability wall — we solve
 // each tier's (n+1)-state chain in O(n), convolve tiers into logical
-// groups, and assemble COA, service availability and the per-tier
-// measures from the group distributions. The SRN path
-// (internal/oracle's SolveNetworkSRN) remains as the cross-validation
-// oracle for this one.
+// groups, and assemble COA and service availability from the group
+// distributions; a tier's all-up probability is its factor's PMF[N].
+// The SRN path (internal/oracle's SolveNetworkSRN) remains as the
+// cross-validation oracle for this one.
 
 // TierFactor is the steady-state solution of one tier's birth–death
 // chain: the distribution of the number of servers up.
@@ -28,14 +29,6 @@ type TierFactor struct {
 
 // N returns the tier size the factor was solved for.
 func (f TierFactor) N() int { return len(f.PMF) - 1 }
-
-// AllUp returns P(every server of the tier up).
-func (f TierFactor) AllUp() float64 {
-	if len(f.PMF) == 0 {
-		return 0
-	}
-	return f.PMF[len(f.PMF)-1]
-}
 
 // SolveTierFactor solves the (N+1)-state birth–death chain of one tier.
 // With k servers up, the chain moves down at rate lambda*k and up at
@@ -61,13 +54,26 @@ func SolveTierFactor(t Tier) (TierFactor, error) {
 	return TierFactor{PMF: pmf}, nil
 }
 
-// ComposeNetwork assembles the full NetworkSolution from per-tier
-// factors, one per tier of nm in order. Logical groups convolve their
-// members' up-count distributions; quorums apply per group exactly as in
+// Workspace is the reusable scratch of ComposeNetwork: the tiers'
+// group numbers, the two convolution buffers and the per-group sums.
+// The zero value is ready to use. A workspace serves one composition
+// at a time; a caller evaluating designs one after another reuses one
+// and composes without allocating.
+type Workspace struct {
+	group               []int
+	pmf, next           []float64
+	quorumOK, upGivenOK []float64
+	terms               []float64
+}
+
+// ComposeNetwork assembles the NetworkSolution from per-tier factors,
+// one per tier of nm in order, in ws's scratch (nil composes in fresh
+// scratch). Logical groups convolve their members' up-count
+// distributions in tier order; quorums apply per group exactly as in
 // the SRN reward. States reports the size the product-form CTMC would
 // have had, so callers comparing against the SRN path see the same
-// state-space accounting.
-func ComposeNetwork(nm NetworkModel, factors []TierFactor) (NetworkSolution, error) {
+// state-space accounting. The solution holds nothing of ws.
+func ComposeNetwork(nm NetworkModel, factors []TierFactor, ws *Workspace) (NetworkSolution, error) {
 	if err := nm.Validate(); err != nil {
 		return NetworkSolution{}, err
 	}
@@ -79,37 +85,45 @@ func ComposeNetwork(nm NetworkModel, factors []TierFactor) (NetworkSolution, err
 			return NetworkSolution{}, fmt.Errorf("availability: tier %s factor solved for %d servers, tier has %d", t.Name, factors[i].N(), t.N)
 		}
 	}
-
-	sol := NetworkSolution{
-		Factored:  true,
-		States:    productStates(nm),
-		TierAllUp: make(map[string]float64, len(nm.Tiers)),
-	}
-	for i, t := range nm.Tiers {
-		sol.TierAllUp[t.Name] = factors[i].AllUp()
+	if ws == nil {
+		ws = new(Workspace)
 	}
 
+	sol := NetworkSolution{Factored: true, States: productStates(nm)}
 	total := float64(nm.TotalServers())
-	groups := groupIndices(nm)
-	quorumOK := make([]float64, len(groups))  // P(up_g >= q_g)
-	upGivenOK := make([]float64, len(groups)) // E[up_g * 1{up_g >= q_g}]
-	for g, idxs := range groups {
-		pmf := []float64{1} // up-count distribution of the group so far
-		for _, i := range idxs {
-			pmf = convolve(pmf, factors[i].PMF)
+	var groups int
+	ws.group, groups = groupsOf(ws.group, nm)
+	quorumOK := ws.quorumOK[:0]   // P(up_g >= q_g)
+	upGivenOK := ws.upGivenOK[:0] // E[up_g * 1{up_g >= q_g}]
+	pmf, next := ws.pmf, ws.next
+	for g := range groups {
+		pmf = append(pmf[:0], 1) // up-count distribution of the group so far
+		q := 0                   // the group's quorum, read at its first member
+		for i, t := range nm.Tiers {
+			if ws.group[i] != g {
+				continue
+			}
+			if q == 0 {
+				q = nm.quorumOf(t.group())
+			}
+			next = convolve(next[:0], pmf, factors[i].PMF)
+			pmf, next = next, pmf
 		}
-		q := nm.quorumOf(nm.Tiers[idxs[0]].group())
+		var ok, up float64
 		for k := q; k < len(pmf); k++ {
-			quorumOK[g] += pmf[k]
-			upGivenOK[g] += float64(k) * pmf[k]
+			ok += pmf[k]
+			up += float64(k) * pmf[k]
 		}
+		quorumOK = append(quorumOK, ok)
+		upGivenOK = append(upGivenOK, up)
 	}
+	ws.pmf, ws.next = pmf, next
 
 	sol.ServiceAvailability = 1
 	for _, p := range quorumOK {
 		sol.ServiceAvailability *= p
 	}
-	terms := make([]float64, len(groups))
+	terms := ws.terms[:0]
 	for g := range groups {
 		term := upGivenOK[g]
 		for h := range groups {
@@ -117,25 +131,29 @@ func ComposeNetwork(nm NetworkModel, factors []TierFactor) (NetworkSolution, err
 				term *= quorumOK[h]
 			}
 		}
-		terms[g] = term
+		terms = append(terms, term)
 	}
 	sol.COA = mathx.KahanSum(terms) / total
+	ws.quorumOK, ws.upGivenOK, ws.terms = quorumOK, upGivenOK, terms
 	return sol, nil
 }
 
-// convolve returns the distribution of the sum of two independent
-// nonnegative integer variables with the given PMFs.
-func convolve(a, b []float64) []float64 {
-	out := make([]float64, len(a)+len(b)-1)
+// convolve appends to dst, which must not share memory with a or b,
+// the distribution of the sum of two independent nonnegative integer
+// variables with the given PMFs.
+func convolve(dst, a, b []float64) []float64 {
+	n := len(a) + len(b) - 1
+	dst = slices.Grow(dst, n)[:n]
+	clear(dst)
 	for i, pa := range a {
 		if pa == 0 {
 			continue
 		}
 		for j, pb := range b {
-			out[i+j] += pa * pb
+			dst[i+j] += pa * pb
 		}
 	}
-	return out
+	return dst
 }
 
 // productStates returns the tangible state count of the product chain

@@ -50,15 +50,24 @@ func randomModel(rng *rand.Rand) availability.NetworkModel {
 // solveFactored is the factored path as the evaluator runs it: one
 // birth–death factor per tier, composed.
 func solveFactored(nm availability.NetworkModel) (availability.NetworkSolution, error) {
+	factors, err := tierFactors(nm)
+	if err != nil {
+		return availability.NetworkSolution{}, err
+	}
+	return availability.ComposeNetwork(nm, factors, nil)
+}
+
+// tierFactors solves every tier's birth–death factor, in tier order.
+func tierFactors(nm availability.NetworkModel) ([]availability.TierFactor, error) {
 	factors := make([]availability.TierFactor, len(nm.Tiers))
 	for i, t := range nm.Tiers {
 		f, err := availability.SolveTierFactor(t)
 		if err != nil {
-			return availability.NetworkSolution{}, err
+			return nil, err
 		}
 		factors[i] = f
 	}
-	return availability.ComposeNetwork(nm, factors)
+	return factors, nil
 }
 
 // TestFactoredEquivalence is the correctness gate: across random
@@ -97,10 +106,15 @@ func TestFactoredEquivalence(t *testing.T) {
 				seed, fac.ServiceAvailability, srn.ServiceAvailability)
 			return false
 		}
-		for _, tier := range nm.Tiers {
-			if !mathx.AlmostEqual(fac.TierAllUp[tier.Name], srn.TierAllUp[tier.Name], tol) {
+		factors, err := tierFactors(nm)
+		if err != nil {
+			t.Logf("seed %d: tier factors: %v", seed, err)
+			return false
+		}
+		for i, tier := range nm.Tiers {
+			if !mathx.AlmostEqual(factors[i].PMF[factors[i].N()], srn.TierAllUp[tier.Name], tol) {
 				t.Logf("seed %d: tier %s all-up %.12f != %.12f",
-					seed, tier.Name, fac.TierAllUp[tier.Name], srn.TierAllUp[tier.Name])
+					seed, tier.Name, factors[i].PMF[factors[i].N()], srn.TierAllUp[tier.Name])
 				return false
 			}
 		}
@@ -135,10 +149,14 @@ func TestFactoredEquivalencePaperDesigns(t *testing.T) {
 			t.Errorf("%v: factored service availability %.12f != SRN %.12f",
 				counts, sol.ServiceAvailability, ref.ServiceAvailability)
 		}
-		for name := range ref.TierAllUp {
-			if !mathx.AlmostEqual(sol.TierAllUp[name], ref.TierAllUp[name], 1e-9) {
+		factors, err := tierFactors(nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tier := range nm.Tiers {
+			if !mathx.AlmostEqual(factors[i].PMF[factors[i].N()], ref.TierAllUp[tier.Name], 1e-9) {
 				t.Errorf("%v: tier %s all-up %.12f != SRN %.12f",
-					counts, name, sol.TierAllUp[name], ref.TierAllUp[name])
+					counts, tier.Name, factors[i].PMF[factors[i].N()], ref.TierAllUp[tier.Name])
 			}
 		}
 	}
@@ -156,15 +174,15 @@ func TestSolveTierFactor(t *testing.T) {
 		t.Errorf("PMF sums to %v, want 1", sum)
 	}
 	a := 1.7 / (1.7 + 1.0/720)
-	if want := a * a * a; !mathx.AlmostEqual(f.AllUp(), want, 1e-12) {
-		t.Errorf("AllUp = %v, want %v", f.AllUp(), want)
+	if want := a * a * a; !mathx.AlmostEqual(f.PMF[f.N()], want, 1e-12) {
+		t.Errorf("PMF[N] = %v, want %v", f.PMF[f.N()], want)
 	}
 	// A never-patching tier is deterministically all-up.
 	f0, err := availability.SolveTierFactor(availability.Tier{Name: "static", N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f0.AllUp() != 1 || f0.PMF[0] != 0 {
+	if f0.PMF[f0.N()] != 1 || f0.PMF[0] != 0 {
 		t.Errorf("never-patching factor = %v, want [0 0 1]", f0.PMF)
 	}
 	// Invalid tiers are rejected.
@@ -179,13 +197,13 @@ func TestComposeNetworkValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := availability.ComposeNetwork(nm, nil); err == nil {
+	if _, err := availability.ComposeNetwork(nm, nil, nil); err == nil {
 		t.Error("missing factors should fail")
 	}
-	if _, err := availability.ComposeNetwork(nm, []availability.TierFactor{{PMF: []float64{1}}}); err == nil {
+	if _, err := availability.ComposeNetwork(nm, []availability.TierFactor{{PMF: []float64{1}}}, nil); err == nil {
 		t.Error("size-mismatched factor should fail")
 	}
-	sol, err := availability.ComposeNetwork(nm, []availability.TierFactor{good})
+	sol, err := availability.ComposeNetwork(nm, []availability.TierFactor{good}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,30 +112,38 @@ func (nm NetworkModel) TotalServers() int {
 // first appearance, and the number of servers each group needs up: its
 // quorum, by default one.
 func (nm NetworkModel) Groups() (groups [][]int, quorums []int) {
-	groups = groupIndices(nm)
-	quorums = make([]int, len(groups))
-	for g, idxs := range groups {
-		quorums[g] = nm.quorumOf(nm.Tiers[idxs[0]].group())
+	of, n := groupsOf(nil, nm)
+	groups = make([][]int, n)
+	quorums = make([]int, n)
+	for i, g := range of {
+		if groups[g] == nil {
+			quorums[g] = nm.quorumOf(nm.Tiers[i].group())
+		}
+		groups[g] = append(groups[g], i)
 	}
 	return groups, quorums
 }
 
-// groupIndices returns tier indices per logical group in deterministic
-// (first appearance) order.
-func groupIndices(nm NetworkModel) [][]int {
-	order := make(map[string]int)
-	var groups [][]int
+// groupsOf numbers the logical group of every tier of nm densely, in
+// order of first appearance, into dst's storage, and returns the
+// numbers and the group count. Models have a handful of tiers, so a
+// scan of the earlier tiers replaces a map.
+func groupsOf(dst []int, nm NetworkModel) ([]int, int) {
+	dst, groups := dst[:0], 0
 	for i, t := range nm.Tiers {
-		g := t.group()
-		idx, ok := order[g]
-		if !ok {
-			idx = len(groups)
-			order[g] = idx
-			groups = append(groups, nil)
+		g := groups
+		for j := range i {
+			if nm.Tiers[j].group() == t.group() {
+				g = dst[j]
+				break
+			}
 		}
-		groups[idx] = append(groups[idx], i)
+		if g == groups {
+			groups++
+		}
+		dst = append(dst, g)
 	}
-	return groups
+	return dst, groups
 }
 
 // NetworkSolution reports the upper-layer results.
@@ -145,7 +153,9 @@ type NetworkSolution struct {
 	COA float64
 	// ServiceAvailability is P(every tier has at least one server up).
 	ServiceAvailability float64
-	// TierAllUp maps tier name to P(every server of the tier up).
+	// TierAllUp maps tier name to P(every server of the tier up). Only
+	// the SRN oracle fills it; the factored path leaves it nil, and a
+	// tier's all-up probability there is its factor's PMF[N].
 	TierAllUp map[string]float64
 	// States is the size of the solved CTMC: the tangible product chain
 	// the tiers span. The factored path never materializes it but reports

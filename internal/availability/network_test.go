@@ -220,8 +220,12 @@ func TestNeverPatchingTierIsAlwaysUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(sol.TierAllUp["static"], 1, 1e-12) {
-		t.Errorf("non-patching tier availability = %v, want 1", sol.TierAllUp["static"])
+	factors, err := tierFactors(nm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mathx.AlmostEqual(factors[0].PMF[factors[0].N()], 1, 1e-12) {
+		t.Errorf("non-patching tier availability = %v, want 1", factors[0].PMF[factors[0].N()])
 	}
 	// COA = (2 + a)/3 weighted: with a = mu/(lambda+mu).
 	a := 1.5 / (1.5 + 1.0/720)

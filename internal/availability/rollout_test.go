@@ -49,7 +49,7 @@ func TestSolveTierFactorRollout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zero.AllUp() != 1 || zero.PMF[tier.N] != 1 {
+	if zero.PMF[tier.N] != 1 {
 		t.Errorf("patched=0 factor = %v, want point mass at %d", zero.PMF, tier.N)
 	}
 	// Out-of-range patched counts and invalid tiers are rejected.

@@ -175,19 +175,35 @@ func (g *Engine) Stats() Stats {
 // finishes and memoizes without it.
 func (g *Engine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (Report, error) {
 	spec, desc := resolve(spec)
-	v, err := g.evaluateSpecTraced(ctx, spec,
-		trace.Attr{Key: "design", Value: spec.Name})
+	v, err := g.evaluateSpecTraced(ctx, spec, spec.Name)
 	if err != nil {
 		return Report{}, err
 	}
 	return v.report(spec, desc), nil
 }
 
-// evaluateSpecTraced opens the "engine.evaluate" span with the caller's
-// attributes — the sweep path adds per-design queue wait on top of the
-// design name — and returns the spec's memo entry.
-func (g *Engine) evaluateSpecTraced(ctx context.Context, spec paperdata.DesignSpec, attrs ...trace.Attr) (v entry, err error) {
-	ctx, sp := trace.Start(ctx, "engine.evaluate", attrs...)
+// EvaluateSummaries is EvaluateSpecCtx for a caller that reads only
+// the numbers: the design's security summaries before and after the
+// patch round and its COA, served from and memoized in the same memo,
+// with no report, so no name or description is rendered. The span's
+// design attribute is the spec's own name.
+func (g *Engine) EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpec) (before, after Summary, coa float64, err error) {
+	v, err := g.evaluateSpecTraced(ctx, spec, spec.Name)
+	return v.before, v.after, v.coa, err
+}
+
+// evaluateSpecTraced opens the "engine.evaluate" span with the design
+// name and the caller's attributes — the sweep path adds per-design
+// queue wait — and returns the spec's memo entry. The attributes are
+// set only on a live span, so an untraced call boxes none of them.
+func (g *Engine) evaluateSpecTraced(ctx context.Context, spec paperdata.DesignSpec, design string, attrs ...trace.Attr) (v entry, err error) {
+	ctx, sp := trace.Start(ctx, "engine.evaluate")
+	if sp != nil {
+		sp.SetAttr("design", design)
+		for _, a := range attrs {
+			sp.SetAttr(a.Key, a.Value)
+		}
+	}
 	defer func() { sp.EndErr(err) }()
 	if err := spec.Validate(); err != nil {
 		return entry{}, err

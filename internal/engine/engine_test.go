@@ -48,6 +48,16 @@ func classicSpace(lo, hi int) SweepSpec {
 // fullSpace sweeps every classic design with 1..max replicas per tier.
 func fullSpace(max int) SweepSpec { return classicSpace(1, max) }
 
+// namedDesigns is the spec's enumeration with each design named
+// canonically, as a sweep names the reports it keeps.
+func namedDesigns(spec SweepSpec) []paperdata.DesignSpec {
+	designs := spec.Designs()
+	for i := range designs {
+		designs[i].Name = designs[i].CanonicalName()
+	}
+	return designs
+}
+
 // evaluateSerially is the serial reference: the bare evaluator over
 // designs, in order, each result read as the report it serves.
 func evaluateSerially(t *testing.T, ev *redundancy.Evaluator, designs []paperdata.DesignSpec) []Report {
@@ -139,7 +149,7 @@ func sweepAll(ctx context.Context, g *Engine, spec SweepSpec) (int, []Report, er
 func TestParallelSweepMatchesSerialEvaluateAll(t *testing.T) {
 	ev := paperEvaluator(t)
 	spec := fullSpace(3) // 81 designs
-	serial := evaluateSerially(t, ev, spec.Designs())
+	serial := evaluateSerially(t, ev, namedDesigns(spec))
 
 	g, err := New(ev, Options{Workers: 8})
 	if err != nil {
@@ -284,7 +294,7 @@ func TestSweepBoundsFilterIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []Report
-	for _, r := range evaluateSerially(t, ev, spec.Designs()) {
+	for _, r := range evaluateSerially(t, ev, namedDesigns(spec)) {
 		if spec.Scatter.Satisfied(r) {
 			want = append(want, r)
 		}
@@ -428,7 +438,7 @@ func TestSweepSpecValidate(t *testing.T) {
 
 func TestSweepSurfacesEvaluationError(t *testing.T) {
 	failing := evaluatorFunc(func(s paperdata.DesignSpec) (redundancy.Result, error) {
-		if s.Name == "2d1w1a1b" {
+		if s.CanonicalName() == "2d1w1a1b" {
 			return redundancy.Result{}, errors.New("synthetic failure")
 		}
 		return redundancy.Result{Spec: s}, nil
@@ -627,9 +637,17 @@ func TestTracedColdSweepSpanCount(t *testing.T) {
 	}
 	var mu sync.Mutex
 	spans := map[string]int{}
+	named := map[string]bool{} // design attributes of evaluate spans with a queue wait
 	tr := trace.New(trace.Options{OnEnd: func(d trace.SpanData) {
 		mu.Lock()
 		spans[d.Name]++
+		if d.Name == "engine.evaluate" {
+			design, _ := d.Attr("design")
+			if _, ok := d.Attr("queue_wait_ns"); ok {
+				name, _ := design.(string)
+				named[name] = true
+			}
+		}
 		mu.Unlock()
 	}})
 	total, _, err := sweepAll(trace.WithTracer(context.Background(), tr), g, fullSpace(3))
@@ -648,6 +666,15 @@ func TestTracedColdSweepSpanCount(t *testing.T) {
 	}
 	if !reflect.DeepEqual(spans, want) {
 		t.Errorf("traced cold 3^4 sweep recorded spans %v, want %v", spans, want)
+	}
+	// The sweep renders names only after the bound filter, but a traced
+	// sweep still names every design on its evaluate span.
+	wantNamed := map[string]bool{}
+	for _, d := range namedDesigns(fullSpace(3)) {
+		wantNamed[d.Name] = true
+	}
+	if !reflect.DeepEqual(named, wantNamed) {
+		t.Errorf("evaluate spans named %d designs with a queue wait, want the 81 canonical names", len(named))
 	}
 }
 

@@ -32,8 +32,8 @@ import (
 //   - Version 1 persisted whole results with the expanded per-instance
 //     path detail.
 //   - Version 2 persisted whole results with the factored evaluator's
-//     quotient paths (PathMetric.Count carrying replica
-//     multiplicities), atomic designs only.
+//     quotient paths with their replica multiplicities, atomic
+//     designs only.
 //   - Version 3 persists each entry as its key and the numbers a
 //     report serves, rollout points included: about 245 bytes of JSON
 //     per design, 0.96 MiB for the 4,096 designs of the 1..8-per-tier

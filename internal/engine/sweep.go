@@ -119,9 +119,10 @@ func (s SweepSpec) SweepSize() int {
 
 // Designs enumerates the spec in lexicographic tier order: earlier tiers
 // vary slowest, and within a tier replica counts vary before variant
-// choices. Classic homogeneous sweeps keep the "1d2w2a1b" naming of
-// DesignSpec.CanonicalName; heterogeneous designs get role-keyed canonical
-// names.
+// choices. The designs carry no name: Sweep renders a kept design's
+// canonical name (DesignSpec.CanonicalName — "1d2w2a1b" for a classic
+// homogeneous design, role-keyed otherwise) with its description, so a
+// design the bounds drop costs no string.
 func (s SweepSpec) Designs() []paperdata.DesignSpec {
 	size := min(s.SweepSize(), 1<<20)
 	out := make([]paperdata.DesignSpec, 0, size)
@@ -139,7 +140,6 @@ func (s SweepSpec) Designs() []paperdata.DesignSpec {
 			spec := paperdata.DesignSpec{Tiers: block[:n:n]}
 			block = block[n:]
 			copy(spec.Tiers, tiers)
-			spec.Name = spec.CanonicalName()
 			out = append(out, spec)
 			return
 		}
@@ -170,8 +170,9 @@ func (s SweepSpec) keeps(r Report) bool {
 // Sweep evaluates the whole spec on the worker pool and hands every
 // report passing the spec's bounds to fn as it completes (completion
 // order, not enumeration order). Rejected designs are discarded as they
-// arrive, before their description is rendered, so the sweep holds
-// nothing the caller does not keep. fn runs on a single collector
+// arrive, before their name and description are rendered, so the sweep
+// holds nothing the caller does not keep; a kept design's report
+// carries its canonical name. fn runs on a single collector
 // goroutine, so it needs no locking; returning an error cancels the
 // sweep. progress, when non-nil, runs on the same goroutine after every
 // completed evaluation — kept or bound-filtered — with the number of
@@ -189,19 +190,22 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) erro
 	defer func() { sp.EndErr(err) }()
 	err = stream(ctx, g, designs, progress,
 		func(d paperdata.DesignSpec, wait trace.Attr) (entry, error) {
-			v, err := g.evaluateSpecTraced(ctx, d, trace.Attr{Key: "design", Value: d.Name}, wait)
+			// Only a traced sweep names a design it may yet drop.
+			var name string
+			if sp != nil {
+				name = d.CanonicalName()
+			}
+			v, err := g.evaluateSpecTraced(ctx, d, name, wait)
 			if err != nil {
 				err = fmt.Errorf("engine: design %s: %w", d, err)
 			}
 			return v, err
 		},
 		func(i int, v entry) error {
-			r := v.report(designs[i], "")
-			if !spec.keeps(r) {
+			if !spec.keeps(v.report(designs[i], "")) {
 				return nil
 			}
-			r.Description = r.Spec.String()
-			return fn(r)
+			return fn(v.report(resolve(designs[i])))
 		})
 	if err != nil {
 		return 0, err
@@ -215,10 +219,13 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) erro
 // item's index. eval receives the item's queue wait — the time from
 // sweep start until a pool worker picked it up, the backlog signal
 // admission control sheds against — as a span attribute for its
-// evaluate span. The first error from eval or collect stops the sweep
-// and is returned; otherwise the context's error is.
+// evaluate span; an untraced stream leaves the attribute's value nil,
+// as there is no span to carry it. The first error from eval or
+// collect stops the sweep and is returned; otherwise the context's
+// error is.
 func stream[T, R any](ctx context.Context, g *Engine, items []T, progress func(done, total int), eval func(item T, wait trace.Attr) (R, error), collect func(idx int, r R) error) error {
 	start := time.Now()
+	traced := trace.FromContext(ctx) != nil
 	done := 0
 	var firstErr error
 	// StreamCtx drops still-queued items the moment ctx ends — workers
@@ -232,7 +239,11 @@ func stream[T, R any](ctx context.Context, g *Engine, items []T, progress func(d
 				var zero R
 				return zero, err
 			}
-			return eval(it, trace.Attr{Key: "queue_wait_ns", Value: time.Since(start).Nanoseconds()})
+			wait := trace.Attr{Key: "queue_wait_ns"}
+			if traced {
+				wait.Value = time.Since(start).Nanoseconds()
+			}
+			return eval(it, wait)
 		},
 		func(idx int, r R, err error) bool {
 			if err == nil {

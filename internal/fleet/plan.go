@@ -145,7 +145,7 @@ func cveIDs(vulns []vulndb.Vulnerability) []string {
 
 // planSystem evaluates one system and plans its campaign.
 func planSystem(ctx context.Context, s System, eng Engine) (SystemPlan, error) {
-	res, err := eng.EvaluateSpecCtx(ctx, s.Spec())
+	before, after, _, err := eng.EvaluateSummaries(ctx, s.Spec())
 	if err != nil {
 		return SystemPlan{}, fmt.Errorf("fleet: %s: %w", s.ID, err)
 	}
@@ -156,8 +156,8 @@ func planSystem(ctx context.Context, s System, eng Engine) (SystemPlan, error) {
 	sp := SystemPlan{
 		System:      s,
 		Deferred:    cveIDs(camp.Deferred),
-		RiskBefore:  res.Before.ASP,
-		RiskAfter:   res.After.ASP,
+		RiskBefore:  before.ASP,
+		RiskAfter:   after.ASP,
 		ResidualASP: residualTrajectory(camp),
 		campaign:    camp,
 	}

@@ -88,7 +88,6 @@ type Compiled struct {
 // compiledPath is one quotient path: its class indices (attacker
 // excluded) and its multiplicity-blind impact and probability.
 type compiledPath struct {
-	path         Path
 	classes      []int
 	impact, prob float64
 }
@@ -142,7 +141,7 @@ func (f *FactoredHARM) Compile(classes []string, opts EvalOptions) (*Compiled, e
 	}
 	c.paths = make([]compiledPath, len(paths))
 	for i, p := range paths {
-		cp := compiledPath{path: p, classes: make([]int, len(p)-1), prob: 1}
+		cp := compiledPath{classes: make([]int, len(p)-1), prob: 1}
 		for j, class := range p[1:] {
 			k := index[class]
 			cp.classes[j] = k
@@ -179,11 +178,11 @@ func (f *FactoredHARM) Compile(classes []string, opts EvalOptions) (*Compiled, e
 	return c, nil
 }
 
-// Evaluate computes the full expanded-topology security metrics in
-// closed form from per-class replica counts, aligned with the classes
-// the model was compiled with. Metrics.Paths lists the quotient paths
-// with Count carrying each path's expanded multiplicity; their Path
-// slices alias the model's.
+// Evaluate computes the expanded-topology security metrics in closed
+// form from per-class replica counts, aligned with the classes the
+// model was compiled with. It leaves Metrics.Paths nil: the per-path
+// detail is the expanded evaluator's (HARM.Evaluate), and a compiled
+// evaluation allocates nothing.
 func (c *Compiled) Evaluate(counts []int) (Metrics, error) {
 	if len(counts) != len(c.classes) {
 		return Metrics{}, fmt.Errorf("harm: %d multiplicities for %d classes", len(counts), len(c.classes))
@@ -199,14 +198,16 @@ func (c *Compiled) Evaluate(counts []int) (Metrics, error) {
 		return m, nil
 	}
 	m.AIM, m.ShortestPath = c.aim, c.shortest
-	m.Paths = make([]PathMetric, len(c.paths))
-	for i, p := range c.paths {
+	q := 1.0 // P(no path succeeds) for ASPIndependentPaths
+	for _, p := range c.paths {
 		count := 1
 		for _, k := range p.classes {
 			count *= counts[k]
 		}
-		m.Paths[i] = PathMetric{Path: p.path, Impact: p.impact, Prob: p.prob, Count: count}
 		m.NoAP += count
+		if c.strategy == ASPIndependentPaths {
+			q *= intPow(1-p.prob, count)
+		}
 	}
 	for _, k := range c.entries {
 		m.NoEP += counts[k]
@@ -215,10 +216,6 @@ func (c *Compiled) Evaluate(counts []int) (Metrics, error) {
 	case ASPMaxPath:
 		m.ASP = c.maxProb
 	case ASPIndependentPaths:
-		q := 1.0
-		for _, pm := range m.Paths {
-			q *= intPow(1-pm.Prob, pm.Count)
-		}
 		m.ASP = mathx.Clamp01(1 - q)
 	case ASPCompromise:
 		// Per-class effective probability: at least one of the n_c

@@ -259,10 +259,6 @@ type PathMetric struct {
 	Path   Path
 	Impact float64 // sum of host impacts along the path
 	Prob   float64 // product of host probabilities along the path
-	// Count is the number of concrete attack paths the entry stands for:
-	// 1 in expanded-topology evaluations, the replica multiplicity
-	// product in factored (quotient) evaluations.
-	Count int
 }
 
 // Metrics are the paper's five security metrics plus per-path detail.
@@ -285,10 +281,9 @@ type Metrics struct {
 	// "shortest attack path" metric of the security-metrics survey the
 	// paper cites.
 	ShortestPath int
-	// Paths is the per-path detail, in deterministic order. Factored
-	// evaluations list quotient (per-class) paths with Count carrying the
-	// replica multiplicity. Read-only: a factored evaluation's Path
-	// slices alias the compiled model shared by every evaluation.
+	// Paths is the per-path detail of an expanded-topology evaluation,
+	// in deterministic order. A compiled (factored) evaluation leaves
+	// it nil.
 	Paths []PathMetric
 }
 
@@ -343,7 +338,7 @@ func (h *HARM) Evaluate(opts EvalOptions) (Metrics, error) {
 
 	m.Paths = make([]PathMetric, len(paths))
 	for i, p := range paths {
-		pm := PathMetric{Path: p, Prob: 1, Count: 1}
+		pm := PathMetric{Path: p, Prob: 1}
 		for _, host := range p[1:] { // skip the attacker node
 			tm := byTree[h.lower[host]]
 			pm.Impact += tm.impact

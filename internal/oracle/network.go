@@ -133,5 +133,5 @@ func SolveNetworkRollout(nm availability.NetworkModel, patched []int) (availabil
 		}
 		factors[i] = f
 	}
-	return availability.ComposeNetwork(nm, factors)
+	return availability.ComposeNetwork(nm, factors, nil)
 }

@@ -11,8 +11,12 @@ import (
 // evaluator's tier-factor and security memos hold its models — the
 // engine-memo miss a sweep pays per design. The fold probes the
 // security memo without allocating, security is arithmetic over the
-// compiled models, and the counts are deterministic, so the bounds
-// catch a return of per-call quotient rebuilding that timing could not.
+// compiled models, and the network model, its factors and their
+// composition live in pooled scratch, so an atomic evaluation
+// allocates nothing; EvaluateRollout pays only its patched counts and
+// its copy of the fractions. The counts are deterministic, so the
+// bounds catch a return of per-call quotient rebuilding or per-call
+// scratch that timing could not.
 func TestWarmMemoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -48,15 +52,15 @@ func TestWarmMemoAllocations(t *testing.T) {
 			paperdata.FoldRollout(keyb[:0], countb[:0], spec, nil)
 			return nil
 		}},
-		{"securityFor", 4, func() error {
+		{"securityFor", 0, func() error {
 			_, _, err := ev.securityFor(ctx, spec)
 			return err
 		}},
-		{"EvaluateSpecContext", 40, func() error {
+		{"EvaluateSpecContext", 0, func() error {
 			_, err := ev.EvaluateSpecContext(ctx, spec)
 			return err
 		}},
-		{"EvaluateRollout", 60, func() error {
+		{"EvaluateRollout", 2, func() error {
 			_, err := ev.EvaluateRollout(ctx, spec, fractions)
 			return err
 		}},

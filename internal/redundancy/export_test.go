@@ -51,14 +51,20 @@ func (e *Evaluator) RolloutSecurityExpanded(spec paperdata.DesignSpec, patched [
 }
 
 // FactoredNetwork is the full factored availability solution the
-// evaluator serves a design's COA from.
-func (e *Evaluator) FactoredNetwork(ctx context.Context, spec paperdata.DesignSpec) (availability.NetworkModel, availability.NetworkSolution, error) {
-	nm, stacks, err := e.networkModelFor(spec)
-	if err != nil {
-		return availability.NetworkModel{}, availability.NetworkSolution{}, err
-	}
-	sol, err := e.solveNetwork(ctx, nm, stacks, nil)
-	return nm, sol, err
+// evaluator serves a design's COA from, with the network model and the
+// tier factors it composed.
+func (e *Evaluator) FactoredNetwork(ctx context.Context, spec paperdata.DesignSpec) (availability.NetworkModel, []availability.TierFactor, availability.NetworkSolution, error) {
+	var ws workspace
+	sol, err := e.solveNetwork(ctx, &ws, spec, nil)
+	return availability.NetworkModel{Tiers: ws.tiers}, ws.factors, sol, err
+}
+
+// networkModelFor is the upper-layer model the evaluator solves a valid
+// spec's availability over.
+func (e *Evaluator) networkModelFor(spec paperdata.DesignSpec) (availability.NetworkModel, error) {
+	var ws workspace
+	_, err := e.networkModel(&ws, spec, nil)
+	return availability.NetworkModel{Tiers: ws.tiers}, err
 }
 
 // EvaluateRollout is PatchedCounts plus EvaluatePatched: one design at

@@ -161,7 +161,7 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 		checkSecurity(t, c.spec.Name+"/after", atomic.After, expAfter)
 
 		// Availability: factored against the SRN oracle.
-		nm, fac, err := ev.FactoredNetwork(ctx, c.spec)
+		nm, factors, fac, err := ev.FactoredNetwork(ctx, c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: SRN oracle: %v", c.spec, err)
 		}
-		checkNetwork(t, c.spec.Name, nm, fac, srn)
+		checkNetwork(t, c.spec.Name, nm, factors, fac, srn)
 		if fac.COA != atomic.COA || fac.ServiceAvailability != atomic.ServiceAvailability {
 			t.Errorf("%s: served COA/SA %v/%v != factored solution %v/%v",
 				c.spec.Name, atomic.COA, atomic.ServiceAvailability, fac.COA, fac.ServiceAvailability)
@@ -280,8 +280,9 @@ func checkSecurity(t *testing.T, label string, fac, exp harm.Metrics) {
 }
 
 // checkNetwork compares the factored and SRN solutions on every
-// NetworkSolution measure.
-func checkNetwork(t *testing.T, label string, nm availability.NetworkModel, fac, srn availability.NetworkSolution) {
+// NetworkSolution measure, reading the factored per-tier all-up
+// probabilities from the tier factors.
+func checkNetwork(t *testing.T, label string, nm availability.NetworkModel, factors []availability.TierFactor, fac, srn availability.NetworkSolution) {
 	t.Helper()
 	const tol = 1e-9
 	if !fac.Factored || srn.Factored {
@@ -296,12 +297,12 @@ func checkNetwork(t *testing.T, label string, nm availability.NetworkModel, fac,
 	if !mathx.AlmostEqual(fac.ServiceAvailability, srn.ServiceAvailability, tol) {
 		t.Errorf("%s: service availability %.12f != SRN %.12f", label, fac.ServiceAvailability, srn.ServiceAvailability)
 	}
-	if len(fac.TierAllUp) != len(srn.TierAllUp) {
-		t.Errorf("%s: %d tier all-up entries != SRN %d", label, len(fac.TierAllUp), len(srn.TierAllUp))
+	if len(factors) != len(srn.TierAllUp) {
+		t.Errorf("%s: %d tier factors != SRN %d tier all-up entries", label, len(factors), len(srn.TierAllUp))
 	}
-	for _, tier := range nm.Tiers {
-		if !mathx.AlmostEqual(fac.TierAllUp[tier.Name], srn.TierAllUp[tier.Name], tol) {
-			t.Errorf("%s: tier %s all-up %.12f != SRN %.12f", label, tier.Name, fac.TierAllUp[tier.Name], srn.TierAllUp[tier.Name])
+	for i, tier := range nm.Tiers {
+		if !mathx.AlmostEqual(factors[i].PMF[factors[i].N()], srn.TierAllUp[tier.Name], tol) {
+			t.Errorf("%s: tier %s all-up %.12f != SRN %.12f", label, tier.Name, factors[i].PMF[factors[i].N()], srn.TierAllUp[tier.Name])
 		}
 	}
 }

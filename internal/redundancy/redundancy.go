@@ -6,6 +6,7 @@
 package redundancy
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -36,9 +37,9 @@ import (
 // models) are guarded by its mutex and hold immutable values,
 // harm.Build clones the shared attack-tree templates before touching
 // them, vulndb.DB lookups are plain map reads, and each call builds
-// only its own network model and result; the evaluator's dataset is its
-// own and never handed out. The concurrent engine (internal/engine)
-// relies on this guarantee.
+// only its own result, in scratch of its own from a pool; the
+// evaluator's dataset is its own and never handed out. The concurrent
+// engine (internal/engine) relies on this guarantee.
 type Evaluator struct {
 	db       *vulndb.DB
 	trees    map[string]*attacktree.Tree
@@ -62,6 +63,9 @@ type Evaluator struct {
 	// this memo. One evaluator has one policy, so the policy is not part
 	// of the key.
 	security map[string]*harm.Compiled
+
+	// workspaces pools the *workspace scratch of availability solves.
+	workspaces sync.Pool
 
 	// Solver dispatch counters (see SolverStats).
 	factoredSolves   atomic.Uint64
@@ -212,31 +216,75 @@ func (e *Evaluator) buildHARM(spec paperdata.DesignSpec) (*harm.HARM, error) {
 	})
 }
 
-// networkModelFor builds the upper-layer availability model of an
+// workspace is the scratch of one design's availability solve: the
+// spec's logical order, the upper-layer network model's tiers with the
+// software stack and patched count behind each, the tier factors, and
+// the composition's buffers. The evaluator pools workspaces, so a
+// design on warm memos builds its model and composes it without
+// allocating.
+type workspace struct {
+	order   []int
+	tiers   []availability.Tier
+	stacks  []string
+	patched []int
+	factors []availability.TierFactor
+	compose availability.Workspace
+}
+
+// getWorkspace takes a workspace from the evaluator's pool; the caller
+// returns it with e.workspaces.Put once nothing it returns aliases it.
+func (e *Evaluator) getWorkspace() *workspace {
+	if ws, ok := e.workspaces.Get().(*workspace); ok {
+		return ws
+	}
+	return new(workspace)
+}
+
+// networkModel builds, in ws, the upper-layer availability model of an
 // already validated spec: one tier per replica group with the stack's
 // aggregated rates, grouped by logical role so heterogeneous groups back
 // each other up (the service is up while any group of the role has a
-// server up). It also returns the software stack behind each tier in
-// order — the memo identity the
-// factored solver caches tier factors under (tier names carry ordinal
-// suffixes, stacks do not). Tiers follow the spec's logical order
-// (paperdata.DesignSpec.AppendLogicalOrder).
-func (e *Evaluator) networkModelFor(spec paperdata.DesignSpec) (availability.NetworkModel, []string, error) {
-	var buf [8]int
-	order := spec.AppendLogicalOrder(buf[:0])
-	nm := availability.NetworkModel{Tiers: make([]availability.Tier, len(order))}
-	stacks := make([]string, len(order))
-	for i, gi := range order {
+// server up). Tiers follow the spec's logical order
+// (paperdata.DesignSpec.AppendLogicalOrder); beside each, ws records
+// its software stack — the identity the factored solver memoizes tier
+// factors under (tier names carry ordinal suffixes, stacks do not) —
+// and its patched count, from patched (aligned with spec.Tiers; nil
+// patches every server, the atomic design). When every tier factor is
+// memoized it also fills ws.factors and reports true. The rates and the
+// factor memo are read under one acquisition of e.mu; a stack whose
+// rates were never solved (a variant's first use) is solved outside it
+// and the read repeated.
+func (e *Evaluator) networkModel(ws *workspace, spec paperdata.DesignSpec, patched []int) (memoized bool, err error) {
+	for {
+		missing, memoized := e.readNetwork(ws, spec, patched)
+		if missing == "" {
+			return memoized, nil
+		}
+		if _, err := e.ratesFor(missing); err != nil {
+			return false, err
+		}
+	}
+}
+
+// readNetwork is one read of networkModel under e.mu. It returns the
+// first stack without solved rates, or "" and whether every tier factor
+// was memoized, counting the hits only then.
+func (e *Evaluator) readNetwork(ws *workspace, spec paperdata.DesignSpec, patched []int) (missing string, memoized bool) {
+	ws.order = spec.AppendLogicalOrder(ws.order[:0])
+	ws.tiers, ws.stacks, ws.patched = ws.tiers[:0], ws.stacks[:0], ws.patched[:0]
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, gi := range ws.order {
 		g := spec.Tiers[gi]
 		stack := g.Stack()
-		agg, err := e.ratesFor(stack)
-		if err != nil {
-			return availability.NetworkModel{}, nil, err
+		agg, ok := e.agg[stack]
+		if !ok {
+			return stack, false
 		}
 		// Tier names must be unique in the SRN; a stack deployed in
 		// several groups gets an ordinal suffix past the first.
 		name, n := stack, 1
-		for _, s := range stacks[:i] {
+		for _, s := range ws.stacks {
 			if s == stack {
 				n++
 			}
@@ -244,16 +292,30 @@ func (e *Evaluator) networkModelFor(spec paperdata.DesignSpec) (availability.Net
 		if n > 1 {
 			name = stack + "#" + strconv.Itoa(n)
 		}
-		nm.Tiers[i] = availability.Tier{
+		ws.tiers = append(ws.tiers, availability.Tier{
 			Name:     name,
 			Group:    g.Role,
 			N:        g.Replicas,
 			LambdaEq: agg.LambdaEq,
 			MuEq:     agg.MuEq,
+		})
+		ws.stacks = append(ws.stacks, stack)
+		p := g.Replicas
+		if patched != nil {
+			p = patched[gi]
 		}
-		stacks[i] = stack
+		ws.patched = append(ws.patched, p)
 	}
-	return nm, stacks, nil
+	ws.factors = ws.factors[:0]
+	for i, t := range ws.tiers {
+		f, ok := e.factors[factorKey{stack: ws.stacks[i], n: t.N, patched: ws.patched[i]}]
+		if !ok {
+			return "", false
+		}
+		ws.factors = append(ws.factors, f)
+	}
+	e.tierFactorHits.Add(uint64(len(ws.tiers)))
+	return "", true
 }
 
 // tierFactorFor returns the birth–death solution of one (stack, replica
@@ -283,77 +345,54 @@ func (e *Evaluator) tierFactorFor(ctx context.Context, stack string, tier availa
 	return f, false, nil
 }
 
-// patchedAt is the patched count of tier i of a network model: patched
-// is aligned with nm.Tiers, and nil means every server patches (the
-// atomic design).
-func patchedAt(patched []int, i int, t availability.Tier) int {
-	if patched == nil {
-		return t.N
+// solveNetwork solves one valid spec's availability, in ws, at
+// per-tier patched counts (aligned with spec.Tiers; nil for the atomic
+// design) by the memoized factored path. When every tier factor is
+// already memoized the solve is closed-form arithmetic, so it is
+// recorded as attributes on the caller's span rather than a span of
+// its own — a memo-warm sweep stays nearly span-free. Any real solve
+// work gets an "availability.solve" span recording the solver and how
+// many tier factors came from the memo versus fresh solves.
+func (e *Evaluator) solveNetwork(ctx context.Context, ws *workspace, spec paperdata.DesignSpec, patched []int) (availability.NetworkSolution, error) {
+	memoized, err := e.networkModel(ws, spec, patched)
+	if err != nil {
+		return availability.NetworkSolution{}, err
 	}
-	return patched[i]
-}
-
-// solveNetwork solves one spec's availability at per-tier patched
-// counts (aligned with nm.Tiers; nil for the atomic design) by the
-// memoized factored path. When every tier factor is already memoized the
-// solve is closed-form arithmetic, so it is recorded as attributes on
-// the caller's span rather than a span of its own — a memo-warm sweep
-// stays nearly span-free. Any real solve work gets an
-// "availability.solve" span recording the solver and how many tier
-// factors came from the memo versus fresh solves.
-func (e *Evaluator) solveNetwork(ctx context.Context, nm availability.NetworkModel, stacks []string, patched []int) (availability.NetworkSolution, error) {
-	if factors, ok := e.memoizedFactors(nm, stacks, patched); ok {
+	nm := availability.NetworkModel{Tiers: ws.tiers}
+	if memoized {
 		// One attribute suffices: on this path every tier factor was a
 		// memo hit by definition.
 		trace.FromContext(ctx).SetAttr("availability_solver", "factored")
 		e.factoredSolves.Add(1)
-		return availability.ComposeNetwork(nm, factors)
+		return availability.ComposeNetwork(nm, ws.factors, &ws.compose)
 	}
 	ctx, sp := trace.Start(ctx, "availability.solve",
 		trace.Attr{Key: "tiers", Value: len(nm.Tiers)})
-	sol, err := e.solveNetworkSpanned(ctx, sp, nm, stacks, patched)
+	sol, err := e.solveNetworkSpanned(ctx, sp, ws)
 	sp.EndErr(err)
 	return sol, err
 }
 
-// memoizedFactors returns the spec's tier factors when every
-// (stack, n, patched) key is already memoized, counting the hits; one
-// miss returns false with nothing counted, and the caller takes the
-// spanned solve path (where tierFactorFor counts hits and misses
-// individually).
-func (e *Evaluator) memoizedFactors(nm availability.NetworkModel, stacks []string, patched []int) ([]availability.TierFactor, bool) {
-	factors := make([]availability.TierFactor, len(nm.Tiers))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, t := range nm.Tiers {
-		f, ok := e.factors[factorKey{stack: stacks[i], n: t.N, patched: patchedAt(patched, i, t)}]
-		if !ok {
-			return nil, false
-		}
-		factors[i] = f
-	}
-	e.tierFactorHits.Add(uint64(len(nm.Tiers)))
-	return factors, true
-}
-
-func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, nm availability.NetworkModel, stacks []string, patched []int) (availability.NetworkSolution, error) {
+// solveNetworkSpanned solves ws's model when a tier factor missed the
+// memo: tierFactorFor counts each tier's hit or solve.
+func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, ws *workspace) (availability.NetworkSolution, error) {
 	sp.SetAttr("solver", "factored")
-	factors := make([]availability.TierFactor, len(nm.Tiers))
+	ws.factors = ws.factors[:0]
 	hits := 0
-	for i, t := range nm.Tiers {
-		f, hit, err := e.tierFactorFor(ctx, stacks[i], t, patchedAt(patched, i, t))
+	for i, t := range ws.tiers {
+		f, hit, err := e.tierFactorFor(ctx, ws.stacks[i], t, ws.patched[i])
 		if err != nil {
 			return availability.NetworkSolution{}, err
 		}
 		if hit {
 			hits++
 		}
-		factors[i] = f
+		ws.factors = append(ws.factors, f)
 	}
 	sp.SetAttr("tier_memo_hits", hits)
-	sp.SetAttr("tier_solves", len(nm.Tiers)-hits)
+	sp.SetAttr("tier_solves", len(ws.tiers)-hits)
 	e.factoredSolves.Add(1)
-	return availability.ComposeNetwork(nm, factors)
+	return availability.ComposeNetwork(availability.NetworkModel{Tiers: ws.tiers}, ws.factors, &ws.compose)
 }
 
 // keepLeaf is the patch transformation's keep predicate: a leaf survives
@@ -453,23 +492,24 @@ const (
 
 // securityFor evaluates both sides of the patch round for one valid
 // spec via the compiled path. The spec folds to its rollout structure
-// keys at the two endpoints — all classes unpatched (Before) and all
-// patched (After) — and its class counts, which both endpoints share.
-// Both models come from the security memo, built once per variant
-// structure, and the counts enter their metrics in closed form. The
-// rollout quotient is built only on a memo miss. The expanded-topology
-// evaluation (securityExpanded, in the tests) is the cross-validation
-// oracle.
+// key at the all-unpatched endpoint (Before) and its class counts. The
+// all-patched endpoint (After) has the same quotient and the same
+// counts — no class is split at either end — so its key is the same
+// key with every patch-state marker after the '|' (which no label may
+// hold) turned from 'u' to 'p'. Both models come from the security
+// memo, built once per variant structure, and the counts enter their
+// metrics in closed form. The rollout quotient is built only on a memo
+// miss, whose structure must equal the probed key. The
+// expanded-topology evaluation (securityExpanded, in the tests) is the
+// cross-validation oracle.
 func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
 	var keyb [2][keyBuf]byte
-	var countb [2][classBuf]int
-	var fullb [classBuf]int
-	full := fullb[:0]
-	for _, t := range spec.Tiers {
-		full = append(full, t.Replicas)
+	var countb [classBuf]int
+	beforeKey, counts := paperdata.FoldRollout(keyb[0][:0], countb[:0], spec, nil)
+	afterKey := append(keyb[1][:0], beforeKey...)
+	for i := bytes.LastIndexByte(afterKey, '|') + 1; i < len(afterKey); i++ {
+		afterKey[i] = 'p'
 	}
-	beforeKey, counts := paperdata.FoldRollout(keyb[0][:0], countb[0][:0], spec, nil)
-	afterKey, _ := paperdata.FoldRollout(keyb[1][:0], countb[1][:0], spec, full)
 
 	bm, bhit, err := e.securityModel(ctx, beforeKey, func() (paperdata.RolloutQuotient, error) {
 		return paperdata.SpecRolloutQuotient(spec, make([]int, len(spec.Tiers)))
@@ -478,6 +518,10 @@ func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) 
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
 	am, ahit, err := e.securityModel(ctx, afterKey, func() (paperdata.RolloutQuotient, error) {
+		full := make([]int, len(spec.Tiers))
+		for i, t := range spec.Tiers {
+			full[i] = t.Replicas
+		}
 		return paperdata.SpecRolloutQuotient(spec, full)
 	})
 	if err != nil {
@@ -552,11 +596,9 @@ func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.Desi
 		return Result{}, err
 	}
 
-	nm, stacks, err := e.networkModelFor(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	sol, err := e.solveNetwork(ctx, nm, stacks, nil)
+	ws := e.getWorkspace()
+	sol, err := e.solveNetwork(ctx, ws, spec, nil)
+	e.workspaces.Put(ws)
 	if err != nil {
 		return Result{}, err
 	}

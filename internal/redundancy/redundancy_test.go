@@ -438,7 +438,7 @@ func TestFactoredAvailabilityMatchesSRNOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, _, err := e.networkModelFor(spec)
+	nm, err := e.networkModelFor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,18 +244,9 @@ func (e *Evaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSp
 		return RolloutResult{}, err
 	}
 
-	nm, stacks, err := e.networkModelFor(spec)
-	if err != nil {
-		return RolloutResult{}, err
-	}
-	// nm.Tiers follows the spec's logical order; patched follows
-	// spec.Tiers order.
-	var orderb, logicalb [classBuf]int
-	logical := logicalb[:0]
-	for _, i := range spec.AppendLogicalOrder(orderb[:0]) {
-		logical = append(logical, patched[i])
-	}
-	sol, err := e.solveNetwork(ctx, nm, stacks, logical)
+	ws := e.getWorkspace()
+	sol, err := e.solveNetwork(ctx, ws, spec, patched)
+	e.workspaces.Put(ws)
 	if err != nil {
 		return RolloutResult{}, err
 	}

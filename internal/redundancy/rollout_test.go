@@ -238,7 +238,7 @@ func TestRolloutAvailabilityMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, _, err := ev.networkModelFor(spec)
+	nm, err := ev.networkModelFor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

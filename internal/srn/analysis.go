@@ -66,9 +66,13 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 	var resolve func(m Marking, prob float64, onStack map[string]bool, depth int, acc map[string]tangibleMass) error
 	type queued struct{ state int }
 	var queue []queued
+	// kb is the key buffer every probe reuses: a marking's key becomes
+	// a string only where a map stores it.
+	var kb []byte
 
-	intern := func(m Marking) (int, bool, error) {
-		k := m.key()
+	// intern numbers the tangible marking m, whose key k its resolve
+	// accumulator already holds as a string.
+	intern := func(k string, m Marking) (int, bool, error) {
 		if id, ok := index[k]; ok {
 			return id, false, nil
 		}
@@ -86,18 +90,18 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 			return fmt.Errorf("%w: immediate chain longer than %d", ErrVanishingLoop, opts.MaxVanishingDepth)
 		}
 		imm := n.enabledImmediates(m)
+		kb = m.appendKey(kb[:0])
 		if len(imm) == 0 {
-			k := m.key()
-			tm := acc[k]
+			tm := acc[string(kb)]
 			tm.marking = m
 			tm.prob += prob
-			acc[k] = tm
+			acc[string(kb)] = tm
 			return nil
 		}
-		k := m.key()
-		if onStack[k] {
+		if onStack[string(kb)] {
 			return fmt.Errorf("%w at marking %s", ErrVanishingLoop, n.MarkingString(m))
 		}
+		k := string(kb)
 		if !vanishingSeen[k] {
 			vanishingSeen[k] = true
 			if len(index)+len(vanishingSeen) > opts.MaxMarkings {
@@ -121,8 +125,8 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 	if err := resolve(n.InitialMarking(), 1, make(map[string]bool), 0, initAcc); err != nil {
 		return nil, err
 	}
-	for _, tm := range initAcc {
-		id, fresh, err := intern(tm.marking)
+	for k, tm := range initAcc {
+		id, fresh, err := intern(k, tm.marking)
 		if err != nil {
 			return nil, err
 		}
@@ -139,11 +143,18 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 	}
 	var edges []ratedEdge
 
+	// One transition list, accumulator and loop-detection set serve
+	// every firing: the accumulator is cleared per firing, and resolve
+	// leaves onStack empty whenever it succeeds.
+	var timed []*Transition
+	acc := make(map[string]tangibleMass)
+	onStack := make(map[string]bool)
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		m := ss.markings[cur.state]
-		for _, t := range n.enabledTimed(m) {
+		timed = n.appendEnabledTimed(timed[:0], m)
+		for _, t := range timed {
 			rate := t.rateOf(m)
 			if rate < 0 {
 				return nil, fmt.Errorf("srn: transition %q has negative rate %v in marking %s", t.name, rate, n.MarkingString(m))
@@ -151,12 +162,12 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 			if rate == 0 {
 				continue
 			}
-			acc := make(map[string]tangibleMass)
-			if err := resolve(n.fire(t, m), 1, make(map[string]bool), 0, acc); err != nil {
+			clear(acc)
+			if err := resolve(n.fire(t, m), 1, onStack, 0, acc); err != nil {
 				return nil, err
 			}
-			for _, tm := range acc {
-				id, fresh, err := intern(tm.marking)
+			for k, tm := range acc {
+				id, fresh, err := intern(k, tm.marking)
 				if err != nil {
 					return nil, err
 				}

@@ -251,15 +251,14 @@ func (n *Net) enabledImmediates(m Marking) []*Transition {
 	return out
 }
 
-// enabledTimed returns the timed transitions enabled in m.
-func (n *Net) enabledTimed(m Marking) []*Transition {
-	var out []*Transition
+// appendEnabledTimed appends the timed transitions enabled in m to dst.
+func (n *Net) appendEnabledTimed(dst []*Transition, m Marking) []*Transition {
 	for _, t := range n.transitions {
 		if t.kind == Timed && n.enabled(t, m) {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
 // TimedRate returns the firing rate of a timed transition in marking m

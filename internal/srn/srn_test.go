@@ -291,7 +291,7 @@ func TestMarkingKeyLargeCounts(t *testing.T) {
 	for _, a := range counts {
 		for _, b := range counts {
 			m := Marking{a, b}
-			k := m.key()
+			k := string(m.appendKey(nil))
 			if prev, dup := seen[k]; dup && prev != a*1000000+b {
 				t.Errorf("markings collide: key of {%d,%d} already used", a, b)
 			}

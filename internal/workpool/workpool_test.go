@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapPreservesOrder(t *testing.T) {
@@ -218,5 +220,260 @@ func TestStreamCtxBackgroundDeliversAll(t *testing.T) {
 		func(int, int, error) bool { n++; return true })
 	if n != 5 {
 		t.Fatalf("delivered %d outcomes, want 5", n)
+	}
+}
+
+// streamSizes are the stream lengths the claim tests run: empty, a
+// single item, fewer items than workers, exactly one item per worker,
+// a run past the first doublings, and a long stream of full claims.
+func streamSizes(workers int) []int { return []int{0, 1, 2, workers, 17, 1000} }
+
+// TestStreamCtxClaimsEmitEveryIndexOnce: however the items are split
+// into claimed runs, every index reaches emit exactly once, with its
+// own outcome.
+func TestStreamCtxClaimsEmitEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range streamSizes(workers) {
+			items := make([]int, n)
+			for i := range items {
+				items[i] = 3 * i
+			}
+			seen := make([]int, n)
+			StreamCtx(context.Background(), workers, items,
+				func(_ int, v int) (int, error) { return v + 1, nil },
+				func(idx int, r int, err error) bool {
+					if err != nil || r != items[idx]+1 {
+						t.Fatalf("workers=%d n=%d: item %d emitted %d, %v", workers, n, idx, r, err)
+					}
+					seen[idx]++
+					return true
+				})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("workers=%d n=%d: item %d emitted %d times", workers, n, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamCtxFirstClaimIsOneItem: a worker's first claim is a single
+// item, so the first outcome reaches emit after one fn call. Each of
+// the first calls waits until every worker has started one: with
+// one-item first claims those are items 0..workers-1, while a first
+// claim of k items would start items 0, k, 2k, ... For one worker,
+// item 1 waits until item 0 has been emitted, which a first claim
+// holding both items could never deliver.
+func TestStreamCtxFirstClaimIsOneItem(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range streamSizes(workers) {
+			w := Clamp(workers, n)
+			var mu sync.Mutex
+			var started []int
+			barrier := make(chan struct{})
+			emitted := make(chan struct{})
+			var once sync.Once
+			StreamCtx(context.Background(), workers, make([]int, n),
+				func(i int, _ int) (int, error) {
+					mu.Lock()
+					first := len(started) < w
+					if first {
+						started = append(started, i)
+						if len(started) == w {
+							close(barrier)
+						}
+					}
+					mu.Unlock()
+					if first {
+						select {
+						case <-barrier:
+						case <-time.After(5 * time.Second):
+							mu.Lock()
+							k := len(started)
+							mu.Unlock()
+							t.Errorf("workers=%d n=%d: only %d of %d workers started an item", workers, n, k, w)
+						}
+					}
+					if w == 1 && i == 1 {
+						select {
+						case <-emitted:
+						case <-time.After(5 * time.Second):
+							t.Errorf("n=%d: item 0 not emitted before item 1 finished", n)
+						}
+					}
+					return i, nil
+				},
+				func(int, int, error) bool {
+					once.Do(func() { close(emitted) })
+					return true
+				})
+			slices.Sort(started)
+			for i, idx := range started {
+				if idx != i {
+					t.Fatalf("workers=%d n=%d: first calls ran items %v, want 0..%d", workers, n, started, w-1)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamCtxStopEndsClaims: once emit returns false, no worker
+// claims another run and every run in progress ends at its next item,
+// so at most one fn call per worker can start after the stop.
+func TestStreamCtxStopEndsClaims(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range streamSizes(workers) {
+			var stopped atomic.Bool
+			var calls, late atomic.Int64
+			delivered := 0
+			StreamCtx(context.Background(), workers, make([]int, n),
+				func(i int, _ int) (int, error) {
+					calls.Add(1)
+					if stopped.Load() {
+						late.Add(1)
+					}
+					return i, nil
+				},
+				func(int, int, error) bool {
+					delivered++
+					if delivered == 2 {
+						stopped.Store(true)
+						return false
+					}
+					return true
+				})
+			if want := min(n, 2); delivered != want {
+				t.Fatalf("workers=%d n=%d: emitted %d outcomes, want %d", workers, n, delivered, want)
+			}
+			if l := late.Load(); l > int64(Clamp(workers, n)) {
+				t.Errorf("workers=%d n=%d: %d fn calls started after the stop", workers, n, l)
+			}
+			if n == 1000 && calls.Load() >= int64(n) {
+				t.Errorf("workers=%d: all %d items ran despite the stop", workers, n)
+			}
+		}
+	}
+}
+
+// TestStreamCtxStopEndsRunMidway: a stop that lands while a worker is
+// inside a claimed run ends the run at its next item. One worker is
+// held inside the run [15, 30] — item 15 has started, item 16 waits —
+// while emit stops the stream at item 7, so of items 17..30 at most
+// the one whose check raced the stop may start.
+func TestStreamCtxStopEndsRunMidway(t *testing.T) {
+	var stopped atomic.Bool
+	var late atomic.Int64
+	inRun, stop := make(chan struct{}), make(chan struct{})
+	wait := func(c chan struct{}, what string) {
+		select {
+		case <-c:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s never happened", what)
+		}
+	}
+	StreamCtx(context.Background(), 1, make([]int, 1000),
+		func(i int, _ int) (int, error) {
+			if stopped.Load() {
+				late.Add(1)
+			}
+			switch i {
+			case 15:
+				close(inRun)
+			case 16:
+				wait(stop, "the stop")
+			}
+			return i, nil
+		},
+		func(idx int, _ int, _ error) bool {
+			if idx != 7 {
+				return true
+			}
+			wait(inRun, "item 15")
+			stopped.Store(true)
+			close(stop)
+			return false
+		})
+	if l := late.Load(); l > 1 {
+		t.Errorf("%d items of the run started after the stop, want at most 1", l)
+	}
+}
+
+// TestStreamCtxCancelDropsClaimedItems: a cancellation mid-run drops
+// the rest of the run and every unclaimed item. Only calls already in
+// flight finish, at most one per worker, and their outcomes are still
+// emitted.
+func TestStreamCtxCancelDropsClaimedItems(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range streamSizes(workers) {
+			if n == 0 {
+				continue
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls, late atomic.Int64
+			cancelAt := n / 2
+			emitted := 0
+			StreamCtx(ctx, workers, make([]int, n),
+				func(i int, _ int) (int, error) {
+					calls.Add(1)
+					if ctx.Err() != nil {
+						late.Add(1)
+					}
+					if i == cancelAt {
+						cancel()
+					}
+					return i, nil
+				},
+				func(int, int, error) bool { emitted++; return true })
+			cancel()
+			if c := calls.Load(); int(c) != emitted {
+				t.Errorf("workers=%d n=%d: %d fn calls but %d outcomes emitted", workers, n, c, emitted)
+			}
+			if l := late.Load(); l >= int64(Clamp(workers, n)) {
+				t.Errorf("workers=%d n=%d: %d fn calls started after the cancel", workers, n, l)
+			}
+			if workers == 1 && calls.Load() != int64(cancelAt+1) {
+				t.Errorf("n=%d: one worker ran %d items, want %d", n, calls.Load(), cancelAt+1)
+			}
+		}
+	}
+}
+
+// TestStreamCtxClaimsDoubleToSixteen: one worker claims the runs
+// [0], [1,2], [3,6], [7,14], [15,30], [31,46], [47,62], ...: the run
+// size doubles up to 16 and stays there. A run reaches emit as one
+// batch, so while item 30 runs the 16th outcome cannot be emitted
+// (item 30 waits 50 ms for it, which is enough for a pool that never
+// grows its runs to deliver it), and item 47, the first of a new run,
+// can wait for all of items 0..46 to be emitted.
+func TestStreamCtxClaimsDoubleToSixteen(t *testing.T) {
+	emitted := 0
+	reached := map[int]chan struct{}{16: make(chan struct{}), 47: make(chan struct{})}
+	StreamCtx(context.Background(), 1, make([]int, 64),
+		func(i int, _ int) (int, error) {
+			switch i {
+			case 30:
+				select {
+				case <-reached[16]:
+					t.Error("the 16th outcome was emitted while item 30 ran")
+				case <-time.After(50 * time.Millisecond):
+				}
+			case 47:
+				select {
+				case <-reached[47]:
+				case <-time.After(5 * time.Second):
+					t.Error("items 0..46 were not all emitted when item 47 started")
+				}
+			}
+			return i, nil
+		},
+		func(int, int, error) bool {
+			emitted++
+			if c, ok := reached[emitted]; ok {
+				close(c)
+			}
+			return true
+		})
+	if emitted != 64 {
+		t.Fatalf("emitted %d outcomes, want 64", emitted)
 	}
 }

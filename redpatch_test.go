@@ -668,12 +668,17 @@ func TestCachedReportAllocations(t *testing.T) {
 
 // TestColdEvaluateAllocations bounds what a cold evaluate costs in the
 // facade once the tier-factor and security memos are warm and no tracer
-// is set: the engine memo misses, so the design is composed, its
-// security read from the compiled quotient, memoized and reported. The
+// is set: the engine memo misses, so the design is composed in pooled
+// scratch, its security read from the compiled quotient, memoized and
+// reported. What is left is the miss's in-flight key, call and done
+// channel, and the report's name-and-description string. The
 // diagonal designs n-n-n-n warm every (role, n) tier factor and both
 // security models; each run then evaluates a distinct off-diagonal
 // design, built before the measurement.
 func TestColdEvaluateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
 	s, err := NewCaseStudy()
 	if err != nil {
 		t.Fatal(err)
@@ -709,16 +714,18 @@ func TestColdEvaluateAllocations(t *testing.T) {
 	if st.Solves-warm.Solves != uint64(next) || st.TierSolves != warm.TierSolves || st.SecuritySolves != warm.SecuritySolves {
 		t.Fatalf("measured evaluates were not engine misses on warm solver memos: %+v, was %+v", st, warm)
 	}
-	if got > 26 {
-		t.Errorf("cold EvaluateSpecCtx = %v allocs, want at most 26", got)
+	t.Logf("cold EvaluateSpecCtx: %v allocs", got)
+	if got > 4 {
+		t.Errorf("cold EvaluateSpecCtx = %v allocs, want at most 4", got)
 	}
 }
 
 // TestWarmSweepAllocations bounds what a warm 64-design classic sweep
-// costs in the facade: the enumeration with its canonical names, the
-// worker fan-out, a memo read per design and one description string per
-// report. A report carries the engine's spec as is, so no design pays
-// for a spec copy.
+// costs in the facade: the enumeration, the worker fan-out with one
+// slice per claimed run, a memo read per design and one string per
+// report holding its canonical name and description. A report carries
+// the engine's spec as is, so no design pays for a spec copy, and an
+// untraced sweep boxes no span attribute.
 func TestWarmSweepAllocations(t *testing.T) {
 	s, _ := caseStudy(t)
 	ctx := context.Background()
@@ -731,7 +738,9 @@ func TestWarmSweepAllocations(t *testing.T) {
 	if total, err := s.SweepSpecEach(ctx, req, fn); err != nil || total != 64 || kept != 64 {
 		t.Fatalf("warm-up sweep: total %d, kept %d, err %v; want 64, 64, nil", total, kept, err)
 	}
-	if got := testing.AllocsPerRun(20, func() { s.SweepSpecEach(ctx, req, fn) }); got > 280 {
-		t.Errorf("warm 64-design sweep = %v allocs, want at most 280", got)
+	got := testing.AllocsPerRun(20, func() { s.SweepSpecEach(ctx, req, fn) })
+	t.Logf("warm 64-design sweep: %v allocs", got)
+	if got > 84 {
+		t.Errorf("warm 64-design sweep = %v allocs, want at most 84", got)
 	}
 }
