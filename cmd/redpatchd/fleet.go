@@ -48,9 +48,9 @@ type chaosFleetEngine struct {
 	next fleet.Engine
 }
 
-func (c chaosFleetEngine) EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpec) (before, after engine.Summary, coa float64, err error) {
+func (c chaosFleetEngine) EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpec) (before, after engine.Summary, err error) {
 	if err := c.inj.HitCtx(ctx, "fleet.evaluate"); err != nil {
-		return engine.Summary{}, engine.Summary{}, 0, err
+		return engine.Summary{}, engine.Summary{}, err
 	}
 	return c.next.EvaluateSummaries(ctx, spec)
 }

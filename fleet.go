@@ -16,7 +16,7 @@ import (
 // policy-aware planner.
 type fleetEngine struct{ *CaseStudy }
 
-func (f fleetEngine) EvaluateSummaries(ctx context.Context, spec DesignSpec) (before, after engine.Summary, coa float64, err error) {
+func (f fleetEngine) EvaluateSummaries(ctx context.Context, spec DesignSpec) (before, after engine.Summary, err error) {
 	return f.eng.EvaluateSummaries(ctx, spec)
 }
 

@@ -183,13 +183,13 @@ func (g *Engine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec)
 }
 
 // EvaluateSummaries is EvaluateSpecCtx for a caller that reads only
-// the numbers: the design's security summaries before and after the
-// patch round and its COA, served from and memoized in the same memo,
-// with no report, so no name or description is rendered. The span's
-// design attribute is the spec's own name.
-func (g *Engine) EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpec) (before, after Summary, coa float64, err error) {
+// the design's security summaries before and after the patch round:
+// served from and memoized in the same memo, with no report, so no
+// name or description is rendered. The span's design attribute is the
+// spec's own name.
+func (g *Engine) EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpec) (before, after Summary, err error) {
 	v, err := g.evaluateSpecTraced(ctx, spec, spec.Name)
-	return v.before, v.after, v.coa, err
+	return v.before, v.after, err
 }
 
 // evaluateSpecTraced opens the "engine.evaluate" span with the design

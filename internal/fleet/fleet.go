@@ -121,11 +121,11 @@ func (s System) window() time.Duration {
 }
 
 // Engine is the per-scenario evaluation surface the fleet consumes: the
-// memoized design evaluator, read for a system's security summaries and
-// COA without a rendered report, and the campaign planner. The redpatch
+// memoized design evaluator, read for a system's security summaries
+// without a rendered report, and the campaign planner. The redpatch
 // facade and the daemon's scenario registry both satisfy it.
 type Engine interface {
-	EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpec) (before, after engine.Summary, coa float64, err error)
+	EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpec) (before, after engine.Summary, err error)
 	PlanCampaign(role string, maxWindow time.Duration) (patch.Campaign, error)
 }
 

@@ -145,7 +145,7 @@ func cveIDs(vulns []vulndb.Vulnerability) []string {
 
 // planSystem evaluates one system and plans its campaign.
 func planSystem(ctx context.Context, s System, eng Engine) (SystemPlan, error) {
-	before, after, _, err := eng.EvaluateSummaries(ctx, s.Spec())
+	before, after, err := eng.EvaluateSummaries(ctx, s.Spec())
 	if err != nil {
 		return SystemPlan{}, fmt.Errorf("fleet: %s: %w", s.ID, err)
 	}
