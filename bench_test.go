@@ -53,10 +53,7 @@ func BenchmarkTable1VulnerabilityScores(b *testing.B) {
 func BenchmarkFigure3HARMConstruction(b *testing.B) {
 	db := paperdata.VulnDB()
 	trees := paperdata.Trees(db)
-	top, err := paperdata.Topology(paperdata.BaseDesign())
-	if err != nil {
-		b.Fatal(err)
-	}
+	top := paperdata.SpecTopology(paperdata.BaseDesign().Spec())
 	pol := patch.CriticalPolicy()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,10 +74,7 @@ func BenchmarkFigure3HARMConstruction(b *testing.B) {
 // before and after patch on the base network (Table II).
 func BenchmarkTable2SecurityMetrics(b *testing.B) {
 	db := paperdata.VulnDB()
-	top, err := paperdata.Topology(paperdata.BaseDesign())
-	if err != nil {
-		b.Fatal(err)
-	}
+	top := paperdata.SpecTopology(paperdata.BaseDesign().Spec())
 	h, err := harm.Build(harm.BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})
 	if err != nil {
 		b.Fatal(err)
@@ -179,10 +173,7 @@ func BenchmarkTable5AggregatedRates(b *testing.B) {
 // strategies on the patched base network.
 func BenchmarkAblationASPStrategies(b *testing.B) {
 	db := paperdata.VulnDB()
-	top, err := paperdata.Topology(paperdata.BaseDesign())
-	if err != nil {
-		b.Fatal(err)
-	}
+	top := paperdata.SpecTopology(paperdata.BaseDesign().Spec())
 	h, err := harm.Build(harm.BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})
 	if err != nil {
 		b.Fatal(err)
@@ -233,10 +224,7 @@ func BenchmarkScalabilityHARM(b *testing.B) {
 	for _, n := range []int{1, 2, 3, 4} {
 		n := n
 		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
-			top, err := paperdata.Topology(paperdata.Design{Name: "scale", DNS: n, Web: n, App: n, DB: n})
-			if err != nil {
-				b.Fatal(err)
-			}
+			top := paperdata.SpecTopology(paperdata.Design{Name: "scale", DNS: n, Web: n, App: n, DB: n}.Spec())
 			h, err := harm.Build(harm.BuildInput{Topology: top, Trees: trees, TargetRoles: []string{paperdata.RoleDB}})
 			if err != nil {
 				b.Fatal(err)
@@ -342,10 +330,7 @@ func BenchmarkExtensionCampaign(b *testing.B) {
 // vulnerability-ranking extension on the base network.
 func BenchmarkExtensionPatchPrioritization(b *testing.B) {
 	db := paperdata.VulnDB()
-	top, err := paperdata.Topology(paperdata.BaseDesign())
-	if err != nil {
-		b.Fatal(err)
-	}
+	top := paperdata.SpecTopology(paperdata.BaseDesign().Spec())
 	h, err := harm.Build(harm.BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})
 	if err != nil {
 		b.Fatal(err)
@@ -440,11 +425,7 @@ func BenchmarkSecurityExpanded(b *testing.B) {
 			wantPaths := tc.n * tc.n * tc.n * (tc.n + 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				top, err := paperdata.SpecTopology(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				h, err := harm.Build(harm.BuildInput{Topology: top, Trees: trees, TargetRoles: spec.TargetStacks()})
+				h, err := harm.Build(harm.BuildInput{Topology: paperdata.SpecTopology(spec), Trees: trees, TargetRoles: spec.TargetStacks()})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -28,7 +29,6 @@ var exportAllowlist = map[string]string{
 	"redpatch/internal/vulndb.Component.MarshalJSON":   "json.Marshaler: encoding/json calls it for every record DB.MarshalJSON encodes",
 	"redpatch/internal/vulndb.Component.UnmarshalJSON": "json.Unmarshaler: the decoding half of the record format MarshalJSON writes",
 	"redpatch/internal/srn.Kind.String":                "fmt.Stringer: Net.Validate formats an invalid transition kind with %v",
-	"redpatch/internal/paperdata.Design.String":        "fmt.Stringer: Design.Validate formats the design with %s in its error",
 	"redpatch/internal/paperdata.DesignSpec.String":    "fmt.Stringer: Engine.Sweep formats a failed design with %s in its error",
 	"redpatch/internal/trace.LogHandler.Enabled":       "slog.Handler: log/slog calls it on redpatchd's logger",
 	"redpatch/internal/trace.LogHandler.Handle":        "slog.Handler: log/slog calls it on redpatchd's logger",
@@ -42,10 +42,11 @@ var exportAllowlist = map[string]string{
 // allowlist entry that is no longer needed; and on every non-test package
 // that imports internal/oracle.
 func TestEveryExportedNameHasACaller(t *testing.T) {
-	unused, oracleUsers, err := unusedExports(".")
+	s, err := rootScan()
 	if err != nil {
 		t.Fatal(err)
 	}
+	unused, oracleUsers := s.unusedExports()
 	flagged, stale := applyAllowlist(unused, exportAllowlist)
 	if len(flagged) > 0 {
 		t.Errorf("%d exported names in internal/ and the root package have no caller outside tests; delete them (or unexport them if their package still uses them):\n\t%s",
@@ -62,10 +63,11 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 // TestUnusedExportsFixture runs the scan over the small module in
 // testdata/callers, whose names each exercise one rule of the gate.
 func TestUnusedExportsFixture(t *testing.T) {
-	unused, oracleUsers, err := unusedExports(filepath.Join("testdata", "callers"))
+	s, err := scanModule(filepath.Join("testdata", "callers"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	unused, oracleUsers := s.unusedExports()
 	want := []string{
 		"fixture.UsedByOwnTest",
 		"fixture/internal/lib.Allowlisted",
@@ -87,6 +89,46 @@ func TestUnusedExportsFixture(t *testing.T) {
 	}
 	if want := []string{"fixture/internal/lib.UsedByCode"}; fmt.Sprint(stale) != fmt.Sprint(want) {
 		t.Errorf("stale = %v, want %v", stale, want)
+	}
+}
+
+// checkAllowlists names, for each check of outside input, every
+// function whose body may call it, with the reason it checks. Everything
+// else takes valid input as a precondition, so a design is checked once
+// per request: a re-validation added anywhere else fails
+// TestSpecCheckedOnce. fleet.System.Validate is listed because it
+// checks a system's design.
+var checkAllowlists = map[string]map[string]string{
+	"redpatch/internal/paperdata.DesignSpec.Validate": {
+		"redpatch/internal/engine.Engine.check":              "the engine's one check: every engine entry that takes a design spec calls it",
+		"redpatch/cmd/redpatchd.server.handleRolloutSweep":   "rollout/sweep's pre-check: a stream must answer 400 before its first byte",
+		"redpatch/cmd/redpatchd.server.handleRankPatches":    "rank-patches' pre-check: an invalid spec is refused before admission",
+		"redpatch/internal/fleet.System.Validate":            "a fleet system is outside input",
+		"redpatch/internal/paperdata.KeyParser.AppendParse":  "a dump's keys are outside input",
+		"redpatch/internal/redundancy.Evaluator.RankPatches": "the ranking's check: the engine does not serve it",
+	},
+	"redpatch/internal/fleet.System.Validate": {
+		"redpatch/internal/fleet.Registry.Register": "a registered batch, checked once before any of it is stored",
+		"redpatch/internal/fleet.Registry.Restore":  "a restored registry dump",
+	},
+}
+
+// TestSpecCheckedOnce fails on every function outside checkAllowlists
+// whose non-test code calls one of its checks, and on every allowlist
+// entry that no longer does.
+func TestSpecCheckedOnce(t *testing.T) {
+	s, err := rootScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for check, allow := range checkAllowlists {
+		flagged, stale := applyAllowlist(s.usersOf(check), allow)
+		for _, k := range flagged {
+			t.Errorf("%s calls %s: take valid input, as the engine's entries check it, or allowlist it with its reason", k, check)
+		}
+		for _, k := range stale {
+			t.Errorf("allowlist entry %s does not call %s any more; remove it", k, check)
+		}
 	}
 }
 
@@ -117,37 +159,50 @@ type srcPackage struct {
 }
 
 // scan type-checks a module's non-test code and records which of its
-// names that code uses.
+// names that code uses, and in which functions.
 type scan struct {
 	module string
 	fset   *token.FileSet
 	std    types.Importer
 	pkgs   map[string]*srcPackage
+	paths  []string // the keys of pkgs, sorted
 	plain  map[string]*types.Package
 	used   map[string]bool
+	// users maps a name's key to the keys of the functions and methods
+	// whose bodies use it.
+	users map[string]map[string]bool
 }
 
-// unusedExports lists, sorted, every exported top-level name and every
-// exported method of an exported type in the root package and the
-// internal/ packages of the module at root that no non-test code of that
-// module uses. The oracle packages, internal/oracle and below, are
-// exempt: they serve tests only, and oracleUsers lists, sorted, each
-// non-test package outside them that imports one. Nested
-// modules under root, such as bench, count as users when their module
-// path is the root's path plus their directory. A method also counts as
-// used when an interface declared in the module that its type implements
-// has that method used. This is a reference scan, not a call graph: a
-// name used only by other dead code passes.
-func unusedExports(root string) (unused, oracleUsers []string, err error) {
+// rootScan is the scan of this module, shared by the tests that read it.
+var rootScan = sync.OnceValues(func() (*scan, error) { return scanModule(".") })
+
+// usersOf lists, sorted, the functions and methods whose bodies use the
+// name with key k.
+func (s *scan) usersOf(k string) []string {
+	var out []string
+	for u := range s.users[k] {
+		out = append(out, u)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// scanModule type-checks the non-test code of the module at root.
+// Nested modules under root, such as bench, are scanned as its users
+// when their module path is the root's path plus their directory. A
+// method also counts as used when an interface declared in the module
+// that its type implements has that method used.
+func scanModule(root string) (*scan, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s := &scan{
 		fset:  token.NewFileSet(),
 		pkgs:  map[string]*srcPackage{},
 		plain: map[string]*types.Package{},
 		used:  map[string]bool{},
+		users: map[string]map[string]bool{},
 	}
 	for _, line := range strings.Split(string(mod), "\n") {
 		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
@@ -155,27 +210,36 @@ func unusedExports(root string) (unused, oracleUsers []string, err error) {
 		}
 	}
 	if s.module == "" {
-		return nil, nil, fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
+		return nil, fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
 	if err := s.parse(root); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var paths []string
 	for p := range s.pkgs {
-		paths = append(paths, p)
+		s.paths = append(s.paths, p)
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
+	sort.Strings(s.paths)
+	for _, p := range s.paths {
 		if _, err := s.Import(p); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	s.linkInterfaces()
+	return s, nil
+}
 
+// unusedExports lists, sorted, every exported top-level name and every
+// exported method of an exported type in the root package and the
+// internal/ packages of the scanned module that no non-test code of
+// that module uses. The oracle packages, internal/oracle and below, are
+// exempt: they serve tests only, and oracleUsers lists, sorted, each
+// non-test package outside them that imports one. This is a reference
+// scan, not a call graph: a name used only by other dead code passes.
+func (s *scan) unusedExports() (unused, oracleUsers []string) {
 	oracle := s.module + "/internal/oracle"
 	isOracle := func(p string) bool { return p == oracle || strings.HasPrefix(p, oracle+"/") }
-	for _, p := range paths {
+	for _, p := range s.paths {
 		if isOracle(p) {
 			continue
 		}
@@ -210,7 +274,7 @@ func unusedExports(root string) (unused, oracleUsers []string, err error) {
 		}
 	}
 	sort.Strings(unused)
-	return unused, oracleUsers, nil
+	return unused, oracleUsers
 }
 
 // parse reads the non-test files of every package directory under root.
@@ -276,7 +340,7 @@ func (s *scan) Import(path string) (*types.Package, error) {
 	if !ok {
 		return s.std.Import(path)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
 	conf := types.Config{Importer: s}
 	p, err := conf.Check(path, s.fset, sp.files, info)
 	if err != nil {
@@ -288,6 +352,28 @@ func (s *scan) Import(path string) (*types.Package, error) {
 		}
 		if k := s.key(obj); k != "" {
 			s.used[k] = true
+		}
+	}
+	for _, f := range sp.files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			user := s.key(info.Defs[fd.Name])
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok || info.Uses[id] == nil {
+					return true
+				}
+				if k := s.key(info.Uses[id]); k != "" && user != "" {
+					if s.users[k] == nil {
+						s.users[k] = map[string]bool{}
+					}
+					s.users[k][user] = true
+				}
+				return true
+			})
 		}
 	}
 	s.plain[path] = p

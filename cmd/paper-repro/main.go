@@ -176,10 +176,7 @@ func run(w io.Writer, csv bool) error {
 
 	// Fig. 2 topology and Fig. 3 HARM DOT exports for completeness.
 	if !csv {
-		top, err := paperdata.Topology(paperdata.BaseDesign())
-		if err != nil {
-			return err
-		}
+		top := paperdata.SpecTopology(paperdata.BaseDesign().Spec())
 		fmt.Fprintln(w, "Figure 2 topology (Graphviz):")
 		fmt.Fprintln(w, top.DOT())
 		h, err := harm.Build(harm.BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})

@@ -101,8 +101,9 @@ func (a admissionLimiters) all() []*admission.Limiter {
 	return out
 }
 
-// admitEvaluate is the evaluate class's in-handler admission, called
-// after the request decoded: warm specs (already in the scenario's
+// admitEvaluate is the evaluate class's in-handler admission (evaluate
+// and rank-patches), called after the request decoded and passed its
+// checks: warm specs (already in the scenario's
 // memo cache, and already served by the lookup that found them) return
 // at once, never touching the limiter — the whole point of the bypass
 // is that a saturated daemon still answers them. Returns ok=false with

@@ -62,22 +62,6 @@ func (c chaosFleetEngine) PlanCampaign(role string, maxWindow time.Duration) (pa
 	return c.next.PlanCampaign(role, maxWindow)
 }
 
-// checkSystem validates one fleet system, its design included, and
-// bounds the design with the same caps as a direct evaluation request:
-// an unbounded design registered once would be solved on every plan.
-func (s *server) checkSystem(sys fleet.System) error {
-	if err := sys.Validate(); err != nil {
-		return err
-	}
-	if _, err := s.reg.get(sys.Scenario); err != nil {
-		return err
-	}
-	if err := s.checkCaps(sys.Spec()); err != nil {
-		return fmt.Errorf("system %q: %w", sys.ID, err)
-	}
-	return nil
-}
-
 type fleetRegisterRequest struct {
 	Systems []fleet.System `json:"systems"`
 }
@@ -92,18 +76,23 @@ func (s *server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("no systems to register"))
 		return
 	}
-	// Validate the whole batch before touching the registry: a rejected
-	// request must not half-register.
+	// Resolve each system's scenario and bound its design with the caps
+	// of a direct evaluation (an unbounded design registered once would
+	// be solved on every plan), and the fleet with the sweep-space cap,
+	// before the registry validates the batch: a rejected request never
+	// half-registers.
+	fresh := 0
 	for _, sys := range req.Systems {
-		if err := s.checkSystem(sys); err != nil {
+		_, err := s.reg.get(sys.Scenario)
+		if err == nil {
+			if err = s.checkCaps(sys.Spec()); err != nil {
+				err = fmt.Errorf("system %q: %w", sys.ID, err)
+			}
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-	}
-	// The fleet shares the sweep-space cap: every registered system is a
-	// design the scheduler may evaluate per plan request.
-	fresh := 0
-	for _, sys := range req.Systems {
 		if _, ok := s.fleetReg.Get(sys.ID); !ok {
 			fresh++
 		}
@@ -113,12 +102,9 @@ func (s *server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("fleet would hold %d systems, above the %d cap", s.fleetReg.Len()+fresh, s.maxDesigns))
 		return
 	}
-	for _, sys := range req.Systems {
-		if err := s.fleetReg.Register(sys); err != nil {
-			// Validated above; a failure here is a server fault.
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
+	if err := s.fleetReg.Register(req.Systems...); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"registered": len(req.Systems),

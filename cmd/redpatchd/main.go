@@ -433,13 +433,13 @@ func (s *server) handler() http.Handler {
 	route("GET /api/v2/scenarios", nil, s.handleScenarioList)
 	route("POST /api/v2/scenarios", nil, s.handleScenarioCreate)
 	route("DELETE /api/v2/scenarios/{name}", nil, s.handleScenarioDelete)
-	// v2 evaluate admits in-handler (see admitEvaluate): only after the
-	// spec is decoded can a warm design be recognized and bypass the
-	// limiter.
+	// v2 evaluate and rank-patches admit in-handler (see admitEvaluate):
+	// only after the spec is decoded can a warm design be recognized and
+	// bypass the limiter, or an invalid one be refused before admission.
 	route("POST /api/v2/evaluate", nil, s.handleEvaluateV2)
 	route("POST /api/v2/sweep/stream", s.adm.sweep, s.handleSweepStream)
 	route("POST /api/v2/rollout/sweep", s.adm.sweep, s.handleRolloutSweep)
-	route("POST /api/v2/rank-patches", s.adm.evaluate, s.handleRankPatches)
+	route("POST /api/v2/rank-patches", nil, s.handleRankPatches)
 	route("POST /api/v2/plan-campaign", s.adm.evaluate, s.handlePlanCampaign)
 	route("POST /api/v2/fleet/register", nil, s.handleFleetRegister)
 	route("GET /api/v2/fleet/systems", nil, s.handleFleetSystems)

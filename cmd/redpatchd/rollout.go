@@ -37,7 +37,13 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.checkSpec(req.Spec); err != nil {
+	// The spec's pre-check: a stream must answer 400 before its first
+	// byte, so the engine's own check would come too late.
+	err := s.checkCaps(req.Spec)
+	if err == nil {
+		err = req.Spec.Validate()
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -183,18 +183,6 @@ func (r *registry) remove(name string) error {
 	return nil
 }
 
-// checkSpec validates a role-keyed design and bounds it (checkCaps).
-func (s *server) checkSpec(spec redpatch.DesignSpec) error {
-	// The tier cap comes first, so an oversized body is refused before
-	// Validate walks its tiers.
-	if len(spec.Tiers) <= s.maxTiers {
-		if err := spec.Validate(); err != nil {
-			return err
-		}
-	}
-	return s.checkCaps(spec)
-}
-
 // checkCaps bounds a role-keyed design: tier-group count, per-group
 // replicas, and the upper-layer CTMC state product (every group adds a
 // (replicas+1)-state dimension).
@@ -226,14 +214,7 @@ func (s *server) checkSpecSweep(req redpatch.SpecSweepRequest) error {
 		if err := s.checkReplicas(t.Min, t.Max); err != nil {
 			return err
 		}
-		worst := t.Max
-		if t.Min > worst {
-			worst = t.Min
-		}
-		if worst < 1 {
-			worst = 1
-		}
-		states *= worst + 1
+		states *= max(t.Min, t.Max, 1) + 1
 		if states > s.maxStates {
 			return fmt.Errorf("availability model would exceed %d states", s.maxStates)
 		}
@@ -301,13 +282,14 @@ type evaluateV2Request struct {
 	Spec     redpatch.DesignSpec `json:"spec"`
 }
 
-// scenarioSpec decodes, validates and resolves an evaluate-shaped body.
+// scenarioSpec decodes, bounds (checkCaps) and resolves an
+// evaluate-shaped body; its handler validates the spec.
 func (s *server) scenarioSpec(r *http.Request) (*scenario, redpatch.DesignSpec, error) {
 	var req evaluateV2Request
 	if err := readRequest(r.Body, &req); err != nil {
 		return nil, redpatch.DesignSpec{}, err
 	}
-	if err := s.checkSpec(req.Spec); err != nil {
+	if err := s.checkCaps(req.Spec); err != nil {
 		return nil, redpatch.DesignSpec{}, err
 	}
 	sc, err := s.reg.get(req.Scenario)
@@ -327,8 +309,14 @@ func (s *server) handleEvaluateV2(w http.ResponseWriter, r *http.Request) {
 	// must be decoded before a warm (already-memoized) design can be
 	// recognized and bypass the limiter — a saturated daemon still
 	// answers warm queries with a map lookup, which also serves them.
-	report, warm := sc.study.CachedReport(r.Context(), spec)
-	release, ok := s.admitEvaluate(w, r, warm)
+	// The lookup validates the spec, so an invalid one is a 400 before
+	// admission.
+	report, cold, err := sc.study.CachedReport(r.Context(), spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	release, ok := s.admitEvaluate(w, r, !cold.Cold())
 	if !ok {
 		return
 	}
@@ -337,8 +325,8 @@ func (s *server) handleEvaluateV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	if !warm {
-		if report, err = sc.study.EvaluateSpecCtx(r.Context(), spec); err != nil {
+	if cold.Cold() {
+		if report, err = cold.Evaluate(r.Context()); err != nil {
 			writeError(w, statusFor(err), err)
 			return
 		}
@@ -352,12 +340,22 @@ func (s *server) handleEvaluateV2(w http.ResponseWriter, r *http.Request) {
 	writeAppended(w, http.StatusOK, resp)
 }
 
+// handleRankPatches admits in-handler, like evaluate, so that an
+// invalid spec is refused by its pre-check before admission.
 func (s *server) handleRankPatches(w http.ResponseWriter, r *http.Request) {
 	sc, spec, err := s.scenarioSpec(r)
+	if err == nil {
+		err = spec.Validate()
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	release, ok := s.admitEvaluate(w, r, false)
+	if !ok {
+		return
+	}
+	defer release()
 	ranked, err := sc.study.RankPatchesSpec(spec)
 	if err != nil {
 		writeError(w, statusFor(err), err)

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -243,28 +244,75 @@ func TestSweepStreamNDJSON(t *testing.T) {
 }
 
 func TestV2RejectsBadRequests(t *testing.T) {
-	h := testServer(t).handler()
+	study, err := redpatch.NewCaseStudyWithConfig(redpatch.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustServer(t, study, serverConfig{maxDesigns: 4096, maxReplicas: 16})
+	h := s.handler()
 	long := strings.Repeat(`{"role":"web","replicas":1},`, 9)
-	for name, tc := range map[string]struct {
+	type badRequest struct {
 		path, body string
-	}{
-		"unknown scenario": {"/api/v2/evaluate", `{"scenario":"nope","spec":` + classicSpecJSON + `}`},
-		"empty spec":       {"/api/v2/evaluate", `{"spec":{"tiers":[]}}`},
-		"unknown stack":    {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"cache","replicas":1}]}}`},
-		"zero replicas":    {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":0}]}}`},
-		"replica cap":      {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":1000}]}}`},
-		"tier cap":         {"/api/v2/evaluate", `{"spec":{"tiers":[` + long[:len(long)-1] + `]}}`},
-		"unknown variant":  {"/api/v2/sweep/stream", `{"tiers":[{"role":"web","min":1,"max":1,"variants":["iis"]}]}`},
-		// This role once rendered the key of [{x, dns, 1}, {dns, web, 1}].
-		"key separator in role": {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"x/dns:1;dns","variant":"web","replicas":1}]}}`},
-		"sweep size cap":        {"/api/v2/sweep/stream", `{"tiers":[{"role":"dns","min":1,"max":9},{"role":"web","min":1,"max":9},{"role":"app","min":1,"max":9},{"role":"db","min":1,"max":9}]}`},
-		"stream bad json":       {"/api/v2/sweep/stream", `nope`},
-		"stream shard":          {"/api/v2/sweep/stream", `{"tiers":[{"role":"web","min":1,"max":2}],"shard":{"index":0,"count":2}}`},
-		"campaign no window":    {"/api/v2/plan-campaign", `{"role":"web"}`},
-		"campaign bad role":     {"/api/v2/plan-campaign", `{"role":"mainframe","windowMinutes":30}`},
-	} {
-		if w := do(t, h, http.MethodPost, tc.path, tc.body); w.Code != http.StatusBadRequest {
+		// spec, when set, is the invalid spec of the body: the 400 must
+		// carry its Validate message and come before admission.
+		spec *redpatch.DesignSpec
+	}
+	cases := map[string]badRequest{
+		"unknown scenario":   {path: "/api/v2/evaluate", body: `{"scenario":"nope","spec":` + classicSpecJSON + `}`},
+		"replica cap":        {path: "/api/v2/evaluate", body: `{"spec":{"tiers":[{"role":"web","replicas":1000}]}}`},
+		"tier cap":           {path: "/api/v2/evaluate", body: `{"spec":{"tiers":[` + long[:len(long)-1] + `]}}`},
+		"unknown variant":    {path: "/api/v2/sweep/stream", body: `{"tiers":[{"role":"web","min":1,"max":1,"variants":["iis"]}]}`},
+		"sweep size cap":     {path: "/api/v2/sweep/stream", body: `{"tiers":[{"role":"dns","min":1,"max":9},{"role":"web","min":1,"max":9},{"role":"app","min":1,"max":9},{"role":"db","min":1,"max":9}]}`},
+		"stream bad json":    {path: "/api/v2/sweep/stream", body: `nope`},
+		"stream shard":       {path: "/api/v2/sweep/stream", body: `{"tiers":[{"role":"web","min":1,"max":2}],"shard":{"index":0,"count":2}}`},
+		"campaign no window": {path: "/api/v2/plan-campaign", body: `{"role":"web"}`},
+		"campaign bad role":  {path: "/api/v2/plan-campaign", body: `{"role":"mainframe","windowMinutes":30}`},
+	}
+	// Every route that takes a design spec rejects each invalid one.
+	// The key separator role once rendered the key of
+	// [{x, dns, 1}, {dns, web, 1}].
+	invalid := map[string]string{
+		"no tiers":      `[]`,
+		"unknown stack": `[{"role":"cache","replicas":1}]`,
+		"zero replicas": `[{"role":"web","replicas":0}]`,
+		"key separator": `[{"role":"x/dns:1;dns","variant":"web","replicas":1}]`,
+	}
+	routes := map[string]struct{ path, body, name string }{
+		"evaluate":       {"/api/v2/evaluate", `{"spec":{"tiers":%s}}`, ""},
+		"rank-patches":   {"/api/v2/rank-patches", `{"spec":{"tiers":%s}}`, ""},
+		"rollout":        {"/api/v2/rollout/sweep", `{"spec":{"tiers":%s},"schedule":{"strategy":"rolling","steps":2}}`, ""},
+		"fleet register": {"/api/v2/fleet/register", `{"systems":[{"id":"s1","role":"app","windowMinutes":60,"tiers":%s}]}`, "s1"},
+	}
+	for route, r := range routes {
+		for name, tiers := range invalid {
+			spec := redpatch.DesignSpec{Name: r.name}
+			if err := json.Unmarshal([]byte(tiers), &spec.Tiers); err != nil {
+				t.Fatal(err)
+			}
+			cases[route+" "+name] = badRequest{path: r.path, body: fmt.Sprintf(r.body, tiers), spec: &spec}
+		}
+	}
+	for name, tc := range cases {
+		admitted, stats := s.adm.evaluate.Stats().Admitted, study.EngineStats()
+		w := do(t, h, http.MethodPost, tc.path, tc.body)
+		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (%s)", name, w.Code, w.Body)
+		}
+		if tc.spec == nil {
+			continue
+		}
+		var resp struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := tc.spec.Validate(); want == nil || !strings.Contains(resp.Error, want.Error()) {
+			t.Errorf("%s: error %q does not carry Validate's %v", name, resp.Error, want)
+		}
+		if got := s.adm.evaluate.Stats().Admitted; got != admitted {
+			t.Errorf("%s: the evaluate limiter admitted %d requests", name, got-admitted)
+		}
+		if got := study.EngineStats(); got != stats {
+			t.Errorf("%s: engine stats moved: %+v, was %+v", name, got, stats)
 		}
 	}
 }

@@ -79,10 +79,7 @@ func TestExperimentE1_Table1(t *testing.T) {
 // conclusion).
 func TestExperimentE3_Table2(t *testing.T) {
 	db := paperdata.VulnDB()
-	top, err := paperdata.Topology(paperdata.BaseDesign())
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := paperdata.SpecTopology(paperdata.BaseDesign().Spec())
 	h, err := harm.Build(harm.BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})
 	if err != nil {
 		t.Fatal(err)
@@ -402,10 +399,7 @@ func TestExperimentE11_Extensions(t *testing.T) {
 	})
 	t.Run("patchPrioritization", func(t *testing.T) {
 		db := paperdata.VulnDB()
-		top, err := paperdata.Topology(paperdata.BaseDesign())
-		if err != nil {
-			t.Fatal(err)
-		}
+		top := paperdata.SpecTopology(paperdata.BaseDesign().Spec())
 		h, err := harm.Build(harm.BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})
 		if err != nil {
 			t.Fatal(err)
@@ -459,10 +453,7 @@ func TestExperimentE11_Extensions(t *testing.T) {
 // round to the Table II after-patch values.
 func TestExperimentE13_Campaign(t *testing.T) {
 	db := paperdata.VulnDB()
-	top, err := paperdata.Topology(paperdata.BaseDesign())
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := paperdata.SpecTopology(paperdata.BaseDesign().Spec())
 	h, err := harm.Build(harm.BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})
 	if err != nil {
 		t.Fatal(err)

@@ -30,12 +30,13 @@ import (
 )
 
 // DesignEvaluator is the evaluation dependency: anything that can score
-// one role-keyed design spec on both paper axes, atomically (the whole
-// patch round) and at a rollout point (per-tier patched fractions
-// aligned with spec.Tiers). The context carries tracing, so solver-layer
-// spans join the request trace. *redundancy.Evaluator is the production
-// implementation; tests substitute counting or blocking fakes.
-// Implementations must be safe for concurrent use.
+// one valid role-keyed design spec (the engine's entries validate it)
+// on both paper axes, atomically (the whole patch round) and at a
+// rollout point (per-tier patched counts aligned with spec.Tiers). The
+// context carries tracing, so solver-layer spans join the request
+// trace. *redundancy.Evaluator is the production implementation; tests
+// substitute counting or blocking fakes. Implementations must be safe
+// for concurrent use.
 type DesignEvaluator interface {
 	EvaluateSpecContext(context.Context, paperdata.DesignSpec) (redundancy.Result, error)
 	EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error)
@@ -160,6 +161,29 @@ func (g *Engine) Stats() Stats {
 	return st
 }
 
+// Checked is a valid design spec, as an engine entry checked it, with
+// the memo key Lookup packed for it: Evaluate solves it on its engine
+// without validating or keying it again. Lookup returns the zero value
+// on a hit.
+type Checked struct {
+	g    *Engine
+	spec paperdata.DesignSpec
+	key  string // packed; empty while a tier label is new to the memo
+}
+
+// Cold reports whether c holds a spec left to solve.
+func (c Checked) Cold() bool { return c.g != nil }
+
+// check is the engine's one validation of a design spec: every exported
+// entry that takes a spec calls it, and nothing below them validates
+// again.
+func (g *Engine) check(spec paperdata.DesignSpec) (Checked, error) {
+	if err := spec.Validate(); err != nil {
+		return Checked{}, err
+	}
+	return Checked{g: g, spec: spec}, nil
+}
+
 // EvaluateSpecCtx scores one role-keyed design, serving repeats from the
 // memo. Concurrent calls for the same spec identity share a single
 // solve. The returned report carries the requested spec (name included,
@@ -168,50 +192,72 @@ func (g *Engine) Stats() Stats {
 // cache attribute distinguishes a miss (this call solved), a hit (the
 // memo had a completed entry) and an inflight join (a concurrent solve
 // of the same design was in progress and this call waited for it). The
-// context does not cancel an in-flight solve — a result being computed
-// belongs to every caller deduplicated onto it, so the first caller's
-// cancellation must not poison the shared entry — but a caller *joining*
-// an in-flight solve abandons its wait when its context ends: the solve
-// finishes and memoizes without it.
+// context does not cancel an in-flight solve, but a caller joining one
+// abandons its wait when its context ends (see do).
 func (g *Engine) EvaluateSpecCtx(ctx context.Context, spec paperdata.DesignSpec) (Report, error) {
-	spec, desc := resolve(spec)
-	v, err := g.evaluateSpecTraced(ctx, spec, spec.Name)
+	c, err := g.check(spec)
 	if err != nil {
 		return Report{}, err
 	}
-	return v.report(spec, desc), nil
+	return c.Evaluate(ctx)
+}
+
+// Evaluate is EvaluateSpecCtx for a Cold spec Lookup checked.
+func (c Checked) Evaluate(ctx context.Context) (Report, error) {
+	var desc string
+	c.spec, desc = resolve(c.spec)
+	v, err := c.g.evaluateSpecTraced(ctx, c)
+	if err != nil {
+		return Report{}, err
+	}
+	return v.report(c.spec, desc), nil
 }
 
 // EvaluateSummaries is EvaluateSpecCtx for a caller that reads only
 // the design's security summaries before and after the patch round:
 // served from and memoized in the same memo, with no report, so no
-// name or description is rendered. The span's design attribute is the
-// spec's own name.
+// name or description is rendered.
 func (g *Engine) EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpec) (before, after Summary, err error) {
-	v, err := g.evaluateSpecTraced(ctx, spec, spec.Name)
+	c, err := g.check(spec)
+	if err != nil {
+		return Summary{}, Summary{}, err
+	}
+	v, err := g.evaluateSpecTraced(ctx, c)
 	return v.before, v.after, err
 }
 
-// evaluateSpecTraced opens the "engine.evaluate" span with the design
-// name and the caller's attributes — the sweep path adds per-design
-// queue wait — and returns the spec's memo entry. The attributes are
-// set only on a live span, so an untraced call boxes none of them.
-func (g *Engine) evaluateSpecTraced(ctx context.Context, spec paperdata.DesignSpec, design string, attrs ...trace.Attr) (v entry, err error) {
+// evaluateSpecTraced opens the "engine.evaluate" span with the caller's
+// attributes — the sweep path adds per-design queue wait — and returns
+// the checked spec's memo entry.
+func (g *Engine) evaluateSpecTraced(ctx context.Context, c Checked, attrs ...trace.Attr) (v entry, err error) {
+	ctx, sp := startEvaluate(ctx, c.spec, attrs)
+	defer func() { sp.EndErr(err) }()
+	return g.do(ctx, sp, c, nil, &g.solves, &g.hits, func() (entry, error) {
+		r, err := g.eval.EvaluateSpecContext(ctx, c.spec)
+		return atomicEntry(r), err
+	})
+}
+
+// startEvaluate opens an "engine.evaluate" span with the design's name
+// (spanName) and attrs, set only on a live span: an untraced evaluate
+// names nothing and boxes none of them.
+func startEvaluate(ctx context.Context, spec paperdata.DesignSpec, attrs []trace.Attr) (context.Context, *trace.Span) {
 	ctx, sp := trace.Start(ctx, "engine.evaluate")
 	if sp != nil {
-		sp.SetAttr("design", design)
+		sp.SetAttr("design", spanName(spec))
 		for _, a := range attrs {
 			sp.SetAttr(a.Key, a.Value)
 		}
 	}
-	defer func() { sp.EndErr(err) }()
-	if err := spec.Validate(); err != nil {
-		return entry{}, err
+	return ctx, sp
+}
+
+// spanName is a design's name in spans: its own, or its canonical one.
+func spanName(spec paperdata.DesignSpec) string {
+	if spec.Name != "" {
+		return spec.Name
 	}
-	return g.do(ctx, sp, spec, nil, &g.solves, &g.hits, func() (entry, error) {
-		r, err := g.eval.EvaluateSpecContext(ctx, spec)
-		return atomicEntry(r), err
-	})
+	return spec.CanonicalName()
 }
 
 // keyBuf sizes the stack buffers keys are built in: a packed key of up
@@ -219,32 +265,39 @@ func (g *Engine) evaluateSpecTraced(ctx context.Context, spec paperdata.DesignSp
 // the heap and stays correct.
 const keyBuf = 96
 
-// do serves the valid spec, at rollout point patched when that is not
-// nil, from the memo, solving it at most once across concurrent
+// do serves the checked spec, at rollout point patched when that is
+// not nil, from the memo, solving it at most once across concurrent
 // callers: a caller finding a completed entry reads it ("cache"
 // attribute hit), a caller finding a solve in progress waits for it
 // (inflight), and otherwise the caller runs solve (miss). solves and
-// hits count misses and hits-or-joins. The key is packed straight from
-// the spec; a hit allocates nothing, and only a miss copies the key
-// into a string for the in-flight table. The context
-// does not cancel an in-flight solve — a result being computed belongs
-// to every caller deduplicated onto it, so the first caller's
-// cancellation must not poison the shared entry — but a caller joining
-// an in-flight solve abandons its wait when its context ends: the solve
-// finishes and memoizes without it.
-func (g *Engine) do(ctx context.Context, sp *trace.Span, spec paperdata.DesignSpec, patched []int, solves, hits *atomic.Uint64, solve func() (entry, error)) (entry, error) {
+// hits count misses and hits-or-joins. The key is the one Lookup
+// packed, or is packed straight from the spec; a hit allocates nothing,
+// and only a miss copies a key it packed into a string for the
+// in-flight table. The context does not cancel an in-flight solve — a
+// result being computed belongs to every caller deduplicated onto it,
+// so the first caller's cancellation must not poison the shared entry
+// — but a caller joining an in-flight solve abandons its wait when its
+// context ends: the solve finishes and memoizes without it.
+func (g *Engine) do(ctx context.Context, sp *trace.Span, chk Checked, patched []int, solves, hits *atomic.Uint64, solve func() (entry, error)) (entry, error) {
 	var buf [keyBuf]byte
+	k := append(buf[:0], chk.key...)
 	g.mu.Lock()
-	// A spec that reaches a solve interns its labels now, so that its
-	// in-flight call has a key.
-	k, _ := g.memo.appendKey(buf[:0], spec, patched, true)
+	if chk.key == "" {
+		// A spec that reaches a solve interns its labels now, so that
+		// its in-flight call has a key.
+		k, _ = g.memo.appendKey(k, chk.spec, patched, true)
+	}
 	if v, ok := g.memo.get(k); ok {
 		g.mu.Unlock()
 		hits.Add(1)
 		sp.SetAttr("cache", "hit")
 		return v, nil
 	}
-	if c, ok := g.inflight[string(k)]; ok {
+	key := chk.key
+	if key == "" {
+		key = string(k)
+	}
+	if c, ok := g.inflight[key]; ok {
 		g.mu.Unlock()
 		hits.Add(1)
 		sp.SetAttr("cache", "inflight")
@@ -255,7 +308,6 @@ func (g *Engine) do(ctx context.Context, sp *trace.Span, spec paperdata.DesignSp
 			return entry{}, ctx.Err()
 		}
 	}
-	key := string(k)
 	c := &call{done: make(chan struct{})}
 	g.inflight[key] = c
 	g.mu.Unlock()
@@ -267,7 +319,7 @@ func (g *Engine) do(ctx context.Context, sp *trace.Span, spec paperdata.DesignSp
 		// waiter on this key. Surface it as the call's error instead.
 		defer func() {
 			if p := recover(); p != nil {
-				c.err = fmt.Errorf("engine: evaluator panic for %s: %v", textKey(spec, patched), p)
+				c.err = fmt.Errorf("engine: evaluator panic for %s: %v", textKey(chk.spec, patched), p)
 			}
 			g.mu.Lock()
 			// Errors are not memoized: waiters already holding this
@@ -303,36 +355,35 @@ func textKey(spec paperdata.DesignSpec, patched []int) string {
 	return spec.Key()
 }
 
-// Lookup serves spec from the memo when a completed entry holds it,
-// without solving and without waiting: it counts a hit and records the
-// "engine.evaluate" span with cache hit, exactly as EvaluateSpecCtx
-// does on a hit, and returns the same report. An invalid spec, a solve
-// still in flight or a design never solved reads false, with no span,
-// no counter moved and nothing allocated. Admission control uses it to
-// serve warm requests without taking a limiter slot.
-func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (Report, bool) {
-	if spec.Validate() != nil {
-		return Report{}, false
+// Lookup checks spec and packs its memo key, once for the request. A
+// design the memo holds is served as EvaluateSpecCtx serves a hit —
+// counted, with its "engine.evaluate" span — and the Checked is zero.
+// Otherwise (a solve in flight or none yet) Lookup returns the checked
+// spec to Evaluate, moving no counter and interning no label. Admission
+// control uses it to serve warm requests without a limiter slot and to
+// reject invalid ones before admission.
+func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (Report, Checked, error) {
+	c, err := g.check(spec)
+	if err != nil {
+		return Report{}, Checked{}, err
 	}
 	var buf [keyBuf]byte
 	g.mu.Lock()
-	k, ok := g.memo.appendKey(buf[:0], spec, nil, false)
-	var v entry
-	if ok {
-		v, ok = g.memo.get(k)
-	}
+	k, known := g.memo.appendKey(buf[:0], spec, nil, false)
+	v, ok := g.memo.get(k)
+	ok = ok && known // a key cut short at an unknown label is no key
 	g.mu.Unlock()
 	if !ok {
-		return Report{}, false
+		if known {
+			c.key = string(k)
+		}
+		return Report{}, c, nil
 	}
 	g.hits.Add(1)
 	spec, desc := resolve(spec)
-	// The span starts without attributes so that an untraced hit does
-	// not box the design name.
-	if _, sp := trace.Start(ctx, "engine.evaluate"); sp != nil {
-		sp.SetAttr("design", spec.Name)
+	if _, sp := startEvaluate(ctx, spec, nil); sp != nil {
 		sp.SetAttr("cache", "hit")
 		sp.End()
 	}
-	return v.report(spec, desc), true
+	return v.report(spec, desc), Checked{}, nil
 }

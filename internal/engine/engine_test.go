@@ -434,6 +434,41 @@ func TestSweepSpecValidate(t *testing.T) {
 	if n := hetero.SweepSize(); n != 4 {
 		t.Fatalf("heterogeneous size = %d, want 4 (2 counts x 2 stacks)", n)
 	}
+
+	// The engine does not validate the designs a sweep enumerates: every
+	// design of a valid SweepSpec is a valid DesignSpec by construction.
+	// Roles cannot repeat, so the catalog's five stacks bound a valid
+	// sweep at five tiers, and eight tiers (redpatchd's -max-tiers
+	// default) are a SweepSpec error.
+	all := []TierSweep{{Role: "dns"}, {Role: "web"}, {Role: "app"}, {Role: "db"}, {Role: "webalt"}}
+	for name, tc := range map[string]struct {
+		spec  SweepSpec
+		valid bool
+	}{
+		"min 0":              {SweepSpec{Tiers: []TierSweep{{Role: "web", Min: 0, Max: 2}}}, true},
+		"max below min":      {SweepSpec{Tiers: []TierSweep{{Role: "web", Min: 3, Max: 0}}}, true},
+		"variant is role":    {SweepSpec{Tiers: []TierSweep{{Role: "web", Max: 2, Variants: []string{"web", "webalt"}}}}, true},
+		"empty variant":      {SweepSpec{Tiers: []TierSweep{{Role: "app", Max: 2, Variants: []string{""}}}}, true},
+		"webalt":             {SweepSpec{Tiers: []TierSweep{{Role: "webalt", Max: 2}, {Role: "db", Variants: []string{"webalt"}}}}, true},
+		"one tier":           {SweepSpec{Tiers: all[:1]}, true},
+		"five tiers":         {SweepSpec{Tiers: all}, true},
+		"heterogeneous":      {hetero, true},
+		"eight tiers":        {SweepSpec{Tiers: append(all[:5:5], all[:3]...)}, false},
+		"classic 1..3 space": {fullSpace(3), true},
+	} {
+		if err := tc.spec.Validate(); (err == nil) != tc.valid {
+			t.Errorf("%s: Validate = %v, want valid %v", name, err, tc.valid)
+			continue
+		}
+		if !tc.valid {
+			continue
+		}
+		for _, d := range tc.spec.Designs() {
+			if err := d.Validate(); err != nil {
+				t.Errorf("%s enumerates an invalid design: %v", name, err)
+			}
+		}
+	}
 }
 
 func TestSweepSurfacesEvaluationError(t *testing.T) {
@@ -691,14 +726,15 @@ func TestRepeatRolloutSweepServedFromMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := paperdata.Design{Name: "rs", DNS: 2, Web: 3, App: 2, DB: 2}.Spec()
-	points, err := redundancy.RolloutSchedule{Strategy: redundancy.RolloutRolling, Steps: 8}.Points(len(spec.Tiers))
+	sched := redundancy.RolloutSchedule{Strategy: redundancy.RolloutRolling, Steps: 8}
+	points, err := sched.Points(len(spec.Tiers))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sweep := func() {
 		t.Helper()
 		var n atomic.Int64
-		err := g.RolloutSweep(context.Background(), spec, points, func(RolloutReport) error {
+		_, err := g.RolloutSweep(context.Background(), spec, sched, func(RolloutReport) error {
 			n.Add(1)
 			return nil
 		}, nil)

@@ -174,7 +174,9 @@ func TestMemoSharedAcrossGoroutines(t *testing.T) {
 					if _, err := g.EvaluateSpecCtx(context.Background(), sp); err != nil {
 						t.Error(err)
 					}
-					g.Lookup(ctx, sp)
+					if _, _, err := g.Lookup(ctx, sp); err != nil {
+						t.Error(err)
+					}
 				case 1:
 					if _, err := g.EvaluateRollout(ctx, sp, fr); err != nil {
 						t.Error(err)
@@ -203,9 +205,11 @@ func TestMemoSharedAcrossGoroutines(t *testing.T) {
 }
 
 // TestLookupServesOnlyCompletedEntries: Lookup never solves and never
-// waits. A solve in flight, a design never solved and an invalid spec
-// read false and move no counter; a completed entry is served as
-// EvaluateSpec serves it, counted as a hit.
+// waits. A solve in flight and a design never solved come back cold,
+// and an invalid spec as Validate's error; none of them moves a counter
+// or interns a label. A completed entry is served as EvaluateSpec
+// serves it, counted as a hit. A cold answer carries the key Lookup
+// packed when the memo knows its labels, and Evaluate solves it.
 func TestLookupServesOnlyCompletedEntries(t *testing.T) {
 	gate := make(chan struct{})
 	c := &countingEvaluator{inner: paperEvaluator(t), gate: gate}
@@ -223,14 +227,23 @@ func TestLookupServesOnlyCompletedEntries(t *testing.T) {
 	for c.calls.Load() == 0 {
 		runtime.Gosched()
 	}
-	invalid := paperdata.DesignSpec{Tiers: []paperdata.TierSpec{{Role: "mainframe", Replicas: 1}}}
-	for _, probe := range []paperdata.DesignSpec{sp, specFor(t, 3, 3, 3, 3), invalid} {
-		if _, ok := g.Lookup(ctx, probe); ok {
-			t.Fatalf("Lookup(%s) served an entry that is not completed", probe)
+	alt := paperdata.DesignSpec{Tiers: []paperdata.TierSpec{{Role: "web", Replicas: 1, Variant: "webalt"}}}
+	for _, probe := range []paperdata.DesignSpec{sp, specFor(t, 3, 3, 3, 3), alt} {
+		if _, cold, err := g.Lookup(ctx, probe); err != nil || !cold.Cold() {
+			t.Fatalf("Lookup(%s) = cold %v, %v; want a cold answer for a design not completed", probe, cold.Cold(), err)
+		} else if known := probe.Tiers[0].Variant == ""; (cold.key != "") != known {
+			t.Errorf("Lookup(%s) packed key %q; the memo knows its labels: %v", probe, cold.key, known)
 		}
+	}
+	invalid := paperdata.DesignSpec{Tiers: []paperdata.TierSpec{{Role: "mainframe", Replicas: 1}}}
+	if _, cold, err := g.Lookup(ctx, invalid); err == nil || err.Error() != invalid.Validate().Error() || cold.Cold() {
+		t.Fatalf("Lookup(invalid) = cold %v, %v; want Validate's error", cold.Cold(), err)
 	}
 	if st := g.Stats(); st.Hits != 0 || st.Solves != 1 {
 		t.Fatalf("missed lookups moved the counters: %+v", st)
+	}
+	if n := len(g.memo.labels); n != 4 {
+		t.Fatalf("the memo holds %d labels after the lookups, want the 4 of the design in flight", n)
 	}
 	close(gate)
 	if err := <-done; err != nil {
@@ -240,12 +253,29 @@ func TestLookupServesOnlyCompletedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := g.Lookup(ctx, sp)
-	if !ok || servedOf(got) != servedOf(want) {
-		t.Fatalf("Lookup = %+v, %v; EvaluateSpec served %+v", got, ok, want)
+	got, cold, err := g.Lookup(ctx, sp)
+	if err != nil || cold.Cold() || servedOf(got) != servedOf(want) {
+		t.Fatalf("Lookup = %+v, cold %v, %v; EvaluateSpec served %+v", got, cold.Cold(), err, want)
 	}
 	if st := g.Stats(); st.Hits != 2 || st.Solves != 1 {
 		t.Fatalf("stats = %+v, want 1 solve and 2 hits", st)
+	}
+	for _, probe := range []paperdata.DesignSpec{specFor(t, 3, 3, 3, 3), alt} {
+		_, cold, err := g.Lookup(ctx, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := g.eval.EvaluateSpecContext(ctx, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cold.Evaluate(ctx)
+		if err != nil || servedOf(got) != servedOf(atomicEntry(want).report(resolve(probe))) {
+			t.Fatalf("Evaluate(%s) = %+v, %v; the evaluator serves %+v", probe, got, err, want)
+		}
+		if got, cold, err := g.Lookup(ctx, probe); err != nil || cold.Cold() || servedOf(got) != servedOf(atomicEntry(want).report(resolve(probe))) {
+			t.Fatalf("Lookup(%s) after Evaluate = cold %v, %v", probe, cold.Cold(), err)
+		}
 	}
 }
 

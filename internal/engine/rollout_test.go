@@ -124,7 +124,7 @@ func TestRolloutSweepStreamsEveryPoint(t *testing.T) {
 	}
 	var steps []int
 	lastDone := 0
-	err = g.RolloutSweep(context.Background(), spec, points,
+	total, err := g.RolloutSweep(context.Background(), spec, sched,
 		func(r RolloutReport) error {
 			steps = append(steps, r.Step)
 			return nil
@@ -135,8 +135,8 @@ func TestRolloutSweepStreamsEveryPoint(t *testing.T) {
 			}
 			lastDone = done
 		})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || total != len(points) {
+		t.Fatalf("sweep: %d points, %v; want %d", total, err, len(points))
 	}
 	sort.Ints(steps)
 	want := make([]int, len(points))
@@ -152,18 +152,18 @@ func TestRolloutSweepStreamsEveryPoint(t *testing.T) {
 
 	// An error from fn cancels the sweep.
 	boom := errors.New("stop")
-	err = g.RolloutSweep(context.Background(), spec, points,
+	_, err = g.RolloutSweep(context.Background(), spec, sched,
 		func(RolloutReport) error { return boom }, nil)
 	if !errors.Is(err, boom) {
 		t.Errorf("sweep error = %v, want %v", err, boom)
 	}
 
 	// Validation: no points, invalid spec.
-	if err := g.RolloutSweep(context.Background(), spec, nil,
+	if _, err := g.RolloutSweep(context.Background(), spec, redundancy.RolloutSchedule{},
 		func(RolloutReport) error { return nil }, nil); err == nil {
 		t.Error("empty point list should fail")
 	}
-	if err := g.RolloutSweep(context.Background(), paperdata.DesignSpec{}, points,
+	if _, err := g.RolloutSweep(context.Background(), paperdata.DesignSpec{}, sched,
 		func(RolloutReport) error { return nil }, nil); err == nil {
 		t.Error("invalid spec should fail")
 	}
@@ -177,15 +177,12 @@ func TestRolloutSweepCancellation(t *testing.T) {
 	}
 	spec := paperdata.Design{Name: "c", DNS: 2, Web: 2, App: 2, DB: 2}.Spec()
 	sched := redundancy.RolloutSchedule{Strategy: redundancy.RolloutRolling, Steps: 8}
-	points, err := sched.Points(len(spec.Tiers))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- g.RolloutSweep(ctx, spec, points,
+		_, err := g.RolloutSweep(ctx, spec, sched,
 			func(RolloutReport) error { return nil }, nil)
+		done <- err
 	}()
 	cancel()
 	close(f.gate) // release any solver already holding the gate

@@ -69,7 +69,9 @@ func (g *Engine) Len() int { return int(g.size.Load()) }
 // only while its slots are copied: keys are rendered, sorted and
 // written after it is released. The bytes are those encoding/json
 // writes for the same entries, rendered with package wire into one
-// buffer and handed to w in one Write.
+// reused buffer and handed to w in chunks of about snapshotChunk
+// bytes. Every entry is checked before the first byte, so a snapshot
+// that fails on an entry writes nothing.
 func (g *Engine) Snapshot(w io.Writer) (int, error) {
 	g.mu.Lock()
 	m := g.memo.frozen()
@@ -82,6 +84,9 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 	text := make([]byte, 0, 32*m.n)
 	refs := make([]snapshotRef, 0, m.n)
 	for k, v := range m.all() {
+		if err := wire.CheckFinite(v.before.AIM, v.before.ASP, v.after.AIM, v.after.ASP, v.coa, v.sa); err != nil {
+			return 0, fmt.Errorf("engine: writing snapshot: %w", err)
+		}
 		start := len(text)
 		var rollout bool
 		text, rollout = m.appendText(text, k, &sc)
@@ -92,19 +97,22 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 		return strings.Compare(keys[a.start:a.end], keys[b.start:b.end])
 	})
 
-	// A design entry takes about 245 bytes, its key included: the buffer
-	// is sized to hold the dump without growing.
-	b := make([]byte, 0, 64+len(g.fp)+len(keys)+len(refs)*240)
+	// A design entry takes about 245 bytes, its key included; one that
+	// does not fit the chunk's slack grows the buffer once.
+	b := make([]byte, 0, snapshotChunk+1024)
 	b = append(b, `{"version":`...)
 	b = strconv.AppendInt(b, SnapshotVersion, 10)
 	b = append(b, `,"fingerprint":`...)
 	b = wire.AppendString(b, g.fp)
 	b = append(b, `,"entries":[`...)
 	for i, r := range refs {
-		v := r.val
-		if err := wire.CheckFinite(v.before.AIM, v.before.ASP, v.after.AIM, v.after.ASP, v.coa, v.sa); err != nil {
-			return 0, fmt.Errorf("engine: writing snapshot: %w", err)
+		if len(b) >= snapshotChunk {
+			if _, err := w.Write(b); err != nil {
+				return 0, fmt.Errorf("engine: writing snapshot: %w", err)
+			}
+			b = b[:0]
 		}
+		v := r.val
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -126,6 +134,10 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 	}
 	return len(refs), nil
 }
+
+// snapshotChunk is the size past which Snapshot hands its buffer to the
+// writer and reuses it.
+const snapshotChunk = 32 << 10
 
 // snapshotRef is one memo entry as Snapshot writes it: its text key,
 // keys[start:end] in Snapshot's one string of keys, whether that is a

@@ -190,12 +190,9 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) erro
 	defer func() { sp.EndErr(err) }()
 	err = stream(ctx, g, designs, progress,
 		func(d paperdata.DesignSpec, wait trace.Attr) (entry, error) {
-			// Only a traced sweep names a design it may yet drop.
-			var name string
-			if sp != nil {
-				name = d.CanonicalName()
-			}
-			v, err := g.evaluateSpecTraced(ctx, d, name, wait)
+			// A valid SweepSpec enumerates only valid designs. Only a
+			// traced sweep names a design it may yet drop.
+			v, err := g.evaluateSpecTraced(ctx, Checked{g: g, spec: d}, wait)
 			if err != nil {
 				err = fmt.Errorf("engine: design %s: %w", d, err)
 			}

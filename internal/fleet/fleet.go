@@ -144,13 +144,18 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{m: make(map[string]System)} }
 
-// Register validates the system and upserts it by ID.
-func (r *Registry) Register(s System) error {
-	if err := s.Validate(); err != nil {
-		return err
+// Register validates every system and then upserts them all by ID, in
+// order; one invalid system registers none.
+func (r *Registry) Register(systems ...System) error {
+	for _, s := range systems {
+		if err := s.Validate(); err != nil {
+			return err
+		}
 	}
 	r.mu.Lock()
-	r.m[s.ID] = s
+	for _, s := range systems {
+		r.m[s.ID] = s
+	}
 	r.rev++
 	r.mu.Unlock()
 	return nil

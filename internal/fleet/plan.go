@@ -220,7 +220,10 @@ func pickCycle(states []*schedState, max int, pending func(*schedState) bool) []
 // maintenance windows: cycle by cycle, the highest
 // risk-reduction-per-downtime systems (weighted by priority) take the
 // MaxConcurrent slots, one window per system per cycle, until every
-// round is placed. The whole call runs under a "fleet.plan" span.
+// round is placed. The whole call runs under a "fleet.plan" span. The
+// systems must be valid, as the registry keeps them: PlanFleet checks
+// only that their IDs are distinct, and each design is validated once,
+// by the engine that evaluates it.
 func PlanFleet(ctx context.Context, systems []System, resolve Resolver, opts PlanOptions) (Plan, error) {
 	opts = opts.withDefaults()
 	ctx, span := trace.Start(ctx, "fleet.plan",
@@ -243,9 +246,6 @@ func planFleet(ctx context.Context, systems []System, resolve Resolver, opts Pla
 	}
 	seen := make(map[string]bool, len(systems))
 	for _, s := range systems {
-		if err := s.Validate(); err != nil {
-			return Plan{}, err
-		}
 		if seen[s.ID] {
 			return Plan{}, fmt.Errorf("fleet: duplicate system id %q", s.ID)
 		}

@@ -14,11 +14,8 @@ import (
 func paperDesignHARM(t *testing.T, d paperdata.Design) (before, after *HARM) {
 	t.Helper()
 	db := paperdata.VulnDB()
-	top, err := paperdata.Topology(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err = Build(BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})
+	top := paperdata.SpecTopology(d.Spec())
+	before, err := Build(BuildInput{Topology: top, Trees: paperdata.Trees(db), TargetRoles: []string{paperdata.RoleDB}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"redpatch/internal/availability"
 	"redpatch/internal/cvss"
 	"redpatch/internal/patch"
-	"redpatch/internal/topology"
 	"redpatch/internal/vulndb"
 )
 
@@ -263,19 +262,6 @@ func appendClassicName(b []byte, dns, web, app, db int) []byte {
 	return append(strconv.AppendInt(b, int64(db), 10), 'b')
 }
 
-// String renders the design in the paper's notation.
-func (d Design) String() string {
-	return fmt.Sprintf("%d DNS + %d WEB + %d APP + %d DB", d.DNS, d.Web, d.App, d.DB)
-}
-
-// Validate checks the design has at least one server per tier.
-func (d Design) Validate() error {
-	if d.DNS < 1 || d.Web < 1 || d.App < 1 || d.DB < 1 {
-		return fmt.Errorf("paperdata: design %s must have at least one server per tier", d)
-	}
-	return nil
-}
-
 // Designs returns the five design choices compared in the paper's §IV.
 func Designs() []Design {
 	return []Design{
@@ -291,19 +277,6 @@ func Designs() []Design {
 // and application clusters (1 DNS + 2 WEB + 2 APP + 1 DB).
 func BaseDesign() Design {
 	return Design{Name: "base", DNS: 1, Web: 2, App: 2, DB: 1}
-}
-
-// Topology builds the Fig. 2 network for a redundancy design: the
-// attacker can reach the DNS DMZ and the web DMZ through the external
-// firewall; web servers reach the application tier and application
-// servers reach the database tier through the internal firewall; the DNS
-// server can also be used as a stepping stone to the web tier (Fig. 3a).
-// It is the classic 4-tuple view of SpecTopology.
-func Topology(d Design) (*topology.Topology, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return SpecTopology(d.Spec())
 }
 
 // ServerParams computes the availability-model parameters of a role:

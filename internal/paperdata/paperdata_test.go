@@ -158,7 +158,7 @@ func TestDesigns(t *testing.T) {
 	if ds[0].Spec().Total() != 4 || ds[1].Spec().Total() != 5 {
 		t.Error("design sizes wrong")
 	}
-	if got := ds[1].String(); got != "2 DNS + 1 WEB + 1 APP + 1 DB" {
+	if got := ds[1].Spec().String(); got != "2 DNS + 1 WEB + 1 APP + 1 DB" {
 		t.Errorf("String = %q", got)
 	}
 	base := BaseDesign()
@@ -166,20 +166,17 @@ func TestDesigns(t *testing.T) {
 		t.Errorf("base design total = %d, want 6", got)
 	}
 	for _, d := range append(ds, base) {
-		if err := d.Validate(); err != nil {
+		if err := d.Spec().Validate(); err != nil {
 			t.Errorf("design %s invalid: %v", d.Name, err)
 		}
 	}
-	if err := (Design{Name: "bad", DNS: 0, Web: 1, App: 1, DB: 1}).Validate(); err == nil {
+	if err := (Design{Name: "bad", DNS: 0, Web: 1, App: 1, DB: 1}).Spec().Validate(); err == nil {
 		t.Error("zero-tier design should fail validation")
 	}
 }
 
 func TestTopologyShape(t *testing.T) {
-	top, err := Topology(BaseDesign())
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := SpecTopology(BaseDesign().Spec())
 	if err := top.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +197,6 @@ func TestTopologyShape(t *testing.T) {
 		if slices.Contains(top.Successors(e[0]), e[1]) {
 			t.Errorf("edge %s -> %s must not exist", e[0], e[1])
 		}
-	}
-	if _, err := Topology(Design{Name: "bad"}); err == nil {
-		t.Error("invalid design should fail")
 	}
 }
 

@@ -1,7 +1,6 @@
 package paperdata
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 )
@@ -89,22 +88,9 @@ func (s DesignSpec) AppendLogicalOrder(dst []int) []int {
 // names and multiplicities and differ only in the structure key's
 // patch-state markers. The security memo's miss path builds its model
 // from this quotient; FoldRollout computes its Structure and Counts
-// without building it.
-func SpecRolloutQuotient(spec DesignSpec, patched []int) (RolloutQuotient, error) {
-	if err := spec.Validate(); err != nil {
-		return RolloutQuotient{}, err
-	}
-	if len(patched) != len(spec.Tiers) {
-		return RolloutQuotient{}, fmt.Errorf("paperdata: design spec %q: %d patched counts for %d tiers",
-			spec.Name, len(patched), len(spec.Tiers))
-	}
-	for i, p := range patched {
-		if p < 0 || p > spec.Tiers[i].Replicas {
-			return RolloutQuotient{}, fmt.Errorf("paperdata: design spec %q: tier %s: %d patched of %d replicas",
-				spec.Name, spec.Tiers[i].label(), p, spec.Tiers[i].Replicas)
-		}
-	}
-
+// without building it. The spec must be valid and every patched count
+// in range, as for FoldRollout.
+func SpecRolloutQuotient(spec DesignSpec, patched []int) RolloutQuotient {
 	quotient := DesignSpec{Name: spec.Name + "/rollout"}
 	var counts []int     // sub-class multiplicities, in quotient tier order
 	var isPatched []bool // patch state per quotient tier
@@ -180,7 +166,7 @@ func SpecRolloutQuotient(spec DesignSpec, patched []int) (RolloutQuotient, error
 			gi++
 		}
 	}
-	return rq, nil
+	return rq
 }
 
 // FoldRollout appends the rollout structure key of spec at per-tier

@@ -34,15 +34,8 @@ func (t TierSpec) Stack() string {
 	return t.Role
 }
 
-// label renders the tier for names and keys: "role" or "role/variant".
-func (t TierSpec) label() string {
-	if s := t.Stack(); s != t.Role {
-		return t.Role + "/" + s
-	}
-	return t.Role
-}
-
-// appendLabel appends label's text to b without building the string.
+// appendLabel appends the tier's text in names and keys to b: "role" or
+// "role/variant".
 func (t TierSpec) appendLabel(b []byte) []byte {
 	b = append(b, t.Role...)
 	if s := t.Stack(); s != t.Role {
@@ -91,7 +84,11 @@ const keySeparators = ";:/,|"
 // Validate checks the spec: at least one tier, at least one replica per
 // group, no key separator (; : / , |) in a role or variant, and every
 // stack (role or variant) present in the catalog, since evaluation needs
-// the stack's vulnerabilities and patch plan.
+// the stack's vulnerabilities and patch plan. A label may hold " + ",
+// which String joins groups with: a description is display text and
+// never a key, so it needs no rule against it. The engine's entries call
+// Validate once per request, and the layers below them take a valid
+// spec.
 func (s DesignSpec) Validate() error {
 	if len(s.Tiers) == 0 {
 		return fmt.Errorf("paperdata: design spec %q has no tiers", s.Name)
@@ -100,13 +97,13 @@ func (s DesignSpec) Validate() error {
 		if t.Role == "" {
 			return fmt.Errorf("paperdata: design spec %q: tier %d has no role", s.Name, i)
 		}
-		if strings.ContainsAny(t.Role, keySeparators) || strings.ContainsAny(t.Variant, keySeparators) {
+		if hasKeySeparator(t.Role) || hasKeySeparator(t.Variant) {
 			return fmt.Errorf("paperdata: design spec %q: tier %d label %q contains one of %q, which separate the design key",
-				s.Name, i, t.label(), keySeparators)
+				s.Name, i, t.appendLabel(nil), keySeparators)
 		}
 		if t.Replicas < 1 {
 			return fmt.Errorf("paperdata: design spec %q: tier %s needs at least one replica, have %d",
-				s.Name, t.label(), t.Replicas)
+				s.Name, t.appendLabel(nil), t.Replicas)
 		}
 		if !KnownStack(t.Stack()) {
 			return fmt.Errorf("paperdata: design spec %q: tier %s uses unknown stack %q",
@@ -114,6 +111,17 @@ func (s DesignSpec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// hasKeySeparator reports whether s holds a byte of keySeparators: what
+// strings.ContainsAny answers, without its per-rune decoding.
+func hasKeySeparator(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if strings.IndexByte(keySeparators, s[i]) >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Total returns the number of servers in the spec.
@@ -377,16 +385,13 @@ func tierSubnet(role string) string {
 }
 
 // SpecTopology builds the network of a role-keyed design, generalizing
-// the paper's Fig. 2: logical tiers form a chain in spec order (every
-// server of one tier reaches every server of the next), the attacker
-// reaches every DMZ tier (the paper's dual entry through DNS and web),
-// and — when no tier sits in a DMZ — the first tier. Server names are
-// stack-keyed ("web1", "webalt1"), matching the classic Topology for
-// homogeneous designs.
-func SpecTopology(spec DesignSpec) (*topology.Topology, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
+// the paper's Fig. 2, which a classic design's Spec builds: logical
+// tiers form a chain in spec order (every server of one tier reaches
+// every server of the next), the attacker reaches every DMZ tier (the
+// paper's dual entry through DNS and web), and — when no tier sits in a
+// DMZ — the first tier. Server names are stack-keyed ("web1",
+// "webalt1"). The spec must be valid.
+func SpecTopology(spec DesignSpec) *topology.Topology {
 	top := topology.New()
 	top.MustAddNode(topology.Node{Name: "attacker", Kind: topology.KindAttacker, Subnet: "internet"})
 
@@ -425,5 +430,5 @@ func SpecTopology(spec DesignSpec) (*topology.Topology, error) {
 	for i := 0; i+1 < len(logical); i++ {
 		connectAll(hosts[i], hosts[i+1])
 	}
-	return top, nil
+	return top
 }

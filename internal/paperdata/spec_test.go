@@ -130,7 +130,7 @@ func TestStringUpperCasesLikeToUpper(t *testing.T) {
 	} {
 		var want []string
 		for _, tier := range spec.Tiers {
-			want = append(want, strconv.Itoa(tier.Replicas)+" "+strings.ToUpper(tier.label()))
+			want = append(want, strconv.Itoa(tier.Replicas)+" "+strings.ToUpper(string(tier.appendLabel(nil))))
 		}
 		if got := spec.String(); got != strings.Join(want, " + ") {
 			t.Errorf("String() = %q, want %q", got, strings.Join(want, " + "))

@@ -142,6 +142,11 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeFuzzCase(data)
+		// The evaluator takes a valid spec, as the engine's entries
+		// check it; the decoder builds only valid ones.
+		if err := c.spec.Validate(); err != nil {
+			t.Fatalf("decoded an invalid spec %s: %v", c.spec, err)
+		}
 		ctx := context.Background()
 		ev, err := redundancy.NewEvaluator(redundancy.Options{Policy: &c.policy})
 		if err != nil {

@@ -205,12 +205,8 @@ type Result struct {
 // Fig. 2 topology with the evaluator's attack-tree templates, targeting
 // the stacks of the last logical tier.
 func (e *Evaluator) buildHARM(spec paperdata.DesignSpec) (*harm.HARM, error) {
-	top, err := paperdata.SpecTopology(spec)
-	if err != nil {
-		return nil, err
-	}
 	return harm.Build(harm.BuildInput{
-		Topology:    top,
+		Topology:    paperdata.SpecTopology(spec),
 		Trees:       e.trees,
 		TargetRoles: spec.TargetStacks(),
 	})
@@ -421,7 +417,7 @@ func (e *Evaluator) keepLeaf(_ string, l *attacktree.Leaf) bool {
 // one place real security model-building happens — runs under a
 // "security.evaluate" span, while hits stay span-free (the caller
 // records provenance attributes instead).
-func (e *Evaluator) securityModel(ctx context.Context, key []byte, build func() (paperdata.RolloutQuotient, error)) (*harm.Compiled, bool, error) {
+func (e *Evaluator) securityModel(ctx context.Context, key []byte, build func() paperdata.RolloutQuotient) (*harm.Compiled, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if m, ok := e.security[string(key)]; ok {
@@ -445,21 +441,14 @@ func (e *Evaluator) securityModel(ctx context.Context, key []byte, build func() 
 // one rollout quotient: patched classes carry the policy-pruned attack
 // trees. A quotient whose structure is not the probed key would file
 // the model under another design's key, so it is an error.
-func (e *Evaluator) buildSecurityModel(key []byte, build func() (paperdata.RolloutQuotient, error)) (*harm.Compiled, error) {
-	rq, err := build()
-	if err != nil {
-		return nil, err
-	}
+func (e *Evaluator) buildSecurityModel(key []byte, build func() paperdata.RolloutQuotient) (*harm.Compiled, error) {
+	rq := build()
 	if rq.Structure != string(key) {
 		// string(key) copies, so the caller's stack buffer stays put.
 		return nil, fmt.Errorf("redundancy: security memo key %q does not match rollout structure %q", string(key), rq.Structure)
 	}
-	top, err := paperdata.SpecTopology(rq.Quotient)
-	if err != nil {
-		return nil, err
-	}
 	f, err := harm.BuildFactoredRollout(harm.BuildInput{
-		Topology:    top,
+		Topology:    paperdata.SpecTopology(rq.Quotient),
 		Trees:       e.trees,
 		TargetRoles: rq.Quotient.TargetStacks(),
 	}, rq.PatchedHosts, e.keepLeaf)
@@ -511,13 +500,13 @@ func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) 
 		afterKey[i] = 'p'
 	}
 
-	bm, bhit, err := e.securityModel(ctx, beforeKey, func() (paperdata.RolloutQuotient, error) {
+	bm, bhit, err := e.securityModel(ctx, beforeKey, func() paperdata.RolloutQuotient {
 		return paperdata.SpecRolloutQuotient(spec, make([]int, len(spec.Tiers)))
 	})
 	if err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
-	am, ahit, err := e.securityModel(ctx, afterKey, func() (paperdata.RolloutQuotient, error) {
+	am, ahit, err := e.securityModel(ctx, afterKey, func() paperdata.RolloutQuotient {
 		full := make([]int, len(spec.Tiers))
 		for i, t := range spec.Tiers {
 			full[i] = t.Replicas
@@ -583,13 +572,10 @@ func (e *Evaluator) SolverStats() SolverStats {
 // naming which solver ran, which memos hit, and how long each step took.
 // The context is used for observability only — an evaluation never
 // aborts mid-solve on cancellation, so a result computed for one caller
-// stays valid for every concurrent caller deduplicated onto it.
+// stays valid for every concurrent caller deduplicated onto it. The
+// spec must be valid: the engine's entries validate it, once per
+// request.
 func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (Result, error) {
-	// The one validation of the design: the security fold and the
-	// network model below assume a valid spec.
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
-	}
 	res := Result{Spec: spec}
 	var err error
 	if res.Before, res.After, err = e.securityFor(ctx, spec); err != nil {

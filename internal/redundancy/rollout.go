@@ -165,11 +165,8 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 // non-zero fraction patches at least one replica and fraction 1 patches
 // all of them. Float noise is rounded away before the ceiling: a
 // schedule step computed as 0.6000000000000001 patches 3 of 5
-// replicas, not 4.
+// replicas, not 4. The spec must be valid.
 func PatchedCounts(spec paperdata.DesignSpec, fractions []float64) ([]int, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	if len(fractions) != len(spec.Tiers) {
 		return nil, fmt.Errorf("redundancy: %d rollout fractions for %d tiers", len(fractions), len(spec.Tiers))
 	}
@@ -225,14 +222,14 @@ type RolloutResult struct {
 // the models an atomic evaluation of the design built. The context
 // carries tracing only; provenance lands as attributes on the caller's
 // span exactly like the atomic path. It validates neither the spec nor
-// the counts, so a caller that already converted the fractions (the
-// engine, for its memo key) validates each point once. The result's
+// the counts: the engine checks the spec once per request and converts
+// the fractions once per point, for its memo key. The result's
 // Fractions is nil and Patched aliases patched.
 func (e *Evaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (RolloutResult, error) {
 	var keyb [keyBuf]byte
 	var countb [classBuf]int
 	key, counts := paperdata.FoldRollout(keyb[:0], countb[:0], spec, patched)
-	model, hit, err := e.securityModel(ctx, key, func() (paperdata.RolloutQuotient, error) {
+	model, hit, err := e.securityModel(ctx, key, func() paperdata.RolloutQuotient {
 		return paperdata.SpecRolloutQuotient(spec, patched)
 	})
 	if err != nil {

@@ -103,10 +103,7 @@ func TestRolloutDegenerateEndpoints(t *testing.T) {
 // replicas are symmetric, so patching the last p of each group matches
 // any placement the quotient could stand for.
 func rolloutSecurityExpanded(ev *Evaluator, spec paperdata.DesignSpec, patched []int) (harm.Metrics, error) {
-	top, err := paperdata.SpecTopology(spec)
-	if err != nil {
-		return harm.Metrics{}, err
-	}
+	top := paperdata.SpecTopology(spec)
 	inst := make(map[string]*attacktree.Tree)
 	counter := make(map[string]int)
 	indices := spec.LogicalIndices()

@@ -489,16 +489,17 @@ func (s *CaseStudy) EngineStats() EngineStats { return s.eng.Stats() }
 // solves excluded).
 func (s *CaseStudy) CacheEntries() int { return s.eng.Len() }
 
-// CachedReport serves spec from the engine's memo when the design is
-// already solved: it returns the report EvaluateSpecCtx would, counts
-// the hit and records the same engine span, but never solves and never
-// waits on a solve in flight. It reads false, moving nothing, for a
-// design not yet memoized or an invalid spec. redpatchd's admission
-// control uses it so warm evaluate requests bypass the limiter and
-// validate and key their spec once. A racing solve may finish
-// just after a false answer, which costs at most one admitted request
-// served from the memo.
-func (s *CaseStudy) CachedReport(ctx context.Context, spec DesignSpec) (DesignReport, bool) {
+// CheckedSpec is a design spec CachedReport validated and found cold,
+// with the memo key it packed: its Evaluate solves it on the study
+// without validating or keying it again.
+type CheckedSpec = engine.Checked
+
+// CachedReport is the engine's Lookup, which redpatchd's admission
+// control runs ahead of the limiter: it checks spec and packs its memo
+// key once for the request, serves a design already solved, with the
+// zero CheckedSpec, and returns any other as a Cold CheckedSpec to
+// Evaluate. An invalid spec is DesignSpec.Validate's error.
+func (s *CaseStudy) CachedReport(ctx context.Context, spec DesignSpec) (DesignReport, CheckedSpec, error) {
 	return s.eng.Lookup(ctx, spec)
 }
 

@@ -627,17 +627,22 @@ func TestSpecValidationAtFacade(t *testing.T) {
 }
 
 // TestCachedReportAllocations pins what a whole warm evaluate costs in
-// the facade — the lookup that both decides the admission bypass and
-// serves the request: one string holding the default name and the
-// description, and a memo read with the key in a stack buffer. The
-// report carries the caller's spec, never a copy. It must equal
-// what EvaluateSpec serves, and a miss must move no counter.
+// the facade — the lookup that validates the spec, decides the
+// admission bypass and serves the request: one string holding the
+// default name and the description, and a memo read with the key in a
+// stack buffer. The report carries the caller's spec, never a copy. It
+// must equal what EvaluateSpec serves; a cold lookup must move no
+// counter, and an invalid spec is Validate's error.
 func TestCachedReportAllocations(t *testing.T) {
 	s, _ := caseStudy(t)
 	ctx := context.Background()
 	st := s.EngineStats()
-	if _, ok := s.CachedReport(ctx, ClassicSpec("", 9, 9, 9, 9)); ok {
-		t.Fatal("CachedReport served a design never evaluated")
+	if _, cold, err := s.CachedReport(ctx, ClassicSpec("", 9, 9, 9, 9)); err != nil || !cold.Cold() {
+		t.Fatalf("CachedReport of a design never evaluated = cold %v, %v", cold.Cold(), err)
+	}
+	invalid := ClassicSpec("", 1, 0, 1, 1)
+	if _, _, err := s.CachedReport(ctx, invalid); err == nil || err.Error() != invalid.Validate().Error() {
+		t.Fatalf("CachedReport of an invalid spec = %v, want %v", err, invalid.Validate())
 	}
 	if got := s.EngineStats(); got != st {
 		t.Fatalf("a missed lookup moved the counters: %+v, was %+v", got, st)
@@ -648,9 +653,9 @@ func TestCachedReportAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := s.CachedReport(ctx, spec)
-		if !ok {
-			t.Fatalf("CachedReport(%q) missed after EvaluateSpec", name)
+		got, cold, err := s.CachedReport(ctx, spec)
+		if err != nil || cold.Cold() {
+			t.Fatalf("CachedReport(%q) missed after EvaluateSpec: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("CachedReport(%q) = %+v, EvaluateSpec served %+v", name, got, want)
@@ -702,21 +707,39 @@ func TestColdEvaluateAllocations(t *testing.T) {
 			}
 		}
 	}
-	warm := s.EngineStats()
 	next := 0
-	got := testing.AllocsPerRun(1000, func() {
-		if _, err := s.EvaluateSpecCtx(ctx, specs[next]); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		run  func(DesignSpec) error
+	}{
+		{"EvaluateSpecCtx", func(spec DesignSpec) error {
+			_, err := s.EvaluateSpecCtx(ctx, spec)
+			return err
+		}},
+		// The daemon's path: the lookup packs the key the solve reuses.
+		{"CachedReport+Evaluate", func(spec DesignSpec) error {
+			_, cold, err := s.CachedReport(ctx, spec)
+			if err == nil {
+				_, err = cold.Evaluate(ctx)
+			}
+			return err
+		}},
+	} {
+		warm, first := s.EngineStats(), next
+		got := testing.AllocsPerRun(500, func() {
+			if err := tc.run(specs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		st := s.EngineStats()
+		if st.Solves-warm.Solves != uint64(next-first) || st.TierSolves != warm.TierSolves || st.SecuritySolves != warm.SecuritySolves {
+			t.Fatalf("%s: measured evaluates were not engine misses on warm solver memos: %+v, was %+v", tc.name, st, warm)
 		}
-		next++
-	})
-	st := s.EngineStats()
-	if st.Solves-warm.Solves != uint64(next) || st.TierSolves != warm.TierSolves || st.SecuritySolves != warm.SecuritySolves {
-		t.Fatalf("measured evaluates were not engine misses on warm solver memos: %+v, was %+v", st, warm)
-	}
-	t.Logf("cold EvaluateSpecCtx: %v allocs", got)
-	if got > 4 {
-		t.Errorf("cold EvaluateSpecCtx = %v allocs, want at most 4", got)
+		t.Logf("cold %s: %v allocs", tc.name, got)
+		if got > 4 {
+			t.Errorf("cold %s = %v allocs, want at most 4", tc.name, got)
+		}
 	}
 }
 
@@ -742,5 +765,22 @@ func TestWarmSweepAllocations(t *testing.T) {
 	t.Logf("warm 64-design sweep: %v allocs", got)
 	if got > 84 {
 		t.Errorf("warm 64-design sweep = %v allocs, want at most 84", got)
+	}
+
+	// An untraced warm rolling-8 rollout sweep boxes no span attribute
+	// either: its 9 points cost the schedule's expansion, the fan-out,
+	// and per point the patched counts and the report's copy of the
+	// fractions. Naming the design and boxing the name per point made
+	// it 53.
+	spec := ClassicSpec("", 2, 3, 2, 2)
+	sched := RolloutSchedule{Strategy: "rolling", Steps: 8}
+	pointFn := func(RolloutReport) error { return nil }
+	if n, err := s.RolloutSweepEach(ctx, spec, sched, pointFn, nil); err != nil || n != 9 {
+		t.Fatalf("warm-up rollout sweep: %d points, %v; want 9", n, err)
+	}
+	got = testing.AllocsPerRun(20, func() { s.RolloutSweepEach(ctx, spec, sched, pointFn, nil) })
+	t.Logf("warm rolling-8 rollout sweep: %v allocs", got)
+	if got > 42 {
+		t.Errorf("warm rolling-8 rollout sweep = %v allocs, want at most 42", got)
 	}
 }

@@ -51,17 +51,7 @@ func (s *CaseStudy) EvaluateRollout(ctx context.Context, spec DesignSpec, fracti
 // error cancels the sweep. progress (optional) runs there too after
 // every completed point. The number of schedule points is returned.
 func (s *CaseStudy) RolloutSweepEach(ctx context.Context, spec DesignSpec, sched RolloutSchedule, fn func(RolloutReport) error, progress func(done, total int)) (int, error) {
-	if err := spec.Validate(); err != nil {
-		return 0, err
-	}
-	points, err := sched.Points(len(spec.Tiers))
-	if err != nil {
-		return 0, err
-	}
-	if err := s.eng.RolloutSweep(ctx, spec, points, fn, progress); err != nil {
-		return 0, err
-	}
-	return len(points), nil
+	return s.eng.RolloutSweep(ctx, spec, sched, fn, progress)
 }
 
 // RolloutPareto returns the rollout points not dominated on the
