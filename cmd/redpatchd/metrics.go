@@ -63,7 +63,7 @@ func newServerMetrics() *serverMetrics {
 		// seconds; DefBuckets' 5ms floor would flatten both, so these use
 		// exponential bucket spreads instead.
 		queueWait: reg.NewHistogram("redpatchd_engine_queue_wait_seconds",
-			"Time from sweep start until a pool worker picked the design up, from trace spans.",
+			"Median time, per sweep, from sweep start until a pool worker picked an item up, from the sweep's trace span.",
 			metrics.ExpBuckets(1e-5, 4, 12)),
 		solverTime: reg.NewHistogramVec("redpatchd_solver_duration_seconds",
 			"Model solve time by solver kind, from trace spans.",

@@ -21,14 +21,14 @@ import (
 )
 
 // observeSpan is the tracer's OnEnd hook: it derives the exemplar-free
-// histograms from finished spans — queue wait off the engine's evaluate
-// spans, solve time by solver kind off the availability and security
-// spans. It runs on whatever goroutine ended the span; the instruments
-// are concurrency-safe.
+// histograms from finished spans — queue wait off the median a design
+// or rollout sweep's span carries for its items, solve time by solver
+// kind off the availability and security spans. It runs on whatever
+// goroutine ended the span; the instruments are concurrency-safe.
 func (m *serverMetrics) observeSpan(d trace.SpanData) {
 	switch d.Name {
-	case "engine.evaluate":
-		if v, ok := d.Attr("queue_wait_ns"); ok {
+	case "engine.sweep", "rollout.sweep":
+		if v, ok := d.Attr("queue_wait_ns_p50"); ok {
 			if ns, ok := v.(int64); ok {
 				m.queueWait.Observe(float64(ns) / 1e9)
 			}

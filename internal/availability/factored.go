@@ -66,17 +66,25 @@ type Workspace struct {
 	terms               []float64
 }
 
-// ComposeNetwork assembles the NetworkSolution from per-tier factors,
-// one per tier of nm in order, in ws's scratch (nil composes in fresh
-// scratch). Logical groups convolve their members' up-count
-// distributions in tier order; quorums apply per group exactly as in
-// the SRN reward. States reports the size the product-form CTMC would
-// have had, so callers comparing against the SRN path see the same
-// state-space accounting. The solution holds nothing of ws.
+// ComposeNetwork validates nm and assembles the NetworkSolution from
+// per-tier factors, one per tier of nm in order, in ws's scratch (nil
+// composes in fresh scratch). Logical groups convolve their members'
+// up-count distributions in tier order; quorums apply per group exactly
+// as in the SRN reward. States reports the size the product-form CTMC
+// would have had, so callers comparing against the SRN path see the
+// same state-space accounting. The solution holds nothing of ws.
 func ComposeNetwork(nm NetworkModel, factors []TierFactor, ws *Workspace) (NetworkSolution, error) {
 	if err := nm.Validate(); err != nil {
 		return NetworkSolution{}, err
 	}
+	return ComposeValid(nm, factors, ws)
+}
+
+// ComposeValid is ComposeNetwork for a model Validate accepts, which it
+// does not check again: a caller composing many models from one
+// validated template — the same tiers at other sizes — validates the
+// template once. The factors must still match the tiers' sizes.
+func ComposeValid(nm NetworkModel, factors []TierFactor, ws *Workspace) (NetworkSolution, error) {
 	if len(factors) != len(nm.Tiers) {
 		return NetworkSolution{}, fmt.Errorf("availability: %d tier factors for %d tiers", len(factors), len(nm.Tiers))
 	}

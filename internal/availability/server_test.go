@@ -33,6 +33,27 @@ func paperServerParams(name string) availability.ServerParams {
 	return p
 }
 
+// TestServerSolveAllocations bounds what one solve of the DNS server's
+// lower-layer model with the Table IV parameters allocates: building
+// the net, generating its state space and solving the chain. The
+// state-space generation allocates a key string and a marking only for
+// a marking new to it (the markings cut from blocks) and reuses its
+// firing scratch, where it used to allocate a marking per firing and a
+// key per tangible outcome: 463 allocations at the time. Every scenario
+// create solves four such models, and a sweep's first webalt design one.
+func TestServerSolveAllocations(t *testing.T) {
+	p := paperServerParams("dns")
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := availability.SolveServer(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Table IV DNS server solve: %v allocs", got)
+	if got > 300 {
+		t.Errorf("Table IV DNS server solve = %v allocs, want at most 300", got)
+	}
+}
+
 func TestValidateParams(t *testing.T) {
 	p := paperServerParams("dns")
 	if err := p.Validate(); err != nil {

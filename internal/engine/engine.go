@@ -19,6 +19,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -32,14 +33,18 @@ import (
 // DesignEvaluator is the evaluation dependency: anything that can score
 // one valid role-keyed design spec (the engine's entries validate it)
 // on both paper axes, atomically (the whole patch round) and at a
-// rollout point (per-tier patched counts aligned with spec.Tiers). The
-// context carries tracing, so solver-layer spans join the request
-// trace. *redundancy.Evaluator is the production implementation; tests
-// substitute counting or blocking fakes. Implementations must be safe
-// for concurrent use.
+// rollout point (per-tier patched counts aligned with spec.Tiers). A
+// single evaluation calls the first two methods, which record their
+// provenance on the context's span. A sweep resolves each of its
+// shapes once with Shape and scores its designs through the shape,
+// which records nothing per design. The context carries tracing, so
+// solver-layer spans join the request trace. *redundancy.Evaluator is
+// the production implementation; tests substitute counting or blocking
+// fakes. Implementations must be safe for concurrent use.
 type DesignEvaluator interface {
 	EvaluateSpecContext(context.Context, paperdata.DesignSpec) (redundancy.Result, error)
 	EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error)
+	Shape(paperdata.DesignSpec) (redundancy.DesignShape, error)
 }
 
 // Options configures an Engine.
@@ -103,10 +108,9 @@ type Engine struct {
 	// points alike, under the packed key of the spec (and patched
 	// counts). A value is the numbers a report serves and nothing else.
 	memo memo
-	// inflight holds a solve only while it runs, under its packed key,
-	// so concurrent callers for the same key wait for it instead of
-	// solving again.
-	inflight map[string]*call
+	// inflight holds a solve only while it runs, so concurrent callers
+	// for the same key wait for it instead of solving again.
+	inflight flights
 
 	solves        atomic.Uint64
 	hits          atomic.Uint64
@@ -117,12 +121,78 @@ type Engine struct {
 	size atomic.Uint64
 }
 
-// call is one solve in flight. done is closed once val and err are
-// final.
+// flights is the table of solves in flight, under the hash of their
+// packed keys; calls whose hashes collide chain through next. A call
+// nobody joined goes back to free when its solve ends, so a miss that
+// no other caller joins allocates nothing once the table has grown to
+// the engine's concurrency. g.mu guards it.
+type flights struct {
+	calls map[uint32]*call
+	free  []*call
+}
+
+// call is one solve in flight under its packed key. done is made by the
+// first caller to join it, and closed once val and err are final.
 type call struct {
+	key  []byte
+	hash uint32
+	next *call
 	done chan struct{}
 	val  entry
 	err  error
+}
+
+// find returns the call in flight under packed key k, whose hash is h.
+func (f *flights) find(k []byte, h uint32) *call {
+	for c := f.calls[h]; c != nil; c = c.next {
+		if bytes.Equal(c.key, k) {
+			return c
+		}
+	}
+	return nil
+}
+
+// start registers a solve of k (hash h) in flight.
+func (f *flights) start(k []byte, h uint32) *call {
+	var c *call
+	if n := len(f.free); n > 0 {
+		c, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		c = new(call)
+	}
+	c.key, c.hash = append(c.key[:0], k...), h
+	if f.calls == nil {
+		f.calls = make(map[uint32]*call)
+	}
+	c.next = f.calls[c.hash]
+	f.calls[c.hash] = c
+	return c
+}
+
+// finish takes c out of flight with the solve's outcome: a joined call
+// hands it to its waiters, and a call nobody joined is reused.
+func (f *flights) finish(c *call, val entry, err error) {
+	if head := f.calls[c.hash]; head == c {
+		if c.next == nil {
+			delete(f.calls, c.hash)
+		} else {
+			f.calls[c.hash] = c.next
+		}
+	} else {
+		for p := head; ; p = p.next {
+			if p.next == c {
+				p.next = c.next
+				break
+			}
+		}
+	}
+	c.next = nil
+	if c.done == nil {
+		f.free = append(f.free, c)
+		return
+	}
+	c.val, c.err = val, err
+	close(c.done)
 }
 
 // New builds an engine over eval. eval must be safe for concurrent use
@@ -132,11 +202,10 @@ func New(eval DesignEvaluator, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("engine: nil evaluator")
 	}
 	return &Engine{
-		eval:     eval,
-		workers:  opts.Workers,
-		fp:       opts.Fingerprint,
-		memo:     newMemo(),
-		inflight: make(map[string]*call),
+		eval:    eval,
+		workers: opts.Workers,
+		fp:      opts.Fingerprint,
+		memo:    newMemo(),
 	}, nil
 }
 
@@ -164,12 +233,18 @@ func (g *Engine) Stats() Stats {
 // Checked is a valid design spec, as an engine entry checked it, with
 // the memo key Lookup packed for it: Evaluate solves it on its engine
 // without validating or keying it again. Lookup returns the zero value
-// on a hit.
+// on a hit. The key is held in place, so a Checked costs no
+// allocation; a key too long for it is packed again by the solve.
 type Checked struct {
-	g    *Engine
-	spec paperdata.DesignSpec
-	key  string // packed; empty while a tier label is new to the memo
+	g      *Engine
+	spec   paperdata.DesignSpec
+	keyLen int // of key; 0 while a tier label is new to the memo
+	key    [checkedKey]byte
 }
+
+// checkedKey is the packed key a Checked holds in place: two bytes a
+// tier for designs of up to 32 tiers with fewer than 128 replicas each.
+const checkedKey = 64
 
 // Cold reports whether c holds a spec left to solve.
 func (c Checked) Cold() bool { return c.g != nil }
@@ -226,28 +301,25 @@ func (g *Engine) EvaluateSummaries(ctx context.Context, spec paperdata.DesignSpe
 	return v.before, v.after, err
 }
 
-// evaluateSpecTraced opens the "engine.evaluate" span with the caller's
-// attributes — the sweep path adds per-design queue wait — and returns
-// the checked spec's memo entry.
-func (g *Engine) evaluateSpecTraced(ctx context.Context, c Checked, attrs ...trace.Attr) (v entry, err error) {
-	ctx, sp := startEvaluate(ctx, c.spec, attrs)
+// evaluateSpecTraced opens the "engine.evaluate" span of one evaluation
+// and returns the checked spec's memo entry.
+func (g *Engine) evaluateSpecTraced(ctx context.Context, c Checked) (v entry, err error) {
+	ctx, sp := startEvaluate(ctx, c.spec)
 	defer func() { sp.EndErr(err) }()
-	return g.do(ctx, sp, c, nil, &g.solves, &g.hits, func() (entry, error) {
+	v, _, err = g.do(ctx, sp, c, nil, &g.solves, &g.hits, func() (entry, error) {
 		r, err := g.eval.EvaluateSpecContext(ctx, c.spec)
 		return atomicEntry(r), err
 	})
+	return v, err
 }
 
 // startEvaluate opens an "engine.evaluate" span with the design's name
-// (spanName) and attrs, set only on a live span: an untraced evaluate
-// names nothing and boxes none of them.
-func startEvaluate(ctx context.Context, spec paperdata.DesignSpec, attrs []trace.Attr) (context.Context, *trace.Span) {
+// (spanName), set only on a live span: an untraced evaluate names
+// nothing.
+func startEvaluate(ctx context.Context, spec paperdata.DesignSpec) (context.Context, *trace.Span) {
 	ctx, sp := trace.Start(ctx, "engine.evaluate")
 	if sp != nil {
 		sp.SetAttr("design", spanName(spec))
-		for _, a := range attrs {
-			sp.SetAttr(a.Key, a.Value)
-		}
 	}
 	return ctx, sp
 }
@@ -265,76 +337,93 @@ func spanName(spec paperdata.DesignSpec) string {
 // the heap and stays correct.
 const keyBuf = 96
 
+// outcome is how do served a key: from the memo, by joining a solve in
+// flight, or by solving it.
+type outcome uint8
+
+const (
+	memoHit outcome = iota
+	memoJoin
+	memoMiss
+)
+
 // do serves the checked spec, at rollout point patched when that is
 // not nil, from the memo, solving it at most once across concurrent
-// callers: a caller finding a completed entry reads it ("cache"
-// attribute hit), a caller finding a solve in progress waits for it
-// (inflight), and otherwise the caller runs solve (miss). solves and
-// hits count misses and hits-or-joins. The key is the one Lookup
-// packed, or is packed straight from the spec; a hit allocates nothing,
-// and only a miss copies a key it packed into a string for the
-// in-flight table. The context does not cancel an in-flight solve — a
-// result being computed belongs to every caller deduplicated onto it,
-// so the first caller's cancellation must not poison the shared entry
-// — but a caller joining an in-flight solve abandons its wait when its
-// context ends: the solve finishes and memoizes without it.
-func (g *Engine) do(ctx context.Context, sp *trace.Span, chk Checked, patched []int, solves, hits *atomic.Uint64, solve func() (entry, error)) (entry, error) {
+// callers: a caller finding a completed entry reads it (memoHit), a
+// caller finding a solve in progress waits for it (memoJoin), and
+// otherwise the caller runs solve (memoMiss). The outcome is also set
+// as sp's "cache" attribute (hit, inflight or miss) when sp is live.
+// solves and hits count misses and hits-or-joins. The key is the one
+// Lookup packed, or is packed straight from the spec in a stack buffer;
+// neither a hit nor a miss nobody joins allocates (see flights). The
+// context does not cancel an in-flight solve — a result being computed
+// belongs to every caller deduplicated onto it, so the first caller's
+// cancellation must not poison the shared entry — but a caller joining
+// an in-flight solve abandons its wait when its context ends: the solve
+// finishes and memoizes without it.
+func (g *Engine) do(ctx context.Context, sp *trace.Span, chk Checked, patched []int, solves, hits *atomic.Uint64, solve func() (entry, error)) (entry, outcome, error) {
 	var buf [keyBuf]byte
-	k := append(buf[:0], chk.key...)
+	k := append(buf[:0], chk.key[:chk.keyLen]...)
 	g.mu.Lock()
-	if chk.key == "" {
+	if chk.keyLen == 0 {
 		// A spec that reaches a solve interns its labels now, so that
 		// its in-flight call has a key.
 		k, _ = g.memo.appendKey(k, chk.spec, patched, true)
 	}
-	if v, ok := g.memo.get(k); ok {
+	h := g.memo.hash(k)
+	if v, ok := g.memo.lookup(k, h); ok {
 		g.mu.Unlock()
 		hits.Add(1)
-		sp.SetAttr("cache", "hit")
-		return v, nil
+		if sp != nil {
+			sp.SetAttr("cache", "hit")
+		}
+		return v, memoHit, nil
 	}
-	key := chk.key
-	if key == "" {
-		key = string(k)
-	}
-	if c, ok := g.inflight[key]; ok {
+	if c := g.inflight.find(k, h); c != nil {
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
 		g.mu.Unlock()
 		hits.Add(1)
-		sp.SetAttr("cache", "inflight")
+		if sp != nil {
+			sp.SetAttr("cache", "inflight")
+		}
 		select {
 		case <-c.done:
-			return c.val, c.err
+			return c.val, memoJoin, c.err
 		case <-ctx.Done():
-			return entry{}, ctx.Err()
+			return entry{}, memoJoin, ctx.Err()
 		}
 	}
-	c := &call{done: make(chan struct{})}
-	g.inflight[key] = c
+	c := g.inflight.start(k, h)
 	g.mu.Unlock()
-	sp.SetAttr("cache", "miss")
+	if sp != nil {
+		sp.SetAttr("cache", "miss")
+	}
 	solves.Add(1)
+	var val entry
+	var err error
 	func() {
 		// The call must reach a final state no matter how the evaluator
-		// exits: a panic that skipped close(done) would hang every
-		// waiter on this key. Surface it as the call's error instead.
+		// exits: a panic that skipped finish would hang every waiter on
+		// this key. Surface it as the call's error instead.
 		defer func() {
 			if p := recover(); p != nil {
-				c.err = fmt.Errorf("engine: evaluator panic for %s: %v", textKey(chk.spec, patched), p)
+				err = fmt.Errorf("engine: evaluator panic for %s: %v", textKey(chk.spec, patched), p)
 			}
 			g.mu.Lock()
 			// Errors are not memoized: waiters already holding this
 			// call see it, but later callers retry rather than read a
 			// possibly transient failure forever.
-			if c.err == nil {
-				g.insert(k, c.val)
+			if err == nil {
+				g.insert(k, val)
 			}
-			delete(g.inflight, key)
+			g.inflight.finish(c, val, err)
 			g.mu.Unlock()
-			close(c.done)
 		}()
-		c.val, c.err = solve()
+		val, err = solve()
 	}()
-	return c.val, c.err
+	return val, memoMiss, err
 }
 
 // insert stores v under packed key k; g.mu must be held. A key a
@@ -375,13 +464,16 @@ func (g *Engine) Lookup(ctx context.Context, spec paperdata.DesignSpec) (Report,
 	g.mu.Unlock()
 	if !ok {
 		if known {
-			c.key = string(k)
+			c.keyLen = copy(c.key[:], k)
+			if c.keyLen < len(k) {
+				c.keyLen = 0
+			}
 		}
 		return Report{}, c, nil
 	}
 	g.hits.Add(1)
 	spec, desc := resolve(spec)
-	if _, sp := startEvaluate(ctx, spec, nil); sp != nil {
+	if _, sp := startEvaluate(ctx, spec); sp != nil {
 		sp.SetAttr("cache", "hit")
 		sp.End()
 	}

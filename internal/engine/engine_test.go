@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -104,6 +105,25 @@ func (c *countingEvaluator) EvaluateSpecContext(ctx context.Context, spec paperd
 func (c *countingEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error) {
 	c.rolloutCalls.Add(1)
 	return c.inner.EvaluatePatched(ctx, spec, patched)
+}
+
+func (c *countingEvaluator) Shape(paperdata.DesignSpec) (redundancy.DesignShape, error) {
+	return perDesign{c}, nil
+}
+
+// perDesign is the shape of a fake evaluator: it scores each design
+// through the fake's own per-design methods, so the fake counts, blocks
+// or fails a sweep's designs one by one, as it does single evaluations.
+type perDesign struct{ ev DesignEvaluator }
+
+func (p perDesign) Evaluate(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, redundancy.Provenance, error) {
+	r, err := p.ev.EvaluateSpecContext(ctx, spec)
+	return r, redundancy.Provenance{}, err
+}
+
+func (p perDesign) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, redundancy.Provenance, error) {
+	r, err := p.ev.EvaluatePatched(ctx, spec, patched)
+	return r, redundancy.Provenance{}, err
 }
 
 // served projects a report onto the spec's name and key and the twelve
@@ -242,6 +262,73 @@ func TestConcurrentDuplicatesShareOneSolve(t *testing.T) {
 	if n := c.calls.Load(); n != 1 {
 		t.Fatalf("%d callers performed %d solves, want 1", callers, n)
 	}
+}
+
+// TestJoinerAbandonsOnCancel: a caller joining a blocked solve returns
+// its context's error as soon as the context ends, without waiting for
+// the solve; the solve finishes after it and memoizes its result for
+// later callers, and neither caller leaves a goroutine behind.
+func TestJoinerAbandonsOnCancel(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := &countingEvaluator{inner: paperEvaluator(t), gate: make(chan struct{})}
+	g, err := New(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := paperdata.BaseDesign().Spec()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	solved := make(chan error, 1)
+	go func() {
+		_, err := g.EvaluateSpecCtx(context.Background(), spec)
+		solved <- err
+	}()
+	waitFor("the solve to block in the evaluator", func() bool { return c.calls.Load() == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	joined := make(chan error, 1)
+	go func() {
+		_, err := g.EvaluateSpecCtx(ctx, spec)
+		joined <- err
+	}()
+	// A joiner counts its hit once it is registered on the solve.
+	waitFor("the second caller to join", func() bool { return g.Stats().Hits == 1 })
+	cancel()
+	select {
+	case err := <-joined:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled joiner returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled joiner kept waiting for the blocked solve")
+	}
+	select {
+	case err := <-solved:
+		t.Fatalf("the solve returned %v before the evaluator was released", err)
+	default:
+	}
+
+	close(c.gate)
+	if err := <-solved; err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() != 1 {
+		t.Fatalf("memo holds %d entries after the solve, want 1", g.Len())
+	}
+	if _, err := g.EvaluateSpecCtx(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := g.Stats(); c.calls.Load() != 1 || st.Solves != 1 || st.Hits != 2 {
+		t.Fatalf("evaluator calls %d, stats %+v; want 1 call, 1 solve and 2 hits (the join and the memo read)",
+			c.calls.Load(), st)
+	}
+	waitFor("the callers' goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 func TestEvaluateStampsRequestedName(t *testing.T) {
@@ -497,6 +584,10 @@ func (f evaluatorFunc) EvaluatePatched(context.Context, paperdata.DesignSpec, []
 	return redundancy.RolloutResult{}, errors.New("evaluatorFunc scores atomic designs only")
 }
 
+func (f evaluatorFunc) Shape(paperdata.DesignSpec) (redundancy.DesignShape, error) {
+	return perDesign{f}, nil
+}
+
 // TestEvaluatorPanicDoesNotWedgeCacheKey pins the singleflight panic
 // path: a panicking solve must surface as an error and later calls for
 // the same tuple must not block forever on a never-closed ready channel.
@@ -657,10 +748,14 @@ func TestColdSweepTierSolveBudget(t *testing.T) {
 
 // TestTracedColdSweepSpanCount pins what tracing records for a cold
 // 3^4 sweep on one worker, where the memo misses fall on the same
-// designs every run: the sweep root, one engine.evaluate span per
-// design, and a solver span only where a design misses the tier-factor
-// or security memo: 105 spans in all. A solver span on a memo hit, or a
-// second span per design, changes these counts.
+// designs every run: the sweep root and a solver span only where a
+// design misses the tier-factor or security memo — no span per design:
+// 24 spans in all. Every solver span hangs off the sweep's span, the
+// tier-factor solves through the availability solve that ran them. The
+// sweep span carries the aggregate of its 81 designs: all memo misses,
+// with the security and tier-factor memo hits and solves behind them.
+// A span per design, or a solver span on a memo hit, changes these
+// counts.
 func TestTracedColdSweepSpanCount(t *testing.T) {
 	ev, err := redundancy.NewEvaluator(redundancy.Options{})
 	if err != nil {
@@ -671,18 +766,10 @@ func TestTracedColdSweepSpanCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	spans := map[string]int{}
-	named := map[string]bool{} // design attributes of evaluate spans with a queue wait
+	var ended []trace.SpanData
 	tr := trace.New(trace.Options{OnEnd: func(d trace.SpanData) {
 		mu.Lock()
-		spans[d.Name]++
-		if d.Name == "engine.evaluate" {
-			design, _ := d.Attr("design")
-			if _, ok := d.Attr("queue_wait_ns"); ok {
-				name, _ := design.(string)
-				named[name] = true
-			}
-		}
+		ended = append(ended, d)
 		mu.Unlock()
 	}})
 	total, _, err := sweepAll(trace.WithTracer(context.Background(), tr), g, fullSpace(3))
@@ -692,9 +779,18 @@ func TestTracedColdSweepSpanCount(t *testing.T) {
 	if total != 81 {
 		t.Fatalf("total = %d, want 81", total)
 	}
+	spans := map[string]int{}
+	ids := map[string]string{} // span ID -> name
+	var sweep trace.SpanData
+	for _, d := range ended {
+		spans[d.Name]++
+		ids[d.SpanID] = d.Name
+		if d.Name == "engine.sweep" {
+			sweep = d
+		}
+	}
 	want := map[string]int{
 		"engine.sweep":            1,
-		"engine.evaluate":         81,
 		"availability.solve":      9,
 		"availability.tierfactor": 12,
 		"security.evaluate":       2,
@@ -702,14 +798,46 @@ func TestTracedColdSweepSpanCount(t *testing.T) {
 	if !reflect.DeepEqual(spans, want) {
 		t.Errorf("traced cold 3^4 sweep recorded spans %v, want %v", spans, want)
 	}
-	// The sweep renders names only after the bound filter, but a traced
-	// sweep still names every design on its evaluate span.
-	wantNamed := map[string]bool{}
-	for _, d := range namedDesigns(fullSpace(3)) {
-		wantNamed[d.Name] = true
+	parents := map[string]string{
+		"availability.solve":      "engine.sweep",
+		"security.evaluate":       "engine.sweep",
+		"availability.tierfactor": "availability.solve",
 	}
-	if !reflect.DeepEqual(named, wantNamed) {
-		t.Errorf("evaluate spans named %d designs with a queue wait, want the 81 canonical names", len(named))
+	for _, d := range ended {
+		if want, ok := parents[d.Name]; ok && ids[d.ParentID] != want {
+			t.Errorf("%s span's parent is %q, want %s", d.Name, ids[d.ParentID], want)
+		}
+	}
+	// Every design misses the memo; the two security models are built
+	// by the first design and read from its shape by the other 80, and
+	// each design reads four tier factors, 12 of them solved.
+	aggregate := map[string]int{
+		"items":              81,
+		"errors":             0,
+		"memo_hits":          0,
+		"memo_inflight":      0,
+		"memo_misses":        81,
+		"security_memo_hits": 160,
+		"security_solves":    2,
+		"tier_memo_hits":     81*4 - 12,
+		"tier_solves":        12,
+	}
+	for key, want := range aggregate {
+		if v, ok := sweep.Attr(key); !ok || v != want {
+			t.Errorf("engine.sweep %s = %v, want %d", key, v, want)
+		}
+	}
+	for _, key := range []string{"queue_wait_ns_p50", "queue_wait_ns_max", "evaluate_ns"} {
+		if v, ok := sweep.Attr(key); !ok {
+			t.Errorf("engine.sweep carries no %s", key)
+		} else if ns, _ := v.(int64); ns < 0 {
+			t.Errorf("engine.sweep %s = %v, want a duration in ns", key, v)
+		}
+	}
+	p50, _ := sweep.Attr("queue_wait_ns_p50")
+	longest, _ := sweep.Attr("queue_wait_ns_max")
+	if a, b := p50.(int64), longest.(int64); a > b {
+		t.Errorf("queue wait p50 %d ns above its max %d ns", a, b)
 	}
 }
 

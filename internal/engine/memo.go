@@ -84,24 +84,42 @@ func newMemo() memo { return memo{seed: maphash.MakeSeed()} }
 // since no stored key can hold it. spec must be valid.
 func (m *memo) appendKey(b []byte, spec paperdata.DesignSpec, patched []int, intern bool) ([]byte, bool) {
 	for _, t := range spec.Tiers {
-		l := tierLabel{t.Role, t.Stack()}
-		id := m.ids[l]
+		id := m.labelID(t, intern)
 		if id == 0 {
-			if !intern {
-				return b, false
-			}
-			id = m.intern(l)
+			return b, false
 		}
-		b = binary.AppendUvarint(b, uint64(id))
-		b = binary.AppendUvarint(b, uint64(t.Replicas))
+		b = appendTier(b, id, t.Replicas)
 	}
+	return appendPatched(b, patched), true
+}
+
+// labelID returns the id of t's label, interning a label the memo has
+// not seen when intern is set; otherwise such a label's id is 0.
+func (m *memo) labelID(t paperdata.TierSpec, intern bool) uint32 {
+	l := tierLabel{t.Role, t.Stack()}
+	id := m.ids[l]
+	if id == 0 && intern {
+		id = m.intern(l)
+	}
+	return id
+}
+
+// appendTier appends one tier of a packed key to b: its label id and
+// replica count.
+func appendTier(b []byte, id uint32, replicas int) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(id)), uint64(replicas))
+}
+
+// appendPatched appends a rollout point's part of a packed key to b:
+// nothing for a design (patched nil), else the marker and the counts.
+func appendPatched(b []byte, patched []int) []byte {
 	if patched != nil {
 		b = append(b, rolloutMark)
 		for _, p := range patched {
 			b = binary.AppendUvarint(b, uint64(p))
 		}
 	}
-	return b, true
+	return b
 }
 
 // intern adds l to the label table and returns its id. The strings are
@@ -152,11 +170,14 @@ func (m *memo) find(k []byte, h uint32) (int, bool) {
 }
 
 // get returns the entry stored under k.
-func (m *memo) get(k []byte) (entry, bool) {
+func (m *memo) get(k []byte) (entry, bool) { return m.lookup(k, m.hash(k)) }
+
+// lookup is get for a key whose hash the caller has.
+func (m *memo) lookup(k []byte, h uint32) (entry, bool) {
 	if m.n == 0 {
 		return entry{}, false
 	}
-	p, ok := m.find(k, m.hash(k))
+	p, ok := m.find(k, h)
 	if !ok {
 		return entry{}, false
 	}

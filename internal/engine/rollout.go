@@ -14,37 +14,54 @@ import (
 // memo. Concurrent calls for the same (spec, patched-counts)
 // identity share a single solve, with the same join-abandon semantics
 // as EvaluateSpecCtx. The returned report, at step 0, carries a copy of
-// the requested fractions even on a cache hit.
-func (g *Engine) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (RolloutReport, error) {
+// the requested fractions even on a cache hit. The call records an
+// "engine.evaluate" span, as EvaluateSpecCtx does.
+func (g *Engine) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (res RolloutReport, err error) {
 	c, err := g.check(spec)
 	if err != nil {
 		return RolloutReport{}, err
 	}
-	return g.evaluateRolloutTraced(ctx, c, fractions)
-}
-
-// evaluateRolloutTraced opens the "engine.evaluate" span with the
-// caller's attributes — RolloutSweep adds per-point queue wait.
-func (g *Engine) evaluateRolloutTraced(ctx context.Context, c Checked, fractions []float64, attrs ...trace.Attr) (res RolloutReport, err error) {
-	ctx, sp := startEvaluate(ctx, c.spec, attrs)
+	ctx, sp := startEvaluate(ctx, c.spec)
 	defer func() { sp.EndErr(err) }()
 	sp.SetAttr("rollout", true)
+	res, _, err = g.rolloutPoint(ctx, sp, c, fractions, nil)
+	return res, err
+}
 
+// rolloutPoint serves one rollout point of the checked design from the
+// memo, solving a miss through the evaluator's EvaluatePatched — which
+// records its provenance on sp — or, when shape is not nil, through the
+// design's shape, whose provenance the returned facts carry.
+func (g *Engine) rolloutPoint(ctx context.Context, sp *trace.Span, c Checked, fractions []float64, shape *lazyShape) (RolloutReport, itemFacts, error) {
+	var f itemFacts
 	patched, err := redundancy.PatchedCounts(c.spec, fractions)
 	if err != nil {
-		return RolloutReport{}, err
+		return RolloutReport{}, f, err
 	}
 	// Fractions that ceil to the same counts share one entry: the
 	// quotient structure, not the raw fraction, determines the models.
-	v, err := g.do(ctx, sp, c, patched, &g.rolloutSolves, &g.rolloutHits,
+	if shape != nil {
+		c = shape.check(g, c.spec, patched)
+	}
+	v, out, err := g.do(ctx, sp, c, patched, &g.rolloutSolves, &g.rolloutHits,
 		func() (entry, error) {
-			r, err := g.eval.EvaluatePatched(ctx, c.spec, patched)
+			if shape == nil {
+				r, err := g.eval.EvaluatePatched(ctx, c.spec, patched)
+				return rolloutEntry(r), err
+			}
+			sh, err := shape.get(g.eval, c.spec)
+			if err != nil {
+				return entry{}, err
+			}
+			r, p, err := sh.EvaluatePatched(ctx, c.spec, patched)
+			f.prov = p
 			return rolloutEntry(r), err
 		})
+	f.cache = out
 	if err != nil {
-		return RolloutReport{}, err
+		return RolloutReport{}, f, err
 	}
-	return v.rollout(0, append([]float64(nil), fractions...), patched), nil
+	return v.rollout(0, append([]float64(nil), fractions...), patched), f, nil
 }
 
 // RolloutSweep expands the schedule for the design and evaluates every
@@ -52,9 +69,10 @@ func (g *Engine) evaluateRolloutTraced(ctx context.Context, c Checked, fractions
 // order, each with its point's schedule index as Step, and returns the
 // number of points. fn runs on a single collector goroutine; returning
 // an error cancels the sweep. progress (optional) runs there too after
-// every completed point. The whole sweep runs under a "rollout.sweep"
-// span; each point's evaluate span carries its queue wait, like design
-// sweeps.
+// every completed point. The design's shape is resolved once, by the
+// first point to miss the memo. The whole sweep runs under one
+// "rollout.sweep" span, which carries the aggregate of its points, as
+// design sweeps do.
 func (g *Engine) RolloutSweep(ctx context.Context, spec paperdata.DesignSpec, sched redundancy.RolloutSchedule, fn func(RolloutReport) error, progress func(done, total int)) (total int, err error) {
 	c, err := g.check(spec)
 	if err != nil {
@@ -66,19 +84,18 @@ func (g *Engine) RolloutSweep(ctx context.Context, spec paperdata.DesignSpec, sc
 	}
 	ctx, sp := trace.Start(ctx, "rollout.sweep")
 	if sp != nil {
-		// Named once, for every point's span too.
-		c.spec.Name = spanName(spec)
-		sp.SetAttr("design", c.spec.Name)
+		sp.SetAttr("design", spanName(spec))
 		sp.SetAttr("points", len(points))
 	}
 	defer func() { sp.EndErr(err) }()
-	err = stream(ctx, g, points, progress,
-		func(fr []float64, wait trace.Attr) (RolloutReport, error) {
-			r, err := g.evaluateRolloutTraced(ctx, c, fr, wait)
+	var shape lazyShape
+	err = stream(ctx, g, sp, points, progress,
+		func(fr []float64) (RolloutReport, itemFacts, error) {
+			r, f, err := g.rolloutPoint(ctx, nil, c, fr, &shape)
 			if err != nil {
 				err = fmt.Errorf("engine: rollout point %v: %w", fr, err)
 			}
-			return r, err
+			return r, f, err
 		},
 		func(step int, r RolloutReport) error {
 			r.Step = step

@@ -25,6 +25,10 @@ func (f *rolloutFake) EvaluateSpecContext(_ context.Context, spec paperdata.Desi
 	return redundancy.Result{Spec: spec}, nil
 }
 
+func (f *rolloutFake) Shape(paperdata.DesignSpec) (redundancy.DesignShape, error) {
+	return perDesign{f}, nil
+}
+
 func (f *rolloutFake) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error) {
 	f.calls.Add(1)
 	if f.gate != nil {

@@ -193,7 +193,7 @@ func (g *Engine) Restore(r io.Reader) (int, error) {
 		for j := range p.entries {
 			e := &p.entries[j]
 			k := g.memo.translate(buf[:0], p.keys[e.start:e.end], &p.labels, ids)
-			if _, ok := g.inflight[string(k)]; ok {
+			if g.inflight.find(k, g.memo.hash(k)) != nil {
 				continue
 			}
 			// An entry already cached stays: live results win.

@@ -4,9 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"redpatch/internal/paperdata"
+	"redpatch/internal/redundancy"
 	"redpatch/internal/trace"
 	"redpatch/internal/workpool"
 )
@@ -127,33 +131,45 @@ func (s SweepSpec) Designs() []paperdata.DesignSpec {
 	size := min(s.SweepSize(), 1<<20)
 	out := make([]paperdata.DesignSpec, 0, size)
 	n := len(s.Tiers)
-	tiers := make([]paperdata.TierSpec, n)
+	// choice[i] is tier i's current choice: its replica count's offset
+	// from Min times the tier's variant count, plus the variant's index.
+	// The last tier's choice advances fastest, carrying into the tier
+	// before it, as an odometer.
+	var choiceb [8]int
+	choice := choiceb[:0]
+	for range n {
+		choice = append(choice, 0)
+	}
 	// The designs' tier lists are cut from blocks of up to 256 designs
 	// each, not allocated one by one.
 	var block []paperdata.TierSpec
-	var walk func(i int)
-	walk = func(i int) {
-		if i == n {
-			if len(block) < n {
-				block = make([]paperdata.TierSpec, n*min(max(size-len(out), 1), 256))
-			}
-			spec := paperdata.DesignSpec{Tiers: block[:n:n]}
-			block = block[n:]
-			copy(spec.Tiers, tiers)
-			out = append(out, spec)
-			return
+	for {
+		if len(block) < n {
+			block = make([]paperdata.TierSpec, n*min(max(size-len(out), 1), 256))
 		}
-		t := s.Tiers[i]
-		lo, hi := t.replicas()
-		for n := lo; n <= hi; n++ {
-			for _, v := range t.options() {
-				tiers[i] = paperdata.TierSpec{Role: t.Role, Replicas: n, Variant: v}
-				walk(i + 1)
+		spec := paperdata.DesignSpec{Tiers: block[:n:n]}
+		block = block[n:]
+		for i, t := range s.Tiers {
+			lo, _ := t.replicas()
+			v, per := "", max(len(t.Variants), 1)
+			if len(t.Variants) > 0 && t.Variants[choice[i]%per] != t.Role {
+				v = t.Variants[choice[i]%per]
 			}
+			spec.Tiers[i] = paperdata.TierSpec{Role: t.Role, Replicas: lo + choice[i]/per, Variant: v}
+		}
+		out = append(out, spec)
+		i := n - 1
+		for ; i >= 0; i-- {
+			lo, hi := s.Tiers[i].replicas()
+			if choice[i]++; choice[i] < (hi-lo+1)*max(len(s.Tiers[i].Variants), 1) {
+				break
+			}
+			choice[i] = 0
+		}
+		if i < 0 {
+			return out
 		}
 	}
-	walk(0)
-	return out
 }
 
 // keeps reports whether a report passes every configured bound.
@@ -167,6 +183,36 @@ func (s SweepSpec) keeps(r Report) bool {
 	return true
 }
 
+// shapeOf returns the index of design d's shape among the spec's
+// shapes: its variant choices, one per tier, read as a mixed-radix
+// number. d must be one of the spec's designs.
+func (s SweepSpec) shapeOf(d paperdata.DesignSpec) int {
+	shape := 0
+	for i, t := range s.Tiers {
+		shape *= max(len(t.Variants), 1)
+		for j, v := range t.Variants {
+			if v == t.Role {
+				v = ""
+			}
+			if v == d.Tiers[i].Variant {
+				shape += j
+				break
+			}
+		}
+	}
+	return shape
+}
+
+// shapes is the number of shapes the spec's designs have: one per
+// combination of variant choices.
+func (s SweepSpec) shapes() int {
+	n := 1
+	for _, t := range s.Tiers {
+		n *= max(len(t.Variants), 1)
+	}
+	return n
+}
+
 // Sweep evaluates the whole spec on the worker pool and hands every
 // report passing the spec's bounds to fn as it completes (completion
 // order, not enumeration order). Rejected designs are discarded as they
@@ -177,9 +223,12 @@ func (s SweepSpec) keeps(r Report) bool {
 // sweep. progress, when non-nil, runs on the same goroutine after every
 // completed evaluation — kept or bound-filtered — with the number of
 // designs done so far and the total; streaming surfaces derive their
-// periodic progress events from it. The whole sweep runs under an
-// "engine.sweep" span, and the number of enumerated designs is
-// returned.
+// periodic progress events from it. Each shape of the space (one per
+// combination of variant choices) is resolved once, by the first of
+// its designs to miss the memo, so a sweep the memo serves whole
+// resolves none. The whole sweep runs under one "engine.sweep" span,
+// which carries the aggregate of its designs (see stream), and the
+// number of enumerated designs is returned.
 func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) error, progress func(done, total int)) (total int, err error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
@@ -188,15 +237,26 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) erro
 	ctx, sp := trace.Start(ctx, "engine.sweep",
 		trace.Attr{Key: "designs", Value: len(designs)})
 	defer func() { sp.EndErr(err) }()
-	err = stream(ctx, g, designs, progress,
-		func(d paperdata.DesignSpec, wait trace.Attr) (entry, error) {
-			// A valid SweepSpec enumerates only valid designs. Only a
-			// traced sweep names a design it may yet drop.
-			v, err := g.evaluateSpecTraced(ctx, Checked{g: g, spec: d}, wait)
+	shapes := make([]lazyShape, min(spec.shapes(), len(designs)))
+	err = stream(ctx, g, sp, designs, progress,
+		func(d paperdata.DesignSpec) (entry, itemFacts, error) {
+			// A valid SweepSpec enumerates only valid designs.
+			var f itemFacts
+			shape := &shapes[spec.shapeOf(d)]
+			v, out, err := g.do(ctx, nil, shape.check(g, d, nil), nil, &g.solves, &g.hits, func() (entry, error) {
+				sh, err := shape.get(g.eval, d)
+				if err != nil {
+					return entry{}, err
+				}
+				r, p, err := sh.Evaluate(ctx, d)
+				f.prov = p
+				return atomicEntry(r), err
+			})
+			f.cache = out
 			if err != nil {
 				err = fmt.Errorf("engine: design %s: %w", d, err)
 			}
-			return v, err
+			return v, f, err
 		},
 		func(i int, v entry) error {
 			if !spec.keeps(v.report(designs[i], "")) {
@@ -210,19 +270,146 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) erro
 	return len(designs), nil
 }
 
+// lazyShape is one shape of a sweep. Its first item interns the memo's
+// label ids of the shape's tiers, from which every item then packs its
+// key without a memo lookup; the first item to miss the memo resolves
+// the evaluator's shape. A failed resolution is not kept: the next miss
+// tries again, as a failed solve is not memoized. A shape of more tiers
+// than ids holds keeps no ids, and its items are keyed by the memo.
+type lazyShape struct {
+	mu    sync.Mutex
+	keyed atomic.Bool
+	ids   [16]uint32
+	ready atomic.Bool
+	shape redundancy.DesignShape
+}
+
+// check returns spec, one of the shape's designs, checked for g with
+// its memo key at rollout point patched (nil for the design) packed in
+// place.
+func (l *lazyShape) check(g *Engine, spec paperdata.DesignSpec, patched []int) Checked {
+	c := Checked{g: g, spec: spec}
+	if len(spec.Tiers) > len(l.ids) {
+		return c
+	}
+	if !l.keyed.Load() {
+		l.mu.Lock()
+		if !l.keyed.Load() {
+			g.mu.Lock()
+			for i, t := range spec.Tiers {
+				l.ids[i] = g.memo.labelID(t, true)
+			}
+			g.mu.Unlock()
+			l.keyed.Store(true)
+		}
+		l.mu.Unlock()
+	}
+	k := c.key[:0]
+	for i, t := range spec.Tiers {
+		k = appendTier(k, l.ids[i], t.Replicas)
+	}
+	if k = appendPatched(k, patched); len(k) <= len(c.key) {
+		c.keyLen = len(k)
+	}
+	return c
+}
+
+// get returns the shape, resolving it from spec on first use.
+func (l *lazyShape) get(eval DesignEvaluator, spec paperdata.DesignSpec) (redundancy.DesignShape, error) {
+	if l.ready.Load() {
+		return l.shape, nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.ready.Load() {
+		sh, err := eval.Shape(spec)
+		if err != nil {
+			return nil, err
+		}
+		l.shape = sh
+		l.ready.Store(true)
+	}
+	return l.shape, nil
+}
+
+// itemFacts is what one sweep item's evaluation tells its sweep: how
+// the memo served it, which solver memos its miss read, and, when the
+// sweep is traced, how long it waited for a pool worker — from sweep
+// start until a worker picked it up, the backlog signal admission
+// control sheds against — and how long its evaluation took.
+type itemFacts struct {
+	cache      outcome
+	prov       redundancy.Provenance
+	wait, took time.Duration
+}
+
+// sweepStats is the aggregate of a traced sweep's items, which its one
+// span carries in place of a span per item.
+type sweepStats struct {
+	items, errors int
+	cache         [3]int // by outcome: memo hits, in-flight joins, misses
+	prov          redundancy.Provenance
+	waits         []time.Duration
+	took          time.Duration
+}
+
+func (a *sweepStats) add(f itemFacts, err error) {
+	a.items++
+	if err != nil {
+		a.errors++
+	}
+	a.cache[f.cache]++
+	a.prov.SecurityHits += f.prov.SecurityHits
+	a.prov.SecuritySolves += f.prov.SecuritySolves
+	a.prov.TierHits += f.prov.TierHits
+	a.prov.TierSolves += f.prov.TierSolves
+	a.waits = append(a.waits, f.wait)
+	a.took += f.took
+}
+
+// record sets the aggregate on the sweep's span: the items evaluated
+// and failed, the memo's hits, in-flight joins and misses, the
+// security and tier-factor memo hits and solves of the misses, the
+// median and the longest queue wait, and the summed evaluation time.
+func (a *sweepStats) record(sp *trace.Span) {
+	var p50, longest time.Duration
+	if n := len(a.waits); n > 0 {
+		slices.Sort(a.waits)
+		p50, longest = a.waits[(n-1)/2], a.waits[n-1]
+	}
+	sp.SetAttr("items", a.items)
+	sp.SetAttr("errors", a.errors)
+	sp.SetAttr("memo_hits", a.cache[memoHit])
+	sp.SetAttr("memo_inflight", a.cache[memoJoin])
+	sp.SetAttr("memo_misses", a.cache[memoMiss])
+	sp.SetAttr("security_memo_hits", a.prov.SecurityHits)
+	sp.SetAttr("security_solves", a.prov.SecuritySolves)
+	sp.SetAttr("tier_memo_hits", a.prov.TierHits)
+	sp.SetAttr("tier_solves", a.prov.TierSolves)
+	sp.SetAttr("queue_wait_ns_p50", p50.Nanoseconds())
+	sp.SetAttr("queue_wait_ns_max", longest.Nanoseconds())
+	sp.SetAttr("evaluate_ns", a.took.Nanoseconds())
+}
+
 // stream is the fan-out/collect loop every sweep shares: pool workers
 // run eval on the items, and one collector goroutine calls progress
 // (optional) after every completed item and then collect with the
-// item's index. eval receives the item's queue wait — the time from
-// sweep start until a pool worker picked it up, the backlog signal
-// admission control sheds against — as a span attribute for its
-// evaluate span; an untraced stream leaves the attribute's value nil,
-// as there is no span to carry it. The first error from eval or
-// collect stops the sweep and is returned; otherwise the context's
-// error is.
-func stream[T, R any](ctx context.Context, g *Engine, items []T, progress func(done, total int), eval func(item T, wait trace.Attr) (R, error), collect func(idx int, r R) error) error {
+// item's index. No item opens a span of its own: when sp, the sweep's
+// span, is live, the collector aggregates the items' facts and stream
+// sets the aggregate on sp (sweepStats.record) before it returns. The
+// first error from eval or collect stops the sweep and is returned;
+// otherwise the context's error is.
+func stream[T, R any](ctx context.Context, g *Engine, sp *trace.Span, items []T, progress func(done, total int), eval func(item T) (R, itemFacts, error), collect func(idx int, r R) error) error {
 	start := time.Now()
-	traced := trace.FromContext(ctx) != nil
+	traced := sp != nil
+	var stats sweepStats
+	if traced {
+		stats.waits = make([]time.Duration, 0, len(items))
+	}
+	type result struct {
+		r R
+		f itemFacts
+	}
 	done := 0
 	var firstErr error
 	// StreamCtx drops still-queued items the moment ctx ends — workers
@@ -231,24 +418,30 @@ func stream[T, R any](ctx context.Context, g *Engine, items []T, progress func(d
 	// eval. The in-fn check below handles the pickup race (a worker that
 	// grabbed its item just before the cancellation landed).
 	workpool.StreamCtx(ctx, g.workers, items,
-		func(_ int, it T) (R, error) {
+		func(_ int, it T) (result, error) {
 			if err := ctx.Err(); err != nil {
-				var zero R
-				return zero, err
+				return result{}, err
 			}
-			wait := trace.Attr{Key: "queue_wait_ns"}
+			var picked time.Duration
 			if traced {
-				wait.Value = time.Since(start).Nanoseconds()
+				picked = time.Since(start)
 			}
-			return eval(it, wait)
+			r, f, err := eval(it)
+			if traced {
+				f.wait, f.took = picked, time.Since(start)-picked
+			}
+			return result{r, f}, err
 		},
-		func(idx int, r R, err error) bool {
+		func(idx int, o result, err error) bool {
+			if traced {
+				stats.add(o.f, err)
+			}
 			if err == nil {
 				done++
 				if progress != nil {
 					progress(done, len(items))
 				}
-				err = collect(idx, r)
+				err = collect(idx, o.r)
 			}
 			if err != nil {
 				firstErr = err
@@ -256,6 +449,9 @@ func stream[T, R any](ctx context.Context, g *Engine, items []T, progress func(d
 			}
 			return true
 		})
+	if traced {
+		stats.record(sp)
+	}
 	if firstErr != nil {
 		return firstErr
 	}

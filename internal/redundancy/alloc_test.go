@@ -9,12 +9,14 @@ import (
 
 // TestWarmMemoAllocations bounds what a design costs once the
 // evaluator's tier-factor and security memos hold its models — the
-// engine-memo miss a sweep pays per design. The fold probes the
-// security memo without allocating, security is arithmetic over the
+// engine-memo miss a sweep pays per design. The shape lookup keys its
+// memo in a stack buffer, security is arithmetic over the shape's
 // compiled models, and the network model, its factors and their
-// composition live in pooled scratch, so an atomic evaluation
-// allocates nothing; EvaluateRollout pays only its patched counts and
-// its copy of the fractions. The counts are deterministic, so the
+// composition live in pooled scratch, so an atomic evaluation and a
+// rollout point at known patched counts allocate nothing;
+// EvaluateRollout pays only its patched counts and its copy of the
+// fractions. The fold, which keys a security model the shape lacks,
+// allocates nothing either. The counts are deterministic, so the
 // bounds catch a return of per-call quotient rebuilding or per-call
 // scratch that timing could not.
 func TestWarmMemoAllocations(t *testing.T) {
@@ -41,6 +43,14 @@ func TestWarmMemoAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	shape, err := ev.Shape(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, err := PatchedCounts(spec, fractions)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var keyb [keyBuf]byte
 	var countb [classBuf]int
 	for _, tc := range []struct {
@@ -52,8 +62,16 @@ func TestWarmMemoAllocations(t *testing.T) {
 			paperdata.FoldRollout(keyb[:0], countb[:0], spec, nil)
 			return nil
 		}},
-		{"securityFor", 0, func() error {
-			_, _, err := ev.securityFor(ctx, spec)
+		{"Shape", 0, func() error {
+			_, err := ev.Shape(spec)
+			return err
+		}},
+		{"DesignShape.Evaluate", 0, func() error {
+			_, _, err := shape.Evaluate(ctx, spec)
+			return err
+		}},
+		{"DesignShape.EvaluatePatched", 0, func() error {
+			_, _, err := shape.EvaluatePatched(ctx, spec, patched)
 			return err
 		}},
 		{"EvaluateSpecContext", 0, func() error {

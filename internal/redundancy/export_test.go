@@ -54,17 +54,20 @@ func (e *Evaluator) RolloutSecurityExpanded(spec paperdata.DesignSpec, patched [
 // evaluator serves a design's COA from, with the network model and the
 // tier factors it composed.
 func (e *Evaluator) FactoredNetwork(ctx context.Context, spec paperdata.DesignSpec) (availability.NetworkModel, []availability.TierFactor, availability.NetworkSolution, error) {
+	s, err := e.shapeOf(spec)
+	if err != nil {
+		return availability.NetworkModel{}, nil, availability.NetworkSolution{}, err
+	}
 	var ws workspace
-	sol, err := e.solveNetwork(ctx, &ws, spec, nil)
+	sol, err := s.compose(ctx, new(Provenance), &ws, spec, nil)
 	return availability.NetworkModel{Tiers: ws.tiers}, ws.factors, sol, err
 }
 
 // networkModelFor is the upper-layer model the evaluator solves a valid
 // spec's availability over.
 func (e *Evaluator) networkModelFor(spec paperdata.DesignSpec) (availability.NetworkModel, error) {
-	var ws workspace
-	_, err := e.networkModel(&ws, spec, nil)
-	return availability.NetworkModel{Tiers: ws.tiers}, err
+	nm, _, _, err := e.FactoredNetwork(context.Background(), spec)
+	return nm, err
 }
 
 // EvaluateRollout is PatchedCounts plus EvaluatePatched: one design at

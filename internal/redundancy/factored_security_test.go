@@ -117,7 +117,8 @@ func TestFactoredSecurityEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, spec := range equivalenceSpecs() {
-				facBefore, facAfter, err := ev.securityFor(ctx, spec)
+				fac, err := ev.EvaluateSpecContext(ctx, spec)
+				facBefore, facAfter := fac.Before, fac.After
 				if err != nil {
 					t.Fatalf("%s: factored: %v", spec.Name, err)
 				}

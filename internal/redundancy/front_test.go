@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// dominates is the dominance rule on the (minimize ASP, maximize COA)
+// plane that Front's sort-and-scan implements: a is no worse than b on
+// both axes and strictly better on at least one. The quadratic
+// reference applies it pairwise.
+func dominates(aASP, aCOA, bASP, bCOA float64) bool {
+	return aASP <= bASP && aCOA >= bCOA && (aASP < bASP || aCOA > bCOA)
+}
+
 // quadraticFront is the reference Front: every item is tested against
 // every other with dominates, and the survivors are sorted in Front's
 // total order. It is O(n²) and calls point in its inner loop.

@@ -129,11 +129,31 @@ func engineFor(t *testing.T, policy patch.Policy) *engine.Engine {
 //     result's two sides;
 //   - an engine memo hit, atomic or rollout, serves exactly what a
 //     fresh evaluator answers: the same spec and every served number
-//     bit for bit (the memo keeps no Paths or ShortestPath).
+//     bit for bit (the memo keeps no Paths or ShortestPath);
+//   - a design shape resolved, on an evaluator of its own, from another
+//     replica vector of the same roles and stacks — its security models
+//     compiled from that vector, atomically and at a point of the same
+//     patch pattern — scores the design, atomically and at the rollout
+//     point, exactly as the fresh evaluator does.
 func FuzzFastPathMatchesOracles(f *testing.F) {
 	fractions := [][]byte{{0}, {255}, {128}, {0, 255}, {64, 191, 255, 0, 32}}
 	for i, spec := range redundancy.EquivalenceSpecs() {
 		f.Add(encodeFuzzCase(spec, byte(i%3), byte(i%101), fractions[i%len(fractions)]))
+	}
+	// Shapes whose quotient merges groups: two web groups on one stack
+	// (one class), and web groups on one stack split by a webalt group.
+	web := func(n int, variant string) paperdata.TierSpec {
+		return paperdata.TierSpec{Role: paperdata.RoleWeb, Replicas: n, Variant: variant}
+	}
+	dns := paperdata.TierSpec{Role: paperdata.RoleDNS, Replicas: 1}
+	db := paperdata.TierSpec{Role: paperdata.RoleDB, Replicas: 2}
+	for _, tiers := range [][]paperdata.TierSpec{
+		{dns, web(1, ""), web(2, ""), db},
+		{dns, web(2, ""), web(1, paperdata.RoleWebAlt), web(1, ""), db},
+	} {
+		for _, fr := range fractions[2:] {
+			f.Add(encodeFuzzCase(paperdata.DesignSpec{Tiers: tiers}, 0, 0, fr))
+		}
 	}
 	for i, d := range append(paperdata.Designs(), paperdata.BaseDesign()) {
 		for policy := range byte(3) {
@@ -215,6 +235,9 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 				r1.COA, r1.ServiceAvailability, atomic.COA, atomic.ServiceAvailability)
 		}
 
+		// A shape resolved from another replica vector serves the spec.
+		checkShape(t, c, atomic, point)
+
 		// Engine memo hits equal the fresh evaluator's answers.
 		g := engineFor(t, c.policy)
 		for range 2 {
@@ -234,6 +257,62 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkShape resolves c's shape on an evaluator of its own from
+// another replica vector, one more replica in every group, and compiles
+// the shape's models from that vector: both atomic endpoints, and the
+// rollout point's patch pattern at patched counts that split, patch or
+// leave every class as c's point does (a fully patched group stays fully
+// patched, any other keeps its count). Evaluated through that shape, c's
+// spec must equal what a fresh evaluator answered, atomically and at
+// the rollout point.
+func checkShape(t *testing.T, c fuzzCase, atomic redundancy.Result, point redundancy.RolloutResult) {
+	t.Helper()
+	ctx := context.Background()
+	other := paperdata.DesignSpec{Name: "other"}
+	otherPatched := make([]int, len(c.spec.Tiers))
+	for i, tier := range c.spec.Tiers {
+		tier.Replicas++
+		other.Tiers = append(other.Tiers, tier)
+		otherPatched[i] = point.Patched[i]
+		if point.Patched[i] == c.spec.Tiers[i].Replicas {
+			otherPatched[i] = tier.Replicas
+		}
+	}
+	ev, err := redundancy.NewEvaluator(redundancy.Options{Policy: &c.policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape, err := ev.Shape(other)
+	if err != nil {
+		t.Fatalf("%s: shape: %v", other, err)
+	}
+	if _, _, err := shape.Evaluate(ctx, other); err != nil {
+		t.Fatalf("%s: %v", other, err)
+	}
+	if _, _, err := shape.EvaluatePatched(ctx, other, otherPatched); err != nil {
+		t.Fatalf("%s at %v: %v", other, otherPatched, err)
+	}
+	before := ev.SolverStats().SecuritySolves
+	got, _, err := shape.Evaluate(ctx, c.spec)
+	if err != nil {
+		t.Fatalf("%s through the shape of %s: %v", c.spec, other, err)
+	}
+	if !reflect.DeepEqual(got, atomic) {
+		t.Errorf("%s through the shape of %s:\n%+v\nfresh evaluator:\n%+v", c.spec.Name, other, got, atomic)
+	}
+	gotPoint, _, err := shape.EvaluatePatched(ctx, c.spec, point.Patched)
+	if err != nil {
+		t.Fatalf("%s at %v through the shape of %s: %v", c.spec, point.Patched, other, err)
+	}
+	gotPoint.Fractions = point.Fractions
+	if !reflect.DeepEqual(gotPoint, point) {
+		t.Errorf("%s at %v through the shape of %s:\n%+v\nfresh evaluator:\n%+v", c.spec.Name, point.Patched, other, gotPoint, point)
+	}
+	if after := ev.SolverStats().SecuritySolves; after != before {
+		t.Errorf("%s through the shape of %s built %d security models, want the shape's own", c.spec.Name, other, after-before)
+	}
 }
 
 // servedBits projects security metrics onto the five numbers a report

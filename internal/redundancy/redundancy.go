@@ -6,12 +6,10 @@
 package redundancy
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,8 +31,9 @@ import (
 //
 // An Evaluator is safe for concurrent use after NewEvaluator returns:
 // the configuration fields are read-only from then on, the lazily
-// filled memos (per-stack rates, tier factors and compiled security
-// models) are guarded by its mutex and hold immutable values,
+// filled memos (per-stack rates, tier factors, compiled security models
+// and design shapes) are guarded by its mutex and hold immutable values
+// (a shape fills its own model slots atomically or under its mutex),
 // harm.Build clones the shared attack-tree templates before touching
 // them, vulndb.DB lookups are plain map reads, and each call builds
 // only its own result, in scratch of its own from a pool; the
@@ -47,7 +46,7 @@ type Evaluator struct {
 	schedule patch.Schedule
 	evalOpts harm.EvalOptions
 
-	mu      sync.Mutex // guards agg, plans, factors and security (lazy solves)
+	mu      sync.Mutex // guards agg, plans, factors, security and shapes (lazy solves)
 	agg     map[string]availability.AggregatedRates
 	plans   map[string]patch.Plan
 	factors map[factorKey]availability.TierFactor
@@ -63,6 +62,9 @@ type Evaluator struct {
 	// this memo. One evaluator has one policy, so the policy is not part
 	// of the key.
 	security map[string]*harm.Compiled
+	// shapes maps a spec's roles and stacks, in order, to its shape
+	// (shape.go).
+	shapes map[string]*shape
 
 	// workspaces pools the *workspace scratch of availability solves.
 	workspaces sync.Pool
@@ -115,6 +117,7 @@ func NewEvaluator(opts Options) (*Evaluator, error) {
 		plans:    make(map[string]patch.Plan),
 		factors:  make(map[factorKey]availability.TierFactor),
 		security: make(map[string]*harm.Compiled),
+		shapes:   make(map[string]*shape),
 	}
 	if opts.Policy != nil {
 		e.policy = *opts.Policy
@@ -213,15 +216,11 @@ func (e *Evaluator) buildHARM(spec paperdata.DesignSpec) (*harm.HARM, error) {
 }
 
 // workspace is the scratch of one design's availability solve: the
-// spec's logical order, the upper-layer network model's tiers with the
-// software stack and patched count behind each, the tier factors, and
-// the composition's buffers. The evaluator pools workspaces, so a
-// design on warm memos builds its model and composes it without
-// allocating.
+// network model's tiers with the patched count behind each, the tier
+// factors, and the composition's buffers. The evaluator pools
+// workspaces, so a design on warm memos composes without allocating.
 type workspace struct {
-	order   []int
 	tiers   []availability.Tier
-	stacks  []string
 	patched []int
 	factors []availability.TierFactor
 	compose availability.Workspace
@@ -234,84 +233,6 @@ func (e *Evaluator) getWorkspace() *workspace {
 		return ws
 	}
 	return new(workspace)
-}
-
-// networkModel builds, in ws, the upper-layer availability model of an
-// already validated spec: one tier per replica group with the stack's
-// aggregated rates, grouped by logical role so heterogeneous groups back
-// each other up (the service is up while any group of the role has a
-// server up). Tiers follow the spec's logical order
-// (paperdata.DesignSpec.AppendLogicalOrder); beside each, ws records
-// its software stack — the identity the factored solver memoizes tier
-// factors under (tier names carry ordinal suffixes, stacks do not) —
-// and its patched count, from patched (aligned with spec.Tiers; nil
-// patches every server, the atomic design). When every tier factor is
-// memoized it also fills ws.factors and reports true. The rates and the
-// factor memo are read under one acquisition of e.mu; a stack whose
-// rates were never solved (a variant's first use) is solved outside it
-// and the read repeated.
-func (e *Evaluator) networkModel(ws *workspace, spec paperdata.DesignSpec, patched []int) (memoized bool, err error) {
-	for {
-		missing, memoized := e.readNetwork(ws, spec, patched)
-		if missing == "" {
-			return memoized, nil
-		}
-		if _, err := e.ratesFor(missing); err != nil {
-			return false, err
-		}
-	}
-}
-
-// readNetwork is one read of networkModel under e.mu. It returns the
-// first stack without solved rates, or "" and whether every tier factor
-// was memoized, counting the hits only then.
-func (e *Evaluator) readNetwork(ws *workspace, spec paperdata.DesignSpec, patched []int) (missing string, memoized bool) {
-	ws.order = spec.AppendLogicalOrder(ws.order[:0])
-	ws.tiers, ws.stacks, ws.patched = ws.tiers[:0], ws.stacks[:0], ws.patched[:0]
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, gi := range ws.order {
-		g := spec.Tiers[gi]
-		stack := g.Stack()
-		agg, ok := e.agg[stack]
-		if !ok {
-			return stack, false
-		}
-		// Tier names must be unique in the SRN; a stack deployed in
-		// several groups gets an ordinal suffix past the first.
-		name, n := stack, 1
-		for _, s := range ws.stacks {
-			if s == stack {
-				n++
-			}
-		}
-		if n > 1 {
-			name = stack + "#" + strconv.Itoa(n)
-		}
-		ws.tiers = append(ws.tiers, availability.Tier{
-			Name:     name,
-			Group:    g.Role,
-			N:        g.Replicas,
-			LambdaEq: agg.LambdaEq,
-			MuEq:     agg.MuEq,
-		})
-		ws.stacks = append(ws.stacks, stack)
-		p := g.Replicas
-		if patched != nil {
-			p = patched[gi]
-		}
-		ws.patched = append(ws.patched, p)
-	}
-	ws.factors = ws.factors[:0]
-	for i, t := range ws.tiers {
-		f, ok := e.factors[factorKey{stack: ws.stacks[i], n: t.N, patched: ws.patched[i]}]
-		if !ok {
-			return "", false
-		}
-		ws.factors = append(ws.factors, f)
-	}
-	e.tierFactorHits.Add(uint64(len(ws.tiers)))
-	return "", true
 }
 
 // tierFactorFor returns the birth–death solution of one (stack, replica
@@ -339,56 +260,6 @@ func (e *Evaluator) tierFactorFor(ctx context.Context, stack string, tier availa
 	e.tierSolves.Add(1)
 	e.factors[k] = f
 	return f, false, nil
-}
-
-// solveNetwork solves one valid spec's availability, in ws, at
-// per-tier patched counts (aligned with spec.Tiers; nil for the atomic
-// design) by the memoized factored path. When every tier factor is
-// already memoized the solve is closed-form arithmetic, so it is
-// recorded as attributes on the caller's span rather than a span of
-// its own — a memo-warm sweep stays nearly span-free. Any real solve
-// work gets an "availability.solve" span recording the solver and how
-// many tier factors came from the memo versus fresh solves.
-func (e *Evaluator) solveNetwork(ctx context.Context, ws *workspace, spec paperdata.DesignSpec, patched []int) (availability.NetworkSolution, error) {
-	memoized, err := e.networkModel(ws, spec, patched)
-	if err != nil {
-		return availability.NetworkSolution{}, err
-	}
-	nm := availability.NetworkModel{Tiers: ws.tiers}
-	if memoized {
-		// One attribute suffices: on this path every tier factor was a
-		// memo hit by definition.
-		trace.FromContext(ctx).SetAttr("availability_solver", "factored")
-		e.factoredSolves.Add(1)
-		return availability.ComposeNetwork(nm, ws.factors, &ws.compose)
-	}
-	ctx, sp := trace.Start(ctx, "availability.solve",
-		trace.Attr{Key: "tiers", Value: len(nm.Tiers)})
-	sol, err := e.solveNetworkSpanned(ctx, sp, ws)
-	sp.EndErr(err)
-	return sol, err
-}
-
-// solveNetworkSpanned solves ws's model when a tier factor missed the
-// memo: tierFactorFor counts each tier's hit or solve.
-func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, ws *workspace) (availability.NetworkSolution, error) {
-	sp.SetAttr("solver", "factored")
-	ws.factors = ws.factors[:0]
-	hits := 0
-	for i, t := range ws.tiers {
-		f, hit, err := e.tierFactorFor(ctx, ws.stacks[i], t, ws.patched[i])
-		if err != nil {
-			return availability.NetworkSolution{}, err
-		}
-		if hit {
-			hits++
-		}
-		ws.factors = append(ws.factors, f)
-	}
-	sp.SetAttr("tier_memo_hits", hits)
-	sp.SetAttr("tier_solves", len(ws.tiers)-hits)
-	e.factoredSolves.Add(1)
-	return availability.ComposeNetwork(availability.NetworkModel{Tiers: ws.tiers}, ws.factors, &ws.compose)
 }
 
 // keepLeaf is the patch transformation's keep predicate: a leaf survives
@@ -458,73 +329,24 @@ func (e *Evaluator) buildSecurityModel(key []byte, build func() paperdata.Rollou
 	return f.Compile(rq.Hosts, e.evalOpts)
 }
 
-// recordSecurity sets the security provenance attributes on the
-// caller's span: memo-served evaluations are closed-form arithmetic and
-// open no span of their own.
-func recordSecurity(ctx context.Context, hit bool) {
+// recordProvenance sets an evaluation's provenance attributes on the
+// caller's span: memo-served solves are closed-form arithmetic and open
+// no span of their own, so the span that asked for the evaluation
+// names the solvers and whether the security memo served it.
+func recordProvenance(ctx context.Context, p Provenance) {
 	parent := trace.FromContext(ctx)
+	if parent == nil {
+		return
+	}
 	parent.SetAttr("security_solver", "quotient")
-	if hit {
+	if p.SecuritySolves == 0 {
 		parent.SetAttr("security_memo", "hit")
 	} else {
 		parent.SetAttr("security_memo", "miss")
 	}
-}
-
-// Stack buffer sizes for the security memo probe: room for the fold's
-// key and class counts of designs up to about eight tiers, past which
-// append moves them to the heap.
-const (
-	keyBuf   = 160
-	classBuf = 16
-)
-
-// securityFor evaluates both sides of the patch round for one valid
-// spec via the compiled path. The spec folds to its rollout structure
-// key at the all-unpatched endpoint (Before) and its class counts. The
-// all-patched endpoint (After) has the same quotient and the same
-// counts — no class is split at either end — so its key is the same
-// key with every patch-state marker after the '|' (which no label may
-// hold) turned from 'u' to 'p'. Both models come from the security
-// memo, built once per variant structure, and the counts enter their
-// metrics in closed form. The rollout quotient is built only on a memo
-// miss, whose structure must equal the probed key. The
-// expanded-topology evaluation (securityExpanded, in the tests) is the
-// cross-validation oracle.
-func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
-	var keyb [2][keyBuf]byte
-	var countb [classBuf]int
-	beforeKey, counts := paperdata.FoldRollout(keyb[0][:0], countb[:0], spec, nil)
-	afterKey := append(keyb[1][:0], beforeKey...)
-	for i := bytes.LastIndexByte(afterKey, '|') + 1; i < len(afterKey); i++ {
-		afterKey[i] = 'p'
+	if p.TierSolves == 0 {
+		parent.SetAttr("availability_solver", "factored")
 	}
-
-	bm, bhit, err := e.securityModel(ctx, beforeKey, func() paperdata.RolloutQuotient {
-		return paperdata.SpecRolloutQuotient(spec, make([]int, len(spec.Tiers)))
-	})
-	if err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
-	}
-	am, ahit, err := e.securityModel(ctx, afterKey, func() paperdata.RolloutQuotient {
-		full := make([]int, len(spec.Tiers))
-		for i, t := range spec.Tiers {
-			full[i] = t.Replicas
-		}
-		return paperdata.SpecRolloutQuotient(spec, full)
-	})
-	if err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
-	}
-	recordSecurity(ctx, bhit && ahit)
-	e.securityFactored.Add(1)
-	if before, err = bm.Evaluate(counts); err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
-	}
-	if after, err = am.Evaluate(counts); err != nil {
-		return harm.Metrics{}, harm.Metrics{}, err
-	}
-	return before, after, nil
 }
 
 // SolverStats counts the evaluator's model-solver dispatch on both paper
@@ -563,33 +385,29 @@ func (e *Evaluator) SolverStats() SolverStats {
 	}
 }
 
-// EvaluateSpecContext runs both models for one role-keyed design.
-// Security goes through the factored (quotient) evaluator: the
-// replica-symmetric HARM is built once per variant structure and the
-// spec's replica counts enter the metrics in closed form, so sweeps never
-// rebuild or re-enumerate the replica-expanded model. When the context
-// carries a tracer, the security and availability solves record spans
-// naming which solver ran, which memos hit, and how long each step took.
+// EvaluateSpecContext runs both models for one role-keyed design: its
+// shape (Shape), then the arithmetic. Security goes through the
+// factored (quotient) evaluator: the replica-symmetric HARM is built
+// once per variant structure and the spec's replica counts enter the
+// metrics in closed form, so sweeps never rebuild or re-enumerate the
+// replica-expanded model. When the context carries a tracer, real
+// solver work records spans, and the caller's span is given the
+// provenance attributes: which solver ran and whether the memos hit.
 // The context is used for observability only — an evaluation never
 // aborts mid-solve on cancellation, so a result computed for one caller
 // stays valid for every concurrent caller deduplicated onto it. The
 // spec must be valid: the engine's entries validate it, once per
 // request.
 func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (Result, error) {
-	res := Result{Spec: spec}
-	var err error
-	if res.Before, res.After, err = e.securityFor(ctx, spec); err != nil {
-		return Result{}, err
-	}
-
-	ws := e.getWorkspace()
-	sol, err := e.solveNetwork(ctx, ws, spec, nil)
-	e.workspaces.Put(ws)
+	s, err := e.shapeOf(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	res.COA = sol.COA
-	res.ServiceAvailability = sol.ServiceAvailability
+	res, p, err := s.Evaluate(ctx, spec)
+	if err != nil {
+		return Result{}, err
+	}
+	recordProvenance(ctx, p)
 	return res, nil
 }
 
@@ -622,14 +440,6 @@ func (e *Evaluator) PlanCampaign(role string, maxWindow time.Duration) (patch.Ca
 		return patch.Campaign{}, err
 	}
 	return patch.PlanCampaign(role, vulns, e.policy, e.schedule, maxWindow)
-}
-
-// dominates is the dominance rule on the (minimize ASP, maximize COA)
-// plane that Front's sort-and-scan implements: a is no worse than b on
-// both axes and strictly better on at least one. The quadratic reference
-// that FuzzFrontMatchesQuadratic pins Front to applies it pairwise.
-func dominates(aASP, aCOA, bASP, bCOA float64) bool {
-	return aASP <= bASP && aCOA >= bCOA && (aASP < bASP || aCOA > bCOA)
 }
 
 // Front returns the items not dominated on the (minimize ASP, maximize

@@ -12,9 +12,9 @@ import (
 // This file evaluates designs mid-rollout: a rollout point assigns each
 // tier group a patched fraction, splitting its replica class into a
 // patched and an unpatched sub-class. Security evaluates on the
-// sub-classed quotient (paperdata.FoldRollout probes the memo;
-// paperdata.SpecRolloutQuotient and harm.BuildFactoredRollout build a
-// missing model), availability on mixed-version tier factors
+// sub-classed quotient (the design's shape holds the model of each
+// patch pattern; paperdata.SpecRolloutQuotient and
+// harm.BuildFactoredRollout build a missing one), availability on mixed-version tier factors
 // (availability.SolveTierFactorRollout) — both still factored, so
 // sweeping a whole rollout schedule costs microseconds per point.
 // The f=0 and f=1 endpoints reproduce the atomic Result's Before and
@@ -70,12 +70,23 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 	if tiers < 1 {
 		return nil, fmt.Errorf("redundancy: rollout schedule needs at least one tier")
 	}
+	// The points' vectors are cut from one block, sized for the
+	// strategy's point count, not allocated one by one.
+	var block []float64
 	uniform := func(f float64) []float64 {
-		out := make([]float64, tiers)
+		if len(block) < tiers {
+			block = make([]float64, tiers)
+		}
+		out := block[:tiers:tiers]
+		block = block[tiers:]
 		for i := range out {
 			out[i] = f
 		}
 		return out
+	}
+	points := func(n int) [][]float64 {
+		block = make([]float64, n*tiers)
+		return make([][]float64, 0, n)
 	}
 	steps := s.Steps
 	if steps <= 0 {
@@ -104,14 +115,13 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 		}
 		return out, nil
 	case RolloutOneShot:
-		return [][]float64{uniform(0), uniform(1)}, nil
+		return append(points(2), uniform(0), uniform(1)), nil
 	case RolloutRolling:
-		out := make([][]float64, steps+1)
-		for i := 0; i <= steps; i++ {
-			out[i] = uniform(float64(i) / float64(steps))
+		out := points(steps + 1)
+		for i := 0; i < steps; i++ {
+			out = append(out, uniform(float64(i)/float64(steps)))
 		}
-		out[steps] = uniform(1) // exact endpoint regardless of division
-		return out, nil
+		return append(out, uniform(1)), nil // exact endpoint regardless of division
 	case RolloutBlueGreen:
 		order := s.Order
 		if len(order) == 0 {
@@ -130,10 +140,10 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 		if len(order) != tiers {
 			return nil, fmt.Errorf("redundancy: blue-green order %v is not a permutation of %d tiers", order, tiers)
 		}
-		out := [][]float64{uniform(0)}
-		cur := uniform(0)
+		out := append(points(tiers+1), uniform(0))
 		for _, t := range order {
-			cur = append([]float64(nil), cur...)
+			cur := uniform(0)
+			copy(cur, out[len(out)-1])
 			cur[t] = 1
 			out = append(out, cur)
 		}
@@ -146,7 +156,7 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 		if math.IsNaN(c) || c <= 0 || c >= 1 {
 			return nil, fmt.Errorf("redundancy: canary fraction %v outside (0,1)", c)
 		}
-		out := [][]float64{uniform(0), uniform(c)}
+		out := append(points(steps+2), uniform(0), uniform(c))
 		for i := 1; i <= steps; i++ {
 			f := c + (1-c)*float64(i)/float64(steps)
 			if i == steps || f > 1 {
@@ -214,40 +224,26 @@ type RolloutResult struct {
 
 // EvaluatePatched evaluates one design at one rollout point given by
 // per-tier patched replica counts that PatchedCounts produced for spec
-// (aligned with spec.Tiers). Both axes run factored through the same
-// memos as atomic evaluations: security on the sub-classed rollout
-// quotient with the model memoized per rollout structure key,
-// availability by composing mixed-version tier factors memoized per
-// (stack, n, patched). The all-zero and all-one points therefore reuse
-// the models an atomic evaluation of the design built. The context
-// carries tracing only; provenance lands as attributes on the caller's
-// span exactly like the atomic path. It validates neither the spec nor
-// the counts: the engine checks the spec once per request and converts
-// the fractions once per point, for its memo key. The result's
-// Fractions is nil and Patched aliases patched.
+// (aligned with spec.Tiers): its shape (Shape), then the arithmetic.
+// Both axes run factored through the same memos as atomic evaluations:
+// security on the sub-classed rollout quotient with the model memoized
+// per rollout structure key, availability by composing mixed-version
+// tier factors memoized per (stack, n, patched). The all-zero and
+// all-one points therefore reuse the models an atomic evaluation of the
+// design built. The context carries tracing only; provenance lands as
+// attributes on the caller's span exactly like the atomic path. It
+// validates neither the spec nor the counts: the engine checks the spec
+// once per request and converts the fractions once per point, for its
+// memo key. The result's Fractions is nil and Patched aliases patched.
 func (e *Evaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (RolloutResult, error) {
-	var keyb [keyBuf]byte
-	var countb [classBuf]int
-	key, counts := paperdata.FoldRollout(keyb[:0], countb[:0], spec, patched)
-	model, hit, err := e.securityModel(ctx, key, func() paperdata.RolloutQuotient {
-		return paperdata.SpecRolloutQuotient(spec, patched)
-	})
+	s, err := e.shapeOf(spec)
 	if err != nil {
 		return RolloutResult{}, err
 	}
-	recordSecurity(ctx, hit)
-	res := RolloutResult{Spec: spec, Patched: patched}
-	if res.Security, err = model.Evaluate(counts); err != nil {
-		return RolloutResult{}, err
-	}
-
-	ws := e.getWorkspace()
-	sol, err := e.solveNetwork(ctx, ws, spec, patched)
-	e.workspaces.Put(ws)
+	res, p, err := s.EvaluatePatched(ctx, spec, patched)
 	if err != nil {
 		return RolloutResult{}, err
 	}
-	res.COA = sol.COA
-	res.ServiceAvailability = sol.ServiceAvailability
+	recordProvenance(ctx, p)
 	return res, nil
 }

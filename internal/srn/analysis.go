@@ -1,6 +1,7 @@
 package srn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -58,75 +59,116 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 	opts = opts.withDefaults()
 
 	ss := &StateSpace{}
-	index := make(map[string]int) // tangible marking key -> CTMC state
-	vanishingSeen := make(map[string]bool)
-
-	// resolve maps an arbitrary marking to a distribution over tangible
-	// markings by following immediate firings. onStack detects loops.
-	var resolve func(m Marking, prob float64, onStack map[string]bool, depth int, acc map[string]tangibleMass) error
+	index := make(map[string]int)     // tangible marking key -> CTMC state
+	vanishing := make(map[string]int) // vanishing marking key -> its number
+	var onStack []bool                // by vanishing number: on the resolve stack
 	type queued struct{ state int }
 	var queue []queued
-	// kb is the key buffer every probe reuses: a marking's key becomes
-	// a string only where a map stores it.
+	// kb is the key buffer every probe reuses: a marking's key becomes a
+	// string only where a map stores a marking new to it.
 	var kb []byte
+	// acc collects one firing's tangible outcomes: each outcome's key
+	// and marking live in storage the entry keeps across firings, so
+	// only a marking new to the state space is copied out (by intern).
+	type outcome struct {
+		key     []byte
+		marking Marking
+		prob    float64
+	}
+	var acc []outcome
+	// frames[d] is the scratch of resolve at depth d: the immediate
+	// transitions enabled in its marking and the marking each one's
+	// firing reaches.
+	type frame struct {
+		imm  []*Transition
+		next Marking
+	}
+	var frames []frame
 
-	// intern numbers the tangible marking m, whose key k its resolve
-	// accumulator already holds as a string.
-	intern := func(k string, m Marking) (int, bool, error) {
-		if id, ok := index[k]; ok {
+	// intern numbers the tangible outcome o. The markings it keeps are
+	// cut from blocks of 16, not allocated one by one.
+	var block Marking
+	intern := func(o *outcome) (int, bool, error) {
+		if id, ok := index[string(o.key)]; ok {
 			return id, false, nil
 		}
-		if len(index)+len(vanishingSeen) >= opts.MaxMarkings {
+		if len(index)+len(vanishing) >= opts.MaxMarkings {
 			return 0, false, fmt.Errorf("%w (%d markings)", ErrStateSpaceExceeded, opts.MaxMarkings)
 		}
 		id := len(ss.markings)
-		index[k] = id
-		ss.markings = append(ss.markings, m)
+		index[string(o.key)] = id
+		w := len(o.marking)
+		if len(block) < w {
+			block = make(Marking, 16*w)
+		}
+		ss.markings = append(ss.markings, block[:w:w])
+		copy(block, o.marking)
+		block = block[w:]
 		return id, true, nil
 	}
 
-	resolve = func(m Marking, prob float64, onStack map[string]bool, depth int, acc map[string]tangibleMass) error {
+	// resolve maps an arbitrary marking to a distribution over tangible
+	// markings by following immediate firings, adding it to acc. onStack
+	// detects loops.
+	var resolve func(m Marking, prob float64, depth int) error
+	resolve = func(m Marking, prob float64, depth int) error {
 		if depth > opts.MaxVanishingDepth {
 			return fmt.Errorf("%w: immediate chain longer than %d", ErrVanishingLoop, opts.MaxVanishingDepth)
 		}
-		imm := n.enabledImmediates(m)
+		if depth == len(frames) {
+			frames = append(frames, frame{next: make(Marking, len(m))})
+		}
+		f := &frames[depth]
+		f.imm = n.appendEnabledImmediates(f.imm[:0], m)
 		kb = m.appendKey(kb[:0])
-		if len(imm) == 0 {
-			tm := acc[string(kb)]
-			tm.marking = m
-			tm.prob += prob
-			acc[string(kb)] = tm
+		if len(f.imm) == 0 {
+			for i := range acc {
+				if bytes.Equal(acc[i].key, kb) {
+					acc[i].prob += prob
+					return nil
+				}
+			}
+			if len(acc) == cap(acc) {
+				acc = append(acc, outcome{})
+			} else {
+				acc = acc[:len(acc)+1]
+			}
+			o := &acc[len(acc)-1]
+			o.key = append(o.key[:0], kb...)
+			o.marking = append(o.marking[:0], m...)
+			o.prob = prob
 			return nil
 		}
-		if onStack[string(kb)] {
+		v, seen := vanishing[string(kb)]
+		if seen && onStack[v] {
 			return fmt.Errorf("%w at marking %s", ErrVanishingLoop, n.MarkingString(m))
 		}
-		k := string(kb)
-		if !vanishingSeen[k] {
-			vanishingSeen[k] = true
-			if len(index)+len(vanishingSeen) > opts.MaxMarkings {
+		if !seen {
+			v = len(vanishing)
+			vanishing[string(kb)] = v
+			onStack = append(onStack, false)
+			if len(index)+len(vanishing) > opts.MaxMarkings {
 				return fmt.Errorf("%w (%d markings)", ErrStateSpaceExceeded, opts.MaxMarkings)
 			}
 		}
-		onStack[k] = true
-		defer delete(onStack, k)
-
-		for _, t := range imm {
-			next := n.fire(t, m)
-			if err := resolve(next, prob/float64(len(imm)), onStack, depth+1, acc); err != nil {
+		onStack[v] = true
+		for _, t := range f.imm {
+			n.fireInto(f.next, t, m)
+			if err := resolve(f.next, prob/float64(len(f.imm)), depth+1); err != nil {
 				return err
 			}
+			f = &frames[depth] // a deeper call may have grown frames
 		}
+		onStack[v] = false
 		return nil
 	}
 
 	// Seed with the tangible closure of the initial marking.
-	initAcc := make(map[string]tangibleMass)
-	if err := resolve(n.InitialMarking(), 1, make(map[string]bool), 0, initAcc); err != nil {
+	if err := resolve(n.InitialMarking(), 1, 0); err != nil {
 		return nil, err
 	}
-	for k, tm := range initAcc {
-		id, fresh, err := intern(k, tm.marking)
+	for i := range acc {
+		id, fresh, err := intern(&acc[i])
 		if err != nil {
 			return nil, err
 		}
@@ -143,12 +185,11 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 	}
 	var edges []ratedEdge
 
-	// One transition list, accumulator and loop-detection set serve
-	// every firing: the accumulator is cleared per firing, and resolve
-	// leaves onStack empty whenever it succeeds.
+	// One transition list, fired marking, accumulator and loop-detection
+	// set serve every firing: the accumulator is emptied per firing, and
+	// resolve leaves onStack clear whenever it succeeds.
 	var timed []*Transition
-	acc := make(map[string]tangibleMass)
-	onStack := make(map[string]bool)
+	var fired Marking
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -162,12 +203,16 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 			if rate == 0 {
 				continue
 			}
-			clear(acc)
-			if err := resolve(n.fire(t, m), 1, onStack, 0, acc); err != nil {
+			acc = acc[:0]
+			if len(fired) != len(m) {
+				fired = make(Marking, len(m))
+			}
+			n.fireInto(fired, t, m)
+			if err := resolve(fired, 1, 0); err != nil {
 				return nil, err
 			}
-			for k, tm := range acc {
-				id, fresh, err := intern(k, tm.marking)
+			for i := range acc {
+				id, fresh, err := intern(&acc[i])
 				if err != nil {
 					return nil, err
 				}
@@ -175,7 +220,7 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 					queue = append(queue, queued{state: id})
 				}
 				if id != cur.state {
-					edges = append(edges, ratedEdge{from: cur.state, to: id, rate: rate * tm.prob})
+					edges = append(edges, ratedEdge{from: cur.state, to: id, rate: rate * acc[i].prob})
 				}
 				// A timed firing that returns to the same tangible marking
 				// is a stochastic no-op; dropping it preserves the CTMC.
@@ -183,7 +228,7 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 		}
 	}
 
-	ss.vanishing = len(vanishingSeen)
+	ss.vanishing = len(vanishing)
 	ss.chain = ctmc.New(len(ss.markings))
 	for _, e := range edges {
 		if err := ss.chain.AddRate(e.from, e.to, e.rate); err != nil {
@@ -191,11 +236,6 @@ func (n *Net) Generate(opts GenerateOptions) (*StateSpace, error) {
 		}
 	}
 	return ss, nil
-}
-
-type tangibleMass struct {
-	marking Marking
-	prob    float64
 }
 
 // NumTangible returns the number of tangible markings (CTMC states).

@@ -221,6 +221,14 @@ func (n *Net) enabled(t *Transition, m Marking) bool {
 // enabled.
 func (n *Net) fire(t *Transition, m Marking) Marking {
 	next := make(Marking, len(m))
+	n.fireInto(next, t, m)
+	return next
+}
+
+// fireInto writes the marking reached by firing t in m to next, which
+// must have m's length and may not share its memory. It assumes t is
+// enabled.
+func (n *Net) fireInto(next Marking, t *Transition, m Marking) {
 	copy(next, m)
 	for _, p := range t.in {
 		next[p.index]--
@@ -228,7 +236,6 @@ func (n *Net) fire(t *Transition, m Marking) Marking {
 	for _, p := range t.out {
 		next[p.index]++
 	}
-	return next
 }
 
 // rateOf returns the firing rate of a timed transition in marking m.
@@ -242,13 +249,18 @@ func (t *Transition) rateOf(m Marking) float64 {
 // enabledImmediates returns the enabled immediate transitions in m, or
 // nil when none are enabled (m is tangible).
 func (n *Net) enabledImmediates(m Marking) []*Transition {
-	var out []*Transition
+	return n.appendEnabledImmediates(nil, m)
+}
+
+// appendEnabledImmediates appends the immediate transitions enabled in
+// m to dst.
+func (n *Net) appendEnabledImmediates(dst []*Transition, m Marking) []*Transition {
 	for _, t := range n.transitions {
 		if t.kind == Immediate && n.enabled(t, m) {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
 // appendEnabledTimed appends the timed transitions enabled in m to dst.
