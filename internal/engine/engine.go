@@ -33,18 +33,17 @@ import (
 // DesignEvaluator is the evaluation dependency: anything that can score
 // one valid role-keyed design spec (the engine's entries validate it)
 // on both paper axes, atomically (the whole patch round) and at a
-// rollout point (per-tier patched counts aligned with spec.Tiers). A
-// single evaluation calls the first two methods, which record their
-// provenance on the context's span. A sweep resolves each of its
-// shapes once with Shape and scores its designs through the shape,
-// which records nothing per design. The context carries tracing, so
-// solver-layer spans join the request trace. *redundancy.Evaluator is
-// the production implementation; tests substitute counting or blocking
-// fakes. Implementations must be safe for concurrent use.
+// rollout point (per-tier patched counts aligned with spec.Tiers),
+// returning with each result the Provenance that says which solver
+// memos served it. The engine records a single evaluation's provenance
+// on its "engine.evaluate" span and adds a sweep's up on the sweep's
+// span. The context carries tracing, so solver-layer spans join the
+// request trace. *redundancy.Evaluator is the production
+// implementation; tests substitute counting or blocking fakes.
+// Implementations must be safe for concurrent use.
 type DesignEvaluator interface {
-	EvaluateSpecContext(context.Context, paperdata.DesignSpec) (redundancy.Result, error)
-	EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error)
-	Shape(paperdata.DesignSpec) (redundancy.DesignShape, error)
+	EvaluateSpecContext(context.Context, paperdata.DesignSpec) (redundancy.Result, redundancy.Provenance, error)
+	EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, redundancy.Provenance, error)
 }
 
 // Options configures an Engine.
@@ -307,10 +306,32 @@ func (g *Engine) evaluateSpecTraced(ctx context.Context, c Checked) (v entry, er
 	ctx, sp := startEvaluate(ctx, c.spec)
 	defer func() { sp.EndErr(err) }()
 	v, _, err = g.do(ctx, sp, c, nil, &g.solves, &g.hits, func() (entry, error) {
-		r, err := g.eval.EvaluateSpecContext(ctx, c.spec)
+		r, p, err := g.eval.EvaluateSpecContext(ctx, c.spec)
+		if err == nil {
+			recordProvenance(sp, p)
+		}
 		return atomicEntry(r), err
 	})
 	return v, err
+}
+
+// recordProvenance sets a single evaluation's provenance on its live
+// span: memo-served solves are closed-form arithmetic and open no span
+// of their own, so the evaluation's span names the solvers and whether
+// the security memo served it.
+func recordProvenance(sp *trace.Span, p redundancy.Provenance) {
+	if sp == nil {
+		return
+	}
+	sp.SetAttr("security_solver", "quotient")
+	if p.SecuritySolves == 0 {
+		sp.SetAttr("security_memo", "hit")
+	} else {
+		sp.SetAttr("security_memo", "miss")
+	}
+	if p.TierSolves == 0 {
+		sp.SetAttr("availability_solver", "factored")
+	}
 }
 
 // startEvaluate opens an "engine.evaluate" span with the design's name
@@ -338,11 +359,14 @@ func spanName(spec paperdata.DesignSpec) string {
 const keyBuf = 96
 
 // outcome is how do served a key: from the memo, by joining a solve in
-// flight, or by solving it.
+// flight, or by solving it. The zero outcome is a sweep item that never
+// reached do: cancelled when a worker picked it up, or failed before
+// its key was known.
 type outcome uint8
 
 const (
-	memoHit outcome = iota
+	unserved outcome = iota
+	memoHit
 	memoJoin
 	memoMiss
 )

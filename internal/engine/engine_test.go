@@ -65,7 +65,7 @@ func evaluateSerially(t *testing.T, ev *redundancy.Evaluator, designs []paperdat
 	t.Helper()
 	out := make([]Report, len(designs))
 	for i, d := range designs {
-		r, err := ev.EvaluateSpecContext(context.Background(), d)
+		r, _, err := ev.EvaluateSpecContext(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ type countingEvaluator struct {
 	gate         chan struct{}
 }
 
-func (c *countingEvaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
+func (c *countingEvaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, redundancy.Provenance, error) {
 	c.calls.Add(1)
 	if c.gate != nil {
 		<-c.gate
@@ -102,28 +102,9 @@ func (c *countingEvaluator) EvaluateSpecContext(ctx context.Context, spec paperd
 	return c.inner.EvaluateSpecContext(ctx, spec)
 }
 
-func (c *countingEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error) {
+func (c *countingEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, redundancy.Provenance, error) {
 	c.rolloutCalls.Add(1)
 	return c.inner.EvaluatePatched(ctx, spec, patched)
-}
-
-func (c *countingEvaluator) Shape(paperdata.DesignSpec) (redundancy.DesignShape, error) {
-	return perDesign{c}, nil
-}
-
-// perDesign is the shape of a fake evaluator: it scores each design
-// through the fake's own per-design methods, so the fake counts, blocks
-// or fails a sweep's designs one by one, as it does single evaluations.
-type perDesign struct{ ev DesignEvaluator }
-
-func (p perDesign) Evaluate(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, redundancy.Provenance, error) {
-	r, err := p.ev.EvaluateSpecContext(ctx, spec)
-	return r, redundancy.Provenance{}, err
-}
-
-func (p perDesign) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, redundancy.Provenance, error) {
-	r, err := p.ev.EvaluatePatched(ctx, spec, patched)
-	return r, redundancy.Provenance{}, err
 }
 
 // served projects a report onto the spec's name and key and the twelve
@@ -576,16 +557,13 @@ func TestSweepSurfacesEvaluationError(t *testing.T) {
 
 type evaluatorFunc func(paperdata.DesignSpec) (redundancy.Result, error)
 
-func (f evaluatorFunc) EvaluateSpecContext(_ context.Context, s paperdata.DesignSpec) (redundancy.Result, error) {
-	return f(s)
+func (f evaluatorFunc) EvaluateSpecContext(_ context.Context, s paperdata.DesignSpec) (redundancy.Result, redundancy.Provenance, error) {
+	r, err := f(s)
+	return r, redundancy.Provenance{}, err
 }
 
-func (f evaluatorFunc) EvaluatePatched(context.Context, paperdata.DesignSpec, []int) (redundancy.RolloutResult, error) {
-	return redundancy.RolloutResult{}, errors.New("evaluatorFunc scores atomic designs only")
-}
-
-func (f evaluatorFunc) Shape(paperdata.DesignSpec) (redundancy.DesignShape, error) {
-	return perDesign{f}, nil
+func (f evaluatorFunc) EvaluatePatched(context.Context, paperdata.DesignSpec, []int) (redundancy.RolloutResult, redundancy.Provenance, error) {
+	return redundancy.RolloutResult{}, redundancy.Provenance{}, errors.New("evaluatorFunc scores atomic designs only")
 }
 
 // TestEvaluatorPanicDoesNotWedgeCacheKey pins the singleflight panic
@@ -630,7 +608,8 @@ func TestTransientErrorIsNotMemoized(t *testing.T) {
 		if failed.CompareAndSwap(false, true) {
 			return redundancy.Result{}, errors.New("transient failure")
 		}
-		return inner.EvaluateSpecContext(context.Background(), s)
+		r, _, err := inner.EvaluateSpecContext(context.Background(), s)
+		return r, err
 	}), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -838,6 +817,52 @@ func TestTracedColdSweepSpanCount(t *testing.T) {
 	longest, _ := sweep.Attr("queue_wait_ns_max")
 	if a, b := p50.(int64), longest.(int64); a > b {
 		t.Errorf("queue wait p50 %d ns above its max %d ns", a, b)
+	}
+}
+
+// TestTracedCancelledSweepAggregate pins the sweep span's aggregate
+// when the sweep is cancelled partway: on one worker, the tenth design's
+// solve cancels the context, so the worker stops after it and the span
+// counts ten designs, each a memo miss. An item a worker picks up after
+// the cancellation fails before it reaches the memo; it counts as an
+// item and an error, but as no memo outcome and no queue wait.
+func TestTracedCancelledSweepAggregate(t *testing.T) {
+	inner := paperEvaluator(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var solved atomic.Int64
+	g, err := New(evaluatorFunc(func(s paperdata.DesignSpec) (redundancy.Result, error) {
+		if solved.Add(1) == 10 {
+			cancel()
+		}
+		r, _, err := inner.EvaluateSpecContext(context.Background(), s)
+		return r, err
+	}), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sweep trace.SpanData
+	tr := trace.New(trace.Options{OnEnd: func(d trace.SpanData) {
+		if d.Name == "engine.sweep" {
+			sweep = d
+		}
+	}})
+	if _, _, err := sweepAll(trace.WithTracer(ctx, tr), g, fullSpace(3)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+	}
+	for key, want := range map[string]int{
+		"items": 10, "errors": 0, "memo_hits": 0, "memo_inflight": 0, "memo_misses": 10,
+	} {
+		if v, ok := sweep.Attr(key); !ok || v != want {
+			t.Errorf("cancelled engine.sweep %s = %v, want %d", key, v, want)
+		}
+	}
+
+	var stats sweepStats
+	stats.add(itemFacts{cache: memoMiss, wait: time.Millisecond}, nil)
+	stats.add(itemFacts{}, context.Canceled)
+	if stats.items != 2 || stats.errors != 1 || stats.cache != [4]int{memoMiss: 1} || len(stats.waits) != 1 {
+		t.Errorf("a served miss and an unserved item aggregate to %+v, want 2 items, 1 error, 1 miss and 1 wait", stats)
 	}
 }
 

@@ -90,7 +90,13 @@ func (m *memo) appendKey(b []byte, spec paperdata.DesignSpec, patched []int, int
 		}
 		b = appendTier(b, id, t.Replicas)
 	}
-	return appendPatched(b, patched), true
+	if patched != nil {
+		b = append(b, rolloutMark)
+		for _, p := range patched {
+			b = binary.AppendUvarint(b, uint64(p))
+		}
+	}
+	return b, true
 }
 
 // labelID returns the id of t's label, interning a label the memo has
@@ -108,18 +114,6 @@ func (m *memo) labelID(t paperdata.TierSpec, intern bool) uint32 {
 // replica count.
 func appendTier(b []byte, id uint32, replicas int) []byte {
 	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(id)), uint64(replicas))
-}
-
-// appendPatched appends a rollout point's part of a packed key to b:
-// nothing for a design (patched nil), else the marker and the counts.
-func appendPatched(b []byte, patched []int) []byte {
-	if patched != nil {
-		b = append(b, rolloutMark)
-		for _, p := range patched {
-			b = binary.AppendUvarint(b, uint64(p))
-		}
-	}
-	return b
 }
 
 // intern adds l to the label table and returns its id. The strings are

@@ -265,7 +265,7 @@ func TestLookupServesOnlyCompletedEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := g.eval.EvaluateSpecContext(ctx, probe)
+		want, _, err := g.eval.EvaluateSpecContext(ctx, probe)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,15 +24,14 @@ func (g *Engine) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec,
 	ctx, sp := startEvaluate(ctx, c.spec)
 	defer func() { sp.EndErr(err) }()
 	sp.SetAttr("rollout", true)
-	res, _, err = g.rolloutPoint(ctx, sp, c, fractions, nil)
+	res, _, err = g.rolloutPoint(ctx, sp, c, fractions)
 	return res, err
 }
 
 // rolloutPoint serves one rollout point of the checked design from the
-// memo, solving a miss through the evaluator's EvaluatePatched — which
-// records its provenance on sp — or, when shape is not nil, through the
-// design's shape, whose provenance the returned facts carry.
-func (g *Engine) rolloutPoint(ctx context.Context, sp *trace.Span, c Checked, fractions []float64, shape *lazyShape) (RolloutReport, itemFacts, error) {
+// memo, solving a miss through the evaluator's EvaluatePatched, whose
+// provenance the returned facts carry and, when sp is live, sp records.
+func (g *Engine) rolloutPoint(ctx context.Context, sp *trace.Span, c Checked, fractions []float64) (RolloutReport, itemFacts, error) {
 	var f itemFacts
 	patched, err := redundancy.PatchedCounts(c.spec, fractions)
 	if err != nil {
@@ -40,21 +39,13 @@ func (g *Engine) rolloutPoint(ctx context.Context, sp *trace.Span, c Checked, fr
 	}
 	// Fractions that ceil to the same counts share one entry: the
 	// quotient structure, not the raw fraction, determines the models.
-	if shape != nil {
-		c = shape.check(g, c.spec, patched)
-	}
 	v, out, err := g.do(ctx, sp, c, patched, &g.rolloutSolves, &g.rolloutHits,
 		func() (entry, error) {
-			if shape == nil {
-				r, err := g.eval.EvaluatePatched(ctx, c.spec, patched)
-				return rolloutEntry(r), err
-			}
-			sh, err := shape.get(g.eval, c.spec)
-			if err != nil {
-				return entry{}, err
-			}
-			r, p, err := sh.EvaluatePatched(ctx, c.spec, patched)
+			r, p, err := g.eval.EvaluatePatched(ctx, c.spec, patched)
 			f.prov = p
+			if err == nil {
+				recordProvenance(sp, p)
+			}
 			return rolloutEntry(r), err
 		})
 	f.cache = out
@@ -69,8 +60,7 @@ func (g *Engine) rolloutPoint(ctx context.Context, sp *trace.Span, c Checked, fr
 // order, each with its point's schedule index as Step, and returns the
 // number of points. fn runs on a single collector goroutine; returning
 // an error cancels the sweep. progress (optional) runs there too after
-// every completed point. The design's shape is resolved once, by the
-// first point to miss the memo. The whole sweep runs under one
+// every completed point. The whole sweep runs under one
 // "rollout.sweep" span, which carries the aggregate of its points, as
 // design sweeps do.
 func (g *Engine) RolloutSweep(ctx context.Context, spec paperdata.DesignSpec, sched redundancy.RolloutSchedule, fn func(RolloutReport) error, progress func(done, total int)) (total int, err error) {
@@ -88,10 +78,9 @@ func (g *Engine) RolloutSweep(ctx context.Context, spec paperdata.DesignSpec, sc
 		sp.SetAttr("points", len(points))
 	}
 	defer func() { sp.EndErr(err) }()
-	var shape lazyShape
 	err = stream(ctx, g, sp, points, progress,
 		func(fr []float64) (RolloutReport, itemFacts, error) {
-			r, f, err := g.rolloutPoint(ctx, nil, c, fr, &shape)
+			r, f, err := g.rolloutPoint(ctx, nil, c, fr)
 			if err != nil {
 				err = fmt.Errorf("engine: rollout point %v: %w", fr, err)
 			}

@@ -21,27 +21,23 @@ type rolloutFake struct {
 	fail  bool
 }
 
-func (f *rolloutFake) EvaluateSpecContext(_ context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
-	return redundancy.Result{Spec: spec}, nil
+func (f *rolloutFake) EvaluateSpecContext(_ context.Context, spec paperdata.DesignSpec) (redundancy.Result, redundancy.Provenance, error) {
+	return redundancy.Result{Spec: spec}, redundancy.Provenance{}, nil
 }
 
-func (f *rolloutFake) Shape(paperdata.DesignSpec) (redundancy.DesignShape, error) {
-	return perDesign{f}, nil
-}
-
-func (f *rolloutFake) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error) {
+func (f *rolloutFake) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, redundancy.Provenance, error) {
 	f.calls.Add(1)
 	if f.gate != nil {
 		<-f.gate
 	}
 	if f.fail {
-		return redundancy.RolloutResult{}, errors.New("solve failed")
+		return redundancy.RolloutResult{}, redundancy.Provenance{}, errors.New("solve failed")
 	}
 	coa := 1.0
 	for _, p := range patched {
 		coa -= 0.01 * float64(p)
 	}
-	return redundancy.RolloutResult{Spec: spec, Patched: patched, COA: coa}, nil
+	return redundancy.RolloutResult{Spec: spec, Patched: patched, COA: coa}, redundancy.Provenance{}, nil
 }
 
 func TestEvaluateRolloutMemo(t *testing.T) {

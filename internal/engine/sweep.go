@@ -223,12 +223,13 @@ func (s SweepSpec) shapes() int {
 // sweep. progress, when non-nil, runs on the same goroutine after every
 // completed evaluation — kept or bound-filtered — with the number of
 // designs done so far and the total; streaming surfaces derive their
-// periodic progress events from it. Each shape of the space (one per
-// combination of variant choices) is resolved once, by the first of
-// its designs to miss the memo, so a sweep the memo serves whole
-// resolves none. The whole sweep runs under one "engine.sweep" span,
-// which carries the aggregate of its designs (see stream), and the
-// number of enumerated designs is returned.
+// periodic progress events from it. The designs of one shape (one per
+// combination of variant choices) key the memo from label ids their
+// first design interns (shapeKeys), and the evaluator resolves each
+// shape at its first design to miss the memo, so a sweep the memo
+// serves whole resolves none. The whole sweep runs under one
+// "engine.sweep" span, which carries the aggregate of its designs (see
+// stream), and the number of enumerated designs is returned.
 func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) error, progress func(done, total int)) (total int, err error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
@@ -237,18 +238,14 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) erro
 	ctx, sp := trace.Start(ctx, "engine.sweep",
 		trace.Attr{Key: "designs", Value: len(designs)})
 	defer func() { sp.EndErr(err) }()
-	shapes := make([]lazyShape, min(spec.shapes(), len(designs)))
+	keys := make([]shapeKeys, min(spec.shapes(), len(designs)))
 	err = stream(ctx, g, sp, designs, progress,
 		func(d paperdata.DesignSpec) (entry, itemFacts, error) {
 			// A valid SweepSpec enumerates only valid designs.
 			var f itemFacts
-			shape := &shapes[spec.shapeOf(d)]
-			v, out, err := g.do(ctx, nil, shape.check(g, d, nil), nil, &g.solves, &g.hits, func() (entry, error) {
-				sh, err := shape.get(g.eval, d)
-				if err != nil {
-					return entry{}, err
-				}
-				r, p, err := sh.Evaluate(ctx, d)
+			c := keys[spec.shapeOf(d)].check(g, d)
+			v, out, err := g.do(ctx, nil, c, nil, &g.solves, &g.hits, func() (entry, error) {
+				r, p, err := g.eval.EvaluateSpecContext(ctx, d)
 				f.prov = p
 				return atomicEntry(r), err
 			})
@@ -270,24 +267,20 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec, fn func(Report) erro
 	return len(designs), nil
 }
 
-// lazyShape is one shape of a sweep. Its first item interns the memo's
-// label ids of the shape's tiers, from which every item then packs its
-// key without a memo lookup; the first item to miss the memo resolves
-// the evaluator's shape. A failed resolution is not kept: the next miss
-// tries again, as a failed solve is not memoized. A shape of more tiers
-// than ids holds keeps no ids, and its items are keyed by the memo.
-type lazyShape struct {
+// shapeKeys packs the memo keys of one shape's designs in a sweep. Its
+// first design interns the memo's label ids of the shape's tiers, from
+// which every design then packs its key without a memo lookup. A shape
+// of more tiers than ids holds keeps no ids, and its designs are keyed
+// by the memo.
+type shapeKeys struct {
 	mu    sync.Mutex
 	keyed atomic.Bool
 	ids   [16]uint32
-	ready atomic.Bool
-	shape redundancy.DesignShape
 }
 
 // check returns spec, one of the shape's designs, checked for g with
-// its memo key at rollout point patched (nil for the design) packed in
-// place.
-func (l *lazyShape) check(g *Engine, spec paperdata.DesignSpec, patched []int) Checked {
+// its memo key packed in place.
+func (l *shapeKeys) check(g *Engine, spec paperdata.DesignSpec) Checked {
 	c := Checked{g: g, spec: spec}
 	if len(spec.Tiers) > len(l.ids) {
 		return c
@@ -308,28 +301,10 @@ func (l *lazyShape) check(g *Engine, spec paperdata.DesignSpec, patched []int) C
 	for i, t := range spec.Tiers {
 		k = appendTier(k, l.ids[i], t.Replicas)
 	}
-	if k = appendPatched(k, patched); len(k) <= len(c.key) {
+	if len(k) <= len(c.key) {
 		c.keyLen = len(k)
 	}
 	return c
-}
-
-// get returns the shape, resolving it from spec on first use.
-func (l *lazyShape) get(eval DesignEvaluator, spec paperdata.DesignSpec) (redundancy.DesignShape, error) {
-	if l.ready.Load() {
-		return l.shape, nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.ready.Load() {
-		sh, err := eval.Shape(spec)
-		if err != nil {
-			return nil, err
-		}
-		l.shape = sh
-		l.ready.Store(true)
-	}
-	return l.shape, nil
 }
 
 // itemFacts is what one sweep item's evaluation tells its sweep: how
@@ -347,7 +322,7 @@ type itemFacts struct {
 // span carries in place of a span per item.
 type sweepStats struct {
 	items, errors int
-	cache         [3]int // by outcome: memo hits, in-flight joins, misses
+	cache         [4]int // by outcome; items that never reached do count in none
 	prov          redundancy.Provenance
 	waits         []time.Duration
 	took          time.Duration
@@ -357,6 +332,9 @@ func (a *sweepStats) add(f itemFacts, err error) {
 	a.items++
 	if err != nil {
 		a.errors++
+	}
+	if f.cache == unserved {
+		return
 	}
 	a.cache[f.cache]++
 	a.prov.SecurityHits += f.prov.SecurityHits
@@ -370,13 +348,9 @@ func (a *sweepStats) add(f itemFacts, err error) {
 // record sets the aggregate on the sweep's span: the items evaluated
 // and failed, the memo's hits, in-flight joins and misses, the
 // security and tier-factor memo hits and solves of the misses, the
-// median and the longest queue wait, and the summed evaluation time.
+// summed evaluation time and, when any item reached the memo, the
+// median and the longest queue wait of those items.
 func (a *sweepStats) record(sp *trace.Span) {
-	var p50, longest time.Duration
-	if n := len(a.waits); n > 0 {
-		slices.Sort(a.waits)
-		p50, longest = a.waits[(n-1)/2], a.waits[n-1]
-	}
 	sp.SetAttr("items", a.items)
 	sp.SetAttr("errors", a.errors)
 	sp.SetAttr("memo_hits", a.cache[memoHit])
@@ -386,9 +360,12 @@ func (a *sweepStats) record(sp *trace.Span) {
 	sp.SetAttr("security_solves", a.prov.SecuritySolves)
 	sp.SetAttr("tier_memo_hits", a.prov.TierHits)
 	sp.SetAttr("tier_solves", a.prov.TierSolves)
-	sp.SetAttr("queue_wait_ns_p50", p50.Nanoseconds())
-	sp.SetAttr("queue_wait_ns_max", longest.Nanoseconds())
 	sp.SetAttr("evaluate_ns", a.took.Nanoseconds())
+	if n := len(a.waits); n > 0 {
+		slices.Sort(a.waits)
+		sp.SetAttr("queue_wait_ns_p50", a.waits[(n-1)/2].Nanoseconds())
+		sp.SetAttr("queue_wait_ns_max", a.waits[n-1].Nanoseconds())
+	}
 }
 
 // stream is the fan-out/collect loop every sweep shares: pool workers

@@ -36,17 +36,13 @@ func TestWarmMemoAllocations(t *testing.T) {
 	}}
 	fractions := []float64{0.5, 0.5, 0.5, 0.5}
 	// Warm every memo the three paths read.
-	if _, err := ev.EvaluateSpecContext(ctx, spec); err != nil {
+	if _, _, err := ev.EvaluateSpecContext(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ev.EvaluateRollout(ctx, spec, fractions); err != nil {
 		t.Fatal(err)
 	}
 
-	shape, err := ev.Shape(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	patched, err := PatchedCounts(spec, fractions)
 	if err != nil {
 		t.Fatal(err)
@@ -62,20 +58,16 @@ func TestWarmMemoAllocations(t *testing.T) {
 			paperdata.FoldRollout(keyb[:0], countb[:0], spec, nil)
 			return nil
 		}},
-		{"Shape", 0, func() error {
-			_, err := ev.Shape(spec)
-			return err
-		}},
-		{"DesignShape.Evaluate", 0, func() error {
-			_, _, err := shape.Evaluate(ctx, spec)
-			return err
-		}},
-		{"DesignShape.EvaluatePatched", 0, func() error {
-			_, _, err := shape.EvaluatePatched(ctx, spec, patched)
+		{"shapeOf", 0, func() error {
+			_, err := ev.shapeOf(spec)
 			return err
 		}},
 		{"EvaluateSpecContext", 0, func() error {
-			_, err := ev.EvaluateSpecContext(ctx, spec)
+			_, _, err := ev.EvaluateSpecContext(ctx, spec)
+			return err
+		}},
+		{"EvaluatePatched", 0, func() error {
+			_, _, err := ev.EvaluatePatched(ctx, spec, patched)
 			return err
 		}},
 		{"EvaluateRollout", 2, func() error {

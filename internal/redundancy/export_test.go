@@ -80,10 +80,17 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 	if err != nil {
 		return RolloutResult{}, err
 	}
-	res, err := e.EvaluatePatched(ctx, spec, patched)
+	res, _, err := e.EvaluatePatched(ctx, spec, patched)
 	if err != nil {
 		return RolloutResult{}, err
 	}
 	res.Fractions = append([]float64(nil), fractions...)
 	return res, nil
+}
+
+// Shapes is the number of shapes the evaluator has memoized.
+func (e *Evaluator) Shapes() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.shapes)
 }

@@ -117,7 +117,7 @@ func TestFactoredSecurityEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, spec := range equivalenceSpecs() {
-				fac, err := ev.EvaluateSpecContext(ctx, spec)
+				fac, _, err := ev.EvaluateSpecContext(ctx, spec)
 				facBefore, facAfter := fac.Before, fac.After
 				if err != nil {
 					t.Fatalf("%s: factored: %v", spec.Name, err)
@@ -147,7 +147,7 @@ func TestSecurityMemoSweepReuse(t *testing.T) {
 			for app := 1; app <= 3; app++ {
 				for db := 1; db <= 3; db++ {
 					d := paperdata.Design{Name: "s", DNS: dns, Web: web, App: app, DB: db}
-					if _, err := ev.EvaluateSpecContext(context.Background(), d.Spec()); err != nil {
+					if _, _, err := ev.EvaluateSpecContext(context.Background(), d.Spec()); err != nil {
 						t.Fatal(err)
 					}
 					n++
@@ -182,7 +182,7 @@ func TestQuotientPathCounts(t *testing.T) {
 	for _, n := range []int{4, 8} {
 		spec := paperdata.Design{Name: "sec", DNS: n, Web: n, App: n, DB: n}.Spec()
 		want := n * n * n * (n + 1)
-		r, err := ev.EvaluateSpecContext(ctx, spec)
+		r, _, err := ev.EvaluateSpecContext(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestQuotientPathCounts(t *testing.T) {
 		}
 	}
 	spec := paperdata.Design{Name: "rq", DNS: 2, Web: 4, App: 4, DB: 2}.Spec()
-	r, err := ev.EvaluatePatched(ctx, spec, []int{1, 2, 2, 1})
+	r, _, err := ev.EvaluatePatched(ctx, spec, []int{1, 2, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,11 @@ func TestSecurityMemoKeyVariants(t *testing.T) {
 			{Role: paperdata.RoleDB, Replicas: 1},
 		},
 	}
-	rp, err := ev.EvaluateSpecContext(context.Background(), plain)
+	rp, _, err := ev.EvaluateSpecContext(context.Background(), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, err := ev.EvaluateSpecContext(context.Background(), variant)
+	rv, _, err := ev.EvaluateSpecContext(context.Background(), variant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSecurityMemoKeyVariants(t *testing.T) {
 		t.Errorf("plain and variant NoEV both %d; factors must not be shared", rp.Before.NoEV)
 	}
 	// Re-evaluating either spec is a pure memo hit.
-	if _, err := ev.EvaluateSpecContext(context.Background(), plain); err != nil {
+	if _, _, err := ev.EvaluateSpecContext(context.Background(), plain); err != nil {
 		t.Fatal(err)
 	}
 	if got := ev.SolverStats().SecuritySolves; got != 4 {
@@ -279,11 +279,11 @@ func TestSecurityMemoDistinctPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := paperdata.BaseDesign().Spec()
-	rc, err := critical.EvaluateSpecContext(context.Background(), spec)
+	rc, _, err := critical.EvaluateSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := all.EvaluateSpecContext(context.Background(), spec)
+	ra, _, err := all.EvaluateSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

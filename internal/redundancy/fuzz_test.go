@@ -172,7 +172,7 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		atomic, err := ev.EvaluateSpecContext(context.Background(), c.spec)
+		atomic, _, err := ev.EvaluateSpecContext(context.Background(), c.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
@@ -264,9 +264,9 @@ func FuzzFastPathMatchesOracles(f *testing.F) {
 // the shape's models from that vector: both atomic endpoints, and the
 // rollout point's patch pattern at patched counts that split, patch or
 // leave every class as c's point does (a fully patched group stays fully
-// patched, any other keeps its count). Evaluated through that shape, c's
-// spec must equal what a fresh evaluator answered, atomically and at
-// the rollout point.
+// patched, any other keeps its count). Evaluated on that evaluator, c's
+// spec must reuse the shape, build no model, and equal what a fresh
+// evaluator answered, atomically and at the rollout point.
 func checkShape(t *testing.T, c fuzzCase, atomic redundancy.Result, point redundancy.RolloutResult) {
 	t.Helper()
 	ctx := context.Background()
@@ -284,25 +284,21 @@ func checkShape(t *testing.T, c fuzzCase, atomic redundancy.Result, point redund
 	if err != nil {
 		t.Fatal(err)
 	}
-	shape, err := ev.Shape(other)
-	if err != nil {
-		t.Fatalf("%s: shape: %v", other, err)
-	}
-	if _, _, err := shape.Evaluate(ctx, other); err != nil {
+	if _, _, err := ev.EvaluateSpecContext(ctx, other); err != nil {
 		t.Fatalf("%s: %v", other, err)
 	}
-	if _, _, err := shape.EvaluatePatched(ctx, other, otherPatched); err != nil {
+	if _, _, err := ev.EvaluatePatched(ctx, other, otherPatched); err != nil {
 		t.Fatalf("%s at %v: %v", other, otherPatched, err)
 	}
 	before := ev.SolverStats().SecuritySolves
-	got, _, err := shape.Evaluate(ctx, c.spec)
+	got, _, err := ev.EvaluateSpecContext(ctx, c.spec)
 	if err != nil {
 		t.Fatalf("%s through the shape of %s: %v", c.spec, other, err)
 	}
 	if !reflect.DeepEqual(got, atomic) {
 		t.Errorf("%s through the shape of %s:\n%+v\nfresh evaluator:\n%+v", c.spec.Name, other, got, atomic)
 	}
-	gotPoint, _, err := shape.EvaluatePatched(ctx, c.spec, point.Patched)
+	gotPoint, _, err := ev.EvaluatePatched(ctx, c.spec, point.Patched)
 	if err != nil {
 		t.Fatalf("%s at %v through the shape of %s: %v", c.spec, point.Patched, other, err)
 	}
@@ -312,6 +308,9 @@ func checkShape(t *testing.T, c fuzzCase, atomic redundancy.Result, point redund
 	}
 	if after := ev.SolverStats().SecuritySolves; after != before {
 		t.Errorf("%s through the shape of %s built %d security models, want the shape's own", c.spec.Name, other, after-before)
+	}
+	if n := ev.Shapes(); n != 1 {
+		t.Errorf("%s after %s: evaluator holds %d shapes, want the one they share", c.spec.Name, other, n)
 	}
 }
 

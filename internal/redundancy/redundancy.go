@@ -329,26 +329,6 @@ func (e *Evaluator) buildSecurityModel(key []byte, build func() paperdata.Rollou
 	return f.Compile(rq.Hosts, e.evalOpts)
 }
 
-// recordProvenance sets an evaluation's provenance attributes on the
-// caller's span: memo-served solves are closed-form arithmetic and open
-// no span of their own, so the span that asked for the evaluation
-// names the solvers and whether the security memo served it.
-func recordProvenance(ctx context.Context, p Provenance) {
-	parent := trace.FromContext(ctx)
-	if parent == nil {
-		return
-	}
-	parent.SetAttr("security_solver", "quotient")
-	if p.SecuritySolves == 0 {
-		parent.SetAttr("security_memo", "hit")
-	} else {
-		parent.SetAttr("security_memo", "miss")
-	}
-	if p.TierSolves == 0 {
-		parent.SetAttr("availability_solver", "factored")
-	}
-}
-
 // SolverStats counts the evaluator's model-solver dispatch on both paper
 // axes.
 type SolverStats struct {
@@ -386,29 +366,23 @@ func (e *Evaluator) SolverStats() SolverStats {
 }
 
 // EvaluateSpecContext runs both models for one role-keyed design: its
-// shape (Shape), then the arithmetic. Security goes through the
-// factored (quotient) evaluator: the replica-symmetric HARM is built
-// once per variant structure and the spec's replica counts enter the
-// metrics in closed form, so sweeps never rebuild or re-enumerate the
+// shape, then the arithmetic. Security goes through the factored
+// (quotient) evaluator: the replica-symmetric HARM is built once per
+// variant structure and the spec's replica counts enter the metrics in
+// closed form, so sweeps never rebuild or re-enumerate the
 // replica-expanded model. When the context carries a tracer, real
-// solver work records spans, and the caller's span is given the
-// provenance attributes: which solver ran and whether the memos hit.
-// The context is used for observability only — an evaluation never
-// aborts mid-solve on cancellation, so a result computed for one caller
-// stays valid for every concurrent caller deduplicated onto it. The
-// spec must be valid: the engine's entries validate it, once per
-// request.
-func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (Result, error) {
+// solver work records spans; the returned Provenance says which memos
+// served the rest. The context is used for observability only — an
+// evaluation never aborts mid-solve on cancellation, so a result
+// computed for one caller stays valid for every concurrent caller
+// deduplicated onto it. The spec must be valid: the engine's entries
+// validate it, once per request.
+func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (Result, Provenance, error) {
 	s, err := e.shapeOf(spec)
 	if err != nil {
-		return Result{}, err
+		return Result{}, Provenance{}, err
 	}
-	res, p, err := s.Evaluate(ctx, spec)
-	if err != nil {
-		return Result{}, err
-	}
-	recordProvenance(ctx, p)
-	return res, nil
+	return s.evaluate(ctx, spec)
 }
 
 // RankPatches ranks the policy-selected vulnerabilities of a design by

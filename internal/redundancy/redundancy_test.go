@@ -47,7 +47,8 @@ func evaluator(t *testing.T) (*Evaluator, []Result) {
 
 // evalDesign evaluates a classic design through the spec path.
 func evalDesign(e *Evaluator, d paperdata.Design) (Result, error) {
-	return e.EvaluateSpecContext(context.Background(), d.Spec())
+	r, _, err := e.EvaluateSpecContext(context.Background(), d.Spec())
+	return r, err
 }
 
 func byName(t *testing.T, results []Result, name string) Result {
@@ -237,7 +238,7 @@ func TestEvaluatorSafeForConcurrentUse(t *testing.T) {
 	specs := equivalenceSpecs()
 	serial := make([]Result, len(specs))
 	for i, sp := range specs {
-		r, err := e.EvaluateSpecContext(context.Background(), sp)
+		r, _, err := e.EvaluateSpecContext(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func TestEvaluatorSafeForConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, sp := range specs {
-				r, err := e.EvaluateSpecContext(context.Background(), sp)
+				r, _, err := e.EvaluateSpecContext(context.Background(), sp)
 				if err != nil {
 					errs[g] = err
 					return
@@ -288,14 +289,14 @@ func specTiers(web ...paperdata.TierSpec) []paperdata.TierSpec {
 // still backs itself up for availability.
 func TestEvaluateSpecHeterogeneousWebTier(t *testing.T) {
 	e, _ := evaluator(t)
-	homog, err := e.EvaluateSpecContext(context.Background(), paperdata.DesignSpec{
+	homog, _, err := e.EvaluateSpecContext(context.Background(), paperdata.DesignSpec{
 		Name:  "homog",
 		Tiers: specTiers(paperdata.TierSpec{Role: paperdata.RoleWeb, Replicas: 2}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetero, err := e.EvaluateSpecContext(context.Background(), paperdata.DesignSpec{
+	hetero, _, err := e.EvaluateSpecContext(context.Background(), paperdata.DesignSpec{
 		Name: "hetero",
 		Tiers: specTiers(
 			paperdata.TierSpec{Role: paperdata.RoleWeb, Replicas: 1},
@@ -434,7 +435,7 @@ func TestFactoredAvailabilityMatchesSRNOracle(t *testing.T) {
 		{Role: paperdata.RoleApp, Replicas: 2},
 		{Role: paperdata.RoleDB, Replicas: 1},
 	}}
-	r, err := e.EvaluateSpecContext(context.Background(), spec)
+	r, _, err := e.EvaluateSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@ import (
 // patched and an unpatched sub-class. Security evaluates on the
 // sub-classed quotient (the design's shape holds the model of each
 // patch pattern; paperdata.SpecRolloutQuotient and
-// harm.BuildFactoredRollout build a missing one), availability on mixed-version tier factors
-// (availability.SolveTierFactorRollout) — both still factored, so
-// sweeping a whole rollout schedule costs microseconds per point.
+// harm.BuildFactoredRollout build a missing one), availability on
+// mixed-version tier factors (availability.SolveTierFactorRollout) —
+// both still factored, so sweeping a whole rollout schedule costs
+// microseconds per point.
 // The f=0 and f=1 endpoints reproduce the atomic Result's Before and
 // After sides bit for bit (TestRolloutDegenerateEndpoints).
 
@@ -70,23 +71,12 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 	if tiers < 1 {
 		return nil, fmt.Errorf("redundancy: rollout schedule needs at least one tier")
 	}
-	// The points' vectors are cut from one block, sized for the
-	// strategy's point count, not allocated one by one.
-	var block []float64
 	uniform := func(f float64) []float64 {
-		if len(block) < tiers {
-			block = make([]float64, tiers)
-		}
-		out := block[:tiers:tiers]
-		block = block[tiers:]
+		out := make([]float64, tiers)
 		for i := range out {
 			out[i] = f
 		}
 		return out
-	}
-	points := func(n int) [][]float64 {
-		block = make([]float64, n*tiers)
-		return make([][]float64, 0, n)
 	}
 	steps := s.Steps
 	if steps <= 0 {
@@ -115,13 +105,14 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 		}
 		return out, nil
 	case RolloutOneShot:
-		return append(points(2), uniform(0), uniform(1)), nil
+		return [][]float64{uniform(0), uniform(1)}, nil
 	case RolloutRolling:
-		out := points(steps + 1)
-		for i := 0; i < steps; i++ {
-			out = append(out, uniform(float64(i)/float64(steps)))
+		out := make([][]float64, steps+1)
+		for i := 0; i <= steps; i++ {
+			out[i] = uniform(float64(i) / float64(steps))
 		}
-		return append(out, uniform(1)), nil // exact endpoint regardless of division
+		out[steps] = uniform(1) // exact endpoint regardless of division
+		return out, nil
 	case RolloutBlueGreen:
 		order := s.Order
 		if len(order) == 0 {
@@ -140,10 +131,10 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 		if len(order) != tiers {
 			return nil, fmt.Errorf("redundancy: blue-green order %v is not a permutation of %d tiers", order, tiers)
 		}
-		out := append(points(tiers+1), uniform(0))
+		out := [][]float64{uniform(0)}
+		cur := uniform(0)
 		for _, t := range order {
-			cur := uniform(0)
-			copy(cur, out[len(out)-1])
+			cur = append([]float64(nil), cur...)
 			cur[t] = 1
 			out = append(out, cur)
 		}
@@ -156,7 +147,7 @@ func (s RolloutSchedule) Points(tiers int) ([][]float64, error) {
 		if math.IsNaN(c) || c <= 0 || c >= 1 {
 			return nil, fmt.Errorf("redundancy: canary fraction %v outside (0,1)", c)
 		}
-		out := append(points(steps+2), uniform(0), uniform(c))
+		out := [][]float64{uniform(0), uniform(c)}
 		for i := 1; i <= steps; i++ {
 			f := c + (1-c)*float64(i)/float64(steps)
 			if i == steps || f > 1 {
@@ -224,26 +215,21 @@ type RolloutResult struct {
 
 // EvaluatePatched evaluates one design at one rollout point given by
 // per-tier patched replica counts that PatchedCounts produced for spec
-// (aligned with spec.Tiers): its shape (Shape), then the arithmetic.
-// Both axes run factored through the same memos as atomic evaluations:
-// security on the sub-classed rollout quotient with the model memoized
-// per rollout structure key, availability by composing mixed-version
-// tier factors memoized per (stack, n, patched). The all-zero and
-// all-one points therefore reuse the models an atomic evaluation of the
-// design built. The context carries tracing only; provenance lands as
-// attributes on the caller's span exactly like the atomic path. It
-// validates neither the spec nor the counts: the engine checks the spec
-// once per request and converts the fractions once per point, for its
-// memo key. The result's Fractions is nil and Patched aliases patched.
-func (e *Evaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (RolloutResult, error) {
+// (aligned with spec.Tiers): its shape, then the arithmetic. Both axes
+// run factored through the same memos as atomic evaluations: security
+// on the sub-classed rollout quotient with the model memoized per
+// rollout structure key, availability by composing mixed-version tier
+// factors memoized per (stack, n, patched). The all-zero and all-one
+// points therefore reuse the models an atomic evaluation of the design
+// built. The context carries tracing only, and the provenance is
+// returned as EvaluateSpecContext returns it. It validates neither the
+// spec nor the counts: the engine checks the spec once per request and
+// converts the fractions once per point, for its memo key. The result's
+// Fractions is nil and Patched aliases patched.
+func (e *Evaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (RolloutResult, Provenance, error) {
 	s, err := e.shapeOf(spec)
 	if err != nil {
-		return RolloutResult{}, err
+		return RolloutResult{}, Provenance{}, err
 	}
-	res, p, err := s.EvaluatePatched(ctx, spec, patched)
-	if err != nil {
-		return RolloutResult{}, err
-	}
-	recordProvenance(ctx, p)
-	return res, nil
+	return s.evaluatePatched(ctx, spec, patched)
 }

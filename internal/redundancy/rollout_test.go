@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"redpatch/internal/attacktree"
@@ -12,7 +11,6 @@ import (
 	"redpatch/internal/oracle"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
-	"redpatch/internal/trace"
 )
 
 // TestRolloutDegenerateEndpoints is the byte-identity gate the rollout
@@ -55,7 +53,7 @@ func TestRolloutDegenerateEndpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, spec := range specs {
-				atomic, err := ev.EvaluateSpecContext(context.Background(), spec)
+				atomic, _, err := ev.EvaluateSpecContext(context.Background(), spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -304,35 +302,26 @@ func TestAtomicAndRolloutShareSecurityMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := make(map[string]any)
-	var mu sync.Mutex
-	tr := trace.New(trace.Options{OnEnd: func(d trace.SpanData) {
-		if v, ok := d.Attr("security_memo"); ok {
-			mu.Lock()
-			memo[d.Name] = v
-			mu.Unlock()
-		}
-	}})
-	ctx := trace.WithTracer(context.Background(), tr)
+	ctx := context.Background()
 	d := paperdata.BaseDesign().Spec()
-	if _, err := ev.EvaluateSpecContext(context.Background(), d); err != nil {
+	if _, _, err := ev.EvaluateSpecContext(ctx, d); err != nil {
 		t.Fatal(err)
 	}
-	for name, f := range map[string]float64{"zeros": 0, "ones": 1} {
-		fractions := []float64{f, f, f, f}
-		pctx, sp := trace.Start(ctx, name)
-		if _, err := ev.EvaluateRollout(pctx, d, fractions); err != nil {
+	ones := make([]int, len(d.Tiers))
+	for i, tier := range d.Tiers {
+		ones[i] = tier.Replicas
+	}
+	for name, patched := range map[string][]int{"zeros": make([]int, len(d.Tiers)), "ones": ones} {
+		_, p, err := ev.EvaluatePatched(ctx, d, patched)
+		if err != nil {
 			t.Fatal(err)
 		}
-		sp.End()
+		if p.SecurityHits != 1 || p.SecuritySolves != 0 {
+			t.Errorf("rollout %s: provenance %+v, want one security-memo hit and no solve", name, p)
+		}
 	}
 	if st := ev.SolverStats(); st.SecuritySolves != 2 {
 		t.Errorf("SecuritySolves = %d, want 2 (the atomic endpoints only)", st.SecuritySolves)
-	}
-	for _, name := range []string{"zeros", "ones"} {
-		if memo[name] != "hit" {
-			t.Errorf("rollout %s: security_memo = %v, want hit", name, memo[name])
-		}
 	}
 }
 

@@ -20,30 +20,23 @@ import (
 // aggregated rates), validated once. The rest is arithmetic: class
 // counts from the replicas, Compiled.Evaluate, tier-factor lookups and
 // the composition. The evaluator memoizes shapes, so designs that differ
-// only in replica counts — a sweep's — share one.
-
-// DesignShape scores the designs of one shape: valid specs with the
-// roles and stacks, in order, of the spec the shape was resolved for,
-// at any replica counts. Evaluate and EvaluatePatched are
-// EvaluateSpecContext and EvaluatePatched for such a spec, except that
-// they record nothing on the caller's span: they return the Provenance
-// that says which memos served them. Spans of real solver work (a security
-// model build, a tier-factor solve) still open under the context's
-// span. Implementations must be safe for concurrent use.
-type DesignShape interface {
-	Evaluate(ctx context.Context, spec paperdata.DesignSpec) (Result, Provenance, error)
-	EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (RolloutResult, Provenance, error)
-}
+// only in replica counts — a sweep's — share one, and
+// EvaluateSpecContext and EvaluatePatched are each a shape lookup plus
+// the arithmetic.
 
 // Provenance counts which memos served one evaluation: the compiled
 // security models it read from the security memo or built, and the tier
-// factors it read from the tier-factor memo or solved.
+// factors it read from the tier-factor memo or solved. An evaluation
+// returns it rather than recording it on the caller's span, so the
+// engine records a single evaluation's on that evaluation's span and
+// adds a sweep's designs up on the sweep's.
 type Provenance struct {
 	SecurityHits, SecuritySolves int
 	TierHits, TierSolves         int
 }
 
-// shape is the evaluator's DesignShape.
+// shape is the replica-independent part of the designs that share one
+// spec's roles and stacks, in order.
 type shape struct {
 	e *Evaluator
 	// order lists the spec.Tiers indices in logical order; class maps
@@ -65,15 +58,11 @@ type shape struct {
 	points        map[string]*harm.Compiled
 }
 
-// Shape returns the shape of a valid spec, building and memoizing it on
-// first use. Building it solves the rates of a stack no design has used
-// yet; the security models are compiled as designs first need them.
-func (e *Evaluator) Shape(spec paperdata.DesignSpec) (DesignShape, error) {
-	return e.shapeOf(spec)
-}
-
-// shapeOf is Shape's concrete lookup. The probe builds its key in a
-// stack buffer, so a memoized shape costs no allocation.
+// shapeOf returns the shape of a valid spec, building and memoizing it
+// on first use. Building it solves the rates of a stack no design has
+// used yet; the security models are compiled as designs first need
+// them. The probe builds its key in a stack buffer, so a memoized shape
+// costs no allocation.
 func (e *Evaluator) shapeOf(spec paperdata.DesignSpec) (*shape, error) {
 	var kb [keyBuf]byte
 	k := kb[:0]
@@ -162,10 +151,10 @@ const (
 	classBuf = 16
 )
 
-// Evaluate scores one design of the shape atomically: both sides of the
+// evaluate scores one design of the shape atomically: both sides of the
 // patch round from the endpoint models, at the class counts, and the
 // availability with every server on the patch cycle.
-func (s *shape) Evaluate(ctx context.Context, spec paperdata.DesignSpec) (res Result, p Provenance, err error) {
+func (s *shape) evaluate(ctx context.Context, spec paperdata.DesignSpec) (res Result, p Provenance, err error) {
 	res.Spec = spec
 	var countb [classBuf]int
 	counts := countb[:0]
@@ -199,14 +188,14 @@ func (s *shape) Evaluate(ctx context.Context, spec paperdata.DesignSpec) (res Re
 	return res, p, nil
 }
 
-// EvaluatePatched scores one design of the shape at per-tier patched
+// evaluatePatched scores one design of the shape at per-tier patched
 // counts (aligned with spec.Tiers, each within its group's replicas):
 // security on the model of the point's patch pattern, at the
 // sub-classed counts — per class its unpatched replicas, then its
 // patched ones, the classes the rollout does not split counted once —
 // and availability on mixed-version tier factors. The result's
 // Fractions is nil and Patched aliases patched.
-func (s *shape) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (res RolloutResult, p Provenance, err error) {
+func (s *shape) evaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (res RolloutResult, p Provenance, err error) {
 	res.Spec, res.Patched = spec, patched
 	var totalb, patchedb [classBuf]int
 	total, done := totalb[:0], patchedb[:0]

@@ -144,44 +144,14 @@ type chaosEvaluator struct {
 	next *redundancy.Evaluator
 }
 
-func (c chaosEvaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, error) {
+func (c chaosEvaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, redundancy.Provenance, error) {
 	if err := c.inj.HitCtx(ctx, ChaosSiteEvaluate); err != nil {
-		return redundancy.Result{}, err
+		return redundancy.Result{}, redundancy.Provenance{}, err
 	}
 	return c.next.EvaluateSpecContext(ctx, spec)
 }
 
-// Shape wraps the design's shape so that every design a sweep scores
-// through it runs the injector site, as a single evaluation does.
-func (c chaosEvaluator) Shape(spec paperdata.DesignSpec) (redundancy.DesignShape, error) {
-	s, err := c.next.Shape(spec)
-	if err != nil {
-		return nil, err
-	}
-	return chaosShape{inj: c.inj, next: s}, nil
-}
-
 func (c chaosEvaluator) SolverStats() redundancy.SolverStats { return c.next.SolverStats() }
-
-// chaosShape is a design shape behind the chaos injector site.
-type chaosShape struct {
-	inj  *faultinject.Injector
-	next redundancy.DesignShape
-}
-
-func (c chaosShape) Evaluate(ctx context.Context, spec paperdata.DesignSpec) (redundancy.Result, redundancy.Provenance, error) {
-	if err := c.inj.HitCtx(ctx, ChaosSiteEvaluate); err != nil {
-		return redundancy.Result{}, redundancy.Provenance{}, err
-	}
-	return c.next.Evaluate(ctx, spec)
-}
-
-func (c chaosShape) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, redundancy.Provenance, error) {
-	if err := c.inj.HitCtx(ctx, ChaosSiteEvaluate); err != nil {
-		return redundancy.RolloutResult{}, redundancy.Provenance{}, err
-	}
-	return c.next.EvaluatePatched(ctx, spec, patched)
-}
 
 // datasetFingerprint content-addresses the vulnerability dataset every
 // case study evaluates against: a truncated SHA-256 over its canonical

@@ -30,9 +30,9 @@ type RolloutReport = engine.RolloutReport
 // all-unpatched and ends all-patched, bracketing both atomic endpoints.
 type RolloutSchedule = redundancy.RolloutSchedule
 
-func (c chaosEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, error) {
+func (c chaosEvaluator) EvaluatePatched(ctx context.Context, spec paperdata.DesignSpec, patched []int) (redundancy.RolloutResult, redundancy.Provenance, error) {
 	if err := c.inj.HitCtx(ctx, ChaosSiteEvaluate); err != nil {
-		return redundancy.RolloutResult{}, err
+		return redundancy.RolloutResult{}, redundancy.Provenance{}, err
 	}
 	return c.next.EvaluatePatched(ctx, spec, patched)
 }
