@@ -104,7 +104,7 @@ var checkAllowlists = map[string]map[string]string{
 		"redpatch/cmd/redpatchd.server.handleRolloutSweep":   "rollout/sweep's pre-check: a stream must answer 400 before its first byte",
 		"redpatch/cmd/redpatchd.server.handleRankPatches":    "rank-patches' pre-check: an invalid spec is refused before admission",
 		"redpatch/internal/fleet.System.Validate":            "a fleet system is outside input",
-		"redpatch/internal/paperdata.KeyParser.AppendParse":  "a dump's keys are outside input",
+		"redpatch/internal/paperdata.KeyScanner.add":         "a dump's keys are outside input",
 		"redpatch/internal/redundancy.Evaluator.RankPatches": "the ranking's check: the engine does not serve it",
 	},
 	"redpatch/internal/fleet.System.Validate": {

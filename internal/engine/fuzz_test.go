@@ -260,7 +260,7 @@ func memoOps(t *testing.T, data []byte) {
 			var got []string
 			for pk, v := range m.all() {
 				text, rollout := m.appendText(nil, pk, &sc)
-				if _, patched, err := parseKey(string(text)); err != nil || rollout != (patched != nil) {
+				if _, patched, err := refParse(string(text)); err != nil || rollout != (patched != nil) {
 					t.Fatalf("key %s, rendered as a rollout point: %v, parses to %v, %v", text, rollout, patched, err)
 				}
 				if want, ok := oracle[string(text)]; !ok || *v != want {

@@ -91,10 +91,7 @@ func (m *memo) appendKey(b []byte, spec paperdata.DesignSpec, patched []int, int
 		b = appendTier(b, id, t.Replicas)
 	}
 	if patched != nil {
-		b = append(b, rolloutMark)
-		for _, p := range patched {
-			b = binary.AppendUvarint(b, uint64(p))
-		}
+		b = appendPoint(b, patched)
 	}
 	return b, true
 }
@@ -114,6 +111,16 @@ func (m *memo) labelID(t paperdata.TierSpec, intern bool) uint32 {
 // replica count.
 func appendTier(b []byte, id uint32, replicas int) []byte {
 	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(id)), uint64(replicas))
+}
+
+// appendPoint appends a rollout point's end of a packed key to b: the
+// marker and the per-tier patched counts.
+func appendPoint(b []byte, patched []int) []byte {
+	b = append(b, rolloutMark)
+	for _, p := range patched {
+		b = binary.AppendUvarint(b, uint64(p))
+	}
+	return b
 }
 
 // intern adds l to the label table and returns its id. The strings are
@@ -181,7 +188,11 @@ func (m *memo) lookup(k []byte, h uint32) (entry, bool) {
 // put stores v under k and reports whether k is new. An entry already
 // under k is overwritten, unless keep is set.
 func (m *memo) put(k []byte, v entry, keep bool) bool {
-	h := m.hash(k)
+	return m.putHashed(k, m.hash(k), v, keep)
+}
+
+// putHashed is put for a key whose hash the caller has.
+func (m *memo) putHashed(k []byte, h uint32, v entry, keep bool) bool {
 	var p int
 	if len(m.index) > 0 {
 		var ok bool
@@ -298,10 +309,23 @@ func (m *memo) frozen() memo {
 	}
 }
 
-// translate appends packed key k of memo from to b with this memo's
-// label ids: ids[x-1] holds this memo's id for from's label x, or 0
-// until translate first meets it and interns it.
-func (m *memo) translate(b, k []byte, from *memo, ids []uint32) []byte {
+// labelIDs returns this memo's id for each of labels, a part's label
+// table as a KeyScanner numbers it (label x at index x-1), interning
+// those the memo has not seen. same reports that every label keeps its
+// number, so the part's packed keys are already this memo's.
+func (m *memo) labelIDs(labels []paperdata.TierSpec) (ids []uint32, same bool) {
+	ids = make([]uint32, len(labels))
+	same = true
+	for i, t := range labels {
+		ids[i] = m.labelID(t, true)
+		same = same && ids[i] == uint32(i+1)
+	}
+	return ids, same
+}
+
+// translate appends packed key k to b with its label ids mapped: label
+// x becomes ids[x-1].
+func translate(b, k []byte, ids []uint32) []byte {
 	rollout := false
 	for len(k) > 0 {
 		x, w := binary.Uvarint(k)
@@ -313,22 +337,16 @@ func (m *memo) translate(b, k []byte, from *memo, ids []uint32) []byte {
 			rollout = true
 			b = append(b, rolloutMark)
 		default:
-			if ids[x-1] == 0 {
-				l := from.labels[x-1]
-				if ids[x-1] = m.ids[l]; ids[x-1] == 0 {
-					ids[x-1] = m.intern(l)
-				}
-			}
 			r, w := binary.Uvarint(k)
 			k = k[w:]
-			b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(ids[x-1])), r)
+			b = appendTier(b, ids[x-1], int(r))
 		}
 	}
 	return b
 }
 
-// keyScratch is the spec and counts appendText decodes a key into, and
-// a restore parses a text key into, reused across keys.
+// keyScratch is the spec and counts appendText decodes a key into,
+// reused across keys.
 type keyScratch struct {
 	tiers   []paperdata.TierSpec
 	patched []int

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -77,22 +78,25 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 	m := g.memo.frozen()
 	g.mu.Unlock()
 
-	// Every key is rendered into one buffer and converted to one
-	// string, which the sorted references index. A classic design's key
-	// takes 22 bytes and a rollout point's about 40.
+	// Every key is rendered into one builder, whose string the sorted
+	// references index: the keys are never copied into a second buffer.
+	// A classic design's key takes 22 bytes and a rollout point's about
+	// 40.
 	var sc keyScratch
-	text := make([]byte, 0, 32*m.n)
+	var text strings.Builder
+	text.Grow(32 * m.n)
+	var kb [keyBuf]byte
 	refs := make([]snapshotRef, 0, m.n)
 	for k, v := range m.all() {
 		if err := wire.CheckFinite(v.before.AIM, v.before.ASP, v.after.AIM, v.after.ASP, v.coa, v.sa); err != nil {
 			return 0, fmt.Errorf("engine: writing snapshot: %w", err)
 		}
-		start := len(text)
-		var rollout bool
-		text, rollout = m.appendText(text, k, &sc)
-		refs = append(refs, snapshotRef{start: start, end: len(text), rollout: rollout, val: v})
+		key, rollout := m.appendText(kb[:0], k, &sc)
+		start := text.Len()
+		text.Write(key)
+		refs = append(refs, snapshotRef{start: start, end: text.Len(), rollout: rollout, val: v})
 	}
-	keys := string(text)
+	keys := text.String()
 	slices.SortFunc(refs, func(a, b snapshotRef) int {
 		return strings.Compare(keys[a.start:a.end], keys[b.start:b.end])
 	})
@@ -140,7 +144,7 @@ func (g *Engine) Snapshot(w io.Writer) (int, error) {
 const snapshotChunk = 32 << 10
 
 // snapshotRef is one memo entry as Snapshot writes it: its text key,
-// keys[start:end] in Snapshot's one string of keys, whether that is a
+// keys[start:end] in the string of Snapshot's keys, whether that is a
 // rollout point's, and its numbers.
 type snapshotRef struct {
 	start, end int
@@ -187,17 +191,25 @@ func (g *Engine) Restore(r io.Reader) (int, error) {
 		}
 		g.memo.reserve(n)
 	}
+	// A key being solved is left to its solve, whose live result lands
+	// when it ends. A restarted service restores before it serves, so
+	// there is usually no solve to look for.
+	inflight := len(g.inflight.calls) > 0
 	for i := range parts {
 		p := &parts[i]
-		ids := make([]uint32, len(p.labels.labels))
+		ids, same := g.memo.labelIDs(p.labels)
 		for j := range p.entries {
 			e := &p.entries[j]
-			k := g.memo.translate(buf[:0], p.keys[e.start:e.end], &p.labels, ids)
-			if g.inflight.find(k, g.memo.hash(k)) != nil {
+			k := p.keys[e.start:e.end]
+			if !same {
+				k = translate(buf[:0], k, ids)
+			}
+			h := g.memo.hash(k)
+			if inflight && g.inflight.find(k, h) != nil {
 				continue
 			}
 			// An entry already cached stays: live results win.
-			if g.memo.put(k, e.val, true) {
+			if g.memo.putHashed(k, h, e.val, true) {
 				g.size.Add(1)
 				restored++
 			}
@@ -224,11 +236,11 @@ func readAll(r io.Reader) ([]byte, error) {
 
 // restoredPart is the checked entries of one run of a dump. Their
 // keys are packed back to back in keys, as the memo packs them, with
-// tier label ids from the part's own label table: labels is a memo used
-// for that table alone. first and last are the run's first and last
-// text keys, which alias the dump.
+// tier label ids of the part's own: label id x is labels[x-1]. first
+// and last are the run's first and last text keys, which alias the
+// dump.
 type restoredPart struct {
-	labels      memo
+	labels      []paperdata.TierSpec
 	keys        []byte
 	entries     []restoredEntry
 	first, last []byte
@@ -332,21 +344,30 @@ func decodeSnapshot(data []byte, fp string, workers int) ([]restoredPart, error)
 // whole entries separated by commas.
 func decodePart(data []byte, start, end int) (restoredPart, error) {
 	d := dumpReader{b: data, pos: start}
+	// The part is sized by its first entry: entries of its length fill
+	// the run, an eighth more absorb shorter ones, and each has the
+	// tiers of its key. A packed tier takes two bytes while its label id
+	// and replica count are below 128, and a rollout point a marker and
+	// a byte a count. A part that needs more room grows.
 	run := data[start:end]
-	// Snapshot writes every entry opening with its key, and a key of n
-	// tiers holds n-1 ';', so counting both sizes the part once. A
-	// packed tier takes two bytes while its label id and replica count
-	// are below 128, and a rollout point a marker and a byte a count.
-	n := bytes.Count(run, []byte(`{"key":`))
-	tiers := n + bytes.Count(run, []byte{';'})
+	stride := len(run) + len(",")
+	if i := bytes.Index(run, entrySep); i >= 0 {
+		stride = i + len("},")
+	}
+	n := (len(run)+len(","))/stride + 1
+	n += n / 8
+	tiers := 1
+	if open := len(`{"key":"`); len(run) > open {
+		key, _, _ := bytes.Cut(run[open:], []byte(`"`))
+		tiers += bytes.Count(key, []byte{';'})
+	}
 	p := restoredPart{
-		keys:    make([]byte, 0, 3*tiers+n),
+		keys:    make([]byte, 0, n*(3*tiers+1)),
 		entries: make([]restoredEntry, 0, n),
 	}
-	var kp paperdata.KeyParser
-	var sc keyScratch
+	var ks keyScan
 	for {
-		key, err := d.entry(&p, &kp, &sc)
+		key, err := d.entry(&p, &ks)
 		if err != nil {
 			return restoredPart{}, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 		}
@@ -368,7 +389,17 @@ func decodePart(data []byte, start, end int) (restoredPart, error) {
 		d.fail("the end of the entries")
 		return restoredPart{}, d.err
 	}
+	p.labels = ks.Labels()
 	return p, nil
+}
+
+// keyScan is what a part reads its keys with: one scanner, which
+// numbers the part's tier labels, and the tiers and counts it scans
+// each key into, reused across keys.
+type keyScan struct {
+	paperdata.KeyScanner
+	tiers   []paperdata.KeyTier
+	patched []int
 }
 
 // checkOrder checks that key sorts after prev, the key of the entry
@@ -410,6 +441,16 @@ type dumpReader struct {
 	b   []byte
 	pos int
 	err error
+	// last holds each float field as the entry before spelled it:
+	// before's, after's and a rollout point's AIM and ASP, then COA
+	// and SA.
+	last [8]lastFloat
+}
+
+// lastFloat is a float as a dump spelled it, and its value.
+type lastFloat struct {
+	text []byte
+	val  float64
 }
 
 func (d *dumpReader) fail(want string) {
@@ -497,7 +538,20 @@ func (d *dumpReader) number() []byte {
 	return tok
 }
 
-func (d *dumpReader) float() float64 {
+// float consumes a JSON number as a float64. A number spelled as the
+// one last records is taken as last's value, without scanning or
+// parsing it again: a dump's neighbouring entries repeat most of their
+// numbers. Otherwise last records the number read.
+func (d *dumpReader) float(last *lastFloat) float64 {
+	if d.err != nil {
+		return 0
+	}
+	if t := last.text; len(t) > 0 {
+		if end := d.pos + len(t); end < len(d.b) && !numberByte(d.b[end]) && bytes.Equal(d.b[d.pos:end], t) {
+			d.pos = end
+			return last.val
+		}
+	}
 	tok := d.number()
 	if d.err != nil {
 		return 0
@@ -505,29 +559,61 @@ func (d *dumpReader) float() float64 {
 	f, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		d.fail("a float64, not " + string(tok))
+		return 0
 	}
+	last.text, last.val = tok, f
 	return f
 }
 
+// numberByte reports whether c can continue a JSON number.
+func numberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-'
+}
+
+// int consumes a JSON number that strconv.Atoi reads, an optional minus
+// and the digits of an int64, converting it in place.
 func (d *dumpReader) int() int {
-	tok := d.number()
 	if d.err != nil {
 		return 0
 	}
-	n, err := strconv.Atoi(string(tok))
-	if err != nil {
-		d.fail("an int, not " + string(tok))
+	b, i := d.b, d.pos
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
 	}
-	return n
+	from := i
+	var n uint64
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		n = n*10 + uint64(b[i]-'0')
+	}
+	// JSON's integer part is a lone 0 or opens with 1-9, and an int
+	// has no fraction or exponent. Nineteen digits fit a uint64, and
+	// more overflow an int64.
+	digits := i - from
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	if digits == 0 || digits > 19 || digits > 1 && b[from] == '0' || n > limit ||
+		i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
+		d.fail("an int")
+		return 0
+	}
+	d.pos = i
+	if neg {
+		return -int(n)
+	}
+	return int(n)
 }
 
-// summary consumes one side's security numbers.
-func (d *dumpReader) summary() Summary {
+// summary consumes one side's security numbers, side 0 before, 1 after
+// and 2 a rollout point's.
+func (d *dumpReader) summary(side int) Summary {
 	var s Summary
 	d.lit(dumpKeys[0])
-	s.AIM = d.float()
+	s.AIM = d.float(&d.last[2*side])
 	d.lit(dumpKeys[1])
-	s.ASP = d.float()
+	s.ASP = d.float(&d.last[2*side+1])
 	d.lit(dumpKeys[2])
 	s.NoEV = d.int()
 	d.lit(dumpKeys[3])
@@ -539,61 +625,59 @@ func (d *dumpReader) summary() Summary {
 }
 
 // entry consumes one memo entry, checks it and appends it to p,
-// returning its key, which aliases the dump. The key is parsed into
-// sc's buffers. A layout mismatch is left in d.err; a well-formed entry
-// whose key fails a check is returned as the error.
-func (d *dumpReader) entry(p *restoredPart, kp *paperdata.KeyParser, sc *keyScratch) ([]byte, error) {
+// returning its key, which aliases the dump. The key is scanned with
+// ks. A layout mismatch is left in d.err; a well-formed entry whose key
+// fails a check is returned as the error.
+func (d *dumpReader) entry(p *restoredPart, ks *keyScan) ([]byte, error) {
 	var val entry
 	var key []byte
 	d.lit(`{"key":`)
-	// The key is taken verbatim: a canonical key has no escapes, so the
-	// re-render check below rejects any.
+	// The key is taken verbatim, escapes undecoded.
 	if tok := d.str(); d.err == nil {
 		key = tok[1 : len(tok)-1]
 	}
 	design := d.skip(`,"before":`)
 	if design {
-		val.before = d.summary()
+		val.before = d.summary(0)
 		d.lit(`,"after":`)
-		val.after = d.summary()
+		val.after = d.summary(1)
 	} else {
 		d.lit(`,"security":`)
-		val.before = d.summary()
+		val.before = d.summary(2)
 	}
 	d.lit(`,"coa":`)
-	val.coa = d.float()
+	val.coa = d.float(&d.last[6])
 	d.lit(`,"sa":`)
-	val.sa = d.float()
+	val.sa = d.float(&d.last[7])
 	d.lit("}")
 	if d.err != nil {
 		return key, nil
 	}
 
-	tiers, patched, rollout, err := kp.AppendParse(sc.tiers[:0], sc.patched[:0], key)
-	sc.tiers, sc.patched = tiers, patched
-	if err != nil {
-		return key, err
-	}
-	spec := paperdata.DesignSpec{Tiers: tiers}
-	var buf [keyBuf]byte
-	k := spec.AppendKey(buf[:0])
-	if rollout {
-		k = spec.AppendRolloutKey(buf[:0], patched)
-	} else {
-		patched = nil
-	}
-	if !bytes.Equal(k, key) {
-		// The copy keeps buf on the stack.
-		return key, fmt.Errorf("key %q is not canonical (want %q)", key, string(k))
-	}
+	tiers, patched, rollout, err := ks.Scan(ks.tiers[:0], ks.patched[:0], key)
+	ks.tiers, ks.patched = tiers, patched
 	switch {
+	case err != nil:
+		return key, err
 	case !rollout && !design:
 		return key, fmt.Errorf("design key %q needs before and after, and no security", key)
 	case rollout && design:
 		return key, fmt.Errorf("rollout key %q needs security, and no before or after", key)
 	}
 	start := len(p.keys)
-	p.keys, _ = p.labels.appendKey(p.keys, spec, patched, true)
+	p.keys = appendScanned(p.keys, tiers, patched, rollout)
 	p.entries = append(p.entries, restoredEntry{start: start, end: len(p.keys), val: val})
 	return key, nil
+}
+
+// appendScanned appends to b the packed key of a key a KeyScanner read,
+// with the scanner's label numbers as label ids.
+func appendScanned(b []byte, tiers []paperdata.KeyTier, patched []int, rollout bool) []byte {
+	for _, t := range tiers {
+		b = appendTier(b, uint32(t.Label), t.Replicas)
+	}
+	if rollout {
+		b = appendPoint(b, patched)
+	}
+	return b
 }

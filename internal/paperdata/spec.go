@@ -3,6 +3,7 @@ package paperdata
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -170,81 +171,151 @@ func (s DesignSpec) AppendRolloutKey(b []byte, patched []int) []byte {
 	return b
 }
 
-// KeyParser parses text keys, the inverse of AppendKey and
-// AppendRolloutKey. It interns the tier labels it reads, so a run of
-// keys shares one string per distinct role and variant and a parsed key
-// allocates nothing. The zero value is ready to use; a KeyParser is not
-// safe for concurrent use.
-type KeyParser struct{ labels map[string]string }
+// KeyTier is one tier of a key a KeyScanner read: the number of its
+// label in that scanner's Labels, and its replica count.
+type KeyTier struct {
+	Label    int
+	Replicas int
+}
 
-// AppendParse parses key and appends the tiers of the unnamed spec it
-// describes to tiers and, for a rollout key, the per-tier patched counts
-// to patched; rollout reports which kind of key it is. The spec must be
-// valid and a rollout key must carry one count per tier, each within
-// 0..replicas; on error tiers and patched keep the lengths they were
-// passed with. AppendParse accepts spellings the renderers never
-// produce ("dns:01", "web/web:1"); callers that need the canonical form
-// re-render the result and compare.
-func (p *KeyParser) AppendParse(tiers []TierSpec, patched []int, key []byte) ([]TierSpec, []int, bool, error) {
+// KeyScanner reads text keys in the one spelling AppendKey and
+// AppendRolloutKey render, in one pass over each key: a reader of keys
+// from outside, such as a dump's, needs nothing else to know a key
+// names a valid design, or a rollout point that fits it, and is
+// canonical. It numbers the distinct tier labels ("role" or
+// "role/stack") it reads from 1, in the order it first meets them,
+// and checks each label once: a label is compared with the one the
+// previous key had at the same tier first, then looked up by its
+// text. The zero value is ready to use; a KeyScanner is not safe for
+// concurrent use.
+type KeyScanner struct {
+	ids    map[string]int // label text -> number
+	text   []string       // text[id-1]: the label as a key spells it
+	labels []TierSpec     // labels[id-1]: its role and variant
+	prev   []int          // the label numbers of the last key read, by tier
+}
+
+// Labels returns the labels the scanner has numbered, label n at index
+// n-1: each a role and, where the stack is another, the variant.
+// Replicas is 0.
+func (s *KeyScanner) Labels() []TierSpec { return s.labels }
+
+// Scan reads key and appends its tiers to tiers and, for a rollout key,
+// its per-tier patched counts to patched; rollout reports which kind of
+// key it is. It accepts exactly the keys AppendKey and AppendRolloutKey
+// render for valid specs: tiers of a known stack, with no key separator
+// in a label and no variant equal to its role, replica counts of 1 or
+// more and, for a rollout key, one count per tier within 0..replicas,
+// every number in decimal with no sign and no leading zero. On error
+// tiers and patched keep the lengths they were passed with.
+func (s *KeyScanner) Scan(tiers []KeyTier, patched []int, key []byte) ([]KeyTier, []int, bool, error) {
 	t0 := len(tiers)
-	design, counts, rollout := bytes.Cut(key, []byte(rolloutSep))
-	for rest, more := design, true; more; {
-		var part []byte
-		part, rest, more = bytes.Cut(rest, []byte(";"))
-		label, n, ok := bytes.Cut(part, []byte(":"))
-		if !ok {
-			return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: tier %q has no replica count", key, part)
-		}
-		replicas, err := strconv.Atoi(string(n))
+	pos := 0
+	for tier := 0; ; tier++ {
+		id, colon, err := s.label(key, pos, tier)
 		if err != nil {
-			return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: tier %q: %v", key, part, err)
+			return tiers[:t0], patched, false, err
 		}
-		role, variant, _ := bytes.Cut(label, []byte("/"))
-		tiers = append(tiers, TierSpec{Role: p.intern(role), Replicas: replicas, Variant: p.intern(variant)})
-	}
-	spec := DesignSpec{Tiers: tiers[t0:]}
-	if err := spec.Validate(); err != nil {
-		return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: %w", key, err)
-	}
-	if !rollout {
-		return tiers, patched, false, nil
-	}
-	if n := bytes.Count(counts, []byte(",")) + 1; n != len(spec.Tiers) {
-		return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: %d patched counts for %d tiers",
-			key, n, len(spec.Tiers))
+		n, end, ok := decimal(key, colon+1)
+		if !ok || n < 1 {
+			return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: tier %d needs a replica count of 1 or more in canonical decimal", key, tier)
+		}
+		tiers = append(tiers, KeyTier{Label: id, Replicas: n})
+		if end == len(key) {
+			return tiers, patched, false, nil
+		}
+		if key[end] != ';' {
+			if !bytes.HasPrefix(key[end:], []byte(rolloutSep)) {
+				return tiers[:t0], patched, false, fmt.Errorf("paperdata: key %q: tier %d ends in %q, not ';', %q or the end", key, tier, key[end], rolloutSep)
+			}
+			pos = end + len(rolloutSep)
+			break
+		}
+		pos = end + 1
 	}
 	p0 := len(patched)
-	for i, rest := 0, counts; i < len(spec.Tiers); i++ {
-		var c []byte
-		c, rest, _ = bytes.Cut(rest, []byte(","))
-		n, err := strconv.Atoi(string(c))
-		if err != nil {
-			return tiers[:t0], patched[:p0], false, fmt.Errorf("paperdata: key %q: patched count %q: %v", key, c, err)
-		}
-		if n < 0 || n > spec.Tiers[i].Replicas {
-			return tiers[:t0], patched[:p0], false, fmt.Errorf("paperdata: key %q: tier %d patches %d of %d replicas",
-				key, i, n, spec.Tiers[i].Replicas)
+	design := tiers[t0:]
+	for i, t := range design {
+		n, end, ok := decimal(key, pos)
+		if !ok || n > t.Replicas {
+			return tiers[:t0], patched[:p0], false, fmt.Errorf("paperdata: key %q: tier %d needs a patched count within 0..%d in canonical decimal", key, i, t.Replicas)
 		}
 		patched = append(patched, n)
+		last := i == len(design)-1
+		if last && end != len(key) || !last && (end == len(key) || key[end] != ',') {
+			return tiers[:t0], patched[:p0], false, fmt.Errorf("paperdata: key %q: want one patched count for each of %d tiers", key, len(design))
+		}
+		pos = end + 1
 	}
 	return tiers, patched, true, nil
 }
 
-// intern returns label as a string, the same string for every equal
-// label this parser has read.
-func (p *KeyParser) intern(label []byte) string {
-	if len(label) == 0 {
-		return ""
+// label reads the label of the key's tier that opens at pos and returns
+// its number and the index of the ':' that ends it.
+func (s *KeyScanner) label(key []byte, pos, tier int) (id, colon int, err error) {
+	if tier < len(s.prev) {
+		id = s.prev[tier]
+		t := s.text[id-1]
+		if end := pos + len(t); end < len(key) && key[end] == ':' && string(key[pos:end]) == t {
+			return id, end, nil
+		}
 	}
-	if s, ok := p.labels[string(label)]; ok {
-		return s
+	colon = bytes.IndexByte(key[pos:], ':')
+	if colon < 0 {
+		return 0, 0, fmt.Errorf("paperdata: key %q: tier %d has no replica count", key, tier)
 	}
-	if p.labels == nil {
-		p.labels = make(map[string]string)
+	colon += pos
+	if id = s.ids[string(key[pos:colon])]; id == 0 {
+		if id, err = s.add(key[pos:colon]); err != nil {
+			return 0, 0, fmt.Errorf("paperdata: key %q: %w", key, err)
+		}
 	}
-	s := string(label)
-	p.labels[s] = s
-	return s
+	if tier < len(s.prev) {
+		s.prev[tier] = id
+	} else {
+		s.prev = append(s.prev, id)
+	}
+	return id, colon, nil
+}
+
+// add checks a label the scanner has not read before and numbers it. A
+// label must name a valid tier, and spell a variant only where it is
+// not empty and not the role, as appendLabel does.
+func (s *KeyScanner) add(label []byte) (int, error) {
+	text := string(label)
+	role, variant, slash := strings.Cut(text, "/")
+	t := TierSpec{Role: role, Replicas: 1, Variant: variant}
+	if slash && t.Stack() == role {
+		return 0, fmt.Errorf("label %q is not canonical (want %q)", text, role)
+	}
+	if err := (DesignSpec{Tiers: []TierSpec{t}}).Validate(); err != nil {
+		return 0, err
+	}
+	if s.ids == nil {
+		// A dump's keys name a handful of labels, and tiers.
+		s.ids = make(map[string]int, 8)
+		s.text, s.labels, s.prev = make([]string, 0, 8), make([]TierSpec, 0, 8), make([]int, 0, 8)
+	}
+	t.Replicas = 0
+	s.text = append(s.text, text)
+	s.labels = append(s.labels, t)
+	s.ids[text] = len(s.text)
+	return len(s.text), nil
+}
+
+// decimal reads the number at key[pos:] as strconv.AppendInt renders a
+// non-negative int: "0", or a digit 1-9 and more digits, at most
+// math.MaxInt. It returns the number and the end of its digits; ok is
+// false when key[pos:] opens with no such number.
+func decimal(key []byte, pos int) (n, end int, ok bool) {
+	for end = pos; end < len(key) && '0' <= key[end] && key[end] <= '9'; end++ {
+		d := int(key[end] - '0')
+		if n > (math.MaxInt-d)/10 {
+			return 0, end, false
+		}
+		n = n*10 + d
+	}
+	return n, end, end > pos && (key[pos] != '0' || end == pos+1)
 }
 
 // String renders the spec in the paper's notation, e.g.

@@ -7,18 +7,28 @@ import (
 	"testing"
 )
 
-// parseKey parses one key with a fresh KeyParser: the unnamed spec and,
+// parseKey scans one key with a fresh KeyScanner: the unnamed spec and,
 // for a rollout key, the patched counts (nil for a design key).
 func parseKey(key string) (DesignSpec, []int, error) {
-	var p KeyParser
-	tiers, patched, _, err := p.AppendParse(nil, nil, []byte(key))
+	var s KeyScanner
+	tiers, patched, _, err := s.Scan(nil, nil, []byte(key))
 	if err != nil {
 		return DesignSpec{}, nil, err
 	}
-	return DesignSpec{Tiers: tiers}, patched, nil
+	return scannedSpec(&s, tiers), patched, nil
 }
 
-// TestParseKeyRoundTrip: KeyParser inverts Key and AppendRolloutKey for
+// scannedSpec is the unnamed spec of tiers that s scanned.
+func scannedSpec(s *KeyScanner, tiers []KeyTier) DesignSpec {
+	spec := DesignSpec{Tiers: make([]TierSpec, len(tiers))}
+	for i, t := range tiers {
+		spec.Tiers[i] = s.Labels()[t.Label-1]
+		spec.Tiers[i].Replicas = t.Replicas
+	}
+	return spec
+}
+
+// TestParseKeyRoundTrip: KeyScanner inverts Key and AppendRolloutKey for
 // classic, variant, heterogeneous and single-tier designs, at no point,
 // at the endpoints and mid-rollout.
 func TestParseKeyRoundTrip(t *testing.T) {
@@ -59,23 +69,25 @@ func TestParseKeyRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Once its labels are interned, a parser appends a key to arenas
-	// with room for it without allocating: a restore parses thousands.
-	var p KeyParser
+	// Once it has numbered its labels, a scanner appends a key to
+	// arenas with room for it without allocating: a restore scans
+	// thousands.
+	var s KeyScanner
 	key := specs[2].AppendRolloutKey(nil, []int{1, 2, 3, 4})
-	tiers, counts := make([]TierSpec, 0, 4), make([]int, 0, 4)
+	tiers, counts := make([]KeyTier, 0, 4), make([]int, 0, 4)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, err := p.AppendParse(tiers, counts, key); err != nil {
+		if _, _, _, err := s.Scan(tiers, counts, key); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("AppendParse made %v allocs, want 0", allocs)
+		t.Errorf("Scan made %v allocs, want 0", allocs)
 	}
 }
 
 // TestParseKeyRejects: keys that do not describe a valid design, or a
-// rollout point that does not fit its design, fail to parse.
+// rollout point that does not fit its design, or that spell one other
+// than the renderers do, fail to scan.
 func TestParseKeyRejects(t *testing.T) {
 	for _, key := range []string{
 		"",
@@ -95,25 +107,14 @@ func TestParseKeyRejects(t *testing.T) {
 		"dns:1;web:2|rollout=1",
 		"dns:1;web:2|rollout=1,1,0",
 		"dns:1|rollout=1|rollout=1",
+		// Spellings the renderers never produce.
+		"dns:01",
+		"dns:+1",
+		"web/web:1",
+		"dns:1|rollout=01",
 	} {
 		if spec, patched, err := parseKey(key); err == nil {
 			t.Errorf("parseKey(%q) = %+v, %v; want an error", key, spec, patched)
-		}
-	}
-	// Spellings the renderers never produce parse, but do not
-	// re-render to themselves: callers needing the canonical form
-	// compare.
-	for _, key := range []string{"dns:01", "dns:+1", "web/web:1", "dns:1|rollout=01"} {
-		spec, patched, err := parseKey(key)
-		if err != nil {
-			t.Fatalf("parseKey(%q): %v", key, err)
-		}
-		re := spec.Key()
-		if patched != nil {
-			re = string(spec.AppendRolloutKey(nil, patched))
-		}
-		if re == key {
-			t.Errorf("non-canonical %q re-renders to itself", key)
 		}
 	}
 }
@@ -170,15 +171,15 @@ func TestValidateRejectsKeySeparators(t *testing.T) {
 	}
 }
 
-// FuzzSpecKey: the text key is injective on valid specs and KeyParser
+// FuzzSpecKey: the text key is injective on valid specs and KeyScanner
 // inverts it. Each input encodes two specs, one tier a line as
 // "role<TAB>variant<TAB>replicas", and the patched count of each tier of
 // a rollout point (a byte modulo replicas+1). For two valid specs, equal
 // design keys mean equal canonical specs (name dropped, a variant equal
 // to its role dropped), and equal rollout keys also mean equal patched
-// counts. For each valid spec, its design key and its rollout key parse
+// counts. For each valid spec, its design key and its rollout key scan
 // back to the canonical spec and the patched counts, which re-render the
-// same key. One KeyParser appends every key of an input to one pair of
+// same key. One KeyScanner appends every key of an input to one pair of
 // arenas, the first input string taken raw as a key too, and a rejected
 // key leaves the arenas' lengths as they were.
 func FuzzSpecKey(f *testing.F) {
@@ -188,16 +189,16 @@ func FuzzSpecKey(f *testing.F) {
 	f.Add("dns\t\t1\nweb\t\t2\napp\t\t2\ndb\t\t1", "dns\t\t1\nweb\tweb\t2\napp\t\t2\ndb\t\t1", []byte{0, 1, 2, 1})
 	f.Add("web\twebalt\t12", "web\t\t3\nweb\twebalt\t3\nx\tdb\t4", []byte{7, 2, 9})
 	f.Fuzz(func(t *testing.T, a, b string, patch []byte) {
-		// One parser and one pair of arenas serve every key of the
+		// One scanner and one pair of arenas serve every key of the
 		// input, as they serve every key of a part of a restored dump.
-		var kp KeyParser
-		var arena []TierSpec
+		var ks KeyScanner
+		var arena []KeyTier
 		var arenaCounts []int
 		parse := func(key string) (DesignSpec, []int, error) {
 			t0, c0 := len(arena), len(arenaCounts)
-			tiers, counts, rollout, err := kp.AppendParse(arena, arenaCounts, []byte(key))
+			tiers, counts, rollout, err := ks.Scan(arena, arenaCounts, []byte(key))
 			if len(tiers) < t0 || len(counts) < c0 || err != nil && (len(tiers) != t0 || len(counts) != c0) {
-				t.Fatalf("AppendParse(%q) took the arenas from %d, %d to %d, %d (err %v)", key, t0, c0, len(tiers), len(counts), err)
+				t.Fatalf("Scan(%q) took the arenas from %d, %d to %d, %d (err %v)", key, t0, c0, len(tiers), len(counts), err)
 			}
 			arena, arenaCounts = tiers, counts
 			if err != nil {
@@ -207,7 +208,7 @@ func FuzzSpecKey(f *testing.F) {
 			if rollout {
 				patched = counts[c0:]
 			}
-			return DesignSpec{Tiers: tiers[t0:]}, patched, nil
+			return scannedSpec(&ks, tiers[t0:]), patched, nil
 		}
 		// Raw input as a key: whatever it parses to, a rejection leaves
 		// the arenas as they were.
